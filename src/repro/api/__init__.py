@@ -69,6 +69,7 @@ from repro.sim.config import (
 )
 from repro.sim.result import SimulationResult
 from repro.sim.runner import instruction_budget as _instruction_budget
+from repro.sim.runner import workload_trace as _workload_trace
 from repro.stats.report import format_table
 from repro.sweeps.grid import GridExpansion, GridSpec
 from repro.sweeps.points import NAMED_CONFIGS
@@ -335,7 +336,7 @@ def check(paths: Optional[Sequence[str]] = None,
         names = list(workloads) if workloads else ["gzip", "mcf"]
         reports = []
         for name in names:
-            trace = get_workload(name).generate(instructions + 2_000)
+            trace = _workload_trace(name, instructions)
             for label in labels:
                 scheme_cfg = SCHEME_MATRIX.get(label)
                 if scheme_cfg is None:

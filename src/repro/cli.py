@@ -59,7 +59,7 @@ from repro.isa.serialize import load_trace_file, save_trace_file
 from repro.sim.config import CONFIG1, CONFIG2, CONFIG3, SchemeConfig
 from repro.sim.pipetrace import PipelineTracer
 from repro.sim.processor import Processor
-from repro.sim.runner import run_trace, run_workload
+from repro.sim.runner import run_trace, run_workload, workload_trace
 from repro.stats.report import format_table
 from repro.workloads import SUITE, get_workload
 
@@ -455,8 +455,7 @@ def cmd_check(args) -> int:
         workloads = args.workload or ["gzip", "mcf"]
         reports = []
         for workload_name in workloads:
-            trace = get_workload(workload_name).generate(
-                args.instructions + 2_000)
+            trace = workload_trace(workload_name, args.instructions)
             for label in schemes:
                 config = CONFIGS[args.config].with_scheme(SCHEME_MATRIX[label])
                 result, report = run_sanitized(
@@ -664,7 +663,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_timeline(args) -> int:
     config = _configured(args)
-    trace = get_workload(args.workload).generate(args.instructions + 2000)
+    trace = workload_trace(args.workload, args.instructions)
     proc = Processor(config, trace, seed=args.seed)
     proc.tracer = PipelineTracer(capacity=args.rows * 4)
     proc.prewarm()

@@ -21,6 +21,7 @@ from repro.exec.options import PARALLEL_ENV, EngineOptions
 from repro.exec.request import RunRequest
 from repro.sim.result import SimulationResult
 from repro.sim.runner import run_many, run_workload
+from repro.sim.setup_memo import SETUP_MEMO
 
 __all__ = [
     "PARALLEL_ENV",
@@ -97,6 +98,17 @@ class EngineStats:
             "hit_rate": self.hit_rate,
             "wall_seconds": self.wall_seconds,
         }
+
+    @staticmethod
+    def setup_memo() -> Dict[str, int]:
+        """Counters of this process's setup memo: trace and warm-front-end
+        hits, misses and evictions, and the micro-ops it retains.
+
+        Per process, not per engine — every engine (and shard) in the
+        process shares the memo, and pool workers keep their own — so
+        they stay out of :meth:`summary`, whose fields sum across shards.
+        """
+        return SETUP_MEMO.stats()
 
 
 class ExecutionEngine:

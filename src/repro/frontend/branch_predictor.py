@@ -113,6 +113,16 @@ class BranchTargetBuffer:
         if len(ways) > self._assoc:
             ways.pop()
 
+    def copy_entries(self):
+        """A copy of every set (set index -> MRU-first ways)."""
+        return {index: tuple(ways) for index, ways in self._table.items()}
+
+    def load_entries(self, entries) -> None:
+        """Replace every set with a private copy of ``entries``."""
+        self._table.clear()
+        for index, ways in entries.items():
+            self._table[index] = list(ways)
+
 
 class CombinedPredictor:
     """Bimodal + gshare with a meta chooser (McFarling-style).
@@ -173,6 +183,23 @@ class CombinedPredictor:
             # history that existed at prediction time.
             self.gshare.set_history(((history << 1) | int(taken)))
         return mispredicted
+
+    def copy_tables(self):
+        """A private copy of the learned state: the bimodal, gshare and
+        meta counters (2-bit values, so stored as ``bytes``), the global
+        history and the BTB.  Lookup and misprediction counters are not
+        part of it."""
+        return (bytes(self.bimodal._table), bytes(self.gshare._table),
+                bytes(self._meta), self.gshare.history, self.btb.copy_entries())
+
+    def load_tables(self, tables) -> None:
+        """Install a copy of :meth:`copy_tables` output (same geometry)."""
+        bimodal, gshare, meta, history, btb = tables
+        self.bimodal._table[:] = bimodal
+        self.gshare._table[:] = gshare
+        self._meta[:] = meta
+        self.gshare.history = history
+        self.btb.load_entries(btb)
 
     @property
     def accuracy(self) -> float:

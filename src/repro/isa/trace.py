@@ -1,6 +1,6 @@
 """Trace container: the dynamic instruction stream of one workload."""
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import TraceError
 from repro.isa.instruction import MicroOp
@@ -13,13 +13,18 @@ class Trace:
     The simulator fetches sequentially through the list; a squash rewinds
     the fetch index, so one ``Trace`` supports replay and misprediction
     recovery without any bookkeeping of its own.
+
+    :meth:`freeze` makes a trace read-only (``ops`` becomes a tuple and
+    :meth:`append`/:meth:`extend` raise): generated traces are frozen
+    because the setup memo shares one instance across every run of the
+    same workload content.
     """
 
     def __init__(self, name: str, ops: Optional[List[MicroOp]] = None,
                  group: str = "INT") -> None:
         self.name = name
         self.group = group  # "INT" or "FP", the paper's reporting groups
-        self.ops: List[MicroOp] = ops if ops is not None else []
+        self.ops: Sequence[MicroOp] = ops if ops is not None else []
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -30,11 +35,22 @@ class Trace:
     def __iter__(self) -> Iterator[MicroOp]:
         return iter(self.ops)
 
+    def freeze(self) -> "Trace":
+        """Make this trace read-only in place and return it."""
+        self.ops = tuple(self.ops)
+        return self
+
+    def _mutable_ops(self) -> List[MicroOp]:
+        ops = self.ops
+        if not isinstance(ops, list):
+            raise TraceError(f"trace {self.name!r} is frozen (shared, read-only)")
+        return ops
+
     def append(self, op: MicroOp) -> None:
-        self.ops.append(op)
+        self._mutable_ops().append(op)
 
     def extend(self, ops: Iterable[MicroOp]) -> None:
-        self.ops.extend(ops)
+        self._mutable_ops().extend(ops)
 
     def mix(self) -> dict:
         """Instruction-mix fractions by class name (diagnostics)."""

@@ -8,7 +8,7 @@ mechanisms).
 """
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.utils.bitops import is_power_of_two, log2_exact
@@ -83,6 +83,20 @@ class Cache:
             ways.pop()
             self.evictions += 1
         return False
+
+    def copy_lines(self) -> Dict[int, Tuple[int, ...]]:
+        """A copy of the tag store (set index -> MRU-first tags)."""
+        return {index: tuple(ways) for index, ways in self._sets.items()}
+
+    def load_lines(self, lines: Dict[int, Sequence[int]]) -> None:
+        """Replace the tag store with a private copy of ``lines``.
+
+        Hit/miss/eviction counters are left alone: a restored warm state
+        must read like a fresh prewarm, whose counters are reset.
+        """
+        self._sets.clear()
+        for index, ways in lines.items():
+            self._sets[index] = list(ways)
 
     def invalidate_line(self, addr: int) -> bool:
         """Drop the line containing ``addr``; return True when present."""

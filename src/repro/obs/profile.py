@@ -23,6 +23,7 @@ from repro.obs.recorder import (
 from repro.sim.config import MachineConfig
 from repro.sim.processor import Processor
 from repro.sim.result import SimulationResult
+from repro.sim.runner import workload_trace
 from repro.stats.report import format_table
 
 
@@ -131,8 +132,8 @@ def profile_workload(config: MachineConfig, workload, *,
                      ring_capacity: int = 4096,
                      jsonl_path: Optional[str] = None,
                      timeline_capacity: int = 256) -> ProfileReport:
-    """Generate ``workload``'s trace (with tail slack) and profile it."""
-    trace = workload.generate(instructions + 2_000)
+    """Profile ``workload`` on its shared trace (with tail slack)."""
+    trace = workload_trace(workload, instructions)
     return profile_run(config, trace, instructions=instructions, seed=seed,
                        ring_capacity=ring_capacity, jsonl_path=jsonl_path,
                        timeline_capacity=timeline_capacity)

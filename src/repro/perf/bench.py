@@ -35,7 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.config import CONFIG2, SCHEME_LABELS, MachineConfig, SchemeConfig
 from repro.sim.processor import NO_FASTPATH_ENV, Processor
-from repro.sim.runner import instruction_budget, run_many
+from repro.sim.runner import TRACE_TAIL_SLACK, instruction_budget, run_many
+from repro.sim.setup_memo import SETUP_MEMO
 from repro.sim.soa import NO_SOA_ENV
 
 #: Default output file, at the repository root by convention.
@@ -151,10 +152,11 @@ def _bench_batch(budget: int, seed: int) -> Dict:
 
     The same (scheme, workload) sweep is executed twice from cold —
     once as independent :func:`repro.sim.runner.run_workload` calls
-    (each paying its own trace generation and kernel-buffer
+    (each paying its own trace generation, prewarm and kernel-buffer
     allocation), once through one :func:`run_many` batch — and the
     payload records both wall times plus a bit-identity check between
-    the two result sets.
+    the two result sets.  The setup memo is emptied before every
+    timed call, so neither side is served by the other's setup.
     """
     from repro.exec.request import RunRequest
     from repro.sim.runner import run_workload
@@ -168,13 +170,15 @@ def _bench_batch(budget: int, seed: int) -> Dict:
     ]
 
     start = time.perf_counter()
-    singles = [
-        run_workload(request.config, get_workload(request.workload),
-                     max_instructions=request.budget, seed=request.seed)
-        for request in requests
-    ]
+    singles = []
+    for request in requests:
+        SETUP_MEMO.clear()
+        singles.append(run_workload(
+            request.config, get_workload(request.workload),
+            max_instructions=request.budget, seed=request.seed))
     wall_individual = time.perf_counter() - start
 
+    SETUP_MEMO.clear()
     start = time.perf_counter()
     batched = run_many(requests)
     wall_run_many = time.perf_counter() - start
@@ -219,11 +223,13 @@ def run_bench(
     schemes = QUICK_SCHEMES if quick else FULL_SCHEMES
 
     # Untimed interpreter warm-up on the cheapest pair.
-    warm_trace = get_workload(mix[0]).generate(min(budget, 3_000) + 2_000)
+    warm_trace = get_workload(mix[0]).generate(
+        min(budget, 3_000) + TRACE_TAIL_SLACK)
     _bench_one(CONFIG2.with_scheme(schemes[0][1]), warm_trace,
                min(budget, 3_000), seed)
 
-    traces = {name: get_workload(name).generate(budget + 2_000) for name in mix}
+    traces = {name: get_workload(name).generate(budget + TRACE_TAIL_SLACK)
+              for name in mix}
     wall_start = time.perf_counter()
     scheme_rows: Dict[str, Dict] = {}
     for label, scheme_cfg in schemes:

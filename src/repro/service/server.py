@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import ServiceError, SimulationError
-from repro.exec.engine import ExecutionEngine, set_engine, use_engine
+from repro.exec.engine import EngineStats, ExecutionEngine, set_engine, use_engine
 from repro.exec.options import EngineOptions
 from repro.exec.request import RunRequest
 from repro.service.batcher import Draining, ResultTimeout, Saturated
@@ -162,6 +162,7 @@ class ReproService(ThreadingHTTPServer):
             engine_stats=self.shards.engine_stats(),
             draining=self.shards.draining,
         )
+        snapshot["engine"]["setup_memo"] = EngineStats.setup_memo()
         per_shard: List[Dict[str, object]] = []
         for shard in self.shards.shards:
             shard_pending, shard_executing = shard.depth()

@@ -1,18 +1,22 @@
 """Convenience entry points for running one workload on one machine."""
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.isa.trace import Trace, validate_trace
 from repro.sim.config import MachineConfig
 from repro.sim.processor import Processor
 from repro.sim.result import SimulationResult
+from repro.sim.setup_memo import SetupBatch
 from repro.sim.soa import KernelBuffers
 
 #: Environment variable scaling every experiment's instruction budget.
 INSTRUCTIONS_ENV = "REPRO_INSTRUCTIONS"
 DEFAULT_INSTRUCTIONS = 12_000
+#: Micro-ops generated past the committed-instruction budget, so the
+#: pipeline never starves at the trace tail.
+TRACE_TAIL_SLACK = 2_000
 
 
 def instruction_budget(default: Optional[int] = None) -> int:
@@ -67,15 +71,33 @@ def run_workload(
     max_instructions: Optional[int] = None,
     seed: int = 1,
 ) -> SimulationResult:
-    """Generate a workload's trace and run it.
+    """Generate a workload's trace and run it: a one-element :func:`run_many`.
 
     ``workload`` is any object with ``generate(num_instructions) -> Trace``
-    (see :mod:`repro.workloads`).  The trace is generated slightly longer
-    than the budget so the pipeline never starves at the trace tail.
+    (see :mod:`repro.workloads`).  The trace is generated
+    :data:`TRACE_TAIL_SLACK` ops longer than the budget.
     """
-    budget = max_instructions if max_instructions is not None else instruction_budget()
-    trace = workload.generate(budget + 2_000)
-    return run_trace(config, trace, max_instructions=budget, seed=seed)
+    return run_many([_Point(config, workload, max_instructions, seed)])[0]
+
+
+class _Point(NamedTuple):
+    """The request protocol :func:`run_many` reads (as ``RunRequest``)."""
+
+    config: MachineConfig
+    workload: Any
+    budget: Optional[int]
+    seed: int
+
+
+def workload_trace(workload, budget: int) -> Trace:
+    """The shared, frozen trace every run of ``workload`` at ``budget``
+    committed instructions uses (:data:`TRACE_TAIL_SLACK` ops longer).
+
+    ``workload`` is a suite name, a ``WorkloadSpec``, or any object with
+    ``generate(n)``; spec-backed traces come from the setup memo.
+    """
+    return SetupBatch().trace(_resolve_workload(workload),
+                              budget + TRACE_TAIL_SLACK)[0]
 
 
 def _resolve_workload(workload):
@@ -98,36 +120,37 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
     and ``seed`` — :class:`repro.exec.request.RunRequest` satisfies the
     protocol as-is.
 
-    Batch-level amortization, behaviour-neutral per element:
+    Setup amortization, behaviour-neutral per element:
 
     * one generated trace — and therefore one SoA column decode — per
-      distinct (workload, budget) pair;
+      distinct (workload content, budget), shared through the
+      process-wide setup memo (:mod:`repro.sim.setup_memo`) with every
+      other batch;
+    * one prewarm per distinct (trace, front-end geometry), likewise
+      shared: later processors get a copy of the warm state;
     * one slot-pool allocation per machine geometry, threaded between
       elements via ``Processor.soa_buffers``.
 
     Every element still gets a fresh :class:`Processor` with its own RNG
-    stream, so results are bit-identical to calling :func:`run_workload`
-    once per request and seeds cannot leak across batch elements.
+    stream and its own copy of the warm front end, so results are
+    bit-identical to a fresh process running each request alone and
+    seeds cannot leak across batch elements.
     """
     results: List[SimulationResult] = []
-    traces: Dict[Tuple[str, int], Trace] = {}
+    setup = SetupBatch()
     buffers: Dict[int, Optional[KernelBuffers]] = {}
     for request in requests:
         config = request.config
         budget = request.budget
         if budget is None:
             budget = instruction_budget()
-        workload = _resolve_workload(request.workload)
-        trace_key = (getattr(workload, "name", repr(request.workload)), budget)
-        trace = traces.get(trace_key)
-        if trace is None:
-            trace = workload.generate(budget + 2_000)
-            traces[trace_key] = trace
+        trace, ident = setup.trace(_resolve_workload(request.workload),
+                                   budget + TRACE_TAIL_SLACK)
         processor = Processor(config, trace, seed=request.seed)
         pool = config.rob_size + config.fetch_buffer + 8
         processor.soa_buffers = buffers.get(pool)
         if prewarm:
-            processor.prewarm()
+            setup.prewarm(processor, ident)
         results.append(processor.run(budget))
         if processor.soa_buffers is not None:
             buffers[pool] = processor.soa_buffers

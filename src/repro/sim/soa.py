@@ -112,9 +112,13 @@ class TraceSoA:
         pool_index = FunctionalUnits._POOL_INDEX
         latency = FunctionalUnits.latency_by_cls
         maxreg = 0  # sizes the kernel's flat rename table
+        # One int object per distinct fetch line: memoized traces keep
+        # their columns, and the loop would otherwise allocate one per op.
+        lines = {}
         for i, uop in enumerate(ops):
             pc[i] = uop.pc
-            line[i] = uop.pc >> 6
+            ln = uop.pc >> 6
+            line[i] = lines.setdefault(ln, ln)
             cls = uop.cls
             fu_pool[i] = pool_index[cls]
             fu_lat[i] = latency[cls]

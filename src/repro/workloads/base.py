@@ -256,6 +256,10 @@ class _Generator:
 
         # Pending idiom queues: list of (countdown, emit_fn)
         self._pending: List[Tuple[int, str, dict]] = []
+        # One object per distinct pc/address/target int and srcs tuple
+        # (see _append); dropped with the generator after build().
+        self._ints: Dict[int, int] = {}
+        self._srcs: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     def _make_branch_sites(self) -> List[_BranchSite]:
@@ -316,23 +320,36 @@ class _Generator:
         """
         if self.rng.random() < self.spec.fresh_index_fraction or not self._recent_fast_dsts:
             dst = self._next_int_reg()
-            self.trace.append(
-                MicroOp(self._next_pc(), InstrClass.IALU,
-                        srcs=(self._base_reg(), self._base_reg()), dst=dst)
-            )
+            self._append(self._next_pc(), InstrClass.IALU,
+                         srcs=(self._base_reg(), self._base_reg()), dst=dst)
             if self.rng.random() < self.spec.index_mul_fraction:
                 # Two-op address arithmetic (shift then add): the access
                 # trails its dispatch group by one more cycle.
                 dst2 = self._next_int_reg()
-                self.trace.append(
-                    MicroOp(self._next_pc(), InstrClass.IALU,
-                            srcs=(dst, self._base_reg()), dst=dst2)
-                )
+                self._append(self._next_pc(), InstrClass.IALU,
+                             srcs=(dst, self._base_reg()), dst=dst2)
                 dst = dst2
             else:
                 self._note_dst(dst, is_short=True)
             return dst
         return self._recent_fast_dsts[-1]
+
+    def _append(self, pc: int, cls: InstrClass, srcs: Tuple[int, ...] = (),
+                dst: Optional[int] = None, mem_addr: int = 0, mem_size: int = 8,
+                data_src: Optional[int] = None, taken: bool = False,
+                target: int = 0) -> None:
+        """Append one micro-op, sharing equal field values across the trace.
+
+        A trace repeats the same ``pc``/``target``/``mem_addr`` ints and
+        ``srcs`` tuples thousands of times; keeping one object per
+        distinct value (values unchanged) is what keeps a memoized trace
+        small.
+        """
+        ints = self._ints.setdefault
+        self.trace.append(MicroOp(
+            ints(pc, pc), cls, self._srcs.setdefault(srcs, srcs), dst,
+            ints(mem_addr, mem_addr), mem_size, data_src, taken,
+            ints(target, target)))
 
     # -- pc management ---------------------------------------------------
     def _next_pc(self) -> int:
@@ -344,6 +361,7 @@ class _Generator:
 
     # ------------------------------------------------------------------
     def build(self, n: int) -> Trace:
+        """Generate ``n`` micro-ops and return them as a frozen trace."""
         rate = self.spec.conflict_per_kinstr
         # Rates below one conflict per 10M instructions are effectively off.
         emit_mem_conflict_every = int(1000 / rate) if rate > 1e-4 else 0
@@ -368,7 +386,7 @@ class _Generator:
                 self._emit_branch()
             else:
                 self._emit_alu()
-        return self.trace
+        return self.trace.freeze()
 
     def _drain_pending(self) -> bool:
         """Emit one due pending op (scheduled by idioms); True if emitted."""
@@ -428,10 +446,8 @@ class _Generator:
             srcs = (self._base_reg(), self._index_reg())
         else:
             srcs = (self._base_reg(),)
-        self.trace.append(
-            MicroOp(pc if pc is not None else self._next_pc(), InstrClass.LOAD,
-                    srcs=srcs, dst=dst, mem_addr=addr, mem_size=size)
-        )
+        self._append(pc if pc is not None else self._next_pc(), InstrClass.LOAD,
+                     srcs=srcs, dst=dst, mem_addr=addr, mem_size=size)
         self._note_dst(dst, is_load=True)
 
     def _emit_store(self, addr: Optional[int] = None, slow_addr: Optional[bool] = None,
@@ -459,10 +475,8 @@ class _Generator:
             # same-pointer reloads truly dependent on this pointer.
             ptr = _PTR_REGS[self._ptr_cursor % len(_PTR_REGS)]
             self._ptr_cursor += 1
-            self.trace.append(
-                MicroOp(self._next_pc(), InstrClass.LOAD, srcs=(self._base_reg(),),
-                        dst=ptr, mem_addr=self._addr_for("random") & ~0x7, mem_size=8)
-            )
+            self._append(self._next_pc(), InstrClass.LOAD, srcs=(self._base_reg(),),
+                         dst=ptr, mem_addr=self._addr_for("random") & ~0x7, mem_size=8)
             srcs: Tuple[int, ...] = (ptr,)
         elif addr_tier == "alu":
             # Indexed store: the address may trail a just-computed index by
@@ -476,10 +490,8 @@ class _Generator:
             data_src = self._recent_dsts[-1]
         else:
             data_src = self._base_reg()
-        self.trace.append(
-            MicroOp(pc if pc is not None else self._next_pc(), InstrClass.STORE,
-                    srcs=srcs, mem_addr=addr, mem_size=size, data_src=data_src)
-        )
+        self._append(pc if pc is not None else self._next_pc(), InstrClass.STORE,
+                     srcs=srcs, mem_addr=addr, mem_size=size, data_src=data_src)
         if self.rng.random() < spec.store_revisit:
             # Counter/histogram update idiom: the location is re-read soon.
             # The reload's address trails an index computation, so it
@@ -542,9 +554,8 @@ class _Generator:
         else:
             srcs = (self._recent_dsts[-1],) if self._recent_dsts else ()
         # Target presence is what matters (BTB); point at the next pc.
-        self.trace.append(
-            MicroOp(site.pc, InstrClass.BRANCH, srcs=srcs, taken=taken, target=self.pc)
-        )
+        self._append(site.pc, InstrClass.BRANCH, srcs=srcs, taken=taken,
+                     target=self.pc)
 
     def _emit_alu(self, srcs_hint: Optional[Tuple[int, ...]] = None) -> None:
         spec = self.spec
@@ -568,5 +579,5 @@ class _Generator:
             # base registers, so the result is ready one cycle after issue.
             srcs = (self._base_reg(), self._base_reg())
             short = not long_op and not is_fp
-        self.trace.append(MicroOp(self._next_pc(), cls, srcs=srcs, dst=dst))
+        self._append(self._next_pc(), cls, srcs=srcs, dst=dst)
         self._note_dst(dst, is_slow=long_op or is_fp, is_short=short)

@@ -85,3 +85,20 @@ def test_cache_keys_unchanged_by_batching(tmp_path):
         assert second.stats.executed == 0
         assert second.stats.disk_hits == 2
     assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+
+
+def test_same_name_different_spec_gets_its_own_trace():
+    """A custom WorkloadSpec that reuses a suite name must run on its own
+    trace inside a batch, not on the suite workload's: batch traces are
+    keyed by workload content, never by name."""
+    from repro.workloads import WorkloadSpec
+
+    custom = WorkloadSpec(name="gzip", working_set_kb=8192, load_fraction=0.35)
+    config = CONFIG2.with_scheme(SchemeConfig.from_label("dmdc"))
+    suite_point = RunRequest(config, "gzip", 3_000, 1)
+    custom_point = RunRequest(config, custom, 3_000, 1)
+    suite_result, custom_result = run_many([suite_point, custom_point])
+    solo = run_workload(config, custom_point.resolve_workload(),
+                        max_instructions=3_000, seed=1)
+    assert custom_result.to_dict() == solo.to_dict()
+    assert custom_result.to_dict() != suite_result.to_dict()

@@ -1,0 +1,231 @@
+"""The process-wide setup memo (:mod:`repro.sim.setup_memo`).
+
+Contract: memoizing traces and warm front ends is invisible in results.
+A point run on a cold memo, on a warm memo, or alone in a fresh process
+gives the same ``SimulationResult.to_dict()``; a run on a restored warm
+front end cannot leak back into the memo; concurrent batches agree; and
+eviction under the micro-op bound only costs a regeneration.
+"""
+
+import hashlib
+import json
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from repro.errors import TraceError
+from repro.exec.engine import EngineStats, ExecutionEngine
+from repro.exec.request import RunRequest
+from repro.sim import setup_memo
+from repro.sim.config import CONFIGS, CONFIG2, SCHEME_LABELS, SchemeConfig
+from repro.sim.runner import TRACE_TAIL_SLACK, run_many, run_workload
+from repro.sim.setup_memo import SETUP_MEMO, FrontEnd, front_end_geometry, trace_key
+from repro.workloads import get_workload
+
+from tests.test_service import start_server, stop_server
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+BUDGET = 800
+WORKLOADS = ("gzip", "mcf", "equake")
+
+#: Runs every matrix point in a fresh interpreter, emptying the memo
+#: before each one, and prints one digest per point.
+_FRESH_PROCESS = """
+import hashlib, json, sys
+from repro.sim.config import CONFIGS, SCHEME_LABELS, SchemeConfig
+from repro.sim.runner import run_workload
+from repro.sim.setup_memo import SETUP_MEMO
+from repro.workloads import get_workload
+budget, workloads = int(sys.argv[1]), sys.argv[2].split(",")
+for config in CONFIGS:
+    for label in SCHEME_LABELS:
+        for name in workloads:
+            SETUP_MEMO.clear()
+            result = run_workload(config.with_scheme(SchemeConfig.from_label(label)),
+                                  get_workload(name), max_instructions=budget, seed=5)
+            blob = json.dumps(result.to_dict(), sort_keys=True).encode()
+            print(hashlib.sha256(blob).hexdigest())
+"""
+
+
+def _digest(result):
+    blob = json.dumps(result.to_dict(), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _matrix():
+    return [RunRequest(config.with_scheme(SchemeConfig.from_label(label)),
+                       name, BUDGET, 5)
+            for config in CONFIGS for label in SCHEME_LABELS for name in WORKLOADS]
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    SETUP_MEMO.clear()
+    yield
+    SETUP_MEMO.clear()
+
+
+def test_cold_and_warm_memo_match_fresh_process():
+    """All 9 labels x config1/2/3 x 3 workloads: a cold batch, a warm
+    batch and warm solo runs equal a fresh process running each point
+    alone on an empty memo."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, str(BUDGET), ",".join(WORKLOADS)],
+        capture_output=True, text=True, timeout=600, check=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": ""})
+    fresh = proc.stdout.split()
+    requests = _matrix()
+    assert len(fresh) == len(requests) == 81
+
+    cold = [_digest(r) for r in run_many(requests)]
+    assert SETUP_MEMO.stats()["trace_misses"] == len(WORKLOADS)
+    warm = [_digest(r) for r in run_many(requests)]
+    assert SETUP_MEMO.stats()["trace_hits"] == len(WORKLOADS)
+    solo = [_digest(run_workload(r.config, r.resolve_workload(),
+                                 max_instructions=r.budget, seed=r.seed))
+            for r in requests]
+    assert cold == fresh
+    assert warm == fresh
+    assert solo == fresh
+
+
+def _state(front):
+    """A deep, comparable rendering of a warm front end."""
+    return repr([front.predictor[:4], sorted(front.predictor[4].items()),
+                 sorted(front.l1i.items()), sorted(front.l2.items())])
+
+
+def test_restored_front_end_does_not_leak_into_the_memo():
+    """Two runs on the same restored warm front end agree with the run
+    that captured it, and running leaves the memoized copy untouched."""
+    config = CONFIG2.with_scheme(SchemeConfig.from_label("dmdc"))
+    workload = get_workload("mcf")
+    first = run_workload(config, workload, max_instructions=BUDGET, seed=3)
+    key = trace_key(workload, BUDGET + TRACE_TAIL_SLACK)
+    geometry = front_end_geometry(config)
+    front = SETUP_MEMO.front_end(key, geometry)
+    assert isinstance(front, FrontEnd)
+    captured = _state(front)
+
+    second = run_workload(config, workload, max_instructions=BUDGET, seed=3)
+    third = run_workload(config, workload, max_instructions=BUDGET, seed=3)
+    assert first.to_dict() == second.to_dict() == third.to_dict()
+    assert SETUP_MEMO.front_end(key, geometry) is front
+    assert _state(front) == captured
+
+
+def test_concurrent_batches_agree():
+    """Two threads running overlapping batches on an empty memo (so they
+    race to generate and prewarm the shared traces) get the same results
+    as a sequential run."""
+    requests = [RunRequest(CONFIG2.with_scheme(SchemeConfig.from_label(label)),
+                           name, BUDGET, 9)
+                for label in ("conventional", "dmdc", "value")
+                for name in ("gzip", "mcf")]
+    views = (requests, list(reversed(requests)))
+    barrier = threading.Barrier(2)
+    out = [None, None]
+
+    def worker(slot):
+        barrier.wait(timeout=30)
+        out[slot] = [_digest(r) for r in run_many(views[slot])]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert out[0] is not None and out[1] is not None
+    assert out[0] == list(reversed(out[1]))
+    SETUP_MEMO.clear()
+    assert out[0] == [_digest(r) for r in run_many(requests)]
+
+
+def test_eviction_under_a_tiny_bound(monkeypatch):
+    """Past the micro-op bound the least recently used trace goes (with
+    its warm front end); a later request regenerates it, same result."""
+    length = BUDGET + TRACE_TAIL_SLACK
+    monkeypatch.setattr(setup_memo, "MAX_RETAINED_OPS", length + length // 2)
+    gzip = RunRequest(CONFIG2, "gzip", BUDGET, 1)
+    mcf = RunRequest(CONFIG2, "mcf", BUDGET, 1)
+    first = run_many([gzip])[0]
+    run_many([mcf])
+    stats = SETUP_MEMO.stats()
+    assert stats["trace_evictions"] == 1
+    assert stats["traces"] == 1
+    assert stats["retained_ops"] <= setup_memo.MAX_RETAINED_OPS
+    again = run_many([gzip])[0]
+    stats = SETUP_MEMO.stats()
+    assert stats["trace_misses"] == 3 and stats["trace_hits"] == 0
+    assert stats["warm_misses"] == 3 and stats["warm_hits"] == 0
+    assert again.to_dict() == first.to_dict()
+
+
+def test_one_batch_pins_traces_past_the_bound(monkeypatch):
+    """A batch over more traces than the bound holds still generates
+    each trace once: the batch pins what it has used."""
+    monkeypatch.setattr(setup_memo, "MAX_RETAINED_OPS", 1)
+    requests = [RunRequest(CONFIG2.with_scheme(SchemeConfig.from_label(label)),
+                           name, BUDGET, 1)
+                for label in ("conventional", "dmdc") for name in ("gzip", "mcf")]
+    run_many(requests)
+    assert SETUP_MEMO.stats()["trace_misses"] == 2
+
+
+def test_generated_traces_are_frozen():
+    trace = get_workload("gzip").generate(64)
+    assert isinstance(trace.ops, tuple)
+    with pytest.raises(TraceError, match="frozen"):
+        trace.append(trace.ops[0])
+    with pytest.raises(TraceError, match="frozen"):
+        trace.extend(trace.ops[:2])
+    with pytest.raises(AttributeError):
+        trace.ops.append(trace.ops[0])  # type: ignore[attr-defined]
+
+
+def test_counters_for_a_known_batch():
+    """Two distinct traces over one front-end geometry: the first batch
+    misses both tables once per trace, an identical second batch hits."""
+    requests = [
+        RunRequest(CONFIG2, "gzip", BUDGET, 1),
+        RunRequest(CONFIG2.with_scheme(SchemeConfig.from_label("dmdc")), "gzip", BUDGET, 1),
+        RunRequest(CONFIG2, "mcf", BUDGET, 1),
+        RunRequest(CONFIG2, "gzip", BUDGET, 2),
+    ]
+    run_many(requests)
+    stats = EngineStats.setup_memo()
+    retained = sum(len(get_workload(name).generate(BUDGET + TRACE_TAIL_SLACK))
+                   for name in ("gzip", "mcf"))
+    assert stats == {"trace_hits": 0, "trace_misses": 2, "trace_evictions": 0,
+                     "warm_hits": 0, "warm_misses": 2, "traces": 2,
+                     "retained_ops": retained}
+    run_many(requests)
+    stats = EngineStats.setup_memo()
+    assert (stats["trace_hits"], stats["trace_misses"]) == (2, 2)
+    assert (stats["warm_hits"], stats["warm_misses"]) == (2, 2)
+
+
+def test_engine_execute_goes_through_the_memo():
+    """The engine's per-request path is a one-element ``run_many``."""
+    with ExecutionEngine(cache=None, max_workers=1) as engine:
+        engine.run([RunRequest(CONFIG2, "gzip", BUDGET, 1)])
+        engine.run([RunRequest(CONFIG2, "gzip", BUDGET, 2)])
+    stats = EngineStats.setup_memo()
+    assert (stats["trace_misses"], stats["trace_hits"]) == (1, 1)
+
+
+def test_metrics_engine_block_reports_the_memo():
+    server, thread, client = start_server()
+    try:
+        client.run("gzip", scheme="dmdc", instructions=BUDGET, seed=4)
+        memo = server.metrics_snapshot()["engine"]["setup_memo"]
+    finally:
+        client.close()
+        stop_server(server, thread)
+    assert memo["trace_misses"] == 1
+    assert memo["warm_misses"] == 1
+    assert memo["retained_ops"] > 0
