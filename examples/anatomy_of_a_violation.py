@@ -10,7 +10,8 @@ This is the smallest program that exercises the entire machinery the
 paper is about.
 """
 
-from repro.api import InstrClass, MicroOp, Processor, SchemeConfig, Trace, small_config
+from repro.api import SchemeConfig
+from repro.api.advanced import InstrClass, MicroOp, Processor, Trace, small_config
 
 
 def build_scenario() -> Trace:

@@ -28,8 +28,7 @@ service execute (one point codec across all three; see
         base={"instructions": 8_000}))
 
 Advanced internals (hand-built traces, direct pipeline access, engine
-plumbing) live in :mod:`repro.api.advanced`; the old top-level aliases
-still resolve but raise :class:`DeprecationWarning`.
+plumbing) live in :mod:`repro.api.advanced`.
 
 Verbs:
 
@@ -44,9 +43,8 @@ Verbs:
   result (see ``docs/observability.md``).
 """
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
 from repro.analysis import (
     SCHEME_MATRIX,
@@ -93,28 +91,9 @@ __all__ = [
     "advanced",
 ]
 
-#: Names that used to live here and now live in :mod:`repro.api.advanced`.
-#: Resolved lazily with a deprecation warning so old imports keep working.
-_MOVED_TO_ADVANCED = (
-    "EngineOptions", "ExecutionEngine", "InstrClass", "MicroOp",
-    "Processor", "RunRequest", "Trace", "get_engine", "simulate_trace",
-    "small_config", "use_engine",
-)
-
 SchemeLike = Union[str, SchemeConfig]
 ConfigLike = Union[str, MachineConfig]
 WorkloadLike = Union[str, WorkloadSpec, SyntheticWorkload]
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_ADVANCED:
-        warnings.warn(
-            f"repro.api.{name} has moved to repro.api.advanced."
-            f"{name}; the repro.api alias will be removed",
-            DeprecationWarning, stacklevel=2)
-        from repro.api import advanced as _advanced
-        return getattr(_advanced, name)
-    raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
 
 
 # -- coercion ------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Everything here is supported but sharp-edged: direct pipeline access,
 hand-built traces, and the engine plumbing most callers never need.
-The main facade re-exports these names with a :class:`DeprecationWarning`
-(they used to live in ``repro.api`` proper); import them from here.
+Import them from here; :mod:`repro.api` does not re-export them.
 
 * :class:`Trace`, :class:`MicroOp`, :class:`InstrClass` — hand-built
   instruction streams for :func:`simulate_trace`;

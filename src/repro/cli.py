@@ -551,6 +551,16 @@ def _sweep_spec(args):
                     name=args.name)
 
 
+def _service_client(endpoint: str, args):
+    """A retrying ServiceClient for one ``[HOST:]PORT`` endpoint."""
+    from repro.service import RetryPolicy, ServiceClient
+
+    host, _, port = endpoint.strip().rpartition(":")
+    return ServiceClient(
+        host=host or "127.0.0.1", port=int(port), timeout=args.timeout,
+        retry=RetryPolicy(max_total_wait=args.max_retry_wait))
+
+
 def cmd_sweep(args) -> int:
     from repro.errors import ReproError
     from repro.sweeps import PRESETS, run_sweep, validate_report_payload
@@ -588,24 +598,11 @@ def cmd_sweep(args) -> int:
                 from repro.exec import get_engine
                 engine = get_engine(_engine_options(args))
             else:
-                from repro.service import RetryPolicy, ServiceClient
-                policy = RetryPolicy(max_total_wait=args.max_retry_wait)
-                workers = []
-                for endpoint in spec_text.split(","):
-                    endpoint = endpoint.strip()
-                    if not endpoint:
-                        continue
-                    host, _, port = endpoint.rpartition(":")
-                    workers.append(ServiceClient(
-                        host=host or "127.0.0.1", port=int(port),
-                        timeout=args.timeout, retry=policy))
+                workers = [_service_client(endpoint, args)
+                           for endpoint in spec_text.split(",")
+                           if endpoint.strip()]
         elif args.service:
-            from repro.service import RetryPolicy, ServiceClient
-            host, _, port = args.service.rpartition(":")
-            client = ServiceClient(
-                host=host or "127.0.0.1", port=int(port),
-                timeout=args.timeout,
-                retry=RetryPolicy(max_total_wait=args.max_retry_wait))
+            client = _service_client(args.service, args)
         else:
             from repro.exec import get_engine
             engine = get_engine(_engine_options(args))
@@ -658,7 +655,8 @@ def cmd_sweep(args) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.json_out}", file=sys.stderr)
-    return 0
+    # Quarantined points fail the command; a --limit stop does not.
+    return 1 if outcome.accounting.failed else 0
 
 
 def cmd_timeline(args) -> int:
@@ -878,7 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "saturated service (429 + Retry-After) may keep "
                         "one point waiting before the sweep gives up")
     p.add_argument("--chunk", type=int, default=64, metavar="N",
-                   help="points per engine batch / service request")
+                   help="largest batch a worker is handed (one engine "
+                        "run or one service request)")
     p.add_argument("--limit", type=int, default=None, metavar="N",
                    help="simulate at most N missing points this invocation "
                         "(the ledger makes the rest resumable)")

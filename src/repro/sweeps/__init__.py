@@ -7,9 +7,10 @@ The pipeline (see ``docs/sweeps.md``):
   design points through the one point codec (:mod:`repro.sweeps.points`,
   also the grammar of the HTTP service);
 * :func:`run_sweep` (:mod:`repro.sweeps.orchestrator`) — executes a grid
-  through the local :class:`~repro.exec.engine.ExecutionEngine` or a
-  running sharded service, streaming to a resumable JSONL
-  :class:`SweepLedger` with cache-hit/dedup accounting;
+  through one executor (:mod:`repro.sweeps.fanout`) on a list of
+  workers: the local :class:`~repro.exec.engine.ExecutionEngine`, a
+  running sharded service, or a pool of either, streaming to a
+  resumable JSONL :class:`SweepLedger` with cache-hit/dedup accounting;
 * :class:`SweepReport` (:mod:`repro.sweeps.report`) — pivots a completed
   ledger into paper-figure-style tables and a schema-gated
   machine-readable artifact.
@@ -25,7 +26,6 @@ from repro.sweeps.grid import (
     GridSpec,
     get_preset,
 )
-from repro.sweeps.fanout import FanoutError, run_fanout
 from repro.sweeps.ledger import LedgerError, SweepLedger, read_ledger
 from repro.sweeps.orchestrator import (
     SweepAccounting,
@@ -52,7 +52,6 @@ __all__ = [
     "NAMED_CONFIGS",
     "PRESETS",
     "SCHEME_AXES",
-    "FanoutError",
     "GridError",
     "GridExpansion",
     "GridSpec",
@@ -72,7 +71,6 @@ __all__ = [
     "point_for_request",
     "read_ledger",
     "report_from_ledger",
-    "run_fanout",
     "run_sweep",
     "validate_report_payload",
 ]

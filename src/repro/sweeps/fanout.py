@@ -1,29 +1,35 @@
-"""Fan a sweep's missing points out across a pool of backends.
+"""The sweep executor: a grid's missing points across one or more backends.
 
-:func:`run_fanout` is the multi-worker execution stage of
-:func:`repro.sweeps.orchestrator.run_sweep` (``workers=``): it
-partitions the pending points of a grid across N backends — several
-``repro serve`` instances, or a local pool of single-slot engine
-processes — and streams completed entries back into the one
-:class:`~repro.sweeps.ledger.SweepLedger`.
+:func:`run_fanout` is the one execution stage of
+:func:`repro.sweeps.orchestrator.run_sweep`.  It partitions the pending
+points of a grid across N backends — local engines (a borrowed
+:class:`ExecutionEngine` or a pool of single-slot engine processes) or
+``repro serve`` instances — and streams completed entries back into the
+one :class:`~repro.sweeps.ledger.SweepLedger`.  A plain sweep is the
+one-worker case: the same claiming, quarantine and ordered writing,
+with worker 0 on the calling thread and no thread started.
 
 Design, in the order the invariants demand it:
 
 * **Dynamic claiming, not static partitioning.**  Workers pull batches
-  from a shared :class:`_FanoutQueue` as they finish (per-worker
-  in-flight windows, shrinking toward the tail), so a slow backend
-  never strands its fixed share.  When the queue runs dry a worker may
+  of at most ``chunk`` points from a shared :class:`_FanoutQueue` as
+  they finish (claims shrink toward the tail), so a slow backend never
+  strands its fixed share.  When the queue runs dry a worker may
   **steal** one straggler — speculatively duplicating a point that is
   still in flight elsewhere.  Duplication is safe because points are
   content-addressed and the first completion wins.
 * **Per-point quarantine.**  A failing batch is requeued as singletons;
-  a failing singleton is retried once on a different worker; a second
-  failure marks the point *failed by name* without sinking the sweep —
-  the outcome comes back ``complete=False`` listing the casualties.
+  a failing singleton is retried once (on a different worker when
+  there is one); a second failure marks the point *failed by name*
+  without sinking the sweep — the outcome comes back ``complete=False``
+  listing the casualties.  A saturated service is ridden out the same
+  way: the client's :class:`~repro.service.client.RetryPolicy` backs
+  off per request, and a batch it still cannot place splits into
+  singletons.
 * **The ledger stays the single writer in grid order.**  Workers finish
   out of order; the :class:`_OrderedWriter` reorder-buffers entries and
   appends only the contiguous grid-order prefix, so the final ledger is
-  **byte-identical** to a 1-worker run, and a fan-out killed mid-flight
+  **byte-identical** to a 1-worker run, and a sweep killed mid-flight
   leaves a clean resumable prefix behind (zero re-simulation on
   resume).
 
@@ -47,15 +53,16 @@ from repro.sweeps.points import ledger_entry
 from repro.sweeps.result import WorkerStats
 from repro.utils.sync import holds, make_lock
 
-__all__ = ["FanoutError", "run_fanout"]
+__all__ = ["SweepError", "run_fanout"]
 
 #: A point is attempted at most this many times (original + one retry
 #: on a different worker) before it is reported failed by name.
 MAX_POINT_ATTEMPTS = 2
 
 
-class FanoutError(ReproError):
-    """A failure that invalidates the whole fan-out (backend mismatch)."""
+class SweepError(ReproError):
+    """The sweep cannot proceed: bad arguments, a backend that disagrees
+    on content addresses, or a crashed worker."""
 
 
 @dataclass
@@ -108,8 +115,8 @@ class _FanoutQueue:
         self._abort: Optional[BaseException] = None
 
     # -- claiming ---------------------------------------------------------
-    def claim(self, worker: str, window: int) -> List[_Task]:
-        """Up to ``window`` tasks for ``worker``; ``[]`` means done.
+    def claim(self, worker: str, chunk: int) -> List[_Task]:
+        """Up to ``chunk`` tasks for ``worker``; ``[]`` means done.
 
         Blocks while the queue is momentarily empty but points are
         still in flight elsewhere (they may fail and requeue).  The
@@ -120,7 +127,7 @@ class _FanoutQueue:
             while True:
                 if self._abort is not None:
                     return []
-                batch = self._pick(worker, window)
+                batch = self._pick(worker, chunk)
                 if batch:
                     for task in batch:
                         self._inflight[task.key] = (task, {worker})
@@ -133,12 +140,12 @@ class _FanoutQueue:
                 self._work.wait(timeout=1.0)
 
     @holds("_lock")
-    def _pick(self, worker: str, window: int) -> List[_Task]:
+    def _pick(self, worker: str, chunk: int) -> List[_Task]:
         """Claimable pending tasks, preserving grid order (lock held)."""
         if not self._pending:
             return []
         share = len(self._pending) // max(1, len(self._active))
-        take = max(1, min(window, share if share else 1))
+        take = max(1, min(chunk, share))
         picked: List[_Task] = []
         passed: List[_Task] = []
         while self._pending and len(picked) < take:
@@ -355,40 +362,54 @@ class _OrderedWriter:
 # ---------------------------------------------------------------------------
 
 class _LocalWorker:
-    """One slot of the local pool: a private single-slot engine whose
-    simulations run offloaded in a worker process, so N workers occupy
-    N cores instead of contending for one GIL."""
+    """One local engine: borrowed from the caller (``engine=``), or built
+    and owned by this worker (``engine_factory``; the local pool gives
+    each slot a single-slot engine whose simulations run offloaded in a
+    worker process, so N workers occupy N cores instead of contending
+    for one GIL)."""
 
     kind = "local"
 
     def __init__(self, name: str,
-                 engine_factory: Callable[[], ExecutionEngine]) -> None:
+                 engine: Optional[ExecutionEngine] = None,
+                 engine_factory: Optional[Callable[[], ExecutionEngine]]
+                 = None) -> None:
         self.name = name
+        self.engine = engine
         self._factory = engine_factory
-        self.engine: Optional[ExecutionEngine] = None
+        self._base = (0, 0, 0)
 
     def start(self) -> None:
-        self.engine = self._factory()
+        if self.engine is None:
+            assert self._factory is not None
+            self.engine = self._factory()
+        stats = self.engine.stats
+        self._base = (stats.executed, stats.memo_hits, stats.disk_hits)
 
     def execute(self, tasks: Sequence[_Task]
                 ) -> List[Tuple[_Task, Dict[str, Any], str]]:
         engine = self.engine
         assert engine is not None
         sources: Dict[str, str] = {}
+        prev = engine.progress
 
         def trap(done: int, total: int, request: RunRequest,
                  source: str) -> None:
             sources[request.cache_key()] = source
+            if prev is not None:
+                prev(done, total, request, source)
 
         engine.progress = trap
         try:
             results = engine.run([task.request for task in tasks])
         finally:
-            engine.progress = None
+            engine.progress = prev
         out = []
         for task, result in zip(tasks, results):
             entry = ledger_entry(task.request, result.summary(),
                                  result.counters.as_dict(), key=task.key)
+            # An unreported point gets an honest "unknown", never a
+            # fabricated cache attribution.
             out.append((task, entry, sources.get(task.key, "unknown")))
         return out
 
@@ -396,17 +417,33 @@ class _LocalWorker:
         engine = self.engine
         if engine is None:
             return
-        # The engine was born for this worker, so its lifetime totals
-        # ARE this worker's share.
-        stats.executed = engine.stats.executed
-        stats.memo_hits = engine.stats.memo_hits
-        stats.disk_hits = engine.stats.disk_hits
-        engine.close()
+        stats.executed = engine.stats.executed - self._base[0]
+        stats.memo_hits = engine.stats.memo_hits - self._base[1]
+        stats.disk_hits = engine.stats.disk_hits - self._base[2]
+        if self._factory is not None:
+            engine.close()
+
+
+def _service_engine_stats(client: Any) -> Dict[str, float]:
+    """Best-effort aggregate engine stats from a service /metrics scrape."""
+    try:
+        snapshot = client.metrics()
+        engine = snapshot.get("engine", {})
+        return {key: engine.get(key, 0)
+                for key in ("executed", "memo_hits", "disk_hits")}
+    except Exception:
+        return {}
 
 
 class _ServiceWorker:
     """One remote backend: a ``repro serve`` instance driven through a
-    retry-capable :class:`~repro.service.client.ServiceClient`."""
+    :class:`~repro.service.client.ServiceClient`.
+
+    A client whose ``retry`` is ``None`` is given the default
+    :class:`~repro.service.client.RetryPolicy` — a side effect on the
+    caller's client, so that a busy service is waited out instead of
+    failing the points it refuses.
+    """
 
     kind = "service"
 
@@ -414,9 +451,11 @@ class _ServiceWorker:
         self.name = name
         self.client = client
         self._before: Dict[str, float] = {}
+        if getattr(client, "retry", False) is None:
+            from repro.service.client import RetryPolicy
+            client.retry = RetryPolicy()
 
     def start(self) -> None:
-        from repro.sweeps.orchestrator import _service_engine_stats
         self._before = _service_engine_stats(self.client)
 
     def execute(self, tasks: Sequence[_Task]
@@ -425,13 +464,13 @@ class _ServiceWorker:
                                  counters=True)
         described = body.get("points", [])
         if len(described) != len(tasks):
-            raise FanoutError(
+            raise SweepError(
                 f"worker {self.name}: service returned {len(described)} "
                 f"results for a {len(tasks)}-point batch")
         out = []
         for task, desc in zip(tasks, described):
             if desc.get("key") != task.key:
-                raise FanoutError(
+                raise SweepError(
                     f"worker {self.name} disagrees on the content address "
                     f"of point {task.point!r} (ours {task.key[:12]}..., "
                     f"theirs {str(desc.get('key'))[:12]}...) — that backend "
@@ -442,7 +481,6 @@ class _ServiceWorker:
         return out
 
     def finish(self, stats: WorkerStats) -> None:
-        from repro.sweeps.orchestrator import _service_engine_stats
         after = _service_engine_stats(self.client)
         if self._before and after:
             # Best-effort: exact when this worker is the backend's only
@@ -456,12 +494,12 @@ class _ServiceWorker:
 
 
 def _worker_loop(worker: Any, queue: _FanoutQueue, writer: _OrderedWriter,
-                 stats: WorkerStats, window: int) -> None:
+                 stats: WorkerStats, chunk: int) -> None:
     start = time.perf_counter()
     try:
         worker.start()
         while True:
-            tasks = queue.claim(worker.name, window)
+            tasks = queue.claim(worker.name, chunk)
             if not tasks:
                 return
             stats.claimed += len(tasks)
@@ -469,7 +507,7 @@ def _worker_loop(worker: Any, queue: _FanoutQueue, writer: _OrderedWriter,
                 stats.stolen += 1
             try:
                 completions = worker.execute(tasks)
-            except FanoutError as exc:
+            except SweepError as exc:
                 queue.abort(exc)
                 return
             except Exception as exc:
@@ -501,11 +539,11 @@ def _worker_loop(worker: Any, queue: _FanoutQueue, writer: _OrderedWriter,
 # ---------------------------------------------------------------------------
 
 def _build_workers(workers: Any, engine_template: Any,
-                   engine_factory: Optional[Callable[[], ExecutionEngine]],
-                   timeout: float) -> List[Any]:
+                   engine_factory: Optional[Callable[[], ExecutionEngine]]
+                   ) -> List[Any]:
     if isinstance(workers, int):
         if workers < 1:
-            raise FanoutError("workers must be >= 1")
+            raise SweepError("workers must be >= 1")
         if engine_factory is None:
             options = getattr(engine_template, "options", None)
 
@@ -513,22 +551,18 @@ def _build_workers(workers: Any, engine_template: Any,
                 return ExecutionEngine(options=options, max_workers=1,
                                        offload=True)
 
-        return [_LocalWorker(f"local:{i}", engine_factory)
+        return [_LocalWorker(f"local:{i}", engine_factory=engine_factory)
                 for i in range(workers)]
     built: List[Any] = []
-    for i, spec in enumerate(workers):
-        if isinstance(spec, str):
-            from repro.service.client import RetryPolicy, ServiceClient
-            host, _, port = spec.rpartition(":")
-            client = ServiceClient(host=host or "127.0.0.1", port=int(port),
-                                   timeout=timeout, retry=RetryPolicy())
+    for i, backend in enumerate(workers):
+        if isinstance(backend, ExecutionEngine):
+            built.append(_LocalWorker(f"local:{i}", engine=backend))
         else:
-            client = spec
-        name = f"service:{getattr(client, 'host', '?')}:" \
-               f"{getattr(client, 'port', i)}"
-        built.append(_ServiceWorker(name, client))
+            built.append(_ServiceWorker(
+                f"service:{getattr(backend, 'host', '?')}:"
+                f"{getattr(backend, 'port', i)}", backend))
     if not built:
-        raise FanoutError("workers must name at least one backend")
+        raise SweepError("workers must name at least one backend")
     return built
 
 
@@ -540,19 +574,25 @@ def run_fanout(expansion: Any,
                progress: Optional[Callable[..., None]],
                done: int, total: int,
                workers: Any,
-               window: int = 8,
+               chunk: int = 64,
                engine_template: Any = None,
-               engine_factory: Optional[Callable[[], ExecutionEngine]] = None,
-               timeout: float = 180.0) -> int:
+               engine_factory: Optional[Callable[[], ExecutionEngine]] = None
+               ) -> int:
     """Execute ``pending`` across the worker pool; see module docstring.
 
-    Returns the new ``done`` count.  Mutates ``accounting`` with the
-    fan-out's mode, per-worker stats, retry/steal counters, and the
-    names of permanently failed points (which also leave the outcome
-    ``complete=False`` — they are *reported*, not fatal).
+    ``workers`` is an int (a local pool of that many engines built by
+    ``engine_factory``, default: single-slot offloading engines with
+    ``engine_template``'s options) or a sequence of backends — each an
+    :class:`ExecutionEngine` (borrowed, never closed) or a
+    ``ServiceClient``.  Returns the new ``done`` count.  Mutates
+    ``accounting`` with the mode, per-worker stats, retry/steal
+    counters, and the names of permanently failed points (which also
+    leave the outcome ``complete=False`` — they are *reported*, not
+    fatal).
     """
-    pool = _build_workers(workers, engine_template, engine_factory, timeout)
-    accounting.mode = f"fanout-{pool[0].kind}[{len(pool)}]"
+    pool = _build_workers(workers, engine_template, engine_factory)
+    kind = pool[0].kind
+    accounting.mode = kind if len(pool) == 1 else f"fanout-{kind}[{len(pool)}]"
     tasks = [
         _Task(seq=seq, index=index, request=request, key=key,
               point=expansion.points[index])
@@ -562,22 +602,26 @@ def run_fanout(expansion: Any,
     writer = _OrderedWriter(ledger_obj, entries_by_key, expansion.points,
                             progress, done, total)
     all_stats = [WorkerStats(worker=worker.name) for worker in pool]
-    threads = [
-        threading.Thread(target=_worker_loop,
-                         args=(worker, queue, writer, stats, window),
-                         name=f"sweep-{worker.name}")
-        for worker, stats in zip(pool, all_stats)
-    ]
+    runs = [(worker, queue, writer, stats, chunk)
+            for worker, stats in zip(pool, all_stats)]
+    # Worker 0 runs on the calling thread: a one-backend sweep starts no
+    # thread, and thread-local context (tracing spans) still encloses
+    # its engine calls.
+    threads = [threading.Thread(target=_worker_loop, args=run,
+                                name=f"sweep-{run[0].name}")
+               for run in runs[1:]]
     for thread in threads:
         thread.start()
+    _worker_loop(*runs[0])
     for thread in threads:
         thread.join()
 
     retried, stolen, failures, abort = queue.outcome()
     if abort is not None:
-        if isinstance(abort, (FanoutError, ReproError)):
+        # A KeyboardInterrupt on the calling thread (worker 0) stays one.
+        if isinstance(abort, ReproError) or not isinstance(abort, Exception):
             raise abort
-        raise FanoutError(f"fan-out worker crashed: {abort}") from abort
+        raise SweepError(f"sweep worker crashed: {abort}") from abort
     accounting.retried = retried
     accounting.stolen = stolen
     accounting.failed = len(failures)

@@ -1,20 +1,24 @@
 """The sweep orchestrator: a grid in, a completed ledger out.
 
 :func:`run_sweep` drives a :class:`GridSpec` (or a pre-rendered
-:class:`GridExpansion`) to completion through either execution backend:
+:class:`GridExpansion`) to completion.  It serves what a prior run's
+ledger already holds, then hands the missing points to the one
+executor, :func:`repro.sweeps.fanout.run_fanout`, with a worker list:
 
-* **local** — the shared :class:`ExecutionEngine` (dedup, memo, disk
-  cache, process pool), chunked so ``run_many`` batching still applies;
-* **service** — a running (possibly sharded) ``repro serve`` instance
-  via :class:`ServiceClient`, chunked under the service's sweep
-  admission cap.
+* a plain call runs on ``[engine]`` (default: the shared
+  :class:`ExecutionEngine` — dedup, memo, disk cache, process pool);
+* ``client=`` runs on ``[client]``, a running (possibly sharded)
+  ``repro serve`` instance reached through :class:`ServiceClient`;
+* ``workers=`` names a pool: an int N of local single-slot engines, or
+  a sequence of engines and service clients.
 
-Completed points stream to a resumable JSONL ledger as they finish;
-re-running a half-finished sweep re-serves finished points from the
-ledger by content address and only simulates the remainder.  Both
-backends emit byte-identical ledgers for the same grid (the wire
-carries exactly the summary/counter values the local path computes),
-which the service tests assert.
+Every batch is at most ``chunk`` points.  Completed points stream to a
+resumable JSONL ledger in grid order; re-running a half-finished sweep
+re-serves finished points from the ledger by content address and only
+simulates the remainder.  Every backend and every worker count emits a
+byte-identical ledger for the same grid (the wire carries exactly the
+summary/counter values the local path computes), which the service and
+fan-out tests assert.
 
 The returned :class:`SweepOutcome` carries the entries in grid order
 plus a :class:`SweepAccounting` block — how many points the raw product
@@ -28,12 +32,11 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
-from repro.errors import ReproError
 from repro.exec.engine import ExecutionEngine, get_engine
 from repro.exec.request import RunRequest
+from repro.sweeps.fanout import SweepError, run_fanout
 from repro.sweeps.grid import GridExpansion, GridSpec
 from repro.sweeps.ledger import SweepLedger
-from repro.sweeps.points import ledger_entry
 
 __all__ = ["ProgressFn", "SweepAccounting", "SweepError", "SweepOutcome",
            "run_sweep"]
@@ -41,10 +44,6 @@ __all__ = ["ProgressFn", "SweepAccounting", "SweepError", "SweepOutcome",
 #: Orchestrator progress: ``(done, total, point, source)`` with source one
 #: of ``"ledger"``, ``"memo"``, ``"cache"``, ``"run"``, ``"service"``.
 ProgressFn = Callable[[int, int, Dict[str, Any], str], None]
-
-
-class SweepError(ReproError):
-    """The sweep cannot proceed (backend mismatch, bad arguments)."""
 
 
 @dataclass
@@ -60,15 +59,15 @@ class SweepAccounting:
     from_ledger: int = 0        # served from a prior run's ledger
     submitted: int = 0          # sent to the backend this invocation
     executed: int = 0           # actually simulated (backend-reported)
-    memo_hits: int = 0          # engine memo hits (local mode)
-    disk_hits: int = 0          # disk-cache hits (local mode)
-    retried: int = 0            # backpressure retries / quarantine requeues
+    memo_hits: int = 0          # engine memo hits
+    disk_hits: int = 0          # disk-cache hits
+    retried: int = 0            # quarantine requeues (split or retried points)
     stolen: int = 0             # straggler tasks speculatively duplicated
     failed: int = 0             # points that exhausted their retries
     wall_seconds: float = 0.0
     #: Names of permanently failed points ("scheme/workload [key]: why").
     failed_points: List[str] = field(default_factory=list)
-    #: Per-worker accounting dicts (fan-out mode only); see
+    #: Per-worker accounting dicts; see
     #: :class:`repro.sweeps.result.WorkerStats`.
     workers: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -120,11 +119,11 @@ class SweepAccounting:
         if self.workers:
             shares = ", ".join(
                 f"{w['worker']} {w['completed']}" for w in self.workers)
-            lines.insert(3, f"fanout    {len(self.workers)} workers "
+            count = len(self.workers)
+            lines.insert(3, f"fanout    {count} worker"
+                            f"{'s' if count > 1 else ''} "
                             f"({shares}) | retried {self.retried} | "
                             f"stolen {self.stolen} | failed {self.failed}")
-        elif self.retried:
-            lines.insert(3, f"backoff   retried {self.retried}")
         for name in self.failed_points:
             lines.append(f"FAILED    {name}")
         return "\n".join(lines)
@@ -150,21 +149,6 @@ class SweepOutcome:
                                         baseline=baseline)
 
 
-def _chunks(items: List[Any], size: int) -> List[List[Any]]:
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _service_engine_stats(client: Any) -> Dict[str, float]:
-    """Best-effort aggregate engine stats from a service /metrics scrape."""
-    try:
-        snapshot = client.metrics()
-        engine = snapshot.get("engine", {})
-        return {key: engine.get(key, 0)
-                for key in ("executed", "memo_hits", "disk_hits")}
-    except Exception:
-        return {}
-
-
 def run_sweep(grid: Union[GridSpec, GridExpansion],
               *,
               engine: Optional[ExecutionEngine] = None,
@@ -174,7 +158,6 @@ def run_sweep(grid: Union[GridSpec, GridExpansion],
               progress: Optional[ProgressFn] = None,
               limit: Optional[int] = None,
               workers: Optional[Union[int, Sequence[Any]]] = None,
-              window: int = 8,
               engine_factory: Optional[Callable[[], ExecutionEngine]] = None
               ) -> SweepOutcome:
     """Execute a grid to completion (see the module docstring).
@@ -186,15 +169,21 @@ def run_sweep(grid: Union[GridSpec, GridExpansion],
     simulates — the outcome comes back ``complete=False`` and a later
     call resumes; tests use it to model a killed orchestrator.
 
+    ``chunk`` caps every batch a backend is handed (an engine run or a
+    service ``/sweep`` request).  A point that fails is retried once and
+    then reported by name in ``accounting.failed_points``, leaving the
+    outcome ``complete=False``; only a backend that disagrees on content
+    addresses (or a crashed worker) raises :class:`SweepError`.
+
     ``workers`` fans the missing points out across a pool
     (:mod:`repro.sweeps.fanout`): an int N runs a local pool of N
     single-slot engine processes (``engine`` serves as the options
-    template), a sequence names service backends — ``"host:port"``
-    strings or ready :class:`~repro.service.client.ServiceClient`
-    objects.  ``window`` caps each worker's in-flight claim, and
-    ``engine_factory`` overrides how local pool workers build their
-    engines (tests inject serial engines).  The ledger keeps its
-    grid-order byte-identity contract regardless of worker count.
+    template, ``engine_factory`` overrides how they are built — tests
+    inject serial engines), a sequence names the backends —
+    :class:`ExecutionEngine` or
+    :class:`~repro.service.client.ServiceClient` objects.  The ledger
+    keeps its grid-order byte-identity contract regardless of worker
+    count.
     """
     if engine is not None and client is not None:
         raise SweepError("pass engine= or client=, not both")
@@ -202,11 +191,8 @@ def run_sweep(grid: Union[GridSpec, GridExpansion],
         raise SweepError("pass workers= or client=, not both")
     if chunk < 1:
         raise SweepError("chunk must be >= 1")
-    if window < 1:
-        raise SweepError("window must be >= 1")
     expansion = grid.expand() if isinstance(grid, GridSpec) else grid
     accounting = SweepAccounting(
-        mode="service" if client is not None else "local",
         total_points=len(expansion),
         raw_points=expansion.raw_points,
         excluded=expansion.excluded,
@@ -251,20 +237,13 @@ def run_sweep(grid: Union[GridSpec, GridExpansion],
             pending = pending[:max(0, limit)]
         accounting.submitted = len(pending)
 
-        if workers is not None:
-            from repro.sweeps.fanout import run_fanout
-            done = run_fanout(expansion, pending, entries_by_key,
-                              ledger_obj, accounting, progress, done, total,
-                              workers, window=window, engine_template=engine,
-                              engine_factory=engine_factory)
-        elif client is not None:
-            done = _run_service(client, expansion, pending, entries_by_key,
-                                ledger_obj, accounting, chunk, progress,
-                                done, total)
-        else:
-            done = _run_local(engine, expansion, pending, entries_by_key,
-                              ledger_obj, accounting, chunk, progress,
-                              done, total)
+        if workers is None:
+            workers = [client if client is not None
+                       else engine if engine is not None else get_engine()]
+        done = run_fanout(expansion, pending, entries_by_key, ledger_obj,
+                          accounting, progress, done, total, workers,
+                          chunk=chunk, engine_template=engine,
+                          engine_factory=engine_factory)
     finally:
         if ledger_obj is not None and owns_ledger:
             ledger_obj.close()
@@ -281,134 +260,3 @@ def run_sweep(grid: Union[GridSpec, GridExpansion],
         complete=len(entries) == len(expansion),
         ledger_path=ledger_path,
     )
-
-
-def _run_local(engine: Optional[ExecutionEngine],
-               expansion: GridExpansion,
-               pending: List[Tuple[int, RunRequest, str]],
-               entries_by_key: Dict[str, Dict[str, Any]],
-               ledger_obj: Optional[SweepLedger],
-               accounting: SweepAccounting,
-               chunk: int,
-               progress: Optional[ProgressFn],
-               done: int, total: int) -> int:
-    engine = engine if engine is not None else get_engine()
-    base = (engine.stats.executed, engine.stats.memo_hits,
-            engine.stats.disk_hits)
-    for batch in _chunks(pending, chunk):
-        sources: Dict[str, str] = {}
-        prev = engine.progress
-
-        def trap(done_: int, total_: int, request: RunRequest,
-                 source: str) -> None:
-            sources[request.cache_key()] = source
-            if prev is not None:
-                prev(done_, total_, request, source)
-
-        engine.progress = trap
-        try:
-            results = engine.run([request for _, request, _ in batch])
-        finally:
-            engine.progress = prev
-        for (index, request, key), result in zip(batch, results):
-            entry = ledger_entry(request, result.summary(),
-                                 result.counters.as_dict(), key=key)
-            entries_by_key[key] = entry
-            if ledger_obj is not None:
-                ledger_obj.append(entry)
-            done += 1
-            if progress is not None:
-                # An unreported point gets an honest "unknown", never a
-                # fabricated cache attribution (grid dedup means every
-                # pending key is unique, so the engine should always
-                # have reported it — "unknown" flags the anomaly).
-                progress(done, total, expansion.points[index],
-                         sources.get(key, "unknown"))
-    accounting.executed = engine.stats.executed - base[0]
-    accounting.memo_hits = engine.stats.memo_hits - base[1]
-    accounting.disk_hits = engine.stats.disk_hits - base[2]
-    return done
-
-
-def _run_service(client: Any,
-                 expansion: GridExpansion,
-                 pending: List[Tuple[int, RunRequest, str]],
-                 entries_by_key: Dict[str, Dict[str, Any]],
-                 ledger_obj: Optional[SweepLedger],
-                 accounting: SweepAccounting,
-                 chunk: int,
-                 progress: Optional[ProgressFn],
-                 done: int, total: int) -> int:
-    """Drive pending points through one service, surviving saturation.
-
-    Two cooperating layers keep a 429 from killing the sweep: the
-    client's own :class:`~repro.service.client.RetryPolicy` (when
-    installed) sleeps out per-request ``Retry-After`` hints, and this
-    loop handles what no per-request retry can fix — a chunk bigger
-    than the admission queue will 429 *forever*, so on a saturated
-    chunk the orchestrator halves it (down to singletons) and only
-    then backs off per the server's hint.  Grid order is preserved:
-    chunks split in place, never reorder.
-    """
-    from repro.service.client import (RetryPolicy, ServiceHTTPError,
-                                      error_kind)
-    policy = getattr(client, "retry", None) or RetryPolicy()
-    before = _service_engine_stats(client)
-    queue: List[List[Tuple[int, RunRequest, str]]] = _chunks(pending, chunk)
-    attempts: Dict[str, int] = {}
-    waited = 0.0
-    while queue:
-        batch = queue.pop(0)
-        try:
-            body = client.sweep(
-                [expansion.points[index] for index, _, _ in batch],
-                counters=True)
-        except ServiceHTTPError as exc:
-            if error_kind(exc.status, exc.payload) not in (
-                    "saturated", "timeout", "draining"):
-                raise
-            accounting.retried += 1
-            if len(batch) > 1:
-                # Retrying the same size would hit the same admission
-                # ceiling; halving converges on what the queue admits.
-                mid = (len(batch) + 1) // 2
-                queue[:0] = [batch[:mid], batch[mid:]]
-                continue
-            key = batch[0][2]
-            attempt = attempts.get(key, 0) + 1
-            attempts[key] = attempt
-            if attempt >= policy.max_attempts:
-                raise
-            wait = policy.backoff(attempt, exc.retry_after)
-            if waited + wait > policy.max_total_wait:
-                raise
-            policy._sleep(wait)
-            waited += wait
-            queue.insert(0, batch)
-            continue
-        described = body.get("points", [])
-        if len(described) != len(batch):
-            raise SweepError(
-                f"service returned {len(described)} results for a "
-                f"{len(batch)}-point chunk")
-        for (index, request, key), desc in zip(batch, described):
-            if desc.get("key") != key:
-                raise SweepError(
-                    f"service disagrees on the content address of point "
-                    f"{expansion.points[index]!r} (ours {key[:12]}..., "
-                    f"theirs {str(desc.get('key'))[:12]}...) — the client "
-                    f"and server are running different simulator sources")
-            entry = ledger_entry(request, dict(desc["summary"]),
-                                 dict(desc["counters"]), key=key)
-            entries_by_key[key] = entry
-            if ledger_obj is not None:
-                ledger_obj.append(entry)
-            done += 1
-            if progress is not None:
-                progress(done, total, expansion.points[index], "service")
-    after = _service_engine_stats(client)
-    if before and after:
-        accounting.executed = int(after["executed"] - before["executed"])
-        accounting.memo_hits = int(after["memo_hits"] - before["memo_hits"])
-        accounting.disk_hits = int(after["disk_hits"] - before["disk_hits"])
-    return done

@@ -163,13 +163,8 @@ class TestFacadeSurface:
         result = adv.simulate_trace(trace, scheme="dmdc")
         assert result.committed == 32
 
-    def test_moved_names_warn_but_resolve(self):
-        from repro.api import advanced
-        with pytest.warns(DeprecationWarning, match="repro.api.advanced"):
-            assert api.RunRequest is advanced.RunRequest
-        with pytest.warns(DeprecationWarning):
-            assert api.simulate_trace is advanced.simulate_trace
-
     def test_unknown_attribute_raises(self):
-        with pytest.raises(AttributeError):
-            api.no_such_name
+        # Processor / RunRequest live only in repro.api.advanced.
+        for name in ("no_such_name", "Processor", "RunRequest"):
+            with pytest.raises(AttributeError):
+                getattr(api, name)

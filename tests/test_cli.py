@@ -162,3 +162,45 @@ class TestCheckCommand:
 
     def test_sanitize_unknown_scheme(self, capsys):
         assert main(["check", "--sanitize", "--scheme", "magic"]) == 2
+
+
+class TestSweepExitStatus:
+    """``repro sweep`` exits 1 when points failed, 0 when only --limit
+    left the grid unfinished."""
+
+    ARGV = ["sweep", "--axis", "scheme=dmdc", "--axis", "table=256,512",
+            "--workload", "gzip", "--instructions", "600",
+            "--baseline", "conventional", "--name", "cli-exit",
+            "--no-cache", "--jobs", "1", "--quiet"]
+
+    def poison_last_point(self, monkeypatch):
+        """Route the CLI to an engine that refuses the grid's last point."""
+        from repro.cli import _sweep_spec
+        from repro.exec.engine import ExecutionEngine
+
+        args = build_parser().parse_args(self.ARGV)
+        poison = _sweep_spec(args).expand().keys[-1]
+
+        class PoisonedEngine(ExecutionEngine):
+            def run(self, requests):
+                if any(r.cache_key() == poison for r in requests):
+                    raise RuntimeError("poisoned point")
+                return super().run(requests)
+
+        engine = PoisonedEngine(max_workers=1)
+        monkeypatch.setattr("repro.exec.get_engine",
+                            lambda options=None: engine)
+        return poison
+
+    def test_failed_point_exits_1(self, monkeypatch, capsys):
+        poison = self.poison_last_point(monkeypatch)
+        assert main(self.ARGV) == 1
+        out = capsys.readouterr().out
+        assert f"[{poison[:12]}]: poisoned point" in out
+        assert "FAILED" in out and "sweep incomplete: 2/3" in out
+
+    def test_limit_short_of_the_failure_exits_0(self, monkeypatch, capsys):
+        self.poison_last_point(monkeypatch)
+        assert main(self.ARGV + ["--limit", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "sweep incomplete: 2/3" in out and "FAILED" not in out

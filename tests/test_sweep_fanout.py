@@ -242,7 +242,7 @@ class TestSaturatedSweep:
                                timeout=60.0, retry=fast_policy(sleeps))
         grid = small_grid("saturated")
         # chunk=6 > the 1-slot queue: every full chunk 429s, so only
-        # orchestrator-side splitting can make progress.
+        # the executor's split into singletons can make progress.
         remote_path = tmp_path / "remote.jsonl"
         outcome = run_sweep(grid, client=client, chunk=6,
                             ledger=str(remote_path))
@@ -269,7 +269,7 @@ class TestLocalFanout:
                            engine_factory=serial_engine, ledger=str(one))
         double = run_sweep(small_grid(), workers=2,
                            engine_factory=serial_engine, ledger=str(two),
-                           window=1)
+                           chunk=1)
         assert single.complete and double.complete
         assert read_bytes(one) == read_bytes(two)
         assert double.accounting.mode == "fanout-local[2]"
@@ -291,7 +291,7 @@ class TestLocalFanout:
     def test_progress_streams_in_grid_order(self):
         seen = []
         outcome = run_sweep(small_grid(), workers=2,
-                            engine_factory=serial_engine, window=1,
+                            engine_factory=serial_engine, chunk=1,
                             progress=lambda done, total, point, source:
                             seen.append((done, total, source)))
         assert outcome.complete
@@ -305,7 +305,7 @@ class TestLocalFanout:
         ledger = tmp_path / "resume.jsonl"
         first = run_sweep(small_grid(), workers=2,
                           engine_factory=serial_engine, ledger=str(ledger),
-                          limit=2, window=1)
+                          limit=2, chunk=1)
         assert not first.complete
         assert len(first.entries) == 2
 
@@ -326,13 +326,27 @@ class TestLocalFanout:
         run_sweep(small_grid(), engine=serial_engine(), ledger=str(straight))
         assert read_bytes(ledger) == read_bytes(straight)
 
+    def test_chunk_caps_every_pool_batch(self):
+        batches = []
+
+        class RecordingEngine(ExecutionEngine):
+            def run(self, requests):
+                batches.append(len(requests))
+                return super().run(requests)
+
+        outcome = run_sweep(small_grid(), workers=1, chunk=2,
+                            engine_factory=lambda: RecordingEngine(
+                                max_workers=1))
+        assert outcome.complete
+        assert batches and max(batches) <= 2
+        assert sum(batches) == 6
+
     def test_worker_count_validation(self):
         with pytest.raises(SweepError, match="not both"):
             run_sweep(small_grid(), client=object(), workers=2)
-        from repro.sweeps import FanoutError
-        with pytest.raises(FanoutError, match=">= 1"):
+        with pytest.raises(SweepError, match=">= 1"):
             run_sweep(small_grid(), workers=0)
-        with pytest.raises(FanoutError, match="at least one"):
+        with pytest.raises(SweepError, match="at least one"):
             run_sweep(small_grid(), workers=[])
 
 
@@ -378,7 +392,7 @@ class TestQuarantine:
             return PoisonedEngine(key) if first else serial_engine()
 
         outcome = run_sweep(small_grid(), workers=2, engine_factory=factory,
-                            ledger=str(tmp_path / "heal.jsonl"), window=1)
+                            ledger=str(tmp_path / "heal.jsonl"), chunk=1)
         # The poisoned worker failed the point once; the healthy worker
         # completed it — the sweep is whole.
         assert outcome.complete
@@ -390,7 +404,7 @@ class TestQuarantine:
         key, total = self.poison_key()
         outcome = run_sweep(small_grid(), workers=2,
                             engine_factory=lambda: PoisonedEngine(key),
-                            ledger=str(tmp_path / "sick.jsonl"), window=1)
+                            ledger=str(tmp_path / "sick.jsonl"), chunk=1)
         assert not outcome.complete
         acct = outcome.accounting
         assert acct.failed == 1
@@ -419,7 +433,7 @@ class TestFanoutLockDiscipline:
             outcome = run_sweep(small_grid(), workers=2,
                                 engine_factory=serial_engine,
                                 ledger=str(tmp_path / "wit.jsonl"),
-                                window=1)
+                                chunk=1)
         assert outcome.complete
 
         taken = witness.acquisitions()
