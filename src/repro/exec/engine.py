@@ -11,7 +11,8 @@ naming the exact (config, workload, budget, seed) job that died.
 import atexit
 import time
 from contextlib import contextmanager
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -192,6 +193,11 @@ class ExecutionEngine:
         self.stats.wall_seconds += time.perf_counter() - start
         return [results[key] for key in keys]
 
+    def memoized(self, key: str) -> bool:
+        """Whether the point with content key ``key`` is in the in-process
+        memo, so a ``run`` of it would not simulate or read the disk."""
+        return key in self._memo
+
     def _lookup(
         self, key: str, request: RunRequest
     ) -> Tuple[Optional[SimulationResult], Optional[str]]:
@@ -221,26 +227,39 @@ class ExecutionEngine:
         pool = self._ensure_pool()
         chunk = -(-len(pending) // self.max_workers)  # ceil division
         slices = [pending[i:i + chunk] for i in range(0, len(pending), chunk)]
-        futures = {
-            pool.submit(_execute_batch, [request for _, request in part]): part
-            for part in slices
-        }
+        futures: Dict[Future, List[Tuple[str, RunRequest]]] = {}
         try:
+            # A child that dies while later slices are still being
+            # submitted breaks the pool under ``submit`` itself, so the
+            # submit loop gets the same attribution as the wait loop.
+            for part in slices:
+                try:
+                    future = pool.submit(
+                        _execute_batch, [request for _, request in part])
+                except BrokenProcessPool as exc:
+                    raise self._slice_failed(part, exc) from exc
+                futures[future] = part
             while futures:
                 finished, _ = wait(futures, return_when=FIRST_EXCEPTION)
                 for future in finished:
                     part = futures.pop(future)
                     exc = future.exception()
                     if exc is not None:
-                        jobs = ", ".join(r.describe() for _, r in part)
-                        raise SimulationError(
-                            f"simulation failed within batch [{jobs}]: {exc}"
-                        ) from exc
+                        raise self._slice_failed(part, exc) from exc
                     for (key, request), result in zip(part, future.result()):
                         yield key, request, result
         finally:
             for future in futures:
                 future.cancel()
+
+    def _slice_failed(self, part: List[Tuple[str, RunRequest]],
+                      exc: BaseException) -> SimulationError:
+        """The error naming every job of a failed slice.  A broken pool
+        is dropped here, so the engine's next ``run`` builds a fresh one."""
+        if isinstance(exc, BrokenProcessPool):
+            self.close()
+        jobs = ", ".join(request.describe() for _, request in part)
+        return SimulationError(f"simulation failed within batch [{jobs}]: {exc}")
 
     def _run_serial(
         self, pending: List[Tuple[str, RunRequest]]

@@ -11,7 +11,7 @@ deduplication and disk caching sound.
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Union
 
@@ -93,6 +93,13 @@ class RunRequest:
 
     def cache_key(self) -> str:
         """Stable sha256 content-address of this design point."""
+        return self._cache_key
+
+    # Computed once per instance and kept in ``__dict__``, outside the
+    # dataclass fields, so ``__eq__``/``__hash__`` never see it: one
+    # service request asks for its key at every layer it crosses.
+    @cached_property
+    def _cache_key(self) -> str:
         workload = (
             self.workload if isinstance(self.workload, str) else asdict(self.workload)
         )

@@ -10,7 +10,8 @@ service-grade properties the one-shot CLI lacked:
   executing shares that entry instead of enqueueing again, so N clients
   asking for the same design point cost one simulation;
 * **micro-batching** — admitted points are drained in batches (after a
-  short accumulation window), amortizing engine dispatch and letting the
+  short accumulation window, skipped when every pending point is already
+  in the engine memo), amortizing engine dispatch and letting the
   engine's own planner dedup/cache logic see the whole batch at once;
   points that miss every cache then execute through the batched
   :func:`repro.sim.runner.run_many` entry, which shares trace generation
@@ -284,9 +285,11 @@ class MicroBatcher:
             if job is not None:
                 self._run_job(*job)
                 continue
-            # Let a burst accumulate so concurrent clients land in one
-            # engine batch (bounded: one window, then take what's there).
-            if self.batch_window > 0:
+            # Let a burst accumulate so concurrent misses land in one
+            # engine batch and share trace generation (bounded: one
+            # window, then take what's there).  A batch of memo hits
+            # gains nothing from waiting, so it runs at once.
+            if self.batch_window > 0 and not self._all_memoized():
                 time.sleep(self.batch_window)
             with self._work:
                 batch: List[Ticket] = []
@@ -296,6 +299,16 @@ class MicroBatcher:
                     batch.append(ticket)
             if batch:
                 self._run_batch(batch)
+
+    def _all_memoized(self) -> bool:
+        """Whether every pending point is already in the engine memo.
+
+        Batching thread only: that thread owns the engine, so the memo
+        read needs no lock of its own.
+        """
+        with self._work:
+            keys = list(self._pending)
+        return all(self.engine.memoized(key) for key in keys)
 
     def _run_job(self, fn: Callable[[], object], ticket: Ticket) -> None:
         try:

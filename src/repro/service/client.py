@@ -10,6 +10,13 @@ connections are reusable), which matters once a load generator drives
 thousands of requests: without reuse, every request pays a TCP handshake
 and the client side bleeds ephemeral ports in ``TIME_WAIT``.
 
+Connections are opened with ``TCP_NODELAY``.  ``http.client`` sends a
+request's headers and its body as two writes; under Nagle the body
+waits until the server acknowledges the headers, and the server delays
+that ACK by 40 ms, so every POST would pay 40 ms on the wire.  The
+server sets the same option on its side.  Any other HTTP client that
+talks to the service should set it too.
+
 A request that finds its cached connection dead (server restarted,
 keep-alive timeout, drain) transparently reconnects and retries once.
 Retrying is sound here because the service's write path is idempotent by
@@ -37,6 +44,7 @@ ledger resume is the systematic form of that).
 
 import json
 import random
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -61,6 +69,14 @@ _RETRYABLE = (ConnectionError, BadStatusLine, CannotSendRequest,
 #: Longest error-body snippet carried into a :class:`ServiceError` when
 #: the body is not JSON (a proxy page, an HTML error, a torn drain).
 _SNIPPET_BYTES = 200
+
+
+class _NoDelayConnection(HTTPConnection):
+    """An ``HTTPConnection`` whose socket sends without Nagle's delay."""
+
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 class ServiceHTTPError(ServiceError):
@@ -167,8 +183,8 @@ class ServiceClient:
         """This thread's persistent connection, created on first use."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = HTTPConnection(self.host, self.port,
-                                        timeout=self.timeout)
+            connection = _NoDelayConnection(self.host, self.port,
+                                            timeout=self.timeout)
             self._local.connection = connection
         return connection
 

@@ -13,6 +13,8 @@ Two contracts under test:
 
 import multiprocessing
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -33,6 +35,24 @@ def _crash_batch(requests):
     """Replacement for ``_execute_batch`` that kills the worker process
     dead — no exception, no cleanup, exactly like a segfault or OOM kill."""
     os._exit(13)
+
+
+class BreaksOnSecondSubmit:
+    """Pool stand-in whose second ``submit`` finds the pool broken, as
+    when a child dies while the engine is still submitting slices."""
+
+    def __init__(self):
+        self.submitted = 0
+        self.shut_down = False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        if self.submitted == 2:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        return Future()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
 
 
 class TestSerialFallback:
@@ -115,3 +135,23 @@ class TestPoolDispatch:
         with ExecutionEngine(cache=None, max_workers=2) as engine:
             results = engine.run(requests)
             assert len(results) == 4
+
+    def test_broken_pool_during_submit_names_the_slice_jobs(self):
+        """``submit`` itself raising ``BrokenProcessPool`` surfaces as the
+        same SimulationError as a failure seen while waiting, and the
+        broken pool is dropped so the next run builds a fresh one."""
+        requests = [_req("gzip", seed=seed) for seed in range(4)]
+        pool = BreaksOnSecondSubmit()
+        with ExecutionEngine(cache=None, max_workers=2) as engine:
+            engine._pool = pool
+            with pytest.raises(SimulationError,
+                               match="within batch") as excinfo:
+                engine.run(requests)
+            message = str(excinfo.value)
+            # Two slices of two: the second one (seeds 2 and 3) broke.
+            assert "seed=2" in message and "seed=3" in message
+            assert "seed=0" not in message
+            assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+            assert pool.shut_down and engine._pool is None
+            assert len(engine.run(requests)) == 4
+            assert engine._pool is not pool

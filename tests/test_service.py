@@ -16,8 +16,10 @@ inside the test process; the SIGTERM test boots the actual
 """
 
 import http.client
+import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec.engine import EngineStats
+from repro.exec.engine import EngineStats, ExecutionEngine
 from repro.service import (
     Draining,
     MicroBatcher,
@@ -39,6 +41,7 @@ from repro.service import (
     create_server,
     parse_run_payload,
 )
+from repro.service.server import RequestHandler
 from repro.sim.runner import run_workload
 from repro.workloads import get_workload
 
@@ -94,6 +97,10 @@ class StallEngine:
         assert self.gate.wait(timeout=30.0), "test never opened the gate"
         self.stats.executed += len(requests)
         return [self._result for _ in requests]
+
+    def memoized(self, key):
+        # Nothing is ever memoized, so every batch waits out the window.
+        return False
 
 
 @pytest.fixture(scope="module")
@@ -161,8 +168,79 @@ class TestMicroBatcher:
         finally:
             batcher.close(timeout=5.0)
 
+    def test_memo_hits_skip_the_window(self):
+        engine = ExecutionEngine(cache=None, max_workers=1)
+        cached, fresh = make_request(seed=5), make_request(seed=6)
+        engine.run([cached])
+        assert engine.memoized(cached.cache_key())
+        assert not engine.memoized(fresh.cache_key())
+        batcher = MicroBatcher(engine, batch_window=5.0)
+        try:
+            start = time.monotonic()
+            batcher.submit(cached).result(timeout=1.0)
+            assert time.monotonic() - start < 1.0
+            # A point that will simulate still waits for the window.
+            start = time.monotonic()
+            batcher.submit(fresh).result(timeout=30.0)
+            assert time.monotonic() - start >= 5.0
+            assert engine.stats.executed == 2
+        finally:
+            batcher.close(timeout=30.0)
+            engine.close()
+
 
 # -- HTTP endpoints ------------------------------------------------------
+class RecordingWriter:
+    """A handler ``wfile`` that keeps every write."""
+
+    def __init__(self) -> None:
+        self.writes = []
+
+    def write(self, data) -> int:
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestTransport:
+    @pytest.mark.parametrize("points", [1, 1000])
+    def test_reply_is_one_write(self, points):
+        """Status line, headers and body leave in one write, whatever
+        the body size (a split reply waits on the peer's delayed ACK)."""
+        handler = RequestHandler.__new__(RequestHandler)
+        handler.server = None
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "POST /sweep HTTP/1.1"
+        handler.wfile = RecordingWriter()
+        payload = {"points": [{"seed": seed} for seed in range(points)]}
+        handler._reply(429, payload, headers=(("Retry-After", "2"),))
+        assert len(handler.wfile.writes) == 1
+        head, _, body = handler.wfile.writes[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 429 ")
+        assert b"\r\nContent-Type: application/json" in head
+        assert b"\r\nRetry-After: 2" in head
+        assert b"Content-Length: %d" % len(body) in head
+        assert json.loads(body) == payload
+
+    def test_both_ends_set_tcp_nodelay(self, service, monkeypatch):
+        _, client = service
+        accepted = []
+        original = RequestHandler.setup
+
+        def recording_setup(handler):
+            original(handler)
+            accepted.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(RequestHandler, "setup", recording_setup)
+        assert client.healthz() == {"status": "ok"}
+        assert accepted == [1]
+        sock = client._connection().sock
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+
+
 class TestEndpoints:
     def test_healthz_and_metrics_shape(self, service):
         _, client = service

@@ -50,6 +50,10 @@ class StallEngine:
         self.stats.executed += len(requests)
         return [self._result for _ in requests]
 
+    def memoized(self, key):
+        # Nothing is ever memoized, so every batch waits out the window.
+        return False
+
 
 def make_stub_pool(count: int, max_queue: int = 4,
                    batch_window: float = 5.0) -> ShardPool:
