@@ -1,0 +1,103 @@
+"""Exact result digests: every suite workload under every scheme label.
+
+``tests/golden_digests.json`` pins the sha256 of each point's
+``SimulationResult.to_dict()`` (config2, seed 1, 1000 committed
+instructions) for two sets of points:
+
+* all 26 suite workloads x the nine :data:`SCHEME_LABELS`;
+* the four coherent-DMDC invalidation rates of Table 6
+  (``repro.experiments.table6._sweep``, 0/1/10/100 per 1000 cycles).
+
+Any change to simulated behaviour changes a digest, so the file is the
+gate for refactors of the cycle loops: it must stay byte-identical. Every
+point must also run on the SoA kernel, so the digests pin the code that
+plain runs actually take.
+
+To rebuild the file after a deliberate behaviour change, call
+:func:`regenerate` from a Python prompt with ``src`` on the path.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.table6 import INVALIDATION_RATES, _sweep
+from repro.sim.config import CONFIG2, SCHEME_LABELS, SchemeConfig
+from repro.sim.processor import Processor
+from repro.sim.runner import TRACE_TAIL_SLACK
+from repro.sim.setup_memo import SetupBatch
+from repro.sim.soa import NO_SOA_ENV
+from repro.workloads import SUITE
+
+GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
+BUDGET = 1_000
+SEED = 1
+
+
+def _configs():
+    """Point label -> machine config, in a fixed order."""
+    configs = {label: CONFIG2.with_scheme(SchemeConfig.from_label(label))
+               for label in SCHEME_LABELS}
+    sweep = _sweep(INVALIDATION_RATES, CONFIG2)
+    for rate in INVALIDATION_RATES:
+        configs[f"table6-inv:{rate}"] = sweep[f"inv:{rate}"]
+    return configs
+
+
+def result_digest(result) -> str:
+    """sha256 of the result's canonical JSON, without ``sim_seconds``."""
+    payload = result.to_dict()
+    payload.pop("sim_seconds", None)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def run_workload_points(workload: str):
+    """``{point: (digest, kernel_used)}`` for one workload's 13 points."""
+    setup = SetupBatch()
+    trace, ident = setup.trace(SUITE[workload], BUDGET + TRACE_TAIL_SLACK)
+    out = {}
+    for label, config in _configs().items():
+        processor = Processor(config, trace, seed=SEED)
+        setup.prewarm(processor, ident)
+        result = processor.run(BUDGET)
+        out[f"{workload}/{label}"] = (result_digest(result),
+                                      processor.kernel_used)
+    return out
+
+
+def regenerate(path: Path = GOLDEN_PATH) -> None:
+    """Rewrite the golden file from the current simulator."""
+    digests = {}
+    for workload in SUITE:
+        for point, (digest, _) in run_workload_points(workload).items():
+            digests[point] = digest
+    payload = {"config": CONFIG2.name, "seed": SEED, "budget": BUDGET,
+               "digests": digests}
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_file_covers_every_point(golden):
+    assert (golden["config"], golden["seed"], golden["budget"]) == (
+        CONFIG2.name, SEED, BUDGET)
+    expected = {f"{w}/{label}" for w in SUITE for label in _configs()}
+    assert set(golden["digests"]) == expected
+    assert len(expected) == 26 * (len(SCHEME_LABELS) + len(INVALIDATION_RATES))
+
+
+@pytest.mark.parametrize("workload", sorted(SUITE))
+def test_digests_match_on_the_kernel(monkeypatch, golden, workload):
+    monkeypatch.delenv(NO_SOA_ENV, raising=False)
+    points = run_workload_points(workload)
+    mismatched = [p for p, (digest, _) in points.items()
+                  if golden["digests"][p] != digest]
+    assert not mismatched, f"digest changed: {mismatched}"
+    off_kernel = [p for p, (_, kernel) in points.items() if kernel != "soa"]
+    assert not off_kernel, f"ran on the object loop: {off_kernel}"
