@@ -45,8 +45,6 @@ _ZONE_RE = re.compile(r"repro/(sim|lsq|core)/")
 HOT_FUNCTIONS: Dict[str, Set[str]] = {
     "repro/sim/processor.py": {
         "Processor.step",
-        "Processor._maybe_fast_forward",
-        "Processor._dispatch_stall_slot",
         "Processor._schedule_completion",
         "Processor._schedule_retry",
         "Processor._stage_commit",

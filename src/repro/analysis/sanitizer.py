@@ -19,9 +19,10 @@ cross-checks the scheme's decisions against that oracle:
   monotonicity / rollback exactness, ``end_check`` window consistency, and
   ROB/LSQ age ordering on every event.
 
-Attach with :func:`attach_sanitizer` — which also registers the sanitizer
-on the processor's hook seam, disabling the event-horizon cycle skipper
-exactly like a tracer does (hooks must never run under skipped cycles).
+Attach with :func:`attach_sanitizer`.  The sanitizer checks object-path
+events, so it has no slot-array adapter (:meth:`MemoryOrderSanitizer.soa_hooks`
+answers None): a sanitized run takes the object loop, which steps every
+cycle.
 """
 
 from typing import List, Optional
@@ -229,6 +230,13 @@ class MemoryOrderSanitizer:
     def checking_active(self) -> bool:
         return self.inner.checking_active
 
+    def soa_hooks(self, kernel):
+        """No slot-array adapter: the shadow LQ/SQ checks object-path
+        events, so a sanitized run must take the object loop.  Explicit
+        because ``__getattr__`` would otherwise hand the kernel the inner
+        scheme's adapter and the run would check nothing."""
+        return None
+
     def finalize(self, cycle: int) -> None:
         self.inner.finalize(cycle)
 
@@ -269,13 +277,11 @@ def run_sanitized(config, trace, max_instructions=None, seed: int = 1,
 def attach_sanitizer(processor, strict: bool = False) -> MemoryOrderSanitizer:
     """Wrap ``processor``'s scheme in a sanitizer before the run starts.
 
-    Also registers the sanitizer on the processor's hook seam
-    (:meth:`repro.sim.processor.Processor.attach_hook`), which disables the
-    event-horizon cycle skipper for the run — the same rule tracers follow.
+    The wrapper has no slot-array adapter, so the run takes the object
+    loop and the sanitizer sees every event.
     """
     if processor.cycle != 0:
         raise SanitizerError("attach the sanitizer before the first cycle")
     sanitizer = MemoryOrderSanitizer(processor.scheme, strict=strict)
     processor.scheme = sanitizer
-    processor.attach_hook(sanitizer)
     return sanitizer

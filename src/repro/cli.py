@@ -379,8 +379,13 @@ def cmd_bench(args) -> int:
     print(format_table(
         ["scheme", "instructions", "seconds", "instr/s"], rows,
         title=f"Simulator throughput ({', '.join(payload['workloads'])})"))
+    skipped = sum(sub["fast_forwarded_cycles"]
+                  for row in payload["schemes"].values()
+                  for sub in row["per_workload"].values())
+    cycles = sum(row["cycles"] for row in payload["schemes"].values())
     print(f"aggregate: {payload['aggregate_instr_per_sec']:,.0f} instr/s "
-          f"(fastpath {'on' if payload['fastpath_enabled'] else 'off'})")
+          f"({skipped / cycles if cycles else 0.0:.1%} of cycles "
+          "fast-forwarded)")
     path = write_bench(payload, args.out or "BENCH_simulator.json")
     print(f"wrote {path}")
     return 0

@@ -121,10 +121,9 @@ class CheckScheme:
         """Slot-index adapter binding this scheme to a SoA kernel run.
 
         Returns a fresh :class:`SoaHooks` for ``kernel``, or None when
-        this scheme (or this configuration of it) has no slot-array
-        transcription — the processor then steps the object path.  The
-        base scheme answers None so unknown subclasses stay correct by
-        default; see ``docs/performance.md``.
+        this scheme has no slot-array transcription — the processor then
+        steps the object path.  The base scheme answers None so unknown
+        subclasses stay correct by default; see ``docs/performance.md``.
         """
         return None
 
@@ -170,8 +169,11 @@ class SoaHooks:
         self.scheme = scheme
         self.k = kernel
 
-    def on_load_issue(self, slot: int) -> None:
-        """A load issued (called only when ``has_load_issue``)."""
+    def on_load_issue(self, slot: int) -> int:
+        """A load issued; return a younger load slot to replay from, or -1
+        (conventional load-load coherence ordering; called only when
+        ``has_load_issue``)."""
+        return -1
 
     def on_store_resolve(self, slot: int) -> int:
         """A store's address resolved; return a victim load slot or -1
@@ -197,6 +199,18 @@ class SoaHooks:
         ``wants_squashed_loads``.
         """
         self.scheme.on_squash(last_kept_seq, ())
+
+    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
+                        oldest_inflight_seq: int) -> None:
+        """An injected invalidation arrived.
+
+        The default delegates to the scheme's object-path hook — correct
+        for every scheme whose invalidation handling reads no per-load
+        state (DMDC's line-YLA and table); the conventional adapter
+        overrides it to mark its slot-array LQ.
+        """
+        self.scheme.on_invalidation(line_addr, line_bytes, cycle,
+                                    oldest_inflight_seq)
 
     def fold(self) -> None:
         """Flush locally batched tallies back onto scheme/queue objects

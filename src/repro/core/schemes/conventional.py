@@ -94,10 +94,6 @@ class ConventionalScheme(CheckScheme):
                 load.inv_marked = True
 
     def soa_hooks(self, kernel):
-        if self.coherence:
-            # Load-load ordering walks ``inv_marked`` object state the SoA
-            # slots don't carry; coherent configs stay on the object path.
-            return None
         return _ConventionalSoaHooks(self, kernel)
 
 
@@ -132,8 +128,6 @@ class YlaFilteredScheme(ConventionalScheme):
         self.yla.rollback(last_kept_seq)
 
     def soa_hooks(self, kernel):
-        if self.coherence:
-            return None
         return _YlaSoaHooks(self, kernel)
 
     def collect(self) -> None:
@@ -183,8 +177,6 @@ class BloomFilteredScheme(ConventionalScheme):
         return super().on_commit(instr, cycle)
 
     def soa_hooks(self, kernel):
-        if self.coherence:
-            return None
         return _BloomSoaHooks(self, kernel)
 
     def collect(self) -> None:
@@ -201,7 +193,8 @@ class _ConventionalSoaHooks(SoaHooks):
     ``stats.bump`` sites match the object-path hooks one for one; the
     LQ search-count attributes (which the object path bumps inside
     :meth:`LoadQueue.search_younger_issued`) are batched in locals and
-    folded back once per run.
+    folded back once per run.  With coherence on, loads also get the
+    load-load ordering walk, over the kernel's ``invm`` slot marks.
     """
 
     has_store_resolve = True
@@ -210,6 +203,44 @@ class _ConventionalSoaHooks(SoaHooks):
         super().__init__(scheme, kernel)
         self._searches = 0
         self._filtered = 0
+        if scheme.coherence:
+            self.has_load_issue = True
+
+    def on_load_issue(self, slot: int) -> int:
+        """Coherent load-load ordering (only called with coherence on):
+        replay from the oldest younger issued load to the same line that
+        saw an invalidation."""
+        s = self.scheme
+        k = self.k
+        s.lq.inv_searches += 1
+        mask = ~(s.line_bytes - 1)
+        line = k.addr[slot] & mask
+        lseq = k.seq[slot]
+        seq_ = k.seq
+        icyc_ = k.icyc
+        invm_ = k.invm
+        addr_ = k.addr
+        for other in k.lq:
+            if (seq_[other] > lseq and icyc_[other] >= 0 and invm_[other]
+                    and (addr_[other] & mask) == line):
+                s.stats.bump("replay.coherence")
+                return other
+        return -1
+
+    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
+                        oldest_inflight_seq: int) -> None:
+        if not self.scheme.coherence:
+            return
+        # Every invalidation searches the whole LQ to mark matching loads.
+        k = self.k
+        self.scheme.lq.inv_searches += 1
+        mask = ~(line_bytes - 1)
+        icyc_ = k.icyc
+        addr_ = k.addr
+        invm_ = k.invm
+        for slot in k.lq:
+            if icyc_[slot] >= 0 and (addr_[slot] & mask) == line_addr:
+                invm_[slot] = True
 
     def _search(self, slot: int) -> int:
         """The unfiltered path: bump, search the slot-array LQ, classify."""
@@ -240,9 +271,13 @@ class _YlaSoaHooks(_ConventionalSoaHooks):
 
     has_load_issue = True
 
-    def on_load_issue(self, slot: int) -> None:
+    def on_load_issue(self, slot: int) -> int:
+        s = self.scheme
         k = self.k
-        self.scheme.yla.observe_load_issue(k.addr[slot], k.seq[slot])
+        s.yla.observe_load_issue(k.addr[slot], k.seq[slot])
+        if s.coherence:
+            return super().on_load_issue(slot)
+        return -1
 
     def on_store_resolve(self, slot: int) -> int:
         s = self.scheme
@@ -263,8 +298,12 @@ class _BloomSoaHooks(_ConventionalSoaHooks):
     commit_mode = 1
     wants_squashed_loads = True
 
-    def on_load_issue(self, slot: int) -> None:
-        self.scheme.bloom.insert(self.k.addr[slot])
+    def on_load_issue(self, slot: int) -> int:
+        s = self.scheme
+        s.bloom.insert(self.k.addr[slot])
+        if s.coherence:
+            return super().on_load_issue(slot)
+        return -1
 
     def on_store_resolve(self, slot: int) -> int:
         s = self.scheme

@@ -356,11 +356,6 @@ class DmdcScheme(CheckScheme):
             self._terminate(cycle)
 
     def soa_hooks(self, kernel):
-        if self.coherence:
-            # The line-interleaved YLA / INV-bit machinery is exercised by
-            # invalidation runs only, which the SoA gate already excludes;
-            # stay on the object path for any coherent configuration.
-            return None
         return _DmdcSoaHooks(self, kernel)
 
     def collect(self) -> None:
@@ -382,23 +377,30 @@ class DmdcScheme(CheckScheme):
 
 
 class _DmdcSoaHooks(SoaHooks):
-    """Slot-index transcription of :class:`DmdcScheme` (coherence off).
+    """Slot-index transcription of :class:`DmdcScheme`.
 
-    Component calls (YLA, table/queue) and ``stats.bump`` sites match the
-    object-path hooks one for one; only the FIFO-LQ ``hash_key`` write is
-    skipped — the field is write-only in the object path (its energy cost
-    is charged via ``lq.keys_written``, which is still bumped).
+    Component calls (YLA, line-YLA, table/queue) and ``stats.bump`` sites
+    match the object-path hooks one for one; only the FIFO-LQ ``hash_key``
+    write is skipped — the field is write-only in the object path (its
+    energy cost is charged via ``lq.keys_written``, which is still
+    bumped).  Invalidations and squashes reach the scheme through the
+    base adapter's delegating defaults: they read no per-load state.
     """
 
     has_load_issue = True
     has_store_resolve = True
     commit_mode = 2
 
-    def on_load_issue(self, slot: int) -> None:
+    def on_load_issue(self, slot: int) -> int:
         s = self.scheme
         k = self.k
-        s.yla.observe_load_issue(k.addr[slot], k.seq[slot])
+        addr = k.addr[slot]
+        lseq = k.seq[slot]
+        s.yla.observe_load_issue(addr, lseq)
+        if s.yla_line is not None:
+            s.yla_line.observe_load_issue(addr, lseq)
         s.stats.bump("lq.keys_written")
+        return -1
 
     def on_store_resolve(self, slot: int) -> int:
         s = self.scheme
@@ -406,12 +408,19 @@ class _DmdcSoaHooks(SoaHooks):
         s.stats.bump("stores.resolved")
         addr = k.addr[slot]
         sseq = k.seq[slot]
-        if s.yla.store_is_safe(addr, sseq):
+        yla_line = s.yla_line
+        safe = s.yla.store_is_safe(addr, sseq)
+        if yla_line is not None:
+            # Both probes always run: each counts its own compares.
+            safe = yla_line.store_is_safe(addr, sseq) or safe
+        if safe:
             s.stats.bump("stores.safe")
             return -1
         s.stats.bump("stores.unsafe")
         k.unsafe[slot] = True
         boundary = s.yla.youngest_for(addr)
+        if yla_line is not None:
+            boundary = min(boundary, yla_line.youngest_for(addr))
         k.wend[slot] = boundary
         if not s.local:
             if boundary > s._global_end:

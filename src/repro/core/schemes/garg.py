@@ -143,9 +143,10 @@ class _GargSoaHooks(SoaHooks):
     has_load_issue = True
     has_store_resolve = True
 
-    def on_load_issue(self, slot: int) -> None:
+    def on_load_issue(self, slot: int) -> int:
         k = self.k
         self.scheme.table.observe_load(k.addr[slot], k.seq[slot])
+        return -1
 
     def on_store_resolve(self, slot: int) -> int:
         s = self.scheme

@@ -1,8 +1,11 @@
 """Structured observability for the simulator (see ``docs/observability.md``).
 
 The package turns the pipeline's existing observer seams — the tracer
-protocol and :meth:`~repro.sim.processor.Processor.attach_hook` — into a
-typed event stream plus exact per-structure attribution:
+protocol, the replay seam ``Processor.obs`` and the scheme emit seam
+``CheckScheme.obs`` — into a typed event stream plus exact per-structure
+attribution.  Those seams live on the object loop, which steps every
+cycle.  Unobserved runs, coherent and injected ones included, take the
+SoA kernel; an observed run takes the object loop instead:
 
 * :mod:`repro.obs.events` — the :class:`ObsEvent` record, the bounded
   in-memory :class:`EventRing`, and the :class:`JsonlSink` file writer;

@@ -13,16 +13,16 @@
 * the target of the **scheme emit seam** (``CheckScheme.obs``):
   :meth:`store_classified`, :meth:`window_opened`, :meth:`window_closed`,
   :meth:`table_marked`, :meth:`table_probed` receive YLA filter outcomes
-  and checking-window/table activity;
-* a registered **hook** (via :meth:`~repro.sim.processor.Processor.attach_hook`),
-  which is what turns the event-horizon cycle skipper off so per-cycle
-  attribution sees every cycle individually.
+  and checking-window/table activity.
+
+Any of these seams routes the run onto the object loop, which steps
+every cycle, so per-cycle attribution sees every cycle individually.
 
 Attribution is streaming: cycle buckets, structure residency integrals,
 and replay-site tallies are folded as events arrive, so memory stays
 bounded regardless of run length.  :func:`attach_observer` wires one
 recorder onto a freshly-built processor; :func:`detach_observer` undoes
-it (restoring the fast path once no hooks remain).
+it (a later run then takes the SoA kernel again).
 """
 
 from typing import Dict, List, Optional
@@ -338,10 +338,9 @@ def attach_observer(processor,
     """Wire one recorder onto every observer seam of ``processor``.
 
     Must run before the first cycle (the recorder needs to see every
-    event from cycle zero for its attribution to reconcile).  Attaching
-    registers the recorder as a hook, which disables the event-horizon
-    cycle skipper for the run — results are bit-identical regardless
-    (pinned by ``tests/test_obs_matrix.py``).
+    event from cycle zero for its attribution to reconcile).  The run
+    then takes the object loop, which steps every cycle — results are
+    bit-identical regardless (pinned by ``tests/test_obs_matrix.py``).
     """
     if processor.cycle != 0:
         raise SimulationError(
@@ -356,13 +355,12 @@ def attach_observer(processor,
     processor.tracer = recorder
     processor.obs = recorder
     _innermost_scheme(processor.scheme).obs = recorder
-    processor.attach_hook(recorder)
     return recorder
 
 
 def detach_observer(processor, recorder: ObservabilityRecorder) -> None:
-    """Undo :func:`attach_observer` (restores the fast path once no hooks
-    remain attached)."""
+    """Undo :func:`attach_observer` (a later run takes the SoA kernel
+    again)."""
     if processor.tracer is recorder:
         processor.tracer = None
     if processor.obs is recorder:
@@ -370,4 +368,3 @@ def detach_observer(processor, recorder: ObservabilityRecorder) -> None:
     scheme = _innermost_scheme(processor.scheme)
     if getattr(scheme, "obs", None) is recorder:
         scheme.obs = None
-    processor.detach_hook(recorder)

@@ -18,7 +18,7 @@ Methodology (see ``docs/performance.md``):
 * every row is a **fresh simulation** — the bench never consults the
   execution engine's result cache, so throughput can never be inflated
   by cache hits — and the payload records the effective performance
-  knobs (fast path, ``REPRO_PARALLEL``, cache enablement) because the
+  knobs (cycle kernel, ``REPRO_PARALLEL``, cache enablement) because the
   numbers are meaningless without that provenance.
 
 ``aggregate_instr_per_sec`` stays sim-time-only (the tracked figure);
@@ -34,7 +34,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.config import CONFIG2, SCHEME_LABELS, MachineConfig, SchemeConfig
-from repro.sim.processor import NO_FASTPATH_ENV, Processor
+from repro.sim.processor import Processor
 from repro.sim.runner import TRACE_TAIL_SLACK, instruction_budget, run_many
 from repro.sim.setup_memo import SETUP_MEMO
 from repro.sim.soa import NO_SOA_ENV
@@ -94,13 +94,13 @@ def _effective_knobs() -> Dict:
     from repro.exec.options import CACHE_ENABLE_ENV, PARALLEL_ENV, EngineOptions
 
     options = EngineOptions.from_env()
-    tracked = (NO_FASTPATH_ENV, NO_SOA_ENV, PARALLEL_ENV, CACHE_ENABLE_ENV)
+    tracked = (NO_SOA_ENV, PARALLEL_ENV, CACHE_ENABLE_ENV)
     return {
         # repro: noqa[REPRO011] — this function *is* the knob recorder:
         # it reads the raw environment precisely to report what was set.
-        "fastpath_enabled": not bool(os.environ.get(NO_FASTPATH_ENV)),  # repro: noqa[REPRO011]
-        # The *requested* kernel; each row also records the kernel its
-        # processor actually engaged (a hook or tracer forces "object").
+        # This is the *requested* kernel; each row also records the
+        # kernel its processor actually engaged (a sanitizer or tracer
+        # forces "object").
         "kernel": "object" if os.environ.get(NO_SOA_ENV) else "soa",  # repro: noqa[REPRO011]
         "engine_cache_enabled": options.cache_enabled,
         "engine_workers": options.resolve_workers(),
@@ -136,9 +136,8 @@ def _bench_one(config: MachineConfig, trace, budget: int, seed: int,
         "instr_per_sec": result.instructions_per_second,
         "ipc": result.ipc,
         # Effective per-row, not just the global env flag: a future
-        # tracer/hook user of this helper would silently lose the fast
-        # path or the SoA kernel, and the row must say so.
-        "fastpath_enabled": processor.fastpath_enabled,
+        # tracer/sanitizer user of this helper would silently lose the
+        # SoA kernel and its skipper, and the row must say so.
         "kernel": processor.kernel_used,
         "fast_forwarded_cycles": processor.fast_forwarded_cycles,
         "fast_forward_fraction": (
@@ -276,8 +275,6 @@ def run_bench(
         "quick": quick,
         "repeats": max(1, repeats),
         "workloads": list(mix),
-        # repro: noqa[REPRO011] — reporting the raw gate, as above.
-        "fastpath_enabled": not bool(os.environ.get(NO_FASTPATH_ENV)),  # repro: noqa[REPRO011]
         "knobs": _effective_knobs(),
         "wall_seconds": wall_seconds,
         "schemes": scheme_rows,
@@ -305,8 +302,6 @@ def validate_payload(payload: Dict) -> List[str]:
                 "aggregate_instr_per_sec", "instructions_per_run", "knobs"):
         if key not in payload:
             problems.append(f"missing key: {key}")
-    if "knobs" in payload and "fastpath_enabled" not in payload["knobs"]:
-        problems.append("knobs missing fastpath_enabled provenance")
     if payload.get("schema", 0) >= 3:
         if "kernel" not in payload.get("knobs", {}):
             problems.append("knobs missing kernel provenance")
@@ -330,9 +325,6 @@ def validate_payload(payload: Dict) -> List[str]:
                 problems.append(
                     f"scheme {label}/{name}: sim_seconds not resolved "
                     "(clock too coarse?)")
-            if "fastpath_enabled" not in sub:
-                problems.append(
-                    f"scheme {label}/{name}: missing fastpath provenance")
             if payload.get("schema", 0) >= 3 and "kernel" not in sub:
                 problems.append(
                     f"scheme {label}/{name}: missing kernel provenance")

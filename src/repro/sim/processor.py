@@ -23,17 +23,17 @@ store resolution; any scheme that lets such a load retire un-replayed
 raises :class:`~repro.errors.OrderingViolationMissed`.  The flags also feed
 DMDC's replay taxonomy (Tables 3/5 of the paper).
 
-Performance: the cycle loop has a fast path (see
-``docs/performance.md``) — an event-horizon skipper jumps over stretches
-of provably idle cycles, hot-path counters live in pre-bound integer
-slots (:class:`~repro.stats.counters.HotCounters`), and the LSQ searches
-run allocation-free.  ``REPRO_NO_FASTPATH=1`` disables the cycle skipper;
-results are bit-identical either way (enforced by
-``tests/test_fastpath_equivalence.py``).
+Two cycle loops run this model.  Every unobserved run — coherent
+configurations and injected invalidations included — takes the
+structure-of-arrays kernel (:mod:`repro.sim.soa`), which also skips
+provably idle cycles.  The object loop here is the per-cycle reference
+stepper: it steps every cycle and runs only under an observer (tracer,
+obs recorder, sanitizer) or ``REPRO_NO_SOA=1``.  Results are
+bit-identical either way (enforced by ``tests/test_soa_equivalence.py``
+and ``tests/test_golden_digests.py``); see ``docs/performance.md``.
 """
 
 import heapq
-import os
 import time
 from collections import deque
 from typing import Dict, List, Optional, Set
@@ -57,10 +57,6 @@ from repro.sim.soa import SoaKernel, soa_enabled
 from repro.stats.counters import CounterSet, HotCounters
 from repro.utils.rng import DeterministicRng
 from repro.utils.ring import RingBuffer
-
-#: Environment escape hatch: set to any non-empty value to force every
-#: cycle to be stepped individually (used by the equivalence tests).
-NO_FASTPATH_ENV = "REPRO_NO_FASTPATH"
 
 _INF = float("inf")
 
@@ -137,37 +133,20 @@ class Processor:
         self.iq_int_count = 0
         self.iq_fp_count = 0
         self._ready: List = []  # heap of (seq, DynInstr)
-        # Cycle-keyed event schedules.  The companion key-heaps track the
-        # earliest pending cycle incrementally (one heap entry per live
-        # key), which is what lets the fast path find the event horizon in
-        # O(1) instead of scanning the dicts.
         self._completions: Dict[int, List[DynInstr]] = {}
-        self._completion_keys: List[int] = []
         self._retries: Dict[int, List[DynInstr]] = {}
-        self._retry_keys: List[int] = []
         self.committed = 0
         self._commit_target = _INF
-        self._cycle_limit = _INF
         self.counters = CounterSet()
         self.hot = HotCounters()
         self._checking_cycles = 0
         self._replay_streak: Dict[int, int] = {}
         self._force_nonspec: Set[int] = set()
         self._squashed_this_cycle = False
-        #: Idle cycles jumped over by the fast path (diagnostic only —
-        #: deliberately NOT a counter, so results stay bit-identical with
-        #: the fast path disabled).
+        #: Idle cycles the SoA kernel's skipper jumped over (diagnostic
+        #: only — deliberately NOT a counter, so results stay bit-identical
+        #: with the object loop, which steps every cycle).
         self.fast_forwarded_cycles = 0
-        #: Fast path gate: off via env, and off whenever the invalidation
-        #: injector is live (it draws from the RNG every cycle, so skipped
-        #: cycles would change the random stream).
-        # repro: noqa[REPRO011] — a debug kill-switch, deliberately outside
-        # EngineOptions: it must work even when options plumbing is what
-        # is being debugged, and bench.py reports it alongside the knobs.
-        self._fastpath = (  # repro: noqa[REPRO011]
-            not os.environ.get(NO_FASTPATH_ENV)
-            and not self.invalidations.enabled
-        )
         #: Cached injector gate: when off, the per-cycle injection call and
         #: the per-load address tracking are provably dead and skipped.
         self._inv_enabled = self.invalidations.enabled
@@ -202,51 +181,15 @@ class Processor:
         #: every replay is reported with its detection site.  Like the
         #: tracer, the seam is an ``is None`` test — zero cost when off.
         self.obs = None
-        #: Attached observers (sanitizers, probes).  Any entry — like a
-        #: tracer — disables the event-horizon cycle skipper: hooks observe
-        #: per-event state and must never run under skipped cycles
-        #: (regression-pinned by ``tests/test_hooks_fastpath.py``).
-        self._hooks: List[object] = []
-        #: SoA kernel gate (env, read once per processor like the fast
-        #: path's) and reusable slot-pool buffers.  ``run_many`` seeds
-        #: ``soa_buffers`` so same-geometry batch elements share one
-        #: allocation; otherwise the first eligible :meth:`run` fills it.
+        #: SoA kernel gate (env, read once per processor) and reusable
+        #: slot-pool buffers.  ``run_many`` seeds ``soa_buffers`` so
+        #: same-geometry batch elements share one allocation; otherwise
+        #: the first eligible :meth:`run` fills it.
         self._soa_requested = soa_enabled()
         self.soa_buffers = None
         #: Which cycle loop the last :meth:`run` used (``"soa"`` or
-        #: ``"object"``) — bench/result provenance, like ``fastpath_enabled``.
+        #: ``"object"``) — bench/result provenance.
         self.kernel_used = "object"
-
-    def attach_hook(self, hook: object) -> None:
-        """Register an observer for this run (see ``docs/correctness.md``).
-
-        The only seam for attaching sanitizers/probes: registration is what
-        turns the cycle skipper off, so a hook attached any other way would
-        silently miss skipped cycles.  Attaching the same hook twice keeps
-        one registration per call, but the skipper gate is membership-based
-        (``not self._hooks``), so any number of hooks disables it exactly
-        once and detaching the last one restores it.
-        """
-        self._hooks.append(hook)
-
-    def detach_hook(self, hook: object) -> None:
-        """Remove one previously attached observer.
-
-        Once the last hook is detached (and no tracer is set) the
-        event-horizon cycle skipper resumes — the gate in :meth:`step`
-        re-evaluates ``self._hooks`` every cycle.
-        """
-        self._hooks.remove(hook)
-
-    @property
-    def fastpath_enabled(self) -> bool:
-        """True when the idle-cycle skipper may currently run.
-
-        Mirrors the gate in :meth:`step`: the env/injector switch set at
-        construction, no tracer, and no attached hooks.  Diagnostic —
-        bench provenance and the hook-interaction tests read it.
-        """
-        return self._fastpath and self.tracer is None and not self._hooks
 
     # ==================================================================
     # Public driver
@@ -284,7 +227,6 @@ class Processor:
             max_cycles = max(200_000, max_instructions * 60)
         target = min(max_instructions, len(self.trace))
         self._commit_target = target
-        self._cycle_limit = max_cycles
         # Kernel construction (trace column decode, slot-pool allocation)
         # happens before the clock starts: like trace generation it is
         # per-trace setup amortised across runs, not cycle-loop work, and
@@ -316,19 +258,16 @@ class Processor:
 
         The SoA loop is engaged only from :meth:`run` on a *fresh*
         processor (prewarm is fine — it is functional-only), with every
-        observability seam closed: a tracer, attached hook, or obs
-        recorder needs the per-object slow path (see
-        ``docs/performance.md``), the invalidation injector draws RNG
-        per cycle the kernel does not model, and a scheme without a
-        slot-array adapter (``soa_hooks() is None``) falls back too.
+        observability seam closed: a tracer or obs recorder needs the
+        per-object slow path (see ``docs/performance.md``), and a scheme
+        without a slot-array adapter (``soa_hooks() is None``, e.g. the
+        sanitizer's wrapper) falls back too.
         """
         if not (
             self._soa_requested
             and self.tracer is None
-            and not self._hooks
             and self.obs is None
             and self.scheme.obs is None
-            and not self._inv_enabled
             and self.cycle == 0
             and self.committed == 0
             and self.fetch_idx == 0
@@ -341,16 +280,7 @@ class Processor:
         return kernel
 
     def step(self) -> None:
-        """Advance one cycle (commit -> writeback -> issue -> dispatch -> fetch).
-
-        With the fast path enabled, a step may first jump ``self.cycle``
-        over a stretch of provably idle cycles (see
-        :meth:`_maybe_fast_forward`) and then execute the next cycle in
-        which any stage can act.  Cycle numbering, counters and RNG streams
-        are exactly as if every skipped cycle had been stepped.
-        """
-        if self._fastpath and self.tracer is None and not self._hooks:
-            self._maybe_fast_forward()
+        """Advance one cycle (commit -> writeback -> issue -> dispatch -> fetch)."""
         self._squashed_this_cycle = False
         if self.scheme.checking_active:
             self._checking_cycles += 1
@@ -377,116 +307,12 @@ class Processor:
         self.cycle += 1
 
     # ==================================================================
-    # Event-horizon fast forward
-    # ==================================================================
-    def _next_event_cycle(self, keys: List[int], schedule: Dict[int, list]) -> float:
-        """Earliest live cycle in ``schedule`` (inf if none), via its key-heap."""
-        while keys and keys[0] not in schedule:
-            heapq.heappop(keys)  # key already drained by its stage
-        return keys[0] if keys else _INF
-
-    def _maybe_fast_forward(self) -> None:
-        """Jump ``self.cycle`` to the next cycle in which any stage can act.
-
-        Legal only when the current architectural state provably freezes
-        until a scheduled event: no instruction is ready to issue, the ROB
-        head cannot commit, dispatch and fetch are blocked on conditions
-        that only an event (completion, retry, timer) can clear.  During
-        the skipped stretch the only per-cycle observables are the idle
-        bookkeeping counters (fetch/dispatch stall cycles, checking-mode
-        cycles); those are accounted in closed form below, so a skip is
-        indistinguishable from stepping each cycle (the invariant the
-        equivalence suite pins down).
-        """
-        if self._ready:
-            return  # something can issue this cycle
-        rob_items = self._rob_items
-        if rob_items and rob_items[0].state is _COMPLETED:
-            return  # commit can act this cycle
-        cycle = self.cycle
-        # Normal stepping would run up to (and including) cycle_limit + 1
-        # before the driver raises; never skip past that horizon so the
-        # no-forward-progress error fires with identical cycle counts.
-        target = self._cycle_limit + 1
-        t = self._next_event_cycle(self._completion_keys, self._completions)
-        if t < target:
-            target = t
-        t = self._next_event_cycle(self._retry_keys, self._retries)
-        if t < target:
-            target = t
-        stall_slot = None
-        buf = self.fetch_buffer
-        if buf:
-            first = buf[0]
-            decode_ready = first.fetch_cycle + self._decode_latency
-            if cycle < decode_ready:
-                if decode_ready < target:
-                    target = decode_ready
-            else:
-                stall_slot = self._dispatch_stall_slot(first)
-                if stall_slot is None:
-                    return  # dispatch can act this cycle
-        blocked = self.fetch_blocked_branch is not None
-        resume = self.fetch_resume_cycle
-        if (
-            not blocked
-            and len(buf) < self._fetch_cap
-            and self.fetch_idx < self._trace_len
-        ):
-            if cycle >= resume:
-                return  # fetch can act this cycle
-            if resume < target:
-                target = resume
-        skipped = target - cycle
-        if skipped < 1 or target == _INF:
-            return  # an event fires this very cycle (or nothing ever
-            #         happens: the driver's cycle-limit guard handles it)
-        # --- closed-form accounting for the skipped idle cycles ---------
-        if self.scheme.checking_active:
-            self._checking_cycles += skipped
-        hot = self.hot
-        if blocked:
-            hot.fetch_stall_cycles += skipped
-        elif resume > cycle:
-            hot.fetch_stall_cycles += (resume if resume < target else target) - cycle
-        if stall_slot is not None:
-            setattr(hot, stall_slot, getattr(hot, stall_slot) + skipped)
-        self.fast_forwarded_cycles += skipped
-        self.cycle = target
-
-    def _dispatch_stall_slot(self, instr: DynInstr) -> Optional[str]:
-        """The HotCounters slot dispatch would bump for ``instr`` this
-        cycle, or None when dispatch could actually proceed.
-
-        Mirrors the resource checks of :meth:`_stage_dispatch` in order,
-        with no side effects (the register check inspects the free list
-        instead of allocating).
-        """
-        if len(self._rob_items) >= self._rob_cap:
-            return "stall_rob_full"
-        if instr.fp_side:
-            if self.iq_fp_count >= self._iq_fp_cap:
-                return "stall_iq_full"
-        elif self.iq_int_count >= self._iq_int_cap:
-            return "stall_iq_full"
-        if instr.is_load and len(self._lq_items) >= self._lq_cap:
-            return "stall_lq_full"
-        if instr.is_store and len(self._sq_items) >= self._sq_cap:
-            return "stall_sq_full"
-        if instr.uop.dst is not None:
-            regs = self.regs_fp if instr.uop.dst >= 32 else self.regs_int
-            if regs.free <= 0:
-                return "stall_regs_full"
-        return None
-
-    # ==================================================================
     # Event scheduling
     # ==================================================================
     def _schedule_completion(self, cycle: int, instr: DynInstr) -> None:
         events = self._completions.get(cycle)
         if events is None:
             self._completions[cycle] = [instr]
-            heapq.heappush(self._completion_keys, cycle)
         else:
             events.append(instr)
 
@@ -494,7 +320,6 @@ class Processor:
         events = self._retries.get(cycle)
         if events is None:
             self._retries[cycle] = [load]
-            heapq.heappush(self._retry_keys, cycle)
         else:
             events.append(load)
 
@@ -705,7 +530,6 @@ class Processor:
         events = completions.get(when)
         if events is None:
             completions[when] = [instr]
-            heapq.heappush(self._completion_keys, when)
         else:
             events.append(instr)
 

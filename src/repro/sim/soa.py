@@ -19,12 +19,19 @@ semantics over preallocated parallel arrays:
   :meth:`SoaKernel.run`, and scheme callbacks receive slot indices (see the
   ``soa_hooks`` adapters in :mod:`repro.core.schemes`).
 
+Every unobserved run takes this kernel, coherent configurations and
+injected invalidations included.  It is the only loop that skips idle
+cycles: an event-horizon skipper jumps to the next cycle in which any
+stage can act, and stays off while the invalidation injector is live
+(the injector draws from the RNG every cycle).
+
 The kernel is **bit-identical** to the object path — same counters, same
 cycle counts, same RNG stream — which `tests/test_soa_equivalence.py`
-enforces over the full scheme × workload matrix.  It is an optimisation
-with an escape hatch, not a fork: set ``REPRO_NO_SOA=1`` (or attach a
-tracer / sanitizer hook / observability recorder) and the processor steps
-the object path instead.  See ``docs/performance.md``.
+enforces over the scheme × workload matrix and its coherence rows, and
+`tests/test_golden_digests.py` pins for the whole suite.  The object
+loop steps every cycle and is the reference: it runs only under an
+observer (tracer, observability recorder, sanitizer) or with
+``REPRO_NO_SOA=1``.  See ``docs/performance.md``.
 
 Slot identity: a slot is recycled as soon as its instruction retires or is
 squashed, and ``next_seq`` never rolls back on a squash, so live sequence
@@ -60,8 +67,8 @@ _ST_COMPLETED = int(InstrState.COMPLETED)
 _ST_COMMITTED = int(InstrState.COMMITTED)
 _ST_SQUASHED = int(InstrState.SQUASHED)
 
-#: Dispatch-stall cause codes shared by the inline dispatch stage and the
-#: fast-forward probe (mirrors ``Processor._dispatch_stall_slot``).
+#: Dispatch-stall cause codes the fast-forward probe reports (mirroring
+#: the resource checks of the inline dispatch stage, in order).
 _STALL_NONE = 0
 _STALL_ROB = 1
 _STALL_IQ = 2
@@ -177,7 +184,7 @@ class KernelBuffers:
         "pool", "pbits", "pmask", "seq", "tidx", "state", "fcyc", "icyc",
         "rcyc", "addr", "size", "isld", "isst", "isbr", "fp", "pops",
         "pdata", "tvs", "tvpc", "fwdseq", "safe", "gbp", "unsafe", "wend",
-        "snap", "cons",
+        "invm", "snap", "cons",
     )
 
     def __init__(self, pool: int) -> None:
@@ -205,6 +212,7 @@ class KernelBuffers:
         self.gbp = [False] * pool
         self.unsafe = [False] * pool
         self.wend = [-1] * pool
+        self.invm = [False] * pool
         self.snap = [None] * pool
         self.cons: List[list] = [[] for _ in range(pool)]
 
@@ -261,6 +269,7 @@ class SoaKernel:
         self.gbp = b.gbp
         self.unsafe = b.unsafe
         self.wend = b.wend
+        self.invm = b.invm
         self.snap = b.snap
         self.cons = b.cons
 
@@ -329,12 +338,13 @@ class SoaKernel:
         self.scheme = p.scheme
         self.storesets = p.storesets
         self.wrongpath = p.wrongpath
+        self.invalidations = p.invalidations
         self.regs_int = p.regs_int
         self.regs_fp = p.regs_fp
         self.fu_caps = p.fus._caps_list
         self.fu_avail = p.fus._avail_list
-        #: Slot-index adapter for the scheme, or None when the scheme (or
-        #: this configuration of it) has no SoA transcription — the caller
+        #: Slot-index adapter for the scheme, or None when the scheme has
+        #: no SoA transcription (the sanitizer's wrapper) — the caller
         #: must then step the object path instead of calling :meth:`run`.
         self.hooks = p.scheme.soa_hooks(self)
 
@@ -355,7 +365,7 @@ class SoaKernel:
         self.replay_penalty = config.replay_penalty
         self.replay_guard = config.replay_guard
         self.sq_filter = config.scheme.sq_filter
-        self.fastpath = p.fastpath_enabled
+        self.line_bytes = config.l2_line_bytes
         self.reexec_loads = p.scheme.reexecutes_loads
 
     # ------------------------------------------------------------------
@@ -395,6 +405,7 @@ class SoaKernel:
         safe_ = self.safe
         gbp_ = self.gbp
         unsafe_ = self.unsafe
+        invm_ = self.invm
         snap_ = self.snap
         cons_ = self.cons
         free_slots = self.free
@@ -466,7 +477,6 @@ class SoaKernel:
         fwd_latency = self.fwd_latency
         l1i_latency = self.l1i_latency
         sq_filter = self.sq_filter
-        fastpath = self.fastpath
         reexec_loads = self.reexec_loads
         has_load_hook = hooks.has_load_issue
         has_store_hook = hooks.has_store_resolve
@@ -475,6 +485,14 @@ class SoaKernel:
         hook_store = hooks.on_store_resolve
         hook_commit_load = hooks.on_commit_load
         hook_commit = hooks.on_commit
+        # The invalidation injector draws from the RNG every cycle, so a
+        # skipped cycle would change the random stream.  One local gates
+        # all three injector sites: the skipper, the per-load address
+        # tracking and the end-of-cycle draw.
+        injector = self.invalidations
+        inv_on = injector.enabled
+        inv_observe = injector.observe
+        inv_draw = injector.maybe_invalidate
 
         cycle = 0
         committed = 0
@@ -482,7 +500,7 @@ class SoaKernel:
         checking_cycles = 0
 
         # --- hot counters as locals (folded into HotCounters below) ----
-        n_replays = n_replays_commit = n_replays_exec = 0
+        n_replays = n_replays_commit = n_replays_exec = n_replays_coh = 0
         n_commit = n_commit_loads = n_commit_safe = n_commit_stores = 0
         n_commit_branches = n_reexec = 0
         n_regw = n_regr = n_wakeups = 0
@@ -494,13 +512,15 @@ class SoaKernel:
         n_stall_rob = n_stall_iq = n_stall_lq = n_stall_sq = n_stall_regs = 0
         n_lq_writes = n_sq_writes = n_rename = n_rob_writes = 0
         n_fetch_stall = n_fetch = n_icache_miss = n_icache_reads = 0
-        n_bpred = 0
+        n_bpred = n_inv = 0
 
         limit_plus_one = max_cycles + 1
 
         while committed < target:
-            # ===== event-horizon fast forward (Processor._maybe_fast_forward)
-            if fastpath and not ready:
+            # ===== event-horizon fast forward: jump to the next cycle in
+            # which any stage can act, accounting the idle bookkeeping
+            # counters of the skipped cycles in closed form.
+            if not inv_on and not ready:
                 head_can_commit = rob and state_[rob[0]] == _ST_COMPLETED
                 if not head_can_commit:
                     ff_target = limit_plus_one
@@ -815,6 +835,8 @@ class SoaKernel:
                                         n_safe_at_issue += 1
                                     # WrongPath.observe_address (bounded deque)
                                     wp_addrs.append(la)
+                                    if inv_on:
+                                        inv_observe(la)
                                     if action == SOA_FORWARD:
                                         fwdseq_[slot] = seq_[fwd_slot]
                                         n_forwarded += 1
@@ -826,7 +848,13 @@ class SoaKernel:
                                         latency = 1 + mem_read(la)
                                     cring[(cycle + latency) & rmask].append(v)
                                     if has_load_hook:
-                                        hook_load(slot)
+                                        victim = hook_load(slot)
+                                        if victim >= 0 and state_[victim] != _ST_SQUASHED:
+                                            n_replays += 1
+                                            n_replays_coh += 1
+                                            self.cycle = cycle
+                                            self._squash_from(victim)
+                                            squashed_this_cycle = True
                                     issued += 1
                             if squashed_this_cycle:
                                 break
@@ -959,6 +987,7 @@ class SoaKernel:
                         self.iq_int += 1
                     if is_load:
                         lq.append(slot)
+                        invm_[slot] = False
                         n_lq_writes += 1
                     elif is_store:
                         sq.append(slot)
@@ -1064,6 +1093,15 @@ class SoaKernel:
                 if fetched:
                     n_fetch += fetched
 
+            # ===== coherence traffic (Processor._inject_invalidations) ===
+            if inv_on:
+                line = inv_draw()
+                if line is not None:
+                    n_inv += 1
+                    memory.invalidate(line)
+                    oldest = seq_[rob[0]] if rob else self.next_seq
+                    hooks.on_invalidation(line, self.line_bytes, cycle, oldest)
+
             cycle += 1
             if cycle > max_cycles:
                 self.cycle = cycle
@@ -1080,6 +1118,8 @@ class SoaKernel:
         hot.replays += n_replays
         hot.replays_commit_time += n_replays_commit
         hot.replays_execution_time += n_replays_exec
+        hot.replays_coherence += n_replays_coh
+        hot.inv_injected += n_inv
         hot.commit_instructions += n_commit
         hot.commit_loads += n_commit_loads
         hot.commit_safe_loads += n_commit_safe

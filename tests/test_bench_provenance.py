@@ -1,9 +1,10 @@
 """Provenance and validation of the ``repro bench`` payload.
 
 A throughput number without the knobs that produced it is noise: the
-payload must record the effective fast-path state (globally and per
-row), the engine's environment-derived settings, and honest wall-clock
-rates alongside the sim-time figure of merit.
+payload must record the cycle kernel (requested globally, engaged per
+row) and the cycles each row fast-forwarded, the engine's
+environment-derived settings, and honest wall-clock rates alongside the
+sim-time figure of merit.
 """
 
 from repro.perf.bench import run_bench, validate_payload
@@ -25,21 +26,25 @@ def test_payload_validates_clean():
 
 def test_knobs_provenance_recorded():
     knobs = _payload()["knobs"]
-    assert isinstance(knobs["fastpath_enabled"], bool)
+    assert knobs["kernel"] in ("soa", "object")
     assert isinstance(knobs["engine_cache_enabled"], bool)
     assert knobs["engine_workers"] >= 1
     assert isinstance(knobs["env"], dict)
 
 
 def test_per_row_fastpath_flag():
-    """Every per-workload row says whether *its* processor could skip —
-    the effective state, not just the global env flag."""
+    """Every per-workload row says which kernel *its* processor engaged
+    and how many cycles it fast-forwarded — the effective state, not just
+    the requested kernel."""
     payload = _payload()
     for label, row in payload["schemes"].items():
         for name, sub in row["per_workload"].items():
-            assert isinstance(sub["fastpath_enabled"], bool), (label, name)
-            # No tracer/hooks in the bench, so it matches the global flag.
-            assert sub["fastpath_enabled"] == payload["fastpath_enabled"]
+            # No tracer or sanitizer in the bench, so every row engages
+            # the requested kernel.
+            assert sub["kernel"] == payload["knobs"]["kernel"], (label, name)
+            assert 0 <= sub["fast_forwarded_cycles"] < sub["cycles"]
+            assert sub["fast_forward_fraction"] == (
+                sub["fast_forwarded_cycles"] / sub["cycles"])
 
 
 def test_wall_rates_present_and_not_inflated():
@@ -56,7 +61,7 @@ def test_wall_rates_present_and_not_inflated():
 
 def test_validate_flags_missing_provenance():
     payload = {
-        "schema": 2, "git_sha": "x", "machine": {}, "workloads": [],
+        "schema": 3, "git_sha": "x", "machine": {}, "workloads": [],
         "instructions_per_run": 1, "aggregate_instr_per_sec": 1.0,
         "knobs": {},
         "schemes": {
@@ -67,5 +72,6 @@ def test_validate_flags_missing_provenance():
         },
     }
     problems = validate_payload(payload)
-    assert any("fastpath_enabled" in p for p in problems)
+    assert "knobs missing kernel provenance" in problems
+    assert "scheme dmdc/gzip: missing kernel provenance" in problems
     assert any("sim_seconds" in p for p in problems)

@@ -2,8 +2,8 @@
 
 Unit coverage for the event sinks and the recorder seams, plus the
 end-to-end contracts: ``profile_run`` reconciles exactly against the
-counters, ``attach_observer``/``detach_observer`` are symmetric (the
-fast path comes back once the last hook is gone), the JSONL sink
+counters, ``attach_observer``/``detach_observer`` are symmetric (a
+detached processor takes the SoA kernel again), the JSONL sink
 round-trips every emitted event, and the ``repro profile`` CLI and
 ``api.profile`` verb both surface the same report.
 """
@@ -87,17 +87,20 @@ class TestAttachDetach:
         assert proc.tracer is recorder
         assert proc.obs is recorder
         assert proc.scheme.obs is recorder
-        assert not proc.fastpath_enabled
+        proc.prewarm()
+        proc.run(200)
+        assert proc.kernel_used == "object"
 
     def test_detach_restores_everything(self):
         proc = _processor()
-        assert proc.fastpath_enabled
         recorder = attach_observer(proc)
         detach_observer(proc, recorder)
         assert proc.tracer is None
         assert proc.obs is None
         assert proc.scheme.obs is None
-        assert proc.fastpath_enabled
+        proc.prewarm()
+        proc.run(200)
+        assert proc.kernel_used == "soa"
 
     def test_attach_requires_fresh_processor(self):
         proc = _processor(budget=200)
@@ -206,6 +209,7 @@ class TestBitInvisibility:
         profiled.prewarm()
         profiled_result = profiled.run(BUDGET)
         assert plain_result.to_dict() == profiled_result.to_dict()
+        assert (plain.kernel_used, profiled.kernel_used) == ("soa", "object")
         assert profiled.fast_forwarded_cycles == 0
 
     def test_small_config_scheme_without_windows_reconciles(self):
