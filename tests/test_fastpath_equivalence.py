@@ -1,22 +1,23 @@
-"""Cycle-exact equivalence of the fast path vs. plain stepping.
+"""Cycle-exact equivalence of the cycle skipper vs. per-cycle stepping.
 
-The event-horizon cycle skipper (``Processor._maybe_fast_forward``) must be
-behaviourally invisible: for every scheme and workload, a run with the fast
-path enabled must produce a `to_dict()` payload bit-identical to a run with
-``REPRO_NO_FASTPATH=1`` — same cycles, same counters, same histograms.
-These tests pin that invariant for every scheme family the simulator
-implements, on two workloads with different memory behaviour.  The scheme
-matrix is shared with the sanitizer sweep
-(:data:`repro.analysis.sanitizer.SCHEME_MATRIX`) so both correctness
-suites always cover the same nine points.
+The SoA kernel's event-horizon cycle skipper must be behaviourally
+invisible: for every scheme and workload, a plain run (kernel, skipping
+idle cycles) must produce a `to_dict()` payload bit-identical to a traced
+run, which takes the object loop and steps every cycle — same cycles,
+same counters, same histograms.  Using a tracer as the reference (rather
+than ``REPRO_NO_SOA``, which ``test_soa_equivalence`` uses) also pins the
+tracer's bit-invisibility on every point.  The scheme matrix is shared
+with the sanitizer sweep (:data:`repro.analysis.sanitizer.SCHEME_MATRIX`)
+so both correctness suites always cover the same nine points.
 """
 
 import pytest
 
 from repro.analysis.sanitizer import SCHEME_MATRIX as SCHEMES
 from repro.sim.config import CONFIG2, SchemeConfig
-from repro.sim.processor import NO_FASTPATH_ENV
-from repro.sim.runner import run_trace
+from repro.sim.pipetrace import PipelineTracer
+from repro.sim.processor import Processor
+from repro.sim.soa import NO_SOA_ENV
 from repro.workloads import get_workload
 
 BUDGET = 2_500
@@ -32,18 +33,25 @@ def _trace(name):
     return _TRACES[name]
 
 
+def _run(config, trace, tracer=None):
+    proc = Processor(config, trace, seed=1)
+    proc.tracer = tracer
+    proc.prewarm()
+    return proc, proc.run(BUDGET)
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("scheme_label", sorted(SCHEMES))
 def test_fastpath_bit_identical(monkeypatch, workload, scheme_label):
+    monkeypatch.delenv(NO_SOA_ENV, raising=False)
     config = CONFIG2.with_scheme(SCHEMES[scheme_label])
     trace = _trace(workload)
 
-    monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
-    fast = run_trace(config, trace, max_instructions=BUDGET, seed=1)
+    fast_proc, fast = _run(config, trace)
+    slow_proc, slow = _run(config, trace, PipelineTracer(capacity=64))
 
-    monkeypatch.setenv(NO_FASTPATH_ENV, "1")
-    slow = run_trace(config, trace, max_instructions=BUDGET, seed=1)
-
+    assert fast_proc.kernel_used == "soa"
+    assert (slow_proc.kernel_used, slow_proc.fast_forwarded_cycles) == ("object", 0)
     assert fast.to_dict() == slow.to_dict()
 
 
@@ -51,38 +59,8 @@ def test_fast_forward_actually_skips(monkeypatch):
     """The skipper must be exercised, not just harmless: a normal run jumps
     over a nonzero number of idle cycles (otherwise these equivalence tests
     would be vacuous)."""
-    from repro.sim.processor import Processor
-
-    monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
+    monkeypatch.delenv(NO_SOA_ENV, raising=False)
     config = CONFIG2.with_scheme(SchemeConfig(kind="dmdc"))
-    proc = Processor(config, _trace("mcf"), seed=1)
-    proc.prewarm()
-    proc.run(BUDGET)
+    proc, _ = _run(config, _trace("mcf"))
+    assert proc.kernel_used == "soa"
     assert proc.fast_forwarded_cycles > 0
-
-
-def test_no_fastpath_env_disables_skipping(monkeypatch):
-    from repro.sim.processor import Processor
-
-    monkeypatch.setenv(NO_FASTPATH_ENV, "1")
-    config = CONFIG2.with_scheme(SchemeConfig(kind="conventional"))
-    proc = Processor(config, _trace("gzip"), seed=1)
-    proc.prewarm()
-    proc.run(BUDGET)
-    assert proc.fast_forwarded_cycles == 0
-
-
-def test_invalidation_injection_disables_fastpath(monkeypatch):
-    """The injector draws from the RNG every cycle, so skipping would
-    change the random stream; the processor must refuse to fast-forward."""
-    from repro.sim.processor import Processor
-
-    monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
-    config = CONFIG2.with_scheme(
-        SchemeConfig(kind="dmdc", coherence=True)
-    ).with_overrides(invalidation_rate=2.0)
-    proc = Processor(config, _trace("gzip"), seed=1)
-    assert not proc._fastpath
-    proc.prewarm()
-    proc.run(BUDGET)
-    assert proc.fast_forwarded_cycles == 0
