@@ -47,6 +47,18 @@ PROTOCOL_HOOKS = {
     "collect": 0,
 }
 
+#: Opcodes of the filter-lane event log (:mod:`repro.sim.soa`).  A
+#: recording kernel run appends one flat record per event a search filter
+#: reads, opcode first, and ``FilteredScheme.replay_lane``
+#: (:mod:`repro.core.schemes.conventional`) replays the log.
+EV_LOAD = 0          # load issued: addr, seq
+EV_STORE = 1         # store resolved, the LQ search found no victim: addr, seq
+EV_STORE_VICTIM = 2  # store resolved, the search found a live victim: addr, seq
+EV_WRONGPATH = 3     # wrong-path load: age, addr
+EV_RECOVERY = 4      # branch recovery: seq
+EV_SQUASH = 5        # squash: last kept seq, n, then n squashed issued-load addrs
+EV_COMMIT = 6        # load commit: addr
+
 
 class CommitDecision(enum.Enum):
     """What ``on_commit`` wants the pipeline to do with a committing load."""
@@ -145,8 +157,8 @@ class SoaHooks:
     instead hands adapters **slot indices** into its parallel arrays, and
     the class-level flags below let it skip the call entirely for events a
     scheme ignores.  Each adapter is a per-run transcription of its
-    scheme's hooks: it calls the same component methods (YLA, bloom
-    filter, checking table/queue, store sets) and bumps the same
+    scheme's hooks: it calls the same component methods (YLA, checking
+    table/queue, store sets) and bumps the same
     ``scheme.stats`` names, so a run is bit-identical either way — only
     pure queue-attribute tallies may be batched in locals and folded once
     via :meth:`fold`.
@@ -161,9 +173,6 @@ class SoaHooks:
     has_load_issue = False
     has_store_resolve = False
     commit_mode = 0
-    #: True when :meth:`on_squash` needs the addresses of squashed issued
-    #: loads (bloom); collecting them costs a pass the others skip.
-    wants_squashed_loads = False
 
     def __init__(self, scheme: "CheckScheme", kernel) -> None:
         self.scheme = scheme
@@ -189,14 +198,12 @@ class SoaHooks:
         (``commit_mode`` 2)."""
         return False
 
-    def on_squash(self, last_kept_seq: int, squashed_load_addrs: List[int]) -> None:
+    def on_squash(self, last_kept_seq: int) -> None:
         """A replay squashed everything younger than ``last_kept_seq``.
 
-        The default delegates to the scheme's object-path hook with no
-        load list — correct for every scheme that only uses the boundary
-        age (YLA/DMDC rollback, store-set repair); adapters that need the
-        squashed loads themselves override this and set
-        ``wants_squashed_loads``.
+        Delegates to the scheme's object-path hook with no load list: no
+        kernel-side scheme reads the squashed loads themselves (the Bloom
+        filter, which does, replays them from the event log).
         """
         self.scheme.on_squash(last_kept_seq, ())
 

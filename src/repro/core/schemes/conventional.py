@@ -8,16 +8,36 @@ replays from the oldest match.
 [18]) keep that machinery but skip the search when their filter proves no
 younger (YLA) / no aliasing (BF) issued load exists.  A filtered search is
 counted separately — that count is the energy the filter saves.
+
+A sound filter only skips searches that would find no victim, so it
+changes energy, never timing (the paper's Section 3 argument).  The SoA
+kernel exploits that: it has one implementation of this file, the
+conventional search (``_ConventionalSoaHooks``).  A filtered point runs
+it with event recording on and then replays the recorded log through its
+filter (:meth:`FilteredScheme.replay_lane`); a batch replays one
+conventional run's log into every filter point that shares it (filter
+*lanes*, see :func:`repro.sim.runner.run_many`).  The object-path hooks
+below remain the per-event reference.
 """
 
 from typing import List, Optional
 
 from repro.backend.dyninst import DynInstr
 from repro.core.bloom import CountingBloomFilter
-from repro.core.schemes.base import CheckScheme, SoaHooks
+from repro.core.schemes.base import (
+    EV_COMMIT,
+    EV_LOAD,
+    EV_RECOVERY,
+    EV_STORE,
+    EV_STORE_VICTIM,
+    EV_WRONGPATH,
+    CheckScheme,
+    SoaHooks,
+)
 from repro.core.yla import YlaFile
 from repro.errors import SimulationError
 from repro.lsq.queues import LoadQueue, StoreQueue, lq_violation_search_soa
+from repro.stats.counters import CounterSet
 
 
 class ConventionalScheme(CheckScheme):
@@ -97,7 +117,114 @@ class ConventionalScheme(CheckScheme):
         return _ConventionalSoaHooks(self, kernel)
 
 
-class YlaFilteredScheme(ConventionalScheme):
+class FilteredScheme(ConventionalScheme):
+    """Conventional LQ whose search a filter may skip (YLA, Bloom).
+
+    Subclasses supply the filter as the four address-level ``_filter_*``
+    operations below plus the (already address-level) wrong-path and
+    recovery hooks.  Both routes drive the same methods: the object
+    path through the scheme hooks, the SoA kernel by :meth:`replay_lane`
+    over a recorded conventional run (see the module docstring).
+    """
+
+    # -- the filter, by address ------------------------------------------
+    def _filter_load(self, addr: int, seq: int) -> None:
+        """A load issued."""
+
+    def _filter_safe(self, addr: int, seq: int) -> bool:
+        """Probe at store resolution: True proves no victim exists."""
+        return False
+
+    def _filter_commit(self, addr: int) -> None:
+        """An issued load committed."""
+
+    def _filter_squash(self, last_kept_seq: int, load_addrs) -> None:
+        """A replay squashed everything younger than ``last_kept_seq``,
+        including issued loads at ``load_addrs``."""
+
+    # -- object-path hooks ------------------------------------------------
+    def _should_search(self, store: DynInstr) -> bool:
+        if self._filter_safe(store.addr, store.seq):
+            self.stats.bump("stores.safe")
+            return False
+        return True
+
+    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
+        self._filter_load(load.addr, load.seq)
+        return super().on_load_issue(load, cycle)
+
+    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
+        self._filter_squash(last_kept_seq, [load.addr for load in squashed_loads
+                                            if load.issue_cycle >= 0])
+
+    def on_commit(self, instr: DynInstr, cycle: int):
+        if instr.is_load and instr.issue_cycle >= 0:
+            self._filter_commit(instr.addr)
+        return super().on_commit(instr, cycle)
+
+    # -- kernel route: replay a recorded conventional run ------------------
+    def replay_lane(self, events: List[int], label: str) -> CounterSet:
+        """Drive the filter through a recorded run's ``events``.
+
+        Returns the filter-owned counters (``lq.searches*``,
+        ``stores.safe`` and the filter's own), booked under the names the
+        object-path hooks use; :meth:`SimulationResult.lane_copy
+        <repro.sim.result.SimulationResult.lane_copy>` puts them into a
+        copy of the recording run's result.  A store the filter calls
+        safe although the recorded search found a victim raises
+        :class:`SimulationError` naming ``label``, the store's seq and its
+        address: the filter would have let a premature load retire.
+        """
+        # Fresh stats: a point that recorded its own run has booked the
+        # unfiltered search there, and the hooks replayed below bump here.
+        self.stats = CounterSet()
+        safe = self._filter_safe
+        searches = filtered = 0
+        i = 0
+        n = len(events)
+        while i < n:
+            op = events[i]
+            if op == EV_LOAD:
+                self._filter_load(events[i + 1], events[i + 2])
+                i += 3
+            elif op == EV_COMMIT:
+                self._filter_commit(events[i + 1])
+                i += 2
+            elif op == EV_STORE or op == EV_STORE_VICTIM:
+                addr = events[i + 1]
+                seq = events[i + 2]
+                if safe(addr, seq):
+                    if op == EV_STORE_VICTIM:
+                        raise SimulationError(
+                            f"filter lane {label} called store seq={seq} "
+                            f"addr={addr:#x} safe, but the host's LQ search "
+                            f"found a victim")
+                    filtered += 1
+                else:
+                    searches += 1
+                i += 3
+            elif op == EV_WRONGPATH:
+                self.on_wrongpath_load(events[i + 1], events[i + 2])
+                i += 3
+            elif op == EV_RECOVERY:
+                self.on_recovery(events[i + 1])
+                i += 2
+            else:  # EV_SQUASH
+                count = events[i + 2]
+                self._filter_squash(events[i + 1], events[i + 3:i + 3 + count])
+                i += 3 + count
+        stats = self.stats
+        if filtered:
+            stats["stores.safe"] = filtered
+        if searches:
+            stats["lq.searches"] = searches
+        self.collect()
+        stats["lq.searches_assoc"] = searches
+        stats["lq.searches_filtered"] = filtered
+        return stats
+
+
+class YlaFilteredScheme(FilteredScheme):
     """Conventional LQ + YLA-based search filtering (Section 3)."""
 
     name = "yla"
@@ -107,15 +234,14 @@ class YlaFilteredScheme(ConventionalScheme):
         super().__init__(coherence=coherence)
         self.yla = YlaFile(num_registers, granularity_bytes)
 
-    def _should_search(self, store: DynInstr) -> bool:
-        safe = self.yla.store_is_safe(store.addr, store.seq)
-        if safe:
-            self.stats.bump("stores.safe")
-        return not safe
+    def _filter_load(self, addr: int, seq: int) -> None:
+        self.yla.observe_load_issue(addr, seq)
 
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self.yla.observe_load_issue(load.addr, load.seq)
-        return super().on_load_issue(load, cycle)
+    def _filter_safe(self, addr: int, seq: int) -> bool:
+        return self.yla.store_is_safe(addr, seq)
+
+    def _filter_squash(self, last_kept_seq: int, load_addrs) -> None:
+        self.yla.rollback(last_kept_seq)
 
     def on_wrongpath_load(self, age: int, addr: int) -> None:
         self.yla.observe_load_issue(addr, age)
@@ -124,18 +250,12 @@ class YlaFilteredScheme(ConventionalScheme):
     def on_recovery(self, last_kept_seq: int) -> None:
         self.yla.rollback(last_kept_seq)
 
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        self.yla.rollback(last_kept_seq)
-
-    def soa_hooks(self, kernel):
-        return _YlaSoaHooks(self, kernel)
-
     def collect(self) -> None:
         self.stats["yla.compares"] = self.yla.compares
         self.stats["yla.updates"] = self.yla.updates
 
 
-class BloomFilteredScheme(ConventionalScheme):
+class BloomFilteredScheme(FilteredScheme):
     """Conventional LQ + counting-Bloom-filter search filtering [18]."""
 
     name = "bloom"
@@ -145,15 +265,18 @@ class BloomFilteredScheme(ConventionalScheme):
         self.bloom = CountingBloomFilter(entries)
         self._phantoms: List[int] = []
 
-    def _should_search(self, store: DynInstr) -> bool:
-        present = self.bloom.may_contain(store.addr)
-        if not present:
-            self.stats.bump("stores.safe")
-        return present
+    def _filter_load(self, addr: int, seq: int) -> None:
+        self.bloom.insert(addr)
 
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self.bloom.insert(load.addr)
-        return super().on_load_issue(load, cycle)
+    def _filter_safe(self, addr: int, seq: int) -> bool:
+        return not self.bloom.may_contain(addr)
+
+    def _filter_commit(self, addr: int) -> None:
+        self.bloom.remove(addr)
+
+    def _filter_squash(self, last_kept_seq: int, load_addrs) -> None:
+        for addr in load_addrs:
+            self.bloom.remove(addr)
 
     def on_wrongpath_load(self, age: int, addr: int) -> None:
         # Phantom wrong-path loads enter the filter and are backed out at
@@ -165,19 +288,6 @@ class BloomFilteredScheme(ConventionalScheme):
         for addr in self._phantoms:
             self.bloom.remove(addr)
         self._phantoms.clear()
-
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        for load in squashed_loads:
-            if load.issue_cycle >= 0:
-                self.bloom.remove(load.addr)
-
-    def on_commit(self, instr: DynInstr, cycle: int):
-        if instr.is_load and instr.issue_cycle >= 0:
-            self.bloom.remove(instr.addr)
-        return super().on_commit(instr, cycle)
-
-    def soa_hooks(self, kernel):
-        return _BloomSoaHooks(self, kernel)
 
     def collect(self) -> None:
         self.stats["bloom.probes"] = self.bloom.probes
@@ -202,7 +312,6 @@ class _ConventionalSoaHooks(SoaHooks):
     def __init__(self, scheme, kernel):
         super().__init__(scheme, kernel)
         self._searches = 0
-        self._filtered = 0
         if scheme.coherence:
             self.has_load_issue = True
 
@@ -261,68 +370,4 @@ class _ConventionalSoaHooks(SoaHooks):
         return self._search(slot)
 
     def fold(self) -> None:
-        lq = self.scheme.lq
-        lq.searches += self._searches
-        lq.searches_filtered += self._filtered
-
-
-class _YlaSoaHooks(_ConventionalSoaHooks):
-    """:class:`YlaFilteredScheme`: YLA probe decides whether to search."""
-
-    has_load_issue = True
-
-    def on_load_issue(self, slot: int) -> int:
-        s = self.scheme
-        k = self.k
-        s.yla.observe_load_issue(k.addr[slot], k.seq[slot])
-        if s.coherence:
-            return super().on_load_issue(slot)
-        return -1
-
-    def on_store_resolve(self, slot: int) -> int:
-        s = self.scheme
-        k = self.k
-        s.stats.bump("stores.resolved")
-        if s.yla.store_is_safe(k.addr[slot], k.seq[slot]):
-            s.stats.bump("stores.safe")
-            self._filtered += 1
-            return -1
-        return self._search(slot)
-
-
-class _BloomSoaHooks(_ConventionalSoaHooks):
-    """:class:`BloomFilteredScheme`: counting-BF probe plus commit/squash
-    removals (why this adapter wants the squashed-load addresses)."""
-
-    has_load_issue = True
-    commit_mode = 1
-    wants_squashed_loads = True
-
-    def on_load_issue(self, slot: int) -> int:
-        s = self.scheme
-        s.bloom.insert(self.k.addr[slot])
-        if s.coherence:
-            return super().on_load_issue(slot)
-        return -1
-
-    def on_store_resolve(self, slot: int) -> int:
-        s = self.scheme
-        s.stats.bump("stores.resolved")
-        if not s.bloom.may_contain(self.k.addr[slot]):
-            s.stats.bump("stores.safe")
-            self._filtered += 1
-            return -1
-        return self._search(slot)
-
-    def on_commit_load(self, slot: int) -> bool:
-        k = self.k
-        if k.icyc[slot] >= 0:
-            self.scheme.bloom.remove(k.addr[slot])
-        return False
-
-    def on_squash(self, last_kept_seq: int, squashed_load_addrs) -> None:
-        # The kernel pre-filters to issued loads (issue_cycle >= 0), so
-        # this is exactly the object path's removal loop.
-        remove = self.scheme.bloom.remove
-        for addr in squashed_load_addrs:
-            remove(addr)
+        self.scheme.lq.searches += self._searches

@@ -54,14 +54,18 @@ class ResultCache:
         """The cached result for ``request``, or ``None`` on any miss.
 
         Unreadable, corrupt, or schema-incompatible entries count as
-        misses — the cache is an accelerator, never a failure source.
+        misses — the cache is an accelerator, never a failure source —
+        and so does an entry stored for a different request (its
+        ``request`` line is not ``request.describe()``), so a result
+        filed under the wrong key is never served.
         """
         path = self.path_for(key if key is not None else request.cache_key())
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if payload.get("schema") != CACHE_SCHEMA_VERSION:
+        if (payload.get("schema") != CACHE_SCHEMA_VERSION
+                or payload.get("request") != request.describe()):
             return None
         try:
             return SimulationResult.from_dict(payload["result"])

@@ -21,7 +21,7 @@ from repro.exec.cache import ResultCache
 from repro.exec.options import PARALLEL_ENV, EngineOptions
 from repro.exec.request import RunRequest
 from repro.sim.result import SimulationResult
-from repro.sim.runner import run_many, run_workload
+from repro.sim.runner import lane_host_config, run_many, run_workload
 from repro.sim.setup_memo import SETUP_MEMO
 
 __all__ = [
@@ -64,6 +64,22 @@ def _execute_batch(requests: List[RunRequest]) -> List[SimulationResult]:
     kernel-buffer allocation across the jobs shipped to that worker.
     """
     return run_many(requests)
+
+
+def by_lane_group(
+    pending: List[Tuple[str, RunRequest]]
+) -> List[Tuple[str, RunRequest]]:
+    """``pending`` stable-ordered by filter-lane group: each group (the
+    points one conventional host run serves, see
+    :func:`repro.sim.runner.run_many`) gathered at its first member's
+    place; every other point keeps its own place."""
+    groups: Dict[object, List[Tuple[str, RunRequest]]] = {}
+    for key, request in pending:
+        host = lane_host_config(request.config)
+        group = (key if host is None else
+                 (request.workload_name, request.budget, request.seed, host))
+        groups.setdefault(group, []).append((key, request))
+    return [item for group in groups.values() for item in group]
 
 
 @dataclass
@@ -223,7 +239,10 @@ class ExecutionEngine:
         # Ship each worker a contiguous slice rather than one job at a
         # time: callers submit sweeps in (scheme, workload) order, so
         # slices keep same-trace jobs together and run_many can amortize
-        # trace generation and kernel buffers inside the worker.
+        # trace generation and kernel buffers inside the worker.  Lane
+        # groups are gathered first, so a slice boundary seldom parts a
+        # conventional host from its filter lanes.
+        pending = by_lane_group(pending)
         pool = self._ensure_pool()
         chunk = -(-len(pending) // self.max_workers)  # ceil division
         slices = [pending[i:i + chunk] for i in range(0, len(pending), chunk)]

@@ -31,19 +31,22 @@ stepper: it steps every cycle and runs only under an observer (tracer,
 obs recorder, sanitizer) or ``REPRO_NO_SOA=1``.  Results are
 bit-identical either way (enforced by ``tests/test_soa_equivalence.py``
 and ``tests/test_golden_digests.py``); see ``docs/performance.md``.
+A YLA or Bloom point that ``run_many`` batches with its conventional host
+steps neither loop: it replays the host's recorded events through its
+filter (a *filter lane*, :class:`HostRun`).
 """
 
 import heapq
 import time
 from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
 from repro.backend.dyninst import DynInstr, InstrState
 from repro.backend.resources import FunctionalUnits, PhysRegFile
 from repro.coherence.injector import InvalidationInjector
 from repro.core.schemes import CommitDecision, build_scheme
 from repro.core.storesets import StoreSetPredictor
-from repro.core.schemes.conventional import ConventionalScheme
+from repro.core.schemes.conventional import ConventionalScheme, FilteredScheme
 from repro.errors import OrderingViolationMissed, SimulationError
 from repro.frontend.branch_predictor import CombinedPredictor
 from repro.frontend.wrongpath import WrongPathModel
@@ -74,6 +77,14 @@ _FWD_REJECT = ForwardAction.REJECT
 _FWD_CACHE = ForwardAction.CACHE
 _CLS_STORE = InstrClass.STORE
 _CLS_LOAD = InstrClass.LOAD
+
+
+class HostRun(NamedTuple):
+    """A recording kernel run: its result and its filter-lane event log
+    (:mod:`repro.sim.soa`), which filter lanes replay."""
+
+    result: SimulationResult
+    events: List[int]
 
 
 class Processor:
@@ -187,9 +198,20 @@ class Processor:
         #: the first eligible :meth:`run` fills it.
         self._soa_requested = soa_enabled()
         self.soa_buffers = None
-        #: Which cycle loop the last :meth:`run` used (``"soa"`` or
-        #: ``"object"``) — bench/result provenance.
+        #: Which cycle loop the last :meth:`run` used (``"soa"``,
+        #: ``"object"``, or ``"lane"`` for a filter lane that replayed a
+        #: host's log instead) — bench/result provenance.
         self.kernel_used = "object"
+        #: Filter lanes (see ``docs/performance.md``).  A recording kernel
+        #: run logs the events a search filter reads and leaves its
+        #: :class:`HostRun` in ``recorded``.  A search filter always
+        #: records, then replays its own log; ``run_many`` sets
+        #: ``record_events`` on a conventional host, and ``replay_from``
+        #: on later lanes, whose :meth:`run` then replays that log and
+        #: steps no cycle loop.
+        self.record_events = False
+        self.recorded: Optional[HostRun] = None
+        self.replay_from: Optional[HostRun] = None
 
     # ==================================================================
     # Public driver
@@ -227,6 +249,8 @@ class Processor:
             max_cycles = max(200_000, max_instructions * 60)
         target = min(max_instructions, len(self.trace))
         self._commit_target = target
+        if self.replay_from is not None:
+            return self._replay_lane(self.replay_from)
         # Kernel construction (trace column decode, slot-pool allocation)
         # happens before the clock starts: like trace generation it is
         # per-trace setup amortised across runs, not cycle-loop work, and
@@ -250,7 +274,31 @@ class Processor:
         sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
         self.scheme.finalize(self.cycle)
         result = self._build_result()
+        if kernel is not None and kernel.events is not None:
+            self.recorded = host = HostRun(result, kernel.events)
+            if isinstance(self.scheme, FilteredScheme):
+                t0 = time.perf_counter()  # repro: noqa[REPRO001]
+                result = self._lane_result(host)
+                sim_seconds += time.perf_counter() - t0  # repro: noqa[REPRO001]
         result.sim_seconds = sim_seconds
+        return result
+
+    def _lane_result(self, host: HostRun) -> SimulationResult:
+        """This search filter's result for the run ``host`` recorded."""
+        scheme = self.scheme
+        if not isinstance(scheme, FilteredScheme):
+            raise SimulationError(f"scheme {scheme.name} is not a filter lane")
+        owned = scheme.replay_lane(host.events, self.config.scheme.label())
+        return host.result.lane_copy(scheme.name, owned)
+
+    def _replay_lane(self, host: HostRun) -> SimulationResult:
+        """A later filter lane's whole run: replay ``host``'s log."""
+        t0 = time.perf_counter()  # repro: noqa[REPRO001]
+        self.kernel_used = "lane"
+        result = self._lane_result(host)
+        self.cycle = result.cycles
+        self.committed = result.committed
+        result.sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
         return result
 
     def _soa_kernel(self) -> Optional[SoaKernel]:
@@ -273,7 +321,13 @@ class Processor:
             and self.fetch_idx == 0
         ):
             return None
-        kernel = SoaKernel(self, self.soa_buffers)
+        record = self.record_events or isinstance(self.scheme, FilteredScheme)
+        if record and not isinstance(self.scheme, ConventionalScheme):
+            # Recording skips the scheme's wrong-path, recovery and squash
+            # hooks: only the conventional family may go without them.
+            raise SimulationError(
+                f"scheme {self.scheme.name} cannot host filter lanes")
+        kernel = SoaKernel(self, self.soa_buffers, record)
         if kernel.hooks is None:
             return None
         self.soa_buffers = kernel.b

@@ -5,7 +5,7 @@ adds the derived rates the paper reports (IPC, replays per million
 committed instructions, safe-store percentage, checking-window shape).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict
 
 from repro.stats.counters import CounterSet, Histogram
@@ -27,6 +27,12 @@ FALSE_REPLAY_CATEGORIES = (
     "replay.false.hash.Y",
     "replay.false.inv",
 )
+
+#: Counters a search filter owns (besides its ``yla.*``/``bloom.*`` ones):
+#: a filter lane's result is its host's with exactly these replaced.
+_FILTER_COUNTERS = ("lq.searches", "lq.searches_assoc", "lq.searches_filtered",
+                   "stores.safe")
+_FILTER_PREFIXES = ("yla.", "bloom.")
 
 
 @dataclass
@@ -121,6 +127,18 @@ class SimulationResult:
             return 0.0
         ones = dict(self.window_unsafe_stores.items()).get(1, 0)
         return ones / self.window_unsafe_stores.count
+
+    def lane_copy(self, scheme_name: str, owned: CounterSet) -> "SimulationResult":
+        """A fresh copy of this (recording host's) result for a filter
+        lane: ``scheme_name`` and the filter-owned counters replaced by
+        ``owned``, every other counter and histogram copied."""
+        counters = CounterSet.from_dict({
+            name: value for name, value in self.counters.as_dict().items()
+            if name not in _FILTER_COUNTERS and not name.startswith(_FILTER_PREFIXES)})
+        counters.merge(owned)
+        return replace(self, scheme_name=scheme_name, counters=counters, **{
+            name: Histogram.from_dict(getattr(self, name).to_dict())
+            for name in HISTOGRAM_FIELDS})
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict:

@@ -1,15 +1,15 @@
 """Convenience entry points for running one workload on one machine."""
 
 import os
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.isa.trace import Trace, validate_trace
-from repro.sim.config import MachineConfig
-from repro.sim.processor import Processor
+from repro.sim.config import MachineConfig, SchemeConfig
+from repro.sim.processor import HostRun, Processor
 from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SetupBatch
-from repro.sim.soa import KernelBuffers
+from repro.sim.soa import KernelBuffers, soa_enabled
 
 #: Environment variable scaling every experiment's instruction budget.
 INSTRUCTIONS_ENV = "REPRO_INSTRUCTIONS"
@@ -111,8 +111,31 @@ def _resolve_workload(workload):
     return SyntheticWorkload(workload)
 
 
+#: Scheme kinds that share a conventional host run (see :func:`run_many`):
+#: the host's own and the search filters that replay it as lanes.
+_FILTER_KINDS = ("yla", "bloom")
+_LANE_FAMILY = ("conventional",) + _FILTER_KINDS
+
+
+def lane_host_config(config: MachineConfig) -> Optional[MachineConfig]:
+    """The machine of the conventional run a ``config`` point shares.
+
+    Conventional, YLA and Bloom points that differ only in their search
+    filter time identically, so they share one host run: ``config`` with
+    the scheme reduced to conventional, keeping ``coherence``,
+    ``sq_filter`` and ``store_sets``.  None for every other scheme.
+    """
+    scheme = config.scheme
+    if scheme.kind not in _LANE_FAMILY:
+        return None
+    return config.with_scheme(SchemeConfig(
+        coherence=scheme.coherence, sq_filter=scheme.sq_filter,
+        store_sets=scheme.store_sets))
+
+
 def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]:
-    """Run a batch of design points in request order, amortizing setup.
+    """Run a batch of design points, amortizing setup; results come back
+    in request order.
 
     Each request carries ``config`` (a :class:`MachineConfig`),
     ``workload`` (a suite name, a ``WorkloadSpec``, or any object with
@@ -129,29 +152,62 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
     * one prewarm per distinct (trace, front-end geometry), likewise
       shared: later processors get a copy of the warm state;
     * one slot-pool allocation per machine geometry, threaded between
-      elements via ``Processor.soa_buffers``.
+      elements via ``Processor.soa_buffers``;
+    * **filter lanes**: points with the same trace, seed, budget and
+      :func:`lane_host_config` form a group that steps the cycle loop
+      once.  The group's conventional point (else its first YLA/Bloom
+      point) runs first, recording the events a search filter reads;
+      every later YLA/Bloom point gets its own ``Processor.run``, which
+      replays that log and reports ``kernel_used == "lane"``.  The log is
+      dropped once the group is done.  Under ``REPRO_NO_SOA`` there are
+      no lanes.
 
     Every element still gets a fresh :class:`Processor` with its own RNG
     stream and its own copy of the warm front end, so results are
     bit-identical to a fresh process running each request alone and
     seeds cannot leak across batch elements.
     """
-    results: List[SimulationResult] = []
     setup = SetupBatch()
     buffers: Dict[int, Optional[KernelBuffers]] = {}
-    for request in requests:
-        config = request.config
+    lanes = soa_enabled()
+    points: List[Tuple[Any, int, Trace, Any]] = []
+    # Group key -> member indices, in first-appearance order; a point
+    # outside every lane family is a group of its own.
+    groups: Dict[Any, List[int]] = {}
+    for index, request in enumerate(requests):
         budget = request.budget
         if budget is None:
             budget = instruction_budget()
         trace, ident = setup.trace(_resolve_workload(request.workload),
                                    budget + TRACE_TAIL_SLACK)
-        processor = Processor(config, trace, seed=request.seed)
-        pool = config.rob_size + config.fetch_buffer + 8
-        processor.soa_buffers = buffers.get(pool)
-        if prewarm:
-            setup.prewarm(processor, ident)
-        results.append(processor.run(budget))
-        if processor.soa_buffers is not None:
-            buffers[pool] = processor.soa_buffers
-    return results
+        points.append((request, budget, trace, ident))
+        host = lane_host_config(request.config) if lanes else None
+        key = (ident, request.seed, budget, host) if host is not None else index
+        groups.setdefault(key, []).append(index)
+
+    results: Dict[int, SimulationResult] = {}
+    for members in groups.values():
+        lane = {i: points[i][0].config.scheme.kind in _FILTER_KINDS
+                for i in members}
+        # The host runs first: the group's conventional point, if any.
+        members.sort(key=lane.__getitem__)
+        host_records = any(lane.values())
+        recorded: Optional[HostRun] = None
+        for index in members:
+            request, budget, trace, ident = points[index]
+            processor = Processor(request.config, trace, seed=request.seed)
+            if recorded is not None and lane[index]:
+                processor.replay_from = recorded
+                results[index] = processor.run(budget)
+                continue
+            processor.record_events = host_records and index == members[0]
+            pool = request.config.rob_size + request.config.fetch_buffer + 8
+            processor.soa_buffers = buffers.get(pool)
+            if prewarm:
+                setup.prewarm(processor, ident)
+            results[index] = processor.run(budget)
+            if processor.soa_buffers is not None:
+                buffers[pool] = processor.soa_buffers
+            if recorded is None:
+                recorded = processor.recorded
+    return [results[index] for index in range(len(points))]

@@ -25,6 +25,29 @@ cycles: an event-horizon skipper jumps to the next cycle in which any
 stage can act, and stays off while the invalidation injector is live
 (the injector draws from the RNG every cycle).
 
+**Filter-lane recording.**  YLA and Bloom filtering changes energy, never
+timing, so the kernel implements neither: a filtered point runs the plain
+conventional search, and a run built with ``record=True`` logs the events
+a search filter reads into :attr:`SoaKernel.events`, a flat int list of
+records (opcodes in :mod:`repro.core.schemes.base`):
+
+* load issue: address and seq;
+* store resolve: address and seq, the opcode saying whether the search
+  found a live victim;
+* wrong-path load: age and address;
+* branch recovery: seq;
+* squash: last kept seq, then the addresses of the squashed issued loads;
+* load commit: address.
+
+One local ``rec`` bool guards all six sites.  While recording, the
+wrong-path, recovery and squash sites log instead of calling the scheme
+(a recording scheme is conventional, whose hooks there are no-ops, or a
+filter, which replays them).  The filter schemes replay the log after the
+loop (:meth:`~repro.core.schemes.conventional.FilteredScheme.replay_lane`),
+and :func:`repro.sim.runner.run_many` replays one conventional run's log
+into every filter point of its batch that shares trace, seed, budget and
+machine.
+
 The kernel is **bit-identical** to the object path — same counters, same
 cycle counts, same RNG stream — which `tests/test_soa_equivalence.py`
 enforces over the scheme × workload matrix and its coherence rows, and
@@ -48,6 +71,15 @@ from typing import Dict, List, Optional, Set
 
 from repro.backend.dyninst import InstrState
 from repro.backend.resources import FunctionalUnits
+from repro.core.schemes.base import (
+    EV_COMMIT,
+    EV_LOAD,
+    EV_RECOVERY,
+    EV_SQUASH,
+    EV_STORE,
+    EV_STORE_VICTIM,
+    EV_WRONGPATH,
+)
 from repro.errors import OrderingViolationMissed, SimulationError
 from repro.lsq.queues import (
     SOA_CACHE,
@@ -234,7 +266,8 @@ class SoaKernel:
     would have produced.
     """
 
-    def __init__(self, processor, buffers: Optional[KernelBuffers] = None) -> None:
+    def __init__(self, processor, buffers: Optional[KernelBuffers] = None,
+                 record: bool = False) -> None:
         p = processor
         self.p = p
         config = p.config
@@ -347,6 +380,9 @@ class SoaKernel:
         #: no SoA transcription (the sanitizer's wrapper) — the caller
         #: must then step the object path instead of calling :meth:`run`.
         self.hooks = p.scheme.soa_hooks(self)
+        #: The filter-lane event log (see the module docstring), or None
+        #: when this run records nothing.
+        self.events: Optional[List[int]] = [] if record else None
 
         # Config scalars ------------------------------------------------
         self.width = config.width
@@ -485,6 +521,10 @@ class SoaKernel:
         hook_store = hooks.on_store_resolve
         hook_commit_load = hooks.on_commit_load
         hook_commit = hooks.on_commit
+        # Filter-lane recording (see the module docstring): one local
+        # gates all six sites.
+        log = self.events
+        rec = log is not None
         # The invalidation injector draws from the RNG every cycle, so a
         # skipped cycle would change the random stream.  One local gates
         # all three injector sites: the skipper, the per-load address
@@ -661,6 +701,8 @@ class SoaKernel:
                                 del lqg[g]
                             g += 1
                         n_commit_loads += 1
+                        if rec:
+                            log += (EV_COMMIT, a)
                         if reexec_loads:
                             mem_read(addr_[head])
                             n_reexec += 1
@@ -739,7 +781,10 @@ class SoaKernel:
                             self.resume_cycle = cycle + self.branch_penalty
                             if mispredicted:
                                 n_mispredicts += 1
-                                scheme.on_recovery(seq_[slot])
+                                if rec:
+                                    log += (EV_RECOVERY, seq_[slot])
+                                else:
+                                    scheme.on_recovery(seq_[slot])
                             else:
                                 n_misfetches += 1
                 events.clear()
@@ -847,6 +892,8 @@ class SoaKernel:
                                         n_dreads += 1
                                         latency = 1 + mem_read(la)
                                     cring[(cycle + latency) & rmask].append(v)
+                                    if rec:
+                                        log += (EV_LOAD, la, lseq)
                                     if has_load_hook:
                                         victim = hook_load(slot)
                                         if victim >= 0 and state_[victim] != _ST_SQUASHED:
@@ -914,11 +961,15 @@ class SoaKernel:
                             if has_store_hook:
                                 victim = hook_store(slot)
                                 if victim >= 0 and state_[victim] != _ST_SQUASHED:
+                                    if rec:
+                                        log += (EV_STORE_VICTIM, sa, sseq)
                                     n_replays += 1
                                     n_replays_exec += 1
                                     self.cycle = cycle
                                     self._squash_from(victim)
                                     squashed_this_cycle = True
+                                elif rec:
+                                    log += (EV_STORE, sa, sseq)
                             issued += 1
                             if squashed_this_cycle:
                                 break
@@ -1079,7 +1130,10 @@ class SoaKernel:
                             self.blocked_branch = seq_[slot] << pbits | slot
                             for age, wa in self.wrongpath.loads_for_mispredict(
                                     seq_[slot]):
-                                scheme.on_wrongpath_load(age, wa)
+                                if rec:
+                                    log += (EV_WRONGPATH, age, wa)
+                                else:
+                                    scheme.on_wrongpath_load(age, wa)
                             break
                         if predicted_taken and btb_lookup(tpc[ti]) is None:
                             n_misfetches += 1
@@ -1211,25 +1265,29 @@ class SoaKernel:
         while rob and seq_[rob[-1]] >= boundary:
             victims.append(rob.pop())
         victims.reverse()  # process oldest-first, like the object path
-        hooks = self.hooks
-        collect_loads = hooks.wants_squashed_loads
-        squashed_load_addrs: List[int] = []  # repro: noqa[REPRO005]
+        log = self.events
+        if log is not None:
+            # One record: the kept boundary, then the squashed issued
+            # loads' addresses behind a count patched in after the pass.
+            log += (EV_SQUASH, boundary - 1, 0)
+            count_at = len(log) - 1
         regs_int = self.regs_int
         regs_fp = self.regs_fp
         isld_ = self.isld
         icyc_ = self.icyc
-        fp_ = self.fp
+        addr_ = self.addr
         for victim in victims:  # oldest-first, like the object path
             state_[victim] = _ST_SQUASHED
             self._free_iq_if_held(victim)
             dst = tdst[tidx_[victim]]
             if dst >= 0:
                 (regs_fp if dst >= 32 else regs_int).release()
-            if collect_loads and isld_[victim] and icyc_[victim] >= 0:
-                squashed_load_addrs.append(self.addr[victim])
+            if log is not None and isld_[victim] and icyc_[victim] >= 0:
+                log.append(addr_[victim])
             self.n_squash += 1
             free_slots.append(victim)
-        addr_ = self.addr
+        if log is not None:
+            log[count_at] = len(log) - count_at - 1
         size_ = self.size
         lqg = self.lq_granules
         lq = self.lq
@@ -1273,7 +1331,8 @@ class SoaKernel:
             dst = tdst[tidx_[survivor]]
             if dst >= 0:
                 rename[dst] = seq_[survivor] << pbits | survivor
-        hooks.on_squash(boundary - 1, squashed_load_addrs)
+        if log is None:
+            self.hooks.on_squash(boundary - 1)
         blocked = self.blocked_branch
         if blocked != -1:
             bslot = blocked & self.pmask

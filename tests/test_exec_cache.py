@@ -152,6 +152,20 @@ class TestResultCache:
         path.write_text(json.dumps(payload))
         assert cache.get(req) is None
 
+    def test_entry_for_another_request_is_a_miss(self, tmp_path):
+        """A conventional host's entry filed under a YLA point's key (the
+        failure a filter-lane mix-up would persist) is never served."""
+        cache = ResultCache(tmp_path)
+        config = small_config(wrongpath_loads=False)
+        host = RunRequest(config, "gzip", 900, 1)
+        lane = RunRequest(config.with_scheme(SchemeConfig(kind="yla")),
+                          "gzip", 900, 1)
+        cache.put(host, _tiny_result(), key=lane.cache_key())
+        assert cache.path_for(lane.cache_key()).exists()
+        assert cache.get(lane) is None
+        cache.put(lane, _tiny_result())
+        assert cache.get(lane) == _tiny_result()
+
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         req = RunRequest(small_config(wrongpath_loads=False), "gzip", 900, 1)

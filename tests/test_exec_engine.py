@@ -5,10 +5,10 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.exec.cache import ResultCache
-from repro.exec.engine import ExecutionEngine, worker_count
+from repro.exec.engine import ExecutionEngine, by_lane_group, worker_count
 from repro.exec.planner import plan_experiments, run_all, union_requests
 from repro.exec.request import RunRequest
-from repro.sim.config import small_config
+from repro.sim.config import SchemeConfig, small_config
 
 BUDGET = 700
 
@@ -16,6 +16,12 @@ BUDGET = 700
 def _req(workload="gzip", seed=1, **overrides):
     return RunRequest(small_config(wrongpath_loads=False, **overrides),
                       workload, BUDGET, seed)
+
+
+def _scheme_req(kind, workload="gzip", seed=1, **scheme):
+    config = small_config(wrongpath_loads=False).with_scheme(
+        SchemeConfig(kind=kind, **scheme))
+    return RunRequest(config, workload, BUDGET, seed)
 
 
 @pytest.fixture
@@ -67,6 +73,31 @@ class TestDedupeAndCaching:
         assert {s[3] for s in seen} == {"run"}
         engine.run([_req()])
         assert seen[-1][3] == "memo"
+
+
+class TestLaneGroupOrder:
+    def test_pool_slices_keep_lane_groups_together(self):
+        """A (scheme, workload) grid is regrouped so each workload's
+        conventional, YLA and Bloom points sit side by side; other points
+        keep their order, and within a group request order is kept."""
+        grid = [(f"k{i}", _scheme_req(kind, workload))
+                for i, (kind, workload) in enumerate(
+                    (kind, workload)
+                    for kind in ("yla", "dmdc", "conventional", "bloom")
+                    for workload in ("gzip", "swim"))]
+        ordered = by_lane_group(grid)
+        assert sorted(ordered) == sorted(grid)
+        assert [(r.config.scheme.kind, r.workload) for _, r in ordered] == [
+            ("yla", "gzip"), ("conventional", "gzip"), ("bloom", "gzip"),
+            ("yla", "swim"), ("conventional", "swim"), ("bloom", "swim"),
+            ("dmdc", "gzip"), ("dmdc", "swim")]
+
+    def test_lane_groups_need_equal_seed_and_machine(self):
+        points = [("a", _scheme_req("yla")), ("b", _req(seed=2)),
+                  ("c", _scheme_req("bloom", sq_filter=True)), ("d", _req()),
+                  ("e", _scheme_req("bloom"))]
+        assert [key for key, _ in by_lane_group(points)] == [
+            "a", "d", "e", "b", "c"]
 
 
 class TestErrorContext:

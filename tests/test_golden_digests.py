@@ -11,7 +11,10 @@ instructions) for two sets of points:
 Any change to simulated behaviour changes a digest, so the file is the
 gate for refactors of the cycle loops: it must stay byte-identical. Every
 point must also run on the SoA kernel, so the digests pin the code that
-plain runs actually take.
+plain runs actually take.  Run one at a time, a YLA or Bloom point is a
+lone filter lane (it records its own kernel run and replays it); a
+second test runs each workload's nine labels as one ``run_many`` batch,
+where those points are lanes of the conventional point's run.
 
 To rebuild the file after a deliberate behaviour change, call
 :func:`regenerate` from a Python prompt with ``src`` on the path.
@@ -23,12 +26,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec.request import RunRequest
 from repro.experiments.table6 import INVALIDATION_RATES, _sweep
 from repro.sim.config import CONFIG2, SCHEME_LABELS, SchemeConfig
 from repro.sim.processor import Processor
-from repro.sim.runner import TRACE_TAIL_SLACK
+from repro.sim.runner import TRACE_TAIL_SLACK, run_many
 from repro.sim.setup_memo import SetupBatch
-from repro.sim.soa import NO_SOA_ENV
+from repro.sim.soa import NO_SOA_ENV, SoaKernel
 from repro.workloads import SUITE
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -101,3 +105,28 @@ def test_digests_match_on_the_kernel(monkeypatch, golden, workload):
     assert not mismatched, f"digest changed: {mismatched}"
     off_kernel = [p for p, (_, kernel) in points.items() if kernel != "soa"]
     assert not off_kernel, f"ran on the object loop: {off_kernel}"
+
+
+@pytest.mark.parametrize("workload", sorted(SUITE))
+def test_digests_match_as_one_batch(monkeypatch, golden, workload):
+    """The nine labels through one ``run_many``: yla and bloom replay the
+    conventional point's recorded run, so the batch steps the cycle loop
+    7 times, not 9, and every result still matches its digest."""
+    monkeypatch.delenv(NO_SOA_ENV, raising=False)
+    loops = []
+    original = SoaKernel.run
+
+    def counting_run(kernel, target, max_cycles):
+        loops.append(kernel.p.scheme.name)
+        return original(kernel, target, max_cycles)
+
+    monkeypatch.setattr(SoaKernel, "run", counting_run)
+    requests = [RunRequest(CONFIG2.with_scheme(SchemeConfig.from_label(label)),
+                           workload, BUDGET, SEED)
+                for label in SCHEME_LABELS]
+    results = run_many(requests)
+    mismatched = [label for label, result in zip(SCHEME_LABELS, results)
+                  if golden["digests"][f"{workload}/{label}"] != result_digest(result)]
+    assert not mismatched, f"digest changed: {mismatched}"
+    assert len(loops) == len(SCHEME_LABELS) - 2
+    assert "yla" not in loops and "bloom" not in loops
