@@ -68,12 +68,15 @@ HOT_FUNCTIONS: Dict[str, Set[str]] = {
         "lq_violation_search_soa",
     },
     # The batched SoA kernel: its fused cycle loop and squash path are
-    # the hottest code in the repository.  Construction (``__init__``,
-    # ``TraceSoA``) is setup and may allocate freely.
+    # the hottest code in the repository, and the verdict-lane replay
+    # walks a whole run's event log per lane.  Construction
+    # (``__init__``, ``TraceSoA``, ``LaneView``) is setup and may
+    # allocate freely.
     "repro/sim/soa.py": {
         "SoaKernel.run",
         "SoaKernel._squash_from",
         "SoaKernel._free_iq_if_held",
+        "replay_verdicts",
     },
 }
 

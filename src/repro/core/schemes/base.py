@@ -47,17 +47,23 @@ PROTOCOL_HOOKS = {
     "collect": 0,
 }
 
-#: Opcodes of the filter-lane event log (:mod:`repro.sim.soa`).  A
-#: recording kernel run appends one flat record per event a search filter
-#: reads, opcode first, and ``FilteredScheme.replay_lane``
-#: (:mod:`repro.core.schemes.conventional`) replays the log.
+#: Opcodes of the lane event log (:mod:`repro.sim.soa`).  A recording
+#: kernel run appends one flat record per event a lane reads, opcode
+#: first.  ``ConventionalScheme.replay_lane``
+#: (:mod:`repro.core.schemes.conventional`) replays it through a search
+#: filter, :func:`repro.sim.soa.replay_verdicts` through a DMDC or Garg
+#: adapter.
 EV_LOAD = 0          # load issued: addr, seq
-EV_STORE = 1         # store resolved, the LQ search found no victim: addr, seq
-EV_STORE_VICTIM = 2  # store resolved, the search found a live victim: addr, seq
+EV_STORE = 1         # store resolved, the LQ search found no victim:
+                     # addr, seq, ROB tail seq
+EV_STORE_VICTIM = 2  # store resolved, the search found a live victim:
+                     # addr, seq, ROB tail seq
 EV_WRONGPATH = 3     # wrong-path load: age, addr
 EV_RECOVERY = 4      # branch recovery: seq
 EV_SQUASH = 5        # squash: last kept seq, n, then n squashed issued-load addrs
 EV_COMMIT = 6        # load commit: addr
+EV_LOAD_SAFE = 7     # load issued with every older store address known: addr, seq
+EV_COMMITS = 8       # a cycle's commit stage retired instructions: cycle, count
 
 
 class CommitDecision(enum.Enum):

@@ -14,10 +14,12 @@ changes energy, never timing (the paper's Section 3 argument).  The SoA
 kernel exploits that: it has one implementation of this file, the
 conventional search (``_ConventionalSoaHooks``).  A filtered point runs
 it with event recording on and then replays the recorded log through its
-filter (:meth:`FilteredScheme.replay_lane`); a batch replays one
+filter (:meth:`ConventionalScheme.replay_lane`); a batch replays one
 conventional run's log into every filter point that shares it (filter
-*lanes*, see :func:`repro.sim.runner.run_many`).  The object-path hooks
-below remain the per-event reference.
+*lanes*, see :func:`repro.sim.runner.run_many`), and, when that run was
+squash-free, into every ``conventional-storesets`` point (store sets
+never train without a violation).  The object-path hooks below remain
+the per-event reference.
 """
 
 from typing import List, Optional
@@ -26,7 +28,9 @@ from repro.backend.dyninst import DynInstr
 from repro.core.bloom import CountingBloomFilter
 from repro.core.schemes.base import (
     EV_COMMIT,
+    EV_COMMITS,
     EV_LOAD,
+    EV_LOAD_SAFE,
     EV_RECOVERY,
     EV_STORE,
     EV_STORE_VICTIM,
@@ -116,18 +120,7 @@ class ConventionalScheme(CheckScheme):
     def soa_hooks(self, kernel):
         return _ConventionalSoaHooks(self, kernel)
 
-
-class FilteredScheme(ConventionalScheme):
-    """Conventional LQ whose search a filter may skip (YLA, Bloom).
-
-    Subclasses supply the filter as the four address-level ``_filter_*``
-    operations below plus the (already address-level) wrong-path and
-    recovery hooks.  Both routes drive the same methods: the object
-    path through the scheme hooks, the SoA kernel by :meth:`replay_lane`
-    over a recorded conventional run (see the module docstring).
-    """
-
-    # -- the filter, by address ------------------------------------------
+    # -- the search filter, by address (the baseline has none) -----------
     def _filter_load(self, addr: int, seq: int) -> None:
         """A load issued."""
 
@@ -141,6 +134,89 @@ class FilteredScheme(ConventionalScheme):
     def _filter_squash(self, last_kept_seq: int, load_addrs) -> None:
         """A replay squashed everything younger than ``last_kept_seq``,
         including issued loads at ``load_addrs``."""
+
+    # -- lane route: replay a recorded conventional run --------------------
+    def replay_lane(self, events: List[int], label: str,
+                    coherence_replays: int = 0) -> None:
+        """Book this scheme's run from a recorded conventional run's
+        ``events``, driving the filter through them.
+
+        Fresh ``stats`` get what the object-path hooks book
+        (``stores.resolved``, ``lq.searches``, ``stores.safe``,
+        ``replay.execution_time``, the filter's own), and the attached LQ
+        its search counts.  The log leaves out the coherent load-load
+        check, which no filter changes: ``coherence_replays`` is the
+        recording run's count.  A store the filter calls safe although
+        the recorded search found a victim raises
+        :class:`SimulationError` naming ``label``, the store's seq and
+        its address: the filter would have let a premature load retire.
+        """
+        lq = self.lq
+        if lq is None:
+            raise SimulationError("scheme not attached to queues")
+        # Fresh stats: a point that recorded its own run has booked the
+        # unfiltered search there, and the hooks replayed below bump here.
+        self.stats = stats = CounterSet()
+        safe = self._filter_safe
+        searches = filtered = victims = 0
+        i = 0
+        n = len(events)
+        while i < n:
+            op = events[i]
+            if op == EV_LOAD or op == EV_LOAD_SAFE:
+                self._filter_load(events[i + 1], events[i + 2])
+                i += 3
+            elif op == EV_COMMIT:
+                self._filter_commit(events[i + 1])
+                i += 2
+            elif op == EV_STORE or op == EV_STORE_VICTIM:
+                addr = events[i + 1]
+                seq = events[i + 2]
+                if safe(addr, seq):
+                    if op == EV_STORE_VICTIM:
+                        raise SimulationError(
+                            f"filter lane {label} called store seq={seq} "
+                            f"addr={addr:#x} safe, but the host's LQ search "
+                            f"found a victim")
+                    filtered += 1
+                else:
+                    searches += 1
+                    if op == EV_STORE_VICTIM:
+                        victims += 1
+                i += 4
+            elif op == EV_COMMITS:
+                i += 3
+            elif op == EV_WRONGPATH:
+                self.on_wrongpath_load(events[i + 1], events[i + 2])
+                i += 3
+            elif op == EV_RECOVERY:
+                self.on_recovery(events[i + 1])
+                i += 2
+            else:  # EV_SQUASH
+                count = events[i + 2]
+                self._filter_squash(events[i + 1], events[i + 3:i + 3 + count])
+                i += 3 + count
+        for name, value in (("stores.resolved", searches + filtered),
+                            ("stores.safe", filtered),
+                            ("lq.searches", searches),
+                            ("replay.execution_time", victims),
+                            ("replay.coherence", coherence_replays)):
+            if value:
+                stats[name] = value
+        lq.searches = searches
+        lq.searches_filtered = filtered
+
+
+class FilteredScheme(ConventionalScheme):
+    """Conventional LQ whose search a filter may skip (YLA, Bloom).
+
+    Subclasses supply the filter as the four address-level ``_filter_*``
+    operations of :class:`ConventionalScheme` plus the (already
+    address-level) wrong-path and recovery hooks.  Both routes drive the
+    same methods: the object path through the scheme hooks below, the SoA
+    kernel by :meth:`~ConventionalScheme.replay_lane` over a recorded
+    conventional run (see the module docstring).
+    """
 
     # -- object-path hooks ------------------------------------------------
     def _should_search(self, store: DynInstr) -> bool:
@@ -161,67 +237,6 @@ class FilteredScheme(ConventionalScheme):
         if instr.is_load and instr.issue_cycle >= 0:
             self._filter_commit(instr.addr)
         return super().on_commit(instr, cycle)
-
-    # -- kernel route: replay a recorded conventional run ------------------
-    def replay_lane(self, events: List[int], label: str) -> CounterSet:
-        """Drive the filter through a recorded run's ``events``.
-
-        Returns the filter-owned counters (``lq.searches*``,
-        ``stores.safe`` and the filter's own), booked under the names the
-        object-path hooks use; :meth:`SimulationResult.lane_copy
-        <repro.sim.result.SimulationResult.lane_copy>` puts them into a
-        copy of the recording run's result.  A store the filter calls
-        safe although the recorded search found a victim raises
-        :class:`SimulationError` naming ``label``, the store's seq and its
-        address: the filter would have let a premature load retire.
-        """
-        # Fresh stats: a point that recorded its own run has booked the
-        # unfiltered search there, and the hooks replayed below bump here.
-        self.stats = CounterSet()
-        safe = self._filter_safe
-        searches = filtered = 0
-        i = 0
-        n = len(events)
-        while i < n:
-            op = events[i]
-            if op == EV_LOAD:
-                self._filter_load(events[i + 1], events[i + 2])
-                i += 3
-            elif op == EV_COMMIT:
-                self._filter_commit(events[i + 1])
-                i += 2
-            elif op == EV_STORE or op == EV_STORE_VICTIM:
-                addr = events[i + 1]
-                seq = events[i + 2]
-                if safe(addr, seq):
-                    if op == EV_STORE_VICTIM:
-                        raise SimulationError(
-                            f"filter lane {label} called store seq={seq} "
-                            f"addr={addr:#x} safe, but the host's LQ search "
-                            f"found a victim")
-                    filtered += 1
-                else:
-                    searches += 1
-                i += 3
-            elif op == EV_WRONGPATH:
-                self.on_wrongpath_load(events[i + 1], events[i + 2])
-                i += 3
-            elif op == EV_RECOVERY:
-                self.on_recovery(events[i + 1])
-                i += 2
-            else:  # EV_SQUASH
-                count = events[i + 2]
-                self._filter_squash(events[i + 1], events[i + 3:i + 3 + count])
-                i += 3 + count
-        stats = self.stats
-        if filtered:
-            stats["stores.safe"] = filtered
-        if searches:
-            stats["lq.searches"] = searches
-        self.collect()
-        stats["lq.searches_assoc"] = searches
-        stats["lq.searches_filtered"] = filtered
-        return stats
 
 
 class YlaFilteredScheme(FilteredScheme):

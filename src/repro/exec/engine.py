@@ -69,7 +69,7 @@ def _execute_batch(requests: List[RunRequest]) -> List[SimulationResult]:
 def by_lane_group(
     pending: List[Tuple[str, RunRequest]]
 ) -> List[Tuple[str, RunRequest]]:
-    """``pending`` stable-ordered by filter-lane group: each group (the
+    """``pending`` stable-ordered by lane group: each group (the
     points one conventional host run serves, see
     :func:`repro.sim.runner.run_many`) gathered at its first member's
     place; every other point keeps its own place."""
@@ -241,7 +241,7 @@ class ExecutionEngine:
         # slices keep same-trace jobs together and run_many can amortize
         # trace generation and kernel buffers inside the worker.  Lane
         # groups are gathered first, so a slice boundary seldom parts a
-        # conventional host from its filter lanes.
+        # conventional host from its lanes.
         pending = by_lane_group(pending)
         pool = self._ensure_pool()
         chunk = -(-len(pending) // self.max_workers)  # ceil division

@@ -31,20 +31,23 @@ stepper: it steps every cycle and runs only under an observer (tracer,
 obs recorder, sanitizer) or ``REPRO_NO_SOA=1``.  Results are
 bit-identical either way (enforced by ``tests/test_soa_equivalence.py``
 and ``tests/test_golden_digests.py``); see ``docs/performance.md``.
-A YLA or Bloom point that ``run_many`` batches with its conventional host
-steps neither loop: it replays the host's recorded events through its
-filter (a *filter lane*, :class:`HostRun`).
+A point that ``run_many`` batches with a conventional host run may step
+neither loop: a YLA or Bloom point replays the host's recorded events
+through its filter (a *filter lane*), and a DMDC, Garg or store-set point
+replays a squash-free host's events through its scheme, stepping its own
+loop only if a replay verdict would change timing (a *verdict lane*);
+see :class:`HostRun`.
 """
 
 import heapq
 import time
 from collections import deque
-from typing import Dict, List, NamedTuple, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.backend.dyninst import DynInstr, InstrState
 from repro.backend.resources import FunctionalUnits, PhysRegFile
 from repro.coherence.injector import InvalidationInjector
-from repro.core.schemes import CommitDecision, build_scheme
+from repro.core.schemes import CheckScheme, CommitDecision, build_scheme
 from repro.core.storesets import StoreSetPredictor
 from repro.core.schemes.conventional import ConventionalScheme, FilteredScheme
 from repro.errors import OrderingViolationMissed, SimulationError
@@ -56,7 +59,7 @@ from repro.lsq.queues import ForwardAction, LoadQueue, StoreQueue
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.result import SimulationResult
-from repro.sim.soa import SoaKernel, soa_enabled
+from repro.sim.soa import LaneView, SoaKernel, replay_verdicts, soa_enabled
 from repro.stats.counters import CounterSet, HotCounters
 from repro.utils.rng import DeterministicRng
 from repro.utils.ring import RingBuffer
@@ -80,11 +83,19 @@ _CLS_LOAD = InstrClass.LOAD
 
 
 class HostRun(NamedTuple):
-    """A recording kernel run: its result and its filter-lane event log
-    (:mod:`repro.sim.soa`), which filter lanes replay."""
+    """A recording kernel run, which lanes replay: its result, its event
+    log (:mod:`repro.sim.soa`) and the names of the counters its scheme
+    booked, which a lane's result takes from the lane's own scheme."""
 
     result: SimulationResult
     events: List[int]
+    scheme_counters: Tuple[str, ...]
+
+    @property
+    def squash_free(self) -> bool:
+        """No replay squashed anything: every fetched op committed, in
+        seq order, so verdict lanes may replay the log."""
+        return self.result.counters["replays"] == 0
 
 
 class Processor:
@@ -115,11 +126,7 @@ class Processor:
         self.rob: RingBuffer = RingBuffer(config.rob_size)
         self.lq = LoadQueue(config.lq_size)
         self.sq = StoreQueue(config.sq_size)
-        self.scheme = build_scheme(config.scheme, config)
-        if isinstance(self.scheme, ConventionalScheme):
-            self.scheme.attach(self.lq, self.sq, config.l2_line_bytes)
-        elif hasattr(self.scheme, "attach_rob"):
-            self.scheme.attach_rob(self.rob)
+        self.scheme = self._new_scheme()
         self.wrongpath = WrongPathModel(
             self.rng.child("wrongpath"),
             mean_loads_per_mispredict=config.wrongpath_mean_loads,
@@ -199,16 +206,17 @@ class Processor:
         self._soa_requested = soa_enabled()
         self.soa_buffers = None
         #: Which cycle loop the last :meth:`run` used (``"soa"``,
-        #: ``"object"``, or ``"lane"`` for a filter lane that replayed a
-        #: host's log instead) — bench/result provenance.
+        #: ``"object"``, or ``"lane"`` for a lane that replayed a host's
+        #: log instead) — bench/result provenance.
         self.kernel_used = "object"
-        #: Filter lanes (see ``docs/performance.md``).  A recording kernel
-        #: run logs the events a search filter reads and leaves its
-        #: :class:`HostRun` in ``recorded``.  A search filter always
-        #: records, then replays its own log; ``run_many`` sets
-        #: ``record_events`` on a conventional host, and ``replay_from``
-        #: on later lanes, whose :meth:`run` then replays that log and
-        #: steps no cycle loop.
+        #: Lanes (see ``docs/performance.md``).  A recording kernel run
+        #: logs the events a lane reads and leaves its :class:`HostRun` in
+        #: ``recorded``.  A search filter always records, then replays its
+        #: own log; ``run_many`` sets ``record_events`` on a group's host
+        #: and ``replay_from`` on its lanes, whose :meth:`run` replays that
+        #: log and steps no cycle loop, unless a verdict lane's replay
+        #: reaches a verdict that would change timing: then it steps its
+        #: own kernel.
         self.record_events = False
         self.recorded: Optional[HostRun] = None
         self.replay_from: Optional[HostRun] = None
@@ -249,8 +257,18 @@ class Processor:
             max_cycles = max(200_000, max_instructions * 60)
         target = min(max_instructions, len(self.trace))
         self._commit_target = target
-        if self.replay_from is not None:
-            return self._replay_lane(self.replay_from)
+        replay_seconds = 0.0
+        host = self.replay_from
+        if host is not None:
+            t0 = time.perf_counter()  # repro: noqa[REPRO001]
+            if self._replay_lane(host):
+                self.kernel_used = "lane"
+                result = self._lane_result(host)
+                self.cycle = result.cycles
+                self.committed = result.committed
+                result.sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
+                return result
+            replay_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
         # Kernel construction (trace column decode, slot-pool allocation)
         # happens before the clock starts: like trace generation it is
         # per-trace setup amortised across runs, not cycle-loop work, and
@@ -271,35 +289,60 @@ class Processor:
                         f"no forward progress: {self.committed}/{target} committed "
                         f"after {self.cycle} cycles on {self.trace.name}"
                     )
-        sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
+        sim_seconds = replay_seconds + time.perf_counter() - t0  # repro: noqa[REPRO001]
         self.scheme.finalize(self.cycle)
         result = self._build_result()
         if kernel is not None and kernel.events is not None:
-            self.recorded = host = HostRun(result, kernel.events)
+            self.recorded = host = HostRun(result, kernel.events,
+                                           tuple(self.scheme.stats.as_dict()))
             if isinstance(self.scheme, FilteredScheme):
                 t0 = time.perf_counter()  # repro: noqa[REPRO001]
+                self._replay_lane(host)
                 result = self._lane_result(host)
                 sim_seconds += time.perf_counter() - t0  # repro: noqa[REPRO001]
         result.sim_seconds = sim_seconds
         return result
 
-    def _lane_result(self, host: HostRun) -> SimulationResult:
-        """This search filter's result for the run ``host`` recorded."""
-        scheme = self.scheme
-        if not isinstance(scheme, FilteredScheme):
-            raise SimulationError(f"scheme {scheme.name} is not a filter lane")
-        owned = scheme.replay_lane(host.events, self.config.scheme.label())
-        return host.result.lane_copy(scheme.name, owned)
+    def _new_scheme(self) -> CheckScheme:
+        """A fresh scheme for this machine, bound to the pipeline's queues."""
+        scheme = build_scheme(self.config.scheme, self.config)
+        if isinstance(scheme, ConventionalScheme):
+            scheme.attach(self.lq, self.sq, self.config.l2_line_bytes)
+        elif hasattr(scheme, "attach_rob"):
+            scheme.attach_rob(self.rob)
+        return scheme
 
-    def _replay_lane(self, host: HostRun) -> SimulationResult:
-        """A later filter lane's whole run: replay ``host``'s log."""
-        t0 = time.perf_counter()  # repro: noqa[REPRO001]
-        self.kernel_used = "lane"
-        result = self._lane_result(host)
-        self.cycle = result.cycles
-        self.committed = result.committed
-        result.sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
-        return result
+    def _replay_lane(self, host: HostRun) -> bool:
+        """Run this point's scheme over the run ``host`` recorded.
+
+        The conventional family (search filters, store sets) replays the
+        conventional search; DMDC and Garg drive their kernel adapters
+        through :func:`~repro.sim.soa.replay_verdicts`.  False when that
+        replay reaches a verdict that changes timing: the scheme is then
+        rebuilt fresh, for this processor's own loop.
+        """
+        scheme = self.scheme
+        label = self.config.scheme.label()
+        result = host.result
+        if isinstance(scheme, ConventionalScheme):
+            scheme.replay_lane(host.events, label,
+                               result.counters["replays.coherence"])
+            return True
+        view = LaneView(self.trace)
+        checking = replay_verdicts(scheme.soa_hooks(view), view, host.events,
+                                   result.cycles, result.committed, label)
+        if checking < 0:
+            self.scheme = self._new_scheme()
+            return False
+        self._checking_cycles = checking
+        scheme.finalize(result.cycles)
+        return True
+
+    def _lane_result(self, host: HostRun) -> SimulationResult:
+        """This point's result once :meth:`_replay_lane` replayed ``host``."""
+        self.scheme.collect()
+        return host.result.lane_copy(self.scheme, host.scheme_counters,
+                                     self._lane_counters())
 
     def _soa_kernel(self) -> Optional[SoaKernel]:
         """A bound SoA kernel when this run may use one, else None.
@@ -326,7 +369,7 @@ class Processor:
             # Recording skips the scheme's wrong-path, recovery and squash
             # hooks: only the conventional family may go without them.
             raise SimulationError(
-                f"scheme {self.scheme.name} cannot host filter lanes")
+                f"scheme {self.scheme.name} cannot host lanes")
         kernel = SoaKernel(self, self.soa_buffers, record)
         if kernel.hooks is None:
             return None
@@ -966,20 +1009,27 @@ class Processor:
     # ==================================================================
     # Results
     # ==================================================================
+    def _lane_counters(self) -> Dict[str, int]:
+        """The processor counters a lane books itself instead of taking
+        its host's: checking-window cycles, LQ searches and store sets."""
+        own = {"checking.cycles_observed": self._checking_cycles,
+               "lq.searches_assoc": self.lq.searches,
+               "lq.searches_filtered": self.lq.searches_filtered}
+        if self.storesets is not None:
+            own["storesets.violations_recorded"] = self.storesets.violations_recorded
+            own["storesets.merges"] = self.storesets.merges
+        return own
+
     def _build_result(self) -> SimulationResult:
         self.hot.fold_into(self.counters)
         self.counters["cycles"] = self.cycle
-        self.counters["checking.cycles_observed"] = self._checking_cycles
-        self.counters["lq.searches_assoc"] = self.lq.searches
-        self.counters["lq.searches_filtered"] = self.lq.searches_filtered
+        for name, value in self._lane_counters().items():
+            self.counters[name] = value
         self.counters["lq.inv_searches"] = self.lq.inv_searches
         self.counters["sq.searches_assoc"] = self.sq.searches
         self.counters["sq.searches_filtered_age"] = self.sq.searches_filtered
         self.counters["bpred.mispredicts"] = self.predictor.mispredictions
         self.counters["wrongpath.loads"] = self.wrongpath.injected
-        if self.storesets is not None:
-            self.counters["storesets.violations_recorded"] = self.storesets.violations_recorded
-            self.counters["storesets.merges"] = self.storesets.merges
         self.counters["dcache.accesses"] = self.memory.l1d.accesses
         self.counters["dcache.misses"] = self.memory.l1d.misses
         self.counters["icache.accesses"] = self.memory.l1i.accesses

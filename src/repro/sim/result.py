@@ -6,7 +6,7 @@ committed instructions, safe-store percentage, checking-window shape).
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.stats.counters import CounterSet, Histogram
 
@@ -27,13 +27,6 @@ FALSE_REPLAY_CATEGORIES = (
     "replay.false.hash.Y",
     "replay.false.inv",
 )
-
-#: Counters a search filter owns (besides its ``yla.*``/``bloom.*`` ones):
-#: a filter lane's result is its host's with exactly these replaced.
-_FILTER_COUNTERS = ("lq.searches", "lq.searches_assoc", "lq.searches_filtered",
-                   "stores.safe")
-_FILTER_PREFIXES = ("yla.", "bloom.")
-
 
 @dataclass
 class SimulationResult:
@@ -128,17 +121,24 @@ class SimulationResult:
         ones = dict(self.window_unsafe_stores.items()).get(1, 0)
         return ones / self.window_unsafe_stores.count
 
-    def lane_copy(self, scheme_name: str, owned: CounterSet) -> "SimulationResult":
-        """A fresh copy of this (recording host's) result for a filter
-        lane: ``scheme_name`` and the filter-owned counters replaced by
-        ``owned``, every other counter and histogram copied."""
+    def lane_copy(self, scheme, host_counters: Tuple[str, ...],
+                  own: Dict[str, int]) -> "SimulationResult":
+        """A lane's result, built from this (recording host's) result.
+
+        Keeps every counter except the ``host_counters`` the host's scheme
+        booked, then adds the lane ``scheme``'s stats and the lane
+        processor's ``own`` counters; the histograms are the lane
+        scheme's.  The counters are a fresh set, so host and lane share
+        no mutable state.
+        """
         counters = CounterSet.from_dict({
             name: value for name, value in self.counters.as_dict().items()
-            if name not in _FILTER_COUNTERS and not name.startswith(_FILTER_PREFIXES)})
-        counters.merge(owned)
-        return replace(self, scheme_name=scheme_name, counters=counters, **{
-            name: Histogram.from_dict(getattr(self, name).to_dict())
-            for name in HISTOGRAM_FIELDS})
+            if name not in host_counters})
+        counters.merge(scheme.stats)
+        for name, value in own.items():
+            counters[name] = value
+        return replace(self, scheme_name=scheme.name, counters=counters, **{
+            name: getattr(scheme, name) for name in HISTOGRAM_FIELDS})
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict:

@@ -115,6 +115,27 @@ def _resolve_workload(workload):
 #: the host's own and the search filters that replay it as lanes.
 _FILTER_KINDS = ("yla", "bloom")
 _LANE_FAMILY = ("conventional",) + _FILTER_KINDS
+#: A group member's role, in the order a group runs: the conventional
+#: host, the search filters (the first hosts when there is no
+#: conventional point), then the verdict lanes.
+_HOST, _FILTER, _VERDICT = 0, 1, 2
+
+
+def _is_verdict_lane(scheme: SchemeConfig) -> bool:
+    """Whether a point times as its conventional run until a replay
+    verdict of its own: non-coherent DMDC and Garg without store sets,
+    and non-coherent ``conventional-storesets``."""
+    if scheme.coherence:
+        return False
+    if scheme.kind in ("dmdc", "garg"):
+        return not scheme.store_sets
+    return scheme.kind == "conventional" and scheme.store_sets
+
+
+def _role(scheme: SchemeConfig) -> int:
+    if _is_verdict_lane(scheme):
+        return _VERDICT
+    return _FILTER if scheme.kind in _FILTER_KINDS else _HOST
 
 
 def lane_host_config(config: MachineConfig) -> Optional[MachineConfig]:
@@ -123,9 +144,14 @@ def lane_host_config(config: MachineConfig) -> Optional[MachineConfig]:
     Conventional, YLA and Bloom points that differ only in their search
     filter time identically, so they share one host run: ``config`` with
     the scheme reduced to conventional, keeping ``coherence``,
-    ``sq_filter`` and ``store_sets``.  None for every other scheme.
+    ``sq_filter`` and ``store_sets``.  A verdict lane (see
+    :func:`run_many`) times as the plain conventional run until its
+    first replay, so its scheme reduces to ``SchemeConfig(sq_filter=...)``.
+    None for every other scheme.
     """
     scheme = config.scheme
+    if _is_verdict_lane(scheme):
+        return config.with_scheme(SchemeConfig(sq_filter=scheme.sq_filter))
     if scheme.kind not in _LANE_FAMILY:
         return None
     return config.with_scheme(SchemeConfig(
@@ -153,14 +179,18 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
       shared: later processors get a copy of the warm state;
     * one slot-pool allocation per machine geometry, threaded between
       elements via ``Processor.soa_buffers``;
-    * **filter lanes**: points with the same trace, seed, budget and
-      :func:`lane_host_config` form a group that steps the cycle loop
-      once.  The group's conventional point (else its first YLA/Bloom
-      point) runs first, recording the events a search filter reads;
-      every later YLA/Bloom point gets its own ``Processor.run``, which
-      replays that log and reports ``kernel_used == "lane"``.  The log is
-      dropped once the group is done.  Under ``REPRO_NO_SOA`` there are
-      no lanes.
+    * **lanes**: points with the same trace, seed, budget and
+      :func:`lane_host_config` form a group.  Its host, the conventional
+      point (else the first YLA/Bloom point), runs first and records the
+      events lanes read.  Every other YLA/Bloom point (a *filter lane*)
+      gets its own ``Processor.run``, which replays that log and reports
+      ``kernel_used == "lane"``.  A DMDC, Garg or ``conventional-storesets``
+      point (a *verdict lane*) replays it the same way when the host's
+      run was squash-free, and steps its own kernel when it was not, or
+      when the replay reaches a verdict that would change timing.  A
+      group without a host runs each point alone, recording nothing.
+      The log is dropped once the group is done.  Under ``REPRO_NO_SOA``
+      there are no lanes.
 
     Every element still gets a fresh :class:`Processor` with its own RNG
     stream and its own copy of the warm front end, so results are
@@ -187,20 +217,24 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
 
     results: Dict[int, SimulationResult] = {}
     for members in groups.values():
-        lane = {i: points[i][0].config.scheme.kind in _FILTER_KINDS
-                for i in members}
-        # The host runs first: the group's conventional point, if any.
-        members.sort(key=lane.__getitem__)
-        host_records = any(lane.values())
+        role = {i: _role(points[i][0].config.scheme) for i in members}
+        members.sort(key=role.__getitem__)
+        hosted = role[members[0]] != _VERDICT
         recorded: Optional[HostRun] = None
         for index in members:
             request, budget, trace, ident = points[index]
             processor = Processor(request.config, trace, seed=request.seed)
-            if recorded is not None and lane[index]:
+            if recorded is not None and role[index] == _FILTER:
                 processor.replay_from = recorded
                 results[index] = processor.run(budget)
                 continue
-            processor.record_events = host_records and index == members[0]
+            if (recorded is not None and role[index] == _VERDICT
+                    and recorded.squash_free):
+                # Prewarmed below all the same: a diverging replay steps
+                # this processor's own kernel.
+                processor.replay_from = recorded
+            processor.record_events = (hosted and index == members[0]
+                                       and len(members) > 1)
             pool = request.config.rob_size + request.config.fetch_buffer + 8
             processor.soa_buffers = buffers.get(pool)
             if prewarm:

@@ -25,28 +25,34 @@ cycles: an event-horizon skipper jumps to the next cycle in which any
 stage can act, and stays off while the invalidation injector is live
 (the injector draws from the RNG every cycle).
 
-**Filter-lane recording.**  YLA and Bloom filtering changes energy, never
+**Lane recording.**  YLA and Bloom filtering changes energy, never
 timing, so the kernel implements neither: a filtered point runs the plain
 conventional search, and a run built with ``record=True`` logs the events
-a search filter reads into :attr:`SoaKernel.events`, a flat int list of
-records (opcodes in :mod:`repro.core.schemes.base`):
+a lane reads into :attr:`SoaKernel.events`, a flat int list of records
+(opcodes in :mod:`repro.core.schemes.base`):
 
-* load issue: address and seq;
-* store resolve: address and seq, the opcode saying whether the search
-  found a live victim;
+* load issue: address and seq, the opcode saying whether every older
+  store's address was known (the load is safe at issue);
+* store resolve: address, seq and the ROB tail seq, the opcode saying
+  whether the search found a live victim;
 * wrong-path load: age and address;
 * branch recovery: seq;
 * squash: last kept seq, then the addresses of the squashed issued loads;
-* load commit: address.
+* load commit: address;
+* commit stage: the cycle and how many instructions it retired.
 
-One local ``rec`` bool guards all six sites.  While recording, the
+One local ``rec`` bool guards every site.  While recording, the
 wrong-path, recovery and squash sites log instead of calling the scheme
 (a recording scheme is conventional, whose hooks there are no-ops, or a
 filter, which replays them).  The filter schemes replay the log after the
-loop (:meth:`~repro.core.schemes.conventional.FilteredScheme.replay_lane`),
-and :func:`repro.sim.runner.run_many` replays one conventional run's log
-into every filter point of its batch that shares trace, seed, budget and
-machine.
+loop (:meth:`~repro.core.schemes.conventional.ConventionalScheme.replay_lane`).
+A squash-free run's log also serves *verdict lanes*: DMDC and Garg time
+as the conventional machine until their first replay, so
+:func:`replay_verdicts` drives their adapters through the log over a
+seq-indexed :class:`LaneView` and stops at the first verdict that would
+change timing.  :func:`repro.sim.runner.run_many` replays one
+conventional run's log into every lane of its batch that shares trace,
+seed, budget and machine.
 
 The kernel is **bit-identical** to the object path — same counters, same
 cycle counts, same RNG stream — which `tests/test_soa_equivalence.py`
@@ -73,7 +79,9 @@ from repro.backend.dyninst import InstrState
 from repro.backend.resources import FunctionalUnits
 from repro.core.schemes.base import (
     EV_COMMIT,
+    EV_COMMITS,
     EV_LOAD,
+    EV_LOAD_SAFE,
     EV_RECOVERY,
     EV_SQUASH,
     EV_STORE,
@@ -380,7 +388,7 @@ class SoaKernel:
         #: no SoA transcription (the sanitizer's wrapper) — the caller
         #: must then step the object path instead of calling :meth:`run`.
         self.hooks = p.scheme.soa_hooks(self)
-        #: The filter-lane event log (see the module docstring), or None
+        #: The lane event log (see the module docstring), or None
         #: when this run records nothing.
         self.events: Optional[List[int]] = [] if record else None
 
@@ -521,8 +529,8 @@ class SoaKernel:
         hook_store = hooks.on_store_resolve
         hook_commit_load = hooks.on_commit_load
         hook_commit = hooks.on_commit
-        # Filter-lane recording (see the module docstring): one local
-        # gates all six sites.
+        # Lane recording (see the module docstring): one local gates
+        # every site.
         log = self.events
         rec = log is not None
         # The invalidation injector draws from the RNG every cycle, so a
@@ -644,6 +652,7 @@ class SoaKernel:
 
             # ===== commit (Processor._stage_commit + _retire) ============
             if rob and state_[rob[0]] == _ST_COMPLETED:
+                first = committed
                 slots_left = width
                 while slots_left:
                     slots_left -= 1
@@ -734,6 +743,8 @@ class SoaKernel:
                     if force_nonspec:
                         force_nonspec.discard(ti)
                     free_slots.append(head)
+                if rec and committed != first:
+                    log += (EV_COMMITS, cycle, committed - first)
 
             # ===== writeback (Processor._stage_complete) =================
             events = cring[cycle & rmask]
@@ -893,7 +904,8 @@ class SoaKernel:
                                         latency = 1 + mem_read(la)
                                     cring[(cycle + latency) & rmask].append(v)
                                     if rec:
-                                        log += (EV_LOAD, la, lseq)
+                                        log += (EV_LOAD_SAFE if all_resolved
+                                                else EV_LOAD, la, lseq)
                                     if has_load_hook:
                                         victim = hook_load(slot)
                                         if victim >= 0 and state_[victim] != _ST_SQUASHED:
@@ -962,14 +974,15 @@ class SoaKernel:
                                 victim = hook_store(slot)
                                 if victim >= 0 and state_[victim] != _ST_SQUASHED:
                                     if rec:
-                                        log += (EV_STORE_VICTIM, sa, sseq)
+                                        log += (EV_STORE_VICTIM, sa, sseq,
+                                                seq_[rob[-1]])
                                     n_replays += 1
                                     n_replays_exec += 1
                                     self.cycle = cycle
                                     self._squash_from(victim)
                                     squashed_this_cycle = True
                                 elif rec:
-                                    log += (EV_STORE, sa, sseq)
+                                    log += (EV_STORE, sa, sseq, seq_[rob[-1]])
                             issued += 1
                             if squashed_this_cycle:
                                 break
@@ -1354,3 +1367,144 @@ class SoaKernel:
                 self.iq_fp -= 1
             else:
                 self.iq_int -= 1
+
+
+# ----------------------------------------------------------------------
+# Verdict lanes: replay a squash-free host's log through DMDC or Garg
+# ----------------------------------------------------------------------
+class LaneView:
+    """Seq-indexed stand-in for a :class:`SoaKernel`, for verdict lanes.
+
+    In a squash-free run every fetched op commits, so seq equals trace
+    index and a scheme adapter's slot can be the seq itself.  The view
+    carries the columns the DMDC and Garg adapters read: ``addr``,
+    ``size``, ``isld`` and ``isst`` are the trace's, ``seq`` is the
+    identity, ``safe`` is filled from the log, and ``unsafe``/``wend``
+    are the adapter's to write.  With no replays there are no guard trips
+    (``gbp`` all False) and no true violations (``tvs`` all -1).  Only
+    the replay taxonomy and Garg's flush scan read ``icyc``/``rcyc``, and
+    only once a replay is decided, when the lane stops replaying; they
+    stay -1.  ``rob`` holds the ROB tail seq at the store being replayed:
+    Garg flushes iff that tail is younger than the store.
+    """
+
+    __slots__ = ("n", "seq", "addr", "size", "isld", "isst", "safe", "gbp",
+                 "unsafe", "wend", "rcyc", "icyc", "tvs", "rob")
+
+    def __init__(self, trace) -> None:
+        t = trace_soa(trace)
+        self.n = n = t.n
+        self.seq = range(n)
+        self.addr = t.addr
+        self.size = t.size
+        self.isld = t.isld
+        self.isst = t.isst
+        self.safe = [False] * n
+        self.gbp = [False] * n
+        self.unsafe = [False] * n
+        self.wend = [-1] * n
+        self.rcyc = [-1] * n
+        self.icyc = [-1] * n
+        self.tvs = [-1] * n
+        self.rob = [-1]
+
+
+def replay_verdicts(hooks, view: LaneView, events: List[int], cycles: int,
+                    committed: int, label: str) -> int:
+    """Drive a scheme adapter bound to ``view`` through a squash-free
+    host's event log.
+
+    The hooks are called at the kernel's sites with the kernel's gates:
+    load issue, store resolve (with ``view.rob`` set to the recorded ROB
+    tail), every commit under ``commit_mode``, and the scheme's own
+    wrong-path and recovery hooks.  Returns the lane's
+    ``checking.cycles_observed``: a checking window, which only a commit
+    opens or closes, covers every cycle after the commit stage that
+    opened it up to the one that closes it, or to the run's last cycle
+    (``cycles - 1``).  Returns -1 at the first verdict that would change
+    timing (an issue or resolve hook naming a victim, a commit replay):
+    the lane must then step its own loop.
+
+    Raises :class:`SimulationError` naming ``label`` if the log has a
+    squash, retires past the trace, or retires other than ``committed``
+    instructions.
+    """
+    scheme = hooks.scheme
+    has_load_hook = hooks.has_load_issue
+    has_store_hook = hooks.has_store_resolve
+    commit_mode = hooks.commit_mode
+    hook_load = hooks.on_load_issue
+    hook_store = hooks.on_store_resolve
+    hook_commit = hooks.on_commit
+    hook_commit_load = hooks.on_commit_load
+    on_wrongpath = scheme.on_wrongpath_load
+    on_recovery = scheme.on_recovery
+    isld_ = view.isld
+    isst_ = view.isst
+    safe_ = view.safe
+    unsafe_ = view.unsafe
+    rob = view.rob
+    limit = view.n
+    head = 0       # next seq to retire
+    last = 0       # cycle of the previous commit stage
+    checking = 0
+    i = 0
+    n = len(events)
+    while i < n:
+        op = events[i]
+        if op == EV_COMMITS:
+            cycle = events[i + 1]
+            if scheme.checking_active:
+                checking += cycle - last
+            last = cycle
+            end = head + events[i + 2]
+            if end > limit:
+                raise SimulationError(
+                    f"verdict lane {label} retired seq {end - 1} past the "
+                    f"end of its {limit}-op trace")
+            if commit_mode == 2:
+                while head < end:
+                    if scheme.checking_active or (isst_[head] and unsafe_[head]):
+                        if hook_commit(head, cycle):
+                            return -1
+                    head += 1
+            elif commit_mode == 1:
+                while head < end:
+                    if isld_[head] and hook_commit_load(head):
+                        return -1
+                    head += 1
+            else:
+                head = end
+            i += 3
+        elif op == EV_LOAD or op == EV_LOAD_SAFE:
+            seq = events[i + 2]
+            if op == EV_LOAD_SAFE:
+                safe_[seq] = True
+            if has_load_hook and hook_load(seq) >= 0:
+                return -1
+            i += 3
+        elif op == EV_STORE:
+            if has_store_hook:
+                rob[0] = events[i + 3]
+                if hook_store(events[i + 2]) >= 0:
+                    return -1
+            i += 4
+        elif op == EV_COMMIT:
+            i += 2
+        elif op == EV_WRONGPATH:
+            on_wrongpath(events[i + 1], events[i + 2])
+            i += 3
+        elif op == EV_RECOVERY:
+            on_recovery(events[i + 1])
+            i += 2
+        else:  # EV_SQUASH, EV_STORE_VICTIM
+            raise SimulationError(
+                f"verdict lane {label} met a squash in its host's log "
+                f"(opcode {op} at record offset {i})")
+    if head != committed:
+        raise SimulationError(
+            f"verdict lane {label} retired {head} instructions, but its "
+            f"host committed {committed}")
+    if scheme.checking_active:
+        checking += cycles - 1 - last
+    return checking

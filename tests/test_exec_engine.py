@@ -78,8 +78,9 @@ class TestDedupeAndCaching:
 class TestLaneGroupOrder:
     def test_pool_slices_keep_lane_groups_together(self):
         """A (scheme, workload) grid is regrouped so each workload's
-        conventional, YLA and Bloom points sit side by side; other points
-        keep their order, and within a group request order is kept."""
+        conventional, YLA, Bloom and DMDC points sit side by side; other
+        points keep their order, and within a group request order is
+        kept."""
         grid = [(f"k{i}", _scheme_req(kind, workload))
                 for i, (kind, workload) in enumerate(
                     (kind, workload)
@@ -88,9 +89,10 @@ class TestLaneGroupOrder:
         ordered = by_lane_group(grid)
         assert sorted(ordered) == sorted(grid)
         assert [(r.config.scheme.kind, r.workload) for _, r in ordered] == [
-            ("yla", "gzip"), ("conventional", "gzip"), ("bloom", "gzip"),
-            ("yla", "swim"), ("conventional", "swim"), ("bloom", "swim"),
-            ("dmdc", "gzip"), ("dmdc", "swim")]
+            ("yla", "gzip"), ("dmdc", "gzip"), ("conventional", "gzip"),
+            ("bloom", "gzip"),
+            ("yla", "swim"), ("dmdc", "swim"), ("conventional", "swim"),
+            ("bloom", "swim")]
 
     def test_lane_groups_need_equal_seed_and_machine(self):
         points = [("a", _scheme_req("yla")), ("b", _req(seed=2)),

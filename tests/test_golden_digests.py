@@ -14,7 +14,8 @@ point must also run on the SoA kernel, so the digests pin the code that
 plain runs actually take.  Run one at a time, a YLA or Bloom point is a
 lone filter lane (it records its own kernel run and replays it); a
 second test runs each workload's nine labels as one ``run_many`` batch,
-where those points are lanes of the conventional point's run.
+where those points, and the verdict lanes (storesets, the dmdc labels,
+garg) of a squash-free host, are lanes of the conventional point's run.
 
 To rebuild the file after a deliberate behaviour change, call
 :func:`regenerate` from a Python prompt with ``src`` on the path.
@@ -107,26 +108,58 @@ def test_digests_match_on_the_kernel(monkeypatch, golden, workload):
     assert not off_kernel, f"ran on the object loop: {off_kernel}"
 
 
-@pytest.mark.parametrize("workload", sorted(SUITE))
-def test_digests_match_as_one_batch(monkeypatch, golden, workload):
-    """The nine labels through one ``run_many``: yla and bloom replay the
-    conventional point's recorded run, so the batch steps the cycle loop
-    7 times, not 9, and every result still matches its digest."""
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
-    loops = []
+#: Cycle loops the 26 nine-label batches step in total: per workload the
+#: conventional host and ``value``, plus every verdict lane whose host
+#: or own run replays.
+BATCH_LOOPS = 69
+
+
+@pytest.fixture(scope="module")
+def batches():
+    """``{workload: (labels whose batch run stepped the cycle loop, the
+    batch's results by label)}``: each workload's nine labels through one
+    ``run_many``."""
+    out = {}
     original = SoaKernel.run
+    loops = []
 
     def counting_run(kernel, target, max_cycles):
-        loops.append(kernel.p.scheme.name)
+        loops.append(kernel.p.config.scheme.label())
         return original(kernel, target, max_cycles)
 
-    monkeypatch.setattr(SoaKernel, "run", counting_run)
-    requests = [RunRequest(CONFIG2.with_scheme(SchemeConfig.from_label(label)),
-                           workload, BUDGET, SEED)
-                for label in SCHEME_LABELS]
-    results = run_many(requests)
-    mismatched = [label for label, result in zip(SCHEME_LABELS, results)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(NO_SOA_ENV, raising=False)
+        patch.setattr(SoaKernel, "run", counting_run)
+        for workload in sorted(SUITE):
+            loops.clear()
+            requests = [RunRequest(CONFIG2.with_scheme(SchemeConfig.from_label(label)),
+                                   workload, BUDGET, SEED)
+                        for label in SCHEME_LABELS]
+            results = dict(zip(SCHEME_LABELS, run_many(requests)))
+            out[workload] = (list(loops), results)
+    return out
+
+
+@pytest.mark.parametrize("workload", sorted(SUITE))
+def test_digests_match_as_one_batch(golden, batches, workload):
+    """The nine labels through one ``run_many``: yla and bloom always
+    replay the conventional point's recorded run; storesets, the dmdc
+    labels and garg replay it too unless a replay (the host's or their
+    own) makes them step their own loop.  Every result still matches
+    its digest."""
+    loops, results = batches[workload]
+    mismatched = [label for label, result in results.items()
                   if golden["digests"][f"{workload}/{label}"] != result_digest(result)]
     assert not mismatched, f"digest changed: {mismatched}"
-    assert len(loops) == len(SCHEME_LABELS) - 2
     assert "yla" not in loops and "bloom" not in loops
+    assert loops[:1] == ["conventional"] and "value" in loops
+    host_replays = results["conventional"].counters["replays"]
+    needless = [label for label in loops
+                if label not in ("conventional", "value")
+                and host_replays == 0 and results[label].counters["replays"] == 0]
+    assert not needless, f"verdict lanes stepped the loop: {needless}"
+    assert len(loops) == len(set(loops)), loops
+
+
+def test_batches_step_the_pinned_number_of_loops(batches):
+    assert sum(len(loops) for loops, _ in batches.values()) == BATCH_LOOPS
