@@ -23,7 +23,8 @@ REPRO005    no growable-collection allocation in hot-path functions
 REPRO006    no post-construction mutation of ``NamedTuple`` / frozen
             dataclass results
 REPRO007    scheme classes must conform to the scheme protocol
-            (hook names and arities from ``PROTOCOL_HOOKS``)
+            (hook names and arities from ``PROTOCOL_HOOKS``), adapter
+            classes to the adapter protocol (``SOA_HOOKS``)
 ==========  ==========================================================
 """
 
@@ -32,7 +33,7 @@ import re
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.lint.engine import LintViolation, SourceFile
-from repro.core.schemes.base import PROTOCOL_HOOKS
+from repro.core.schemes.base import PROTOCOL_HOOKS, SOA_HOOKS
 
 #: Directories (under the ``repro`` package) whose behaviour must be a
 #: pure function of (trace, config, seed): simulated state may never read
@@ -434,15 +435,15 @@ class NoFrozenMutationRule(Rule):
 
 
 class SchemeProtocolRule(Rule):
-    """Scheme classes must conform to the scheme protocol.
+    """Scheme and adapter classes must conform to their protocols.
 
-    A dependence-checking scheme interacts with the pipeline exclusively
-    through the hooks in
-    :data:`repro.core.schemes.base.PROTOCOL_HOOKS`.  A subclass defining a
-    hook-shaped method the pipeline does not know (``on_comit``, an extra
-    required parameter) is silently never called — the scheme "works" but
-    checks nothing.  Applies to classes in ``core/schemes/`` whose bases
-    look like scheme classes.
+    A scheme meets the pipeline only through the hooks in
+    :data:`repro.core.schemes.base.PROTOCOL_HOOKS`, its adapter only
+    through those in :data:`~repro.core.schemes.base.SOA_HOOKS`.  A
+    subclass defining a hook-shaped method its caller does not know
+    (``on_comit``, an extra required parameter) is silently never called
+    — the scheme "works" but checks nothing.  Applies to classes in
+    ``core/schemes/`` whose bases look like scheme or adapter classes.
     """
 
     rule_id = "REPRO007"
@@ -454,34 +455,35 @@ class SchemeProtocolRule(Rule):
         for node in ast.walk(file.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            base_names = [b.id for b in node.bases if isinstance(b, ast.Name)]
-            is_scheme = node.name == "CheckScheme" or any(
-                name == "CheckScheme" or name.endswith("Scheme")
-                for name in base_names)
-            if not is_scheme:
+            bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+            if node.name == "SoaHooks" or any(n.endswith("SoaHooks") for n in bases):
+                protocol, kind = SOA_HOOKS, "adapter"
+            elif node.name == "CheckScheme" or any(n.endswith("Scheme") for n in bases):
+                protocol, kind = PROTOCOL_HOOKS, "scheme"
+            else:
                 continue
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
                 name = item.name
-                if name.startswith("on_") and name not in PROTOCOL_HOOKS:
+                if name.startswith("on_") and name not in protocol:
                     yield self.violation(
                         file, item,
-                        f"{node.name}.{name} looks like a pipeline hook but "
-                        f"is not in the scheme protocol (typo?)")
+                        f"{node.name}.{name} looks like a {kind} hook but "
+                        f"is not in the {kind} protocol (typo?)")
                     continue
-                if name not in PROTOCOL_HOOKS:
+                if name not in protocol:
                     continue
                 args = item.args
                 positional = len(args.posonlyargs) + len(args.args) - 1
                 required = positional - len(args.defaults)
-                expected = PROTOCOL_HOOKS[name]
+                expected = protocol[name]
                 if required > expected or positional < expected:
                     yield self.violation(
                         file, item,
                         f"{node.name}.{name} takes {positional} args "
-                        f"({required} required); the pipeline calls it "
-                        f"with {expected}")
+                        f"({required} required); its caller passes "
+                        f"{expected}")
 
 
 def _hot_functions_for(path: str) -> Set[str]:

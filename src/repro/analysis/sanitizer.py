@@ -22,7 +22,8 @@ cross-checks the scheme's decisions against that oracle:
 Attach with :func:`attach_sanitizer`.  The sanitizer checks object-path
 events, so it has no slot-array adapter (:meth:`MemoryOrderSanitizer.soa_hooks`
 answers None): a sanitized run takes the object loop, which steps every
-cycle.
+cycle.  The decisions it checks come from the scheme's adapter all the
+same, which the wrapped hooks forward to (:mod:`repro.core.schemes.base`).
 """
 
 from typing import List, Optional

@@ -57,7 +57,6 @@ class DynInstr:
         "true_violation_pc",
         "replay_generation",
         "guard_bypass",
-        "hash_key",
         "inv_marked",
         # DMDC store state
         "unsafe_store",
@@ -87,7 +86,7 @@ class DynInstr:
         self.complete_cycle = self.resolve_cycle = self.commit_cycle = -1
         self.forward_store_seq = -1
         self.true_violation_store = self.true_violation_pc = -1
-        self.hash_key = self.window_end = -1
+        self.window_end = -1
         self.speculative_issue = self.safe = self.guard_bypass = False
         self.inv_marked = self.unsafe_store = self.mispredicted = False
         self.in_iq = False

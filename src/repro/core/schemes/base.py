@@ -8,12 +8,12 @@ micro-architectural events of the paper:
 =====================  ====================================================
 hook                   corresponds to
 =====================  ====================================================
-``on_load_issue``      load executes: YLA update / BF insert / hash-key
-                       record; conventional coherence load-load check
+``on_load_issue``      load executes: YLA update / BF insert / age-table
+                       write; conventional coherence load-load check
 ``on_store_resolve``   store address resolves: conventional LQ search, or
                        filtering, or DMDC safe/unsafe classification
 ``on_commit``          in-order retirement: DMDC marking, checking mode,
-                       window termination
+                       window termination; value-based re-execution
 ``on_recovery``        branch misprediction recovery (YLA reset remedy)
 ``on_squash``          replay squash (same repair plus BF bookkeeping)
 ``on_invalidation``    external coherence invalidation
@@ -22,10 +22,15 @@ hook                   corresponds to
 ``on_store_resolve``/``on_load_issue`` may return a load to replay *now*
 (execution-time detection); ``on_commit`` may decide the committing load
 itself must replay (DMDC's commit-time detection).
+
+A scheme implements load issue, store resolve and commit checking only
+in its :class:`SoaHooks` adapter: the SoA kernel calls it with slot
+indices, and the three hooks above forward to it over an
+:class:`ObjectView` of the :class:`DynInstr`, behind the kernel's gates.
 """
 
 import enum
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.backend.dyninst import DynInstr
 from repro.stats.counters import CounterSet, Histogram
@@ -45,6 +50,18 @@ PROTOCOL_HOOKS = {
     "on_invalidation": 4,
     "finalize": 1,
     "collect": 0,
+}
+
+#: The adapter protocol (:class:`SoaHooks`), checked like the above: a
+#: misspelled adapter hook would be a silent no-op in both cycle loops.
+SOA_HOOKS = {
+    "on_load_issue": 1,
+    "on_store_resolve": 1,
+    "on_commit_load": 1,
+    "on_commit": 2,
+    "on_squash": 1,
+    "on_invalidation": 4,
+    "fold": 0,
 }
 
 #: Opcodes of the lane event log (:mod:`repro.sim.soa`).  A recording
@@ -74,7 +91,8 @@ class CommitDecision(enum.Enum):
 
 
 class CheckScheme:
-    """Base scheme: shared stats plumbing and no-op hooks."""
+    """Base scheme: shared stats plumbing, no-op hooks, and forwarders
+    to the scheme's :class:`SoaHooks` adapter."""
 
     #: Whether the LQ must be a fully associative CAM (energy model input).
     uses_associative_lq = True
@@ -95,11 +113,31 @@ class CheckScheme:
         #: when off; the recorder receives filter classifications and
         #: checking-window/table activity as typed events.
         self.obs = None
+        #: The adapter the object-path hooks drive, bound on first use.
+        self._hooks: Optional["SoaHooks"] = None
+
+    def _object_view(self) -> "ObjectView":
+        """The object-path view; a scheme that reads the LQ or ROB
+        overrides it to pass the pipeline's ring."""
+        return ObjectView()
+
+    def _object_hooks(self, cycle: int) -> "SoaHooks":
+        """The adapter over this scheme's :class:`ObjectView` at ``cycle``."""
+        hooks = self._hooks
+        if hooks is None:
+            hooks = self._hooks = self.soa_hooks(self._object_view())
+        hooks.k.cycle = cycle
+        return hooks
 
     # -- execution-time hooks -------------------------------------------
     def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
         """A load issued.  May return a younger load to replay from
         (conventional load-load coherence ordering only)."""
+        hooks = self._object_hooks(cycle)
+        if hooks.has_load_issue:
+            victim = hooks.on_load_issue(load)
+            if victim != -1:
+                return victim
         return None
 
     def on_wrongpath_load(self, age: int, addr: int) -> None:
@@ -108,11 +146,25 @@ class CheckScheme:
     def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
         """A store's address resolved.  May return a premature load to
         replay from (conventional execution-time detection)."""
+        hooks = self._object_hooks(cycle)
+        if hooks.has_store_resolve:
+            victim = hooks.on_store_resolve(store)
+            if victim != -1:
+                return victim
         return None
 
     # -- commit-time hooks ------------------------------------------------
     def on_commit(self, instr: DynInstr, cycle: int) -> CommitDecision:
         """An instruction is about to retire (in order)."""
+        hooks = self._object_hooks(cycle)
+        mode = hooks.commit_mode
+        if mode == 2:
+            if self.checking_active or (instr.is_store and instr.unsafe_store):
+                if hooks.on_commit(instr, cycle):
+                    return CommitDecision.REPLAY
+        elif mode == 1:
+            if instr.is_load and hooks.on_commit_load(instr):
+                return CommitDecision.REPLAY
         return CommitDecision.OK
 
     # -- control-flow repair ----------------------------------------------
@@ -135,15 +187,13 @@ class CheckScheme:
     checking_active = False
 
     # -- SoA kernel adapter ------------------------------------------------
-    def soa_hooks(self, kernel) -> Optional["SoaHooks"]:
-        """Slot-index adapter binding this scheme to a SoA kernel run.
-
-        Returns a fresh :class:`SoaHooks` for ``kernel``, or None when
-        this scheme has no slot-array transcription — the processor then
-        steps the object path.  The base scheme answers None so unknown
-        subclasses stay correct by default; see ``docs/performance.md``.
+    def soa_hooks(self, kernel) -> "SoaHooks":
+        """This scheme's adapter bound to ``kernel``: a
+        :class:`~repro.sim.soa.SoaKernel`, :class:`~repro.sim.soa.LaneView`
+        or :class:`ObjectView`.  The base answers a no-op adapter, so a
+        scheme without one does nothing in either cycle loop.
         """
-        return None
+        return SoaHooks(self, kernel)
 
     def finalize(self, cycle: int) -> None:
         """End-of-run hook (close any open checking window for stats)."""
@@ -157,23 +207,24 @@ class CheckScheme:
 
 
 class SoaHooks:
-    """Scheme adapter for the SoA cycle kernel (:mod:`repro.sim.soa`).
+    """A scheme's one implementation of load-issue, store-resolve and
+    commit checking.
 
-    The object-path hooks above receive :class:`DynInstr`; the kernel
-    instead hands adapters **slot indices** into its parallel arrays, and
-    the class-level flags below let it skip the call entirely for events a
-    scheme ignores.  Each adapter is a per-run transcription of its
-    scheme's hooks: it calls the same component methods (YLA, checking
-    table/queue, store sets) and bumps the same
-    ``scheme.stats`` names, so a run is bit-identical either way — only
-    pure queue-attribute tallies may be batched in locals and folded once
-    via :meth:`fold`.
+    The adapter reads a *view* ``k``: the SoA kernel's slot arrays, a
+    verdict lane's seq-indexed :class:`~repro.sim.soa.LaneView`, or the
+    object loop's :class:`ObjectView`, whose slot is the
+    :class:`DynInstr`.  Every view has the columns ``seq``, ``addr``,
+    ``size``, ``isld``, ``isst``, ``safe``, ``gbp``, ``unsafe``, ``wend``,
+    ``rcyc``, ``icyc``, ``tvs`` and the age-ordered ``rob``; the kernel
+    and :class:`ObjectView` also ``invm`` and ``lq``.  No victim is -1,
+    tested with ``!= -1``.  ``scheme.obs`` emits read ``k.cycle``; only
+    the object loop runs with an observer.
 
-    Commit dispatch is ``commit_mode``: 0 = the scheme never acts at
-    commit (the kernel makes no call per retiring instruction); 1 = only
-    loads matter (:meth:`on_commit_load`); 2 = windowed checking — the
-    kernel calls :meth:`on_commit` whenever ``scheme.checking_active`` or
-    the committing instruction is a store flagged unsafe.
+    The class-level flags let a caller skip events a scheme ignores.
+    Commit dispatch is ``commit_mode``: 0 = never acts at commit; 1 =
+    only loads matter (:meth:`on_commit_load`); 2 = windowed checking —
+    :meth:`on_commit` runs whenever ``scheme.checking_active`` or the
+    committing instruction is a store flagged unsafe.
     """
 
     has_load_issue = False
@@ -220,11 +271,57 @@ class SoaHooks:
         The default delegates to the scheme's object-path hook — correct
         for every scheme whose invalidation handling reads no per-load
         state (DMDC's line-YLA and table); the conventional adapter
-        overrides it to mark its slot-array LQ.
+        overrides it to mark its LQ.
         """
         self.scheme.on_invalidation(line_addr, line_bytes, cycle,
                                     oldest_inflight_seq)
 
     def fold(self) -> None:
-        """Flush locally batched tallies back onto scheme/queue objects
+        """Flush locally batched state back onto scheme/queue objects
         (called once, after the kernel's cycle loop finishes)."""
+
+
+class _Column:
+    """An :class:`ObjectView` column: one :class:`DynInstr` attribute."""
+
+    __slots__ = ("attr",)
+
+    def __init__(self, attr: str) -> None:
+        self.attr = attr
+
+    def __getitem__(self, instr: DynInstr):
+        return getattr(instr, self.attr)
+
+    def __setitem__(self, instr: DynInstr, value) -> None:
+        setattr(instr, self.attr, value)
+
+
+class ObjectView:
+    """The object loop's adapter view (a verdict lane's is
+    :class:`~repro.sim.soa.LaneView`): the slot is the :class:`DynInstr`,
+    ``view.addr[instr]`` is ``instr.addr``, ``view.wend[instr]`` is
+    ``instr.window_end``.  ``lq`` and ``rob`` are the processor's rings
+    (their ``items`` lists), ``cycle`` the forwarding hook's.
+    """
+
+    seq = _Column("seq")
+    addr = _Column("addr")
+    size = _Column("size")
+    isld = _Column("is_load")
+    isst = _Column("is_store")
+    safe = _Column("safe")
+    gbp = _Column("guard_bypass")
+    unsafe = _Column("unsafe_store")
+    wend = _Column("window_end")
+    rcyc = _Column("resolve_cycle")
+    icyc = _Column("issue_cycle")
+    tvs = _Column("true_violation_store")
+    invm = _Column("inv_marked")
+
+    __slots__ = ("lq", "rob", "cycle")
+
+    def __init__(self, lq: Sequence[DynInstr] = (),
+                 rob: Sequence[DynInstr] = ()) -> None:
+        self.lq = lq
+        self.rob = rob
+        self.cycle = -1

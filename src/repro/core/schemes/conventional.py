@@ -18,8 +18,8 @@ filter (:meth:`ConventionalScheme.replay_lane`); a batch replays one
 conventional run's log into every filter point that shares it (filter
 *lanes*, see :func:`repro.sim.runner.run_many`), and, when that run was
 squash-free, into every ``conventional-storesets`` point (store sets
-never train without a violation).  The object-path hooks below remain
-the per-event reference.
+never train without a violation).  On the object path the filters'
+hooks call the filter per event and forward to the same adapter.
 """
 
 from typing import List, Optional
@@ -36,6 +36,7 @@ from repro.core.schemes.base import (
     EV_STORE_VICTIM,
     EV_WRONGPATH,
     CheckScheme,
+    ObjectView,
     SoaHooks,
 )
 from repro.core.yla import YlaFile
@@ -63,59 +64,15 @@ class ConventionalScheme(CheckScheme):
         self.sq = sq
         self.line_bytes = line_bytes
 
-    # ------------------------------------------------------------------
-    def _should_search(self, store: DynInstr) -> bool:
-        """Filter hook; the baseline always searches."""
-        return True
-
-    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
+    def _object_view(self) -> ObjectView:
         if self.lq is None:
             raise SimulationError("scheme not attached to queues")
-        self.stats.bump("stores.resolved")
-        if not self._should_search(store):
-            # The queue attribute is the canonical count; the processor
-            # exports it as ``lq.searches_filtered`` when building the
-            # result (bumping scheme stats here as well double-counted it).
-            self.lq.searches_filtered += 1
-            if self.obs is not None:
-                self.obs.store_classified(store, True, cycle)
-            return None
-        if self.obs is not None:
-            self.obs.store_classified(store, False, cycle)
-        self.stats.bump("lq.searches")
-        victim = self.lq.search_younger_issued(store)
-        if victim is not None:
-            self.stats.bump("replay.execution_time")
-        return victim
-
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        if not self.coherence:
-            return None
-        # Load-load ordering (Section 2): the issuing load searches the LQ
-        # for *younger* issued loads to the same line that saw an
-        # invalidation; replay from the oldest such load.
-        self.lq.inv_searches += 1
-        line = load.addr & ~(self.line_bytes - 1)
-        for other in self.lq.ring:
-            if (
-                other.seq > load.seq
-                and other.issue_cycle >= 0
-                and other.inv_marked
-                and (other.addr & ~(self.line_bytes - 1)) == line
-            ):
-                self.stats.bump("replay.coherence")
-                return other
-        return None
+        return ObjectView(lq=self.lq.ring.items)
 
     def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
                         oldest_inflight_seq: int) -> None:
-        if not self.coherence:
-            return
-        # Every invalidation searches the whole LQ to mark matching loads.
-        self.lq.inv_searches += 1
-        for load in self.lq.ring:
-            if load.issue_cycle >= 0 and (load.addr & ~(line_bytes - 1)) == line_addr:
-                load.inv_marked = True
+        self._object_hooks(cycle).on_invalidation(
+            line_addr, line_bytes, cycle, oldest_inflight_seq)
 
     def soa_hooks(self, kernel):
         return _ConventionalSoaHooks(self, kernel)
@@ -219,15 +176,21 @@ class FilteredScheme(ConventionalScheme):
     """
 
     # -- object-path hooks ------------------------------------------------
-    def _should_search(self, store: DynInstr) -> bool:
-        if self._filter_safe(store.addr, store.seq):
-            self.stats.bump("stores.safe")
-            return False
-        return True
-
     def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
         self._filter_load(load.addr, load.seq)
         return super().on_load_issue(load, cycle)
+
+    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
+        if not self._filter_safe(store.addr, store.seq):
+            return super().on_store_resolve(store, cycle)
+        self.stats.bump("stores.resolved")
+        self.stats.bump("stores.safe")
+        # The queue attribute is the canonical count; the processor
+        # exports it as ``lq.searches_filtered`` when building the result.
+        self.lq.searches_filtered += 1
+        if self.obs is not None:
+            self.obs.store_classified(store, True, cycle)
+        return None
 
     def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
         self._filter_squash(last_kept_seq, [load.addr for load in squashed_loads
@@ -313,20 +276,14 @@ class BloomFilteredScheme(FilteredScheme):
 
 
 class _ConventionalSoaHooks(SoaHooks):
-    """Slot-index transcription of :class:`ConventionalScheme`.
-
-    ``stats.bump`` sites match the object-path hooks one for one; the
-    LQ search-count attributes (which the object path bumps inside
-    :meth:`LoadQueue.search_younger_issued`) are batched in locals and
-    folded back once per run.  With coherence on, loads also get the
-    load-load ordering walk, over the kernel's ``invm`` slot marks.
-    """
+    """The conventional LQ search at store resolve and, with coherence
+    on, the load-load ordering walk at load issue over the view's
+    invalidation marks (``invm``)."""
 
     has_store_resolve = True
 
     def __init__(self, scheme, kernel):
         super().__init__(scheme, kernel)
-        self._searches = 0
         if scheme.coherence:
             self.has_load_issue = True
 
@@ -366,23 +323,18 @@ class _ConventionalSoaHooks(SoaHooks):
             if icyc_[slot] >= 0 and (addr_[slot] & mask) == line_addr:
                 invm_[slot] = True
 
-    def _search(self, slot: int) -> int:
-        """The unfiltered path: bump, search the slot-array LQ, classify."""
+    def on_store_resolve(self, slot: int) -> int:
         s = self.scheme
         k = self.k
+        s.stats.bump("stores.resolved")
+        if s.obs is not None:
+            s.obs.store_classified(slot, False, k.cycle)
         s.stats.bump("lq.searches")
-        self._searches += 1
+        s.lq.searches += 1
         addr = k.addr[slot]
         victim = lq_violation_search_soa(
             k.lq, k.seq, k.addr, k.size, k.icyc,
             k.seq[slot], addr, addr + k.size[slot])
-        if victim >= 0:
+        if victim != -1:
             s.stats.bump("replay.execution_time")
         return victim
-
-    def on_store_resolve(self, slot: int) -> int:
-        self.scheme.stats.bump("stores.resolved")
-        return self._search(slot)
-
-    def fold(self) -> None:
-        self.scheme.lq.searches += self._searches

@@ -21,7 +21,7 @@ Contrasts with DMDC, per the paper's related-work discussion:
 from typing import Dict, List, Optional
 
 from repro.backend.dyninst import DynInstr
-from repro.core.schemes.base import CheckScheme, SoaHooks
+from repro.core.schemes.base import CheckScheme, ObjectView, SoaHooks
 from repro.errors import ConfigError, SimulationError
 from repro.utils.bitops import fold_xor, is_power_of_two, log2_exact
 from repro.utils.ring import RingBuffer
@@ -79,41 +79,14 @@ class GargAgeHashScheme(CheckScheme):
         """Bind the ROB; needed to pick the flush point on a hit."""
         self._rob = rob
 
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self.table.observe_load(load.addr, load.seq)
-        return None
+    def _object_view(self) -> ObjectView:
+        if self._rob is None:
+            raise SimulationError("Garg scheme not attached to the ROB")
+        return ObjectView(rob=self._rob.items)
 
     def on_wrongpath_load(self, age: int, addr: int) -> None:
         self.table.observe_load(addr, age)
         self.stats.bump("garg.wrongpath_updates")
-
-    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
-        if self._rob is None:
-            raise SimulationError("Garg scheme not attached to the ROB")
-        self.stats.bump("stores.resolved")
-        youngest = self.table.youngest_for(store.addr)
-        if youngest <= store.seq:
-            self.stats.bump("stores.safe")
-            if self.obs is not None:
-                self.obs.store_classified(store, True, cycle)
-            return None
-        if self.obs is not None:
-            self.obs.store_classified(store, False, cycle)
-        # Possible premature load somewhere younger: flush from the first
-        # instruction after the store (the table cannot name the load).
-        for entry in self._rob:
-            if entry.seq > store.seq:
-                self.stats.bump("replay.execution_time")
-                if entry.true_violation_store < 0 and not (
-                    entry.is_load and entry.issue_cycle >= 0
-                    and entry.addr >> 3 == store.addr >> 3
-                ):
-                    self.stats.bump("replay.false")
-                return entry
-        # Stale table entry (e.g. from a squashed load) with nothing
-        # younger in flight: nothing to do.
-        self.stats.bump("garg.stale_hits")
-        return None
 
     def on_recovery(self, last_kept_seq: int) -> None:
         if self.repair_on_squash:
@@ -133,11 +106,11 @@ class GargAgeHashScheme(CheckScheme):
 
 
 class _GargSoaHooks(SoaHooks):
-    """Slot-index transcription of :class:`GargAgeHashScheme`.
+    """Garg's load-issue and store-resolve checking.
 
-    The flush-point scan walks the kernel's ROB slot list instead of the
-    processor's ring; both are age-ordered, so the first entry younger
-    than the store is the same instruction.
+    A load writes its age into the table.  A resolving store reads it;
+    an age younger than the store flushes from the first ROB entry
+    younger than the store (the table cannot name the load).
     """
 
     has_load_issue = True
@@ -156,7 +129,11 @@ class _GargSoaHooks(SoaHooks):
         sseq = k.seq[slot]
         if s.table.youngest_for(addr) <= sseq:
             s.stats.bump("stores.safe")
+            if s.obs is not None:
+                s.obs.store_classified(slot, True, k.cycle)
             return -1
+        if s.obs is not None:
+            s.obs.store_classified(slot, False, k.cycle)
         seq_ = k.seq
         line = addr >> 3
         for entry in k.rob:
@@ -168,5 +145,7 @@ class _GargSoaHooks(SoaHooks):
                 ):
                     s.stats.bump("replay.false")
                 return entry
+        # Stale table entry (e.g. from a squashed load) with nothing
+        # younger in flight: nothing to do.
         s.stats.bump("garg.stale_hits")
         return -1

@@ -350,9 +350,9 @@ class Processor:
         The SoA loop is engaged only from :meth:`run` on a *fresh*
         processor (prewarm is fine — it is functional-only), with every
         observability seam closed: a tracer or obs recorder needs the
-        per-object slow path (see ``docs/performance.md``), and a scheme
-        without a slot-array adapter (``soa_hooks() is None``, e.g. the
-        sanitizer's wrapper) falls back too.
+        per-object slow path (see ``docs/performance.md``), and so does
+        the sanitizer's wrapper, the only scheme whose ``soa_hooks``
+        answers None rather than an adapter.
         """
         if not (
             self._soa_requested

@@ -384,8 +384,8 @@ class SoaKernel:
         self.regs_fp = p.regs_fp
         self.fu_caps = p.fus._caps_list
         self.fu_avail = p.fus._avail_list
-        #: Slot-index adapter for the scheme, or None when the scheme has
-        #: no SoA transcription (the sanitizer's wrapper) — the caller
+        #: The scheme's adapter, or None only for the sanitizer's wrapper
+        #: (every scheme has at least the no-op base adapter): the caller
         #: must then step the object path instead of calling :meth:`run`.
         self.hooks = p.scheme.soa_hooks(self)
         #: The lane event log (see the module docstring), or None

@@ -231,6 +231,39 @@ class TestSchemeProtocol:
                "        pass\n")
         assert lint_source(src, path=ZONE) == []
 
+    def test_misspelled_adapter_hook(self):
+        src = ("class _MySoaHooks(SoaHooks):\n"
+               "    def on_store_resolved(self, slot):\n"
+               "        return -1\n")
+        violations = lint_source(src, path=SCHEMES)
+        assert ids(violations) == ["REPRO007"]
+        assert "adapter" in violations[0].message
+
+    def test_adapter_wrong_arity(self):
+        src = ("class _MySoaHooks(SoaHooks):\n"
+               "    def on_commit(self, slot):\n"
+               "        return False\n"
+               "    def fold(self, extra):\n"
+               "        pass\n")
+        violations = lint_source(src, path=SCHEMES)
+        assert [v.rule_id for v in violations] == ["REPRO007", "REPRO007"]
+
+    def test_adapter_judged_by_adapter_protocol(self):
+        # ``on_commit(slot)`` has a scheme hook's name but the adapter's
+        # arity table applies: two args (slot, cycle).
+        src = ("class _MySoaHooks(SoaHooks):\n"
+               "    def on_load_issue(self, slot):\n"
+               "        return -1\n"
+               "    def on_commit_load(self, slot):\n"
+               "        return False\n"
+               "    def on_commit(self, slot, cycle):\n"
+               "        return False\n"
+               "    def fold(self):\n"
+               "        pass\n"
+               "    def _helper(self, a, b, c):\n"
+               "        pass\n")
+        assert lint_source(src, path=SCHEMES) == []
+
 
 class TestEngine:
     def test_bare_noqa_suppresses_everything(self):

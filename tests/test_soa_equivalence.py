@@ -20,8 +20,13 @@ the honest slow path and the kernel can never drift apart unnoticed.
 import pytest
 
 from repro.analysis.sanitizer import SCHEME_MATRIX as SCHEMES
+from repro.core.schemes.conventional import _ConventionalSoaHooks
+from repro.core.schemes.dmdc import _DmdcSoaHooks
+from repro.core.schemes.garg import _GargSoaHooks
+from repro.core.schemes.value import _ValueSoaHooks
 from repro.errors import SimulationError
 from repro.sim.config import CONFIG2, SchemeConfig
+from repro.sim.pipetrace import PipelineTracer
 from repro.sim.processor import Processor
 from repro.sim.runner import run_trace
 from repro.sim.soa import NO_SOA_ENV
@@ -88,6 +93,50 @@ def test_soa_bit_identical_coherence(monkeypatch, workload, row):
     obj = run_trace(config, trace, max_instructions=BUDGET, seed=1)
 
     assert soa.to_dict() == obj.to_dict()
+
+
+#: Each family's adapter and the checking methods its runs call.
+ADAPTER_METHODS = {
+    "dmdc": (_DmdcSoaHooks, ("on_store_resolve", "on_commit")),
+    "garg": (_GargSoaHooks, ("on_store_resolve",)),
+    "conventional": (_ConventionalSoaHooks, ("on_store_resolve",)),
+    "value": (_ValueSoaHooks, ("on_commit_load",)),
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("kind", sorted(ADAPTER_METHODS))
+def test_both_loops_call_the_same_adapter(monkeypatch, workload, kind):
+    """A plain run (kernel) and a traced run (object loop) make the same
+    number of calls into the family's one adapter, so the object loop
+    checks with the code the kernel ships."""
+    monkeypatch.delenv(NO_SOA_ENV, raising=False)
+    cls, names = ADAPTER_METHODS[kind]
+    calls = dict.fromkeys(names, 0)
+
+    def spy(name):
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(cls, name, spy(name))
+    config = CONFIG2.with_scheme(SchemeConfig(kind=kind))
+    counts = {}
+    for loop, tracer in (("soa", None), ("object", PipelineTracer(capacity=64))):
+        proc = Processor(config, _trace(workload), seed=1)
+        proc.tracer = tracer
+        proc.prewarm()
+        proc.run(BUDGET)
+        assert proc.kernel_used == loop
+        counts[loop] = dict(calls)
+        calls.update(dict.fromkeys(names, 0))
+
+    assert counts["soa"] == counts["object"]
+    assert all(counts["soa"].values())
 
 
 def test_injected_run_uses_kernel_without_skipping(monkeypatch):
