@@ -63,7 +63,6 @@ HOT_FUNCTIONS: Dict[str, Set[str]] = {
     },
     "repro/lsq/queues.py": {
         "StoreQueue.search_for_forwarding",
-        "LoadQueue.search_younger_issued",
         "sq_forward_search_soa",
         "sq_has_unresolved_soa",
         "lq_violation_search_soa",

@@ -21,7 +21,6 @@ report (bounded) and optionally raises in strict mode.
 
 from typing import List, Optional
 
-from repro.backend.dyninst import DynInstr
 from repro.core.yla import YlaFile
 
 
@@ -36,22 +35,22 @@ class AgeOrderProbe:
         self._last_load_seq = -1
         self._last_store_seq = -1
 
-    def on_commit(self, instr: DynInstr) -> Optional[str]:
+    def on_commit(self, seq: int, is_load: bool, is_store: bool) -> Optional[str]:
         self.checks += 1
-        if instr.seq <= self._last_seq:
-            return (f"age-order: seq {instr.seq} committed after "
+        if seq <= self._last_seq:
+            return (f"age-order: seq {seq} committed after "
                     f"seq {self._last_seq}")
-        self._last_seq = instr.seq
-        if instr.is_load:
-            if instr.seq <= self._last_load_seq:
-                return (f"age-order: load seq {instr.seq} retired out of LQ "
+        self._last_seq = seq
+        if is_load:
+            if seq <= self._last_load_seq:
+                return (f"age-order: load seq {seq} retired out of LQ "
                         f"order (after {self._last_load_seq})")
-            self._last_load_seq = instr.seq
-        elif instr.is_store:
-            if instr.seq <= self._last_store_seq:
-                return (f"age-order: store seq {instr.seq} retired out of SQ "
+            self._last_load_seq = seq
+        elif is_store:
+            if seq <= self._last_store_seq:
+                return (f"age-order: store seq {seq} retired out of SQ "
                         f"order (after {self._last_store_seq})")
-            self._last_store_seq = instr.seq
+            self._last_store_seq = seq
         return None
 
 
@@ -119,7 +118,7 @@ class WindowProbe:
         if self._was_active:
             self._end_before = self.scheme.end_check()
 
-    def after_commit(self, instr: DynInstr, replayed: bool) -> Optional[str]:
+    def after_commit(self, seq: int, replayed: bool) -> Optional[str]:
         if not self._was_active:
             return None
         self.checks += 1
@@ -133,9 +132,9 @@ class WindowProbe:
             # The squash path leaves the window open; it terminates at the
             # next commit.  Nothing to check here.
             return None
-        if instr.seq < self._end_before:
+        if seq < self._end_before:
             return (f"end-check: window terminated at commit of seq "
-                    f"{instr.seq}, before the boundary {self._end_before}")
+                    f"{seq}, before the boundary {self._end_before}")
         return None
 
 

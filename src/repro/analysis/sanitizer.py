@@ -1,37 +1,36 @@
 """Shadow-oracle memory-ordering sanitizer.
 
-:class:`MemoryOrderSanitizer` wraps any dependence-checking scheme behind
-the same hook protocol the pipeline already speaks
-(:class:`repro.core.schemes.base.CheckScheme`), so attaching it changes
-*nothing* about the simulated machine: every hook delegates to the wrapped
-scheme and the simulation result stays bit-identical (pinned by
-``tests/test_sanitizer_matrix.py``).  Around each delegation it maintains
-an independent shadow associative LQ/SQ (:mod:`repro.analysis.shadow`) and
-cross-checks the scheme's decisions against that oracle:
+:class:`MemoryOrderSanitizer` is a kernel adapter
+(:class:`repro.core.schemes.base.SoaHooks`) that wraps the scheme's own,
+so attaching it changes *nothing* about the simulated machine: every
+hook delegates to the wrapped adapter and the simulation result stays
+bit-identical (pinned by ``tests/test_sanitizer_matrix.py``).  The run
+takes the SoA kernel as usual, cycle skipper included.  Around each
+delegation the sanitizer maintains an independent shadow associative
+LQ/SQ (:mod:`repro.analysis.shadow`), fed from the kernel's slot
+columns, and cross-checks the scheme's decisions against that oracle:
 
 * at **store resolution** it flags every load that truly issued
   prematurely past the store, and classifies any execution-time replay the
   scheme ordered as true or false;
-* at **load commit** it verifies that a flagged load does not retire
-  un-replayed (a *missed violation* — the unsoundness DMDC's age filter
-  must never exhibit) and classifies commit-time replays;
-* invariant probes (:mod:`repro.analysis.probes`) check YLA soundness /
-  monotonicity / rollback exactness, ``end_check`` window consistency, and
-  ROB/LSQ age ordering on every event.
+* at **every retire** (``commit_mode`` 3; the wrapped adapter's own mode
+  gates the scheme's decision) it verifies that a flagged load does not
+  retire un-replayed (a *missed violation* — the unsoundness DMDC's age
+  filter must never exhibit) and classifies commit-time replays.  It
+  runs before the kernel's built-in ``OrderingViolationMissed`` check,
+  so a strict sanitizer raises first;
+* invariant probes (:mod:`repro.analysis.probes`) check the scheme's
+  live YLA files for soundness / monotonicity / rollback exactness,
+  ``end_check`` window consistency, and ROB/LSQ age ordering.
 
-Attach with :func:`attach_sanitizer`.  The sanitizer checks object-path
-events, so it has no slot-array adapter (:meth:`MemoryOrderSanitizer.soa_hooks`
-answers None): a sanitized run takes the object loop, which steps every
-cycle.  The decisions it checks come from the scheme's adapter all the
-same, which the wrapped hooks forward to (:mod:`repro.core.schemes.base`).
+Attach with :func:`attach_sanitizer`.
 """
 
 from typing import List, Optional
 
 from repro.analysis.probes import AgeOrderProbe, ProbeSet, WindowProbe, YlaProbe
 from repro.analysis.shadow import ShadowLSQ
-from repro.backend.dyninst import DynInstr
-from repro.core.schemes.base import CommitDecision
+from repro.core.schemes.base import SoaHooks
 from repro.errors import SanitizerError
 from repro.sim.config import SchemeConfig, scheme_matrix
 
@@ -49,8 +48,9 @@ MAX_DETAILS = 16
 class SanitizerReport:
     """Aggregated findings of one sanitized run."""
 
-    def __init__(self, scheme: str):
+    def __init__(self, scheme: str, probes: Optional[ProbeSet] = None):
         self.scheme = scheme
+        self._probes = probes
         #: true premature loads the shadow oracle flagged at store resolve
         self.oracle_violations = 0
         #: flagged loads that retired with no replay — unsoundness
@@ -67,8 +67,12 @@ class SanitizerReport:
         self.probe_failures: List[str] = []
         self.probe_failure_count = 0
         self.missed_details: List[str] = []
-        self.probe_checks = 0
         self.events_checked = 0
+
+    @property
+    def probe_checks(self) -> int:
+        """Invariant checks the probes ran so far."""
+        return self._probes.checks if self._probes is not None else 0
 
     @property
     def clean(self) -> bool:
@@ -106,21 +110,38 @@ class SanitizerReport:
         return "\n".join(lines)
 
 
-class MemoryOrderSanitizer:
-    """Scheme wrapper: delegate every hook, cross-check every decision."""
+class MemoryOrderSanitizer(SoaHooks):
+    """Adapter wrapper: delegate every hook, cross-check every decision.
 
-    def __init__(self, inner, strict: bool = False):
-        self.inner = inner
+    Built before the run around the processor's ``scheme`` (its probes
+    read the scheme's live YLA files); the kernel hands it the scheme's
+    own adapter through :meth:`wrap`.
+    """
+
+    has_load_issue = True
+    has_store_resolve = True
+    commit_mode = 3
+
+    def __init__(self, scheme, strict: bool = False):
+        super().__init__(scheme, None)
+        #: The wrapped adapter (bound by :meth:`wrap`).
+        self.inner: Optional[SoaHooks] = None
         self.strict = strict
         self.shadow = ShadowLSQ()
-        self.report = SanitizerReport(inner.name)
         ylas = []
         for label in ("yla", "yla_line"):
-            yla = getattr(inner, label, None)
+            yla = getattr(scheme, label, None)
             if yla is not None:
                 ylas.append(YlaProbe(yla, label))
-        window = WindowProbe(inner) if hasattr(inner, "end_check") else None
+        window = WindowProbe(scheme) if hasattr(scheme, "end_check") else None
         self.probes = ProbeSet(AgeOrderProbe(), ylas, window)
+        self.report = SanitizerReport(scheme.name, self.probes)
+
+    def wrap(self, inner: SoaHooks) -> "MemoryOrderSanitizer":
+        """Wrap the scheme's adapter ``inner`` and read its view."""
+        self.inner = inner
+        self.k = inner.k
+        return self
 
     # -- defect recording -------------------------------------------------
     def _missed(self, message: str) -> None:
@@ -128,7 +149,7 @@ class MemoryOrderSanitizer:
         if len(self.report.missed_details) < MAX_DETAILS:
             self.report.missed_details.append(message)
         if self.strict:
-            raise SanitizerError(f"[{self.inner.name}] {message}")
+            raise SanitizerError(f"[{self.scheme.name}] {message}")
 
     def _probe_failed(self, message: Optional[str]) -> None:
         if message is None:
@@ -137,17 +158,21 @@ class MemoryOrderSanitizer:
         if len(self.report.probe_failures) < MAX_DETAILS:
             self.report.probe_failures.append(message)
         if self.strict:
-            raise SanitizerError(f"[{self.inner.name}] {message}")
+            raise SanitizerError(f"[{self.scheme.name}] {message}")
 
     # -- execution-time hooks ---------------------------------------------
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
+    def on_load_issue(self, slot: int) -> int:
+        k = self.k
+        inner = self.inner
         self.report.events_checked += 1
-        self.shadow.load_issued(load, cycle)
-        victim = self.inner.on_load_issue(load, cycle)
+        seq = k.seq[slot]
+        addr = k.addr[slot]
+        self.shadow.load_issued(seq, addr, k.size[slot], k.fwdseq[slot])
+        victim = inner.on_load_issue(slot) if inner.has_load_issue else -1
         for probe in self.probes.ylas:
-            self._probe_failed(probe.after_load_issue(load.addr, load.seq))
-        if victim is not None:
-            # Load-load coherence ordering replay; the pipeline squashes
+            self._probe_failed(probe.after_load_issue(addr, seq))
+        if victim != -1:
+            # Load-load coherence ordering replay; the kernel squashes
             # from the victim, which on_squash mirrors into the shadow.
             self.report.coherence_replays += 1
         return victim
@@ -159,54 +184,61 @@ class MemoryOrderSanitizer:
         for probe in self.probes.ylas:
             self._probe_failed(probe.after_load_issue(addr, age))
 
-    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
+    def on_store_resolve(self, slot: int) -> int:
+        k = self.k
+        inner = self.inner
         self.report.events_checked += 1
-        flagged = self.shadow.store_resolved(store, cycle)
+        flagged = self.shadow.store_resolved(k.seq[slot], k.addr[slot],
+                                             k.size[slot])
         self.report.oracle_violations += len(flagged)
-        victim = self.inner.on_store_resolve(store, cycle)
-        if victim is not None:
-            # Execution-time replay: the pipeline squashes from the victim,
+        victim = inner.on_store_resolve(slot) if inner.has_store_resolve else -1
+        if victim != -1:
+            # Execution-time replay: the kernel squashes from the victim,
             # covering every younger in-flight load.
-            if self.shadow.pending_violation_at_or_after(victim.seq):
+            if self.shadow.pending_violation_at_or_after(k.seq[victim]):
                 self.report.true_replays += 1
             else:
                 self.report.false_replays += 1
         return victim
 
     # -- commit-time hook --------------------------------------------------
-    def on_commit(self, instr: DynInstr, cycle: int) -> CommitDecision:
-        self.report.events_checked += 1
-        self._probe_failed(self.probes.age.on_commit(instr))
+    def on_commit(self, slot: int, cycle: int) -> bool:
+        k = self.k
+        report = self.report
+        report.events_checked += 1
+        seq = k.seq[slot]
+        is_load = k.isld[slot]
+        is_store = k.isst[slot]
+        self._probe_failed(self.probes.age.on_commit(seq, is_load, is_store))
         window = self.probes.window
         if window is not None:
             window.before_commit()
-        decision = self.inner.on_commit(instr, cycle)
-        replayed = decision == CommitDecision.REPLAY
+        replayed = self.inner.gated_commit(slot, cycle)
         if window is not None:
-            self._probe_failed(window.after_commit(instr, replayed))
-        if instr.is_load:
-            rec = self.shadow.loads.get(instr.seq)
+            self._probe_failed(window.after_commit(seq, replayed))
+        if is_load:
+            rec = self.shadow.loads.get(seq)
             shadow_violated = rec is not None and rec.violated_by >= 0
-            builtin_violated = instr.true_violation_store >= 0
+            builtin_violated = k.tvs[slot] >= 0
             if shadow_violated != builtin_violated:
-                self.report.oracle_divergence += 1
+                report.oracle_divergence += 1
             if replayed:
                 if shadow_violated:
-                    self.report.true_replays += 1
+                    report.true_replays += 1
                 else:
-                    self.report.false_replays += 1
+                    report.false_replays += 1
                 # The squash removes the load from the shadow via on_squash.
             else:
                 if shadow_violated:
                     self._missed(
-                        f"load seq={instr.seq} addr={instr.addr:#x} retired "
+                        f"load seq={seq} addr={k.addr[slot]:#x} retired "
                         f"despite premature issue past store "
-                        f"seq={rec.violated_by} under {self.inner.name}"
+                        f"seq={rec.violated_by} under {self.scheme.name}"
                     )
-                self.shadow.load_committed(instr.seq)
-        elif instr.is_store and not replayed:
-            self.shadow.store_committed(instr.seq)
-        return decision
+                self.shadow.load_committed(seq)
+        elif is_store and not replayed:
+            self.shadow.store_committed(seq)
+        return replayed
 
     # -- control-flow repair -----------------------------------------------
     def on_recovery(self, last_kept_seq: int) -> None:
@@ -214,8 +246,8 @@ class MemoryOrderSanitizer:
         for probe in self.probes.ylas:
             self._probe_failed(probe.after_rollback(last_kept_seq))
 
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        self.inner.on_squash(last_kept_seq, squashed_loads)
+    def on_squash(self, last_kept_seq: int, victims) -> None:
+        self.inner.on_squash(last_kept_seq, victims)
         self.shadow.squash_younger(last_kept_seq)
         for probe in self.probes.ylas:
             self._probe_failed(probe.after_rollback(last_kept_seq))
@@ -225,33 +257,6 @@ class MemoryOrderSanitizer:
                         oldest_inflight_seq: int) -> None:
         self.inner.on_invalidation(line_addr, line_bytes, cycle,
                                    oldest_inflight_seq)
-
-    # -- pass-through observability -----------------------------------------
-    @property
-    def checking_active(self) -> bool:
-        return self.inner.checking_active
-
-    def soa_hooks(self, kernel):
-        """No slot-array adapter: the shadow LQ/SQ checks object-path
-        events, so a sanitized run must take the object loop.  Explicit
-        because ``__getattr__`` would otherwise hand the kernel the inner
-        scheme's adapter and the run would check nothing."""
-        return None
-
-    def finalize(self, cycle: int) -> None:
-        self.inner.finalize(cycle)
-
-    def collect(self) -> None:
-        self.inner.collect()
-        self.report.probe_checks = self.probes.checks
-
-    def __getattr__(self, attr):
-        # Everything else (stats, window histograms, name, energy-model
-        # class attributes) reads through to the wrapped scheme, so results
-        # built from a sanitized run are indistinguishable from plain runs.
-        if attr == "inner":
-            raise AttributeError(attr)
-        return getattr(self.inner, attr)
 
 
 def run_sanitized(config, trace, max_instructions=None, seed: int = 1,
@@ -276,13 +281,12 @@ def run_sanitized(config, trace, max_instructions=None, seed: int = 1,
 
 
 def attach_sanitizer(processor, strict: bool = False) -> MemoryOrderSanitizer:
-    """Wrap ``processor``'s scheme in a sanitizer before the run starts.
-
-    The wrapper has no slot-array adapter, so the run takes the object
-    loop and the sanitizer sees every event.
-    """
+    """Attach a sanitizer to ``processor`` before the run starts: its
+    kernel then wraps the scheme's adapter in it."""
     if processor.cycle != 0:
         raise SanitizerError("attach the sanitizer before the first cycle")
+    if processor.sanitizer is not None:
+        raise SanitizerError("processor already has a sanitizer")
     sanitizer = MemoryOrderSanitizer(processor.scheme, strict=strict)
-    processor.scheme = sanitizer
+    processor.sanitizer = sanitizer
     return sanitizer

@@ -8,29 +8,26 @@ resolving one whose bytes fully cover it.
 
 The oracle mirrors the in-flight LQ/SQ contents from the scheme hook
 events alone (load issue, store resolve, commit, squash) and never reads
-the pipeline's own ground-truth flags (``DynInstr.true_violation_store``),
-so it can cross-validate both the scheme under test *and* the simulator's
+the pipeline's own ground-truth flags (the kernel's ``tvs`` column), so
+it can cross-validate both the scheme under test *and* the simulator's
 built-in checker.  Everything here is O(queue length) per event — the
 oracle is a correctness tool, not a fast path.
 """
 
 from typing import Dict, List, Optional
 
-from repro.backend.dyninst import DynInstr
-
 
 class ShadowLoad:
     """Oracle record of one issued, in-flight load."""
 
-    __slots__ = ("seq", "addr", "size", "issue_cycle", "forward_store_seq",
-                 "violated_by")
+    __slots__ = ("seq", "addr", "size", "forward_store_seq", "violated_by")
 
-    def __init__(self, load: DynInstr, cycle: int):
-        self.seq = load.seq
-        self.addr = load.addr
-        self.size = load.size
-        self.issue_cycle = cycle
-        self.forward_store_seq = load.forward_store_seq
+    def __init__(self, seq: int, addr: int, size: int, forward_store_seq: int):
+        self.seq = seq
+        self.addr = addr
+        self.size = size
+        #: seq of the store the load forwarded from, or -1.
+        self.forward_store_seq = forward_store_seq
         #: seq of the oldest resolving store this load truly violated
         #: (premature issue); -1 while clean.
         self.violated_by = -1
@@ -39,13 +36,12 @@ class ShadowLoad:
 class ShadowStore:
     """Oracle record of one address-resolved, in-flight store."""
 
-    __slots__ = ("seq", "addr", "size", "resolve_cycle")
+    __slots__ = ("seq", "addr", "size")
 
-    def __init__(self, store: DynInstr, cycle: int):
-        self.seq = store.seq
-        self.addr = store.addr
-        self.size = store.size
-        self.resolve_cycle = cycle
+    def __init__(self, seq: int, addr: int, size: int):
+        self.seq = seq
+        self.addr = addr
+        self.size = size
 
 
 class ShadowLSQ:
@@ -63,12 +59,13 @@ class ShadowLSQ:
         self.violations_flagged = 0
 
     # -- event mirroring --------------------------------------------------
-    def load_issued(self, load: DynInstr, cycle: int) -> ShadowLoad:
-        rec = ShadowLoad(load, cycle)
-        self.loads[load.seq] = rec
+    def load_issued(self, seq: int, addr: int, size: int,
+                    forward_store_seq: int = -1) -> ShadowLoad:
+        rec = ShadowLoad(seq, addr, size, forward_store_seq)
+        self.loads[seq] = rec
         return rec
 
-    def store_resolved(self, store: DynInstr, cycle: int) -> List[ShadowLoad]:
+    def store_resolved(self, seq: int, addr: int, size: int) -> List[ShadowLoad]:
         """Associatively search the shadow LQ; flag true premature loads.
 
         Returns the loads *newly* flagged against this store.  A younger
@@ -76,10 +73,10 @@ class ShadowLSQ:
         forwarded from a store younger than this one that fully covers it
         (its data cannot be stale).
         """
-        self.stores[store.seq] = ShadowStore(store, cycle)
-        s_seq = store.seq
-        s_addr = store.addr
-        s_end = s_addr + store.size
+        self.stores[seq] = ShadowStore(seq, addr, size)
+        s_seq = seq
+        s_addr = addr
+        s_end = addr + size
         flagged: List[ShadowLoad] = []
         for rec in self.loads.values():
             if rec.seq <= s_seq or rec.violated_by >= 0:

@@ -43,7 +43,6 @@ class DynInstr:
         "consumers",
         # timing
         "fetch_cycle",
-        "dispatch_cycle",
         "issue_cycle",
         "complete_cycle",
         "resolve_cycle",
@@ -82,7 +81,7 @@ class DynInstr:
         self.pending_ops = self.pending_data = self.rejections = 0
         self.replay_generation = 0
         self.consumers: List = []
-        self.fetch_cycle = self.dispatch_cycle = self.issue_cycle = -1
+        self.fetch_cycle = self.issue_cycle = -1
         self.complete_cycle = self.resolve_cycle = self.commit_cycle = -1
         self.forward_store_seq = -1
         self.true_violation_store = self.true_violation_pc = -1

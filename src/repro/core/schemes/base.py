@@ -23,10 +23,12 @@ hook                   corresponds to
 (execution-time detection); ``on_commit`` may decide the committing load
 itself must replay (DMDC's commit-time detection).
 
-A scheme implements load issue, store resolve and commit checking only
-in its :class:`SoaHooks` adapter: the SoA kernel calls it with slot
-indices, and the three hooks above forward to it over an
-:class:`ObjectView` of the :class:`DynInstr`, behind the kernel's gates.
+A scheme implements load issue, store resolve, commit, squash and
+invalidation handling only in its :class:`SoaHooks` adapter: the SoA
+kernel calls it with slot indices, and the object loop, the reference
+the equivalence tests compare against, reaches it through the scheme
+hooks above, which forward to it over an :class:`ObjectView` of the
+:class:`DynInstr`, behind the kernel's gates.
 """
 
 import enum
@@ -59,9 +61,10 @@ SOA_HOOKS = {
     "on_store_resolve": 1,
     "on_commit_load": 1,
     "on_commit": 2,
-    "on_squash": 1,
+    "on_squash": 2,
     "on_invalidation": 4,
-    "fold": 0,
+    "on_wrongpath_load": 2,
+    "on_recovery": 1,
 }
 
 #: Opcodes of the lane event log (:mod:`repro.sim.soa`).  A recording
@@ -107,12 +110,6 @@ class CheckScheme:
         self.window_loads = Histogram()
         self.window_safe_loads = Histogram()
         self.window_unsafe_stores = Histogram()
-        #: Optional scheme-event observer (an
-        #: :class:`~repro.obs.recorder.ObservabilityRecorder`).  Emit
-        #: sites guard with ``is None`` so observability is zero-cost
-        #: when off; the recorder receives filter classifications and
-        #: checking-window/table activity as typed events.
-        self.obs = None
         #: The adapter the object-path hooks drive, bound on first use.
         self._hooks: Optional["SoaHooks"] = None
 
@@ -121,19 +118,18 @@ class CheckScheme:
         overrides it to pass the pipeline's ring."""
         return ObjectView()
 
-    def _object_hooks(self, cycle: int) -> "SoaHooks":
-        """The adapter over this scheme's :class:`ObjectView` at ``cycle``."""
+    def _object_hooks(self) -> "SoaHooks":
+        """The adapter over this scheme's :class:`ObjectView`."""
         hooks = self._hooks
         if hooks is None:
             hooks = self._hooks = self.soa_hooks(self._object_view())
-        hooks.k.cycle = cycle
         return hooks
 
     # -- execution-time hooks -------------------------------------------
     def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
         """A load issued.  May return a younger load to replay from
         (conventional load-load coherence ordering only)."""
-        hooks = self._object_hooks(cycle)
+        hooks = self._object_hooks()
         if hooks.has_load_issue:
             victim = hooks.on_load_issue(load)
             if victim != -1:
@@ -146,7 +142,7 @@ class CheckScheme:
     def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
         """A store's address resolved.  May return a premature load to
         replay from (conventional execution-time detection)."""
-        hooks = self._object_hooks(cycle)
+        hooks = self._object_hooks()
         if hooks.has_store_resolve:
             victim = hooks.on_store_resolve(store)
             if victim != -1:
@@ -156,28 +152,25 @@ class CheckScheme:
     # -- commit-time hooks ------------------------------------------------
     def on_commit(self, instr: DynInstr, cycle: int) -> CommitDecision:
         """An instruction is about to retire (in order)."""
-        hooks = self._object_hooks(cycle)
-        mode = hooks.commit_mode
-        if mode == 2:
-            if self.checking_active or (instr.is_store and instr.unsafe_store):
-                if hooks.on_commit(instr, cycle):
-                    return CommitDecision.REPLAY
-        elif mode == 1:
-            if instr.is_load and hooks.on_commit_load(instr):
-                return CommitDecision.REPLAY
+        if self._object_hooks().gated_commit(instr, cycle):
+            return CommitDecision.REPLAY
         return CommitDecision.OK
 
     # -- control-flow repair ----------------------------------------------
     def on_recovery(self, last_kept_seq: int) -> None:
         """Branch misprediction recovery completed."""
 
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        """A replay squashed everything younger than ``last_kept_seq``."""
+    def on_squash(self, last_kept_seq: int, squashed: List[DynInstr]) -> None:
+        """A replay squashed everything younger than ``last_kept_seq``:
+        the ROB entries in ``squashed``, oldest first."""
+        self._object_hooks().on_squash(last_kept_seq, squashed)
 
     # -- coherence ---------------------------------------------------------
     def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
                         oldest_inflight_seq: int) -> None:
         """An external invalidation for ``line_addr`` arrived."""
+        self._object_hooks().on_invalidation(line_addr, line_bytes, cycle,
+                                             oldest_inflight_seq)
 
     # -- observability ------------------------------------------------------
     #: True while a DMDC checking window is open (cycle accounting).  A
@@ -207,8 +200,8 @@ class CheckScheme:
 
 
 class SoaHooks:
-    """A scheme's one implementation of load-issue, store-resolve and
-    commit checking.
+    """A scheme's one implementation of load-issue, store-resolve,
+    commit, squash and invalidation checking.
 
     The adapter reads a *view* ``k``: the SoA kernel's slot arrays, a
     verdict lane's seq-indexed :class:`~repro.sim.soa.LaneView`, or the
@@ -217,14 +210,17 @@ class SoaHooks:
     ``size``, ``isld``, ``isst``, ``safe``, ``gbp``, ``unsafe``, ``wend``,
     ``rcyc``, ``icyc``, ``tvs`` and the age-ordered ``rob``; the kernel
     and :class:`ObjectView` also ``invm`` and ``lq``.  No victim is -1,
-    tested with ``!= -1``.  ``scheme.obs`` emits read ``k.cycle``; only
-    the object loop runs with an observer.
+    tested with ``!= -1``.  ``k.emit`` is the run's observer, or None;
+    only the kernel has one, so scheme events read the kernel's
+    ``tidx`` column and ``cycle`` behind an ``emit is not None`` test.
 
     The class-level flags let a caller skip events a scheme ignores.
     Commit dispatch is ``commit_mode``: 0 = never acts at commit; 1 =
     only loads matter (:meth:`on_commit_load`); 2 = windowed checking —
     :meth:`on_commit` runs whenever ``scheme.checking_active`` or the
-    committing instruction is a store flagged unsafe.
+    committing instruction is a store flagged unsafe; 3 = :meth:`on_commit`
+    runs at every retire (the sanitizer, which applies its wrapped
+    adapter's mode itself).
     """
 
     has_load_issue = False
@@ -252,33 +248,43 @@ class SoaHooks:
 
     def on_commit(self, slot: int, cycle: int) -> bool:
         """Commit-time check for any instruction; True = replay the head
-        (``commit_mode`` 2)."""
+        (``commit_mode`` 2 and 3)."""
         return False
 
-    def on_squash(self, last_kept_seq: int) -> None:
-        """A replay squashed everything younger than ``last_kept_seq``.
+    def gated_commit(self, slot: int, cycle: int) -> bool:
+        """The commit decision behind the kernel's gate for
+        ``commit_mode`` 0-2 (the object loop and the sanitizer ask it;
+        the kernel and the verdict-lane replay inline it)."""
+        k = self.k
+        if self.commit_mode == 2:
+            return ((self.scheme.checking_active or (k.isst[slot] and k.unsafe[slot]))
+                    and self.on_commit(slot, cycle))
+        if self.commit_mode == 1:
+            return k.isld[slot] and self.on_commit_load(slot)
+        return False
 
-        Delegates to the scheme's object-path hook with no load list: no
-        kernel-side scheme reads the squashed loads themselves (the Bloom
-        filter, which does, replays them from the event log).
+    def on_squash(self, last_kept_seq: int, victims) -> None:
+        """A replay squashed everything younger than ``last_kept_seq``:
+        the ROB slots in ``victims``, oldest first.
+
+        The default repairs the scheme like a branch recovery, which is
+        all every scheme but the Bloom filter does; the filter adapter
+        overrides it to read the squashed loads.
         """
-        self.scheme.on_squash(last_kept_seq, ())
+        self.scheme.on_recovery(last_kept_seq)
 
     def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
                         oldest_inflight_seq: int) -> None:
-        """An injected invalidation arrived.
+        """An injected invalidation arrived (conventional and DMDC
+        coherence act on it)."""
 
-        The default delegates to the scheme's object-path hook — correct
-        for every scheme whose invalidation handling reads no per-load
-        state (DMDC's line-YLA and table); the conventional adapter
-        overrides it to mark its LQ.
-        """
-        self.scheme.on_invalidation(line_addr, line_bytes, cycle,
-                                    oldest_inflight_seq)
+    def on_wrongpath_load(self, age: int, addr: int) -> None:
+        """A wrong-path load issued: the scheme's address-level hook."""
+        self.scheme.on_wrongpath_load(age, addr)
 
-    def fold(self) -> None:
-        """Flush locally batched state back onto scheme/queue objects
-        (called once, after the kernel's cycle loop finishes)."""
+    def on_recovery(self, last_kept_seq: int) -> None:
+        """Branch misprediction recovery: the scheme's own hook."""
+        self.scheme.on_recovery(last_kept_seq)
 
 
 class _Column:
@@ -301,7 +307,7 @@ class ObjectView:
     :class:`~repro.sim.soa.LaneView`): the slot is the :class:`DynInstr`,
     ``view.addr[instr]`` is ``instr.addr``, ``view.wend[instr]`` is
     ``instr.window_end``.  ``lq`` and ``rob`` are the processor's rings
-    (their ``items`` lists), ``cycle`` the forwarding hook's.
+    (their ``items`` lists).  The object loop is unobserved.
     """
 
     seq = _Column("seq")
@@ -317,11 +323,11 @@ class ObjectView:
     icyc = _Column("issue_cycle")
     tvs = _Column("true_violation_store")
     invm = _Column("inv_marked")
+    emit = None
 
-    __slots__ = ("lq", "rob", "cycle")
+    __slots__ = ("lq", "rob")
 
     def __init__(self, lq: Sequence[DynInstr] = (),
                  rob: Sequence[DynInstr] = ()) -> None:
         self.lq = lq
         self.rob = rob
-        self.cycle = -1

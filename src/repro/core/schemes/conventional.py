@@ -10,21 +10,19 @@ younger (YLA) / no aliasing (BF) issued load exists.  A filtered search is
 counted separately — that count is the energy the filter saves.
 
 A sound filter only skips searches that would find no victim, so it
-changes energy, never timing (the paper's Section 3 argument).  The SoA
-kernel exploits that: it has one implementation of this file, the
-conventional search (``_ConventionalSoaHooks``).  A filtered point runs
-it with event recording on and then replays the recorded log through its
-filter (:meth:`ConventionalScheme.replay_lane`); a batch replays one
-conventional run's log into every filter point that shares it (filter
-*lanes*, see :func:`repro.sim.runner.run_many`), and, when that run was
-squash-free, into every ``conventional-storesets`` point (store sets
-never train without a violation).  On the object path the filters'
-hooks call the filter per event and forward to the same adapter.
+changes energy, never timing (the paper's Section 3 argument).  A run
+filters inline: the filters' adapter (``_FilteredSoaHooks``) drives the
+filter per event around the conventional search
+(``_ConventionalSoaHooks``).  A batch replays one conventional run's
+recorded log through the filter of every other filter point that shares
+it (filter *lanes*, :meth:`ConventionalScheme.replay_lane`, see
+:func:`repro.sim.runner.run_many`), and, when that run was squash-free,
+into every ``conventional-storesets`` point (store sets never train
+without a violation).
 """
 
 from typing import List, Optional
 
-from repro.backend.dyninst import DynInstr
 from repro.core.bloom import CountingBloomFilter
 from repro.core.schemes.base import (
     EV_COMMIT,
@@ -41,8 +39,7 @@ from repro.core.schemes.base import (
 )
 from repro.core.yla import YlaFile
 from repro.errors import SimulationError
-from repro.lsq.queues import LoadQueue, StoreQueue, lq_violation_search_soa
-from repro.stats.counters import CounterSet
+from repro.lsq.queues import LoadQueue, lq_violation_search_soa
 
 
 class ConventionalScheme(CheckScheme):
@@ -55,24 +52,18 @@ class ConventionalScheme(CheckScheme):
         super().__init__()
         self.coherence = coherence
         self.lq: Optional[LoadQueue] = None
-        self.sq: Optional[StoreQueue] = None
         self.line_bytes = 128
 
-    def attach(self, lq: LoadQueue, sq: StoreQueue, line_bytes: int) -> None:
-        """Bind the pipeline's queues; called once by the processor."""
+    def attach(self, lq: LoadQueue, line_bytes: int) -> None:
+        """Bind the pipeline's LQ (its search counters); called once by
+        the processor."""
         self.lq = lq
-        self.sq = sq
         self.line_bytes = line_bytes
 
     def _object_view(self) -> ObjectView:
         if self.lq is None:
             raise SimulationError("scheme not attached to queues")
         return ObjectView(lq=self.lq.ring.items)
-
-    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
-                        oldest_inflight_seq: int) -> None:
-        self._object_hooks(cycle).on_invalidation(
-            line_addr, line_bytes, cycle, oldest_inflight_seq)
 
     def soa_hooks(self, kernel):
         return _ConventionalSoaHooks(self, kernel)
@@ -98,7 +89,7 @@ class ConventionalScheme(CheckScheme):
         """Book this scheme's run from a recorded conventional run's
         ``events``, driving the filter through them.
 
-        Fresh ``stats`` get what the object-path hooks book
+        The scheme's fresh ``stats`` get what its hooks book
         (``stores.resolved``, ``lq.searches``, ``stores.safe``,
         ``replay.execution_time``, the filter's own), and the attached LQ
         its search counts.  The log leaves out the coherent load-load
@@ -111,9 +102,7 @@ class ConventionalScheme(CheckScheme):
         lq = self.lq
         if lq is None:
             raise SimulationError("scheme not attached to queues")
-        # Fresh stats: a point that recorded its own run has booked the
-        # unfiltered search there, and the hooks replayed below bump here.
-        self.stats = stats = CounterSet()
+        stats = self.stats
         safe = self._filter_safe
         searches = filtered = victims = 0
         i = 0
@@ -169,37 +158,14 @@ class FilteredScheme(ConventionalScheme):
 
     Subclasses supply the filter as the four address-level ``_filter_*``
     operations of :class:`ConventionalScheme` plus the (already
-    address-level) wrong-path and recovery hooks.  Both routes drive the
-    same methods: the object path through the scheme hooks below, the SoA
-    kernel by :meth:`~ConventionalScheme.replay_lane` over a recorded
-    conventional run (see the module docstring).
+    address-level) wrong-path and recovery hooks.  A run drives them
+    inline through ``_FilteredSoaHooks``; a lane drives them by
+    :meth:`~ConventionalScheme.replay_lane` over a recorded conventional
+    run (see the module docstring).
     """
 
-    # -- object-path hooks ------------------------------------------------
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        self._filter_load(load.addr, load.seq)
-        return super().on_load_issue(load, cycle)
-
-    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
-        if not self._filter_safe(store.addr, store.seq):
-            return super().on_store_resolve(store, cycle)
-        self.stats.bump("stores.resolved")
-        self.stats.bump("stores.safe")
-        # The queue attribute is the canonical count; the processor
-        # exports it as ``lq.searches_filtered`` when building the result.
-        self.lq.searches_filtered += 1
-        if self.obs is not None:
-            self.obs.store_classified(store, True, cycle)
-        return None
-
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        self._filter_squash(last_kept_seq, [load.addr for load in squashed_loads
-                                            if load.issue_cycle >= 0])
-
-    def on_commit(self, instr: DynInstr, cycle: int):
-        if instr.is_load and instr.issue_cycle >= 0:
-            self._filter_commit(instr.addr)
-        return super().on_commit(instr, cycle)
+    def soa_hooks(self, kernel):
+        return _FilteredSoaHooks(self, kernel)
 
 
 class YlaFilteredScheme(FilteredScheme):
@@ -327,8 +293,8 @@ class _ConventionalSoaHooks(SoaHooks):
         s = self.scheme
         k = self.k
         s.stats.bump("stores.resolved")
-        if s.obs is not None:
-            s.obs.store_classified(slot, False, k.cycle)
+        if k.emit is not None:
+            k.emit.store_classified(k.seq[slot], k.tidx[slot], False, k.cycle)
         s.stats.bump("lq.searches")
         s.lq.searches += 1
         addr = k.addr[slot]
@@ -338,3 +304,40 @@ class _ConventionalSoaHooks(SoaHooks):
         if victim != -1:
             s.stats.bump("replay.execution_time")
         return victim
+
+
+class _FilteredSoaHooks(_ConventionalSoaHooks):
+    """The conventional adapter with the scheme's search filter inline:
+    every issued load enters the filter, a store the filter proves safe
+    skips the LQ search, committed and squashed loads leave it."""
+
+    has_load_issue = True
+    commit_mode = 1
+
+    def on_load_issue(self, slot: int) -> int:
+        k = self.k
+        self.scheme._filter_load(k.addr[slot], k.seq[slot])
+        return super().on_load_issue(slot) if self.scheme.coherence else -1
+
+    def on_store_resolve(self, slot: int) -> int:
+        s = self.scheme
+        k = self.k
+        if not s._filter_safe(k.addr[slot], k.seq[slot]):
+            return super().on_store_resolve(slot)
+        s.stats.bump("stores.resolved")
+        s.stats.bump("stores.safe")
+        # The queue attribute is the canonical count; the processor
+        # exports it as ``lq.searches_filtered`` when building the result.
+        s.lq.searches_filtered += 1
+        if k.emit is not None:
+            k.emit.store_classified(k.seq[slot], k.tidx[slot], True, k.cycle)
+        return -1
+
+    def on_commit_load(self, slot: int) -> bool:
+        self.scheme._filter_commit(self.k.addr[slot])
+        return False
+
+    def on_squash(self, last_kept_seq: int, victims) -> None:
+        k = self.k
+        self.scheme._filter_squash(last_kept_seq, [
+            k.addr[v] for v in victims if k.isld[v] and k.icyc[v] >= 0])

@@ -28,7 +28,6 @@ truth (issue/resolve timestamps) that the modelled hardware does not have.
 
 from typing import List, Optional
 
-from repro.backend.dyninst import DynInstr
 from repro.core.checking_table import CheckingTable, granule_bitmap
 from repro.core.schemes.base import CheckScheme, SoaHooks
 from repro.core.schemes.checking_queue import CheckingQueue
@@ -134,7 +133,7 @@ class DmdcScheme(CheckScheme):
             return self._active_end
         return max(self._global_end, self._active_end)
 
-    def _activate(self, cycle: int) -> None:
+    def _activate(self, cycle: int, emit) -> None:
         if not self.checking_active:
             self.checking_active = True
             self._activation_cycle = cycle
@@ -143,15 +142,15 @@ class DmdcScheme(CheckScheme):
             self._w_safe_loads = 0
             self._w_unsafe_stores = 0
             self.stats.bump("windows.opened")
-            if self.obs is not None:
-                self.obs.window_opened(cycle)
+            if emit is not None:
+                emit.window_opened(cycle)
 
-    def _terminate(self, cycle: int) -> None:
+    def _terminate(self, cycle: int, emit) -> None:
         self.stats.bump("windows.closed")
         self.stats.bump("checking.cycles", max(1, cycle - self._activation_cycle + 1))
-        if self.obs is not None:
-            self.obs.window_closed(cycle, self._w_instrs, self._w_loads,
-                                   self._w_unsafe_stores)
+        if emit is not None:
+            emit.window_closed(cycle, self._w_instrs, self._w_loads,
+                               self._w_unsafe_stores)
         self.window_instrs.add(self._w_instrs)
         self.window_loads.add(self._w_loads)
         self.window_safe_loads.add(self._w_safe_loads)
@@ -168,36 +167,18 @@ class DmdcScheme(CheckScheme):
         self._overflow_pending = False
 
     # ------------------------------------------------------------------
-    # recovery / coherence
+    # recovery (a replay squash repairs the same way: the base adapter)
     # ------------------------------------------------------------------
     def on_recovery(self, last_kept_seq: int) -> None:
         self.yla.rollback(last_kept_seq)
         if self.yla_line is not None:
             self.yla_line.rollback(last_kept_seq)
 
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
-        self.on_recovery(last_kept_seq)
-
-    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
-                        oldest_inflight_seq: int) -> None:
-        if not self.coherence or self.yla_line is None or self.table is None:
-            return
-        self.stats.bump("inv.received")
-        youngest = self.yla_line.youngest_for(line_addr)
-        if youngest < oldest_inflight_seq:
-            # No in-flight issued load to this line's bank: nothing to do.
-            self.stats.bump("inv.filtered")
-            return
-        self.stats.bump("inv.marked")
-        for index in self.table.mark_invalidation(line_addr, line_bytes):
-            self._inv_marked_indices.add(index)
-        self._activate(cycle)
-        if youngest > self._active_end:
-            self._active_end = youngest
-
     def finalize(self, cycle: int) -> None:
+        # No view to emit through: an observer closes a window still
+        # open at the run's end itself (ObservabilityRecorder.finish).
         if self.checking_active:
-            self._terminate(cycle)
+            self._terminate(cycle, None)
 
     def soa_hooks(self, kernel):
         return _DmdcSoaHooks(self, kernel)
@@ -223,9 +204,9 @@ class DmdcScheme(CheckScheme):
 class _DmdcSoaHooks(SoaHooks):
     """DMDC's checking: YLA updates and the FIFO LQ's hash-key write
     (``lq.keys_written``) at load issue, safe/unsafe classification at
-    store resolve, table marks, probes and the replay taxonomy at commit.
-    Invalidations and squashes take the base adapter's delegating
-    defaults: they read no per-load state.
+    store resolve, table marks, probes and the replay taxonomy at commit,
+    and, with coherence, invalidation-opened windows.  A squash takes the
+    base adapter's recovery repair.
     """
 
     has_load_issue = True
@@ -256,12 +237,12 @@ class _DmdcSoaHooks(SoaHooks):
             safe = yla_line.store_is_safe(addr, sseq) or safe
         if safe:
             s.stats.bump("stores.safe")
-            if s.obs is not None:
-                s.obs.store_classified(slot, True, k.cycle)
+            if k.emit is not None:
+                k.emit.store_classified(sseq, k.tidx[slot], True, k.cycle)
             return -1
         s.stats.bump("stores.unsafe")
-        if s.obs is not None:
-            s.obs.store_classified(slot, False, k.cycle)
+        if k.emit is not None:
+            k.emit.store_classified(sseq, k.tidx[slot], False, k.cycle)
         k.unsafe[slot] = True
         boundary = s.yla.youngest_for(addr)
         if yla_line is not None:
@@ -289,17 +270,18 @@ class _DmdcSoaHooks(SoaHooks):
         if s.checking_active:
             s._w_instrs += 1
             if k.seq[slot] >= s.end_check():
-                s._terminate(cycle)
+                s._terminate(cycle, k.emit)
         return False
 
     def _commit_unsafe_store(self, slot: int, cycle: int) -> None:
         s = self.scheme
         k = self.k
-        s._activate(cycle)
+        emit = k.emit
+        s._activate(cycle, emit)
         s._w_unsafe_stores += 1
         s.stats.bump("stores.unsafe_committed")
-        if s.obs is not None:
-            s.obs.table_marked(slot, cycle)
+        if emit is not None:
+            emit.table_marked(k.seq[slot], k.tidx[slot], cycle)
         addr = k.addr[slot]
         size = k.size[slot]
         if s.table is not None:
@@ -337,12 +319,30 @@ class _DmdcSoaHooks(SoaHooks):
             hit = outcome == CheckingTable.WRT_HIT
         else:
             hit = s.queue.check_load(addr, size) is not None
-        if s.obs is not None:
-            s.obs.table_probed(slot, hit, cycle)
+        if k.emit is not None:
+            k.emit.table_probed(k.seq[slot], k.tidx[slot], hit, cycle)
         if not hit:
             return False
         self._classify_replay(slot)
         return True
+
+    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
+                        oldest_inflight_seq: int) -> None:
+        s = self.scheme
+        if not s.coherence or s.yla_line is None or s.table is None:
+            return
+        s.stats.bump("inv.received")
+        youngest = s.yla_line.youngest_for(line_addr)
+        if youngest < oldest_inflight_seq:
+            # No in-flight issued load to this line's bank: nothing to do.
+            s.stats.bump("inv.filtered")
+            return
+        s.stats.bump("inv.marked")
+        for index in s.table.mark_invalidation(line_addr, line_bytes):
+            s._inv_marked_indices.add(index)
+        s._activate(cycle, self.k.emit)
+        if youngest > s._active_end:
+            s._active_end = youngest
 
     # ------------------------------------------------------------------
     # replay taxonomy (Tables 3 and 5)

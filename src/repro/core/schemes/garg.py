@@ -18,9 +18,8 @@ Contrasts with DMDC, per the paper's related-work discussion:
   costlier than DMDC's replay-from-the-load.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.backend.dyninst import DynInstr
 from repro.core.schemes.base import CheckScheme, ObjectView, SoaHooks
 from repro.errors import ConfigError, SimulationError
 from repro.utils.bitops import fold_xor, is_power_of_two, log2_exact
@@ -89,10 +88,7 @@ class GargAgeHashScheme(CheckScheme):
         self.stats.bump("garg.wrongpath_updates")
 
     def on_recovery(self, last_kept_seq: int) -> None:
-        if self.repair_on_squash:
-            self.table.rollback(last_kept_seq)
-
-    def on_squash(self, last_kept_seq: int, squashed_loads: List[DynInstr]) -> None:
+        # A replay squash repairs the same way (the base adapter).
         if self.repair_on_squash:
             self.table.rollback(last_kept_seq)
 
@@ -129,11 +125,11 @@ class _GargSoaHooks(SoaHooks):
         sseq = k.seq[slot]
         if s.table.youngest_for(addr) <= sseq:
             s.stats.bump("stores.safe")
-            if s.obs is not None:
-                s.obs.store_classified(slot, True, k.cycle)
+            if k.emit is not None:
+                k.emit.store_classified(sseq, k.tidx[slot], True, k.cycle)
             return -1
-        if s.obs is not None:
-            s.obs.store_classified(slot, False, k.cycle)
+        if k.emit is not None:
+            k.emit.store_classified(sseq, k.tidx[slot], False, k.cycle)
         seq_ = k.seq
         line = addr >> 3
         for entry in k.rob:

@@ -188,7 +188,7 @@ class LoadQueue:
     def squash_younger(self, last_kept_seq: int) -> None:
         self.ring.squash_younger(lambda l: l.seq <= last_kept_seq)
 
-    def search_younger_issued(self, store: DynInstr, count_search: bool = True) -> Optional[DynInstr]:
+    def search_younger_issued(self, store: DynInstr) -> Optional[DynInstr]:
         """Conventional violation check: oldest younger load, already issued,
         overlapping the store's bytes.
 
@@ -197,10 +197,7 @@ class LoadQueue:
         matches.  Returns the *oldest* such load — replaying from it covers
         every younger one; the age-ordered scan returns on the first match.
         """
-        if count_search:
-            self.searches += 1
-        else:
-            self.searches_filtered += 1
+        self.searches += 1
         s_seq = store.seq
         s_addr = store.addr
         s_end = s_addr + store.size

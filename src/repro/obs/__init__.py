@@ -1,16 +1,14 @@
 """Structured observability for the simulator (see ``docs/observability.md``).
 
-The package turns the pipeline's existing observer seams — the tracer
-protocol, the replay seam ``Processor.obs`` and the scheme emit seam
-``CheckScheme.obs`` — into a typed event stream plus exact per-structure
-attribution.  Those seams live on the object loop, which steps every
-cycle.  Unobserved runs, coherent and injected ones included, take the
-SoA kernel; an observed run takes the object loop instead:
+The package turns the SoA kernel's one observer seam (``Processor.tracer``,
+which also carries the schemes' events) into a typed event stream plus
+exact per-structure attribution.  An observed run takes the kernel like
+any other, cycle skipper included:
 
 * :mod:`repro.obs.events` — the :class:`ObsEvent` record, the bounded
   in-memory :class:`EventRing`, and the :class:`JsonlSink` file writer;
-* :mod:`repro.obs.recorder` — :class:`ObservabilityRecorder`, which sits
-  on every seam at once (tracer, replay-cause seam, scheme emit seam) and
+* :mod:`repro.obs.recorder` — :class:`ObservabilityRecorder`, the
+  observer that receives pipeline, replay and scheme events and
   accumulates cycle buckets, structure residency, and replay taxonomy
   while the simulation runs;
 * :mod:`repro.obs.attribution` — reconciles the event-derived totals
@@ -20,10 +18,10 @@ SoA kernel; an observed run takes the object loop instead:
   entry points rendering the report, top replay sites, and a
   pipetrace-aligned timeline.
 
-Observability is strictly zero-cost when off: every emit site in the
-pipeline and the schemes is an ``is None`` test on a pre-bound attribute,
-and attaching a recorder is proven bit-invisible across the full scheme
-matrix (``tests/test_obs_matrix.py``).
+Observability costs one ``is None`` test per event site when off (the
+kernel binds the observer to one local, the schemes read it from their
+view), and attaching a recorder is proven bit-invisible across the full
+scheme matrix (``tests/test_obs_matrix.py``).
 """
 
 from repro.obs.attribution import AttributionReport, ReconLine, build_attribution

@@ -1,22 +1,24 @@
-"""The observability recorder: one object on every observer seam.
+"""The observability recorder: an observer on the kernel's one seam.
 
-:class:`ObservabilityRecorder` is simultaneously
+:class:`ObservabilityRecorder` implements the observer protocol of
+:class:`~repro.sim.pipetrace.PipelineTracer` and is attached as the
+processor's ``tracer``, so the SoA kernel calls it at every event:
 
-* the processor's **tracer** (it implements the tracer protocol's
-  ``record(kind, instr, cycle)``), forwarding each pipeline event to an
-  internal :class:`~repro.sim.pipetrace.PipelineTracer` for the
-  pipetrace-aligned timeline while accumulating attribution totals;
-* the target of the processor's **replay seam** (``Processor.obs``):
-  :meth:`replay` receives every replay with its detection site
-  (commit/execution/coherence) and derives the verdict (true/false) from
-  the simulator's ground-truth flag;
-* the target of the **scheme emit seam** (``CheckScheme.obs``):
+* pipeline events (:meth:`record`), forwarded to an internal
+  :class:`~repro.sim.pipetrace.PipelineTracer` for the pipetrace-aligned
+  timeline while accumulating attribution totals;
+* replays (:meth:`replay`), with the detection site
+  (commit/execution/coherence) and the simulator's ground-truth flag,
+  from which it derives the verdict (true/false);
+* scheme events, reached through the adapter's view:
   :meth:`store_classified`, :meth:`window_opened`, :meth:`window_closed`,
-  :meth:`table_marked`, :meth:`table_probed` receive YLA filter outcomes
-  and checking-window/table activity.
+  :meth:`table_marked`, :meth:`table_probed` receive filter outcomes and
+  checking-window/table activity.
 
-Any of these seams routes the run onto the object loop, which steps
-every cycle, so per-cycle attribution sees every cycle individually.
+Events carry seq, trace index and cycle; :meth:`bind` gives the recorder
+the trace, which supplies each event's PC and whether it is a load or a
+store.  Cycles the kernel's skipper jumps over have no event, so they
+count as idle, exactly as a per-cycle stepper would classify them.
 
 Attribution is streaming: cycle buckets, structure residency integrals,
 and replay-site tallies are folded as events arrive, so memory stays
@@ -140,6 +142,13 @@ class ObservabilityRecorder:
         self.table_probe_hits = 0
         self.finished = False
 
+        # -- per-run state -------------------------------------------------
+        #: The observed run's micro-ops, by trace index (see :meth:`bind`).
+        self._ops = ()
+        #: Dispatch cycle of every in-flight dispatched instruction, by
+        #: seq, for the residency integrals.
+        self._dispatched: Dict[int, int] = {}
+
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
@@ -153,9 +162,8 @@ class ObservabilityRecorder:
     def _tick(self, cycle: int, bit: int) -> None:
         """Fold one pipeline event into the streaming cycle buckets.
 
-        Events arrive cycle-monotonic (every stage of one ``step()`` shares
-        the processor's current cycle), so a single current-cycle flag word
-        suffices.
+        Events arrive cycle-monotonic (every stage of one kernel cycle
+        shares its cycle), so a single current-cycle flag word suffices.
         """
         if cycle != self._cur_cycle:
             if self._cur_cycle >= 0:
@@ -182,60 +190,60 @@ class ObservabilityRecorder:
             buckets["writeback"] += 1
 
     # ------------------------------------------------------------------
-    # tracer-protocol seam (pipeline stage events)
+    # pipeline events
     # ------------------------------------------------------------------
-    def record(self, kind: str, instr, cycle: int) -> None:
-        """Tracer-protocol entry: one pipeline event for one instruction."""
-        self.tracer.record(kind, instr, cycle)
-        if kind == "replay":
-            # The cause-tagged replay arrives via the dedicated replay()
-            # seam; the tracer record above keeps the timeline complete.
-            return
+    def bind(self, trace) -> None:
+        """Take the observed run's trace (called before the first cycle)."""
+        self._ops = trace.ops
+        self.tracer.bind(trace)
+
+    def record(self, kind: str, seq: int, trace_idx: int, cycle: int) -> None:
+        """One pipeline event for one dynamic instruction."""
+        self.tracer.record(kind, seq, trace_idx, cycle)
         self.pipeline_counts[kind] += 1
         self._tick(cycle, _KIND_BITS[kind])
-        if kind == "commit":
-            residency = cycle - instr.dispatch_cycle + 1
+        uop = self._ops[trace_idx]
+        if kind == "commit" or kind == "squash":
+            residency = cycle - self._dispatched.pop(seq) + 1
             self.rob_residency += residency
-            self.rob_retired += 1
-            if instr.is_load:
-                self.lq_residency += residency
-                self.lq_retired += 1
-            elif instr.is_store:
-                self.sq_residency += residency
-                self.sq_retired += 1
-        elif kind == "squash":
-            if instr.dispatch_cycle >= 0:
-                residency = cycle - instr.dispatch_cycle + 1
-                self.rob_residency += residency
+            if kind == "commit":
+                self.rob_retired += 1
+                if uop.is_load:
+                    self.lq_residency += residency
+                    self.lq_retired += 1
+                elif uop.is_store:
+                    self.sq_residency += residency
+                    self.sq_retired += 1
+            else:
                 self.rob_squashed += 1
-                if instr.is_load:
+                if uop.is_load:
                     self.lq_residency += residency
                     self.lq_squashed += 1
-                elif instr.is_store:
+                elif uop.is_store:
                     self.sq_residency += residency
                     self.sq_squashed += 1
         elif kind == "dispatch":
-            if instr.is_load:
+            self._dispatched[seq] = cycle
+            if uop.is_load:
                 self.dispatch_loads += 1
-            elif instr.is_store:
+            elif uop.is_store:
                 self.dispatch_stores += 1
-        self._emit(cycle, kind, instr.seq, instr.uop.pc, "")
+        self._emit(cycle, kind, seq, uop.pc, "")
 
-    # ------------------------------------------------------------------
-    # processor replay seam
-    # ------------------------------------------------------------------
-    def replay(self, victim, site: str, cycle: int) -> None:
+    def replay(self, seq: int, trace_idx: int, site: str, violated: bool,
+               cycle: int) -> None:
         """One replay, from detection site ``site`` (see REPLAY_SITES).
 
         The verdict distinguishes the paper's taxonomy at the granularity
         the processor can see: a *true* replay squashes a load the
-        ground-truth checker flagged premature; a *false* one squashes a
-        clean load; coherence-site replays are invalidation-ordering
-        replays and are tallied separately.
+        ground-truth checker flagged premature (``violated``); a *false*
+        one squashes a clean load; coherence-site replays are
+        invalidation-ordering replays and are tallied separately.
         """
+        self.tracer.replay(seq, trace_idx, site, violated, cycle)
         if site == "coherence":
             verdict = "coherence"
-        elif victim.true_violation_store >= 0:
+        elif violated:
             verdict = "true"
         else:
             verdict = "false"
@@ -244,34 +252,36 @@ class ObservabilityRecorder:
         self.replays_by_site[site] += 1
         self.replays_by_verdict[verdict] += 1
         self.replays_by_cause[cause] = self.replays_by_cause.get(cause, 0) + 1
-        pc = victim.uop.pc
+        pc = self._ops[trace_idx].pc
         entry = self.replay_sites.get(pc)
         if entry is None:
             entry = ReplaySite(pc)
             self.replay_sites[pc] = entry
         entry.count += 1
         entry.causes[cause] = entry.causes.get(cause, 0) + 1
-        entry.last_seq = victim.seq
+        entry.last_seq = seq
         entry.last_cycle = cycle
         self._tick(cycle, _BIT_REPLAY)
-        self._emit(cycle, "replay", victim.seq, pc, cause)
+        self._emit(cycle, "replay", seq, pc, cause)
 
     # ------------------------------------------------------------------
-    # scheme emit seam
+    # scheme events
     # ------------------------------------------------------------------
-    def store_classified(self, store, safe: bool, cycle: int) -> None:
+    def store_classified(self, seq: int, trace_idx: int, safe: bool,
+                         cycle: int) -> None:
         """A resolving store was classified by the scheme's filter.
 
         ``safe`` means the YLA/Bloom/age-hash filter proved no younger
         issued load can alias (a filter *hit*: the LQ search or checking
         work is skipped); unsafe stores pay the full checking cost.
         """
+        pc = self._ops[trace_idx].pc
         if safe:
             self.stores_safe += 1
-            self._emit(cycle, "store_safe", store.seq, store.uop.pc, "")
+            self._emit(cycle, "store_safe", seq, pc, "")
         else:
             self.stores_unsafe += 1
-            self._emit(cycle, "store_unsafe", store.seq, store.uop.pc, "")
+            self._emit(cycle, "store_unsafe", seq, pc, "")
 
     def window_opened(self, cycle: int) -> None:
         self.windows_opened += 1
@@ -280,31 +290,42 @@ class ObservabilityRecorder:
 
     def window_closed(self, cycle: int, instrs: int, loads: int,
                       unsafe_stores: int) -> None:
+        self._close_window(cycle, f"instrs={instrs} loads={loads} "
+                                  f"unsafe_stores={unsafe_stores}")
+
+    def _close_window(self, cycle: int, detail: str) -> None:
         self.windows_closed += 1
         # Mirrors the scheme's own checking.cycles accounting exactly.
         self.window_cycles += max(1, cycle - self._window_open_cycle + 1)
         self._window_open_cycle = -1
-        self._emit(cycle, "window_close", -1, -1,
-                   f"instrs={instrs} loads={loads} unsafe_stores={unsafe_stores}")
+        self._emit(cycle, "window_close", -1, -1, detail)
 
-    def table_marked(self, store, cycle: int) -> None:
+    def table_marked(self, seq: int, trace_idx: int, cycle: int) -> None:
         self.table_marks += 1
-        self._emit(cycle, "table_mark", store.seq, store.uop.pc, "")
+        self._emit(cycle, "table_mark", seq, self._ops[trace_idx].pc, "")
 
-    def table_probed(self, load, hit: bool, cycle: int) -> None:
+    def table_probed(self, seq: int, trace_idx: int, hit: bool,
+                     cycle: int) -> None:
         self.table_probes += 1
         if hit:
             self.table_probe_hits += 1
-        self._emit(cycle, "table_probe", load.seq, load.uop.pc,
+        self._emit(cycle, "table_probe", seq, self._ops[trace_idx].pc,
                    "hit" if hit else "miss")
 
     # ------------------------------------------------------------------
     # finalization
     # ------------------------------------------------------------------
     def finish(self, total_cycles: int) -> None:
-        """Flush the streaming state; called once after the run completes."""
+        """Flush the streaming state; called once after the run completes.
+
+        A checking window still open is closed at the run's last cycle,
+        as the scheme's ``finalize`` closes it (which has no view to emit
+        through).
+        """
         if self.finished:
             return
+        if self._window_open_cycle >= 0:
+            self._close_window(total_cycles, "run end")
         if self._cur_cycle >= 0:
             self._flush_bucket()
             self._cur_cycle = -1
@@ -323,24 +344,15 @@ class ObservabilityRecorder:
         return ranked[:n]
 
 
-def _innermost_scheme(scheme):
-    """Unwrap observer wrappers (e.g. the sanitizer) to the real scheme."""
-    seen = set()
-    while hasattr(scheme, "inner") and id(scheme) not in seen:
-        seen.add(id(scheme))
-        scheme = scheme.inner
-    return scheme
-
-
 def attach_observer(processor,
                     recorder: Optional[ObservabilityRecorder] = None,
                     **recorder_kwargs) -> ObservabilityRecorder:
-    """Wire one recorder onto every observer seam of ``processor``.
+    """Attach one recorder as ``processor``'s observer.
 
     Must run before the first cycle (the recorder needs to see every
     event from cycle zero for its attribution to reconcile).  The run
-    then takes the object loop, which steps every cycle — results are
-    bit-identical regardless (pinned by ``tests/test_obs_matrix.py``).
+    takes the SoA kernel as usual — results are bit-identical either way
+    (pinned by ``tests/test_obs_matrix.py``).
     """
     if processor.cycle != 0:
         raise SimulationError(
@@ -353,18 +365,10 @@ def attach_observer(processor,
     if recorder is None:
         recorder = ObservabilityRecorder(**recorder_kwargs)
     processor.tracer = recorder
-    processor.obs = recorder
-    _innermost_scheme(processor.scheme).obs = recorder
     return recorder
 
 
 def detach_observer(processor, recorder: ObservabilityRecorder) -> None:
-    """Undo :func:`attach_observer` (a later run takes the SoA kernel
-    again)."""
+    """Undo :func:`attach_observer`."""
     if processor.tracer is recorder:
         processor.tracer = None
-    if processor.obs is recorder:
-        processor.obs = None
-    scheme = _innermost_scheme(processor.scheme)
-    if getattr(scheme, "obs", None) is recorder:
-        scheme.obs = None

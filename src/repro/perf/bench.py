@@ -37,7 +37,6 @@ from repro.sim.config import CONFIG2, SCHEME_LABELS, MachineConfig, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.runner import TRACE_TAIL_SLACK, instruction_budget, run_many
 from repro.sim.setup_memo import SETUP_MEMO
-from repro.sim.soa import NO_SOA_ENV
 
 #: Default output file, at the repository root by convention.
 BENCH_FILENAME = "BENCH_simulator.json"
@@ -94,14 +93,10 @@ def _effective_knobs() -> Dict:
     from repro.exec.options import CACHE_ENABLE_ENV, PARALLEL_ENV, EngineOptions
 
     options = EngineOptions.from_env()
-    tracked = (NO_SOA_ENV, PARALLEL_ENV, CACHE_ENABLE_ENV)
+    tracked = (PARALLEL_ENV, CACHE_ENABLE_ENV)
     return {
         # repro: noqa[REPRO011] — this function *is* the knob recorder:
         # it reads the raw environment precisely to report what was set.
-        # This is the *requested* kernel; each row also records the
-        # kernel its processor actually engaged (a sanitizer or tracer
-        # forces "object").
-        "kernel": "object" if os.environ.get(NO_SOA_ENV) else "soa",  # repro: noqa[REPRO011]
         "engine_cache_enabled": options.cache_enabled,
         "engine_workers": options.resolve_workers(),
         "env": {name: os.environ[name] for name in tracked  # repro: noqa[REPRO011]
@@ -135,9 +130,8 @@ def _bench_one(config: MachineConfig, trace, budget: int, seed: int,
         # clock too coarse to resolve the run) by answering 0.0.
         "instr_per_sec": result.instructions_per_second,
         "ipc": result.ipc,
-        # Effective per-row, not just the global env flag: a future
-        # tracer/sanitizer user of this helper would silently lose the
-        # SoA kernel and its skipper, and the row must say so.
+        # The route the row's processor took: "soa" unless it replayed
+        # a lane.
         "kernel": processor.kernel_used,
         "fast_forwarded_cycles": processor.fast_forwarded_cycles,
         "fast_forward_fraction": (
@@ -303,8 +297,6 @@ def validate_payload(payload: Dict) -> List[str]:
         if key not in payload:
             problems.append(f"missing key: {key}")
     if payload.get("schema", 0) >= 3:
-        if "kernel" not in payload.get("knobs", {}):
-            problems.append("knobs missing kernel provenance")
         batch = payload.get("batch")
         if not batch:
             problems.append("missing run_many batch row")

@@ -1,12 +1,18 @@
 """Per-instruction pipeline event tracing and timeline rendering.
 
-Attach a :class:`PipelineTracer` to a :class:`~repro.sim.processor.Processor`
-before running and every pipeline event (fetch, dispatch, issue, complete,
-commit, squash, replay) is recorded.  ``render_timeline`` prints a
-Konata-style text chart — one row per dynamic instruction, one column per
-cycle — which makes dependence stalls, rejections, and replay squashes
-visible at a glance.  Intended for debugging and for the examples; tracing
-adds overhead, so production runs leave ``Processor.tracer`` unset.
+Set a :class:`PipelineTracer` as ``Processor.tracer`` before running and
+every pipeline event (fetch, dispatch, issue, reject, complete, commit,
+squash, replay) is recorded.  ``render_timeline`` prints a Konata-style
+text chart — one row per dynamic instruction, one column per cycle —
+which makes dependence stalls, rejections, and replay squashes visible
+at a glance.  Intended for debugging and for the examples; tracing adds
+overhead, so production runs leave ``Processor.tracer`` unset.
+
+:class:`PipelineTracer` also defines the observer protocol the SoA
+kernel calls (:mod:`repro.sim.soa`): :meth:`~PipelineTracer.bind` once
+per run, :meth:`~PipelineTracer.record` and :meth:`~PipelineTracer.replay`
+per pipeline event, and the scheme events, which the timeline ignores.
+Events name an instruction by its seq and trace index.
 """
 
 from dataclasses import dataclass, field
@@ -52,6 +58,8 @@ class PipelineTracer:
 
     def __init__(self, capacity: int = 512):
         self.capacity = capacity
+        #: The traced run's micro-ops, by trace index (see :meth:`bind`).
+        self._ops = ()
         self._instrs: Dict[int, TracedInstr] = {}
         self._order: List[int] = []
         self.events_recorded = 0
@@ -64,8 +72,14 @@ class PipelineTracer:
         self._evicted_through = -1
 
     # -- recording --------------------------------------------------------
-    def record(self, kind: str, instr, cycle: int) -> None:
-        """Record one event for a dynamic instruction.
+    def bind(self, trace) -> None:
+        """Take the run's trace, which names each row's micro-op; the
+        kernel calls it before the first cycle."""
+        self._ops = trace.ops
+
+    def record(self, kind: str, seq: int, trace_idx: int, cycle: int) -> None:
+        """Record one event for the dynamic instruction ``seq``, an
+        instance of micro-op ``trace_idx``.
 
         Events for instructions already evicted from the ring (and every
         event when ``capacity <= 0``) are counted but not retained, so
@@ -73,12 +87,11 @@ class PipelineTracer:
         instead of returning stale partial ones.
         """
         self.events_recorded += 1
-        seq = instr.seq
         entry = self._instrs.get(seq)
         if entry is None:
             if self.capacity <= 0 or seq <= self._evicted_through:
                 return
-            entry = TracedInstr(seq, instr.trace_idx, instr.uop.cls.name)
+            entry = TracedInstr(seq, trace_idx, self._ops[trace_idx].cls.name)
             self._instrs[seq] = entry
             self._order.append(seq)
             if len(self._order) > self.capacity:
@@ -89,6 +102,32 @@ class PipelineTracer:
         entry.events.append((cycle, kind))
         if kind == "squash":
             entry.squashed = True
+
+    def replay(self, seq: int, trace_idx: int, site: str, violated: bool,
+               cycle: int) -> None:
+        """A replay squashes from ``seq``, detected at ``site``
+        (``commit``, ``execution`` or ``coherence``); ``violated`` says
+        the load truly issued prematurely."""
+        self.record("replay", seq, trace_idx, cycle)
+
+    # -- scheme events (not part of the timeline) -------------------------
+    def store_classified(self, seq: int, trace_idx: int, safe: bool,
+                         cycle: int) -> None:
+        """A resolving store's filter verdict."""
+
+    def window_opened(self, cycle: int) -> None:
+        """A DMDC checking window opened."""
+
+    def window_closed(self, cycle: int, instrs: int, loads: int,
+                      unsafe_stores: int) -> None:
+        """A DMDC checking window closed, with its commit totals."""
+
+    def table_marked(self, seq: int, trace_idx: int, cycle: int) -> None:
+        """An unsafe store marked the checking table at commit."""
+
+    def table_probed(self, seq: int, trace_idx: int, hit: bool,
+                     cycle: int) -> None:
+        """A committing load probed the checking table."""
 
     # -- queries ----------------------------------------------------------
     def __len__(self) -> int:

@@ -23,14 +23,15 @@ store resolution; any scheme that lets such a load retire un-replayed
 raises :class:`~repro.errors.OrderingViolationMissed`.  The flags also feed
 DMDC's replay taxonomy (Tables 3/5 of the paper).
 
-Two cycle loops run this model.  Every unobserved run — coherent
-configurations and injected invalidations included — takes the
-structure-of-arrays kernel (:mod:`repro.sim.soa`), which also skips
-provably idle cycles.  The object loop here is the per-cycle reference
-stepper: it steps every cycle and runs only under an observer (tracer,
-obs recorder, sanitizer) or ``REPRO_NO_SOA=1``.  Results are
-bit-identical either way (enforced by ``tests/test_soa_equivalence.py``
-and ``tests/test_golden_digests.py``); see ``docs/performance.md``.
+:meth:`Processor.run` steps the structure-of-arrays kernel
+(:mod:`repro.sim.soa`), which skips provably idle cycles; traced,
+profiled and sanitized runs take it too, through its one observation
+seam (``Processor.tracer``) and the sanitizer's adapter
+(``Processor.sanitizer``).  The object loop here (:meth:`Processor.step`
+and its stages) is the per-cycle reference the equivalence tests
+compare it with: nothing in the package calls it, and results are
+bit-identical (enforced by ``tests/test_soa_equivalence.py`` and
+``tests/test_golden_digests.py``); see ``docs/performance.md``.
 A point that ``run_many`` batches with a conventional host run may step
 neither loop: a YLA or Bloom point replays the host's recorded events
 through its filter (a *filter lane*), and a DMDC, Garg or store-set point
@@ -49,7 +50,7 @@ from repro.backend.resources import FunctionalUnits, PhysRegFile
 from repro.coherence.injector import InvalidationInjector
 from repro.core.schemes import CheckScheme, CommitDecision, build_scheme
 from repro.core.storesets import StoreSetPredictor
-from repro.core.schemes.conventional import ConventionalScheme, FilteredScheme
+from repro.core.schemes.conventional import ConventionalScheme
 from repro.errors import OrderingViolationMissed, SimulationError
 from repro.frontend.branch_predictor import CombinedPredictor
 from repro.frontend.wrongpath import WrongPathModel
@@ -59,7 +60,7 @@ from repro.lsq.queues import ForwardAction, LoadQueue, StoreQueue
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.result import SimulationResult
-from repro.sim.soa import LaneView, SoaKernel, replay_verdicts, soa_enabled
+from repro.sim.soa import LaneView, SoaKernel, replay_verdicts
 from repro.stats.counters import CounterSet, HotCounters
 from repro.utils.rng import DeterministicRng
 from repro.utils.ring import RingBuffer
@@ -192,31 +193,29 @@ class Processor:
         self._trace_ops = trace.ops
         self._trace_len = len(trace)
         self._fu_latency_by_cls = self.fus.latency_by_cls
-        #: Optional PipelineTracer; when set, every pipeline event is recorded.
+        #: The run's observer, or None: a
+        #: :class:`~repro.sim.pipetrace.PipelineTracer` or an
+        #: :class:`~repro.obs.recorder.ObservabilityRecorder`, which the
+        #: kernel calls at every pipeline, replay and scheme event.
         self.tracer = None
-        #: Optional replay-cause observer (an
-        #: :class:`~repro.obs.recorder.ObservabilityRecorder`): when set,
-        #: every replay is reported with its detection site.  Like the
-        #: tracer, the seam is an ``is None`` test — zero cost when off.
-        self.obs = None
-        #: SoA kernel gate (env, read once per processor) and reusable
-        #: slot-pool buffers.  ``run_many`` seeds ``soa_buffers`` so
+        #: The :class:`~repro.analysis.sanitizer.MemoryOrderSanitizer`
+        #: wrapping the scheme's kernel adapter, or None.
+        self.sanitizer = None
+        #: Reusable slot-pool buffers.  ``run_many`` seeds them so
         #: same-geometry batch elements share one allocation; otherwise
-        #: the first eligible :meth:`run` fills it.
-        self._soa_requested = soa_enabled()
+        #: :meth:`run` fills them.
         self.soa_buffers = None
-        #: Which cycle loop the last :meth:`run` used (``"soa"``,
-        #: ``"object"``, or ``"lane"`` for a lane that replayed a host's
-        #: log instead) — bench/result provenance.
-        self.kernel_used = "object"
+        #: Which route the last :meth:`run` took: ``"soa"`` (the kernel)
+        #: or ``"lane"`` (a lane that replayed a host's log instead) —
+        #: bench/result provenance.
+        self.kernel_used = "soa"
         #: Lanes (see ``docs/performance.md``).  A recording kernel run
         #: logs the events a lane reads and leaves its :class:`HostRun` in
-        #: ``recorded``.  A search filter always records, then replays its
-        #: own log; ``run_many`` sets ``record_events`` on a group's host
-        #: and ``replay_from`` on its lanes, whose :meth:`run` replays that
-        #: log and steps no cycle loop, unless a verdict lane's replay
-        #: reaches a verdict that would change timing: then it steps its
-        #: own kernel.
+        #: ``recorded``.  ``run_many`` sets ``record_events`` on a group's
+        #: host and ``replay_from`` on its lanes, whose :meth:`run` replays
+        #: that log and steps no cycle loop, unless a verdict lane's
+        #: replay reaches a verdict that would change timing: then it
+        #: steps its own kernel.
         self.record_events = False
         self.recorded: Optional[HostRun] = None
         self.replay_from: Optional[HostRun] = None
@@ -273,33 +272,29 @@ class Processor:
         # happens before the clock starts: like trace generation it is
         # per-trace setup amortised across runs, not cycle-loop work, and
         # ``sim_seconds`` is defined as the cost of the cycle loop alone.
-        kernel = self._soa_kernel()
+        # A kernel starts from a fresh pipeline (prewarm is functional
+        # only), so a processor runs once.
+        if self.cycle or self.committed or self.fetch_idx:
+            raise SimulationError(
+                f"processor on {self.trace.name} already ran "
+                f"({self.committed} committed by cycle {self.cycle})")
+        if self.record_events and not isinstance(self.scheme, ConventionalScheme):
+            # Lanes replay a conventional run's log: only the
+            # conventional family (search filters included) times alike.
+            raise SimulationError(f"scheme {self.scheme.name} cannot host lanes")
+        kernel = SoaKernel(self, self.soa_buffers, self.record_events)
+        self.soa_buffers = kernel.b
         # Wall-clock is measurement-only (sim_seconds for the perf harness);
         # it never feeds back into simulated state.
         t0 = time.perf_counter()  # repro: noqa[REPRO001]
-        if kernel is not None:
-            self.kernel_used = "soa"
-            kernel.run(target, max_cycles)
-        else:
-            self.kernel_used = "object"
-            while self.committed < target:
-                self.step()
-                if self.cycle > max_cycles:
-                    raise SimulationError(
-                        f"no forward progress: {self.committed}/{target} committed "
-                        f"after {self.cycle} cycles on {self.trace.name}"
-                    )
+        self.kernel_used = "soa"
+        kernel.run(target, max_cycles)
         sim_seconds = replay_seconds + time.perf_counter() - t0  # repro: noqa[REPRO001]
         self.scheme.finalize(self.cycle)
         result = self._build_result()
-        if kernel is not None and kernel.events is not None:
-            self.recorded = host = HostRun(result, kernel.events,
-                                           tuple(self.scheme.stats.as_dict()))
-            if isinstance(self.scheme, FilteredScheme):
-                t0 = time.perf_counter()  # repro: noqa[REPRO001]
-                self._replay_lane(host)
-                result = self._lane_result(host)
-                sim_seconds += time.perf_counter() - t0  # repro: noqa[REPRO001]
+        if kernel.events is not None:
+            self.recorded = HostRun(result, kernel.events,
+                                    tuple(self.scheme.stats.as_dict()))
         result.sim_seconds = sim_seconds
         return result
 
@@ -307,7 +302,7 @@ class Processor:
         """A fresh scheme for this machine, bound to the pipeline's queues."""
         scheme = build_scheme(self.config.scheme, self.config)
         if isinstance(scheme, ConventionalScheme):
-            scheme.attach(self.lq, self.sq, self.config.l2_line_bytes)
+            scheme.attach(self.lq, self.config.l2_line_bytes)
         elif hasattr(scheme, "attach_rob"):
             scheme.attach_rob(self.rob)
         return scheme
@@ -343,38 +338,6 @@ class Processor:
         self.scheme.collect()
         return host.result.lane_copy(self.scheme, host.scheme_counters,
                                      self._lane_counters())
-
-    def _soa_kernel(self) -> Optional[SoaKernel]:
-        """A bound SoA kernel when this run may use one, else None.
-
-        The SoA loop is engaged only from :meth:`run` on a *fresh*
-        processor (prewarm is fine — it is functional-only), with every
-        observability seam closed: a tracer or obs recorder needs the
-        per-object slow path (see ``docs/performance.md``), and so does
-        the sanitizer's wrapper, the only scheme whose ``soa_hooks``
-        answers None rather than an adapter.
-        """
-        if not (
-            self._soa_requested
-            and self.tracer is None
-            and self.obs is None
-            and self.scheme.obs is None
-            and self.cycle == 0
-            and self.committed == 0
-            and self.fetch_idx == 0
-        ):
-            return None
-        record = self.record_events or isinstance(self.scheme, FilteredScheme)
-        if record and not isinstance(self.scheme, ConventionalScheme):
-            # Recording skips the scheme's wrong-path, recovery and squash
-            # hooks: only the conventional family may go without them.
-            raise SimulationError(
-                f"scheme {self.scheme.name} cannot host lanes")
-        kernel = SoaKernel(self, self.soa_buffers, record)
-        if kernel.hooks is None:
-            return None
-        self.soa_buffers = kernel.b
-        return kernel
 
     def step(self) -> None:
         """Advance one cycle (commit -> writeback -> issue -> dispatch -> fetch)."""
@@ -439,10 +402,6 @@ class Processor:
             if decision == CommitDecision.REPLAY:
                 self.hot.replays += 1
                 self.hot.replays_commit_time += 1
-                if self.tracer is not None:
-                    self.tracer.record("replay", head, cycle)
-                if self.obs is not None:
-                    self.obs.replay(head, "commit", cycle)
                 self._squash_from(head)
                 return
             if head.is_load and head.true_violation_store >= 0:
@@ -456,8 +415,6 @@ class Processor:
     def _retire(self, instr: DynInstr) -> None:
         instr.state = _COMMITTED
         instr.commit_cycle = self.cycle
-        if self.tracer is not None:
-            self.tracer.record("commit", instr, self.cycle)
         self._rob_items.pop(0)
         hot = self.hot
         uop = instr.uop
@@ -502,8 +459,6 @@ class Processor:
                 continue
             instr.state = _COMPLETED
             instr.complete_cycle = cycle
-            if self.tracer is not None:
-                self.tracer.record("complete", instr, cycle)
             if instr.uop.dst is not None:
                 hot.regfile_writes += 1
             if instr.consumers:
@@ -610,8 +565,6 @@ class Processor:
         cycle = self.cycle
         instr.state = _ISSUED
         instr.issue_cycle = cycle
-        if self.tracer is not None:
-            self.tracer.record("issue", instr, cycle)
         if instr.in_iq:  # _free_iq_entry, inlined (hot leaf)
             instr.in_iq = False
             if instr.fp_side:
@@ -635,8 +588,6 @@ class Processor:
         store.state = _ISSUED
         store.issue_cycle = self.cycle
         store.resolve_cycle = self.cycle
-        if self.tracer is not None:
-            self.tracer.record("issue", store, self.cycle)
         self._free_iq_entry(store)
         hot = self.hot
         hot.issue_stores += 1
@@ -651,10 +602,6 @@ class Processor:
         if victim is not None and not victim.squashed:
             hot.replays += 1
             hot.replays_execution_time += 1
-            if self.tracer is not None:
-                self.tracer.record("replay", victim, self.cycle)
-            if self.obs is not None:
-                self.obs.replay(victim, "execution", self.cycle)
             self._squash_from(victim)
 
     def _ground_truth_store_resolve(self, store: DynInstr) -> None:
@@ -726,15 +673,11 @@ class Processor:
         if result_action is _FWD_REJECT:
             load.rejections += 1
             hot.load_rejections += 1
-            if self.tracer is not None:
-                self.tracer.record("reject", load, self.cycle)
             self._schedule_retry(self.cycle + self._reject_delay, load)
             return True, ports_left  # consumed bandwidth this cycle
 
         load.state = _ISSUED
         load.issue_cycle = self.cycle
-        if self.tracer is not None:
-            self.tracer.record("issue", load, self.cycle)
         self._free_iq_entry(load)
         hot.issue_loads += 1
         hot.regfile_reads += len(load.uop.srcs)
@@ -766,10 +709,6 @@ class Processor:
         if victim is not None and not victim.squashed:
             hot.replays += 1
             hot.replays_coherence += 1
-            if self.tracer is not None:
-                self.tracer.record("replay", victim, self.cycle)
-            if self.obs is not None:
-                self.obs.replay(victim, "coherence", self.cycle)
             self._squash_from(victim)
         return True, ports_left
 
@@ -828,9 +767,6 @@ class Processor:
                     break
 
             buf.popleft()
-            instr.dispatch_cycle = cycle
-            if self.tracer is not None:
-                self.tracer.record("dispatch", instr, cycle)
             rob_items.append(instr)  # capacity pre-checked above
             instr.in_iq = True
             if instr.fp_side:
@@ -883,7 +819,6 @@ class Processor:
         hot = self.hot
         memory = self.memory
         predictor = self.predictor
-        tracer = self.tracer
         l1i_latency = self._l1i_latency
         fetch_cap = self._fetch_cap
         width = self._width
@@ -911,8 +846,6 @@ class Processor:
                 instr = DynInstr(uop, fetch_idx, seq, uop.fp_side)
                 seq += 1
                 instr.fetch_cycle = cycle
-                if tracer is not None:
-                    tracer.record("fetch", instr, cycle)
                 buf.append(instr)
                 fetch_idx += 1
                 fetched += 1
@@ -966,16 +899,11 @@ class Processor:
             buffered.state = InstrState.SQUASHED
         self.fetch_buffer.clear()
         squashed = self.rob.squash_younger(lambda e: e.seq < boundary)
-        squashed_loads: List[DynInstr] = []
         for victim in squashed:
             victim.state = InstrState.SQUASHED
-            if self.tracer is not None:
-                self.tracer.record("squash", victim, self.cycle)
             self._free_iq_entry(victim)
             if victim.uop.dst is not None:
                 (self.regs_fp if victim.uop.dst >= 32 else self.regs_int).release()
-            if victim.is_load and victim.issue_cycle >= 0:
-                squashed_loads.append(victim)
             self.hot.squash_instructions += 1
         self.lq.squash_younger(boundary - 1)
         self.sq.squash_younger(boundary - 1)
@@ -983,7 +911,7 @@ class Processor:
         for survivor in self.rob:
             if survivor.uop.dst is not None:
                 self.rename[survivor.uop.dst] = survivor
-        self.scheme.on_squash(boundary - 1, squashed_loads)
+        self.scheme.on_squash(boundary - 1, squashed)
         if self.fetch_blocked_branch is not None and self.fetch_blocked_branch.squashed:
             self.fetch_blocked_branch = None
         self.fetch_resume_cycle = self.cycle + self.config.replay_penalty

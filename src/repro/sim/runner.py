@@ -9,7 +9,7 @@ from repro.sim.config import MachineConfig, SchemeConfig
 from repro.sim.processor import HostRun, Processor
 from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SetupBatch
-from repro.sim.soa import KernelBuffers, soa_enabled
+from repro.sim.soa import KernelBuffers
 
 #: Environment variable scaling every experiment's instruction budget.
 INSTRUCTIONS_ENV = "REPRO_INSTRUCTIONS"
@@ -189,8 +189,7 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
       run was squash-free, and steps its own kernel when it was not, or
       when the replay reaches a verdict that would change timing.  A
       group without a host runs each point alone, recording nothing.
-      The log is dropped once the group is done.  Under ``REPRO_NO_SOA``
-      there are no lanes.
+      The log is dropped once the group is done.
 
     Every element still gets a fresh :class:`Processor` with its own RNG
     stream and its own copy of the warm front end, so results are
@@ -199,7 +198,6 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
     """
     setup = SetupBatch()
     buffers: Dict[int, Optional[KernelBuffers]] = {}
-    lanes = soa_enabled()
     points: List[Tuple[Any, int, Trace, Any]] = []
     # Group key -> member indices, in first-appearance order; a point
     # outside every lane family is a group of its own.
@@ -211,7 +209,7 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
         trace, ident = setup.trace(_resolve_workload(request.workload),
                                    budget + TRACE_TAIL_SLACK)
         points.append((request, budget, trace, ident))
-        host = lane_host_config(request.config) if lanes else None
+        host = lane_host_config(request.config)
         key = (ident, request.seed, budget, host) if host is not None else index
         groups.setdefault(key, []).append(index)
 

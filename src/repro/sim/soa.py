@@ -19,17 +19,25 @@ semantics over preallocated parallel arrays:
   :meth:`SoaKernel.run`, and scheme callbacks receive slot indices (see the
   ``soa_hooks`` adapters in :mod:`repro.core.schemes`).
 
-Every unobserved run takes this kernel, coherent configurations and
-injected invalidations included.  It is the only loop that skips idle
-cycles: an event-horizon skipper jumps to the next cycle in which any
-stage can act, and stays off while the invalidation injector is live
-(the injector draws from the RNG every cycle).
+Every run that steps a cycle loop takes this kernel: observed, coherent
+and injected runs included.  It skips idle cycles: an event-horizon
+skipper jumps to the next cycle in which any stage can act, and stays
+off while the invalidation injector is live (the injector draws from the
+RNG every cycle).
+
+**Observation.**  ``Processor.tracer`` (a
+:class:`~repro.sim.pipetrace.PipelineTracer` or an
+:class:`~repro.obs.recorder.ObservabilityRecorder`) is bound to one local
+``emit`` that each event site tests once with ``emit is not None``;
+events carry seq, trace index and cycle.  Scheme events reach it through
+the adapter's view (``k.emit``; ``k.cycle`` is kept current at store
+resolve).  The shadow-oracle sanitizer is an adapter wrapping the
+scheme's own, called at every retire (``commit_mode`` 3).
 
 **Lane recording.**  YLA and Bloom filtering changes energy, never
-timing, so the kernel implements neither: a filtered point runs the plain
-conventional search, and a run built with ``record=True`` logs the events
-a lane reads into :attr:`SoaKernel.events`, a flat int list of records
-(opcodes in :mod:`repro.core.schemes.base`):
+timing, so a run built with ``record=True`` logs the events a filter or
+verdict lane reads into :attr:`SoaKernel.events`, a flat int list of
+records (opcodes in :mod:`repro.core.schemes.base`):
 
 * load issue: address and seq, the opcode saying whether every older
   store's address was known (the load is safe at issue);
@@ -41,11 +49,10 @@ a lane reads into :attr:`SoaKernel.events`, a flat int list of records
 * load commit: address;
 * commit stage: the cycle and how many instructions it retired.
 
-One local ``rec`` bool guards every site.  While recording, the
-wrong-path, recovery and squash sites log instead of calling the scheme
-(a recording scheme is conventional, whose hooks there are no-ops, or a
-filter, which replays them).  The filter schemes replay the log after the
-loop (:meth:`~repro.core.schemes.conventional.ConventionalScheme.replay_lane`).
+One local ``rec`` bool guards every site.  A recording run is
+conventional or filters inline, and calls its own hooks as usual; the
+filter lanes replay its log after the loop
+(:meth:`~repro.core.schemes.conventional.ConventionalScheme.replay_lane`).
 A squash-free run's log also serves *verdict lanes*: DMDC and Garg time
 as the conventional machine until their first replay, so
 :func:`replay_verdicts` drives their adapters through the log over a
@@ -54,13 +61,13 @@ change timing.  :func:`repro.sim.runner.run_many` replays one
 conventional run's log into every lane of its batch that shares trace,
 seed, budget and machine.
 
-The kernel is **bit-identical** to the object path — same counters, same
-cycle counts, same RNG stream — which `tests/test_soa_equivalence.py`
-enforces over the scheme × workload matrix and its coherence rows, and
+The kernel is **bit-identical** to the object loop in
+:mod:`repro.sim.processor` — same counters, same cycle counts, same RNG
+stream — which `tests/test_soa_equivalence.py` enforces over the scheme
+× workload matrix and its coherence rows, and
 `tests/test_golden_digests.py` pins for the whole suite.  The object
-loop steps every cycle and is the reference: it runs only under an
-observer (tracer, observability recorder, sanitizer) or with
-``REPRO_NO_SOA=1``.  See ``docs/performance.md``.
+loop steps every cycle and is the reference those tests run; nothing in
+the package runs it.  See ``docs/performance.md``.
 
 Slot identity: a slot is recycled as soon as its instruction retires or is
 squashed, and ``next_seq`` never rolls back on a squash, so live sequence
@@ -71,7 +78,6 @@ consumer lists, the rename map).
 """
 
 import heapq
-import os
 from collections import deque
 from typing import Dict, List, Optional, Set
 
@@ -96,10 +102,6 @@ from repro.lsq.queues import (
     sq_forward_search_soa,
 )
 
-#: Environment escape hatch: set to any non-empty value to force the
-#: object-path pipeline even when a run is otherwise SoA-eligible.
-NO_SOA_ENV = "REPRO_NO_SOA"
-
 _ST_DISPATCHED = int(InstrState.DISPATCHED)
 _ST_READY = int(InstrState.READY)
 _ST_ISSUED = int(InstrState.ISSUED)
@@ -115,11 +117,6 @@ _STALL_IQ = 2
 _STALL_LQ = 3
 _STALL_SQ = 4
 _STALL_REGS = 5
-
-
-def soa_enabled() -> bool:
-    """The environment gate for the SoA kernel (re-read per processor)."""
-    return not os.environ.get(NO_SOA_ENV)  # repro: noqa[REPRO011]
 
 
 class TraceSoA:
@@ -384,10 +381,17 @@ class SoaKernel:
         self.regs_fp = p.regs_fp
         self.fu_caps = p.fus._caps_list
         self.fu_avail = p.fus._avail_list
-        #: The scheme's adapter, or None only for the sanitizer's wrapper
-        #: (every scheme has at least the no-op base adapter): the caller
-        #: must then step the object path instead of calling :meth:`run`.
-        self.hooks = p.scheme.soa_hooks(self)
+        #: The run's observer (``Processor.tracer``), or None: the one
+        #: observation seam, which adapters read as ``k.emit``.
+        self.emit = p.tracer
+        if self.emit is not None:
+            self.emit.bind(p.trace)
+        #: The scheme's adapter, wrapped by the sanitizer when one is
+        #: attached.
+        hooks = p.scheme.soa_hooks(self)
+        if p.sanitizer is not None:
+            hooks = p.sanitizer.wrap(hooks)
+        self.hooks = hooks
         #: The lane event log (see the module docstring), or None
         #: when this run records nothing.
         self.events: Optional[List[int]] = [] if record else None
@@ -524,11 +528,14 @@ class SoaKernel:
         reexec_loads = self.reexec_loads
         has_load_hook = hooks.has_load_issue
         has_store_hook = hooks.has_store_resolve
-        commit_mode = hooks.commit_mode  # 0 none, 1 per-load, 2 windowed
+        commit_mode = hooks.commit_mode  # 0 none, 1 loads, 2 windowed, 3 all
         hook_load = hooks.on_load_issue
         hook_store = hooks.on_store_resolve
         hook_commit_load = hooks.on_commit_load
         hook_commit = hooks.on_commit
+        # The observer (see the module docstring): one local gates every
+        # event site.
+        emit = self.emit
         # Lane recording (see the module docstring): one local gates
         # every site.
         log = self.events
@@ -672,9 +679,14 @@ class SoaKernel:
                     elif commit_mode == 1:
                         if isld_[head]:
                             replay = hook_commit_load(head)
+                    elif commit_mode == 3:
+                        replay = hook_commit(head, cycle)
                     if replay:
                         n_replays += 1
                         n_replays_commit += 1
+                        if emit is not None:
+                            emit.replay(seq_[head], tidx_[head], "commit",
+                                        tvs_[head] >= 0, cycle)
                         self.cycle = cycle
                         self._squash_from(head)
                         squashed_this_cycle = True
@@ -688,6 +700,8 @@ class SoaKernel:
                     # ---- retire ----
                     ti = tidx_[head]
                     state_[head] = _ST_COMMITTED
+                    if emit is not None:
+                        emit.record("commit", seq_[head], ti, cycle)
                     rob.popleft()
                     dst = tdst[ti]
                     if dst >= 0:
@@ -758,6 +772,8 @@ class SoaKernel:
                         continue
                     state_[slot] = _ST_COMPLETED
                     ti = tidx_[slot]
+                    if emit is not None:
+                        emit.record("complete", seq_[slot], ti, cycle)
                     if tdst[ti] >= 0:
                         n_regw += 1
                     cons = cons_[slot]
@@ -794,8 +810,7 @@ class SoaKernel:
                                 n_mispredicts += 1
                                 if rec:
                                     log += (EV_RECOVERY, seq_[slot])
-                                else:
-                                    scheme.on_recovery(seq_[slot])
+                                hooks.on_recovery(seq_[slot])
                             else:
                                 n_misfetches += 1
                 events.clear()
@@ -868,11 +883,15 @@ class SoaKernel:
                                                 lseq, la, l_end)
                                 if action == SOA_REJECT:
                                     n_rejections += 1
+                                    if emit is not None:
+                                        emit.record("reject", lseq, ti, cycle)
                                     rring[(cycle + reject_delay) & rmask].append(v)
                                     issued += 1  # consumed bandwidth
                                 else:
                                     state_[slot] = _ST_ISSUED
                                     icyc_[slot] = cycle
+                                    if emit is not None:
+                                        emit.record("issue", lseq, ti, cycle)
                                     g = la >> 3
                                     gend = (l_end - 1) >> 3
                                     while g <= gend:
@@ -911,6 +930,9 @@ class SoaKernel:
                                         if victim >= 0 and state_[victim] != _ST_SQUASHED:
                                             n_replays += 1
                                             n_replays_coh += 1
+                                            if emit is not None:
+                                                emit.replay(seq_[victim], tidx_[victim], "coherence",
+                                                            tvs_[victim] >= 0, cycle)
                                             self.cycle = cycle
                                             self._squash_from(victim)
                                             squashed_this_cycle = True
@@ -926,6 +948,9 @@ class SoaKernel:
                             state_[slot] = _ST_ISSUED
                             icyc_[slot] = cycle
                             rcyc_[slot] = cycle
+                            if emit is not None:
+                                emit.record("issue", seq_[slot], ti, cycle)
+                                self.cycle = cycle  # scheme events read k.cycle
                             self.sq_unresolved -= 1
                             if fp_[slot]:  # _free_iq_entry
                                 self.iq_fp -= 1
@@ -978,6 +1003,9 @@ class SoaKernel:
                                                 seq_[rob[-1]])
                                     n_replays += 1
                                     n_replays_exec += 1
+                                    if emit is not None:
+                                        emit.replay(seq_[victim], tidx_[victim], "execution",
+                                                    tvs_[victim] >= 0, cycle)
                                     self.cycle = cycle
                                     self._squash_from(victim)
                                     squashed_this_cycle = True
@@ -995,6 +1023,8 @@ class SoaKernel:
                             # ---- _issue_alu, inlined ----
                             state_[slot] = _ST_ISSUED
                             icyc_[slot] = cycle
+                            if emit is not None:
+                                emit.record("issue", seq_[slot], ti, cycle)
                             if fp_[slot]:  # _free_iq_entry
                                 self.iq_fp -= 1
                             else:
@@ -1042,8 +1072,10 @@ class SoaKernel:
                         regs.free -= 1
                         regs.allocations += 1
                     fetch_buf.popleft()
-                    rob.append(slot)
                     sseq = seq_[slot]
+                    if emit is not None:
+                        emit.record("dispatch", sseq, ti, cycle)
+                    rob.append(slot)
                     enc = sseq << pbits | slot
                     if tfp[ti]:
                         self.iq_fp += 1
@@ -1129,6 +1161,8 @@ class SoaKernel:
                     c = cons_[slot]
                     if c:
                         c.clear()
+                    if emit is not None:
+                        emit.record("fetch", nseq, ti, cycle)
                     fetch_buf.append(slot)
                     nseq += 1
                     fetch_idx += 1
@@ -1145,8 +1179,7 @@ class SoaKernel:
                                     seq_[slot]):
                                 if rec:
                                     log += (EV_WRONGPATH, age, wa)
-                                else:
-                                    scheme.on_wrongpath_load(age, wa)
+                                hooks.on_wrongpath_load(age, wa)
                             break
                         if predicted_taken and btb_lookup(tpc[ti]) is None:
                             n_misfetches += 1
@@ -1227,7 +1260,6 @@ class SoaKernel:
         hot.replay_guard_trips += self.n_guard_trips
         p.sq.searches += n_sq_search
         p.sq.searches_filtered += n_sq_filtered
-        hooks.fold()
 
     def _sync(self, cycle: int, committed: int, checking_cycles: int,
               ff_cycles: int) -> None:
@@ -1289,8 +1321,11 @@ class SoaKernel:
         isld_ = self.isld
         icyc_ = self.icyc
         addr_ = self.addr
+        emit = self.emit
         for victim in victims:  # oldest-first, like the object path
             state_[victim] = _ST_SQUASHED
+            if emit is not None:
+                emit.record("squash", seq_[victim], tidx_[victim], cycle)
             self._free_iq_if_held(victim)
             dst = tdst[tidx_[victim]]
             if dst >= 0:
@@ -1344,8 +1379,7 @@ class SoaKernel:
             dst = tdst[tidx_[survivor]]
             if dst >= 0:
                 rename[dst] = seq_[survivor] << pbits | survivor
-        if log is None:
-            self.hooks.on_squash(boundary - 1)
+        self.hooks.on_squash(boundary - 1, victims)
         blocked = self.blocked_branch
         if blocked != -1:
             bslot = blocked & self.pmask
@@ -1390,6 +1424,7 @@ class LaneView:
 
     __slots__ = ("n", "seq", "addr", "size", "isld", "isst", "safe", "gbp",
                  "unsafe", "wend", "rcyc", "icyc", "tvs", "rob")
+    emit = None  # lanes are unobserved
 
     def __init__(self, trace) -> None:
         t = trace_soa(trace)
@@ -1416,8 +1451,8 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], cycles: int,
 
     The hooks are called at the kernel's sites with the kernel's gates:
     load issue, store resolve (with ``view.rob`` set to the recorded ROB
-    tail), every commit under ``commit_mode``, and the scheme's own
-    wrong-path and recovery hooks.  Returns the lane's
+    tail), every commit under ``commit_mode``, wrong-path loads and
+    recoveries.  Returns the lane's
     ``checking.cycles_observed``: a checking window, which only a commit
     opens or closes, covers every cycle after the commit stage that
     opened it up to the one that closes it, or to the run's last cycle
@@ -1437,8 +1472,8 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], cycles: int,
     hook_store = hooks.on_store_resolve
     hook_commit = hooks.on_commit
     hook_commit_load = hooks.on_commit_load
-    on_wrongpath = scheme.on_wrongpath_load
-    on_recovery = scheme.on_recovery
+    on_wrongpath = hooks.on_wrongpath_load
+    on_recovery = hooks.on_recovery
     isld_ = view.isld
     isst_ = view.isst
     safe_ = view.safe

@@ -3,9 +3,10 @@
 :func:`check_invariants` inspects a live :class:`~repro.sim.processor.
 Processor` and raises :class:`~repro.errors.SimulationError` on any
 violated structural property.  The checks are independent of the timing
-model — they express what a correct out-of-order machine can never do —
-and are used by the test suite (and available for debugging via
-``run_with_validation``).
+model — they express what a correct out-of-order machine can never do.
+They inspect the object loop's state (``Processor.step``), which the test
+suite steps as the reference the SoA kernel is compared against
+(``tests/object_loop.py`` checks them every N cycles).
 """
 
 from typing import List
@@ -100,19 +101,3 @@ def _check_commit_boundary(proc: Processor) -> None:
             raise SimulationError(f"committed instruction still in ROB: {entry}")
         if entry.state == InstrState.SQUASHED:
             raise SimulationError(f"squashed instruction still in ROB: {entry}")
-
-
-def run_with_validation(proc: Processor, max_instructions: int,
-                        every_cycles: int = 1):
-    """Drive ``proc`` manually, checking invariants every N cycles."""
-    target = min(max_instructions, len(proc.trace))
-    proc._commit_target = target
-    guard = max(200_000, max_instructions * 60)
-    while proc.committed < target:
-        proc.step()
-        if proc.cycle % every_cycles == 0:
-            check_invariants(proc)
-        if proc.cycle > guard:
-            raise SimulationError("no forward progress under validation")
-    proc.scheme.finalize(proc.cycle)
-    return proc._build_result()

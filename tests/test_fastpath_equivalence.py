@@ -1,14 +1,13 @@
-"""Cycle-exact equivalence of the cycle skipper vs. per-cycle stepping.
+"""A traced run is the plain run: same kernel, same skipped cycles.
 
-The SoA kernel's event-horizon cycle skipper must be behaviourally
-invisible: for every scheme and workload, a plain run (kernel, skipping
-idle cycles) must produce a `to_dict()` payload bit-identical to a traced
-run, which takes the object loop and steps every cycle — same cycles,
-same counters, same histograms.  Using a tracer as the reference (rather
-than ``REPRO_NO_SOA``, which ``test_soa_equivalence`` uses) also pins the
-tracer's bit-invisibility on every point.  The scheme matrix is shared
-with the sanitizer sweep (:data:`repro.analysis.sanitizer.SCHEME_MATRIX`)
-so both correctness suites always cover the same nine points.
+The tracer rides the SoA kernel's one observation seam, so for every
+scheme and workload a traced run takes the kernel, skips exactly the
+idle cycles the plain run skips, and produces a bit-identical
+``to_dict()`` payload — same cycles, same counters, same histograms.
+(The skipper itself is checked against the per-cycle object loop in
+``test_soa_equivalence``.)  The scheme matrix is shared with the
+sanitizer sweep (:data:`repro.analysis.sanitizer.SCHEME_MATRIX`) so both
+correctness suites always cover the same nine points.
 """
 
 import pytest
@@ -17,7 +16,6 @@ from repro.analysis.sanitizer import SCHEME_MATRIX as SCHEMES
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.sim.pipetrace import PipelineTracer
 from repro.sim.processor import Processor
-from repro.sim.soa import NO_SOA_ENV
 from repro.workloads import get_workload
 
 BUDGET = 2_500
@@ -42,24 +40,23 @@ def _run(config, trace, tracer=None):
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("scheme_label", sorted(SCHEMES))
-def test_fastpath_bit_identical(monkeypatch, workload, scheme_label):
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
+def test_fastpath_bit_identical(workload, scheme_label):
     config = CONFIG2.with_scheme(SCHEMES[scheme_label])
     trace = _trace(workload)
 
-    fast_proc, fast = _run(config, trace)
-    slow_proc, slow = _run(config, trace, PipelineTracer(capacity=64))
+    plain_proc, plain = _run(config, trace)
+    traced_proc, traced = _run(config, trace, PipelineTracer(capacity=64))
 
-    assert fast_proc.kernel_used == "soa"
-    assert (slow_proc.kernel_used, slow_proc.fast_forwarded_cycles) == ("object", 0)
-    assert fast.to_dict() == slow.to_dict()
+    assert (plain_proc.kernel_used, traced_proc.kernel_used) == ("soa", "soa")
+    assert traced_proc.fast_forwarded_cycles == plain_proc.fast_forwarded_cycles
+    assert traced_proc.tracer.events_recorded > 0
+    assert plain.to_dict() == traced.to_dict()
 
 
-def test_fast_forward_actually_skips(monkeypatch):
+def test_fast_forward_actually_skips():
     """The skipper must be exercised, not just harmless: a normal run jumps
     over a nonzero number of idle cycles (otherwise these equivalence tests
     would be vacuous)."""
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
     config = CONFIG2.with_scheme(SchemeConfig(kind="dmdc"))
     proc, _ = _run(config, _trace("mcf"))
     assert proc.kernel_used == "soa"

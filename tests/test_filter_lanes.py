@@ -4,11 +4,12 @@ A sound search filter only skips LQ searches that would find no victim,
 so it never changes timing.  ``run_many`` therefore groups conventional,
 YLA and Bloom points that share trace, seed, budget and machine: the
 group steps the cycle loop once, with event recording on, and every
-later filter point replays the log (``kernel_used == "lane"``).  These
-tests pin that a lane's result is bit-identical to the same point run
-alone, that the host always runs first, that the replay is an oracle
-(a filter that calls a store with a victim safe fails the run), and that
-lanes never share result objects with their host.
+later filter point replays the log (``kernel_used == "lane"``); a point
+run alone filters inline on the kernel.  These tests pin that a lane's
+result is bit-identical to the same point run alone and to the
+object-loop reference, that the host always runs first, that the replay
+is an oracle (a filter that calls a store with a victim safe fails the
+run), and that lanes never share result objects with their host.
 """
 
 import dataclasses
@@ -19,9 +20,10 @@ from repro.core.schemes.conventional import YlaFilteredScheme
 from repro.errors import SimulationError
 from repro.sim.config import CONFIG1, CONFIG2, SchemeConfig
 from repro.sim.processor import Processor
-from repro.sim.runner import _Point, run_many
-from repro.sim.soa import NO_SOA_ENV, SoaKernel
+from repro.errors import OrderingViolationMissed
+from repro.sim.runner import _Point, run_many, workload_trace
 from repro.workloads import SUITE
+from tests.object_loop import run_trace_object_loop
 
 BUDGET = 1_500
 
@@ -42,7 +44,6 @@ def _point(machine, label, workload=CONFLICTS, seed=1):
 @pytest.fixture
 def runs(monkeypatch):
     """Every ``Processor.run`` as (scheme label, kernel used), in order."""
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
     seen = []
     original = Processor.run
 
@@ -86,7 +87,7 @@ def test_lanes_equal_lone_runs(runs, machine):
     for point, result in zip(points, batch):
         alone = run_many([point])[0]
         assert result.to_dict() == alone.to_dict(), point.config.scheme.label()
-    # Only the lone runs stepped the loop again (each records and replays).
+    # Only the lone runs stepped the loop again (each filters inline).
     assert [kernel for _, kernel in runs[len(labels):]] == ["soa"] * len(labels)
 
 
@@ -112,15 +113,17 @@ def test_lanes_without_a_conventional_point_share_the_first(runs):
 
 
 def test_unsound_filter_fails_the_run(runs, monkeypatch):
-    """A filter that calls every store safe is caught at the first store
-    whose recorded search found a victim, lone or as a lane."""
+    """A filter that calls every store safe is caught, as a lane, at the
+    first store whose recorded search found a victim; alone it filters
+    inline, and the kernel's ground-truth check stops the run when the
+    skipped search's premature load retires."""
     monkeypatch.setattr(YlaFilteredScheme, "_filter_safe",
                         lambda self, addr, seq: True)
     pattern = r"filter lane yla-regs1 called store seq=\d+ addr=0x[0-9a-f]+ safe"
     with pytest.raises(SimulationError, match=pattern):
         run_many([_point(CONFIG2, "conventional"), _point(CONFIG2, "yla-regs1")])
     assert runs == [("conventional", "soa")]
-    with pytest.raises(SimulationError, match=pattern):
+    with pytest.raises(OrderingViolationMissed, match="under scheme yla"):
         run_many([_point(CONFIG2, "yla-regs1")])
 
 
@@ -139,15 +142,14 @@ def test_lanes_own_their_results(runs):
     assert host.counters["commit.loads"] == yla.counters["commit.loads"]
 
 
-def test_no_lanes_on_the_object_loop(runs, monkeypatch):
+def test_no_lanes_on_the_object_loop(runs):
+    """The object-loop reference steps every point itself, and the
+    batch, whose filter points are lanes, agrees with it."""
     points = [_point(CONFIG2, label) for label in ("conventional", "yla", "bloom")]
-    on_kernel = [result.to_dict() for result in run_many(points)]
-    runs.clear()
-    monkeypatch.setenv(NO_SOA_ENV, "1")
-    loops = []
-    monkeypatch.setattr(SoaKernel, "run", lambda *args: loops.append(args))
-    batch = run_many(points)
-    assert runs == [("conventional", "object"), ("yla", "object"),
-                    ("bloom", "object")]
-    assert loops == []
-    assert [result.to_dict() for result in batch] == on_kernel
+    batch = [result.to_dict() for result in run_many(points)]
+    assert runs == [("conventional", "soa"), ("yla", "lane"), ("bloom", "lane")]
+    trace = workload_trace(CONFLICTS, BUDGET)
+    reference = [run_trace_object_loop(point.config, trace, BUDGET,
+                                       point.seed).to_dict()
+                 for point in points]
+    assert reference == batch

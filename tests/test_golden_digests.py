@@ -11,8 +11,8 @@ instructions) for two sets of points:
 Any change to simulated behaviour changes a digest, so the file is the
 gate for refactors of the cycle loops: it must stay byte-identical. Every
 point must also run on the SoA kernel, so the digests pin the code that
-plain runs actually take.  Run one at a time, a YLA or Bloom point is a
-lone filter lane (it records its own kernel run and replays it); a
+plain runs actually take.  Run one at a time, a YLA or Bloom point
+filters inline on the kernel; a
 second test runs each workload's nine labels as one ``run_many`` batch,
 where those points, and the verdict lanes (storesets, the dmdc labels,
 garg) of a squash-free host, are lanes of the conventional point's run.
@@ -33,7 +33,7 @@ from repro.sim.config import CONFIG2, SCHEME_LABELS, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.runner import TRACE_TAIL_SLACK, run_many
 from repro.sim.setup_memo import SetupBatch
-from repro.sim.soa import NO_SOA_ENV, SoaKernel
+from repro.sim.soa import SoaKernel
 from repro.workloads import SUITE
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -98,8 +98,7 @@ def test_golden_file_covers_every_point(golden):
 
 
 @pytest.mark.parametrize("workload", sorted(SUITE))
-def test_digests_match_on_the_kernel(monkeypatch, golden, workload):
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
+def test_digests_match_on_the_kernel(golden, workload):
     points = run_workload_points(workload)
     mismatched = [p for p, (digest, _) in points.items()
                   if golden["digests"][p] != digest]
@@ -128,7 +127,6 @@ def batches():
         return original(kernel, target, max_cycles)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.delenv(NO_SOA_ENV, raising=False)
         patch.setattr(SoaKernel, "run", counting_run)
         for workload in sorted(SUITE):
             loops.clear()

@@ -121,20 +121,20 @@ class TestHotPathAllocation:
         ("tmp = sorted(self.entries, key=lambda e: e.seq)", "lambda"),
     ])
     def test_allocation_flavours(self, body, label):
-        src = ("class LoadQueue:\n"
-               "    def search_younger_issued(self, store):\n"
+        src = ("class StoreQueue:\n"
+               "    def search_for_forwarding(self, load):\n"
                f"        {body}\n")
         assert ids(lint_source(src, path=HOT)) == ["REPRO005"], label
 
     def test_fixed_display_ok(self):
-        src = ("class LoadQueue:\n"
-               "    def search_younger_issued(self, store):\n"
+        src = ("class StoreQueue:\n"
+               "    def search_for_forwarding(self, load):\n"
                "        return (None, 0)\n")
         assert lint_source(src, path=HOT) == []
 
     def test_noqa_with_justification(self):
-        src = ("class LoadQueue:\n"
-               "    def search_younger_issued(self, store):\n"
+        src = ("class StoreQueue:\n"
+               "    def search_for_forwarding(self, load):\n"
                "        tmp = []  # repro: noqa[REPRO005]\n")
         assert lint_source(src, path=HOT) == []
 
@@ -243,7 +243,7 @@ class TestSchemeProtocol:
         src = ("class _MySoaHooks(SoaHooks):\n"
                "    def on_commit(self, slot):\n"
                "        return False\n"
-               "    def fold(self, extra):\n"
+               "    def on_recovery(self, seq, extra):\n"
                "        pass\n")
         violations = lint_source(src, path=SCHEMES)
         assert [v.rule_id for v in violations] == ["REPRO007", "REPRO007"]
@@ -258,7 +258,7 @@ class TestSchemeProtocol:
                "        return False\n"
                "    def on_commit(self, slot, cycle):\n"
                "        return False\n"
-               "    def fold(self):\n"
+               "    def on_squash(self, last_kept_seq, victims):\n"
                "        pass\n"
                "    def _helper(self, a, b, c):\n"
                "        pass\n")

@@ -1,10 +1,12 @@
 """Mutation-style self-tests: seeded bugs the tooling must catch.
 
 Each test injects one classic defect into the machinery under test and
-asserts the sanitizer (or a probe) flags it.  The built-in ground-truth
-checker is blinded first where noted, so the *shadow oracle alone* must
-make the catch — proving the sanitizer is not a tautology over the
-simulator's own bookkeeping.
+asserts the sanitizer (or a probe) flags it on the SoA kernel.  The
+sanitizer checks every retire before the kernel's built-in
+``OrderingViolationMissed`` check does, so a strict sanitizer raises
+:class:`SanitizerError` first — proving the sanitizer makes the catch
+itself, not the simulator's own bookkeeping.  One test blinds the
+built-in ground-truth flags instead, which the shadow oracle must notice.
 """
 
 import pytest
@@ -12,10 +14,11 @@ import pytest
 from repro.analysis.sanitizer import attach_sanitizer
 from repro.core.checking_table import CheckingTable
 from repro.core.yla import YlaFile
-from repro.errors import SanitizerError
+from repro.errors import OrderingViolationMissed, SanitizerError
 from repro.isa.opcodes import InstrClass
 from repro.sim.config import SchemeConfig, small_config
 from repro.sim.processor import Processor
+from repro.sim.soa import SoaKernel
 from tests.conftest import TraceBuilder
 
 
@@ -29,17 +32,40 @@ def violation_trace(n_fill=30):
     return b.build()
 
 
+class _BlindColumn(list):
+    """A ground-truth column that drops every violation flag."""
+
+    def __setitem__(self, slot, value):
+        if value < 0:
+            super().__setitem__(slot, value)
+
+
 def _blind_builtin_checker(monkeypatch):
-    """Disable the simulator's own ground-truth violation bookkeeping, so
-    only the shadow oracle can catch a premature retirement."""
-    monkeypatch.setattr(Processor, "_ground_truth_store_resolve",
-                        lambda self, store: None)
+    """Disable the kernel's own ground-truth violation bookkeeping (its
+    ``tvs`` column), so only the shadow oracle sees a premature load."""
+    original = SoaKernel.__init__
+
+    def blinded(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self.tvs = _BlindColumn(self.tvs)
+
+    monkeypatch.setattr(SoaKernel, "__init__", blinded)
 
 
 def _sanitized_run(config, trace):
     proc = Processor(config, trace)
     sanitizer = attach_sanitizer(proc)
     proc.run(len(trace))
+    return sanitizer.report
+
+
+def _strict_run(config, trace):
+    """A strict sanitized run that must stop at the seeded defect."""
+    proc = Processor(config, trace)
+    sanitizer = attach_sanitizer(proc, strict=True)
+    with pytest.raises(SanitizerError):
+        proc.run(len(trace))
+    assert not sanitizer.report.clean
     return sanitizer.report
 
 
@@ -63,8 +89,7 @@ class TestYlaOffByOne:
             original(self, addr, age - 1)
 
         monkeypatch.setattr(YlaFile, "observe_load_issue", off_by_one)
-        _blind_builtin_checker(monkeypatch)
-        report = _sanitized_run(dmdc_cfg, violation_trace())
+        report = _strict_run(dmdc_cfg, violation_trace())
         assert report.probe_failure_count > 0
         assert any("yla[" in f for f in report.probe_failures)
 
@@ -77,8 +102,9 @@ class TestDroppedCheckingTableMark:
     """Seeded bug: an unsafe store commits without setting its WRT bits.
 
     The premature load then indexes a clear table at commit and retires
-    un-replayed.  With the built-in checker blinded, only the shadow
-    oracle's associative cross-check reports the missed violation."""
+    un-replayed.  The shadow oracle's associative cross-check reports the
+    missed violation at that retire, before the kernel's built-in check
+    stops the run."""
 
     def test_shadow_oracle_catches(self, monkeypatch, dmdc_cfg):
         def dropped_mark(self, addr, size):
@@ -86,8 +112,11 @@ class TestDroppedCheckingTableMark:
             return self.index(addr)  # index computed, bits never set
 
         monkeypatch.setattr(CheckingTable, "mark_store", dropped_mark)
-        _blind_builtin_checker(monkeypatch)
-        report = _sanitized_run(dmdc_cfg, violation_trace())
+        proc = Processor(dmdc_cfg, violation_trace())
+        sanitizer = attach_sanitizer(proc)
+        with pytest.raises(OrderingViolationMissed):
+            proc.run(200)
+        report = sanitizer.report
         assert report.missed_violations > 0
         assert any("retired despite premature issue" in d
                    for d in report.missed_details)
@@ -99,11 +128,8 @@ class TestDroppedCheckingTableMark:
             return self.index(addr)
 
         monkeypatch.setattr(CheckingTable, "mark_store", dropped_mark)
-        _blind_builtin_checker(monkeypatch)
-        proc = Processor(dmdc_cfg, violation_trace())
-        attach_sanitizer(proc, strict=True)
-        with pytest.raises(SanitizerError):
-            proc.run(200)
+        report = _strict_run(dmdc_cfg, violation_trace())
+        assert report.missed_violations == 1
 
 
 class TestBlindTableRead:
@@ -118,8 +144,7 @@ class TestBlindTableRead:
             return CheckingTable.CLEAR
 
         monkeypatch.setattr(CheckingTable, "check_load", blind_read)
-        _blind_builtin_checker(monkeypatch)
-        report = _sanitized_run(dmdc_cfg, violation_trace())
+        report = _strict_run(dmdc_cfg, violation_trace())
         assert report.missed_violations > 0
 
 
@@ -135,10 +160,9 @@ class TestOverRollback:
                     self._ages[i] = last_kept_age - 50
 
         monkeypatch.setattr(YlaFile, "rollback", over_rollback)
-        _blind_builtin_checker(monkeypatch)
         # The crafted violation forces a replay squash, which triggers the
         # mutated rollback and the exactness check.
-        report = _sanitized_run(dmdc_cfg, violation_trace())
+        report = _strict_run(dmdc_cfg, violation_trace())
         assert report.probe_failure_count > 0
         assert any("rollback" in f for f in report.probe_failures)
 

@@ -3,9 +3,11 @@
 Acceptance criteria for the observability layer, on the same nine scheme
 configurations x two workloads the sanitizer and fast-path suites pin:
 
-* attaching the full :class:`ObservabilityRecorder` (tracer + replay seam
-  + scheme emit seam + hook) leaves the ``to_dict()`` payload of every
-  run exactly equal to the plain run's — tracing is bit-invisible;
+* attaching the full :class:`ObservabilityRecorder` (the kernel's one
+  observation seam, which also carries scheme events) leaves the
+  ``to_dict()`` payload of every run exactly equal to the plain run's —
+  tracing is bit-invisible — and the run stays on the SoA kernel, cycle
+  skipper included;
 * the attribution reconciles **exactly** with the counters on every cell
   (every event seam fires once and only once, for every scheme);
 * the sweep is not vacuous: schemes with windows/tables emit window and
@@ -16,8 +18,10 @@ configurations x two workloads the sanitizer and fast-path suites pin:
 import pytest
 
 from repro.analysis.sanitizer import SCHEME_MATRIX
-from repro.obs import profile_run
+from repro.obs import attach_observer, build_attribution
+from repro.obs.profile import ProfileReport
 from repro.sim.config import CONFIG2
+from repro.sim.processor import Processor
 from repro.sim.runner import run_trace
 from repro.workloads import get_workload
 
@@ -36,18 +40,26 @@ def _trace(name):
 
 
 def _profiled(workload, scheme_label):
+    """``profile_run``'s report for the point, with its processor."""
     key = (workload, scheme_label)
     if key not in _REPORTS:
         config = CONFIG2.with_scheme(SCHEME_MATRIX[scheme_label])
-        _REPORTS[key] = profile_run(config, _trace(workload),
-                                    instructions=BUDGET, seed=1)
-    return _REPORTS[key]
+        processor = Processor(config, _trace(workload), seed=1)
+        recorder = attach_observer(processor)
+        processor.prewarm()
+        result = processor.run(BUDGET)
+        _REPORTS[key] = (ProfileReport(result, build_attribution(recorder, result),
+                                       recorder), processor)
+    return _REPORTS[key][0]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("scheme_label", sorted(SCHEME_MATRIX))
 def test_observer_is_bit_invisible(workload, scheme_label):
     report = _profiled(workload, scheme_label)
+    processor = _REPORTS[(workload, scheme_label)][1]
+    assert processor.kernel_used == "soa"
+    assert processor.fast_forwarded_cycles > 0
     config = CONFIG2.with_scheme(SCHEME_MATRIX[scheme_label])
     plain = run_trace(config, _trace(workload), max_instructions=BUDGET, seed=1)
     assert report.result.to_dict() == plain.to_dict()

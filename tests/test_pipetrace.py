@@ -75,27 +75,21 @@ class TestRecording:
         assert tracer.latency(99999) is None
 
 
-class _FakeInstr:
-    """Minimal stand-in for DynInstr: just what record() touches."""
-
-    class _Uop:
-        class cls:
-            name = "IALU"
-
-    uop = _Uop()
-
-    def __init__(self, seq):
-        self.seq = seq
-        self.trace_idx = seq
+def _tracer(capacity):
+    """A tracer bound to a trace of plain ALU ops (seq doubles as the
+    trace index below)."""
+    tracer = PipelineTracer(capacity=capacity)
+    tracer.bind(TraceBuilder().fill(20).build())
+    return tracer
 
 
 class TestCapacityEdgeCases:
     """Regression tests for eviction coherence at the ring boundary."""
 
     def test_capacity_zero_counts_but_stores_nothing(self):
-        tracer = PipelineTracer(capacity=0)
-        tracer.record("fetch", _FakeInstr(0), 1)
-        tracer.record("commit", _FakeInstr(0), 5)
+        tracer = _tracer(0)
+        tracer.record("fetch", 0, 0, 1)
+        tracer.record("commit", 0, 0, 5)
         assert len(tracer) == 0
         assert tracer.events_recorded == 2
         assert tracer.instr(0) is None
@@ -103,17 +97,17 @@ class TestCapacityEdgeCases:
         assert "no traced" in tracer.render_timeline()
 
     def test_capacity_one_keeps_only_newest(self):
-        tracer = PipelineTracer(capacity=1)
-        tracer.record("fetch", _FakeInstr(0), 1)
-        tracer.record("fetch", _FakeInstr(1), 2)
+        tracer = _tracer(1)
+        tracer.record("fetch", 0, 0, 1)
+        tracer.record("fetch", 1, 1, 2)
         assert len(tracer) == 1
         assert tracer.instr(0) is None
         assert tracer.instr(1) is not None
 
     def test_exactly_full_evicts_nothing(self):
-        tracer = PipelineTracer(capacity=3)
+        tracer = _tracer(3)
         for seq in range(3):
-            tracer.record("fetch", _FakeInstr(seq), seq + 1)
+            tracer.record("fetch", seq, seq, seq + 1)
         assert len(tracer) == 3
         assert all(tracer.instr(seq) is not None for seq in range(3))
 
@@ -121,30 +115,29 @@ class TestCapacityEdgeCases:
         """Regression: a squash/completion arriving for an already-evicted
         seq must not recreate a partial row (which would render out of
         order and report a bogus latency)."""
-        tracer = PipelineTracer(capacity=2)
+        tracer = _tracer(2)
         for seq in range(4):          # seqs 0,1 evicted by 2,3
-            tracer.record("fetch", _FakeInstr(seq), seq + 1)
-        tracer.record("squash", _FakeInstr(0), 50)  # late event, evicted row
+            tracer.record("fetch", seq, seq, seq + 1)
+        tracer.record("squash", 0, 0, 50)  # late event, evicted row
         assert tracer.instr(0) is None
         assert tracer.latency(0, "fetch", "squash") is None
         assert [e.seq for e in tracer.instructions()] == [2, 3]
         assert tracer.events_recorded == 5  # counted, not retained
 
     def test_render_timeline_on_fully_evicted_window(self):
-        tracer = PipelineTracer(capacity=2)
+        tracer = _tracer(2)
         for seq in range(6):
-            tracer.record("fetch", _FakeInstr(seq), seq + 1)
+            tracer.record("fetch", seq, seq, seq + 1)
         # The requested window was entirely evicted: renders empty, no raise.
         assert "no traced" in tracer.render_timeline(first_seq=100)
         # And the retained tail still renders.
         assert "legend:" in tracer.render_timeline(first_seq=0)
 
     def test_wraparound_keeps_rows_coherent(self):
-        tracer = PipelineTracer(capacity=4)
+        tracer = _tracer(4)
         for seq in range(20):
-            instr = _FakeInstr(seq)
-            tracer.record("fetch", instr, seq)
-            tracer.record("commit", instr, seq + 3)
+            tracer.record("fetch", seq, seq, seq)
+            tracer.record("commit", seq, seq, seq + 3)
         retained = tracer.instructions()
         assert [e.seq for e in retained] == [16, 17, 18, 19]
         for entry in retained:

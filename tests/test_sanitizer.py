@@ -16,6 +16,7 @@ from repro.analysis.sanitizer import (
     run_sanitized,
 )
 from repro.analysis.shadow import ShadowLSQ
+from repro.core.schemes import ConventionalScheme
 from repro.errors import SanitizerError
 from repro.isa.opcodes import InstrClass
 from repro.sim.config import SchemeConfig, small_config
@@ -24,82 +25,72 @@ from repro.sim.runner import run_trace
 from tests.conftest import TraceBuilder
 
 
-class FakeOp:
-    """Minimal stand-in with the fields the shadow oracle reads."""
-
-    def __init__(self, seq, addr, size=8, forward_store_seq=-1):
-        self.seq = seq
-        self.addr = addr
-        self.size = size
-        self.forward_store_seq = forward_store_seq
-
-
 class TestShadowLSQ:
     def test_premature_overlapping_load_flagged(self):
         lsq = ShadowLSQ()
-        lsq.load_issued(FakeOp(5, 0x100), cycle=10)
-        flagged = lsq.store_resolved(FakeOp(3, 0x100), cycle=20)
+        lsq.load_issued(5, 0x100, 8)
+        flagged = lsq.store_resolved(3, 0x100, 8)
         assert [rec.seq for rec in flagged] == [5]
         assert lsq.loads[5].violated_by == 3
         assert lsq.violations_flagged == 1
 
     def test_disjoint_addresses_clean(self):
         lsq = ShadowLSQ()
-        lsq.load_issued(FakeOp(5, 0x200), cycle=10)
-        assert lsq.store_resolved(FakeOp(3, 0x100), cycle=20) == []
+        lsq.load_issued(5, 0x200, 8)
+        assert lsq.store_resolved(3, 0x100, 8) == []
 
     def test_partial_overlap_flagged(self):
         lsq = ShadowLSQ()
-        lsq.load_issued(FakeOp(5, 0x104, size=8), cycle=10)
-        assert len(lsq.store_resolved(FakeOp(3, 0x100, size=8), cycle=20)) == 1
+        lsq.load_issued(5, 0x104, 8)
+        assert len(lsq.store_resolved(3, 0x100, 8)) == 1
 
     def test_older_load_not_flagged(self):
         lsq = ShadowLSQ()
-        lsq.load_issued(FakeOp(2, 0x100), cycle=10)
-        assert lsq.store_resolved(FakeOp(3, 0x100), cycle=20) == []
+        lsq.load_issued(2, 0x100, 8)
+        assert lsq.store_resolved(3, 0x100, 8) == []
 
     def test_forwarding_cover_exempts(self):
         """A load fed by a younger fully-covering store never read stale
         data, however late an older store resolves."""
         lsq = ShadowLSQ()
-        lsq.store_resolved(FakeOp(4, 0x100, size=8), cycle=5)
-        lsq.load_issued(FakeOp(5, 0x100, size=8, forward_store_seq=4), cycle=10)
-        assert lsq.store_resolved(FakeOp(3, 0x100, size=8), cycle=20) == []
+        lsq.store_resolved(4, 0x100, 8)
+        lsq.load_issued(5, 0x100, 8, 4)
+        assert lsq.store_resolved(3, 0x100, 8) == []
 
     def test_partial_forwarding_does_not_exempt(self):
         lsq = ShadowLSQ()
-        lsq.store_resolved(FakeOp(4, 0x100, size=4), cycle=5)
-        lsq.load_issued(FakeOp(5, 0x100, size=8, forward_store_seq=4), cycle=10)
-        assert len(lsq.store_resolved(FakeOp(3, 0x100, size=8), cycle=20)) == 1
+        lsq.store_resolved(4, 0x100, 4)
+        lsq.load_issued(5, 0x100, 8, 4)
+        assert len(lsq.store_resolved(3, 0x100, 8)) == 1
 
     def test_already_flagged_not_recounted(self):
         lsq = ShadowLSQ()
-        lsq.load_issued(FakeOp(5, 0x100), cycle=10)
-        lsq.store_resolved(FakeOp(3, 0x100), cycle=20)
-        assert lsq.store_resolved(FakeOp(2, 0x100), cycle=21) == []
+        lsq.load_issued(5, 0x100, 8)
+        lsq.store_resolved(3, 0x100, 8)
+        assert lsq.store_resolved(2, 0x100, 8) == []
         assert lsq.violations_flagged == 1
 
     def test_squash_removes_younger(self):
         lsq = ShadowLSQ()
-        lsq.load_issued(FakeOp(5, 0x100), cycle=10)
-        lsq.store_resolved(FakeOp(6, 0x200), cycle=11)
-        lsq.load_issued(FakeOp(7, 0x300), cycle=12)
+        lsq.load_issued(5, 0x100, 8)
+        lsq.store_resolved(6, 0x200, 8)
+        lsq.load_issued(7, 0x300, 8)
         lsq.squash_younger(5)
         assert sorted(lsq.loads) == [5]
         assert sorted(lsq.stores) == []
 
     def test_pending_violation_query(self):
         lsq = ShadowLSQ()
-        lsq.load_issued(FakeOp(5, 0x100), cycle=10)
-        lsq.store_resolved(FakeOp(3, 0x100), cycle=20)
+        lsq.load_issued(5, 0x100, 8)
+        lsq.store_resolved(3, 0x100, 8)
         assert lsq.pending_violation_at_or_after(4)
         assert lsq.pending_violation_at_or_after(5)
         assert not lsq.pending_violation_at_or_after(6)
 
     def test_commit_pops(self):
         lsq = ShadowLSQ()
-        lsq.load_issued(FakeOp(5, 0x100), cycle=10)
-        lsq.store_resolved(FakeOp(3, 0x100), cycle=1)
+        lsq.load_issued(5, 0x100, 8)
+        lsq.store_resolved(3, 0x100, 8)
         lsq.load_committed(5)
         lsq.store_committed(3)
         assert len(lsq) == 0
@@ -163,14 +154,21 @@ class TestAttachment:
             attach_sanitizer(proc)
 
     def test_wrapper_passes_through_scheme_surface(self, dmdc_config):
-        trace = TraceBuilder().fill(10).build()
+        """The sanitizer wraps the scheme's kernel adapter, not the
+        scheme: the processor keeps its own scheme, so everything built
+        from it is the plain run's, and the run keeps the kernel's cycle
+        skipper."""
+        trace = violation_trace()
         proc = Processor(dmdc_config, trace)
         inner = proc.scheme
         sanitizer = attach_sanitizer(proc)
-        assert proc.scheme is sanitizer
-        assert sanitizer.name == inner.name
-        assert sanitizer.stats is inner.stats
-        assert sanitizer.uses_associative_lq == inner.uses_associative_lq
+        assert proc.scheme is inner and sanitizer.scheme is inner
+        result = proc.run(len(trace))
+        assert result.scheme_name == inner.name
+        assert proc.kernel_used == "soa"
+        assert proc.fast_forwarded_cycles > 0
+        assert type(sanitizer.inner).__name__ == "_DmdcSoaHooks"
+        assert sanitizer.report.events_checked > 0
 
     def test_missing_attribute_raises_cleanly(self, tiny_config):
         trace = TraceBuilder().fill(10).build()
@@ -178,6 +176,12 @@ class TestAttachment:
         sanitizer = attach_sanitizer(proc)
         with pytest.raises(AttributeError):
             sanitizer.no_such_attribute
+
+    def test_second_sanitizer_rejected(self, tiny_config):
+        proc = Processor(tiny_config, TraceBuilder().fill(10).build())
+        attach_sanitizer(proc)
+        with pytest.raises(SanitizerError):
+            attach_sanitizer(proc)
 
 
 class TestReport:
@@ -202,12 +206,6 @@ class TestReport:
         assert "DEFECTIVE" in text and "seq=7" in text
 
     def test_strict_mode_raises_on_missed(self):
-        class _Inner:
-            name = "fake"
-
-        sanitizer = MemoryOrderSanitizer.__new__(MemoryOrderSanitizer)
-        sanitizer.inner = _Inner()
-        sanitizer.strict = True
-        sanitizer.report = SanitizerReport("fake")
+        sanitizer = MemoryOrderSanitizer(ConventionalScheme(), strict=True)
         with pytest.raises(SanitizerError):
             sanitizer._missed("injected")

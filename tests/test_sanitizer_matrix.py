@@ -6,7 +6,8 @@ configurations x two workloads the fast-path equivalence suite pins:
 * zero missed violations and zero probe failures everywhere (every scheme
   the simulator implements is sound on these runs);
 * the sanitizer is bit-invisible — the ``to_dict()`` payload of a
-  sanitized run equals the plain run's exactly;
+  sanitized run equals the plain run's exactly — and the run stays on
+  the SoA kernel, cycle skipper included;
 * the sweep is not vacuous: the oracle observes real violations on at
   least one cell, and the shadow oracle never diverges from the built-in
   ground-truth checker.
@@ -14,8 +15,9 @@ configurations x two workloads the fast-path equivalence suite pins:
 
 import pytest
 
-from repro.analysis.sanitizer import SCHEME_MATRIX, run_sanitized
+from repro.analysis.sanitizer import SCHEME_MATRIX, attach_sanitizer
 from repro.sim.config import CONFIG2
+from repro.sim.processor import Processor
 from repro.sim.runner import run_trace
 from repro.workloads import get_workload
 
@@ -28,6 +30,7 @@ WORKLOADS = ("gzip", "mcf")
 
 _TRACES = {}
 _REPORTS = {}
+_SANITIZERS = {}
 
 
 def _trace(name):
@@ -37,11 +40,16 @@ def _trace(name):
 
 
 def _sanitized(workload, scheme_label):
+    """``run_sanitized``'s (result, report); the processor and the
+    sanitizer are kept in ``_SANITIZERS``."""
     key = (workload, scheme_label)
     if key not in _REPORTS:
         config = CONFIG2.with_scheme(SCHEME_MATRIX[scheme_label])
-        _REPORTS[key] = run_sanitized(
-            config, _trace(workload), max_instructions=BUDGET, seed=1)
+        processor = Processor(config, _trace(workload), seed=1)
+        sanitizer = attach_sanitizer(processor)
+        processor.prewarm()
+        _REPORTS[key] = (processor.run(BUDGET), sanitizer.report)
+        _SANITIZERS[key] = (processor, sanitizer)
     return _REPORTS[key]
 
 
@@ -59,6 +67,9 @@ def test_no_missed_violations(workload, scheme_label):
 @pytest.mark.parametrize("scheme_label", sorted(SCHEME_MATRIX))
 def test_sanitizer_is_bit_invisible(workload, scheme_label):
     result, _ = _sanitized(workload, scheme_label)
+    processor, _ = _SANITIZERS[(workload, scheme_label)]
+    assert processor.kernel_used == "soa"
+    assert processor.fast_forwarded_cycles > 0
     config = CONFIG2.with_scheme(SCHEME_MATRIX[scheme_label])
     plain = run_trace(config, _trace(workload), max_instructions=BUDGET, seed=1)
     assert result.to_dict() == plain.to_dict()
@@ -76,8 +87,15 @@ def test_sweep_is_not_vacuous():
 
 
 def test_probes_exercised_everywhere():
+    """Every cell runs probes; a scheme with a YLA file has it probed
+    live, the very object the run filters or checks with."""
     for workload in WORKLOADS:
         for scheme_label in sorted(SCHEME_MATRIX):
             _, report = _sanitized(workload, scheme_label)
             assert report.probe_checks > 0
             assert report.events_checked > 0
+            processor, sanitizer = _SANITIZERS[(workload, scheme_label)]
+            yla = getattr(processor.scheme, "yla", None)
+            if yla is not None:
+                probe = sanitizer.probes.ylas[0]
+                assert probe.yla is yla and probe.checks > 0

@@ -11,7 +11,7 @@ from repro.core.schemes.conventional import (
 from repro.errors import SimulationError
 from repro.isa.instruction import MicroOp
 from repro.isa.opcodes import InstrClass
-from repro.lsq.queues import LoadQueue, StoreQueue
+from repro.lsq.queues import LoadQueue
 
 
 def mk_store(seq, addr, size=8):
@@ -30,9 +30,9 @@ def mk_load(seq, addr, size=8, issued=True):
 
 
 def attach(scheme):
-    lq, sq = LoadQueue(16), StoreQueue(8)
-    scheme.attach(lq, sq, 128)
-    return lq, sq
+    lq = LoadQueue(16)
+    scheme.attach(lq, 128)
+    return lq
 
 
 class TestConventional:
@@ -42,13 +42,13 @@ class TestConventional:
 
     def test_always_searches(self):
         s = ConventionalScheme()
-        lq, _ = attach(s)
+        lq = attach(s)
         s.on_store_resolve(mk_store(1, 0x100), 0)
         assert lq.searches == 1 and lq.searches_filtered == 0
 
     def test_detects_premature_load(self):
         s = ConventionalScheme()
-        lq, _ = attach(s)
+        lq = attach(s)
         victim = mk_load(5, 0x100)
         lq.allocate(victim)
         assert s.on_store_resolve(mk_store(2, 0x100), 0) is victim
@@ -56,7 +56,7 @@ class TestConventional:
 
     def test_no_coherence_hooks_by_default(self):
         s = ConventionalScheme(coherence=False)
-        lq, _ = attach(s)
+        lq = attach(s)
         s.on_invalidation(0x1000, 128, 0, 0)
         assert lq.inv_searches == 0
 
@@ -64,7 +64,7 @@ class TestConventional:
 class TestConventionalCoherence:
     def test_invalidation_marks_issued_loads(self):
         s = ConventionalScheme(coherence=True)
-        lq, _ = attach(s)
+        lq = attach(s)
         in_line = mk_load(5, 0x1040)
         other = mk_load(6, 0x2000)
         lq.allocate(in_line)
@@ -74,7 +74,7 @@ class TestConventionalCoherence:
 
     def test_load_issue_replays_younger_marked_same_line(self):
         s = ConventionalScheme(coherence=True)
-        lq, _ = attach(s)
+        lq = attach(s)
         younger = mk_load(7, 0x1040)
         younger.inv_marked = True
         lq.allocate(younger)
@@ -84,7 +84,7 @@ class TestConventionalCoherence:
 
     def test_no_replay_for_unmarked(self):
         s = ConventionalScheme(coherence=True)
-        lq, _ = attach(s)
+        lq = attach(s)
         lq.allocate(mk_load(7, 0x1040))
         assert s.on_load_issue(mk_load(3, 0x1000), 0) is None
 
@@ -92,7 +92,7 @@ class TestConventionalCoherence:
 class TestYlaFiltered:
     def test_filters_when_no_younger_load(self):
         s = YlaFilteredScheme(num_registers=8)
-        lq, _ = attach(s)
+        lq = attach(s)
         s.on_load_issue(mk_load(3, 0x100), 0)
         s.on_store_resolve(mk_store(5, 0x100), 0)   # store younger: safe
         assert lq.searches == 0 and lq.searches_filtered == 1
@@ -100,14 +100,14 @@ class TestYlaFiltered:
 
     def test_searches_when_younger_load_issued(self):
         s = YlaFilteredScheme(num_registers=8)
-        lq, _ = attach(s)
+        lq = attach(s)
         s.on_load_issue(mk_load(9, 0x100), 0)
         s.on_store_resolve(mk_store(5, 0x100), 0)
         assert lq.searches == 1
 
     def test_wrongpath_corruption_and_recovery(self):
         s = YlaFilteredScheme(num_registers=1)
-        lq, _ = attach(s)
+        lq = attach(s)
         s.on_wrongpath_load(age=50, addr=0x100)
         s.on_store_resolve(mk_store(10, 0x100), 0)
         assert lq.searches == 1  # corrupted: conservative search
@@ -119,7 +119,7 @@ class TestYlaFiltered:
         s = YlaFilteredScheme(num_registers=1)
         attach(s)
         s.on_load_issue(mk_load(30, 0x100), 0)
-        s.on_squash(last_kept_seq=20, squashed_loads=[])
+        s.on_squash(20, [])
         assert s.yla.youngest_for(0x100) == 20
 
     def test_collect_exports_counters(self):
@@ -133,7 +133,7 @@ class TestYlaFiltered:
 class TestBloomFiltered:
     def test_filters_unknown_address(self):
         s = BloomFilteredScheme(entries=256)
-        lq, _ = attach(s)
+        lq = attach(s)
         s.on_load_issue(mk_load(3, 0x100), 0)
         s.on_store_resolve(mk_store(5, 0x9990 * 8), 0)
         assert lq.searches_filtered == 1
@@ -142,14 +142,14 @@ class TestBloomFiltered:
         """The BF has no age information: an *older* issued load to the
         address forces the search (the weakness Figure 3 quantifies)."""
         s = BloomFilteredScheme(entries=256)
-        lq, _ = attach(s)
+        lq = attach(s)
         s.on_load_issue(mk_load(3, 0x100), 0)
         s.on_store_resolve(mk_store(5, 0x100), 0)
         assert lq.searches == 1
 
     def test_commit_removes_from_filter(self):
         s = BloomFilteredScheme(entries=256)
-        lq, _ = attach(s)
+        lq = attach(s)
         load = mk_load(3, 0x100)
         s.on_load_issue(load, 0)
         s.on_commit(load, 1)
@@ -158,7 +158,7 @@ class TestBloomFiltered:
 
     def test_squash_removes_issued_loads(self):
         s = BloomFilteredScheme(entries=256)
-        lq, _ = attach(s)
+        lq = attach(s)
         load = mk_load(9, 0x100)
         s.on_load_issue(load, 0)
         s.on_squash(5, [load])
@@ -167,7 +167,7 @@ class TestBloomFiltered:
 
     def test_wrongpath_phantoms_removed_at_recovery(self):
         s = BloomFilteredScheme(entries=256)
-        lq, _ = attach(s)
+        lq = attach(s)
         s.on_wrongpath_load(50, 0x100)
         s.on_recovery(10)
         s.on_store_resolve(mk_store(11, 0x100), 0)

@@ -4,17 +4,16 @@ The structure-of-arrays kernel (:class:`repro.sim.soa.SoaKernel`) fuses
 every pipeline stage into one loop over preallocated slot arrays.  It must
 be behaviourally invisible: for every scheme family and workload, a run
 through the kernel must produce a ``to_dict()`` payload bit-identical to
-the object path forced via ``REPRO_NO_SOA=1`` — same cycles, same
-counters, same histograms.  The scheme matrix is shared with the
-sanitizer sweep so both correctness nets cover the same nine points; a
-second matrix covers coherent configurations and injected invalidations.
+the per-cycle object loop, the reference stepped by
+``tests/object_loop.py`` — same cycles, same counters, same histograms.
+The scheme matrix is shared with the sanitizer sweep so both correctness
+nets cover the same nine points; a second matrix covers coherent
+configurations and injected invalidations.
 
 The object loop steps every cycle while the kernel skips provably idle
-ones, so every row here also checks the kernel's cycle skipper.
-
-Observability seams (tracer, obs recorder, sanitizer) intentionally force
-the object path; those runs must *still* match the kernel's results, so
-the honest slow path and the kernel can never drift apart unnoticed.
+ones, so every row here also checks the kernel's cycle skipper.  A
+sanitized kernel run must match the reference too, so the oracle checks
+the loop that produces the numbers.
 """
 
 import pytest
@@ -26,11 +25,10 @@ from repro.core.schemes.garg import _GargSoaHooks
 from repro.core.schemes.value import _ValueSoaHooks
 from repro.errors import SimulationError
 from repro.sim.config import CONFIG2, SchemeConfig
-from repro.sim.pipetrace import PipelineTracer
 from repro.sim.processor import Processor
 from repro.sim.runner import run_trace
-from repro.sim.soa import NO_SOA_ENV
 from repro.workloads import get_workload
+from tests.object_loop import run_object_loop, run_trace_object_loop
 
 BUDGET = 2_500
 
@@ -64,33 +62,28 @@ def _trace(name):
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("scheme_label", sorted(SCHEMES))
-def test_soa_bit_identical(monkeypatch, workload, scheme_label):
+def test_soa_bit_identical(workload, scheme_label):
     config = CONFIG2.with_scheme(SCHEMES[scheme_label])
     trace = _trace(workload)
 
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
     soa = run_trace(config, trace, max_instructions=BUDGET, seed=1)
-
-    monkeypatch.setenv(NO_SOA_ENV, "1")
-    obj = run_trace(config, trace, max_instructions=BUDGET, seed=1)
+    obj = run_trace_object_loop(config, trace, max_instructions=BUDGET, seed=1)
 
     assert soa.to_dict() == obj.to_dict()
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("row", sorted(COHERENCE_ROWS))
-def test_soa_bit_identical_coherence(monkeypatch, workload, row):
+def test_soa_bit_identical_coherence(workload, row):
     config = COHERENCE_ROWS[row]
     trace = _trace(workload)
 
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
     kernel_proc = Processor(config, trace, seed=1)
     kernel_proc.prewarm()
     soa = kernel_proc.run(BUDGET)
     assert kernel_proc.kernel_used == "soa"
 
-    monkeypatch.setenv(NO_SOA_ENV, "1")
-    obj = run_trace(config, trace, max_instructions=BUDGET, seed=1)
+    obj = run_trace_object_loop(config, trace, max_instructions=BUDGET, seed=1)
 
     assert soa.to_dict() == obj.to_dict()
 
@@ -107,10 +100,9 @@ ADAPTER_METHODS = {
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("kind", sorted(ADAPTER_METHODS))
 def test_both_loops_call_the_same_adapter(monkeypatch, workload, kind):
-    """A plain run (kernel) and a traced run (object loop) make the same
-    number of calls into the family's one adapter, so the object loop
-    checks with the code the kernel ships."""
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
+    """A kernel run and the object-loop reference make the same number
+    of calls into the family's one adapter, so the reference checks with
+    the code the kernel ships."""
     cls, names = ADAPTER_METHODS[kind]
     calls = dict.fromkeys(names, 0)
 
@@ -126,11 +118,13 @@ def test_both_loops_call_the_same_adapter(monkeypatch, workload, kind):
         monkeypatch.setattr(cls, name, spy(name))
     config = CONFIG2.with_scheme(SchemeConfig(kind=kind))
     counts = {}
-    for loop, tracer in (("soa", None), ("object", PipelineTracer(capacity=64))):
+    for loop in ("soa", "object"):
         proc = Processor(config, _trace(workload), seed=1)
-        proc.tracer = tracer
         proc.prewarm()
-        proc.run(BUDGET)
+        if loop == "soa":
+            proc.run(BUDGET)
+        else:
+            run_object_loop(proc, BUDGET)
         assert proc.kernel_used == loop
         counts[loop] = dict(calls)
         calls.update(dict.fromkeys(names, 0))
@@ -139,11 +133,10 @@ def test_both_loops_call_the_same_adapter(monkeypatch, workload, kind):
     assert all(counts["soa"].values())
 
 
-def test_injected_run_uses_kernel_without_skipping(monkeypatch):
+def test_injected_run_uses_kernel_without_skipping():
     """The injector draws from the RNG every cycle, so skipped cycles
     would change the random stream: an injected run takes the kernel with
     its skipper off."""
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
     proc = Processor(COHERENCE_ROWS["dmdc-coherent-inv100"],
                      _trace("gzip"), seed=1)
     proc.prewarm()
@@ -153,12 +146,11 @@ def test_injected_run_uses_kernel_without_skipping(monkeypatch):
     assert result.counters["inv.injected"] > 0
 
 
-def test_soa_kernel_actually_engaged(monkeypatch):
+def test_soa_kernel_actually_engaged():
     """Non-vacuousness: a plain run must actually take the kernel (else
     every equivalence assertion above compares the object path to
     itself) and skip idle cycles (else the rows never check the
     skipper)."""
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
     proc = Processor(CONFIG2.with_scheme(SchemeConfig(kind="dmdc")),
                      _trace("gzip"), seed=1)
     proc.prewarm()
@@ -167,48 +159,49 @@ def test_soa_kernel_actually_engaged(monkeypatch):
     assert proc.fast_forwarded_cycles > 0
 
 
-def test_no_soa_env_forces_object_path(monkeypatch):
-    """The object loop is the per-cycle reference: it never skips."""
-    monkeypatch.setenv(NO_SOA_ENV, "1")
-    proc = Processor(CONFIG2.with_scheme(SchemeConfig(kind="dmdc")),
-                     _trace("gzip"), seed=1)
-    proc.prewarm()
-    proc.run(BUDGET)
-    assert proc.kernel_used == "object"
-    assert proc.fast_forwarded_cycles == 0
-
-
-def test_attached_hook_forces_object_path_with_identical_results(monkeypatch):
-    """The shadow-oracle sanitizer wraps the scheme and has no slot-array
-    adapter, so a sanitized run takes the object loop and really checks
-    events — and the fallback must agree with the kernel bit for bit."""
-    from repro.analysis.sanitizer import attach_sanitizer
-
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
+def test_reference_helper_steps_every_cycle():
+    """The object loop is the per-cycle reference: the helper steps it,
+    it never skips, and it reaches the kernel's result."""
     config = CONFIG2.with_scheme(SchemeConfig(kind="dmdc"))
-    trace = _trace("mcf")
-
-    kernel_proc = Processor(config, trace, seed=1)
+    kernel_proc = Processor(config, _trace("gzip"), seed=1)
     kernel_proc.prewarm()
     kernel_result = kernel_proc.run(BUDGET)
-    assert kernel_proc.kernel_used == "soa"
+    proc = Processor(config, _trace("gzip"), seed=1)
+    proc.prewarm()
+    result = run_object_loop(proc, BUDGET)
+    assert proc.kernel_used == "object"
+    assert proc.fast_forwarded_cycles == 0
+    assert kernel_proc.fast_forwarded_cycles > 0
+    assert result.to_dict() == kernel_result.to_dict()
+
+
+def test_sanitized_run_takes_kernel_with_identical_results():
+    """The shadow-oracle sanitizer wraps the scheme's kernel adapter: a
+    sanitized run takes the kernel, skipper included, really checks
+    events, and agrees with the object-loop reference bit for bit."""
+    from repro.analysis.sanitizer import attach_sanitizer
+
+    config = CONFIG2.with_scheme(SchemeConfig(kind="dmdc"))
+    trace = _trace("mcf")
 
     hooked_proc = Processor(config, trace, seed=1)
     sanitizer = attach_sanitizer(hooked_proc)
     hooked_proc.prewarm()
     hooked_result = hooked_proc.run(BUDGET)
-    assert hooked_proc.kernel_used == "object"
-    assert hooked_proc.fast_forwarded_cycles == 0
+    assert hooked_proc.kernel_used == "soa"
+    assert hooked_proc.fast_forwarded_cycles > 0
     assert sanitizer.report.events_checked > 0
+    assert sanitizer.report.clean
 
-    assert kernel_result.to_dict() == hooked_result.to_dict()
+    reference = run_trace_object_loop(config, trace, max_instructions=BUDGET,
+                                      seed=1)
+    assert reference.to_dict() == hooked_result.to_dict()
 
 
-def test_soa_progress_guard_raises(monkeypatch):
-    """The kernel carries the same livelock guard as ``Processor.step``
-    (pinned here because the object-path variant in
-    ``test_processor_basic`` pins only the slow loop)."""
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
+def test_soa_progress_guard_raises():
+    """The kernel carries the same livelock guard as the object-loop
+    reference (pinned here because the variant in
+    ``test_processor_basic`` pins only the reference)."""
     proc = Processor(CONFIG2.with_scheme(SchemeConfig(kind="conventional")),
                      _trace("gzip"), seed=1)
     with pytest.raises(SimulationError, match="no forward progress"):

@@ -5,8 +5,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.config import SchemeConfig, small_config
 from repro.sim.processor import Processor
-from repro.sim.validate import check_invariants, run_with_validation
+from repro.sim.validate import check_invariants
 from repro.workloads import SyntheticWorkload, WorkloadSpec, get_workload
+from tests.object_loop import run_object_loop
 
 
 class TestCheckerCatchesCorruption:
@@ -69,7 +70,7 @@ class TestPipelineHoldsInvariants:
         trace = SyntheticWorkload(spec).generate(1000)
         config = small_config().with_scheme(scheme)
         proc = Processor(config, trace)
-        result = run_with_validation(proc, 800, every_cycles=3)
+        result = run_object_loop(proc, 800, check_every=3)
         assert result.committed == 800
 
     def test_clean_with_wrongpath_and_invalidations(self):
@@ -77,5 +78,5 @@ class TestPipelineHoldsInvariants:
             SchemeConfig(kind="dmdc", coherence=True)
         ).with_overrides(invalidation_rate=100.0)
         proc = Processor(config, get_workload("mcf").generate(900))
-        result = run_with_validation(proc, 700, every_cycles=5)
+        result = run_object_loop(proc, 700, check_every=5)
         assert result.committed == 700

@@ -26,7 +26,7 @@ from repro.sim.config import CONFIG1, CONFIG2, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.runner import _Point, run_many
 from repro.sim.setup_memo import SetupBatch
-from repro.sim.soa import NO_SOA_ENV, SoaKernel, replay_verdicts
+from repro.sim.soa import SoaKernel, replay_verdicts
 from repro.workloads import SUITE
 
 BUDGET = 1_500
@@ -52,7 +52,6 @@ def _point(machine, label, workload="gzip", seed=1, budget=BUDGET):
 @pytest.fixture
 def runs(monkeypatch):
     """Every ``Processor.run`` as (scheme label, kernel used), in order."""
-    monkeypatch.delenv(NO_SOA_ENV, raising=False)
     seen = []
     original = Processor.run
 
