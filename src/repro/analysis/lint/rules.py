@@ -44,27 +44,8 @@ _ZONE_RE = re.compile(r"repro/(sim|lsq|core)/")
 #: cycle-loop fast-path work banned string-keyed counters and growable
 #: allocations.  Keyed by path suffix -> set of qualified names.
 HOT_FUNCTIONS: Dict[str, Set[str]] = {
-    "repro/sim/processor.py": {
-        "Processor.step",
-        "Processor._schedule_completion",
-        "Processor._schedule_retry",
-        "Processor._stage_commit",
-        "Processor._retire",
-        "Processor._stage_complete",
-        "Processor._wake_consumers",
-        "Processor._stage_issue",
-        "Processor._free_iq_entry",
-        "Processor._issue_alu",
-        "Processor._issue_store",
-        "Processor._ground_truth_store_resolve",
-        "Processor._try_issue_load",
-        "Processor._stage_dispatch",
-        "Processor._stage_fetch",
-    },
     "repro/lsq/queues.py": {
-        "StoreQueue.search_for_forwarding",
         "sq_forward_search_soa",
-        "sq_has_unresolved_soa",
         "lq_violation_search_soa",
     },
     # The batched SoA kernel: its fused cycle loop and squash path are

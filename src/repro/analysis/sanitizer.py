@@ -21,7 +21,11 @@ columns, and cross-checks the scheme's decisions against that oracle:
   so a strict sanitizer raises first;
 * invariant probes (:mod:`repro.analysis.probes`) check the scheme's
   live YLA files for soundness / monotonicity / rollback exactness,
-  ``end_check`` window consistency, and ROB/LSQ age ordering.
+  ``end_check`` window consistency, and ROB/LSQ age ordering;
+* at every retire it also runs the kernel's structural invariants
+  (:func:`repro.sim.validate.check_invariants`: queue age order and
+  membership, IQ and register accounting, the rename table), which
+  raise :class:`~repro.errors.SimulationError` on the first violation.
 
 Attach with :func:`attach_sanitizer`.
 """
@@ -33,6 +37,7 @@ from repro.analysis.shadow import ShadowLSQ
 from repro.core.schemes.base import SoaHooks
 from repro.errors import SanitizerError
 from repro.sim.config import SchemeConfig, scheme_matrix
+from repro.sim.validate import check_invariants
 
 #: The canonical scheme matrix the correctness suites sweep: one label per
 #: scheme family the simulator implements (the fast-path equivalence
@@ -204,6 +209,7 @@ class MemoryOrderSanitizer(SoaHooks):
     # -- commit-time hook --------------------------------------------------
     def on_commit(self, slot: int, cycle: int) -> bool:
         k = self.k
+        check_invariants(k)
         report = self.report
         report.events_checked += 1
         seq = k.seq[slot]

@@ -1,6 +1,5 @@
-"""Out-of-order back-end structures: dynamic instructions, ROB, FUs."""
+"""Out-of-order back-end structures: functional units, register files."""
 
-from repro.backend.dyninst import DynInstr, InstrState
 from repro.backend.resources import FunctionalUnits, PhysRegFile
 
-__all__ = ["DynInstr", "InstrState", "FunctionalUnits", "PhysRegFile"]
+__all__ = ["FunctionalUnits", "PhysRegFile"]

@@ -2,11 +2,12 @@
 
 The pipeline owns the machinery every design shares (speculative load
 issue, SQ forwarding/rejection, squash, commit order); a scheme only
-decides *how premature loads are detected*.  The hooks mirror the
-micro-architectural events of the paper:
+decides *how premature loads are detected*.  It does so in its
+:class:`SoaHooks` adapter, which the SoA kernel calls with slot indices
+at the micro-architectural events of the paper:
 
 =====================  ====================================================
-hook                   corresponds to
+adapter hook           corresponds to
 =====================  ====================================================
 ``on_load_issue``      load executes: YLA update / BF insert / age-table
                        write; conventional coherence load-load check
@@ -21,20 +22,11 @@ hook                   corresponds to
 
 ``on_store_resolve``/``on_load_issue`` may return a load to replay *now*
 (execution-time detection); ``on_commit`` may decide the committing load
-itself must replay (DMDC's commit-time detection).
-
-A scheme implements load issue, store resolve, commit, squash and
-invalidation handling only in its :class:`SoaHooks` adapter: the SoA
-kernel calls it with slot indices, and the object loop, the reference
-the equivalence tests compare against, reaches it through the scheme
-hooks above, which forward to it over an :class:`ObjectView` of the
-:class:`DynInstr`, behind the kernel's gates.
+itself must replay (DMDC's commit-time detection).  The scheme itself
+keeps the address-level hooks (wrong-path loads, recovery) and the
+end-of-run ones (``finalize``, ``collect``).
 """
 
-import enum
-from typing import List, Optional, Sequence
-
-from repro.backend.dyninst import DynInstr
 from repro.stats.counters import CounterSet, Histogram
 
 #: The scheme protocol, by name -> number of arguments after ``self``.
@@ -43,19 +35,14 @@ from repro.stats.counters import CounterSet, Histogram
 #: hook-shaped method that is *not* listed here (e.g. ``on_comit``) would
 #: silently never be called by the pipeline.
 PROTOCOL_HOOKS = {
-    "on_load_issue": 2,
     "on_wrongpath_load": 2,
-    "on_store_resolve": 2,
-    "on_commit": 2,
     "on_recovery": 1,
-    "on_squash": 2,
-    "on_invalidation": 4,
     "finalize": 1,
     "collect": 0,
 }
 
 #: The adapter protocol (:class:`SoaHooks`), checked like the above: a
-#: misspelled adapter hook would be a silent no-op in both cycle loops.
+#: misspelled adapter hook would be a silent no-op in the kernel.
 SOA_HOOKS = {
     "on_load_issue": 1,
     "on_store_resolve": 1,
@@ -86,16 +73,8 @@ EV_LOAD_SAFE = 7     # load issued with every older store address known: addr, s
 EV_COMMITS = 8       # a cycle's commit stage retired instructions: cycle, count
 
 
-class CommitDecision(enum.Enum):
-    """What ``on_commit`` wants the pipeline to do with a committing load."""
-
-    OK = "ok"
-    REPLAY = "replay"
-
-
 class CheckScheme:
-    """Base scheme: shared stats plumbing, no-op hooks, and forwarders
-    to the scheme's :class:`SoaHooks` adapter."""
+    """Base scheme: shared stats plumbing and no-op hooks."""
 
     #: Whether the LQ must be a fully associative CAM (energy model input).
     uses_associative_lq = True
@@ -110,81 +89,26 @@ class CheckScheme:
         self.window_loads = Histogram()
         self.window_safe_loads = Histogram()
         self.window_unsafe_stores = Histogram()
-        #: The adapter the object-path hooks drive, bound on first use.
-        self._hooks: Optional["SoaHooks"] = None
-
-    def _object_view(self) -> "ObjectView":
-        """The object-path view; a scheme that reads the LQ or ROB
-        overrides it to pass the pipeline's ring."""
-        return ObjectView()
-
-    def _object_hooks(self) -> "SoaHooks":
-        """The adapter over this scheme's :class:`ObjectView`."""
-        hooks = self._hooks
-        if hooks is None:
-            hooks = self._hooks = self.soa_hooks(self._object_view())
-        return hooks
-
-    # -- execution-time hooks -------------------------------------------
-    def on_load_issue(self, load: DynInstr, cycle: int) -> Optional[DynInstr]:
-        """A load issued.  May return a younger load to replay from
-        (conventional load-load coherence ordering only)."""
-        hooks = self._object_hooks()
-        if hooks.has_load_issue:
-            victim = hooks.on_load_issue(load)
-            if victim != -1:
-                return victim
-        return None
 
     def on_wrongpath_load(self, age: int, addr: int) -> None:
         """A wrong-path load issued (phantom; will be undone by recovery)."""
 
-    def on_store_resolve(self, store: DynInstr, cycle: int) -> Optional[DynInstr]:
-        """A store's address resolved.  May return a premature load to
-        replay from (conventional execution-time detection)."""
-        hooks = self._object_hooks()
-        if hooks.has_store_resolve:
-            victim = hooks.on_store_resolve(store)
-            if victim != -1:
-                return victim
-        return None
-
-    # -- commit-time hooks ------------------------------------------------
-    def on_commit(self, instr: DynInstr, cycle: int) -> CommitDecision:
-        """An instruction is about to retire (in order)."""
-        if self._object_hooks().gated_commit(instr, cycle):
-            return CommitDecision.REPLAY
-        return CommitDecision.OK
-
-    # -- control-flow repair ----------------------------------------------
     def on_recovery(self, last_kept_seq: int) -> None:
         """Branch misprediction recovery completed."""
 
-    def on_squash(self, last_kept_seq: int, squashed: List[DynInstr]) -> None:
-        """A replay squashed everything younger than ``last_kept_seq``:
-        the ROB entries in ``squashed``, oldest first."""
-        self._object_hooks().on_squash(last_kept_seq, squashed)
-
-    # -- coherence ---------------------------------------------------------
-    def on_invalidation(self, line_addr: int, line_bytes: int, cycle: int,
-                        oldest_inflight_seq: int) -> None:
-        """An external invalidation for ``line_addr`` arrived."""
-        self._object_hooks().on_invalidation(line_addr, line_bytes, cycle,
-                                             oldest_inflight_seq)
-
     # -- observability ------------------------------------------------------
     #: True while a DMDC checking window is open (cycle accounting).  A
-    #: plain attribute, not a property: both cycle loops read it every
-    #: cycle, and descriptor dispatch is measurable there.  DMDC shadows
+    #: plain attribute, not a property: the kernel reads it every cycle,
+    #: and descriptor dispatch is measurable there.  DMDC shadows
     #: it with an instance attribute it flips on activate/terminate.
     checking_active = False
 
     # -- SoA kernel adapter ------------------------------------------------
     def soa_hooks(self, kernel) -> "SoaHooks":
         """This scheme's adapter bound to ``kernel``: a
-        :class:`~repro.sim.soa.SoaKernel`, :class:`~repro.sim.soa.LaneView`
-        or :class:`ObjectView`.  The base answers a no-op adapter, so a
-        scheme without one does nothing in either cycle loop.
+        :class:`~repro.sim.soa.SoaKernel` or a
+        :class:`~repro.sim.soa.LaneView`.  The base answers a no-op
+        adapter, so a scheme without one does nothing in the kernel.
         """
         return SoaHooks(self, kernel)
 
@@ -203,14 +127,15 @@ class SoaHooks:
     """A scheme's one implementation of load-issue, store-resolve,
     commit, squash and invalidation checking.
 
-    The adapter reads a *view* ``k``: the SoA kernel's slot arrays, a
-    verdict lane's seq-indexed :class:`~repro.sim.soa.LaneView`, or the
-    object loop's :class:`ObjectView`, whose slot is the
-    :class:`DynInstr`.  Every view has the columns ``seq``, ``addr``,
-    ``size``, ``isld``, ``isst``, ``safe``, ``gbp``, ``unsafe``, ``wend``,
-    ``rcyc``, ``icyc``, ``tvs`` and the age-ordered ``rob``; the kernel
-    and :class:`ObjectView` also ``invm`` and ``lq``.  No victim is -1,
-    tested with ``!= -1``.  ``k.emit`` is the run's observer, or None;
+    The adapter reads a *view* ``k``: the SoA kernel's slot arrays or a
+    verdict lane's seq-indexed :class:`~repro.sim.soa.LaneView`.  Every
+    view has the columns ``seq``, ``addr``, ``size``, ``isld``, ``isst``,
+    ``safe``, ``gbp``, ``unsafe``, ``wend``, ``rcyc``, ``icyc``, ``tvs``
+    and the age-ordered ``rob``; the kernel also ``invm`` and ``lq``.
+    Adapters only index columns and iterate queues, so any object that
+    answers those serves (the test suite's reference loop binds them
+    over its instruction objects).  No victim is -1, tested with
+    ``!= -1``.  ``k.emit`` is the run's observer, or None;
     only the kernel has one, so scheme events read the kernel's
     ``tidx`` column and ``cycle`` behind an ``emit is not None`` test.
 
@@ -253,8 +178,8 @@ class SoaHooks:
 
     def gated_commit(self, slot: int, cycle: int) -> bool:
         """The commit decision behind the kernel's gate for
-        ``commit_mode`` 0-2 (the object loop and the sanitizer ask it;
-        the kernel and the verdict-lane replay inline it)."""
+        ``commit_mode`` 0-2 (the sanitizer asks it; the kernel and the
+        verdict-lane replay inline it)."""
         k = self.k
         if self.commit_mode == 2:
             return ((self.scheme.checking_active or (k.isst[slot] and k.unsafe[slot]))
@@ -286,48 +211,3 @@ class SoaHooks:
         """Branch misprediction recovery: the scheme's own hook."""
         self.scheme.on_recovery(last_kept_seq)
 
-
-class _Column:
-    """An :class:`ObjectView` column: one :class:`DynInstr` attribute."""
-
-    __slots__ = ("attr",)
-
-    def __init__(self, attr: str) -> None:
-        self.attr = attr
-
-    def __getitem__(self, instr: DynInstr):
-        return getattr(instr, self.attr)
-
-    def __setitem__(self, instr: DynInstr, value) -> None:
-        setattr(instr, self.attr, value)
-
-
-class ObjectView:
-    """The object loop's adapter view (a verdict lane's is
-    :class:`~repro.sim.soa.LaneView`): the slot is the :class:`DynInstr`,
-    ``view.addr[instr]`` is ``instr.addr``, ``view.wend[instr]`` is
-    ``instr.window_end``.  ``lq`` and ``rob`` are the processor's rings
-    (their ``items`` lists).  The object loop is unobserved.
-    """
-
-    seq = _Column("seq")
-    addr = _Column("addr")
-    size = _Column("size")
-    isld = _Column("is_load")
-    isst = _Column("is_store")
-    safe = _Column("safe")
-    gbp = _Column("guard_bypass")
-    unsafe = _Column("unsafe_store")
-    wend = _Column("window_end")
-    rcyc = _Column("resolve_cycle")
-    icyc = _Column("issue_cycle")
-    tvs = _Column("true_violation_store")
-    invm = _Column("inv_marked")
-    emit = None
-
-    __slots__ = ("lq", "rob")
-
-    def __init__(self, lq: Sequence[DynInstr] = (),
-                 rob: Sequence[DynInstr] = ()) -> None:
-        self.lq = lq
-        self.rob = rob

@@ -21,7 +21,7 @@ into every ``conventional-storesets`` point (store sets never train
 without a violation).
 """
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.bloom import CountingBloomFilter
 from repro.core.schemes.base import (
@@ -34,12 +34,11 @@ from repro.core.schemes.base import (
     EV_STORE_VICTIM,
     EV_WRONGPATH,
     CheckScheme,
-    ObjectView,
     SoaHooks,
 )
 from repro.core.yla import YlaFile
 from repro.errors import SimulationError
-from repro.lsq.queues import LoadQueue, lq_violation_search_soa
+from repro.lsq.queues import lq_violation_search_soa
 
 
 class ConventionalScheme(CheckScheme):
@@ -48,22 +47,15 @@ class ConventionalScheme(CheckScheme):
     uses_associative_lq = True
     name = "conventional"
 
-    def __init__(self, coherence: bool = False):
+    def __init__(self, coherence: bool = False, line_bytes: int = 128):
         super().__init__()
         self.coherence = coherence
-        self.lq: Optional[LoadQueue] = None
-        self.line_bytes = 128
-
-    def attach(self, lq: LoadQueue, line_bytes: int) -> None:
-        """Bind the pipeline's LQ (its search counters); called once by
-        the processor."""
-        self.lq = lq
+        #: Coherence granule of the load-load ordering check.
         self.line_bytes = line_bytes
-
-    def _object_view(self) -> ObjectView:
-        if self.lq is None:
-            raise SimulationError("scheme not attached to queues")
-        return ObjectView(lq=self.lq.ring.items)
+        #: Whole-LQ walks the coherence checks made (``lq.inv_searches``).
+        #: The store-resolve searches are booked in ``stats``:
+        #: ``lq.searches``, or ``stores.safe`` when a filter skipped one.
+        self.inv_searches = 0
 
     def soa_hooks(self, kernel):
         return _ConventionalSoaHooks(self, kernel)
@@ -91,17 +83,13 @@ class ConventionalScheme(CheckScheme):
 
         The scheme's fresh ``stats`` get what its hooks book
         (``stores.resolved``, ``lq.searches``, ``stores.safe``,
-        ``replay.execution_time``, the filter's own), and the attached LQ
-        its search counts.  The log leaves out the coherent load-load
-        check, which no filter changes: ``coherence_replays`` is the
-        recording run's count.  A store the filter calls safe although
+        ``replay.execution_time``, the filter's own).  The log leaves out
+        the coherent load-load check, which no filter changes:
+        ``coherence_replays`` is the recording run's count.  A store the filter calls safe although
         the recorded search found a victim raises
         :class:`SimulationError` naming ``label``, the store's seq and
         its address: the filter would have let a premature load retire.
         """
-        lq = self.lq
-        if lq is None:
-            raise SimulationError("scheme not attached to queues")
         stats = self.stats
         safe = self._filter_safe
         searches = filtered = victims = 0
@@ -149,8 +137,6 @@ class ConventionalScheme(CheckScheme):
                             ("replay.coherence", coherence_replays)):
             if value:
                 stats[name] = value
-        lq.searches = searches
-        lq.searches_filtered = filtered
 
 
 class FilteredScheme(ConventionalScheme):
@@ -174,8 +160,8 @@ class YlaFilteredScheme(FilteredScheme):
     name = "yla"
 
     def __init__(self, num_registers: int = 8, granularity_bytes: int = 8,
-                 coherence: bool = False):
-        super().__init__(coherence=coherence)
+                 coherence: bool = False, line_bytes: int = 128):
+        super().__init__(coherence, line_bytes)
         self.yla = YlaFile(num_registers, granularity_bytes)
 
     def _filter_load(self, addr: int, seq: int) -> None:
@@ -204,8 +190,9 @@ class BloomFilteredScheme(FilteredScheme):
 
     name = "bloom"
 
-    def __init__(self, entries: int = 1024, coherence: bool = False):
-        super().__init__(coherence=coherence)
+    def __init__(self, entries: int = 1024, coherence: bool = False,
+                 line_bytes: int = 128):
+        super().__init__(coherence, line_bytes)
         self.bloom = CountingBloomFilter(entries)
         self._phantoms: List[int] = []
 
@@ -259,7 +246,7 @@ class _ConventionalSoaHooks(SoaHooks):
         saw an invalidation."""
         s = self.scheme
         k = self.k
-        s.lq.inv_searches += 1
+        s.inv_searches += 1
         mask = ~(s.line_bytes - 1)
         line = k.addr[slot] & mask
         lseq = k.seq[slot]
@@ -280,7 +267,7 @@ class _ConventionalSoaHooks(SoaHooks):
             return
         # Every invalidation searches the whole LQ to mark matching loads.
         k = self.k
-        self.scheme.lq.inv_searches += 1
+        self.scheme.inv_searches += 1
         mask = ~(line_bytes - 1)
         icyc_ = k.icyc
         addr_ = k.addr
@@ -296,7 +283,6 @@ class _ConventionalSoaHooks(SoaHooks):
         if k.emit is not None:
             k.emit.store_classified(k.seq[slot], k.tidx[slot], False, k.cycle)
         s.stats.bump("lq.searches")
-        s.lq.searches += 1
         addr = k.addr[slot]
         victim = lq_violation_search_soa(
             k.lq, k.seq, k.addr, k.size, k.icyc,
@@ -325,10 +311,8 @@ class _FilteredSoaHooks(_ConventionalSoaHooks):
         if not s._filter_safe(k.addr[slot], k.seq[slot]):
             return super().on_store_resolve(slot)
         s.stats.bump("stores.resolved")
+        # The filtered-search count (``lq.searches_filtered``).
         s.stats.bump("stores.safe")
-        # The queue attribute is the canonical count; the processor
-        # exports it as ``lq.searches_filtered`` when building the result.
-        s.lq.searches_filtered += 1
         if k.emit is not None:
             k.emit.store_classified(k.seq[slot], k.tidx[slot], True, k.cycle)
         return -1

@@ -88,7 +88,7 @@ class DmdcScheme(CheckScheme):
         self._global_end = NO_LOAD   # global mode: pushed at unsafe-store issue
         self._active_end = NO_LOAD   # local mode + invalidation extensions
         #: Shadows the base-class attribute with live per-instance state;
-        #: both cycle loops read it every cycle, so it stays a plain bool.
+        #: the kernel reads it every cycle, so it stays a plain bool.
         self.checking_active = False
         self._activation_cycle = -1
         self._overflow_pending = False

@@ -22,17 +22,20 @@ def build_scheme(scheme_config, machine_config) -> CheckScheme:
     kind = scheme_config.kind
     line_bytes = machine_config.l2_line_bytes
     if kind == "conventional":
-        return ConventionalScheme(coherence=scheme_config.coherence)
+        return ConventionalScheme(coherence=scheme_config.coherence,
+                                  line_bytes=line_bytes)
     if kind == "yla":
         return YlaFilteredScheme(
             num_registers=scheme_config.yla_registers,
             granularity_bytes=scheme_config.yla_granularity,
             coherence=scheme_config.coherence,
+            line_bytes=line_bytes,
         )
     if kind == "bloom":
         return BloomFilteredScheme(
             entries=scheme_config.bloom_entries,
             coherence=scheme_config.coherence,
+            line_bytes=line_bytes,
         )
     if kind == "garg":
         table_entries = scheme_config.table_entries or machine_config.checking_table

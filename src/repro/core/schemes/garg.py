@@ -18,12 +18,11 @@ Contrasts with DMDC, per the paper's related-work discussion:
   costlier than DMDC's replay-from-the-load.
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.core.schemes.base import CheckScheme, ObjectView, SoaHooks
-from repro.errors import ConfigError, SimulationError
+from repro.core.schemes.base import CheckScheme, SoaHooks
+from repro.errors import ConfigError
 from repro.utils.bitops import fold_xor, is_power_of_two, log2_exact
-from repro.utils.ring import RingBuffer
 
 
 class AgeHashTable:
@@ -72,16 +71,6 @@ class GargAgeHashScheme(CheckScheme):
         #: real hardware cannot implement cheaply); False models the
         #: pollution the paper says DMDC "naturally avoids".
         self.repair_on_squash = repair_on_squash
-        self._rob: Optional[RingBuffer] = None
-
-    def attach_rob(self, rob: RingBuffer) -> None:
-        """Bind the ROB; needed to pick the flush point on a hit."""
-        self._rob = rob
-
-    def _object_view(self) -> ObjectView:
-        if self._rob is None:
-            raise SimulationError("Garg scheme not attached to the ROB")
-        return ObjectView(rob=self._rob.items)
 
     def on_wrongpath_load(self, age: int, addr: int) -> None:
         self.table.observe_load(addr, age)

@@ -1,5 +1,1 @@
-"""Load/store queues with forwarding, rejection, and associative search."""
-
-from repro.lsq.queues import ForwardAction, ForwardResult, LoadQueue, StoreQueue
-
-__all__ = ["ForwardAction", "ForwardResult", "LoadQueue", "StoreQueue"]
+"""Load/store queue searches over the SoA kernel's slot columns."""

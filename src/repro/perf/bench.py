@@ -18,7 +18,7 @@ Methodology (see ``docs/performance.md``):
 * every row is a **fresh simulation** — the bench never consults the
   execution engine's result cache, so throughput can never be inflated
   by cache hits — and the payload records the effective performance
-  knobs (cycle kernel, ``REPRO_PARALLEL``, cache enablement) because the
+  knobs (``REPRO_PARALLEL``, cache enablement) because the
   numbers are meaningless without that provenance.
 
 ``aggregate_instr_per_sec`` stays sim-time-only (the tracked figure);

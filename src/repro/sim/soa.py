@@ -1,9 +1,10 @@
-"""Structure-of-arrays cycle kernel (the batched fast path).
+"""Structure-of-arrays cycle kernel: the one cycle loop.
 
-The object-path pipeline in :mod:`repro.sim.processor` spends most of its
-time in CPython dispatch: ~50 function calls and attribute chains per
-committed instruction.  This module re-expresses the *same* cycle-level
-semantics over preallocated parallel arrays:
+A pipeline of per-stage methods over per-instruction objects spends most
+of its time in CPython dispatch: ~50 function calls and attribute chains
+per committed instruction.  This module expresses the cycle-level
+semantics of :mod:`repro.sim.processor` over preallocated parallel
+arrays instead:
 
 * every in-flight instruction occupies a **slot** in a fixed pool; all
   per-instruction state (`seq`, `state`, `addr`, timestamps, dependence
@@ -13,11 +14,10 @@ semantics over preallocated parallel arrays:
 * cycle-indexed ring buffers (completions, retries) carry **encoded
   identity ints** ``(seq << PBITS) | slot`` — scheduling an event is one
   list append, draining a cycle is one indexed read, and a stale event for
-  a squashed-and-reused slot is detected by one integer compare instead of
-  an object state read;
-* the per-stage methods of the object path are fused into one loop in
-  :meth:`SoaKernel.run`, and scheme callbacks receive slot indices (see the
-  ``soa_hooks`` adapters in :mod:`repro.core.schemes`).
+  a squashed-and-reused slot is detected by one integer compare;
+* the pipeline stages are fused into one loop in :meth:`SoaKernel.run`,
+  and scheme callbacks receive slot indices (see the ``soa_hooks``
+  adapters in :mod:`repro.core.schemes`).
 
 Every run that steps a cycle loop takes this kernel: observed, coherent
 and injected runs included.  It skips idle cycles: an event-horizon
@@ -61,13 +61,15 @@ change timing.  :func:`repro.sim.runner.run_many` replays one
 conventional run's log into every lane of its batch that shares trace,
 seed, budget and machine.
 
-The kernel is **bit-identical** to the object loop in
-:mod:`repro.sim.processor` — same counters, same cycle counts, same RNG
-stream — which `tests/test_soa_equivalence.py` enforces over the scheme
-× workload matrix and its coherence rows, and
-`tests/test_golden_digests.py` pins for the whole suite.  The object
-loop steps every cycle and is the reference those tests run; nothing in
-the package runs it.  See ``docs/performance.md``.
+The kernel is **bit-identical** to the per-cycle object pipeline it was
+transcribed from, which the test suite keeps as its reference
+(``tests/reference_loop.py``): same counters, same cycle counts, same
+RNG stream.  ``tests/test_soa_equivalence.py`` enforces that over the
+scheme × workload matrix and its coherence rows, and
+``tests/test_golden_digests.py`` pins the results for the whole suite.
+The reference steps every cycle, so those tests also check the skipper.
+:func:`repro.sim.validate.check_invariants` is the kernel's structural
+oracle.  See ``docs/performance.md``.
 
 Slot identity: a slot is recycled as soon as its instruction retires or is
 squashed, and ``next_seq`` never rolls back on a squash, so live sequence
@@ -81,7 +83,6 @@ import heapq
 from collections import deque
 from typing import Dict, List, Optional, Set
 
-from repro.backend.dyninst import InstrState
 from repro.backend.resources import FunctionalUnits
 from repro.core.schemes.base import (
     EV_COMMIT,
@@ -102,12 +103,14 @@ from repro.lsq.queues import (
     sq_forward_search_soa,
 )
 
-_ST_DISPATCHED = int(InstrState.DISPATCHED)
-_ST_READY = int(InstrState.READY)
-_ST_ISSUED = int(InstrState.ISSUED)
-_ST_COMPLETED = int(InstrState.COMPLETED)
-_ST_COMMITTED = int(InstrState.COMMITTED)
-_ST_SQUASHED = int(InstrState.SQUASHED)
+#: Slot states (the ``state`` column), in pipeline order: dependence
+#: wiring compares ``state < _ST_COMPLETED``.
+_ST_DISPATCHED = 0   # in ROB/IQ, waiting for operands
+_ST_READY = 1        # operands available, waiting for issue bandwidth
+_ST_ISSUED = 2       # executing / waiting on memory
+_ST_COMPLETED = 3    # result produced, waiting for in-order commit
+_ST_COMMITTED = 4
+_ST_SQUASHED = 5
 
 #: Dispatch-stall cause codes the fast-forward probe reports (mirroring
 #: the resource checks of the inline dispatch stage, in order).
@@ -266,9 +269,8 @@ class SoaKernel:
 
     Construction binds the processor's components (memory, predictor,
     scheme, store sets...) and array views; :meth:`run` executes the
-    cycle loop and folds every counter back into the processor so
-    ``Processor._build_result`` sees exactly the state the object path
-    would have produced.
+    cycle loop and folds every counter back into the processor for
+    ``Processor._build_result``.
     """
 
     def __init__(self, processor, buffers: Optional[KernelBuffers] = None,
@@ -422,11 +424,10 @@ class SoaKernel:
     def run(self, target: int, max_cycles: int) -> None:
         """Simulate until ``target`` instructions commit.
 
-        One Python frame replaces the object path's per-cycle call tree
-        (`step` -> stages -> leaf helpers); every stage below is a
-        transcription of its ``Processor`` counterpart over slot arrays,
-        in the same order with the same gates, so counters, RNG use and
-        cycle numbering are bit-identical.
+        One Python frame runs every stage, in the order commit,
+        writeback, issue, dispatch, fetch, then the injected coherence
+        traffic, each behind a cheap "can it act?" gate; a stage reads
+        state the earlier stages of the same cycle left.
         """
         # --- local bindings (hot state) --------------------------------
         p = self.p
@@ -657,7 +658,7 @@ class SoaKernel:
             if scheme.checking_active:
                 checking_cycles += 1
 
-            # ===== commit (Processor._stage_commit + _retire) ============
+            # ===== commit + retire ========================================
             if rob and state_[rob[0]] == _ST_COMPLETED:
                 first = committed
                 slots_left = width
@@ -760,7 +761,7 @@ class SoaKernel:
                 if rec and committed != first:
                     log += (EV_COMMITS, cycle, committed - first)
 
-            # ===== writeback (Processor._stage_complete) =================
+            # ===== writeback ===============================================
             events = cring[cycle & rmask]
             if events:
                 for v in events:
@@ -799,7 +800,7 @@ class SoaKernel:
                                         seq_[cslot] << pbits | cslot)
                         cons.clear()
                     if isbr_[slot]:
-                        # ---- resolve branch (Processor._resolve_branch) ----
+                        # ---- resolve branch ----
                         mispredicted = pred_resolve(tpc[ti], ttaken[ti], snap_[slot])
                         if ttaken[ti]:
                             btb_install(tpc[ti], ttarget[ti])
@@ -815,7 +816,7 @@ class SoaKernel:
                                 n_misfetches += 1
                 events.clear()
 
-            # ===== issue (Processor._stage_issue) ========================
+            # ===== issue ===================================================
             rev = rring[cycle & rmask]
             if ready or rev:
                 if rev:
@@ -829,8 +830,8 @@ class SoaKernel:
                     ports_left = ports
                     issued = 0
                     # One small list per non-idle issue cycle; parks
-                    # bandwidth-deferred entries exactly like the object
-                    # path's deferred list.
+                    # bandwidth-deferred entries until the cycle's picks
+                    # are done.
                     deferred: List[int] = []  # repro: noqa[REPRO005]
                     while ready and issued < width:
                         v = heappop(ready)
@@ -897,7 +898,7 @@ class SoaKernel:
                                     while g <= gend:
                                         lqg[g] = lqg.get(g, 0) + 1
                                         g += 1
-                                    # _free_iq_entry: un-issued => still in IQ
+                                    # issue frees the IQ entry
                                     if fp_[slot]:
                                         self.iq_fp -= 1
                                     else:
@@ -952,7 +953,7 @@ class SoaKernel:
                                 emit.record("issue", seq_[slot], ti, cycle)
                                 self.cycle = cycle  # scheme events read k.cycle
                             self.sq_unresolved -= 1
-                            if fp_[slot]:  # _free_iq_entry
+                            if fp_[slot]:  # issue frees the IQ entry
                                 self.iq_fp -= 1
                             else:
                                 self.iq_int -= 1
@@ -1025,7 +1026,7 @@ class SoaKernel:
                             icyc_[slot] = cycle
                             if emit is not None:
                                 emit.record("issue", seq_[slot], ti, cycle)
-                            if fp_[slot]:  # _free_iq_entry
+                            if fp_[slot]:  # issue frees the IQ entry
                                 self.iq_fp -= 1
                             else:
                                 self.iq_int -= 1
@@ -1037,7 +1038,7 @@ class SoaKernel:
                     for v in deferred:
                         heappush(ready, v)
 
-            # ===== dispatch (Processor._stage_dispatch) ==================
+            # ===== dispatch (rename + allocate) ============================
             if fetch_buf and cycle >= fcyc_[fetch_buf[0]] + decode_latency:
                 dispatched = 0
                 while fetch_buf and dispatched < width:
@@ -1120,7 +1121,7 @@ class SoaKernel:
                     n_rename += dispatched
                     n_rob_writes += dispatched
 
-            # ===== fetch (Processor._stage_fetch) ========================
+            # ===== fetch ===================================================
             if self.blocked_branch != -1 or cycle < self.resume_cycle:
                 n_fetch_stall += 1
             elif len(fetch_buf) < fetch_cap and self.fetch_idx < trace_len:
@@ -1140,7 +1141,7 @@ class SoaKernel:
                             self.resume_cycle = cycle + lat
                             n_icache_miss += 1
                             break
-                    # ---- allocate + initialise a slot (DynInstr.__init__)
+                    # ---- allocate + initialise a slot
                     slot = free_slots.pop()
                     seq_[slot] = nseq
                     tidx_[slot] = ti
@@ -1193,7 +1194,7 @@ class SoaKernel:
                 if fetched:
                     n_fetch += fetched
 
-            # ===== coherence traffic (Processor._inject_invalidations) ===
+            # ===== coherence traffic injection ============================
             if inv_on:
                 line = inv_draw()
                 if line is not None:
@@ -1258,8 +1259,7 @@ class SoaKernel:
         hot.bpred_lookups += n_bpred
         hot.squash_instructions += self.n_squash
         hot.replay_guard_trips += self.n_guard_trips
-        p.sq.searches += n_sq_search
-        p.sq.searches_filtered += n_sq_filtered
+        p.sq_searches_filtered += n_sq_filtered
 
     def _sync(self, cycle: int, committed: int, checking_cycles: int,
               ff_cycles: int) -> None:
@@ -1267,10 +1267,6 @@ class SoaKernel:
         p = self.p
         p.cycle = cycle
         p.committed = committed
-        p.next_seq = self.next_seq
-        p.fetch_idx = self.fetch_idx
-        p.fetch_resume_cycle = self.resume_cycle
-        p._last_fetch_line = self.last_line
         p._checking_cycles += checking_cycles
         p.fast_forwarded_cycles += ff_cycles
         self.cycle = cycle
@@ -1280,7 +1276,8 @@ class SoaKernel:
     # Squash / replay (cold path)
     # ------------------------------------------------------------------
     def _squash_from(self, slot: int) -> None:
-        """Transcription of ``Processor._squash_from`` over slot arrays."""
+        """Squash ``slot`` and everything younger; refetch from its trace
+        index."""
         seq_ = self.seq
         state_ = self.state
         tidx_ = self.tidx
@@ -1304,12 +1301,11 @@ class SoaKernel:
         # squash only ever removes a suffix).
         rob = self.rob
         # One small list per squash (a mispredict-rate event, not
-        # per-cycle); collecting then reversing preserves the object
-        # path's oldest-first victim order.
+        # per-cycle), collected youngest-first and reversed.
         victims = []  # repro: noqa[REPRO005]
         while rob and seq_[rob[-1]] >= boundary:
             victims.append(rob.pop())
-        victims.reverse()  # process oldest-first, like the object path
+        victims.reverse()  # hooks and observers see them oldest-first
         log = self.events
         if log is not None:
             # One record: the kept boundary, then the squashed issued
@@ -1322,7 +1318,7 @@ class SoaKernel:
         icyc_ = self.icyc
         addr_ = self.addr
         emit = self.emit
-        for victim in victims:  # oldest-first, like the object path
+        for victim in victims:
             state_[victim] = _ST_SQUASHED
             if emit is not None:
                 emit.record("squash", seq_[victim], tidx_[victim], cycle)
@@ -1394,7 +1390,7 @@ class SoaKernel:
             self.n_guard_trips += 1
 
     def _free_iq_if_held(self, slot: int) -> None:
-        """``Processor._free_iq_entry``: issue released the entry already,
+        """Release a squash victim's IQ entry: issue released it already,
         so only un-issued victims still hold one."""
         if self.icyc[slot] < 0:
             if self.fp[slot]:

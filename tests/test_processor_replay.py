@@ -8,7 +8,7 @@ every sound scheme must replay it.
 
 import pytest
 
-from repro.core.schemes.base import CheckScheme, CommitDecision
+from repro.core.schemes.base import CheckScheme
 from repro.errors import OrderingViolationMissed
 from repro.isa.opcodes import InstrClass
 from repro.sim.config import SchemeConfig, small_config

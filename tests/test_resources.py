@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backend.dyninst import DynInstr, InstrState
+from tests.reference_loop import DynInstr, InstrState
 from repro.backend.resources import FunctionalUnits, PhysRegFile
 from repro.errors import ConfigError, SimulationError
 from repro.isa.instruction import MicroOp

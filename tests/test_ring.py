@@ -1,10 +1,10 @@
-"""Unit and property tests for the RingBuffer (ROB/LQ/SQ substrate)."""
+"""Unit and property tests for the reference loop's RingBuffer (its ROB/LQ/SQ)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.ring import RingBuffer
+from tests.reference_loop import RingBuffer
 
 
 class TestBasics:

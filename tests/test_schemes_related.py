@@ -2,17 +2,15 @@
 
 import pytest
 
-from repro.backend.dyninst import DynInstr
-from repro.core.schemes.base import CommitDecision
 from repro.core.schemes.garg import AgeHashTable, GargAgeHashScheme
 from repro.core.schemes.value import ValueBasedScheme
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.isa.instruction import MicroOp
 from repro.isa.opcodes import InstrClass
 from repro.sim.config import SchemeConfig, small_config
 from repro.sim.runner import run_trace
-from repro.utils.ring import RingBuffer
 from repro.workloads import SyntheticWorkload, WorkloadSpec
+from tests.reference_loop import DynInstr, SchemeDriver
 
 
 def mk_load(seq, addr, issued=True):
@@ -61,54 +59,49 @@ class TestAgeHashTable:
 class TestGargScheme:
     def _scheme_with_rob(self, entries=256):
         scheme = GargAgeHashScheme(table_entries=entries)
-        rob = RingBuffer(32)
-        scheme.attach_rob(rob)
-        return scheme, rob
-
-    def test_requires_rob(self):
-        with pytest.raises(SimulationError):
-            GargAgeHashScheme().on_store_resolve(mk_store(1, 0), 0)
+        rob = []
+        return scheme, rob, SchemeDriver(scheme, rob=rob)
 
     def test_safe_store_passes(self):
-        s, rob = self._scheme_with_rob()
-        s.on_load_issue(mk_load(3, 0x100), 0)
-        assert s.on_store_resolve(mk_store(5, 0x100), 0) is None
+        s, rob, d = self._scheme_with_rob()
+        d.load_issue(mk_load(3, 0x100))
+        assert d.store_resolve(mk_store(5, 0x100)) is None
         assert s.stats["stores.safe"] == 1
 
     def test_premature_load_triggers_flush_from_store(self):
-        s, rob = self._scheme_with_rob()
+        s, rob, d = self._scheme_with_rob()
         store = mk_store(5, 0x100)
         younger = mk_load(9, 0x100)
-        rob.push(store)
-        rob.push(younger)
-        s.on_load_issue(younger, 0)
-        victim = s.on_store_resolve(store, 0)
+        rob.append(store)
+        rob.append(younger)
+        d.load_issue(younger)
+        victim = d.store_resolve(store)
         assert victim is younger  # first ROB entry younger than the store
         assert s.stats["replay.execution_time"] == 1
 
     def test_hash_alias_causes_false_flush(self):
-        s, rob = self._scheme_with_rob(entries=16)
+        s, rob, d = self._scheme_with_rob(entries=16)
         store = mk_store(5, 0x100)
         alias = next(q * 8 for q in range(1 << 12)
                      if q * 8 != 0x100 and s.table.index(q * 8) == s.table.index(0x100))
         innocent = mk_load(9, alias)
-        rob.push(store)
-        rob.push(innocent)
-        s.on_load_issue(innocent, 0)
-        assert s.on_store_resolve(store, 0) is innocent
+        rob.append(store)
+        rob.append(innocent)
+        d.load_issue(innocent)
+        assert d.store_resolve(store) is innocent
         assert s.stats["replay.false"] == 1
 
     def test_stale_entry_with_empty_rob_is_harmless(self):
-        s, rob = self._scheme_with_rob()
-        s.on_load_issue(mk_load(9, 0x100), 0)
-        assert s.on_store_resolve(mk_store(5, 0x100), 0) is None
+        s, rob, d = self._scheme_with_rob()
+        d.load_issue(mk_load(9, 0x100))
+        assert d.store_resolve(mk_store(5, 0x100)) is None
         assert s.stats["garg.stale_hits"] == 1
 
     def test_repair_variant_rolls_back(self):
         s = GargAgeHashScheme(repair_on_squash=True)
-        s.attach_rob(RingBuffer(8))
-        s.on_load_issue(mk_load(50, 0x100), 0)
-        s.on_squash(10, [])
+        d = SchemeDriver(s)
+        d.load_issue(mk_load(50, 0x100))
+        d.squash(10, [])
         assert s.table.youngest_for(0x100) <= 10
 
 
@@ -116,19 +109,19 @@ class TestValueScheme:
     def test_clean_load_commits_with_reexecution(self):
         s = ValueBasedScheme()
         load = mk_load(5, 0x100)
-        assert s.on_commit(load, 1) == CommitDecision.OK
+        assert not SchemeDriver(s).commit(load, 1)
         assert s.stats["value.reexecutions"] == 1
 
     def test_violated_load_replays(self):
         s = ValueBasedScheme()
         load = mk_load(5, 0x100)
         load.true_violation_store = 2
-        assert s.on_commit(load, 1) == CommitDecision.REPLAY
+        assert SchemeDriver(s).commit(load, 1)
         assert s.stats["replay.true"] == 1
 
     def test_non_loads_ignored(self):
         s = ValueBasedScheme()
-        assert s.on_commit(mk_store(5, 0x100), 1) == CommitDecision.OK
+        assert not SchemeDriver(s).commit(mk_store(5, 0x100), 1)
         assert s.stats["value.reexecutions"] == 0
 
 

@@ -1,16 +1,16 @@
-"""Bit-exact equivalence of the SoA cycle kernel vs the object pipeline.
+"""Bit-exact equivalence of the SoA cycle kernel vs the reference pipeline.
 
 The structure-of-arrays kernel (:class:`repro.sim.soa.SoaKernel`) fuses
 every pipeline stage into one loop over preallocated slot arrays.  It must
 be behaviourally invisible: for every scheme family and workload, a run
 through the kernel must produce a ``to_dict()`` payload bit-identical to
-the per-cycle object loop, the reference stepped by
-``tests/object_loop.py`` — same cycles, same counters, same histograms.
+the per-cycle object loop, the reference in ``tests/reference_loop.py``:
+same cycles, same counters, same histograms.
 The scheme matrix is shared with the sanitizer sweep so both correctness
 nets cover the same nine points; a second matrix covers coherent
 configurations and injected invalidations.
 
-The object loop steps every cycle while the kernel skips provably idle
+The reference steps every cycle while the kernel skips provably idle
 ones, so every row here also checks the kernel's cycle skipper.  A
 sanitized kernel run must match the reference too, so the oracle checks
 the loop that produces the numbers.
@@ -28,7 +28,7 @@ from repro.sim.config import CONFIG2, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.runner import run_trace
 from repro.workloads import get_workload
-from tests.object_loop import run_object_loop, run_trace_object_loop
+from tests.reference_loop import ReferenceProcessor, run_reference
 
 BUDGET = 2_500
 
@@ -67,7 +67,7 @@ def test_soa_bit_identical(workload, scheme_label):
     trace = _trace(workload)
 
     soa = run_trace(config, trace, max_instructions=BUDGET, seed=1)
-    obj = run_trace_object_loop(config, trace, max_instructions=BUDGET, seed=1)
+    obj = run_reference(config, trace, max_instructions=BUDGET, seed=1)
 
     assert soa.to_dict() == obj.to_dict()
 
@@ -83,7 +83,7 @@ def test_soa_bit_identical_coherence(workload, row):
     soa = kernel_proc.run(BUDGET)
     assert kernel_proc.kernel_used == "soa"
 
-    obj = run_trace_object_loop(config, trace, max_instructions=BUDGET, seed=1)
+    obj = run_reference(config, trace, max_instructions=BUDGET, seed=1)
 
     assert soa.to_dict() == obj.to_dict()
 
@@ -118,13 +118,10 @@ def test_both_loops_call_the_same_adapter(monkeypatch, workload, kind):
         monkeypatch.setattr(cls, name, spy(name))
     config = CONFIG2.with_scheme(SchemeConfig(kind=kind))
     counts = {}
-    for loop in ("soa", "object"):
-        proc = Processor(config, _trace(workload), seed=1)
+    for loop, cls in (("soa", Processor), ("object", ReferenceProcessor)):
+        proc = cls(config, _trace(workload), seed=1)
         proc.prewarm()
-        if loop == "soa":
-            proc.run(BUDGET)
-        else:
-            run_object_loop(proc, BUDGET)
+        proc.run(BUDGET)
         assert proc.kernel_used == loop
         counts[loop] = dict(calls)
         calls.update(dict.fromkeys(names, 0))
@@ -160,15 +157,15 @@ def test_soa_kernel_actually_engaged():
 
 
 def test_reference_helper_steps_every_cycle():
-    """The object loop is the per-cycle reference: the helper steps it,
-    it never skips, and it reaches the kernel's result."""
+    """The object loop is the per-cycle reference: it never skips, and
+    it reaches the kernel's result."""
     config = CONFIG2.with_scheme(SchemeConfig(kind="dmdc"))
     kernel_proc = Processor(config, _trace("gzip"), seed=1)
     kernel_proc.prewarm()
     kernel_result = kernel_proc.run(BUDGET)
-    proc = Processor(config, _trace("gzip"), seed=1)
+    proc = ReferenceProcessor(config, _trace("gzip"), seed=1)
     proc.prewarm()
-    result = run_object_loop(proc, BUDGET)
+    result = proc.run(BUDGET)
     assert proc.kernel_used == "object"
     assert proc.fast_forwarded_cycles == 0
     assert kernel_proc.fast_forwarded_cycles > 0
@@ -193,7 +190,7 @@ def test_sanitized_run_takes_kernel_with_identical_results():
     assert sanitizer.report.events_checked > 0
     assert sanitizer.report.clean
 
-    reference = run_trace_object_loop(config, trace, max_instructions=BUDGET,
+    reference = run_reference(config, trace, max_instructions=BUDGET,
                                       seed=1)
     assert reference.to_dict() == hooked_result.to_dict()
 

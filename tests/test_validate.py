@@ -1,82 +1,112 @@
-"""Tests for the structural invariant checker (and, through it, the pipeline)."""
+"""Tests for the structural invariant checker (and, through it, the kernel)."""
 
 import pytest
 
+from repro.analysis.sanitizer import attach_sanitizer
 from repro.errors import SimulationError
 from repro.sim.config import SchemeConfig, small_config
 from repro.sim.processor import Processor
+from repro.sim.soa import SoaKernel
 from repro.sim.validate import check_invariants
 from repro.workloads import SyntheticWorkload, WorkloadSpec, get_workload
-from tests.object_loop import run_object_loop
 
 
 class TestCheckerCatchesCorruption:
-    def _warm_proc(self):
+    def _stopped_kernel(self):
+        """A kernel stopped at a small commit target, pipeline still full."""
         proc = Processor(small_config(), get_workload("gzip").generate(300))
-        for _ in range(500):
-            proc.step()
-            if len(proc.rob) > 4:
-                break
-        assert len(proc.rob) > 4
-        check_invariants(proc)  # healthy first
-        return proc
+        proc.prewarm()
+        kernel = SoaKernel(proc)
+        kernel.run(20, 10_000)
+        assert len(kernel.rob) > 4
+        check_invariants(kernel)  # healthy first
+        return kernel
 
     def test_detects_iq_drift(self):
-        proc = self._warm_proc()
-        proc.iq_int_count += 1
+        kernel = self._stopped_kernel()
+        kernel.iq_int += 1
         with pytest.raises(SimulationError, match="IQ"):
-            check_invariants(proc)
+            check_invariants(kernel)
 
     def test_detects_register_leak(self):
-        proc = self._warm_proc()
-        proc.regs_int.free -= 1
+        kernel = self._stopped_kernel()
+        kernel.regs_int.free -= 1
         with pytest.raises(SimulationError, match="register leak"):
-            check_invariants(proc)
+            check_invariants(kernel)
 
     def test_detects_rename_corruption(self):
-        proc = self._warm_proc()
-        victim = next(e for e in proc.rob if e.uop.dst is not None)
-        older = Processor(small_config(), get_workload("gzip").generate(10))
-        proc.rename[victim.uop.dst] = proc.rob.head()
-        try:
-            check_invariants(proc)
-        except SimulationError:
-            return
-        # If head happened to be the youngest writer, corrupt differently.
-        proc.rename[63] = victim
-        with pytest.raises(SimulationError):
-            check_invariants(proc)
+        kernel = self._stopped_kernel()
+        dst = kernel.t.dst
+        writers = [slot for slot in kernel.rob if dst[kernel.tidx[slot]] >= 0]
+        assert len(writers) >= 2
+        # Point the youngest writer's register at an older writer.
+        reg = dst[kernel.tidx[writers[-1]]]
+        older = writers[0]
+        kernel.rename[reg] = kernel.seq[older] << kernel.pbits | older
+        with pytest.raises(SimulationError, match="rename"):
+            check_invariants(kernel)
 
     def test_detects_age_disorder(self):
-        proc = self._warm_proc()
-        if len(proc.rob) >= 2:
-            proc.rob.items[0], proc.rob.items[1] = proc.rob.items[1], proc.rob.items[0]
-            with pytest.raises(SimulationError, match="age-ordered"):
-                check_invariants(proc)
+        kernel = self._stopped_kernel()
+        rob = kernel.rob
+        rob[0], rob[1] = rob[1], rob[0]
+        with pytest.raises(SimulationError, match="age-ordered"):
+            check_invariants(kernel)
+
+    def test_detects_retired_slot_in_rob(self):
+        kernel = self._stopped_kernel()
+        kernel.state[kernel.rob[-1]] = 4  # committed
+        with pytest.raises(SimulationError, match="committed instruction"):
+            check_invariants(kernel)
+
+    def test_detects_stale_queue_entry(self):
+        kernel = self._stopped_kernel()
+        assert kernel.lq
+        kernel.rob.remove(kernel.lq[-1])
+        with pytest.raises(SimulationError, match="stale LQ"):
+            check_invariants(kernel)
 
 
 class TestPipelineHoldsInvariants:
-    """The real assertion: the pipeline never violates the invariants,
-    including across replays, rejections, and mispredictions."""
+    """The real assertion: the kernel never violates the invariants,
+    including across replays, rejections, and mispredictions (a sanitized
+    run checks them at every retire)."""
+
+    def _run_checked(self, config, trace, budget, monkeypatch):
+        import repro.analysis.sanitizer as sanitizer_module
+
+        checks = []
+
+        def counted(kernel):
+            checks.append(kernel)
+            check_invariants(kernel)
+        monkeypatch.setattr(sanitizer_module, "check_invariants", counted)
+        proc = Processor(config, trace)
+        attach_sanitizer(proc, strict=True)
+        result = proc.run(budget)
+        assert proc.kernel_used == "soa"
+        assert len(checks) >= budget
+        return result
 
     @pytest.mark.parametrize("scheme", [
         SchemeConfig(kind="conventional"),
         SchemeConfig(kind="dmdc"),
         SchemeConfig(kind="dmdc", local=True),
     ], ids=["conventional", "dmdc-global", "dmdc-local"])
-    def test_clean_under_stress(self, scheme):
+    def test_clean_under_stress(self, scheme, monkeypatch):
         spec = WorkloadSpec(name="validate", conflict_per_kinstr=5.0,
                             store_addr_dep_load=0.2, rmw_fraction=0.2, seed=13)
         trace = SyntheticWorkload(spec).generate(1000)
         config = small_config().with_scheme(scheme)
-        proc = Processor(config, trace)
-        result = run_object_loop(proc, 800, check_every=3)
+        result = self._run_checked(config, trace, 800, monkeypatch)
         assert result.committed == 800
+        assert result.counters["replays"] > 0
 
-    def test_clean_with_wrongpath_and_invalidations(self):
+    def test_clean_with_wrongpath_and_invalidations(self, monkeypatch):
         config = small_config().with_scheme(
             SchemeConfig(kind="dmdc", coherence=True)
         ).with_overrides(invalidation_rate=100.0)
-        proc = Processor(config, get_workload("mcf").generate(900))
-        result = run_object_loop(proc, 700, check_every=5)
+        result = self._run_checked(config, get_workload("mcf").generate(900),
+                                   700, monkeypatch)
         assert result.committed == 700
+        assert result.counters["inv.injected"] > 0
