@@ -16,7 +16,7 @@ REPRO002    no ``random`` module inside ``sim/``/``lsq/``/``core/``
 REPRO003    no iteration over ``set``s inside the deterministic zone
             (iteration order is not reproducible across processes)
 REPRO004    no string-keyed ``CounterSet.bump`` in hot-path functions
-            (use :class:`repro.stats.counters.HotCounters` slots)
+            (count in local ints, fold them once per run)
 REPRO005    no growable-collection allocation in hot-path functions
             (comprehensions, ``list()``/``dict()``/``set()``, empty
             displays, lambdas)
@@ -261,12 +261,12 @@ class NoHotPathBumpRule(Rule):
 
     ``CounterSet.bump`` hashes a string and touches a defaultdict on every
     call; on per-cycle/per-event paths that cost is measurable.  Hot paths
-    increment pre-bound :class:`repro.stats.counters.HotCounters` slots and
-    fold them into the ``CounterSet`` once, at result-build time.
+    count in local ints and fold them into the ``CounterSet`` once per
+    run, when the loop ends (``SoaKernel.run``'s closing fold).
     """
 
     rule_id = "REPRO004"
-    summary = "no CounterSet.bump in hot-path functions (use HotCounters)"
+    summary = "no CounterSet.bump in hot-path functions (count in local ints)"
 
     def check(self, file: SourceFile, context: dict) -> Iterator[LintViolation]:
         hot = _hot_functions_for(file.path)
@@ -282,7 +282,7 @@ class NoHotPathBumpRule(Rule):
                     yield self.violation(
                         file, node,
                         f"string-keyed bump() inside hot function {qualname}; "
-                        f"use a HotCounters slot")
+                        f"count in a local int and fold it once per run")
 
 
 class NoHotPathAllocationRule(Rule):

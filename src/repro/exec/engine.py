@@ -21,7 +21,7 @@ from repro.exec.cache import ResultCache
 from repro.exec.options import PARALLEL_ENV, EngineOptions
 from repro.exec.request import RunRequest
 from repro.sim.result import SimulationResult
-from repro.sim.runner import lane_host_config, run_many, run_workload
+from repro.sim.runner import lane_group, run_many, run_workload
 from repro.sim.setup_memo import SETUP_MEMO
 
 __all__ = [
@@ -61,7 +61,7 @@ def _execute_batch(requests: List[RunRequest]) -> List[SimulationResult]:
 
     Module-level so process pools can pickle it; batching inside the
     worker is what lets ``run_many`` amortize trace generation and
-    kernel-buffer allocation across the jobs shipped to that worker.
+    prewarm across the jobs shipped to that worker.
     """
     return run_many(requests)
 
@@ -71,14 +71,14 @@ def by_lane_group(
 ) -> List[Tuple[str, RunRequest]]:
     """``pending`` stable-ordered by lane group: each group (the
     points one conventional host run serves, see
-    :func:`repro.sim.runner.run_many`) gathered at its first member's
+    :func:`repro.sim.runner.lane_group`) gathered at its first member's
     place; every other point keeps its own place."""
     groups: Dict[object, List[Tuple[str, RunRequest]]] = {}
     for key, request in pending:
-        host = lane_host_config(request.config)
-        group = (key if host is None else
-                 (request.workload_name, request.budget, request.seed, host))
-        groups.setdefault(group, []).append((key, request))
+        group = lane_group(request.config, request.workload_name,
+                           request.seed, request.budget)
+        groups.setdefault(key if group is None else group, []).append(
+            (key, request))
     return [item for group in groups.values() for item in group]
 
 
@@ -239,7 +239,7 @@ class ExecutionEngine:
         # Ship each worker a contiguous slice rather than one job at a
         # time: callers submit sweeps in (scheme, workload) order, so
         # slices keep same-trace jobs together and run_many can amortize
-        # trace generation and kernel buffers inside the worker.  Lane
+        # trace generation and prewarm inside the worker.  Lane
         # groups are gathered first, so a slice boundary seldom parts a
         # conventional host from its lanes.
         pending = by_lane_group(pending)

@@ -82,15 +82,3 @@ def write_report(results_dir, out_path: Optional[str] = None) -> str:
         pathlib.Path(out_path).write_text(text)
     return text
 
-
-def sweep_report(ledger_path, baseline: Optional[str] = None):
-    """Pivot a completed sweep ledger into a paper-figure-style report.
-
-    Thin delegate to :func:`repro.sweeps.report_from_ledger` (imported
-    lazily so assembling markdown reports does not pull the simulator
-    stack in); returns a :class:`repro.sweeps.SweepReport` — call
-    ``.render()`` for text or ``.to_dict()`` for the machine-readable
-    artifact (see ``docs/sweeps.md``).
-    """
-    from repro.sweeps import report_from_ledger
-    return report_from_ledger(str(ledger_path), baseline=baseline)

@@ -38,10 +38,15 @@ through its filter (a *filter lane*), and a DMDC, Garg or store-set point
 replays a squash-free host's events through its scheme, stepping its own
 kernel only if a replay verdict would change timing (a *verdict lane*);
 see :class:`HostRun`.
+
+A kernel run and a lane build their result the same way
+(:meth:`Processor._result`): the machine counters (the kernel's and
+the components', or a lane's host's), then the point's scheme stats
+and histograms, then the counters a lane books itself.
 """
 
 import time
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from repro.backend.resources import FunctionalUnits, PhysRegFile
 from repro.coherence.injector import InvalidationInjector
@@ -56,17 +61,17 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.result import SimulationResult
 from repro.sim.soa import LaneView, SoaKernel, replay_verdicts
-from repro.stats.counters import CounterSet, HotCounters
+from repro.stats.counters import CounterSet
 from repro.utils.rng import DeterministicRng
 
 class HostRun(NamedTuple):
     """A recording kernel run, which lanes replay: its result, its event
-    log (:mod:`repro.sim.soa`) and the names of the counters its scheme
-    booked, which a lane's result takes from the lane's own scheme."""
+    log (:mod:`repro.sim.soa`) and its machine counters (everything but
+    its scheme's stats), which a lane's result starts from."""
 
     result: SimulationResult
     events: List[int]
-    scheme_counters: Tuple[str, ...]
+    counters: CounterSet
 
     @property
     def squash_free(self) -> bool:
@@ -116,13 +121,9 @@ class Processor:
         # Run state the kernel writes back (see ``SoaKernel._sync``).
         self.cycle = 0
         self.committed = 0
+        #: The run's machine counters: what the kernel and the components
+        #: counted, without the scheme's stats (see :meth:`_result`).
         self.counters = CounterSet()
-        self.hot = HotCounters()
-        #: Loads the SQ age filter let skip their forwarding search
-        #: (``sq.searches_filtered_age``; the searches themselves are
-        #: ``hot.sq_searches``).
-        self.sq_searches_filtered = 0
-        self._checking_cycles = 0
         #: Idle cycles the SoA kernel's skipper jumped over (diagnostic
         #: only: deliberately NOT a counter, so results stay bit-identical
         #: with the reference loop, which steps every cycle).
@@ -135,10 +136,6 @@ class Processor:
         #: The :class:`~repro.analysis.sanitizer.MemoryOrderSanitizer`
         #: wrapping the scheme's kernel adapter, or None.
         self.sanitizer = None
-        #: Reusable slot-pool buffers.  ``run_many`` seeds them so
-        #: same-geometry batch elements share one allocation; otherwise
-        #: :meth:`run` fills them.
-        self.soa_buffers = None
         #: Which route the last :meth:`run` took: ``"soa"`` (the kernel)
         #: or ``"lane"`` (a lane that replayed a host's log instead) —
         #: bench/result provenance.
@@ -194,18 +191,23 @@ class Processor:
         host = self.replay_from
         if host is not None:
             t0 = time.perf_counter()  # repro: noqa[REPRO001]
-            if self._replay_lane(host):
+            checking = self._replay_lane(host)
+            if checking >= 0:
+                # The lane timed as its host: it takes the host's machine
+                # counters and books its own checking window.
                 self.kernel_used = "lane"
-                result = self._lane_result(host)
-                self.cycle = result.cycles
-                self.committed = result.committed
+                self.cycle = host.result.cycles
+                self.committed = host.result.committed
+                self.counters.merge(host.counters)
+                self.counters["checking.cycles_observed"] = checking
+                result = self._result()
                 result.sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
                 return result
             replay_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
         # Kernel construction (trace column decode, slot-pool allocation)
         # happens before the clock starts: like trace generation it is
-        # per-trace setup amortised across runs, not cycle-loop work, and
-        # ``sim_seconds`` is defined as the cost of the cycle loop alone.
+        # setup, not cycle-loop work, and ``sim_seconds`` is defined as
+        # the cost of the cycle loop alone.
         # A kernel starts from a fresh pipeline (prewarm is functional
         # only), so a processor runs once.
         if self.cycle or self.committed:
@@ -216,8 +218,7 @@ class Processor:
             # Lanes replay a conventional run's log: only the
             # conventional family (search filters included) times alike.
             raise SimulationError(f"scheme {self.scheme.name} cannot host lanes")
-        kernel = SoaKernel(self, self.soa_buffers, self.record_events)
-        self.soa_buffers = kernel.b
+        kernel = SoaKernel(self, self.record_events)
         # Wall-clock is measurement-only (sim_seconds for the perf harness);
         # it never feeds back into simulated state.
         t0 = time.perf_counter()  # repro: noqa[REPRO001]
@@ -225,19 +226,20 @@ class Processor:
         kernel.run(target, max_cycles)
         sim_seconds = replay_seconds + time.perf_counter() - t0  # repro: noqa[REPRO001]
         self.scheme.finalize(self.cycle)
-        result = self._build_result()
+        self._count_components()
+        result = self._result()
         if kernel.events is not None:
-            self.recorded = HostRun(result, kernel.events,
-                                    tuple(self.scheme.stats.as_dict()))
+            self.recorded = HostRun(result, kernel.events, self.counters)
         result.sim_seconds = sim_seconds
         return result
 
-    def _replay_lane(self, host: HostRun) -> bool:
-        """Run this point's scheme over the run ``host`` recorded.
+    def _replay_lane(self, host: HostRun) -> int:
+        """Run this point's scheme over the run ``host`` recorded; returns
+        the lane's ``checking.cycles_observed``.
 
         The conventional family (search filters, store sets) replays the
         conventional search; DMDC and Garg drive their kernel adapters
-        through :func:`~repro.sim.soa.replay_verdicts`.  False when that
+        through :func:`~repro.sim.soa.replay_verdicts`.  -1 when that
         replay reaches a verdict that changes timing: the scheme is then
         rebuilt fresh, for this processor's own loop.
         """
@@ -247,76 +249,71 @@ class Processor:
         if isinstance(scheme, ConventionalScheme):
             scheme.replay_lane(host.events, label,
                                result.counters["replays.coherence"])
-            return True
+            return 0
         view = LaneView(self.trace)
         checking = replay_verdicts(scheme.soa_hooks(view), view, host.events,
                                    result.cycles, result.committed, label)
         if checking < 0:
             self.scheme = build_scheme(self.config.scheme, self.config)
-            return False
-        self._checking_cycles = checking
+            return -1
         scheme.finalize(result.cycles)
-        return True
-
-    def _lane_result(self, host: HostRun) -> SimulationResult:
-        """This point's result once :meth:`_replay_lane` replayed ``host``."""
-        self.scheme.collect()
-        return host.result.lane_copy(self.scheme, host.scheme_counters,
-                                     self._lane_counters())
+        return checking
 
     # ==================================================================
     # Results
     # ==================================================================
-    def _lane_counters(self) -> Dict[str, int]:
-        """The processor counters a lane books itself instead of taking
-        its host's: checking-window cycles, LQ searches and store sets.
+    def _count_components(self) -> None:
+        """Book the cycle count and what the components counted into the
+        machine counters, once the loop has run."""
+        counters = self.counters
+        scheme = self.scheme
+        memory = self.memory
+        counters["cycles"] = self.cycle
+        counters["lq.inv_searches"] = (
+            scheme.inv_searches if isinstance(scheme, ConventionalScheme) else 0)
+        counters["bpred.mispredicts"] = self.predictor.mispredictions
+        counters["wrongpath.loads"] = self.wrongpath.injected
+        counters["dcache.accesses"] = memory.l1d.accesses
+        counters["dcache.misses"] = memory.l1d.misses
+        counters["icache.accesses"] = memory.l1i.accesses
+        counters["icache.misses"] = memory.l1i.misses
+        counters["l2.accesses"] = memory.l2.accesses
+        counters["l2.misses"] = memory.l2.misses
+
+    def _result(self) -> SimulationResult:
+        """This point's result, built alike for a kernel run and a lane:
+        the machine counters (``self.counters``), then this scheme's stats
+        and histograms, then the counters a lane books itself instead of
+        taking its host's: LQ searches and store sets.
 
         The conventional family books its LQ searches in its own stats:
         a resolving store either searches (``lq.searches``) or is
         filtered safe (``stores.safe``).  No other scheme searches the
         LQ; DMDC and Garg book ``stores.safe`` for their own
-        classification.
+        classification.  The counters are a fresh set, so a host and its
+        lanes share no mutable state.
         """
-        stats = self.scheme.stats
-        conventional = isinstance(self.scheme, ConventionalScheme)
-        own = {"checking.cycles_observed": self._checking_cycles,
-               "lq.searches_assoc": stats["lq.searches"],
-               "lq.searches_filtered": stats["stores.safe"] if conventional else 0}
-        if self.storesets is not None:
-            own["storesets.violations_recorded"] = self.storesets.violations_recorded
-            own["storesets.merges"] = self.storesets.merges
-        return own
-
-    def _build_result(self) -> SimulationResult:
-        self.hot.fold_into(self.counters)
-        self.counters["cycles"] = self.cycle
-        for name, value in self._lane_counters().items():
-            self.counters[name] = value
         scheme = self.scheme
-        self.counters["lq.inv_searches"] = (
-            scheme.inv_searches if isinstance(scheme, ConventionalScheme) else 0)
-        self.counters["sq.searches_assoc"] = self.hot.sq_searches
-        self.counters["sq.searches_filtered_age"] = self.sq_searches_filtered
-        self.counters["bpred.mispredicts"] = self.predictor.mispredictions
-        self.counters["wrongpath.loads"] = self.wrongpath.injected
-        self.counters["dcache.accesses"] = self.memory.l1d.accesses
-        self.counters["dcache.misses"] = self.memory.l1d.misses
-        self.counters["icache.accesses"] = self.memory.l1i.accesses
-        self.counters["icache.misses"] = self.memory.l1i.misses
-        self.counters["l2.accesses"] = self.memory.l2.accesses
-        self.counters["l2.misses"] = self.memory.l2.misses
-        self.scheme.collect()
-        self.counters.merge(self.scheme.stats)
+        scheme.collect()
+        stats = scheme.stats
+        counters = CounterSet.from_dict(self.counters.as_dict())
+        counters.merge(stats)
+        counters["lq.searches_assoc"] = stats["lq.searches"]
+        counters["lq.searches_filtered"] = (
+            stats["stores.safe"] if isinstance(scheme, ConventionalScheme) else 0)
+        if self.storesets is not None:
+            counters["storesets.violations_recorded"] = self.storesets.violations_recorded
+            counters["storesets.merges"] = self.storesets.merges
         return SimulationResult(
             workload=self.trace.name,
             group=self.trace.group,
             config_name=self.config.name,
-            scheme_name=self.scheme.name,
+            scheme_name=scheme.name,
             cycles=self.cycle,
             committed=self.committed,
-            counters=self.counters,
-            window_instrs=self.scheme.window_instrs,
-            window_loads=self.scheme.window_loads,
-            window_safe_loads=self.scheme.window_safe_loads,
-            window_unsafe_stores=self.scheme.window_unsafe_stores,
+            counters=counters,
+            window_instrs=scheme.window_instrs,
+            window_loads=scheme.window_loads,
+            window_safe_loads=scheme.window_safe_loads,
+            window_unsafe_stores=scheme.window_unsafe_stores,
         )

@@ -5,8 +5,8 @@ adds the derived rates the paper reports (IPC, replays per million
 committed instructions, safe-store percentage, checking-window shape).
 """
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict
 
 from repro.stats.counters import CounterSet, Histogram
 
@@ -120,25 +120,6 @@ class SimulationResult:
             return 0.0
         ones = dict(self.window_unsafe_stores.items()).get(1, 0)
         return ones / self.window_unsafe_stores.count
-
-    def lane_copy(self, scheme, host_counters: Tuple[str, ...],
-                  own: Dict[str, int]) -> "SimulationResult":
-        """A lane's result, built from this (recording host's) result.
-
-        Keeps every counter except the ``host_counters`` the host's scheme
-        booked, then adds the lane ``scheme``'s stats and the lane
-        processor's ``own`` counters; the histograms are the lane
-        scheme's.  The counters are a fresh set, so host and lane share
-        no mutable state.
-        """
-        counters = CounterSet.from_dict({
-            name: value for name, value in self.counters.as_dict().items()
-            if name not in host_counters})
-        counters.merge(scheme.stats)
-        for name, value in own.items():
-            counters[name] = value
-        return replace(self, scheme_name=scheme.name, counters=counters, **{
-            name: getattr(scheme, name) for name in HISTOGRAM_FIELDS})
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict:

@@ -9,7 +9,6 @@ from repro.sim.config import MachineConfig, SchemeConfig
 from repro.sim.processor import HostRun, Processor
 from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SetupBatch
-from repro.sim.soa import KernelBuffers
 
 #: Environment variable scaling every experiment's instruction budget.
 INSTRUCTIONS_ENV = "REPRO_INSTRUCTIONS"
@@ -159,7 +158,21 @@ def lane_host_config(config: MachineConfig) -> Optional[MachineConfig]:
         store_sets=scheme.store_sets))
 
 
-def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]:
+def lane_group(config: MachineConfig, trace: Any, seed: int,
+               budget: Any) -> Optional[Tuple]:
+    """The lane group a point joins: points with the same trace, seed,
+    budget and :func:`lane_host_config` share one host run.  None for a
+    point outside every lane family.
+
+    ``trace`` is whatever names the point's trace for the caller:
+    :func:`run_many` passes the trace's content identity, the engine
+    (before any trace exists) the workload name.
+    """
+    host = lane_host_config(config)
+    return None if host is None else (trace, seed, budget, host)
+
+
+def run_many(requests: Sequence) -> List[SimulationResult]:
     """Run a batch of design points, amortizing setup; results come back
     in request order.
 
@@ -177,19 +190,19 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
       other batch;
     * one prewarm per distinct (trace, front-end geometry), likewise
       shared: later processors get a copy of the warm state;
-    * one slot-pool allocation per machine geometry, threaded between
-      elements via ``Processor.soa_buffers``;
-    * **lanes**: points with the same trace, seed, budget and
-      :func:`lane_host_config` form a group.  Its host, the conventional
-      point (else the first YLA/Bloom point), runs first and records the
-      events lanes read.  Every other YLA/Bloom point (a *filter lane*)
-      gets its own ``Processor.run``, which replays that log and reports
-      ``kernel_used == "lane"``.  A DMDC, Garg or ``conventional-storesets``
-      point (a *verdict lane*) replays it the same way when the host's
-      run was squash-free, and steps its own kernel when it was not, or
-      when the replay reaches a verdict that would change timing.  A
-      group without a host runs each point alone, recording nothing.
-      The log is dropped once the group is done.
+    * **lanes**: points in the same :func:`lane_group` form a group.
+      Its host, the conventional point (else the first YLA/Bloom
+      point), runs first and records the events lanes read, keeping
+      its machine counters for them (:class:`HostRun`).  Every other
+      YLA/Bloom point (a *filter lane*) gets its own
+      ``Processor.run``, which replays that log and reports
+      ``kernel_used == "lane"``.  A DMDC, Garg or
+      ``conventional-storesets`` point (a *verdict lane*) replays it
+      the same way when the host's run was squash-free, and steps its
+      own kernel when it was not, or when the replay reaches a verdict
+      that would change timing.  A group without a host runs each
+      point alone, recording nothing.  The log is dropped once the
+      group is done.
 
     Every element still gets a fresh :class:`Processor` with its own RNG
     stream and its own copy of the warm front end, so results are
@@ -197,7 +210,6 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
     seeds cannot leak across batch elements.
     """
     setup = SetupBatch()
-    buffers: Dict[int, Optional[KernelBuffers]] = {}
     points: List[Tuple[Any, int, Trace, Any]] = []
     # Group key -> member indices, in first-appearance order; a point
     # outside every lane family is a group of its own.
@@ -209,9 +221,8 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
         trace, ident = setup.trace(_resolve_workload(request.workload),
                                    budget + TRACE_TAIL_SLACK)
         points.append((request, budget, trace, ident))
-        host = lane_host_config(request.config)
-        key = (ident, request.seed, budget, host) if host is not None else index
-        groups.setdefault(key, []).append(index)
+        key = lane_group(request.config, ident, request.seed, budget)
+        groups.setdefault(index if key is None else key, []).append(index)
 
     results: Dict[int, SimulationResult] = {}
     for members in groups.values():
@@ -233,13 +244,8 @@ def run_many(requests: Sequence, prewarm: bool = True) -> List[SimulationResult]
                 processor.replay_from = recorded
             processor.record_events = (hosted and index == members[0]
                                        and len(members) > 1)
-            pool = request.config.rob_size + request.config.fetch_buffer + 8
-            processor.soa_buffers = buffers.get(pool)
-            if prewarm:
-                setup.prewarm(processor, ident)
+            setup.prewarm(processor, ident)
             results[index] = processor.run(budget)
-            if processor.soa_buffers is not None:
-                buffers[pool] = processor.soa_buffers
             if recorded is None:
                 recorded = processor.recorded
     return [results[index] for index in range(len(points))]

@@ -6,9 +6,10 @@ per committed instruction.  This module expresses the cycle-level
 semantics of :mod:`repro.sim.processor` over preallocated parallel
 arrays instead:
 
-* every in-flight instruction occupies a **slot** in a fixed pool; all
-  per-instruction state (`seq`, `state`, `addr`, timestamps, dependence
-  counts) lives in parallel lists indexed by slot;
+* every in-flight instruction occupies a **slot** in a fixed pool the
+  kernel allocates for its run; all per-instruction state (`seq`,
+  `state`, `addr`, timestamps, dependence counts) lives in parallel
+  lists indexed by slot;
 * the ROB/LQ/SQ are deques of slot numbers in age order, so retire pops
   the head and a squash pops the tail in O(victims), no object walks;
 * cycle-indexed ring buffers (completions, retries) carry **encoded
@@ -17,7 +18,9 @@ arrays instead:
   a squashed-and-reused slot is detected by one integer compare;
 * the pipeline stages are fused into one loop in :meth:`SoaKernel.run`,
   and scheme callbacks receive slot indices (see the ``soa_hooks``
-  adapters in :mod:`repro.core.schemes`).
+  adapters in :mod:`repro.core.schemes`);
+* event counters are local ints, booked into ``Processor.counters`` in
+  one fold when the loop ends.
 
 Every run that steps a cycle loop takes this kernel: observed, coherent
 and injected runs included.  It skips idle cycles: an event-horizon
@@ -208,29 +211,30 @@ def trace_soa(trace) -> TraceSoA:
     return cached
 
 
-class KernelBuffers:
-    """Preallocated slot-pool arrays, reusable across same-geometry runs.
+class SoaKernel:
+    """One run of one processor through the fused SoA cycle loop.
 
-    The pool bounds live instructions: at most ``rob_size`` dispatched plus
-    ``fetch_buffer`` fetched-but-not-dispatched (an instruction leaves the
-    fetch buffer exactly when it enters the ROB).  Buffers carry no
-    cross-run state — each :class:`SoaKernel` repopulates the free list and
-    every slot field is (re)initialised at fetch time — so
-    :func:`repro.sim.runner.run_many` hands one instance to every batch
-    element with the same geometry.
+    Construction binds the processor's components (memory, predictor,
+    scheme, store sets...) and allocates the run's own slot columns;
+    :meth:`run` executes the cycle loop and books every counter it kept
+    into the processor's ``counters`` once, at the end.
     """
 
-    __slots__ = (
-        "pool", "pbits", "pmask", "seq", "tidx", "state", "fcyc", "icyc",
-        "rcyc", "addr", "size", "isld", "isst", "isbr", "fp", "pops",
-        "pdata", "tvs", "tvpc", "fwdseq", "safe", "gbp", "unsafe", "wend",
-        "invm", "snap", "cons",
-    )
+    def __init__(self, processor, record: bool = False) -> None:
+        p = processor
+        self.p = p
+        config = p.config
+        self.t = trace_soa(p.trace)
 
-    def __init__(self, pool: int) -> None:
-        self.pool = pool
+        # Slot pool: at most ``rob_size`` dispatched plus ``fetch_buffer``
+        # fetched-but-not-dispatched instructions are live (one leaves the
+        # fetch buffer exactly when it enters the ROB).  Every slot field
+        # is (re)initialised at fetch; adapters read the columns as
+        # ``k.seq`` etc.
+        pool = config.rob_size + config.fetch_buffer + 8
         self.pbits = pool.bit_length()
         self.pmask = (1 << self.pbits) - 1
+        self.free: List[int] = list(range(pool - 1, -1, -1))
         self.seq = [-1] * pool
         self.tidx = [0] * pool
         self.state = [0] * pool
@@ -255,63 +259,6 @@ class KernelBuffers:
         self.invm = [False] * pool
         self.snap = [None] * pool
         self.cons: List[list] = [[] for _ in range(pool)]
-
-    @classmethod
-    def for_config(cls, config) -> "KernelBuffers":
-        return cls(config.rob_size + config.fetch_buffer + 8)
-
-    def fits(self, config) -> bool:
-        return self.pool >= config.rob_size + config.fetch_buffer + 8
-
-
-class SoaKernel:
-    """One run of one processor through the fused SoA cycle loop.
-
-    Construction binds the processor's components (memory, predictor,
-    scheme, store sets...) and array views; :meth:`run` executes the
-    cycle loop and folds every counter back into the processor for
-    ``Processor._build_result``.
-    """
-
-    def __init__(self, processor, buffers: Optional[KernelBuffers] = None,
-                 record: bool = False) -> None:
-        p = processor
-        self.p = p
-        config = p.config
-        if buffers is None or not buffers.fits(config):
-            buffers = KernelBuffers.for_config(config)
-        self.b = b = buffers
-        self.t = trace_soa(p.trace)
-
-        # Slot pool -----------------------------------------------------
-        self.pbits = b.pbits
-        self.pmask = b.pmask
-        self.free: List[int] = list(range(b.pool - 1, -1, -1))
-        # Array views (aliases so adapters read k.seq etc.).
-        self.seq = b.seq
-        self.tidx = b.tidx
-        self.state = b.state
-        self.fcyc = b.fcyc
-        self.icyc = b.icyc
-        self.rcyc = b.rcyc
-        self.addr = b.addr
-        self.size = b.size
-        self.isld = b.isld
-        self.isst = b.isst
-        self.isbr = b.isbr
-        self.fp = b.fp
-        self.pops = b.pops
-        self.pdata = b.pdata
-        self.tvs = b.tvs
-        self.tvpc = b.tvpc
-        self.fwdseq = b.fwdseq
-        self.safe = b.safe
-        self.gbp = b.gbp
-        self.unsafe = b.unsafe
-        self.wend = b.wend
-        self.invm = b.invm
-        self.snap = b.snap
-        self.cons = b.cons
 
         # Age-ordered queues as slot deques (O(1) head pops at retire;
         # squash cuts pop the tail, so no mid-queue surgery ever happens).
@@ -364,10 +311,8 @@ class SoaKernel:
         self.iq_fp = 0
         self.replay_streak: Dict[int, int] = {}
         self.force_nonspec: Set[int] = set()
-        self.checking_cycles = 0
-        self.ff_cycles = 0
 
-        # Cold-path counters folded into HotCounters at the end.
+        # Cold-path counters, folded with the loop's locals at the end.
         self.n_squash = 0
         self.n_guard_trips = 0
         self.n_gt_violations = 0
@@ -555,7 +500,7 @@ class SoaKernel:
         ff_cycles = 0
         checking_cycles = 0
 
-        # --- hot counters as locals (folded into HotCounters below) ----
+        # --- event counters as locals (folded once, after the loop) -----
         n_replays = n_replays_commit = n_replays_exec = n_replays_coh = 0
         n_commit = n_commit_loads = n_commit_safe = n_commit_stores = 0
         n_commit_branches = n_reexec = 0
@@ -844,7 +789,8 @@ class SoaKernel:
                             la = addr_[slot]
                             lseq = seq_[slot]
                             nonspec = bool(force_nonspec) and ti in force_nonspec
-                            if nonspec and self.sq_unresolved:
+                            if (nonspec and self.sq_unresolved
+                                    and self._older_store_unresolved(lseq)):
                                 rring[(cycle + 1) & rmask].append(v)
                             elif storesets is not None and storesets.blocking_store(
                                     tpc[ti], lseq) is not None:
@@ -1205,69 +1151,71 @@ class SoaKernel:
 
             cycle += 1
             if cycle > max_cycles:
-                self.cycle = cycle
-                self.committed = committed
-                self._sync(cycle, committed, checking_cycles, ff_cycles)
+                self._sync(cycle, committed, ff_cycles)
                 raise SimulationError(
                     f"no forward progress: {committed}/{target} committed "
                     f"after {cycle} cycles on {p.trace.name}"
                 )
 
-        # ===== fold state and counters back into the processor ==========
-        self._sync(cycle, committed, checking_cycles, ff_cycles)
-        hot = p.hot
-        hot.replays += n_replays
-        hot.replays_commit_time += n_replays_commit
-        hot.replays_execution_time += n_replays_exec
-        hot.replays_coherence += n_replays_coh
-        hot.inv_injected += n_inv
-        hot.commit_instructions += n_commit
-        hot.commit_loads += n_commit_loads
-        hot.commit_safe_loads += n_commit_safe
-        hot.commit_stores += n_commit_stores
-        hot.commit_branches += n_commit_branches
-        hot.dcache_reexecutions += n_reexec
-        hot.regfile_writes += n_regw
-        hot.regfile_reads += n_regr
-        hot.iq_wakeups += n_wakeups
-        hot.branch_mispredicts += n_mispredicts
-        hot.branch_misfetches += n_misfetches
-        hot.issue_instructions += n_issue
-        hot.issue_loads += n_issue_loads
-        hot.issue_stores += n_issue_stores
-        hot.fu_ops += n_fu
-        hot.sq_searches += n_sq_search
-        hot.load_rejections += n_rejections
-        hot.load_safe_at_issue += n_safe_at_issue
-        hot.load_forwarded += n_forwarded
-        hot.dcache_reads += n_dreads
-        hot.groundtruth_violations += self.n_gt_violations
-        hot.storesets_load_delays += n_ss_delays
-        hot.stall_rob_full += n_stall_rob
-        hot.stall_iq_full += n_stall_iq
-        hot.stall_lq_full += n_stall_lq
-        hot.stall_sq_full += n_stall_sq
-        hot.stall_regs_full += n_stall_regs
-        hot.lq_writes += n_lq_writes
-        hot.sq_writes += n_sq_writes
-        hot.rename_ops += n_rename
-        hot.rob_writes += n_rob_writes
-        hot.fetch_stall_cycles += n_fetch_stall
-        hot.fetch_instructions += n_fetch
-        hot.fetch_icache_miss += n_icache_miss
-        hot.icache_reads += n_icache_reads
-        hot.bpred_lookups += n_bpred
-        hot.squash_instructions += self.n_squash
-        hot.replay_guard_trips += self.n_guard_trips
-        p.sq_searches_filtered += n_sq_filtered
+        # ===== fold state and counters into the processor ===============
+        self._sync(cycle, committed, ff_cycles)
+        counters = p.counters
+        counters["checking.cycles_observed"] = checking_cycles
+        counters["sq.searches_assoc"] = n_sq_search
+        counters["sq.searches_filtered_age"] = n_sq_filtered
+        # An event counter is booked only once its event happened.
+        for name, value in (
+                ("replays", n_replays),
+                ("replays.commit_time", n_replays_commit),
+                ("replays.execution_time", n_replays_exec),
+                ("replays.coherence", n_replays_coh),
+                ("inv.injected", n_inv),
+                ("commit.instructions", n_commit),
+                ("commit.loads", n_commit_loads),
+                ("commit.safe_loads", n_commit_safe),
+                ("commit.stores", n_commit_stores),
+                ("commit.branches", n_commit_branches),
+                ("dcache.reexecutions", n_reexec),
+                ("regfile.writes", n_regw),
+                ("regfile.reads", n_regr),
+                ("iq.wakeups", n_wakeups),
+                ("branch.mispredicts", n_mispredicts),
+                ("branch.misfetches", n_misfetches),
+                ("issue.instructions", n_issue),
+                ("issue.loads", n_issue_loads),
+                ("issue.stores", n_issue_stores),
+                ("fu.ops", n_fu),
+                ("sq.searches", n_sq_search),
+                ("load.rejections", n_rejections),
+                ("load.safe_at_issue", n_safe_at_issue),
+                ("load.forwarded", n_forwarded),
+                ("dcache.reads", n_dreads),
+                ("groundtruth.violations", self.n_gt_violations),
+                ("storesets.load_delays", n_ss_delays),
+                ("stall.rob_full", n_stall_rob),
+                ("stall.iq_full", n_stall_iq),
+                ("stall.lq_full", n_stall_lq),
+                ("stall.sq_full", n_stall_sq),
+                ("stall.regs_full", n_stall_regs),
+                ("lq.writes", n_lq_writes),
+                ("sq.writes", n_sq_writes),
+                ("rename.ops", n_rename),
+                ("rob.writes", n_rob_writes),
+                ("fetch.stall_cycles", n_fetch_stall),
+                ("fetch.instructions", n_fetch),
+                ("fetch.icache_miss", n_icache_miss),
+                ("icache.reads", n_icache_reads),
+                ("bpred.lookups", n_bpred),
+                ("squash.instructions", self.n_squash),
+                ("replay.guard_trips", self.n_guard_trips)):
+            if value:
+                counters[name] = value
 
-    def _sync(self, cycle: int, committed: int, checking_cycles: int,
-              ff_cycles: int) -> None:
+    def _sync(self, cycle: int, committed: int, ff_cycles: int) -> None:
         """Write the kernel's scalar cursors back onto the processor."""
         p = self.p
         p.cycle = cycle
         p.committed = committed
-        p._checking_cycles += checking_cycles
         p.fast_forwarded_cycles += ff_cycles
         self.cycle = cycle
         self.committed = committed
@@ -1388,6 +1336,19 @@ class SoaKernel:
         if streak >= self.replay_guard:
             self.force_nonspec.add(ti)
             self.n_guard_trips += 1
+
+    def _older_store_unresolved(self, seq: int) -> bool:
+        """Whether a store older than ``seq`` has no address yet: a load
+        the replay guard made non-speculative waits for none but those
+        (a younger store may depend on the load itself)."""
+        seq_ = self.seq
+        rcyc_ = self.rcyc
+        for slot in self.sq:
+            if seq_[slot] >= seq:
+                return False
+            if rcyc_[slot] < 0:
+                return True
+        return False
 
     def _free_iq_if_held(self, slot: int) -> None:
         """Release a squash victim's IQ entry: issue released it already,

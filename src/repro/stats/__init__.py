@@ -1,14 +1,10 @@
 """Statistics collection and reporting for simulation runs."""
 
-from repro.stats.counters import CounterSet, Histogram, RunningMean
-from repro.stats.aggregate import GroupSummary, summarize
+from repro.stats.counters import CounterSet, Histogram
 from repro.stats.report import format_table
 
 __all__ = [
     "CounterSet",
     "Histogram",
-    "RunningMean",
-    "GroupSummary",
-    "summarize",
     "format_table",
 ]

@@ -1,50 +1,11 @@
-"""Aggregation of per-workload metrics into the paper's INT/FP group views.
+"""Aggregation of per-workload metrics.
 
-The paper reports most results as per-group averages with min/max ranges
-(the "I-beams" in Figure 2).  :func:`summarize` reproduces that view from a
-``{workload_name: value}`` mapping and a group assignment.
+The paper's per-group averages with min/max ranges (the "I-beams" in
+Figure 2) come from :func:`repro.experiments.common.group_means`; this
+module keeps the geometric mean used for speedup aggregation.
 """
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping
-
-
-@dataclass
-class GroupSummary:
-    """Mean/min/max of one metric over a workload group."""
-
-    group: str
-    mean: float
-    min: float
-    max: float
-    count: int
-
-    def __str__(self) -> str:
-        return f"{self.group}: mean={self.mean:.2f} min={self.min:.2f} max={self.max:.2f} (n={self.count})"
-
-
-def summarize(values: Mapping[str, float], groups: Mapping[str, str]) -> Dict[str, GroupSummary]:
-    """Group ``values`` by ``groups[name]`` and summarise each group.
-
-    Workloads missing from ``groups`` are ignored, so a partial suite run
-    still aggregates cleanly.
-    """
-    buckets: Dict[str, list] = {}
-    for name, value in values.items():
-        group = groups.get(name)
-        if group is None:
-            continue
-        buckets.setdefault(group, []).append(value)
-    out: Dict[str, GroupSummary] = {}
-    for group, vals in buckets.items():
-        out[group] = GroupSummary(
-            group=group,
-            mean=sum(vals) / len(vals),
-            min=min(vals),
-            max=max(vals),
-            count=len(vals),
-        )
-    return out
+from typing import Iterable
 
 
 def geometric_mean(values: Iterable[float]) -> float:

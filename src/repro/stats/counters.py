@@ -65,115 +65,6 @@ class CounterSet:
         return scale * self._counts.get(numerator, 0) / denom
 
 
-#: Counter names the pipeline bumps on its hottest paths.  Each becomes a
-#: pre-bound integer slot on :class:`HotCounters` (dots mapped to
-#: underscores), sparing the per-event string hash + defaultdict lookup of
-#: :meth:`CounterSet.bump`; the totals fold back into the ``CounterSet``
-#: once, when the simulation result is built.
-HOT_COUNTERS = (
-    "replays",
-    "replays.commit_time",
-    "replays.execution_time",
-    "replays.coherence",
-    "commit.instructions",
-    "commit.loads",
-    "commit.safe_loads",
-    "commit.stores",
-    "commit.branches",
-    "dcache.reexecutions",
-    "regfile.writes",
-    "regfile.reads",
-    "iq.wakeups",
-    "branch.mispredicts",
-    "branch.misfetches",
-    "issue.instructions",
-    "issue.loads",
-    "issue.stores",
-    "fu.ops",
-    "sq.searches",
-    "load.rejections",
-    "load.safe_at_issue",
-    "load.forwarded",
-    "dcache.reads",
-    "groundtruth.violations",
-    "storesets.load_delays",
-    "stall.rob_full",
-    "stall.iq_full",
-    "stall.lq_full",
-    "stall.sq_full",
-    "stall.regs_full",
-    "lq.writes",
-    "sq.writes",
-    "rename.ops",
-    "rob.writes",
-    "fetch.stall_cycles",
-    "fetch.instructions",
-    "fetch.icache_miss",
-    "icache.reads",
-    "bpred.lookups",
-    "squash.instructions",
-    "replay.guard_trips",
-    "inv.injected",
-)
-
-
-class HotCounters:
-    """Slotted integer counters for the simulator's per-event hot paths.
-
-    The fold-back contract: every slot starts at zero, the pipeline
-    increments slots directly (``hot.commit_loads += 1``), and
-    :meth:`fold_into` adds each non-zero slot into a :class:`CounterSet`
-    under its dotted name exactly once — the processor calls it when
-    building the :class:`~repro.sim.result.SimulationResult`, so the
-    externally visible counter names and values are identical to the old
-    string-keyed ``bump`` calls.
-    """
-
-    __slots__ = tuple(name.replace(".", "_") for name in HOT_COUNTERS)
-
-    def __init__(self) -> None:
-        for slot in self.__slots__:
-            setattr(self, slot, 0)
-
-    def fold_into(self, counters: "CounterSet") -> None:
-        """Add every non-zero slot into ``counters`` under its dotted name."""
-        for name in HOT_COUNTERS:
-            value = getattr(self, name.replace(".", "_"))
-            if value:
-                counters.bump(name, value)
-
-    def as_dict(self) -> Dict[str, int]:
-        """Non-zero slots keyed by dotted counter name (for debugging)."""
-        out = {}
-        for name in HOT_COUNTERS:
-            value = getattr(self, name.replace(".", "_"))
-            if value:
-                out[name] = value
-        return out
-
-
-class RunningMean:
-    """Streaming mean/min/max without storing samples."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
 class Histogram:
     """Sparse integer-valued histogram with summary statistics."""
 

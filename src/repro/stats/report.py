@@ -32,7 +32,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = 
         lines.append(fmt_row(row))
     return "\n".join(lines)
 
-
-def format_percent(value: float, digits: int = 1) -> str:
-    """Format a fraction (0..1) as a percentage string."""
-    return f"{100.0 * value:.{digits}f}%"

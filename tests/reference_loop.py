@@ -17,7 +17,7 @@ compares the two loops' results bit for bit.
 
 import enum
 import heapq
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set
 
 from repro.errors import OrderingViolationMissed, SimulationError
@@ -409,6 +409,9 @@ class ReferenceProcessor(Processor):
 
     def __init__(self, config, trace, seed: int = 1):
         super().__init__(config, trace, seed=seed)
+        #: Per-event counts by counter name, booked into ``counters``
+        #: once the run ends.
+        self.hot: Counter = Counter()
         self.rob = RingBuffer(config.rob_size)
         self.lq = LoadQueue(config.lq_size)
         self.sq = StoreQueue(config.sq_size)
@@ -446,13 +449,24 @@ class ReferenceProcessor(Processor):
                     f"no forward progress: {self.committed}/{target} "
                     f"committed after {self.cycle} cycles on {self.trace.name}")
         self.scheme.finalize(self.cycle)
-        return self._build_result()
+        # Booked as the kernel books them: these three even when zero,
+        # every other event count only once its event happened.
+        hot = self.hot
+        counters = self.counters
+        counters["checking.cycles_observed"] = hot["checking.cycles_observed"]
+        counters["sq.searches_assoc"] = hot["sq.searches"]
+        counters["sq.searches_filtered_age"] = hot["sq.searches_filtered_age"]
+        for name, value in hot.items():
+            if value:
+                counters[name] = value
+        self._count_components()
+        return self._result()
 
     def step(self) -> None:
         """Advance one cycle (commit -> writeback -> issue -> dispatch -> fetch)."""
         self._squashed_this_cycle = False
         if self.scheme.checking_active:
-            self._checking_cycles += 1
+            self.hot["checking.cycles_observed"] += 1
         cycle = self.cycle
         # Each stage is gated on the cheap "can it possibly act?" test, the
         # same gates the kernel uses.
@@ -467,7 +481,7 @@ class ReferenceProcessor(Processor):
         if self.fetch_buffer:
             self._stage_dispatch()
         if self.fetch_blocked_branch is not None or cycle < self.fetch_resume_cycle:
-            self.hot.fetch_stall_cycles += 1
+            self.hot["fetch.stall_cycles"] += 1
         elif len(self.fetch_buffer) < self.config.fetch_buffer and self.fetch_idx < len(self.trace):
             self._stage_fetch()
         if self.invalidations.enabled:
@@ -499,8 +513,8 @@ class ReferenceProcessor(Processor):
             if head.state is not _COMPLETED:
                 break
             if hooks.gated_commit(head, cycle):
-                self.hot.replays += 1
-                self.hot.replays_commit_time += 1
+                self.hot["replays"] += 1
+                self.hot["replays.commit_time"] += 1
                 self._squash_from(head)
                 return
             if head.is_load and head.true_violation_store >= 0:
@@ -525,21 +539,21 @@ class ReferenceProcessor(Processor):
             if not lq_items or lq_items[0] is not instr:
                 raise AssertionError("LQ retired out of order")
             lq_items.pop(0)
-            hot.commit_loads += 1
+            hot["commit.loads"] += 1
             if self.scheme.reexecutes_loads:
                 # Value-based checking: every load re-accesses the cache.
                 self.memory.read(instr.addr)
-                hot.dcache_reexecutions += 1
+                hot["dcache.reexecutions"] += 1
             if instr.safe:
-                hot.commit_safe_loads += 1
+                hot["commit.safe_loads"] += 1
         elif instr.is_store:
             self.sq.retire_head(instr)
             self.memory.write(instr.addr)
-            hot.commit_stores += 1
+            hot["commit.stores"] += 1
         elif instr.is_branch:
-            hot.commit_branches += 1
+            hot["commit.branches"] += 1
         self.committed += 1
-        hot.commit_instructions += 1
+        hot["commit.instructions"] += 1
         self._replay_streak.pop(instr.trace_idx, None)
         self._force_nonspec.discard(instr.trace_idx)
 
@@ -555,7 +569,7 @@ class ReferenceProcessor(Processor):
                 continue
             instr.state = _COMPLETED
             if instr.uop.dst is not None:
-                hot.regfile_writes += 1
+                hot["regfile.writes"] += 1
             if instr.consumers:
                 self._wake_consumers(instr)
             if instr.is_branch:
@@ -568,7 +582,7 @@ class ReferenceProcessor(Processor):
         for consumer, kind in consumers:
             if consumer.state is _SQUASHED:
                 continue
-            hot.iq_wakeups += 1
+            hot["iq.wakeups"] += 1
             if kind == "op":
                 consumer.pending_ops -= 1
                 if consumer.pending_ops == 0 and consumer.state is _DISPATCHED:
@@ -594,10 +608,10 @@ class ReferenceProcessor(Processor):
             self.fetch_blocked_branch = None
             self.fetch_resume_cycle = self.cycle + self.config.branch_penalty
             if mispredicted:
-                self.hot.branch_mispredicts += 1
+                self.hot["branch.mispredicts"] += 1
                 self.hooks.on_recovery(branch.seq)
             else:
-                self.hot.branch_misfetches += 1
+                self.hot["branch.misfetches"] += 1
 
     # ------------------------------------------------------------------
     # Issue / execute
@@ -658,9 +672,9 @@ class ReferenceProcessor(Processor):
         instr.issue_cycle = self.cycle
         self._free_iq_entry(instr)
         hot = self.hot
-        hot.issue_instructions += 1
-        hot.regfile_reads += len(instr.uop.srcs)
-        hot.fu_ops += 1
+        hot["issue.instructions"] += 1
+        hot["regfile.reads"] += len(instr.uop.srcs)
+        hot["fu.ops"] += 1
         self._schedule_completion(
             self.cycle + self.fus.latency_by_cls[instr.uop.cls], instr)
 
@@ -671,8 +685,8 @@ class ReferenceProcessor(Processor):
         store.resolve_cycle = self.cycle
         self._free_iq_entry(store)
         hot = self.hot
-        hot.issue_stores += 1
-        hot.regfile_reads += len(store.uop.srcs)
+        hot["issue.stores"] += 1
+        hot["regfile.reads"] += len(store.uop.srcs)
         if self.storesets is not None:
             self.storesets.store_resolved(store.uop.pc, store.seq)
         self._ground_truth_store_resolve(store)
@@ -683,8 +697,8 @@ class ReferenceProcessor(Processor):
         if hooks.has_store_resolve:
             victim = hooks.on_store_resolve(store)
             if victim != -1 and not victim.squashed:
-                hot.replays += 1
-                hot.replays_execution_time += 1
+                hot["replays"] += 1
+                hot["replays.execution_time"] += 1
                 self._squash_from(victim)
 
     def _ground_truth_store_resolve(self, store: DynInstr) -> None:
@@ -716,21 +730,23 @@ class ReferenceProcessor(Processor):
                             continue
                     load.true_violation_store = s_seq
                     load.true_violation_pc = store.uop.pc
-                    self.hot.groundtruth_violations += 1
+                    self.hot["groundtruth.violations"] += 1
 
     def _try_issue_load(self, load: DynInstr, ports_left: int, deferred: List[DynInstr]):
         """Attempt to issue one load; returns (issued?, ports_left)."""
         hot = self.hot
-        if load.trace_idx in self._force_nonspec and self.sq.oldest_unresolved_seq() is not None:
+        if load.trace_idx in self._force_nonspec:
             # Livelock guard: after repeated replays this load waits until
             # every older store has resolved (it then issues as a safe load).
-            self._schedule_retry(self.cycle + 1, load)
-            return False, ports_left
+            oldest = self.sq.oldest_unresolved_seq()
+            if oldest is not None and oldest < load.seq:
+                self._schedule_retry(self.cycle + 1, load)
+                return False, ports_left
         if self.storesets is not None:
             blocker = self.storesets.blocking_store(load.uop.pc, load.seq)
             if blocker is not None:
                 # Predicted dependent on an in-flight unresolved store: wait.
-                hot.storesets_load_delays += 1
+                hot["storesets.load_delays"] += 1
                 self._schedule_retry(self.cycle + 2, load)
                 return False, ports_left
         if ports_left <= 0:
@@ -744,25 +760,25 @@ class ReferenceProcessor(Processor):
         # skip the SQ search (tracked by an oldest-store-age register).
         sq_items = self.sq.ring.items
         if self.config.scheme.sq_filter and (not sq_items or load.seq < sq_items[0].seq):
-            self.sq_searches_filtered += 1
+            self.hot["sq.searches_filtered_age"] += 1
             result_action = _FWD_CACHE
             all_older_resolved = True
             fwd_store = None
         else:
             result_action, fwd_store, all_older_resolved = \
                 self.sq.search_for_forwarding(load)
-            hot.sq_searches += 1
+            hot["sq.searches"] += 1
 
         if result_action is _FWD_REJECT:
-            hot.load_rejections += 1
+            hot["load.rejections"] += 1
             self._schedule_retry(self.cycle + self.config.reject_retry_delay, load)
             return True, ports_left  # consumed bandwidth this cycle
 
         load.state = _ISSUED
         load.issue_cycle = self.cycle
         self._free_iq_entry(load)
-        hot.issue_loads += 1
-        hot.regfile_reads += len(load.uop.srcs)
+        hot["issue.loads"] += 1
+        hot["regfile.reads"] += len(load.uop.srcs)
         load.safe = all_older_resolved
         if load.trace_idx in self._force_nonspec and all_older_resolved:
             # Guard-tripped loads issued with every older store resolved are
@@ -771,18 +787,18 @@ class ReferenceProcessor(Processor):
             # guarantees forward progress.
             load.guard_bypass = True
         if load.safe:
-            hot.load_safe_at_issue += 1
+            hot["load.safe_at_issue"] += 1
         self.wrongpath.observe_address(load.addr)
         if self.invalidations.enabled:
             self.invalidations.observe(load.addr)
 
         if result_action is _FWD_FORWARD:
             load.forward_store_seq = fwd_store.seq
-            hot.load_forwarded += 1
+            hot["load.forwarded"] += 1
             latency = 1 + self.config.l1d_latency
         else:
             ports_left -= 1
-            hot.dcache_reads += 1
+            hot["dcache.reads"] += 1
             latency = 1 + self.memory.read(load.addr)
         self._schedule_completion(self.cycle + latency, load)
 
@@ -790,8 +806,8 @@ class ReferenceProcessor(Processor):
         if hooks.has_load_issue:
             victim = hooks.on_load_issue(load)
             if victim != -1 and not victim.squashed:
-                hot.replays += 1
-                hot.replays_coherence += 1
+                hot["replays"] += 1
+                hot["replays.coherence"] += 1
                 self._squash_from(victim)
         return True, ports_left
 
@@ -817,28 +833,28 @@ class ReferenceProcessor(Processor):
                 break
             uop = instr.uop
             if len(rob_items) >= self.config.rob_size:
-                hot.stall_rob_full += 1
+                hot["stall.rob_full"] += 1
                 break
             if instr.fp_side:
                 if self.iq_fp_count >= self.config.iq_fp:
-                    hot.stall_iq_full += 1
+                    hot["stall.iq_full"] += 1
                     break
             elif self.iq_int_count >= self.config.iq_int:
-                hot.stall_iq_full += 1
+                hot["stall.iq_full"] += 1
                 break
             is_load = instr.is_load
             is_store = instr.is_store
             if is_load and len(lq_items) >= self.config.lq_size:
-                hot.stall_lq_full += 1
+                hot["stall.lq_full"] += 1
                 break
             if is_store and len(sq_items) >= self.config.sq_size:
-                hot.stall_sq_full += 1
+                hot["stall.sq_full"] += 1
                 break
             dst = uop.dst
             if dst is not None:
                 regs = self.regs_fp if dst >= 32 else self.regs_int
                 if not regs.try_allocate():
-                    hot.stall_regs_full += 1
+                    hot["stall.regs_full"] += 1
                     break
 
             buf.popleft()
@@ -850,11 +866,11 @@ class ReferenceProcessor(Processor):
                 self.iq_int_count += 1
             if is_load:
                 lq_items.append(instr)
-                hot.lq_writes += 1
+                hot["lq.writes"] += 1
             elif is_store:
                 sq_items.append(instr)
                 self.sq.by_seq[instr.seq] = instr
-                hot.sq_writes += 1
+                hot["sq.writes"] += 1
                 if self.storesets is not None:
                     self.storesets.store_dispatched(uop.pc, instr.seq)
             pending = 0
@@ -877,8 +893,8 @@ class ReferenceProcessor(Processor):
                 heapq.heappush(ready, (instr.seq, instr))
             dispatched += 1
         if dispatched:
-            hot.rename_ops += dispatched
-            hot.rob_writes += dispatched
+            hot["rename.ops"] += dispatched
+            hot["rob.writes"] += dispatched
 
     # ------------------------------------------------------------------
     # Fetch
@@ -900,13 +916,13 @@ class ReferenceProcessor(Processor):
                 uop = self.trace.ops[self.fetch_idx]
                 line = uop.pc >> 6
                 if line != self._last_fetch_line:
-                    hot.icache_reads += 1
+                    hot["icache.reads"] += 1
                     lat = self.memory.fetch(uop.pc)
                     self._last_fetch_line = line
                     if lat > self.config.l1i_latency:
                         # I-cache miss: the line arrives later; retry then.
                         self.fetch_resume_cycle = cycle + lat
-                        hot.fetch_icache_miss += 1
+                        hot["fetch.icache_miss"] += 1
                         return
                 instr = DynInstr(uop, self.fetch_idx, self.next_seq, uop.fp_side)
                 self.next_seq += 1
@@ -917,7 +933,7 @@ class ReferenceProcessor(Processor):
                 if uop.is_branch:
                     predicted_taken, snapshot = predictor.predict(uop.pc)
                     instr.pred_snapshot = snapshot
-                    hot.bpred_lookups += 1
+                    hot["bpred.lookups"] += 1
                     if predicted_taken != uop.taken:
                         # Stall-on-mispredict: fetch halts until resolution.
                         # Wrong-path loads issue during the shadow and corrupt
@@ -930,7 +946,7 @@ class ReferenceProcessor(Processor):
                     if predicted_taken and predictor.btb.lookup(uop.pc) is None:
                         # Misfetch: direction right but no target until decode,
                         # a short front-end bubble, not a full resolution stall.
-                        hot.branch_misfetches += 1
+                        hot["branch.misfetches"] += 1
                         self.fetch_resume_cycle = cycle + 2
                         return
                     if uop.taken:
@@ -938,7 +954,7 @@ class ReferenceProcessor(Processor):
                         return
         finally:
             if fetched:
-                hot.fetch_instructions += fetched
+                hot["fetch.instructions"] += fetched
 
     # ------------------------------------------------------------------
     # Squash / replay
@@ -962,7 +978,7 @@ class ReferenceProcessor(Processor):
             self._free_iq_entry(victim)
             if victim.uop.dst is not None:
                 (self.regs_fp if victim.uop.dst >= 32 else self.regs_int).release()
-            self.hot.squash_instructions += 1
+            self.hot["squash.instructions"] += 1
         self.lq.squash_younger(boundary - 1)
         self.sq.squash_younger(boundary - 1)
         self.rename.clear()
@@ -977,7 +993,7 @@ class ReferenceProcessor(Processor):
         self._replay_streak[instr.trace_idx] = streak
         if streak >= self.config.replay_guard:
             self._force_nonspec.add(instr.trace_idx)
-            self.hot.replay_guard_trips += 1
+            self.hot["replay.guard_trips"] += 1
 
     # ------------------------------------------------------------------
     # Coherence traffic injection
@@ -986,7 +1002,7 @@ class ReferenceProcessor(Processor):
         line = self.invalidations.maybe_invalidate()
         if line is None:
             return
-        self.hot.inv_injected += 1
+        self.hot["inv.injected"] += 1
         self.memory.invalidate(line)
         head = self.rob.head()
         oldest = head.seq if head is not None else self.next_seq

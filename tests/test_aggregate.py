@@ -2,26 +2,8 @@
 
 import pytest
 
-from repro.stats.aggregate import GroupSummary, geometric_mean, summarize
-from repro.stats.report import format_percent, format_table
-
-
-class TestSummarize:
-    def test_groups_split(self):
-        values = {"a": 1.0, "b": 3.0, "c": 10.0}
-        groups = {"a": "INT", "b": "INT", "c": "FP"}
-        out = summarize(values, groups)
-        assert out["INT"].mean == 2.0
-        assert out["INT"].min == 1.0 and out["INT"].max == 3.0
-        assert out["FP"].count == 1
-
-    def test_unknown_workloads_ignored(self):
-        out = summarize({"a": 1.0, "zzz": 9.0}, {"a": "INT"})
-        assert set(out) == {"INT"}
-
-    def test_str(self):
-        s = GroupSummary("INT", 1.0, 0.5, 1.5, 3)
-        assert "INT" in str(s) and "n=3" in str(s)
+from repro.stats.aggregate import geometric_mean
+from repro.stats.report import format_table
 
 
 class TestGeometricMean:
@@ -49,7 +31,3 @@ class TestFormatTable:
     def test_empty_rows(self):
         text = format_table(["a"], [])
         assert "a" in text
-
-    def test_format_percent(self):
-        assert format_percent(0.5) == "50.0%"
-        assert format_percent(0.1234, digits=2) == "12.34%"

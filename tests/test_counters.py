@@ -1,6 +1,6 @@
 """Unit tests for statistics containers."""
 
-from repro.stats.counters import CounterSet, Histogram, RunningMean
+from repro.stats.counters import CounterSet, Histogram
 
 
 class TestCounterSet:
@@ -44,18 +44,6 @@ class TestCounterSet:
         snap = c.as_dict()
         c.bump("a")
         assert snap["a"] == 1 and c["a"] == 2
-
-
-class TestRunningMean:
-    def test_empty(self):
-        m = RunningMean()
-        assert m.mean == 0.0 and m.min is None and m.max is None
-
-    def test_stats(self):
-        m = RunningMean()
-        for v in (1.0, 5.0, 3.0):
-            m.add(v)
-        assert m.mean == 3.0 and m.min == 1.0 and m.max == 5.0 and m.count == 3
 
 
 class TestHistogram:

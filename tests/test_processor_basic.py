@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.config import SchemeConfig, small_config
 from repro.sim.runner import run_trace
 
 

@@ -1,7 +1,5 @@
 """Focused pipeline behaviour tests: bandwidth limits, routing, timing."""
 
-import pytest
-
 from repro.isa.opcodes import InstrClass
 from repro.sim.config import small_config
 from repro.sim.pipetrace import PipelineTracer

@@ -14,7 +14,9 @@ from repro.isa.opcodes import InstrClass
 from repro.sim.config import SchemeConfig, small_config
 from repro.sim.processor import Processor
 from repro.sim.runner import run_trace
+from repro.workloads import SyntheticWorkload, WorkloadSpec
 from tests.conftest import TraceBuilder
+from tests.reference_loop import run_reference
 
 
 def violation_trace(n_fill=30):
@@ -114,6 +116,26 @@ class TestReplayMechanics:
         trace = violation_trace(n_fill=60)
         result = run_trace(config, trace)
         assert result.committed == len(trace)
+
+    def test_guarded_load_waits_only_for_older_stores(self):
+        """A load the guard made non-speculative waits for older stores
+        only: a younger store whose address depends on the load would
+        otherwise never resolve, and the run would stall for good."""
+        spec = WorkloadSpec(
+            name="prop", group="INT", load_fraction=0.2734375,
+            store_fraction=0.1484375, branch_fraction=0.078125,
+            fp_fraction=0.125, working_set_kb=16, store_addr_dep_alu=0.28125,
+            store_addr_dep_load=0.5, load_addr_dep_alu=0.0,
+            conflict_per_kinstr=0.0, rmw_fraction=0.0, branch_bias=0.75,
+            seed=1)
+        config = small_config(wrongpath_loads=False).with_scheme(
+            SchemeConfig(kind="dmdc", safe_loads=False))
+        trace = SyntheticWorkload(spec).generate(1_100)
+        result = Processor(config, trace, seed=1).run(900)
+        assert result.committed == 900
+        assert result.counters["replay.guard_trips"] >= 1
+        reference = run_reference(config, trace, 900, prewarm=False)
+        assert reference.to_dict() == result.to_dict()
 
     def test_replays_counted_per_minstr(self):
         config = small_config(wrongpath_loads=False).with_scheme(SchemeConfig(kind="dmdc"))
