@@ -4,7 +4,8 @@ Utilities downstream users need when comparing schemes and configurations
 beyond the canned experiments: pairwise result comparison, per-workload
 tables, counter diffing, and normalised summaries.  Everything consumes
 plain :class:`~repro.sim.result.SimulationResult` objects, so analyses
-compose with ad-hoc runs as well as `experiments.common.run_suite` sweeps.
+compose with ad-hoc runs as well as the experiment runner's sweeps
+(:mod:`repro.experiments.registry`).
 """
 
 from dataclasses import dataclass

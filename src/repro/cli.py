@@ -220,66 +220,60 @@ def _engine_options(args):
 
 
 def cmd_experiment_all(args, engine) -> int:
-    from repro.exec import plan_experiments, union_requests, use_engine
-    from repro.experiments.registry import run_experiment
+    from repro.experiments.registry import run_all
 
     start = time.perf_counter()
-    plans = plan_experiments(budget=args.budget)
-    union = union_requests(plans)
-    planned = sum(len(plan.requests) for plan in plans)
-    print(f"engine: {planned} design points across {len(plans)} experiments "
-          f"-> {len(union)} unique ({planned - len(union)} duplicates folded)",
-          file=sys.stderr)
-
     before = dict(engine.stats.summary())
     engine.progress = _engine_progress
     try:
-        engine.run(union)
+        rendered = run_all(budget=args.budget, engine=engine)
     finally:
         engine.progress = None
-    sweep_wall = time.perf_counter() - start
 
-    with use_engine(engine):
-        for plan in plans:
-            kwargs = {"budget": args.budget} if args.budget else {}
-            _, text = run_experiment(plan.id, **kwargs)
-            print(text)
-            print()
-            if args.out:
-                os.makedirs(args.out, exist_ok=True)
-                with open(os.path.join(args.out, f"{plan.id}.txt"), "w") as fh:
-                    fh.write(text + "\n")
+    for exp_id, _, text in rendered:
+        print(text)
+        print()
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            with open(os.path.join(args.out, f"{exp_id}.txt"), "w") as fh:
+                fh.write(text + "\n")
     if args.out:
-        print(f"wrote {len(plans)} artifacts to {args.out}", file=sys.stderr)
+        print(f"wrote {len(rendered)} artifacts to {args.out}", file=sys.stderr)
 
     after = engine.stats.summary()
-    executed = int(after["executed"] - before["executed"])
-    disk_hits = int(after["disk_hits"] - before["disk_hits"])
-    hit_rate = 100.0 * disk_hits / len(union) if union else 0.0
+    planned, unique, disk_hits, executed = (
+        int(after[key] - before[key])
+        for key in ("requested", "unique", "disk_hits", "executed"))
+    hit_rate = 100.0 * disk_hits / unique if unique else 0.0
+    print(f"engine: {planned} design points across {len(rendered)} experiments "
+          f"-> {unique} unique ({planned - unique} duplicates folded)",
+          file=sys.stderr)
     print(f"engine: {disk_hits} disk cache hits, {executed} simulated; "
-          f"cache hit rate {hit_rate:.1f}%; sweep {sweep_wall:.1f}s, "
+          f"cache hit rate {hit_rate:.1f}%; "
           f"total {time.perf_counter() - start:.1f}s", file=sys.stderr)
     return 0
 
 
 def cmd_experiment(args) -> int:
+    from repro.errors import ConfigError
     from repro.exec import get_engine, use_engine
     from repro.experiments.registry import EXPERIMENTS, run_experiment
     if args.list or (not args.id and not args.all):
         for exp in EXPERIMENTS.values():
             print(f"  {exp.id:16s} {exp.paper_artifact}")
         return 0
-    engine = get_engine(_engine_options(args))
-    if args.all:
-        return cmd_experiment_all(args, engine)
-    if args.id not in EXPERIMENTS:
+    if not args.all and args.id not in EXPERIMENTS:
         print(f"unknown experiment {args.id!r}; use --list", file=sys.stderr)
         return 2
-    kwargs = {}
-    if args.budget:
-        kwargs["budget"] = args.budget
-    with use_engine(engine):
-        _, text = run_experiment(args.id, **kwargs)
+    try:
+        engine = get_engine(_engine_options(args))
+        if args.all:
+            return cmd_experiment_all(args, engine)
+        with use_engine(engine):
+            _, text = run_experiment(args.id, budget=args.budget)
+    except ConfigError as exc:
+        print(f"repro experiment: {exc}", file=sys.stderr)
+        return 2
     print(text)
     return 0
 

@@ -1,30 +1,11 @@
 """One experiment module per table/figure of the paper's evaluation.
 
-Every module exposes a ``run_*`` function returning a plain dict of rows
-(JSON-friendly) and a ``render(data) -> str`` producing the same table the
-paper prints.  The benchmark harness under ``benchmarks/`` is a thin
-wrapper around these functions; EXPERIMENTS.md records paper-vs-measured
-for each one.
+Every module declares its design points once, in ``sweep(**params) ->
+{label: point}``, reduces their results with ``summarize(results,
+**params)`` into a plain dict of rows (JSON-friendly), and prints the
+table the paper prints with ``render(data) -> str``.
+:mod:`repro.experiments.registry` names the paper artifacts and is the one
+runner that turns sweeps into engine requests.  The benchmark harness
+under ``benchmarks/`` is a thin wrapper around it; EXPERIMENTS.md records
+paper-vs-measured for each artifact.
 """
-
-from repro.experiments.common import (
-    group_means,
-    plan_suite,
-    plan_suite_many,
-    run_point,
-    run_requests,
-    run_suite,
-    run_suite_many,
-    suite_workloads,
-)
-
-__all__ = [
-    "group_means",
-    "plan_suite",
-    "plan_suite_many",
-    "run_point",
-    "run_requests",
-    "run_suite",
-    "run_suite_many",
-    "suite_workloads",
-]

@@ -8,47 +8,34 @@ the normal suite and (b) an engineered alias-heavy stress workload:
 prediction should be a wash on (a) and suppress most true replays on (b).
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import plan_point, plan_suite_many, run_point, run_suite_many
 from repro.sim.config import CONFIG2, SchemeConfig
-from repro.sim.runner import instruction_budget
 from repro.stats.report import format_table
-from repro.workloads import SyntheticWorkload, WorkloadSpec
+from repro.workloads import WorkloadSpec
 
-
-def _stress_workload() -> SyntheticWorkload:
-    return SyntheticWorkload(WorkloadSpec(
-        name="alias-stress", conflict_per_kinstr=5.0,
-        store_addr_dep_load=0.2, rmw_fraction=0.15, seed=41,
-    ))
-
+STRESS = WorkloadSpec(
+    name="alias-stress", conflict_per_kinstr=5.0,
+    store_addr_dep_load=0.2, rmw_fraction=0.15, seed=41,
+)
 
 _VARIANTS = (("off", SchemeConfig(kind="dmdc")),
              ("on", SchemeConfig(kind="dmdc", store_sets=True)))
 
 
-def _sweep(config=CONFIG2) -> Dict:
-    return {variant: config.with_scheme(scheme) for variant, scheme in _VARIANTS}
+def sweep(config=CONFIG2) -> Dict:
+    suite = {variant: config.with_scheme(scheme) for variant, scheme in _VARIANTS}
+    stress = {f"stress:{variant}": (config.with_scheme(scheme), (STRESS,))
+              for variant, scheme in _VARIANTS}
+    return {**suite, **stress}
 
 
-def plan_ablation_storesets(budget: Optional[int] = None, config=CONFIG2):
-    budget = budget if budget is not None else instruction_budget()
-    requests = plan_suite_many(_sweep(config), budget=budget)
-    stress = _stress_workload()
-    for _, scheme in _VARIANTS:
-        requests.append(plan_point(config.with_scheme(scheme), stress, budget=budget))
-    return requests
-
-
-def run_ablation_storesets(budget: Optional[int] = None, config=CONFIG2) -> Dict:
+def summarize(results: Dict, **_) -> Dict:
     """DMDC with/without store-set prediction, suite + stress workload."""
-    budget = budget if budget is not None else instruction_budget()
-    sweeps = run_suite_many(_sweep(config), budget=budget)
     rows = []
     for variant in ("off", "on"):
         groups: Dict[str, Dict[str, list]] = {}
-        for result in sweeps[variant].values():
+        for result in results[variant].values():
             bucket = groups.setdefault(result.group, {"true": [], "slow": []})
             bucket["true"].append(result.per_minstr("replay.true"))
         for group, bucket in sorted(groups.items()):
@@ -59,9 +46,8 @@ def run_ablation_storesets(budget: Optional[int] = None, config=CONFIG2) -> Dict
                 "true_replays": sum(bucket["true"]) / n,
             })
     # Engineered stress case.
-    stress = _stress_workload()
-    for variant, scheme in _VARIANTS:
-        result = run_point(config.with_scheme(scheme), stress, budget=budget)
+    for variant in ("off", "on"):
+        result = results[f"stress:{variant}"][STRESS.name]
         rows.append({
             "workload": "alias-stress",
             "store_sets": variant,

@@ -7,35 +7,27 @@ This sweep measures false replays and the hash-conflict share across
 table sizes to verify the saturation.
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import plan_suite_many, run_suite_many
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 TABLE_SIZES = (256, 512, 1024, 2048, 4096, 8192)
 
 
-def _sweep(sizes=TABLE_SIZES, config=CONFIG2) -> Dict:
+def sweep(sizes=TABLE_SIZES, config=CONFIG2) -> Dict:
     return {
         f"size:{size}": config.with_scheme(SchemeConfig(kind="dmdc", table_entries=size))
         for size in sizes
     }
 
 
-def plan_ablation_table_size(budget: Optional[int] = None, sizes=TABLE_SIZES,
-                             config=CONFIG2):
-    return plan_suite_many(_sweep(sizes, config), budget=budget)
-
-
-def run_ablation_table_size(budget: Optional[int] = None, sizes=TABLE_SIZES,
-                            config=CONFIG2) -> Dict:
+def summarize(results: Dict, sizes=TABLE_SIZES, **_) -> Dict:
     """Sweep the checking-table size under global DMDC."""
-    sweeps = run_suite_many(_sweep(sizes, config), budget=budget)
     rows = []
     for size in sizes:
         groups: Dict[str, Dict[str, list]] = {}
-        for result in sweeps[f"size:{size}"].values():
+        for result in results[f"size:{size}"].values():
             bucket = groups.setdefault(result.group, {"false": [], "hash": []})
             bucket["false"].append(result.false_replays_per_minstr)
             hash_part = (

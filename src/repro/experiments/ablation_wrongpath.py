@@ -8,39 +8,32 @@ effectiveness monotonically, and the effect should be larger for INT
 codes (more mispredictions) — evidence that the reset remedy matters.
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import group_means, plan_suite_many, run_suite_many
+from repro.experiments.common import group_means
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 INTENSITIES = (0.0, 1.0, 4.0, 8.0)
 
 
-def _sweep(intensities=INTENSITIES, config=CONFIG2) -> Dict:
+def sweep(intensities=INTENSITIES, config=CONFIG2) -> Dict:
     scheme = SchemeConfig(kind="yla", yla_registers=8)
-    sweep = {}
+    points = {}
     for mean in intensities:
         cfg = config.with_scheme(scheme).with_overrides(
             wrongpath_loads=mean > 0, wrongpath_mean_loads=max(mean, 0.1)
         )
-        sweep[f"wp:{mean}"] = cfg
-    return sweep
+        points[f"wp:{mean}"] = cfg
+    return points
 
 
-def plan_ablation_wrongpath(budget: Optional[int] = None, intensities=INTENSITIES,
-                            config=CONFIG2):
-    return plan_suite_many(_sweep(intensities, config), budget=budget)
-
-
-def run_ablation_wrongpath(budget: Optional[int] = None, intensities=INTENSITIES,
-                           config=CONFIG2) -> Dict:
+def summarize(results: Dict, intensities=INTENSITIES, **_) -> Dict:
     """Sweep wrong-path load intensity under 8-register YLA filtering."""
-    sweeps = run_suite_many(_sweep(intensities, config), budget=budget)
     rows = []
     for mean in intensities:
         summary = group_means(
-            sweeps[f"wp:{mean}"], lambda r: 100.0 * r.safe_store_fraction
+            results[f"wp:{mean}"], lambda r: 100.0 * r.safe_store_fraction
         )
         for group, stats in sorted(summary.items()):
             rows.append({

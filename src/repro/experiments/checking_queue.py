@@ -6,38 +6,30 @@ applications diverge wildly).  The queue trades hash-conflict replays for
 overflow replays.
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import plan_suite_many, run_suite_many
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 QUEUE_SIZES = (4, 8, 16, 32)
 
 
-def _sweep(queue_sizes=QUEUE_SIZES, config=CONFIG2) -> Dict:
-    sweep = {"table": config.with_scheme(SchemeConfig(kind="dmdc"))}
+def sweep(queue_sizes=QUEUE_SIZES, config=CONFIG2) -> Dict:
+    points = {"table": config.with_scheme(SchemeConfig(kind="dmdc"))}
     for size in queue_sizes:
-        sweep[f"queue:{size}"] = config.with_scheme(
+        points[f"queue:{size}"] = config.with_scheme(
             SchemeConfig(kind="dmdc", checking_queue_entries=size)
         )
-    return sweep
+    return points
 
 
-def plan_checking_queue(budget: Optional[int] = None, queue_sizes=QUEUE_SIZES,
-                        config=CONFIG2):
-    return plan_suite_many(_sweep(queue_sizes, config), budget=budget)
-
-
-def run_checking_queue(budget: Optional[int] = None, queue_sizes=QUEUE_SIZES,
-                       config=CONFIG2) -> Dict:
+def summarize(results: Dict, **_) -> Dict:
     """Replay rates: hash table (2K) vs associative queues of several sizes."""
-    sweeps = run_suite_many(_sweep(queue_sizes, config), budget=budget)
     rows = []
-    for key, results in sweeps.items():
+    for key, by_workload in results.items():
         groups: Dict[str, list] = {}
         overflow: Dict[str, list] = {}
-        for result in results.values():
+        for result in by_workload.values():
             groups.setdefault(result.group, []).append(result.false_replays_per_minstr)
             overflow.setdefault(result.group, []).append(result.per_minstr("replay.overflow"))
         for group in sorted(groups):

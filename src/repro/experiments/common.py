@@ -1,129 +1,36 @@
-"""Shared experiment machinery, built on the execution engine.
+"""Helpers shared by the experiment modules and their runner.
 
-Experiments run the whole 26-workload suite for each design point.  The
-helpers here only *plan* — they turn (configs, workloads, budget, seed)
-into canonical :class:`~repro.exec.RunRequest`s — and hand the batch to
-the process-wide :class:`~repro.exec.ExecutionEngine`, which dedupes
-repeated design points, serves previously-simulated ones from its disk
-cache, and fans the rest out across one persistent process pool.
-
-Knobs: worker count, cache location, and cache enablement are fields of
-:class:`repro.exec.EngineOptions` (their environment-variable defaults
-are documented — and read — only in :mod:`repro.exec.options`);
+Experiments run the whole 26-workload suite for each design point;
 ``REPRO_WORKLOADS_PER_GROUP=n`` sweeps a suite subset while iterating.
+How a sweep becomes engine requests lives in
+:mod:`repro.experiments.registry`, the one runner.
 """
 
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, List
 
-from repro.exec.engine import ExecutionEngine, get_engine
-from repro.exec.request import RunRequest
-from repro.sim.config import MachineConfig
+from repro.errors import ConfigError
 from repro.sim.result import SimulationResult
-from repro.sim.runner import instruction_budget
-from repro.workloads import FP_WORKLOADS, INT_WORKLOADS, SyntheticWorkload, WorkloadSpec
+from repro.workloads import FP_WORKLOADS, INT_WORKLOADS
 
-#: Anything the planning helpers accept as a workload identity.
-WorkloadLike = Union[str, WorkloadSpec, SyntheticWorkload]
+WORKLOADS_PER_GROUP_ENV = "REPRO_WORKLOADS_PER_GROUP"
 
 
 def suite_workloads() -> List[str]:
     """Workload names for experiments (full suite unless subset requested)."""
     # Suite-size trim is a harness knob, not an engine option: it picks
     # which experiments run, never how any single run behaves.
-    per_group = os.environ.get("REPRO_WORKLOADS_PER_GROUP")  # repro: noqa[REPRO011]
+    per_group = os.environ.get(WORKLOADS_PER_GROUP_ENV)  # repro: noqa[REPRO011]
     if per_group:
-        n = max(1, int(per_group))
+        try:
+            n = max(1, int(per_group))
+        except ValueError:
+            raise ConfigError(
+                f"{WORKLOADS_PER_GROUP_ENV} must be an integer workload count, "
+                f"got {per_group!r}"
+            ) from None
         return INT_WORKLOADS[:n] + FP_WORKLOADS[:n]
     return INT_WORKLOADS + FP_WORKLOADS
-
-
-def _workload_id(workload: WorkloadLike) -> Union[str, WorkloadSpec]:
-    if isinstance(workload, SyntheticWorkload):
-        return workload.spec
-    return workload
-
-
-# -- planning ------------------------------------------------------------
-def plan_point(config: MachineConfig, workload: WorkloadLike,
-               budget: Optional[int] = None, seed: int = 1) -> RunRequest:
-    """Canonical request for one (config, workload) design point."""
-    budget = budget if budget is not None else instruction_budget()
-    return RunRequest(config, _workload_id(workload), budget, seed)
-
-
-def plan_suite(config: MachineConfig,
-               budget: Optional[int] = None,
-               workloads: Optional[Iterable[str]] = None,
-               seed: int = 1) -> List[RunRequest]:
-    """Requests for every suite workload on ``config``."""
-    names = list(workloads) if workloads is not None else suite_workloads()
-    budget = budget if budget is not None else instruction_budget()
-    return [RunRequest(config, name, budget, seed) for name in names]
-
-
-def plan_suite_many(configs: Dict[str, MachineConfig],
-                    budget: Optional[int] = None,
-                    workloads: Optional[Iterable[str]] = None,
-                    seed: int = 1) -> List[RunRequest]:
-    """Requests for the suite under several configurations, config-major."""
-    names = list(workloads) if workloads is not None else suite_workloads()
-    budget = budget if budget is not None else instruction_budget()
-    return [
-        RunRequest(config, name, budget, seed)
-        for config in configs.values()
-        for name in names
-    ]
-
-
-# -- execution -----------------------------------------------------------
-def run_requests(requests: List[RunRequest],
-                 engine: Optional[ExecutionEngine] = None) -> List[SimulationResult]:
-    """Execute ``requests`` through the (shared) engine, preserving order."""
-    engine = engine if engine is not None else get_engine()
-    return engine.run(requests)
-
-
-def run_point(config: MachineConfig, workload: WorkloadLike,
-              budget: Optional[int] = None, seed: int = 1) -> SimulationResult:
-    """Run a single design point through the engine (cached, deduped)."""
-    return run_requests([plan_point(config, workload, budget, seed)])[0]
-
-
-def run_suite(
-    config: MachineConfig,
-    budget: Optional[int] = None,
-    workloads: Optional[Iterable[str]] = None,
-    seed: int = 1,
-) -> Dict[str, SimulationResult]:
-    """Run every suite workload on ``config``; returns results by name."""
-    requests = plan_suite(config, budget=budget, workloads=workloads, seed=seed)
-    results = run_requests(requests)
-    return {request.workload_name: result for request, result in zip(requests, results)}
-
-
-def run_suite_many(
-    configs: Dict[str, MachineConfig],
-    budget: Optional[int] = None,
-    workloads: Optional[Iterable[str]] = None,
-    seed: int = 1,
-) -> Dict[str, Dict[str, SimulationResult]]:
-    """Run the suite under several configurations in one engine batch.
-
-    Flattens (config, workload) pairs so parallelism covers the whole
-    sweep, not just one configuration at a time.
-    """
-    names = list(workloads) if workloads is not None else suite_workloads()
-    requests = plan_suite_many(configs, budget=budget, workloads=names, seed=seed)
-    results = run_requests(requests)
-    out: Dict[str, Dict[str, SimulationResult]] = {}
-    i = 0
-    for key in configs:
-        out[key] = {}
-        for name in names:
-            out[key][name] = results[i]
-            i += 1
-    return out
 
 
 def group_means(

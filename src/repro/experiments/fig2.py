@@ -6,9 +6,9 @@ interleaving beats cache-line interleaving (16 line-interleaved registers
 roughly match 4 quad-word ones).
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.common import group_means, plan_suite_many, run_suite_many
+from repro.experiments.common import group_means
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
@@ -16,7 +16,7 @@ REGISTER_COUNTS = (1, 2, 4, 8, 16)
 GRANULARITIES = {"quad-word": 8, "cache-line": 128}
 
 
-def _sweep(register_counts=REGISTER_COUNTS) -> Dict:
+def sweep(register_counts=REGISTER_COUNTS) -> Dict:
     configs = {}
     for label, gran in GRANULARITIES.items():
         for n in register_counts:
@@ -25,18 +25,13 @@ def _sweep(register_counts=REGISTER_COUNTS) -> Dict:
     return configs
 
 
-def plan_fig2(budget: Optional[int] = None, register_counts=REGISTER_COUNTS):
-    return plan_suite_many(_sweep(register_counts), budget=budget)
-
-
-def run_fig2(budget: Optional[int] = None, register_counts=REGISTER_COUNTS) -> Dict:
+def summarize(results: Dict, register_counts=REGISTER_COUNTS) -> Dict:
     """Sweep YLA register count x interleaving over the full suite."""
-    sweeps = run_suite_many(_sweep(register_counts), budget=budget)
     rows: List[Dict] = []
     for label, gran in GRANULARITIES.items():
         for n in register_counts:
             summary = group_means(
-                sweeps[f"{label}:{n}"], lambda r: 100.0 * r.safe_store_fraction
+                results[f"{label}:{n}"], lambda r: 100.0 * r.safe_store_fraction
             )
             for group, stats in summary.items():
                 rows.append({

@@ -5,9 +5,9 @@ fewer LQ searches than a single YLA register, because the filter lacks
 age information -- an older issued load to an aliasing address defeats it.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.common import group_means, plan_suite_many, run_suite_many
+from repro.experiments.common import group_means
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
@@ -15,7 +15,7 @@ BLOOM_SIZES = (32, 64, 128, 256, 512, 1024)
 YLA_COUNTS = (1, 8)
 
 
-def _sweep(bloom_sizes=BLOOM_SIZES) -> Dict:
+def sweep(bloom_sizes=BLOOM_SIZES) -> Dict:
     configs = {}
     for size in bloom_sizes:
         configs[f"bf:{size}"] = CONFIG2.with_scheme(
@@ -28,17 +28,12 @@ def _sweep(bloom_sizes=BLOOM_SIZES) -> Dict:
     return configs
 
 
-def plan_fig3(budget: Optional[int] = None, bloom_sizes=BLOOM_SIZES):
-    return plan_suite_many(_sweep(bloom_sizes), budget=budget)
-
-
-def run_fig3(budget: Optional[int] = None, bloom_sizes=BLOOM_SIZES) -> Dict:
+def summarize(results: Dict, **_) -> Dict:
     """Sweep Bloom-filter sizes against 1- and 8-register YLA filtering."""
-    sweeps = run_suite_many(_sweep(bloom_sizes), budget=budget)
     rows: List[Dict] = []
-    for key, results in sweeps.items():
+    for key, by_workload in results.items():
         kind, param = key.split(":")
-        summary = group_means(results, lambda r: 100.0 * r.safe_store_fraction)
+        summary = group_means(by_workload, lambda r: 100.0 * r.safe_store_fraction)
         for group, stats in summary.items():
             rows.append({
                 "filter": "bloom" if kind == "bf" else "yla",

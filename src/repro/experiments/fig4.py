@@ -9,14 +9,13 @@ the LQ's share of core energy grows.
 from typing import Dict, List, Optional
 
 from repro.energy.model import EnergyModel
-from repro.experiments.common import plan_suite_many, run_suite_many
 from repro.sim.config import CONFIG1, CONFIG2, CONFIG3, SchemeConfig
 from repro.stats.report import format_table
 
 CONFIG_SET = {"config1": CONFIG1, "config2": CONFIG2, "config3": CONFIG3}
 
 
-def _sweep(configs: Optional[Dict] = None) -> Dict:
+def sweep(configs: Optional[Dict] = None) -> Dict:
     configs = configs if configs is not None else CONFIG_SET
     sweep_configs = {}
     for cname, config in configs.items():
@@ -25,21 +24,16 @@ def _sweep(configs: Optional[Dict] = None) -> Dict:
     return sweep_configs
 
 
-def plan_fig4(budget: Optional[int] = None, configs: Optional[Dict] = None):
-    return plan_suite_many(_sweep(configs), budget=budget)
-
-
-def run_fig4(budget: Optional[int] = None, configs: Optional[Dict] = None) -> Dict:
+def summarize(results: Dict, configs: Optional[Dict] = None) -> Dict:
     """Baseline vs global DMDC on each configuration, full suite."""
     configs = configs if configs is not None else CONFIG_SET
-    sweeps = run_suite_many(_sweep(configs), budget=budget)
     rows: List[Dict] = []
     for cname, config in configs.items():
         model = EnergyModel(config)
         groups = {"INT": {"lq": [], "total": [], "slow": []},
                   "FP": {"lq": [], "total": [], "slow": []}}
-        for name, base in sweeps[f"{cname}:base"].items():
-            dmdc = sweeps[f"{cname}:dmdc"][name]
+        for name, base in results[f"{cname}:base"].items():
+            dmdc = results[f"{cname}:dmdc"][name]
             e_base = model.evaluate(base)
             e_dmdc = model.evaluate(dmdc)
             bucket = groups[base.group]

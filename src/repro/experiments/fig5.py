@@ -7,37 +7,31 @@ especially for FP applications.
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import plan_suite_many, run_suite_many
 from repro.sim.config import CONFIG1, CONFIG2, CONFIG3, SchemeConfig
 from repro.stats.report import format_table
 
 CONFIG_SET = {"config1": CONFIG1, "config2": CONFIG2, "config3": CONFIG3}
 
 
-def _sweep(configs: Optional[Dict] = None) -> Dict:
+def sweep(configs: Optional[Dict] = None) -> Dict:
     configs = configs if configs is not None else CONFIG_SET
-    sweep = {}
+    points = {}
     for cname, config in configs.items():
-        sweep[f"{cname}:base"] = config
-        sweep[f"{cname}:global"] = config.with_scheme(SchemeConfig(kind="dmdc", local=False))
-        sweep[f"{cname}:local"] = config.with_scheme(SchemeConfig(kind="dmdc", local=True))
-    return sweep
+        points[f"{cname}:base"] = config
+        points[f"{cname}:global"] = config.with_scheme(SchemeConfig(kind="dmdc", local=False))
+        points[f"{cname}:local"] = config.with_scheme(SchemeConfig(kind="dmdc", local=True))
+    return points
 
 
-def plan_fig5(budget: Optional[int] = None, configs: Optional[Dict] = None):
-    return plan_suite_many(_sweep(configs), budget=budget)
-
-
-def run_fig5(budget: Optional[int] = None, configs: Optional[Dict] = None) -> Dict:
+def summarize(results: Dict, configs: Optional[Dict] = None) -> Dict:
     """Baseline vs global vs local DMDC on each configuration."""
     configs = configs if configs is not None else CONFIG_SET
-    sweeps = run_suite_many(_sweep(configs), budget=budget)
     rows: List[Dict] = []
     for cname in configs:
         for variant in ("global", "local"):
             groups = {"INT": [], "FP": []}
-            for name, base in sweeps[f"{cname}:base"].items():
-                dmdc = sweeps[f"{cname}:{variant}"][name]
+            for name, base in results[f"{cname}:base"].items():
+                dmdc = results[f"{cname}:{variant}"][name]
                 groups[base.group].append(100.0 * (dmdc.cycles / base.cycles - 1))
             for group, vals in groups.items():
                 if not vals:

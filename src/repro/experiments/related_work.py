@@ -16,10 +16,9 @@ re-accesses) and Garg pays with unfiltered table traffic and heavier
 flush-from-store replays.
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.energy.model import EnergyModel
-from repro.experiments.common import plan_suite_many, run_suite_many
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
@@ -32,26 +31,21 @@ SCHEMES = {
 }
 
 
-def _sweep(config=CONFIG2) -> Dict:
+def sweep(config=CONFIG2) -> Dict:
     return {name: config.with_scheme(scheme) for name, scheme in SCHEMES.items()}
 
 
-def plan_related_work(budget: Optional[int] = None, config=CONFIG2):
-    return plan_suite_many(_sweep(config), budget=budget)
-
-
-def run_related_work(budget: Optional[int] = None, config=CONFIG2) -> Dict:
+def summarize(results: Dict, config=CONFIG2) -> Dict:
     """Compare every scheme on LQ energy, replays, and slowdown."""
-    sweeps = run_suite_many(_sweep(config), budget=budget)
     model = EnergyModel(config)
-    base_energy = {name: model.evaluate(r) for name, r in sweeps["conventional"].items()}
+    base_energy = {name: model.evaluate(r) for name, r in results["conventional"].items()}
     rows = []
     for scheme_name in SCHEMES:
         groups: Dict[str, Dict[str, list]] = {}
-        for wl_name, result in sweeps[scheme_name].items():
+        for wl_name, result in results[scheme_name].items():
             energy = model.evaluate(result)
             base = base_energy[wl_name]
-            base_run = sweeps["conventional"][wl_name]
+            base_run = results["conventional"][wl_name]
             bucket = groups.setdefault(result.group, {
                 "lq_rel": [], "total_rel": [], "slow": [], "replays": [],
                 "reexec": [],

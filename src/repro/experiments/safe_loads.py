@@ -5,30 +5,24 @@ safe-load circuit false replays roughly double for INT applications
 (average reduction 52%, up to 97%) and drop ~20% for FP.
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import plan_suite_many, run_suite_many
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 
-def _sweep(config=CONFIG2) -> Dict:
+def sweep(config=CONFIG2) -> Dict:
     return {
         "with": config.with_scheme(SchemeConfig(kind="dmdc", safe_loads=True)),
         "without": config.with_scheme(SchemeConfig(kind="dmdc", safe_loads=False)),
     }
 
 
-def plan_safe_loads(budget: Optional[int] = None, config=CONFIG2):
-    return plan_suite_many(_sweep(config), budget=budget)
-
-
-def run_safe_loads(budget: Optional[int] = None, config=CONFIG2) -> Dict:
+def summarize(results: Dict, **_) -> Dict:
     """Global DMDC with and without the safe-load optimisation."""
-    sweeps = run_suite_many(_sweep(config), budget=budget)
     groups: Dict[str, Dict[str, list]] = {}
-    for name, with_safe in sweeps["with"].items():
-        without = sweeps["without"][name]
+    for name, with_safe in results["with"].items():
+        without = results["without"][name]
         bucket = groups.setdefault(with_safe.group, {
             "safe_frac": [], "false_with": [], "false_without": [],
         })

@@ -6,24 +6,20 @@ register.  (The paper measures the opportunity but leaves the design to
 future work; we implement the filter behind ``SchemeConfig.sq_filter``.)
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import plan_suite, run_suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 
-def plan_sq_filter(budget: Optional[int] = None, config=CONFIG2):
-    cfg = config.with_scheme(SchemeConfig(kind="dmdc", sq_filter=True))
-    return plan_suite(cfg, budget=budget)
+def sweep(config=CONFIG2) -> Dict:
+    return {"dmdc": config.with_scheme(SchemeConfig(kind="dmdc", sq_filter=True))}
 
 
-def run_sq_filter(budget: Optional[int] = None, config=CONFIG2) -> Dict:
+def summarize(results: Dict, **_) -> Dict:
     """Measure the fraction of SQ searches removed by age filtering."""
-    cfg = config.with_scheme(SchemeConfig(kind="dmdc", sq_filter=True))
-    results = run_suite(cfg, budget=budget)
     groups: Dict[str, list] = {}
-    for result in results.values():
+    for result in results["dmdc"].values():
         filtered = result.counters["sq.searches_filtered_age"]
         total = filtered + result.counters["sq.searches"]
         if total:

@@ -11,13 +11,15 @@ approximation triggered it:
   entry.  It may have issued before or after the marking store.
 
 Paper result (config2, per million committed instructions): INT 168 total
-(65% addr/X, 22% addr/Y, 11% hash/before); FP 35 total.  Local DMDC
-(Table 5) cuts INT to 134 and FP to 24, mostly out of the Y column.
+(65% addr/X, 22% addr/Y, 11% hash/before); FP 35 total.
+
+Table 5 is this classifier under *local* DMDC.  Paper result: local DMDC
+reduces false replays from 168 to 134 per Minstr (INT) and 35.4 to 23.7
+(FP), mostly by mitigating merged-window (Y) replays.
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import plan_suite, run_suite
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.sim.result import FALSE_REPLAY_CATEGORIES
 from repro.stats.report import format_table
@@ -32,17 +34,14 @@ _LABELS = {
 }
 
 
-def plan_table3(budget: Optional[int] = None, local: bool = False, config=CONFIG2):
-    scheme = SchemeConfig(kind="dmdc", local=local)
-    return plan_suite(config.with_scheme(scheme), budget=budget)
+def sweep(local: bool = False, config=CONFIG2) -> Dict:
+    return {"dmdc": config.with_scheme(SchemeConfig(kind="dmdc", local=local))}
 
 
-def run_table3(budget: Optional[int] = None, local: bool = False, config=CONFIG2) -> Dict:
+def summarize(results: Dict, local: bool = False, **_) -> Dict:
     """Classify false replays per million instructions, INT vs FP."""
-    scheme = SchemeConfig(kind="dmdc", local=local)
-    results = run_suite(config.with_scheme(scheme), budget=budget)
     groups: Dict[str, Dict[str, list]] = {}
-    for result in results.values():
+    for result in results["dmdc"].values():
         bucket = groups.setdefault(result.group, {c: [] for c in FALSE_REPLAY_CATEGORIES})
         bucket.setdefault("true", []).append(result.per_minstr("replay.true"))
         bucket.setdefault("total_false", []).append(result.false_replays_per_minstr)

@@ -15,38 +15,32 @@ the design absorbs the traffic; at 1 per 10 cycles it shows stress but
 stays near 1% slowdown.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.common import plan_suite_many, run_suite_many
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 INVALIDATION_RATES = (0.0, 1.0, 10.0, 100.0)
 
 
-def _sweep(rates=INVALIDATION_RATES, config=CONFIG2) -> Dict:
+def sweep(rates=INVALIDATION_RATES, config=CONFIG2) -> Dict:
     coherent = SchemeConfig(kind="dmdc", coherence=True)
-    sweep = {"base": config}
+    points = {"base": config}
     for rate in rates:
-        sweep[f"inv:{rate}"] = config.with_scheme(coherent).with_overrides(
+        points[f"inv:{rate}"] = config.with_scheme(coherent).with_overrides(
             invalidation_rate=rate
         )
-    return sweep
+    return points
 
 
-def plan_table6(budget: Optional[int] = None, rates=INVALIDATION_RATES, config=CONFIG2):
-    return plan_suite_many(_sweep(rates, config), budget=budget)
-
-
-def run_table6(budget: Optional[int] = None, rates=INVALIDATION_RATES, config=CONFIG2) -> Dict:
+def summarize(results: Dict, rates=INVALIDATION_RATES, **_) -> Dict:
     """Sweep injected invalidation rates under coherent DMDC."""
-    sweeps = run_suite_many(_sweep(rates, config), budget=budget)
     rows: List[Dict] = []
     per_group_ref: Dict[str, Dict[str, float]] = {}
     for rate in rates:
         groups: Dict[str, Dict[str, list]] = {}
-        for name, base in sweeps["base"].items():
-            r = sweeps[f"inv:{rate}"][name]
+        for name, base in results["base"].items():
+            r = results[f"inv:{rate}"][name]
             bucket = groups.setdefault(base.group, {
                 "checking": [], "window": [], "false": [], "slow": [],
             })

@@ -1,34 +1,28 @@
 """Section 6.1 energy claim: YLA filtering alone saves ~32.4% of LQ energy
 (~1.7% processor-wide) with no performance impact."""
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.energy.model import EnergyModel
-from repro.experiments.common import plan_suite_many, run_suite_many
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.stats.report import format_table
 
 
-def _sweep() -> Dict:
+def sweep() -> Dict:
     return {
         "baseline": CONFIG2,
         "yla": CONFIG2.with_scheme(SchemeConfig(kind="yla", yla_registers=8)),
     }
 
 
-def plan_yla_energy(budget: Optional[int] = None):
-    return plan_suite_many(_sweep(), budget=budget)
-
-
-def run_yla_energy(budget: Optional[int] = None) -> Dict:
+def summarize(results: Dict) -> Dict:
     """Baseline vs 8-register YLA filtering on config2, full suite."""
-    sweeps = run_suite_many(_sweep(), budget=budget)
     model = EnergyModel(CONFIG2)
     rows = []
     groups = {"INT": {"lq": [], "total": [], "slow": []},
               "FP": {"lq": [], "total": [], "slow": []}}
-    for name, base in sweeps["baseline"].items():
-        filt = sweeps["yla"][name]
+    for name, base in results["baseline"].items():
+        filt = results["yla"][name]
         e_base = model.evaluate(base)
         e_filt = model.evaluate(filt)
         bucket = groups[base.group]

@@ -37,7 +37,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.errors import ServiceError, SimulationError
+from repro.errors import ConfigError, ServiceError, SimulationError
 from repro.exec.engine import EngineStats, ExecutionEngine, set_engine, use_engine
 from repro.exec.options import EngineOptions
 from repro.exec.request import RunRequest
@@ -361,24 +361,27 @@ class RequestHandler(BaseHTTPRequestHandler):
         self._reply(200, {"points": results, "count": len(results)})
 
     def _get_experiment(self, exp_id: str, query: Dict[str, List[str]]) -> None:
-        from repro.experiments.registry import EXPERIMENTS, run_experiment
+        from repro.experiments.registry import EXPERIMENTS, experiment_budget, run_experiment
         if exp_id not in EXPERIMENTS:
             self._reply(404, {"error": f"unknown experiment {exp_id!r}",
                               "choices": sorted(EXPERIMENTS)})
             return
-        kwargs = {}
+        budget = None
         raw_budget = (query.get("budget") or [None])[-1]
         if raw_budget is not None:
             if not raw_budget.isdigit():
                 raise SchemaError("budget must be a positive integer")
-            kwargs["budget"] = int(raw_budget)
+            try:
+                budget = experiment_budget(int(raw_budget))
+            except ConfigError as exc:
+                raise SchemaError(str(exc)) from None
 
         def render() -> str:
             # Experiments resolve the process-wide engine; pin it to the
             # pool primary's for the duration (we are on that shard's
             # batching thread, the only thread that ever touches it).
             with use_engine(self.server.engine):
-                _, text = run_experiment(exp_id, **kwargs)
+                _, text = run_experiment(exp_id, budget)
             return text
 
         ticket = self.server.shards.call(render)

@@ -1,11 +1,18 @@
 """Shared fixtures and trace-building helpers for the test suite."""
 
 import pytest
+from hypothesis import settings
 
 from repro.isa.instruction import MicroOp
 from repro.isa.opcodes import InstrClass
 from repro.isa.trace import Trace
 from repro.sim.config import MachineConfig, SchemeConfig, small_config
+
+# Property tests draw the same examples on every run, so a failure
+# reproduces in any checkout and none is replayed from a local example
+# database; each test keeps its own ``max_examples``.
+settings.register_profile("repro", derandomize=True, database=None)
+settings.load_profile("repro")
 
 
 class TraceBuilder:

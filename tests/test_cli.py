@@ -86,6 +86,14 @@ class TestTraceCommands:
         assert main(["experiment", "sq_filter", "--budget", "1000"]) == 0
         assert "SQ" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["table2", "--budget=-5"], ["table2", "--budget", "0"],
+                                      ["--all", "--budget", "0"],
+                                      ["table2", "--budget", "1000001"]])
+    def test_experiment_budget_outside_the_codec_range_exits_2(self, capsys, argv):
+        assert main(["experiment", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "experiment budget" in captured.err and not captured.out
+
 
 class TestCheckCommand:
     def test_static_clean_on_repo(self, capsys):

@@ -1,13 +1,13 @@
-"""The deduplicating executor, the cross-experiment planner, and the
-engine-backed ``run_suite`` helpers."""
+"""The deduplicating executor and the experiment runner that plans and
+runs every paper artifact through it."""
 
 import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.exec.cache import ResultCache
-from repro.exec.engine import ExecutionEngine, by_lane_group, worker_count
-from repro.exec.planner import plan_experiments, run_all, union_requests
+from repro.exec.engine import ExecutionEngine, by_lane_group, use_engine, worker_count
 from repro.exec.request import RunRequest
+from repro.experiments.registry import EXPERIMENTS, plan, run_all, run_experiment
 from repro.sim.config import SchemeConfig, small_config
 
 BUDGET = 700
@@ -122,6 +122,27 @@ class TestErrorContext:
         assert worker_count() == 1
 
 
+def _union(exp_ids):
+    """Deduplicated union of the experiments' planned requests."""
+    union = {}
+    for exp_id in exp_ids:
+        for _, request in plan(exp_id, BUDGET):
+            union.setdefault(request.cache_key(), request)
+    return union
+
+
+class _PlannedOnly:
+    """An engine stand-in that refuses any request outside a fixed set of keys."""
+
+    def __init__(self, inner, keys):
+        self.inner, self.keys = inner, keys
+
+    def run(self, requests):
+        unplanned = [r.describe() for r in requests if r.cache_key() not in self.keys]
+        assert not unplanned, f"unplanned requests: {unplanned}"
+        return self.inner.run(requests)
+
+
 class TestPlanner:
     @pytest.fixture(autouse=True)
     def _small_suite(self, monkeypatch):
@@ -131,28 +152,29 @@ class TestPlanner:
     def test_shared_points_fold_in_union(self):
         # table2 (global DMDC suite) is a strict subset of safe_loads'
         # "with safe loads" sweep: identical configs, workloads, budget.
-        plans = plan_experiments(["table2", "safe_loads"], budget=BUDGET)
-        assert {p.id for p in plans} == {"table2", "safe_loads"}
-        planned = sum(len(p.requests) for p in plans)
-        union = union_requests(plans)
-        keys = {r.cache_key() for r in union}
-        assert len(union) == len(keys)
-        suite_size = len(plans[0].requests)
-        assert planned == 3 * suite_size
-        assert len(union) == 2 * suite_size
+        suite_size = len(plan("table2", BUDGET))
+        assert len(plan("safe_loads", BUDGET)) == 2 * suite_size
+        assert len(_union(["table2", "safe_loads"])) == 2 * suite_size
 
-    def test_every_experiment_declares_a_plan(self):
-        plans = plan_experiments(budget=BUDGET)
-        assert len(plans) == 17
-        for plan in plans:
-            assert plan.requests, f"{plan.id} planned no design points"
+    def test_every_artifact_renders_from_its_plan_alone(self, tmp_path):
+        union = _union(EXPERIMENTS)
+        with ExecutionEngine(cache=ResultCache(tmp_path / "c"), max_workers=1) as engine:
+            engine.run(list(union.values()))
+            strict = _PlannedOnly(engine, set(union))
+            with use_engine(strict):
+                rendered = {exp_id: run_experiment(exp_id, budget=BUDGET)[1]
+                            for exp_id in EXPERIMENTS}
+            assert engine.stats.executed == len(union)
+            assert [(exp_id, text) for exp_id, _, text
+                    in run_all(budget=BUDGET, engine=strict)] == list(rendered.items())
+            assert engine.stats.executed == len(union)
+        assert len(rendered) == 17
+        assert all(text.strip() for text in rendered.values())
 
     def test_run_all_simulates_each_unique_point_once(self, tmp_path):
         with ExecutionEngine(cache=ResultCache(tmp_path / "c"), max_workers=1) as engine:
             rendered = run_all(["table2", "safe_loads"], budget=BUDGET, engine=engine)
-            union = union_requests(plan_experiments(["table2", "safe_loads"],
-                                                    budget=BUDGET))
-            assert engine.stats.executed == len(union)
+            assert engine.stats.executed == len(_union(["table2", "safe_loads"]))
             assert {r[0] for r in rendered} == {"table2", "safe_loads"}
             for _, _, text in rendered:
                 assert text.strip()
@@ -167,21 +189,9 @@ class TestPlanner:
             assert warm.stats.hit_rate == 1.0
         assert first[0][2] == second[0][2]  # byte-identical rendering
 
-
-class TestSuiteHelpers:
-    def test_run_suite_many_shares_engine_batches(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
-        from repro.experiments.common import run_suite, run_suite_many
-
-        config = small_config(wrongpath_loads=False)
-        with ExecutionEngine(cache=ResultCache(tmp_path / "c"), max_workers=1) as eng:
-            from repro.exec.engine import use_engine
-
-            with use_engine(eng):
-                single = run_suite(config, budget=BUDGET, workloads=["gzip", "swim"])
-                many = run_suite_many({"a": config, "b": config}, budget=BUDGET,
-                                      workloads=["gzip", "swim"])
-            # 2 + 4 requests, but only 2 unique design points ever ran.
-            assert eng.stats.executed == 2
-            assert many["a"]["gzip"] == single["gzip"]
-            assert many["b"]["swim"] == single["swim"]
+    @pytest.mark.parametrize("budget", [-5, 0, 1_000_001])
+    def test_budget_outside_the_point_codec_range_is_rejected(self, budget):
+        with ExecutionEngine(cache=None, max_workers=1) as engine:
+            with pytest.raises(ConfigError, match="experiment budget"):
+                run_all(["table2"], budget=budget, engine=engine)
+            assert engine.stats.requested == 0

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec.request import RunRequest
-from repro.experiments.table6 import INVALIDATION_RATES, _sweep
+from repro.experiments.table6 import INVALIDATION_RATES, sweep as _sweep
 from repro.sim.config import CONFIG2, SCHEME_LABELS, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.runner import TRACE_TAIL_SLACK, run_many

@@ -70,12 +70,12 @@ class TestExperimentHelpers:
         monkeypatch.delenv("REPRO_WORKLOADS_PER_GROUP")
         assert len(suite_workloads()) == 26
 
-    def test_run_suite_serial(self, monkeypatch, tiny_config):
-        from repro.experiments.common import run_suite
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
-        results = run_suite(tiny_config, budget=800, workloads=["gzip", "swim"])
-        assert set(results) == {"gzip", "swim"}
-        assert results["swim"].group == "FP"
+    def test_suite_workloads_env_malformed_names_variable_and_value(self, monkeypatch):
+        from repro.errors import ConfigError
+        from repro.experiments.common import suite_workloads
+        monkeypatch.setenv("REPRO_WORKLOADS_PER_GROUP", "abc")
+        with pytest.raises(ConfigError, match="REPRO_WORKLOADS_PER_GROUP.*'abc'"):
+            suite_workloads()
 
     def test_group_means(self):
         from repro.experiments.common import group_means

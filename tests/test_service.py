@@ -278,6 +278,13 @@ class TestEndpoints:
         assert body["id"] == "table2"
         assert body["artifact"].strip()
 
+    @pytest.mark.parametrize("budget", ["0", "1000001", "-5", "12k"])
+    def test_experiment_budget_outside_the_codec_range_is_400(self, service, budget):
+        _, client = service
+        status, payload = client.request("GET", f"/experiment/table2?budget={budget}")
+        assert status == 400
+        assert payload["kind"] == "schema"
+
     def test_traced_run_adds_digest_and_is_bit_identical(self, service):
         _, client = service
         plain = client.run("gzip", scheme="dmdc", instructions=BUDGET)
