@@ -59,6 +59,11 @@ HOT_FUNCTIONS: Dict[str, Set[str]] = {
         "SoaKernel._free_iq_if_held",
         "replay_verdicts",
     },
+    # The filter-lane replay walks a whole run's event log for every
+    # conventional-family lane, across seeds.
+    "repro/core/schemes/conventional.py": {
+        "ConventionalScheme.replay_lane",
+    },
 }
 
 _WALLCLOCK_TIME_ATTRS = {

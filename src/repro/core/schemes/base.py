@@ -56,7 +56,9 @@ SOA_HOOKS = {
 
 #: Opcodes of the lane event log (:mod:`repro.sim.soa`).  A recording
 #: kernel run appends one flat record per event a lane reads, opcode
-#: first.  ``ConventionalScheme.replay_lane``
+#: first.  The log is seed-free: it marks each mispredicted fetch but
+#: leaves out the run's own wrong-path draws, the one use of the seed
+#: while the invalidation injector is off.  ``ConventionalScheme.replay_lane``
 #: (:mod:`repro.core.schemes.conventional`) replays it through a search
 #: filter, :func:`repro.sim.soa.replay_verdicts` through a DMDC or Garg
 #: adapter.
@@ -65,7 +67,8 @@ EV_STORE = 1         # store resolved, the LQ search found no victim:
                      # addr, seq, ROB tail seq
 EV_STORE_VICTIM = 2  # store resolved, the search found a live victim:
                      # addr, seq, ROB tail seq
-EV_WRONGPATH = 3     # wrong-path load: age, addr
+EV_MISPREDICT = 3    # mispredicted fetch: branch seq (a lane draws its
+                     # own wrong-path loads here)
 EV_RECOVERY = 4      # branch recovery: seq
 EV_SQUASH = 5        # squash: last kept seq, n, then n squashed issued-load addrs
 EV_COMMIT = 6        # load commit: addr

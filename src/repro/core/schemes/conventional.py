@@ -15,7 +15,8 @@ filters inline: the filters' adapter (``_FilteredSoaHooks``) drives the
 filter per event around the conventional search
 (``_ConventionalSoaHooks``).  A batch replays one conventional run's
 recorded log through the filter of every other filter point that shares
-it (filter *lanes*, :meth:`ConventionalScheme.replay_lane`, see
+it, whatever that point's seed (filter *lanes*,
+:meth:`ConventionalScheme.replay_lane`, see
 :func:`repro.sim.runner.run_many`), and, when that run was squash-free,
 into every ``conventional-storesets`` point (store sets never train
 without a violation).
@@ -29,10 +30,10 @@ from repro.core.schemes.base import (
     EV_COMMITS,
     EV_LOAD,
     EV_LOAD_SAFE,
+    EV_MISPREDICT,
     EV_RECOVERY,
     EV_STORE,
     EV_STORE_VICTIM,
-    EV_WRONGPATH,
     CheckScheme,
     SoaHooks,
 )
@@ -77,7 +78,7 @@ class ConventionalScheme(CheckScheme):
 
     # -- lane route: replay a recorded conventional run --------------------
     def replay_lane(self, events: List[int], label: str,
-                    coherence_replays: int = 0) -> None:
+                    coherence_replays: int, wrongpath) -> None:
         """Book this scheme's run from a recorded conventional run's
         ``events``, driving the filter through them.
 
@@ -85,19 +86,26 @@ class ConventionalScheme(CheckScheme):
         (``stores.resolved``, ``lq.searches``, ``stores.safe``,
         ``replay.execution_time``, the filter's own).  The log leaves out
         the coherent load-load check, which no filter changes:
-        ``coherence_replays`` is the recording run's count.  A store the filter calls safe although
+        ``coherence_replays`` is the recording run's count.  It leaves
+        out the recording run's wrong-path loads too: ``wrongpath``, the
+        lane's own :class:`~repro.frontend.wrongpath.WrongPathModel`,
+        sees every logged load issue and draws the lane's at every
+        mispredict mark.  A store the filter calls safe although
         the recorded search found a victim raises
         :class:`SimulationError` naming ``label``, the store's seq and
         its address: the filter would have let a premature load retire.
         """
         stats = self.stats
         safe = self._filter_safe
+        observe = wrongpath.observe_address
+        draw = wrongpath.loads_for_mispredict
         searches = filtered = victims = 0
         i = 0
         n = len(events)
         while i < n:
             op = events[i]
             if op == EV_LOAD or op == EV_LOAD_SAFE:
+                observe(events[i + 1])
                 self._filter_load(events[i + 1], events[i + 2])
                 i += 3
             elif op == EV_COMMIT:
@@ -120,9 +128,10 @@ class ConventionalScheme(CheckScheme):
                 i += 4
             elif op == EV_COMMITS:
                 i += 3
-            elif op == EV_WRONGPATH:
-                self.on_wrongpath_load(events[i + 1], events[i + 2])
-                i += 3
+            elif op == EV_MISPREDICT:
+                for age, addr in draw(events[i + 1]):
+                    self.on_wrongpath_load(age, addr)
+                i += 2
             elif op == EV_RECOVERY:
                 self.on_recovery(events[i + 1])
                 i += 2

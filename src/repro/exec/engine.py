@@ -118,8 +118,9 @@ class EngineStats:
 
     @staticmethod
     def setup_memo() -> Dict[str, int]:
-        """Counters of this process's setup memo: trace and warm-front-end
-        hits, misses and evictions, and the micro-ops it retains.
+        """Counters of this process's setup memo: trace, warm-front-end
+        and host-run hits and misses, trace evictions, and what it holds
+        (traces, host runs, micro-ops).
 
         Per process, not per engine — every engine (and shard) in the
         process shares the memo, and pool workers keep their own — so

@@ -236,39 +236,44 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     # -- routing ----------------------------------------------------------
     def do_GET(self) -> None:
+        self._serve(self._route_get)
+
+    def do_POST(self) -> None:
+        self._serve(self._route_post)
+
+    def _serve(self, route) -> None:
+        """Answer one request through ``route``; every error it raises
+        gets a reply (a ``ConfigError`` 400, a ``SimulationError`` 500)."""
         self.server.request_started()
         try:
-            url = urlparse(self.path)
-            if url.path == "/healthz":
-                self._get_healthz()
-            elif url.path == "/metrics":
-                self._reply(200, self.server.metrics_snapshot())
-            elif url.path.startswith("/experiment/"):
-                self._get_experiment(url.path[len("/experiment/"):],
-                                     parse_qs(url.query))
-            else:
-                self._reply(404, {"error": f"no such endpoint {url.path!r}"})
+            route(urlparse(self.path))
         except ServiceError as exc:
             self._service_error(exc)
+        except ConfigError as exc:
+            self._reply(400, {"error": str(exc), "kind": "config"})
+        except SimulationError as exc:
+            self._reply(500, {"error": str(exc), "kind": "internal"})
         finally:
             self.server.request_finished()
 
-    def do_POST(self) -> None:
-        self.server.request_started()
-        try:
-            url = urlparse(self.path)
-            if url.path == "/run":
-                self._post_run(parse_qs(url.query))
-            elif url.path == "/sweep":
-                self._post_sweep(parse_qs(url.query))
-            else:
-                self._reply(404, {"error": f"no such endpoint {url.path!r}"})
-        except ServiceError as exc:
-            self._service_error(exc)
-        except SimulationError as exc:
-            self._reply(500, {"error": str(exc)})
-        finally:
-            self.server.request_finished()
+    def _route_get(self, url) -> None:
+        if url.path == "/healthz":
+            self._get_healthz()
+        elif url.path == "/metrics":
+            self._reply(200, self.server.metrics_snapshot())
+        elif url.path.startswith("/experiment/"):
+            self._get_experiment(url.path[len("/experiment/"):],
+                                 parse_qs(url.query))
+        else:
+            self._reply(404, {"error": f"no such endpoint {url.path!r}"})
+
+    def _route_post(self, url) -> None:
+        if url.path == "/run":
+            self._post_run(parse_qs(url.query))
+        elif url.path == "/sweep":
+            self._post_sweep(parse_qs(url.query))
+        else:
+            self._reply(404, {"error": f"no such endpoint {url.path!r}"})
 
     def _service_error(self, exc: ServiceError) -> None:
         # Every error payload carries a machine-readable ``kind`` so

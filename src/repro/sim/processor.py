@@ -37,7 +37,10 @@ no loop at all: a YLA or Bloom point replays the host's recorded events
 through its filter (a *filter lane*), and a DMDC, Garg or store-set point
 replays a squash-free host's events through its scheme, stepping its own
 kernel only if a replay verdict would change timing (a *verdict lane*);
-see :class:`HostRun`.
+see :class:`HostRun`.  The host shares the lane's trace, budget and
+machine, not necessarily its seed: a lane draws its own wrong-path loads
+(:func:`wrongpath_model`), and only the invalidation injector lets the
+seed reach timing.
 
 A kernel run and a lane build their result the same way
 (:meth:`Processor._result`): the machine counters (the kernel's and
@@ -65,19 +68,37 @@ from repro.stats.counters import CounterSet
 from repro.utils.rng import DeterministicRng
 
 class HostRun(NamedTuple):
-    """A recording kernel run, which lanes replay: its result, its event
-    log (:mod:`repro.sim.soa`) and its machine counters (everything but
-    its scheme's stats), which a lane's result starts from."""
+    """A recording kernel run, which lanes replay: just what they read.
 
-    result: SimulationResult
+    Its event log (:mod:`repro.sim.soa`), its machine counters
+    (everything but its scheme's stats), which a lane's result starts
+    from, and its cycle and commit counts.  Nothing in it depends on the
+    run's seed but the ``wrongpath.loads`` counter, which a lane books
+    from its own draws, so while the invalidation injector is off one
+    host run serves lanes of every seed (the setup memo keeps it).
+    """
+
     events: List[int]
     counters: CounterSet
+    cycles: int
+    committed: int
 
     @property
     def squash_free(self) -> bool:
         """No replay squashed anything: every fetched op committed, in
         seq order, so verdict lanes may replay the log."""
-        return self.result.counters["replays"] == 0
+        return self.counters["replays"] == 0
+
+
+def wrongpath_model(config: MachineConfig, rng: DeterministicRng) -> WrongPathModel:
+    """A point's wrong-path model, drawing from ``rng``'s first child
+    stream: a processor's own, and a lane's, which replays a host's log
+    under the lane's seed."""
+    return WrongPathModel(
+        rng.child("wrongpath"),
+        mean_loads_per_mispredict=config.wrongpath_mean_loads,
+        enabled=config.wrongpath_loads,
+    )
 
 
 class Processor:
@@ -106,11 +127,7 @@ class Processor:
         self.regs_int = PhysRegFile(config.regs_int)
         self.regs_fp = PhysRegFile(config.regs_fp)
         self.scheme = build_scheme(config.scheme, config)
-        self.wrongpath = WrongPathModel(
-            self.rng.child("wrongpath"),
-            mean_loads_per_mispredict=config.wrongpath_mean_loads,
-            enabled=config.wrongpath_loads,
-        )
+        self.wrongpath = wrongpath_model(config, self.rng)
         self.storesets = StoreSetPredictor() if config.scheme.store_sets else None
         self.invalidations = InvalidationInjector(
             self.rng.child("invalidations"),
@@ -194,12 +211,19 @@ class Processor:
             checking = self._replay_lane(host)
             if checking >= 0:
                 # The lane timed as its host: it takes the host's machine
-                # counters and books its own checking window.
+                # counters and books its own checking window and
+                # wrong-path loads.
                 self.kernel_used = "lane"
-                self.cycle = host.result.cycles
-                self.committed = host.result.committed
-                self.counters.merge(host.counters)
-                self.counters["checking.cycles_observed"] = checking
+                self.cycle = host.cycles
+                self.committed = host.committed
+                counters = self.counters
+                counters.merge(host.counters)
+                counters["checking.cycles_observed"] = checking
+                counters["wrongpath.loads"] = self.wrongpath.injected
+                if self.storesets is not None and "storesets.merges" not in counters:
+                    # A verdict lane's host runs without store sets; its
+                    # own never train in a squash-free run.
+                    self._count_storesets()
                 result = self._result()
                 result.sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
                 return result
@@ -229,7 +253,8 @@ class Processor:
         self._count_components()
         result = self._result()
         if kernel.events is not None:
-            self.recorded = HostRun(result, kernel.events, self.counters)
+            self.recorded = HostRun(kernel.events, self.counters,
+                                    self.cycle, self.committed)
         result.sim_seconds = sim_seconds
         return result
 
@@ -239,24 +264,30 @@ class Processor:
 
         The conventional family (search filters, store sets) replays the
         conventional search; DMDC and Garg drive their kernel adapters
-        through :func:`~repro.sim.soa.replay_verdicts`.  -1 when that
-        replay reaches a verdict that changes timing: the scheme is then
-        rebuilt fresh, for this processor's own loop.
+        through :func:`~repro.sim.soa.replay_verdicts`.  Either way the
+        lane draws its wrong-path loads from its own model.  -1 when
+        the replay reaches a verdict that changes timing: the scheme and
+        the wrong-path model are then rebuilt fresh, for this
+        processor's own loop.
         """
         scheme = self.scheme
         label = self.config.scheme.label()
-        result = host.result
         if isinstance(scheme, ConventionalScheme):
             scheme.replay_lane(host.events, label,
-                               result.counters["replays.coherence"])
+                               host.counters["replays.coherence"], self.wrongpath)
             return 0
         view = LaneView(self.trace)
         checking = replay_verdicts(scheme.soa_hooks(view), view, host.events,
-                                   result.cycles, result.committed, label)
+                                   self.wrongpath, host.cycles, host.committed,
+                                   label)
         if checking < 0:
             self.scheme = build_scheme(self.config.scheme, self.config)
+            # The stream __init__ drew its model from, afresh.
+            rng = self.rng
+            self.wrongpath = wrongpath_model(
+                self.config, DeterministicRng(rng.seed, rng.purpose))
             return -1
-        scheme.finalize(result.cycles)
+        scheme.finalize(host.cycles)
         return checking
 
     # ==================================================================
@@ -279,12 +310,20 @@ class Processor:
         counters["icache.misses"] = memory.l1i.misses
         counters["l2.accesses"] = memory.l2.accesses
         counters["l2.misses"] = memory.l2.misses
+        if self.storesets is not None:
+            self._count_storesets()
+
+    def _count_storesets(self) -> None:
+        """Book what the store-set predictor counted: machine counters,
+        since the predictor trains on the run's timing (its violations)."""
+        self.counters["storesets.violations_recorded"] = self.storesets.violations_recorded
+        self.counters["storesets.merges"] = self.storesets.merges
 
     def _result(self) -> SimulationResult:
         """This point's result, built alike for a kernel run and a lane:
         the machine counters (``self.counters``), then this scheme's stats
-        and histograms, then the counters a lane books itself instead of
-        taking its host's: LQ searches and store sets.
+        and histograms, then the LQ searches, which a lane books itself
+        instead of taking its host's.
 
         The conventional family books its LQ searches in its own stats:
         a resolving store either searches (``lq.searches``) or is
@@ -301,9 +340,6 @@ class Processor:
         counters["lq.searches_assoc"] = stats["lq.searches"]
         counters["lq.searches_filtered"] = (
             stats["stores.safe"] if isinstance(scheme, ConventionalScheme) else 0)
-        if self.storesets is not None:
-            counters["storesets.violations_recorded"] = self.storesets.violations_recorded
-            counters["storesets.merges"] = self.storesets.merges
         return SimulationResult(
             workload=self.trace.name,
             group=self.trace.group,

@@ -6,7 +6,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.isa.trace import Trace, validate_trace
 from repro.sim.config import MachineConfig, SchemeConfig
-from repro.sim.processor import HostRun, Processor
+from repro.sim.processor import Processor
 from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SetupBatch
 
@@ -158,18 +158,36 @@ def lane_host_config(config: MachineConfig) -> Optional[MachineConfig]:
         store_sets=scheme.store_sets))
 
 
+class LaneGroup(NamedTuple):
+    """The key of the points one host run serves (see :func:`lane_group`)."""
+
+    trace: Any
+    budget: Any
+    host: MachineConfig
+    #: None unless the invalidation injector is on.
+    seed: Optional[int]
+
+
 def lane_group(config: MachineConfig, trace: Any, seed: int,
-               budget: Any) -> Optional[Tuple]:
-    """The lane group a point joins: points with the same trace, seed,
-    budget and :func:`lane_host_config` share one host run.  None for a
-    point outside every lane family.
+               budget: Any) -> Optional[LaneGroup]:
+    """The lane group a point joins: points with the same trace, budget
+    and :func:`lane_host_config` share one host run.  None for a point
+    outside every lane family.
+
+    The seed only draws the wrong-path loads, which change no timing and
+    which every lane draws for itself, and the injected invalidations,
+    which do change timing.  So the group names the seed only when the
+    invalidation injector is on (``invalidation_rate > 0``).
 
     ``trace`` is whatever names the point's trace for the caller:
     :func:`run_many` passes the trace's content identity, the engine
     (before any trace exists) the workload name.
     """
     host = lane_host_config(config)
-    return None if host is None else (trace, seed, budget, host)
+    if host is None:
+        return None
+    return LaneGroup(trace, budget, host,
+                     seed if config.invalidation_rate > 0 else None)
 
 
 def run_many(requests: Sequence) -> List[SimulationResult]:
@@ -193,7 +211,8 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
     * **lanes**: points in the same :func:`lane_group` form a group.
       Its host, the conventional point (else the first YLA/Bloom
       point), runs first and records the events lanes read, keeping
-      its machine counters for them (:class:`HostRun`).  Every other
+      its machine counters for them
+      (:class:`~repro.sim.processor.HostRun`).  Every other
       YLA/Bloom point (a *filter lane*) gets its own
       ``Processor.run``, which replays that log and reports
       ``kernel_used == "lane"``.  A DMDC, Garg or
@@ -201,13 +220,19 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
       the same way when the host's run was squash-free, and steps its
       own kernel when it was not, or when the replay reaches a verdict
       that would change timing.  A group without a host runs each
-      point alone, recording nothing.  The log is dropped once the
-      group is done.
+      point alone, recording nothing;
+    * **shared host runs**: a group without a seed (the injector off)
+      over a memoized trace looks its host run up in the setup memo
+      first.  On a hit no point of the group steps a host loop: the
+      conventional point is a lane too.  On a miss the group's host
+      records even when it is alone, and the memo keeps its run for
+      every later batch, whatever their seeds.
 
     Every element still gets a fresh :class:`Processor` with its own RNG
-    stream and its own copy of the warm front end, so results are
-    bit-identical to a fresh process running each request alone and
-    seeds cannot leak across batch elements.
+    stream and its own copy of the warm front end, and a lane draws its
+    wrong-path loads from its own seed, so results are bit-identical to
+    a fresh process running each request alone and seeds cannot leak
+    across batch elements.
     """
     setup = SetupBatch()
     points: List[Tuple[Any, int, Trace, Any]] = []
@@ -225,27 +250,31 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
         groups.setdefault(index if key is None else key, []).append(index)
 
     results: Dict[int, SimulationResult] = {}
-    for members in groups.values():
+    for key, members in groups.items():
         role = {i: _role(points[i][0].config.scheme) for i in members}
         members.sort(key=role.__getitem__)
-        hosted = role[members[0]] != _VERDICT
-        recorded: Optional[HostRun] = None
+        ident = points[members[0]][3]
+        shared = (isinstance(key, LaneGroup) and key.seed is None
+                  and setup.memoized(ident))
+        recorded = setup.host_run(ident, key.budget, key.host) if shared else None
+        record = (recorded is None and role[members[0]] != _VERDICT
+                  and (shared or len(members) > 1))
         for index in members:
             request, budget, trace, ident = points[index]
             processor = Processor(request.config, trace, seed=request.seed)
-            if recorded is not None and role[index] == _FILTER:
+            if recorded is not None and role[index] != _VERDICT:
                 processor.replay_from = recorded
                 results[index] = processor.run(budget)
                 continue
-            if (recorded is not None and role[index] == _VERDICT
-                    and recorded.squash_free):
+            if recorded is not None and recorded.squash_free:
                 # Prewarmed below all the same: a diverging replay steps
                 # this processor's own kernel.
                 processor.replay_from = recorded
-            processor.record_events = (hosted and index == members[0]
-                                       and len(members) > 1)
+            processor.record_events = record and index == members[0]
             setup.prewarm(processor, ident)
             results[index] = processor.run(budget)
-            if recorded is None:
+            if processor.recorded is not None:
                 recorded = processor.recorded
+                if shared:
+                    setup.keep_host_run(ident, budget, key.host, recorded)
     return [results[index] for index in range(len(points))]

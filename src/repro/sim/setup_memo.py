@@ -13,13 +13,21 @@ process and shared:
 * **warm front ends**, keyed by the trace key plus the geometry of the
   L1I, L2, direction predictors and BTB.  The value is a copy of that
   state taken right after :meth:`Processor.prewarm`; a later processor
-  gets its own copy instead of replaying every fetch.
+  gets its own copy instead of replaying every fetch;
+* **host runs**, keyed by the trace key plus the budget and the host's
+  :class:`MachineConfig`: a recording conventional run
+  (:class:`~repro.sim.processor.HostRun`), whose event log and machine
+  counters are the same under every seed while the invalidation
+  injector is off.  ``run_many`` replays one into every later lane of
+  that trace, budget and machine instead of stepping a host loop again.
+  Only runs that happen anyway record.
 
 The memo is bounded by the micro-ops its traces retain
 (:data:`MAX_RETAINED_OPS`), evicting least recently used traces together
-with their warm front ends.  One lock (from :func:`make_lock`, since the
-sharded service runs several batcher threads per process) guards the
-tables; generation and prewarm run outside it.  See the "setup memo"
+with their warm front ends and host runs.  One lock (from
+:func:`make_lock`, since the sharded service runs several batcher
+threads per process) guards the tables; generation, prewarm and host
+runs run outside it.  See the "setup memo"
 section of ``docs/performance.md``.
 """
 
@@ -78,11 +86,13 @@ class FrontEnd:
 
 
 class _Entry:
-    __slots__ = ("trace", "fronts")
+    __slots__ = ("trace", "fronts", "hosts")
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
         self.fronts: Dict[Tuple[Any, ...], FrontEnd] = {}
+        #: (budget, host machine) -> its :class:`HostRun`.
+        self.hosts: Dict[Tuple[int, MachineConfig], Any] = {}
 
 
 class SetupMemo:
@@ -97,6 +107,8 @@ class SetupMemo:
         self.trace_evictions = 0
         self.warm_hits = 0
         self.warm_misses = 0
+        self.host_hits = 0
+        self.host_misses = 0
 
     def trace(self, key: str, workload: Any, length: int) -> Trace:
         """The shared trace under ``key``, generating it on a miss."""
@@ -139,6 +151,26 @@ class SetupMemo:
             if entry is not None:
                 entry.fronts.setdefault(geometry, front)
 
+    def host_run(self, key: str, budget: int, host: MachineConfig) -> Any:
+        """The host run of machine ``host`` at ``budget`` over trace
+        ``key``, if held."""
+        with self._lock:
+            entry = self._entries.get(key)
+            run = entry.hosts.get((budget, host)) if entry is not None else None
+            if run is None:
+                self.host_misses += 1
+            else:
+                self.host_hits += 1
+            return run
+
+    def keep_host_run(self, key: str, budget: int, host: MachineConfig,
+                      run: Any) -> None:
+        """Hold ``run`` for as long as trace ``key`` stays memoized."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                entry.hosts.setdefault((budget, host), run)
+
     def stats(self) -> Dict[str, int]:
         """Counters since the last :meth:`clear` ("why was this point fast")."""
         with self._lock:
@@ -148,7 +180,10 @@ class SetupMemo:
                 "trace_evictions": self.trace_evictions,
                 "warm_hits": self.warm_hits,
                 "warm_misses": self.warm_misses,
+                "host_hits": self.host_hits,
+                "host_misses": self.host_misses,
                 "traces": len(self._entries),
+                "hosts": sum(len(entry.hosts) for entry in self._entries.values()),
                 "retained_ops": self.retained_ops,
             }
 
@@ -159,6 +194,7 @@ class SetupMemo:
             self.retained_ops = 0
             self.trace_hits = self.trace_misses = self.trace_evictions = 0
             self.warm_hits = self.warm_misses = 0
+            self.host_hits = self.host_misses = 0
 
 
 #: The process's memo; every ``run_many`` batch goes through it.
@@ -191,6 +227,20 @@ class SetupBatch:
                 trace = SETUP_MEMO.trace(key, workload, length)
             pinned = self._traces[ident] = (trace, key)
         return pinned[0], ident
+
+    def memoized(self, ident: Any) -> bool:
+        """Whether the trace named ``ident`` is shared through the memo
+        (custom ``generate()`` objects never are)."""
+        return self._traces[ident][1] is not None
+
+    def host_run(self, ident: Any, budget: int, host: MachineConfig) -> Any:
+        """The memoized host run for a memoized trace, if held."""
+        return SETUP_MEMO.host_run(self._traces[ident][1], budget, host)
+
+    def keep_host_run(self, ident: Any, budget: int, host: MachineConfig,
+                      run: Any) -> None:
+        """Share ``run`` through the memo, beside its memoized trace."""
+        SETUP_MEMO.keep_host_run(self._traces[ident][1], budget, host, run)
 
     def prewarm(self, processor: Any, ident: Any) -> None:
         """Warm ``processor``'s front end, replaying the trace only when

@@ -46,7 +46,10 @@ records (opcodes in :mod:`repro.core.schemes.base`):
   store's address was known (the load is safe at issue);
 * store resolve: address, seq and the ROB tail seq, the opcode saying
   whether the search found a live victim;
-* wrong-path load: age and address;
+* mispredicted fetch: the branch seq.  The run's own wrong-path loads
+  are not logged: they are the seed's one effect while the invalidation
+  injector is off, and they never change timing, so the log is the same
+  under every seed and each lane draws its own from its own seed;
 * branch recovery: seq;
 * squash: last kept seq, then the addresses of the squashed issued loads;
 * load commit: address;
@@ -61,8 +64,9 @@ as the conventional machine until their first replay, so
 :func:`replay_verdicts` drives their adapters through the log over a
 seq-indexed :class:`LaneView` and stops at the first verdict that would
 change timing.  :func:`repro.sim.runner.run_many` replays one
-conventional run's log into every lane of its batch that shares trace,
-seed, budget and machine.
+conventional run's log into every lane that shares its trace, budget
+and machine, whatever the lane's seed (unless the invalidation injector
+is on), and keeps the log in the setup memo for later batches.
 
 The kernel is **bit-identical** to the per-cycle object pipeline it was
 transcribed from, which the test suite keeps as its reference
@@ -92,11 +96,11 @@ from repro.core.schemes.base import (
     EV_COMMITS,
     EV_LOAD,
     EV_LOAD_SAFE,
+    EV_MISPREDICT,
     EV_RECOVERY,
     EV_SQUASH,
     EV_STORE,
     EV_STORE_VICTIM,
-    EV_WRONGPATH,
 )
 from repro.errors import OrderingViolationMissed, SimulationError
 from repro.lsq.queues import (
@@ -1122,10 +1126,12 @@ class SoaKernel:
                             # Mispredict: fetch stalls until resolution;
                             # wrong-path loads corrupt the filters now.
                             self.blocked_branch = seq_[slot] << pbits | slot
+                            if rec:
+                                # The mark, not the draws: a lane draws
+                                # its own (the log stays seed-free).
+                                log += (EV_MISPREDICT, seq_[slot])
                             for age, wa in self.wrongpath.loads_for_mispredict(
                                     seq_[slot]):
-                                if rec:
-                                    log += (EV_WRONGPATH, age, wa)
                                 hooks.on_wrongpath_load(age, wa)
                             break
                         if predicted_taken and btb_lookup(tpc[ti]) is None:
@@ -1401,15 +1407,18 @@ class LaneView:
         self.rob = [-1]
 
 
-def replay_verdicts(hooks, view: LaneView, events: List[int], cycles: int,
-                    committed: int, label: str) -> int:
+def replay_verdicts(hooks, view: LaneView, events: List[int], wrongpath,
+                    cycles: int, committed: int, label: str) -> int:
     """Drive a scheme adapter bound to ``view`` through a squash-free
     host's event log.
 
     The hooks are called at the kernel's sites with the kernel's gates:
     load issue, store resolve (with ``view.rob`` set to the recorded ROB
     tail), every commit under ``commit_mode``, wrong-path loads and
-    recoveries.  Returns the lane's
+    recoveries.  The wrong-path loads are the lane's own: ``wrongpath``
+    (a :class:`~repro.frontend.wrongpath.WrongPathModel` on the lane's
+    seed) sees every logged load issue and draws at every mispredict
+    mark, as the lane's kernel would.  Returns the lane's
     ``checking.cycles_observed``: a checking window, which only a commit
     opens or closes, covers every cycle after the commit stage that
     opened it up to the one that closes it, or to the run's last cycle
@@ -1431,6 +1440,8 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], cycles: int,
     hook_commit_load = hooks.on_commit_load
     on_wrongpath = hooks.on_wrongpath_load
     on_recovery = hooks.on_recovery
+    observe = wrongpath.observe_address
+    draw = wrongpath.loads_for_mispredict
     isld_ = view.isld
     isst_ = view.isst
     safe_ = view.safe
@@ -1469,6 +1480,7 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], cycles: int,
                 head = end
             i += 3
         elif op == EV_LOAD or op == EV_LOAD_SAFE:
+            observe(events[i + 1])
             seq = events[i + 2]
             if op == EV_LOAD_SAFE:
                 safe_[seq] = True
@@ -1483,9 +1495,10 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], cycles: int,
             i += 4
         elif op == EV_COMMIT:
             i += 2
-        elif op == EV_WRONGPATH:
-            on_wrongpath(events[i + 1], events[i + 2])
-            i += 3
+        elif op == EV_MISPREDICT:
+            for age, addr in draw(events[i + 1]):
+                on_wrongpath(age, addr)
+            i += 2
         elif op == EV_RECOVERY:
             on_recovery(events[i + 1])
             i += 2

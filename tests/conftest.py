@@ -7,6 +7,8 @@ from repro.isa.instruction import MicroOp
 from repro.isa.opcodes import InstrClass
 from repro.isa.trace import Trace
 from repro.sim.config import MachineConfig, SchemeConfig, small_config
+from repro.sim.processor import Processor
+from repro.sim.setup_memo import SETUP_MEMO
 
 # Property tests draw the same examples on every run, so a failure
 # reproduces in any checkout and none is replayed from a local example
@@ -75,6 +77,30 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     every test start from a cold cache.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty process-wide setup memo around the test, so no trace,
+    warm front end or host run an earlier test left serves its points."""
+    SETUP_MEMO.clear()
+    yield
+    SETUP_MEMO.clear()
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Every ``Processor.run`` as (scheme label, kernel used), in order."""
+    seen = []
+    original = Processor.run
+
+    def spy(processor, *args, **kwargs):
+        result = original(processor, *args, **kwargs)
+        seen.append((processor.config.scheme.label(), processor.kernel_used))
+        return result
+
+    monkeypatch.setattr(Processor, "run", spy)
+    return seen
 
 
 @pytest.fixture

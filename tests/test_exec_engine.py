@@ -94,12 +94,19 @@ class TestLaneGroupOrder:
             ("yla", "swim"), ("dmdc", "swim"), ("conventional", "swim"),
             ("bloom", "swim")]
 
-    def test_lane_groups_need_equal_seed_and_machine(self):
+    def test_lane_groups_name_the_seed_only_with_the_injector_on(self):
+        """Points of any seed share a group: the seed only draws
+        wrong-path loads, which each lane draws itself.  Injected
+        invalidations let the seed reach timing, so then it splits
+        groups.  The machine (here ``sq_filter``) always does."""
         points = [("a", _scheme_req("yla")), ("b", _req(seed=2)),
                   ("c", _scheme_req("bloom", sq_filter=True)), ("d", _req()),
                   ("e", _scheme_req("bloom"))]
         assert [key for key, _ in by_lane_group(points)] == [
-            "a", "d", "e", "b", "c"]
+            "a", "b", "d", "e", "c"]
+        injected = [(key, _req(seed=seed, invalidation_rate=10.0))
+                    for key, seed in (("f", 1), ("g", 2), ("h", 1))]
+        assert [key for key, _ in by_lane_group(injected)] == ["f", "h", "g"]
 
 
 class TestErrorContext:

@@ -2,26 +2,31 @@
 
 A sound search filter only skips LQ searches that would find no victim,
 so it never changes timing.  ``run_many`` therefore groups conventional,
-YLA and Bloom points that share trace, seed, budget and machine: the
-group steps the cycle loop once, with event recording on, and every
-later filter point replays the log (``kernel_used == "lane"``); a point
-run alone filters inline on the kernel.  These tests pin that a lane's
-result is bit-identical to the same point run alone and to the
-object-loop reference, that the host always runs first, that the replay
-is an oracle (a filter that calls a store with a victim safe fails the
-run), and that lanes never share result objects with their host.
+YLA and Bloom points that share trace, budget and machine, and, only
+while invalidations are injected, seed: the group steps the cycle loop
+once, with event recording on, and every later filter point replays the
+log (``kernel_used == "lane"``), drawing its own wrong-path loads.  These
+tests pin that a lane's result is bit-identical to the same point run
+alone on the kernel from a cold setup memo (where it filters inline) and
+to the object-loop reference, that the host always runs first, that the
+replay is an oracle (a filter that calls a store with a victim safe
+fails the run), and that lanes never share result objects with their
+host.  Every test starts from an empty memo, so the routes it asserts
+are its own batches'.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.analysis.lint import lint_source
+from repro.analysis.lint.rules import HOT_FUNCTIONS
 from repro.core.schemes.conventional import YlaFilteredScheme
 from repro.errors import SimulationError
 from repro.sim.config import CONFIG1, CONFIG2, SchemeConfig
-from repro.sim.processor import Processor
 from repro.errors import OrderingViolationMissed
 from repro.sim.runner import _Point, run_many, workload_trace
+from repro.sim.setup_memo import SETUP_MEMO
 from repro.workloads import SUITE
 from tests.reference_loop import run_reference
 
@@ -41,19 +46,14 @@ def _point(machine, label, workload=CONFLICTS, seed=1):
                   workload, BUDGET, seed)
 
 
-@pytest.fixture
-def runs(monkeypatch):
-    """Every ``Processor.run`` as (scheme label, kernel used), in order."""
-    seen = []
-    original = Processor.run
+pytestmark = pytest.mark.usefixtures("cold_memo")
 
-    def spy(processor, *args, **kwargs):
-        result = original(processor, *args, **kwargs)
-        seen.append((processor.config.scheme.label(), processor.kernel_used))
-        return result
 
-    monkeypatch.setattr(Processor, "run", spy)
-    return seen
+def run_alone(point):
+    """``point`` alone on an empty setup memo: its own kernel run, never
+    a lane of a host run an earlier batch left in the memo."""
+    SETUP_MEMO.clear()
+    return run_many([point])[0]
 
 
 def _machines():
@@ -85,7 +85,7 @@ def test_lanes_equal_lone_runs(runs, machine):
     if machine.endswith("inv100"):
         assert host.counters["inv.injected"] > 0
     for point, result in zip(points, batch):
-        alone = run_many([point])[0]
+        alone = run_alone(point)
         assert result.to_dict() == alone.to_dict(), point.config.scheme.label()
     # Only the lone runs stepped the loop again (each filters inline).
     assert [kernel for _, kernel in runs[len(labels):]] == ["soa"] * len(labels)
@@ -100,16 +100,20 @@ def test_lane_before_its_host_still_replays(runs):
     assert [result.scheme_name for result in batch] == [
         "yla", "dmdc-global", "conventional", "bloom"]
     for point, result in zip(points, batch):
-        assert result.to_dict() == run_many([point])[0].to_dict()
+        assert result.to_dict() == run_alone(point).to_dict()
 
 
 def test_lanes_without_a_conventional_point_share_the_first(runs):
+    """The first filter point hosts; a point of another seed joins its
+    group (the seed draws only wrong-path loads, which a lane draws
+    itself)."""
     points = [_point(CONFIG2, "bloom"), _point(CONFIG2, "yla"),
               _point(CONFIG2, "yla", seed=2)]
     batch = run_many(points)
-    assert runs == [("bloom", "soa"), ("yla", "lane"), ("yla", "soa")]
+    assert runs == [("bloom", "soa"), ("yla", "lane"), ("yla", "lane")]
+    assert batch[1].counters["wrongpath.loads"] != batch[2].counters["wrongpath.loads"]
     for point, result in zip(points, batch):
-        assert result.to_dict() == run_many([point])[0].to_dict()
+        assert result.to_dict() == run_alone(point).to_dict()
 
 
 def test_unsound_filter_fails_the_run(runs, monkeypatch):
@@ -124,7 +128,7 @@ def test_unsound_filter_fails_the_run(runs, monkeypatch):
         run_many([_point(CONFIG2, "conventional"), _point(CONFIG2, "yla-regs1")])
     assert runs == [("conventional", "soa")]
     with pytest.raises(OrderingViolationMissed, match="under scheme yla"):
-        run_many([_point(CONFIG2, "yla-regs1")])
+        run_alone(_point(CONFIG2, "yla-regs1"))
 
 
 def test_lanes_own_their_results(runs):
@@ -153,3 +157,15 @@ def test_no_lanes_on_the_object_loop(runs):
                                point.seed).to_dict()
                  for point in points]
     assert reference == batch
+
+
+def test_the_replay_is_a_lint_hot_path():
+    assert "ConventionalScheme.replay_lane" in HOT_FUNCTIONS[
+        "repro/core/schemes/conventional.py"]
+    src = ("class ConventionalScheme:\n"
+           "    def replay_lane(self, events):\n"
+           "        self.stats.bump('x')\n"
+           "        return []\n")
+    found = sorted(v.rule_id for v in lint_source(
+        src, path="src/repro/core/schemes/conventional.py"))
+    assert found == ["REPRO004", "REPRO005"]

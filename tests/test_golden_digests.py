@@ -6,7 +6,7 @@ instructions) for two sets of points:
 
 * all 26 suite workloads x the nine :data:`SCHEME_LABELS`;
 * the four coherent-DMDC invalidation rates of Table 6
-  (``repro.experiments.table6._sweep``, 0/1/10/100 per 1000 cycles).
+  (``repro.experiments.table6.sweep``, 0/1/10/100 per 1000 cycles).
 
 Any change to simulated behaviour changes a digest, so the file is the
 gate for refactors of the cycle loops: it must stay byte-identical. Every
@@ -32,7 +32,7 @@ from repro.experiments.table6 import INVALIDATION_RATES, sweep as _sweep
 from repro.sim.config import CONFIG2, SCHEME_LABELS, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.runner import TRACE_TAIL_SLACK, run_many
-from repro.sim.setup_memo import SetupBatch
+from repro.sim.setup_memo import SETUP_MEMO, SetupBatch
 from repro.sim.soa import SoaKernel
 from repro.workloads import SUITE
 
@@ -126,6 +126,8 @@ def batches():
         loops.append(kernel.p.config.scheme.label())
         return original(kernel, target, max_cycles)
 
+    # No host run an earlier test left in the memo may serve a batch.
+    SETUP_MEMO.clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SoaKernel, "run", counting_run)
         for workload in sorted(SUITE):

@@ -13,6 +13,7 @@ from repro.exec.engine import ExecutionEngine
 from repro.exec.request import RunRequest
 from repro.sim.config import CONFIG2, SchemeConfig
 from repro.sim.runner import run_many, run_workload
+from repro.sim.setup_memo import SETUP_MEMO
 from repro.workloads import get_workload
 
 BUDGET = 1_200
@@ -24,6 +25,9 @@ def _req(label="conventional", workload="gzip", seed=1, budget=BUDGET):
 
 
 def _solo(request):
+    """``request`` alone on an empty setup memo: its own kernel run,
+    never a lane of a host run an earlier batch left there."""
+    SETUP_MEMO.clear()
     return run_workload(request.config, get_workload(request.workload),
                         max_instructions=request.budget, seed=request.seed)
 

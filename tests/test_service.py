@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.exec.engine import EngineStats, ExecutionEngine
 from repro.service import (
     Draining,
@@ -284,6 +285,25 @@ class TestEndpoints:
         status, payload = client.request("GET", f"/experiment/table2?budget={budget}")
         assert status == 400
         assert payload["kind"] == "schema"
+
+    def test_experiment_under_a_malformed_environment_gets_a_reply(
+            self, service, monkeypatch):
+        _, client = service
+        monkeypatch.setenv("REPRO_WORKLOADS_PER_GROUP", "abc")
+        status, payload = client.request("GET", "/experiment/table2?budget=500")
+        assert status == 400
+        assert payload["kind"] == "config"
+        assert "REPRO_WORKLOADS_PER_GROUP" in payload["error"]
+
+    def test_experiment_simulation_error_is_500(self, service, monkeypatch):
+        _, client = service
+
+        def fail(exp_id, budget=None, **params):
+            raise SimulationError("boom")
+
+        monkeypatch.setattr("repro.experiments.registry.run_experiment", fail)
+        status, payload = client.request("GET", "/experiment/table2?budget=500")
+        assert (status, payload) == (500, {"error": "boom", "kind": "internal"})
 
     def test_traced_run_adds_digest_and_is_bit_identical(self, service):
         _, client = service

@@ -189,7 +189,11 @@ def test_generated_traces_are_frozen():
 
 def test_counters_for_a_known_batch():
     """Two distinct traces over one front-end geometry: the first batch
-    misses both tables once per trace, an identical second batch hits."""
+    misses every table once per trace and records one host run per
+    trace (gzip's serves both seeds), an identical second batch hits.
+    There mcf's lone conventional point replays its host run, so only
+    gzip's DMDC point (a verdict lane, prewarmed for a possible
+    fallback) asks for a warm front end."""
     requests = [
         RunRequest(CONFIG2, "gzip", BUDGET, 1),
         RunRequest(CONFIG2.with_scheme(SchemeConfig.from_label("dmdc")), "gzip", BUDGET, 1),
@@ -201,12 +205,14 @@ def test_counters_for_a_known_batch():
     retained = sum(len(get_workload(name).generate(BUDGET + TRACE_TAIL_SLACK))
                    for name in ("gzip", "mcf"))
     assert stats == {"trace_hits": 0, "trace_misses": 2, "trace_evictions": 0,
-                     "warm_hits": 0, "warm_misses": 2, "traces": 2,
+                     "warm_hits": 0, "warm_misses": 2, "host_hits": 0,
+                     "host_misses": 2, "traces": 2, "hosts": 2,
                      "retained_ops": retained}
     run_many(requests)
     stats = EngineStats.setup_memo()
     assert (stats["trace_hits"], stats["trace_misses"]) == (2, 2)
-    assert (stats["warm_hits"], stats["warm_misses"]) == (2, 2)
+    assert (stats["warm_hits"], stats["warm_misses"]) == (1, 2)
+    assert (stats["host_hits"], stats["host_misses"], stats["hosts"]) == (2, 2, 2)
 
 
 def test_engine_execute_goes_through_the_memo():

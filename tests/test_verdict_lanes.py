@@ -7,11 +7,12 @@ point in its conventional point's lane group; when the host's run was
 squash-free, the point replays the host's event log through its own
 scheme (``kernel_used == "lane"``) and steps its own kernel only if the
 replay reaches a verdict that would change timing.  These tests pin that
-every such point equals the same point run alone, bit for bit, whichever
-route it took; that a host with replays and a diverging replay both
-fall back to the point's own kernel; that a lone point records nothing;
-that a malformed log fails loudly; and that lanes share no result
-objects with their host.
+every such point equals the same point run alone on a cold setup memo,
+bit for bit, whichever route it took; that a host with replays and a
+diverging replay both fall back to the point's own kernel; that a lone
+point records nothing; that a malformed log fails loudly; and that
+lanes share no result objects with their host.  Every test starts from
+an empty memo, so the routes it asserts are its own batches'.
 """
 
 import dataclasses
@@ -28,6 +29,9 @@ from repro.sim.runner import _Point, run_many
 from repro.sim.setup_memo import SetupBatch
 from repro.sim.soa import SoaKernel, replay_verdicts
 from repro.workloads import SUITE
+from tests.test_filter_lanes import run_alone
+
+pytestmark = pytest.mark.usefixtures("cold_memo")
 
 BUDGET = 1_500
 
@@ -49,24 +53,9 @@ def _point(machine, label, workload="gzip", seed=1, budget=BUDGET):
                   workload, budget, seed)
 
 
-@pytest.fixture
-def runs(monkeypatch):
-    """Every ``Processor.run`` as (scheme label, kernel used), in order."""
-    seen = []
-    original = Processor.run
-
-    def spy(processor, *args, **kwargs):
-        result = original(processor, *args, **kwargs)
-        seen.append((processor.config.scheme.label(), processor.kernel_used))
-        return result
-
-    monkeypatch.setattr(Processor, "run", spy)
-    return seen
-
-
 def _assert_equal_alone(points, batch):
     for point, result in zip(points, batch):
-        alone = run_many([point])[0]
+        alone = run_alone(point)
         assert result.to_dict() == alone.to_dict(), point.config.scheme.label()
 
 
@@ -171,7 +160,7 @@ def _recorded_host():
 def test_a_malformed_log_fails_loudly(bad, message):
     trace, host = _recorded_host()
     events = list(host.events)
-    result = host.result
+    committed = host.committed
     if bad == "squash":
         events[:0] = [EV_SQUASH, 0, 0]
     elif bad == "victim":
@@ -179,9 +168,9 @@ def test_a_malformed_log_fails_loudly(bad, message):
     elif bad == "past-trace":
         events[:0] = [EV_COMMITS, 0, len(trace) + 1]
     else:
-        result = dataclasses.replace(result, committed=result.committed + 1)
+        committed += 1
     lane = Processor(CONFIG2.with_scheme(SchemeConfig.from_label("dmdc")), trace)
-    lane.replay_from = host._replace(events=events, result=result)
+    lane.replay_from = host._replace(events=events, committed=committed)
     with pytest.raises(SimulationError, match=message):
         lane.run(BUDGET)
 
