@@ -100,19 +100,28 @@ class SanitizerReport:
         }
 
     def format(self) -> str:
-        verdict = "CLEAN" if self.clean else "DEFECTIVE"
-        lines = [
-            f"sanitizer[{self.scheme}]: {verdict} — "
-            f"{self.oracle_violations} true violations, "
-            f"{self.missed_violations} missed, "
-            f"{self.true_replays} true / {self.false_replays} false replays, "
-            f"{self.probe_failure_count} probe failures "
-            f"({self.probe_checks} probe checks, "
-            f"{self.events_checked} events)"
-        ]
-        lines.extend(f"  missed: {d}" for d in self.missed_details)
-        lines.extend(f"  probe:  {d}" for d in self.probe_failures)
-        return "\n".join(lines)
+        return format_report(self.as_dict())
+
+
+def format_report(entry: dict) -> str:
+    """The human-readable form of one report's :meth:`SanitizerReport.as_dict`
+    (``repro check`` prints the entries :func:`repro.api.check` returns)."""
+    verdict = "CLEAN" if entry["clean"] else "DEFECTIVE"
+    lines = [
+        f"sanitizer[{entry['scheme']}]: {verdict} — "
+        f"{entry['oracle_violations']} true violations, "
+        f"{entry['missed_violations']} missed, "
+        f"{entry['true_replays']} true / {entry['false_replays']} false replays, "
+        f"{entry['probe_failures']} probe failures "
+        f"({entry['probe_checks']} probe checks, "
+        f"{entry['events_checked']} events)"
+    ]
+    # ``details`` lists the missed-violation messages first, each capped
+    # at MAX_DETAILS, so the split point follows from the count.
+    missed = min(entry["missed_violations"], MAX_DETAILS)
+    lines.extend(f"  missed: {d}" for d in entry["details"][:missed])
+    lines.extend(f"  probe:  {d}" for d in entry["details"][missed:])
+    return "\n".join(lines)
 
 
 class MemoryOrderSanitizer(SoaHooks):

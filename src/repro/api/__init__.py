@@ -36,7 +36,8 @@ Verbs:
 * :func:`sweep` — a design-space grid in one deduplicated batch ->
   :class:`SweepResult`;
 * :func:`compare` — candidate vs baseline with the paper's energy verdict;
-* :func:`check` — the correctness tooling (lint + sanitizer) as data;
+* :func:`check` — the correctness tooling (lint, concurrency analysis and
+  sanitizer) as data;
 * :func:`profile` — one design point with full observability attached
   (cycle/structure attribution, replay sites, timeline); always
   simulates — the event stream is a per-run observation, not a cacheable
@@ -286,9 +287,17 @@ def compare(workload: WorkloadLike,
     return CompareReport(base, cand, model.evaluate(base), model.evaluate(cand))
 
 
+#: Schemes that filter associative LQ searches by age: a sanitized run of
+#: one of these must show *some* filtering activity, or the sweep proved
+#: nothing about the mechanism under test.
+_FILTERING_SCHEMES = frozenset(
+    {"yla", "bloom", "dmdc", "dmdc-local", "dmdc-queue8"})
+
+
 def check(paths: Optional[Sequence[str]] = None,
           *,
           static: bool = True,
+          concurrency: bool = False,
           sanitize: bool = False,
           schemes: Optional[Sequence[str]] = None,
           workloads: Optional[Sequence[str]] = None,
@@ -299,38 +308,49 @@ def check(paths: Optional[Sequence[str]] = None,
     """The correctness tooling as data (see ``docs/correctness.md``).
 
     Returns ``{"ok": bool, "static": [violations...],
-    "sanitize": [reports...]}`` with only the halves that were requested.
+    "concurrency": [violations...], "sanitize": [reports...]}`` with only
+    the halves that were requested.  A sanitize entry is the run's
+    sanitizer report plus its ``workload``, ``label``,
+    ``filtered_searches`` and ``ok``: a filtering scheme (YLA, Bloom or
+    the DMDC family) that filtered nothing is not ok even when clean.
     """
+    from repro.analysis.conc import CONC_RULES
+    from repro.analysis.lint import lint_paths
+    from repro.analysis.sanitizer import run_sanitized
+
+    labels = list(schemes) if schemes else sorted(SCHEME_MATRIX)
+    unknown = [label for label in labels if label not in SCHEME_MATRIX]
+    if sanitize and unknown:
+        raise ConfigError(
+            f"unknown sanitizer scheme(s) {', '.join(unknown)}; choices: "
+            f"{', '.join(sorted(SCHEME_MATRIX))}")
     payload: Dict[str, object] = {}
-    ok = True
+    targets = list(paths) if paths else ["src"]
     if static:
-        from repro.analysis.lint import lint_paths
-        violations = lint_paths(list(paths) if paths else ["src"])
-        payload["static"] = [v._asdict() for v in violations]
-        ok = ok and not violations
+        payload["static"] = [v._asdict() for v in lint_paths(targets)]
+    if concurrency:
+        payload["concurrency"] = [
+            v._asdict() for v in lint_paths(targets, rules=CONC_RULES)]
     if sanitize:
-        from repro.analysis.sanitizer import run_sanitized
         machine = _as_machine(config, "conventional")
-        labels = list(schemes) if schemes else sorted(SCHEME_MATRIX)
-        names = list(workloads) if workloads else ["gzip", "mcf"]
         reports = []
-        for name in names:
+        for name in (list(workloads) if workloads else ["gzip", "mcf"]):
             trace = _workload_trace(name, instructions)
             for label in labels:
-                scheme_cfg = SCHEME_MATRIX.get(label)
-                if scheme_cfg is None:
-                    raise ConfigError(
-                        f"unknown sanitizer scheme {label!r}; choices: "
-                        f"{sorted(SCHEME_MATRIX)}")
-                _, report = run_sanitized(
-                    machine.with_scheme(scheme_cfg), trace,
+                result, report = run_sanitized(
+                    machine.with_scheme(SCHEME_MATRIX[label]), trace,
                     max_instructions=instructions, seed=seed, strict=strict)
+                filtered = (result.counters["lq.searches_filtered"]
+                            + result.counters["stores.safe"])
                 entry = report.as_dict()
-                entry.update(workload=name, label=label)
+                entry.update(workload=name, label=label,
+                             filtered_searches=int(filtered),
+                             ok=report.clean and not (
+                                 label in _FILTERING_SCHEMES and filtered == 0))
                 reports.append(entry)
-                ok = ok and report.clean
         payload["sanitize"] = reports
-    payload["ok"] = ok
+    payload["ok"] = (not payload.get("static") and not payload.get("concurrency")
+                     and all(entry["ok"] for entry in payload.get("sanitize", ())))
     return payload
 
 

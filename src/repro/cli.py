@@ -1,5 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
+``run``, ``compare``, ``check``, ``profile`` and ``timeline`` are shells
+over :mod:`repro.api`: each parses its flags, calls one api verb and
+prints what it returns, so the CLI, scripts and the examples reach every
+result by one route (``run`` and ``compare`` through the engine and its
+disk result cache).
+
 Commands:
 
 ``workloads``
@@ -10,7 +16,8 @@ Commands:
     Simulate one workload under one scheme/config; print the summary (and
     optionally the full counter dump as JSON).
 ``compare``
-    Run baseline and DMDC side by side with the energy verdict.
+    Run the conventional baseline and DMDC side by side with the energy
+    verdict.
 ``experiment``
     Regenerate one table/figure of the paper by id (see ``--list``), or
     every registered artifact in one planned, deduplicated, cached sweep
@@ -18,7 +25,8 @@ Commands:
 ``trace``
     Generate, save, load, and inspect binary traces.
 ``timeline``
-    Render an ASCII pipeline timeline of the first N instructions.
+    Render an ASCII pipeline timeline of the last instructions of a
+    profiled run.
 ``profile``
     Run one workload with full observability attached and print the
     cycle/structure attribution report, top replay sites, and a recent
@@ -27,14 +35,12 @@ Commands:
 ``bench``
     Measure simulator throughput (committed instructions per second) for
     every scheme over a fixed workload mix; write ``BENCH_simulator.json``.
-    With ``--service``, benchmark the sharded service instead: concurrent
-    keep-alive clients at several shard counts, proving throughput scaling
-    and response bit-identity; write ``BENCH_service.json``.
 ``check``
     Correctness tooling (see ``docs/correctness.md``): ``--static`` runs
-    the repo-specific AST lint pass, ``--sanitize`` runs the shadow-oracle
-    memory-ordering sanitizer over scheme/workload sweeps; with neither
-    flag, both halves run.
+    the repo-specific AST lint pass, ``--concurrency`` the concurrency
+    discipline rules, ``--sanitize`` the shadow-oracle memory-ordering
+    sanitizer over scheme/workload sweeps; with none of them, all three
+    run.
 ``serve``
     Long-lived JSON-over-HTTP simulation service (see ``docs/service.md``):
     batched, deduplicating, backpressured access to the execution engine
@@ -54,12 +60,10 @@ import os
 import sys
 import time
 
-from repro.energy.model import EnergyModel
+from repro import api
+from repro.errors import ConfigError
 from repro.isa.serialize import load_trace_file, save_trace_file
 from repro.sim.config import CONFIG1, CONFIG2, CONFIG3, SchemeConfig
-from repro.sim.pipetrace import PipelineTracer
-from repro.sim.processor import Processor
-from repro.sim.runner import run_trace, run_workload, workload_trace
 from repro.stats.report import format_table
 from repro.workloads import SUITE, get_workload
 
@@ -71,7 +75,6 @@ def _scheme_from_args(args) -> SchemeConfig:
     any explicitly-passed modifier flags."""
     from dataclasses import replace
 
-    from repro.errors import ConfigError
     try:
         scheme = SchemeConfig.from_label(args.scheme)
     except ConfigError as exc:
@@ -150,17 +153,20 @@ def cmd_configs(args) -> int:
     return 0
 
 
-def _configured(args):
-    config = CONFIGS[args.config].with_scheme(_scheme_from_args(args))
-    if args.invalidation_rate:
-        config = config.with_overrides(invalidation_rate=args.invalidation_rate)
-    return config
+def _point(args) -> dict:
+    """The api keywords of the design point the scheme flags name."""
+    rate = args.invalidation_rate
+    return {"scheme": _scheme_from_args(args), "config": args.config,
+            "instructions": args.instructions, "seed": args.seed,
+            "overrides": {"invalidation_rate": rate} if rate else None}
 
 
 def cmd_run(args) -> int:
-    config = _configured(args)
-    result = run_workload(config, get_workload(args.workload),
-                          max_instructions=args.instructions, seed=args.seed)
+    try:
+        result = api.run(args.workload, **_point(args))
+    except ConfigError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         payload = {
             "workload": result.workload,
@@ -180,25 +186,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = CONFIGS[args.config]
-    workload = get_workload(args.workload)
-    base = run_workload(config, workload, max_instructions=args.instructions)
-    dmdc_cfg = config.with_scheme(SchemeConfig(kind="dmdc", local=args.local))
-    dmdc = run_workload(dmdc_cfg, workload, max_instructions=args.instructions)
-    model = EnergyModel(config)
-    e_base, e_dmdc = model.evaluate(base), model.evaluate(dmdc)
-    rows = [
-        ["IPC", f"{base.ipc:.3f}", f"{dmdc.ipc:.3f}"],
-        ["LQ searches", base.counters["lq.searches_assoc"],
-         dmdc.counters["lq.searches_assoc"]],
-        ["replays", base.counters["replays"], dmdc.counters["replays"]],
-        ["LQ energy", f"{e_base.lq:.0f}", f"{e_dmdc.lq:.0f}"],
-        ["total energy", f"{e_base.total:.0f}", f"{e_dmdc.total:.0f}"],
-    ]
-    print(format_table(["metric", "baseline", dmdc.scheme_name], rows))
-    print(f"LQ savings {1 - e_dmdc.lq / e_base.lq:.1%}, "
-          f"net {1 - e_dmdc.total / e_base.total:.1%}, "
-          f"slowdown {dmdc.cycles / base.cycles - 1:+.2%}")
+    try:
+        report = api.compare(
+            args.workload, scheme=SchemeConfig(kind="dmdc", local=args.local),
+            config=args.config, instructions=args.instructions)
+    except ConfigError as exc:
+        print(f"repro compare: {exc}", file=sys.stderr)
+        return 2
+    print(report.table())
+    print(report.verdict())
     return 0
 
 
@@ -255,7 +251,6 @@ def cmd_experiment_all(args, engine) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from repro.errors import ConfigError
     from repro.exec import get_engine, use_engine
     from repro.experiments.registry import EXPERIMENTS, run_experiment
     if args.list or (not args.id and not args.all):
@@ -301,57 +296,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_bench_service(args) -> int:
-    from repro.perf import (
-        BENCH_SERVICE_FILENAME,
-        run_service_bench,
-        validate_service_payload,
-        write_service_bench,
-    )
-
-    shard_counts = tuple(args.shards) if args.shards else (1, 2, 4)
-    payload = run_service_bench(
-        shard_counts=shard_counts,
-        clients=args.clients,
-        points_per_client=args.points,
-        instructions=args.instructions or 4_000,
-        seed=args.seed,
-        workers_per_shard=args.workers_per_shard,
-        quick=args.quick,
-        progress=lambda line: print(f"  {line}", file=sys.stderr),
-    )
-    problems = validate_service_payload(payload)
-    if problems:
-        for problem in problems:
-            print(f"bench: {problem}", file=sys.stderr)
-        return 1
-    rows = []
-    for row in payload["runs"]:
-        identical = row["bit_identical_vs_baseline"]
-        rows.append([
-            row["shards"],
-            row["throughput"]["requests"],
-            f"{row['throughput']['requests_per_second']:.1f}",
-            f"{row['speedup_vs_baseline']:.2f}x",
-            row["dedup"]["coalesced_inflight"],
-            "baseline" if identical is None else ("yes" if identical else "NO"),
-        ])
-    print(format_table(
-        ["shards", "requests", "req/s", "speedup", "coalesced", "bit-identical"],
-        rows,
-        title=f"Service scaling ({payload['clients']} clients x "
-              f"{payload['points_per_client']} points)"))
-    path = write_service_bench(payload, args.out or BENCH_SERVICE_FILENAME)
-    print(f"wrote {path}")
-    return 0
-
-
 def cmd_bench(args) -> int:
     from repro.perf import run_bench, write_bench
     from repro.perf.bench import validate_payload
 
-    if args.service:
-        return cmd_bench_service(args)
     payload = run_bench(
         instructions=args.instructions,
         quick=args.quick,
@@ -385,13 +333,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-#: Schemes that filter associative LQ searches by age: a sanitized run of
-#: one of these must show *some* filtering activity, or the sweep proved
-#: nothing about the mechanism under test.
-_FILTERING_SCHEMES = frozenset(
-    {"yla", "bloom", "dmdc", "dmdc-local", "dmdc-queue8"})
-
-
 def _lint_payload(violations, rules) -> dict:
     """JSON shape for one lint pass: findings plus per-rule accounting.
 
@@ -400,9 +341,9 @@ def _lint_payload(violations, rules) -> dict:
     """
     by_rule = {rule.rule_id: 0 for rule in rules}
     for violation in violations:
-        by_rule[violation.rule_id] = by_rule.get(violation.rule_id, 0) + 1
+        by_rule[violation["rule_id"]] = by_rule.get(violation["rule_id"], 0) + 1
     return {
-        "violations": [v._asdict() for v in violations],
+        "violations": violations,
         "count": len(violations),
         "by_rule": by_rule,
         "active_rules": sorted(rule.rule_id for rule in rules),
@@ -411,9 +352,14 @@ def _lint_payload(violations, rules) -> dict:
 
 def cmd_check(args) -> int:
     from repro.analysis.conc import CONC_RULES, conc_rule_catalogue
-    from repro.analysis.lint import format_violations, lint_paths, rule_catalogue
+    from repro.analysis.lint import (
+        LintViolation,
+        format_violations,
+        rule_catalogue,
+    )
     from repro.analysis.lint.rules import RULES
-    from repro.analysis.sanitizer import SCHEME_MATRIX, run_sanitized
+    from repro.analysis.sanitizer import format_report
+    from repro.api import _FILTERING_SCHEMES
 
     if args.list_rules:
         print(rule_catalogue())
@@ -423,64 +369,43 @@ def cmd_check(args) -> int:
 
     only = [name for name in ("static", "concurrency", "sanitize")
             if getattr(args, name)]
-    do_static = not only or "static" in only
-    do_concurrency = not only or "concurrency" in only
-    do_sanitize = not only or "sanitize" in only
-    payload = {}
-    failed = False
-
-    if do_static:
-        violations = lint_paths(args.paths or ["src"])
-        if not args.json:
-            print(format_violations(violations))
-        payload["static"] = _lint_payload(violations, RULES)
-        failed = failed or bool(violations)
-
-    if do_concurrency:
-        violations = lint_paths(args.paths or ["src"], rules=CONC_RULES)
-        if not args.json:
-            print(format_violations(violations).replace(
-                "--static", "--concurrency", 1))
-        payload["concurrency"] = _lint_payload(violations, CONC_RULES)
-        failed = failed or bool(violations)
-
-    if do_sanitize:
-        schemes = args.scheme or sorted(SCHEME_MATRIX)
-        unknown = [s for s in schemes if s not in SCHEME_MATRIX]
-        if unknown:
-            print(f"unknown scheme(s) {', '.join(unknown)}; choose from "
-                  f"{', '.join(sorted(SCHEME_MATRIX))}", file=sys.stderr)
-            return 2
-        workloads = args.workload or ["gzip", "mcf"]
-        reports = []
-        for workload_name in workloads:
-            trace = workload_trace(workload_name, args.instructions)
-            for label in schemes:
-                config = CONFIGS[args.config].with_scheme(SCHEME_MATRIX[label])
-                result, report = run_sanitized(
-                    config, trace, max_instructions=args.instructions,
-                    seed=args.seed, strict=args.strict)
-                filtered = (result.counters["lq.searches_filtered"]
-                            + result.counters["stores.safe"])
-                inactive = label in _FILTERING_SCHEMES and filtered == 0
-                ok = report.clean and not inactive
-                failed = failed or not ok
-                entry = report.as_dict()
-                entry.update(workload=workload_name, label=label,
-                             filtered_searches=int(filtered), ok=ok)
-                reports.append(entry)
-                if not args.json:
-                    note = " [NO FILTERING ACTIVITY]" if inactive else ""
-                    print(f"{workload_name:>8s}/{label:<12s} "
-                          f"{report.format()}{note}")
-        payload["sanitize"] = reports
+    try:
+        checked = api.check(
+            args.paths or None,
+            static=not only or args.static,
+            concurrency=not only or args.concurrency,
+            sanitize=not only or args.sanitize,
+            schemes=args.scheme, workloads=args.workload,
+            instructions=args.instructions, config=args.config,
+            seed=args.seed, strict=args.strict)
+    except ConfigError as exc:
+        print(f"repro check: {exc}", file=sys.stderr)
+        return 2
 
     if args.json:
+        payload = {half: _lint_payload(checked[half], rules)
+                   for half, rules in (("static", RULES),
+                                       ("concurrency", CONC_RULES))
+                   if half in checked}
+        if "sanitize" in checked:
+            payload["sanitize"] = checked["sanitize"]
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         print()
-    elif not failed:
-        print("repro check: OK")
-    return 1 if failed else 0
+    else:
+        for half in ("static", "concurrency"):
+            if half in checked:
+                violations = [LintViolation(**v) for v in checked[half]]
+                print(format_violations(violations).replace(
+                    "--static", f"--{half}", 1))
+        for entry in checked.get("sanitize", ()):
+            inactive = (entry["label"] in _FILTERING_SCHEMES
+                        and entry["filtered_searches"] == 0)
+            note = " [NO FILTERING ACTIVITY]" if inactive else ""
+            print(f"{entry['workload']:>8s}/{entry['label']:<12s} "
+                  f"{format_report(entry)}{note}")
+        if checked["ok"]:
+            print("repro check: OK")
+    return 0 if checked["ok"] else 1
 
 
 def cmd_serve(args) -> int:
@@ -555,6 +480,9 @@ def _service_client(endpoint: str, args):
     from repro.service import RetryPolicy, ServiceClient
 
     host, _, port = endpoint.strip().rpartition(":")
+    if not port.isdigit():
+        raise ConfigError(
+            f"bad service endpoint {endpoint.strip()!r}; expected [HOST:]PORT")
     return ServiceClient(
         host=host or "127.0.0.1", port=int(port), timeout=args.timeout,
         retry=RetryPolicy(max_total_wait=args.max_retry_wait))
@@ -659,26 +587,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    config = _configured(args)
-    trace = workload_trace(args.workload, args.instructions)
-    proc = Processor(config, trace, seed=args.seed)
-    proc.tracer = PipelineTracer(capacity=args.rows * 4)
-    proc.prewarm()
-    proc.run(args.instructions)
-    print(proc.tracer.render_timeline(max_rows=args.rows, max_width=args.width))
+    report = api.profile(args.workload, **_point(args),
+                         timeline_capacity=args.rows * 4)
+    print(report.timeline(args.rows, args.width))
     return 0
 
 
 def cmd_profile(args) -> int:
-    from repro.obs.profile import profile_workload
-
-    config = _configured(args)
-    instructions = min(args.instructions, 4_000) if args.quick else args.instructions
-    report = profile_workload(
-        config, get_workload(args.workload),
-        instructions=instructions, seed=args.seed,
-        ring_capacity=args.events, jsonl_path=args.jsonl,
-        timeline_capacity=max(args.rows * 4, 64))
+    point = _point(args)
+    if args.quick:
+        point["instructions"] = min(args.instructions, 4_000)
+    report = api.profile(args.workload, **point,
+                         ring_capacity=args.events, jsonl_path=args.jsonl,
+                         timeline_capacity=max(args.rows * 4, 64))
     if args.json:
         json.dump(report.to_dict(include_events=args.dump_events),
                   sys.stdout, indent=2, sort_keys=True)
@@ -904,24 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=1,
                    help="timings per (workload, scheme) pair, keeping the "
                         "fastest (committed payloads use 3)")
-    p.add_argument("--service", action="store_true",
-                   help="benchmark the sharded service instead of the raw "
-                        "simulator: boot the HTTP service at each --shards "
-                        "count, drive it with concurrent keep-alive clients, "
-                        "and write BENCH_service.json")
-    p.add_argument("--shards", type=int, action="append", metavar="N",
-                   help="with --service: shard count to measure (repeatable; "
-                        "default 1, 2, 4; the first is the speedup baseline)")
-    p.add_argument("--clients", type=int, default=4, metavar="K",
-                   help="with --service: concurrent load-generator clients")
-    p.add_argument("--points", type=int, default=8, metavar="M",
-                   help="with --service: distinct design points per client "
-                        "in the timed phase")
-    p.add_argument("--workers-per-shard", type=int, default=1, metavar="N",
-                   help="with --service: engine worker processes per shard")
     p.add_argument("--out", default=None,
-                   help="output JSON path (default: BENCH_simulator.json, "
-                        "or BENCH_service.json with --service)")
+                   help="output JSON path (default: BENCH_simulator.json)")
 
     return parser
 

@@ -1,9 +1,9 @@
 """Performance benchmarking (the ``repro bench`` subcommand).
 
-Two harnesses: :mod:`repro.perf.bench` measures raw simulator throughput
-(``BENCH_simulator.json``); :mod:`repro.perf.loadgen` drives the sharded
-service with concurrent clients and proves shard scaling plus response
-bit-identity (``BENCH_service.json``).
+:mod:`repro.perf.bench` measures raw simulator throughput per scheme over
+a fixed workload mix and writes ``BENCH_simulator.json``.  The service's
+end-to-end load is the benchmark's ``service-mixed`` workload
+(``e2ebench/``).
 """
 
 from repro.perf.bench import (
@@ -13,21 +13,11 @@ from repro.perf.bench import (
     run_bench,
     write_bench,
 )
-from repro.perf.loadgen import (
-    BENCH_SERVICE_FILENAME,
-    run_service_bench,
-    validate_service_payload,
-    write_service_bench,
-)
 
 __all__ = [
     "BENCH_FILENAME",
-    "BENCH_SERVICE_FILENAME",
     "DEFAULT_MIX",
     "QUICK_MIX",
     "run_bench",
-    "run_service_bench",
-    "validate_service_payload",
     "write_bench",
-    "write_service_bench",
 ]

@@ -18,7 +18,7 @@ Layers:
   per shard and merged;
 * :mod:`repro.service.server` — the HTTP layer and ``serve()`` loop;
 * :mod:`repro.service.client` — a stdlib keep-alive client (tests, CI
-  smoke, the ``repro bench --service`` load generator).
+  smoke, ``repro sweep --service``).
 """
 
 from repro.service.batcher import Draining, MicroBatcher, ResultTimeout, Saturated, Ticket

@@ -1,8 +1,8 @@
 """A minimal stdlib client for the simulation service.
 
 Used by the integration tests, the CI ``service-smoke`` jobs, the
-``repro bench --service`` load generator, and the sweep autopilot's
-service backend; also the reference for how to talk to the service from
+benchmark's ``service-mixed`` load, and the sweep autopilot's service
+backend; also the reference for how to talk to the service from
 any HTTP client.  One :class:`ServiceClient` is safe to share across
 threads — each thread keeps its **own persistent keep-alive connection**
 (the server speaks HTTP/1.1 with explicit ``Content-Length``, so

@@ -22,9 +22,12 @@ process and shared:
   that trace, budget and machine instead of stepping a host loop again.
   Only runs that happen anyway record.
 
-The memo is bounded by the micro-ops its traces retain
-(:data:`MAX_RETAINED_OPS`), evicting least recently used traces together
-with their warm front ends and host runs.  One lock (from
+The memo is bounded by :data:`MAX_RETAINED_OPS`, charged with the
+micro-ops its traces retain plus the event logs of its host runs
+converted to micro-ops at their measured memory cost.  Past the bound it
+evicts least recently used traces together with their warm front ends
+and host runs; a trace that is the only one left sheds its least
+recently used host runs instead.  One lock (from
 :func:`make_lock`, since the sharded service runs several batcher
 threads per process) guards the tables; generation, prewarm and host
 runs run outside it.  See the "setup memo"
@@ -41,10 +44,20 @@ from repro.sim.config import MachineConfig
 from repro.utils.sync import make_lock
 from repro.workloads import SyntheticWorkload
 
-#: Upper bound on the micro-ops held by memoized traces, across the
-#: process.  A retained op costs about 330 bytes with its SoA columns
-#: (see ``docs/performance.md``), so the bound is roughly 65 MB.
+#: Upper bound on the micro-ops held by memoized traces, host-run logs
+#: charged as ops, across the process.  A retained op costs about 330
+#: bytes with its SoA columns (see ``docs/performance.md``), so the bound
+#: is roughly 65 MB.
 MAX_RETAINED_OPS = 200_000
+
+#: Host-run log entries charged as one retained op: an entry of the flat
+#: event log costs about 16 bytes against an op's 330.
+_LOG_ENTRIES_PER_OP = 20
+
+
+def _host_run_charge(run: Any) -> int:
+    """What a kept host run counts against :data:`MAX_RETAINED_OPS`."""
+    return -(-len(run.events) // _LOG_ENTRIES_PER_OP)
 
 
 def trace_key(workload: Any, length: int) -> Optional[str]:
@@ -86,13 +99,16 @@ class FrontEnd:
 
 
 class _Entry:
-    __slots__ = ("trace", "fronts", "hosts")
+    __slots__ = ("trace", "fronts", "hosts", "charge")
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
         self.fronts: Dict[Tuple[Any, ...], FrontEnd] = {}
-        #: (budget, host machine) -> its :class:`HostRun`.
-        self.hosts: Dict[Tuple[int, MachineConfig], Any] = {}
+        #: (budget, host machine) -> its :class:`HostRun`, least recently
+        #: used first.
+        self.hosts: "OrderedDict[Tuple[int, MachineConfig], Any]" = OrderedDict()
+        #: What this entry counts against the bound.
+        self.charge = len(trace)
 
 
 class SetupMemo:
@@ -102,6 +118,7 @@ class SetupMemo:
         self._lock = make_lock("SetupMemo._lock")
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self.retained_ops = 0
+        self.charged_ops = 0
         self.trace_hits = 0
         self.trace_misses = 0
         self.trace_evictions = 0
@@ -126,11 +143,27 @@ class SetupMemo:
                 return entry.trace
             self._entries[key] = _Entry(trace)
             self.retained_ops += len(trace)
-            while self.retained_ops > MAX_RETAINED_OPS and len(self._entries) > 1:
-                _, evicted = self._entries.popitem(last=False)
-                self.retained_ops -= len(evicted.trace)
-                self.trace_evictions += 1
+            self.charged_ops += len(trace)
+            self._evict()
         return trace
+
+    def _evict(self) -> None:
+        """Drop least recently used traces, then the last trace's least
+        recently used host runs, until the charge fits the bound.  The
+        most recently used trace and host run always stay.  Called with
+        the lock held."""
+        while self.charged_ops > MAX_RETAINED_OPS and len(self._entries) > 1:
+            _, evicted = self._entries.popitem(last=False)
+            self.retained_ops -= len(evicted.trace)
+            self.charged_ops -= evicted.charge
+            self.trace_evictions += 1
+        if self.charged_ops > MAX_RETAINED_OPS:
+            last = next(iter(self._entries.values()))
+            while self.charged_ops > MAX_RETAINED_OPS and len(last.hosts) > 1:
+                _, run = last.hosts.popitem(last=False)
+                charge = _host_run_charge(run)
+                last.charge -= charge
+                self.charged_ops -= charge
 
     def front_end(self, key: str, geometry: Tuple[Any, ...]) -> Optional[FrontEnd]:
         """The warm front end for (trace ``key``, ``geometry``), if held."""
@@ -161,6 +194,7 @@ class SetupMemo:
                 self.host_misses += 1
             else:
                 self.host_hits += 1
+                entry.hosts.move_to_end((budget, host))
             return run
 
     def keep_host_run(self, key: str, budget: int, host: MachineConfig,
@@ -168,8 +202,14 @@ class SetupMemo:
         """Hold ``run`` for as long as trace ``key`` stays memoized."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                entry.hosts.setdefault((budget, host), run)
+            if entry is None or (budget, host) in entry.hosts:
+                return
+            entry.hosts[(budget, host)] = run
+            charge = _host_run_charge(run)
+            entry.charge += charge
+            self.charged_ops += charge
+            self._entries.move_to_end(key)
+            self._evict()
 
     def stats(self) -> Dict[str, int]:
         """Counters since the last :meth:`clear` ("why was this point fast")."""
@@ -185,13 +225,14 @@ class SetupMemo:
                 "traces": len(self._entries),
                 "hosts": sum(len(entry.hosts) for entry in self._entries.values()),
                 "retained_ops": self.retained_ops,
+                "charged_ops": self.charged_ops,
             }
 
     def clear(self) -> None:
         """Drop every entry and zero the counters (tests, cold benches)."""
         with self._lock:
             self._entries.clear()
-            self.retained_ops = 0
+            self.retained_ops = self.charged_ops = 0
             self.trace_hits = self.trace_misses = self.trace_evictions = 0
             self.warm_hits = self.warm_misses = 0
             self.host_hits = self.host_misses = 0

@@ -212,3 +212,123 @@ class TestSweepExitStatus:
         assert main(self.ARGV + ["--limit", "2"]) == 0
         out = capsys.readouterr().out
         assert "sweep incomplete: 2/3" in out and "FAILED" not in out
+
+
+class TestFrontDoor:
+    """``run``, ``compare`` and ``check`` are shells over ``repro.api``:
+    a second invocation against the same result cache, from a cold setup
+    memo and a fresh engine, prints the same bytes, and ``run`` reads
+    the cache instead of stepping the kernel."""
+
+    @staticmethod
+    def invoke_twice(argv, capsys):
+        from repro.exec import set_engine
+        from repro.sim.setup_memo import SETUP_MEMO
+
+        outputs = []
+        for _ in range(2):
+            SETUP_MEMO.clear()
+            set_engine(None)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        return outputs
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "gzip", "--scheme", "dmdc", "-n", "1500"],
+        ["run", "art", "-n", "1200", "--json"],
+        ["compare", "gzip", "-n", "1500"],
+        ["check", "--sanitize", "--json", "--workload", "gzip",
+         "--scheme", "dmdc", "-n", "1500"],
+    ])
+    def test_second_invocation_prints_the_same_bytes(self, argv, capsys):
+        first, second = self.invoke_twice(argv, capsys)
+        assert first and first == second
+
+    def test_second_run_steps_no_kernel_loop(self, monkeypatch, capsys):
+        from repro.sim.soa import SoaKernel
+
+        loops = []
+        kernel_run = SoaKernel.run
+
+        def counting_run(kernel, *args, **kwargs):
+            loops.append(1)
+            return kernel_run(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(SoaKernel, "run", counting_run)
+        argv = ["run", "gzip", "--scheme", "dmdc", "-n", "1500"]
+        first, second = self.invoke_twice(argv, capsys)
+        assert first == second
+        assert len(loops) == 1  # the cold run only; the warm one is a disk hit
+
+    def test_bad_engine_environment_is_a_one_line_error(self, monkeypatch,
+                                                        capsys):
+        monkeypatch.setenv("REPRO_PARALLEL", "many")
+        assert main(["run", "gzip", "-n", "500"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro run: REPRO_PARALLEL")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not captured.out
+
+    def test_compare_header_names_the_baseline_scheme(self, capsys):
+        assert main(["compare", "gzip", "-n", "1500", "--local"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.split("|")[1:] == [" conventional ", " dmdc-local"]
+
+    def test_api_concurrency_matches_the_cli(self, tmp_path, capsys):
+        from repro import api
+
+        bad = tmp_path / "repro" / "service" / "bad.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text("import os\nTOKEN = os.environ['TOKEN']\n")
+        assert main(["check", "--concurrency", "--json", str(bad)]) == 1
+        cli = json.loads(capsys.readouterr().out)["concurrency"]["violations"]
+        checked = api.check([str(bad)], static=False, concurrency=True)
+        assert checked["ok"] is False
+        assert checked["concurrency"] == cli and cli
+
+    def test_filtering_label_that_filtered_nothing_is_not_ok(
+            self, monkeypatch, capsys):
+        from repro import api
+        from repro.analysis import sanitizer
+
+        run_sanitized = sanitizer.run_sanitized
+
+        def filtering_nothing(*args, **kwargs):
+            result, report = run_sanitized(*args, **kwargs)
+            result.counters["lq.searches_filtered"] = 0
+            result.counters["stores.safe"] = 0
+            return result, report
+
+        monkeypatch.setattr(sanitizer, "run_sanitized", filtering_nothing)
+        checked = api.check(static=False, sanitize=True,
+                            schemes=["conventional", "yla"],
+                            workloads=["gzip"], instructions=1_500)
+        by_label = {entry["label"]: entry for entry in checked["sanitize"]}
+        assert by_label["yla"]["clean"] is True
+        assert by_label["yla"]["filtered_searches"] == 0
+        assert by_label["yla"]["ok"] is False
+        assert by_label["conventional"]["ok"] is True
+        assert checked["ok"] is False
+        assert main(["check", "--sanitize", "--scheme", "yla",
+                     "--workload", "gzip", "-n", "1500"]) == 1
+        out = capsys.readouterr().out
+        assert "[NO FILTERING ACTIVITY]" in out and "OK" not in out
+
+
+class TestSweepEndpoints:
+    """A malformed ``[HOST:]PORT`` is a one-line usage error, not a
+    traceback."""
+
+    BASE = ["sweep", "--scheme", "dmdc", "--workload", "gzip", "-n", "500"]
+
+    @pytest.mark.parametrize("flag, value, bad", [
+        ("--service", "localhost:abc", "localhost:abc"),
+        ("--workers", "127.0.0.1:x,127.0.0.1:y", "127.0.0.1:x"),
+    ])
+    def test_malformed_endpoint_exits_2(self, flag, value, bad, capsys):
+        assert main(self.BASE + [flag, value]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro sweep: ")
+        assert repr(bad) in lines[0]
+        assert not captured.out

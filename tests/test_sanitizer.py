@@ -10,6 +10,7 @@ violation, classifies the replay, and stays bit-invisible.
 import pytest
 
 from repro.analysis.sanitizer import (
+    MAX_DETAILS,
     MemoryOrderSanitizer,
     SanitizerReport,
     attach_sanitizer,
@@ -204,6 +205,19 @@ class TestReport:
         assert not report.clean
         text = report.format()
         assert "DEFECTIVE" in text and "seq=7" in text
+
+    def test_format_splits_details_past_the_cap(self):
+        """The text form is built from ``as_dict`` (what ``repro check``
+        prints for ``api.check`` entries): the capped missed messages
+        come first, the probe messages after."""
+        report = SanitizerReport("fake")
+        report.missed_violations = MAX_DETAILS + 3
+        report.missed_details.extend(f"m{i}" for i in range(MAX_DETAILS))
+        report.probe_failure_count = 2
+        report.probe_failures.extend(["p0", "p1"])
+        lines = report.format().splitlines()[1:]
+        assert lines == ([f"  missed: m{i}" for i in range(MAX_DETAILS)]
+                         + ["  probe:  p0", "  probe:  p1"])
 
     def test_strict_mode_raises_on_missed(self):
         sanitizer = MemoryOrderSanitizer(ConventionalScheme(), strict=True)

@@ -165,6 +165,76 @@ def test_eviction_under_a_tiny_bound(monkeypatch):
     assert again.to_dict() == first.to_dict()
 
 
+class _Log:
+    """A stand-in host run: the memo charges only the length of its log."""
+
+    def __init__(self, entries: int) -> None:
+        self.events = [0] * entries
+
+
+def _machine(lq_size: int):
+    return CONFIG2.with_overrides(lq_size=lq_size)
+
+
+def test_host_runs_count_against_the_bound(monkeypatch):
+    """Many large host runs kept on one hot trace evict the least
+    recently used other trace, and the memo reports what it charges."""
+    monkeypatch.setattr(setup_memo, "MAX_RETAINED_OPS", 900)
+    memo = setup_memo.SetupMemo()
+    hot, cold = get_workload("gzip"), get_workload("mcf")
+    hot_key, cold_key = trace_key(hot, 300), trace_key(cold, 300)
+    memo.trace(cold_key, cold, 300)
+    memo.trace(hot_key, hot, 300)
+    entries = 20 * setup_memo._LOG_ENTRIES_PER_OP  # 20 ops each
+    for lq_size in range(8, 28):
+        memo.keep_host_run(hot_key, BUDGET, _machine(lq_size), _Log(entries))
+    stats = memo.stats()
+    assert stats["trace_evictions"] == 1 and stats["traces"] == 1
+    assert stats["hosts"] == 20
+    assert stats["retained_ops"] == 300
+    assert stats["charged_ops"] == 300 + 20 * 20
+    assert memo.host_run(cold_key, BUDGET, _machine(8)) is None
+    assert memo.host_run(hot_key, BUDGET, _machine(8)) is not None
+
+
+def test_one_hot_trace_sheds_its_least_recently_used_host_runs(monkeypatch):
+    """With one trace left, host runs past the bound go oldest-used
+    first, so serving many machines from one trace stays bounded."""
+    monkeypatch.setattr(setup_memo, "MAX_RETAINED_OPS", 400)
+    memo = setup_memo.SetupMemo()
+    workload = get_workload("gzip")
+    key = trace_key(workload, 300)
+    memo.trace(key, workload, 300)
+    entries = 40 * setup_memo._LOG_ENTRIES_PER_OP  # 40 ops each
+    memo.keep_host_run(key, BUDGET, _machine(8), _Log(entries))
+    memo.keep_host_run(key, BUDGET, _machine(9), _Log(entries))
+    assert memo.host_run(key, BUDGET, _machine(8)) is not None  # now MRU
+    for lq_size in range(10, 40):
+        memo.keep_host_run(key, BUDGET, _machine(lq_size), _Log(entries))
+    stats = memo.stats()
+    assert stats["traces"] == 1 and stats["trace_evictions"] == 0
+    assert stats["hosts"] == 2
+    assert stats["charged_ops"] == 300 + 2 * 40 <= setup_memo.MAX_RETAINED_OPS
+    assert memo.host_run(key, BUDGET, _machine(39)) is not None
+    assert memo.host_run(key, BUDGET, _machine(8)) is None
+
+
+def test_traces_alone_evict_where_the_op_bound_says(monkeypatch):
+    """Without host runs the charge is the traces' ops, so eviction
+    happens exactly where the micro-op bound alone puts it."""
+    monkeypatch.setattr(setup_memo, "MAX_RETAINED_OPS", 600)
+    memo = setup_memo.SetupMemo()
+    for name in ("gzip", "mcf"):
+        workload = get_workload(name)
+        memo.trace(trace_key(workload, 300), workload, 300)
+    assert memo.stats()["trace_evictions"] == 0
+    workload = get_workload("equake")
+    memo.trace(trace_key(workload, 1), workload, 1)
+    stats = memo.stats()
+    assert stats["trace_evictions"] == 1
+    assert stats["retained_ops"] == stats["charged_ops"] == 301
+
+
 def test_one_batch_pins_traces_past_the_bound(monkeypatch):
     """A batch over more traces than the bound holds still generates
     each trace once: the batch pins what it has used."""
@@ -204,6 +274,8 @@ def test_counters_for_a_known_batch():
     stats = EngineStats.setup_memo()
     retained = sum(len(get_workload(name).generate(BUDGET + TRACE_TAIL_SLACK))
                    for name in ("gzip", "mcf"))
+    # The two host runs' logs are charged on top of the traces' ops.
+    assert stats.pop("charged_ops") > retained
     assert stats == {"trace_hits": 0, "trace_misses": 2, "trace_evictions": 0,
                      "warm_hits": 0, "warm_misses": 2, "host_hits": 0,
                      "host_misses": 2, "traces": 2, "hosts": 2,
