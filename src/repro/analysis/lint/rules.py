@@ -64,6 +64,10 @@ HOT_FUNCTIONS: Dict[str, Set[str]] = {
     "repro/core/schemes/conventional.py": {
         "ConventionalScheme.replay_lane",
     },
+    # The value lane walks a whole value run's log, across seeds.
+    "repro/core/schemes/value.py": {
+        "ValueBasedScheme.replay_lane",
+    },
 }
 
 _WALLCLOCK_TIME_ATTRS = {

@@ -62,17 +62,22 @@ SOA_HOOKS = {
 #: (:mod:`repro.core.schemes.conventional`) replays it through a search
 #: filter, :func:`repro.sim.soa.replay_verdicts` through a DMDC or Garg
 #: adapter.
-EV_LOAD = 0          # load issued: addr, seq
+#: Every record but a squash and a load commit ends in (or, for
+#: ``EV_COMMITS``, starts with) the cycle it happened in; a load commit
+#: belongs to the ``EV_COMMITS`` record that follows it, so a squash-free
+#: log splits at any cycle boundary (see :func:`repro.sim.soa.replay_verdicts`).
+EV_LOAD = 0          # load issued: addr, seq, cycle
 EV_STORE = 1         # store resolved, the LQ search found no victim:
-                     # addr, seq, ROB tail seq
+                     # addr, seq, ROB tail seq, cycle
 EV_STORE_VICTIM = 2  # store resolved, the search found a live victim:
-                     # addr, seq, ROB tail seq
-EV_MISPREDICT = 3    # mispredicted fetch: branch seq (a lane draws its
-                     # own wrong-path loads here)
-EV_RECOVERY = 4      # branch recovery: seq
+                     # addr, seq, ROB tail seq, cycle
+EV_MISPREDICT = 3    # mispredicted fetch: branch seq, cycle (a lane draws
+                     # its own wrong-path loads here)
+EV_RECOVERY = 4      # branch recovery: seq, cycle
 EV_SQUASH = 5        # squash: last kept seq, n, then n squashed issued-load addrs
 EV_COMMIT = 6        # load commit: addr
-EV_LOAD_SAFE = 7     # load issued with every older store address known: addr, seq
+EV_LOAD_SAFE = 7     # load issued with every older store address known:
+                     # addr, seq, cycle
 EV_COMMITS = 8       # a cycle's commit stage retired instructions: cycle, count
 
 

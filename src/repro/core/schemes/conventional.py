@@ -107,7 +107,7 @@ class ConventionalScheme(CheckScheme):
             if op == EV_LOAD or op == EV_LOAD_SAFE:
                 observe(events[i + 1])
                 self._filter_load(events[i + 1], events[i + 2])
-                i += 3
+                i += 4
             elif op == EV_COMMIT:
                 self._filter_commit(events[i + 1])
                 i += 2
@@ -125,16 +125,16 @@ class ConventionalScheme(CheckScheme):
                     searches += 1
                     if op == EV_STORE_VICTIM:
                         victims += 1
-                i += 4
+                i += 5
             elif op == EV_COMMITS:
                 i += 3
             elif op == EV_MISPREDICT:
                 for age, addr in draw(events[i + 1]):
                     self.on_wrongpath_load(age, addr)
-                i += 2
+                i += 3
             elif op == EV_RECOVERY:
                 self.on_recovery(events[i + 1])
-                i += 2
+                i += 3
             else:  # EV_SQUASH
                 count = events[i + 2]
                 self._filter_squash(events[i + 1], events[i + 3:i + 3 + count])

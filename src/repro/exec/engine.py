@@ -66,20 +66,40 @@ def _execute_batch(requests: List[RunRequest]) -> List[SimulationResult]:
     return run_many(requests)
 
 
-def by_lane_group(
+def _lane_groups(
     pending: List[Tuple[str, RunRequest]]
-) -> List[Tuple[str, RunRequest]]:
-    """``pending`` stable-ordered by lane group: each group (the
-    points one conventional host run serves, see
-    :func:`repro.sim.runner.lane_group`) gathered at its first member's
-    place; every other point keeps its own place."""
+) -> List[List[Tuple[str, RunRequest]]]:
+    """``pending`` as its lane groups (the points one host run serves,
+    see :func:`repro.sim.runner.lane_group`), in first-appearance order;
+    every other point is a group of its own."""
     groups: Dict[object, List[Tuple[str, RunRequest]]] = {}
     for key, request in pending:
         group = lane_group(request.config, request.workload_name,
                            request.seed, request.budget)
         groups.setdefault(key if group is None else group, []).append(
             (key, request))
-    return [item for group in groups.values() for item in group]
+    return list(groups.values())
+
+
+def lane_slices(
+    pending: List[Tuple[str, RunRequest]], parts: int
+) -> List[List[Tuple[str, RunRequest]]]:
+    """``pending`` stable-ordered by lane group (each group gathered at
+    its first member's place) and cut into at most ``parts`` contiguous
+    slices of about equal size, only at lane-group boundaries, so no
+    slice parts a host run from its lanes."""
+    groups = _lane_groups(pending)
+    chunk = -(-len(pending) // parts)  # ceil division
+    slices: List[List[Tuple[str, RunRequest]]] = []
+    current: List[Tuple[str, RunRequest]] = []
+    for group in groups:
+        current.extend(group)
+        if len(current) >= chunk:
+            slices.append(current)
+            current = []
+    if current:
+        slices.append(current)
+    return slices
 
 
 @dataclass
@@ -234,19 +254,19 @@ class ExecutionEngine:
     ) -> Iterator[Tuple[str, RunRequest, SimulationResult]]:
         if not pending:
             return
-        if not self.offload and (self.max_workers <= 1 or len(pending) == 1):
-            yield from self._run_serial(pending)
-            return
         # Ship each worker a contiguous slice rather than one job at a
         # time: callers submit sweeps in (scheme, workload) order, so
         # slices keep same-trace jobs together and run_many can amortize
-        # trace generation and prewarm inside the worker.  Lane
-        # groups are gathered first, so a slice boundary seldom parts a
-        # conventional host from its lanes.
-        pending = by_lane_group(pending)
+        # trace generation and prewarm inside the worker.  Slices are
+        # cut only between lane groups, so no slice boundary parts a
+        # host run from its lanes, and a batch that is one lane group
+        # (a point, or ``repro compare``'s host and lane) runs in
+        # process unless the engine offloads.
+        slices = lane_slices(pending, max(1, self.max_workers))
+        if not self.offload and len(slices) == 1:
+            yield from self._run_serial(pending)
+            return
         pool = self._ensure_pool()
-        chunk = -(-len(pending) // self.max_workers)  # ceil division
-        slices = [pending[i:i + chunk] for i in range(0, len(pending), chunk)]
         futures: Dict[Future, List[Tuple[str, RunRequest]]] = {}
         try:
             # A child that dies while later slices are still being

@@ -7,8 +7,9 @@ and cache ports, which is the first-order effect for this paper's
 mechanisms).
 """
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.errors import ConfigError
 from repro.utils.bitops import is_power_of_two, log2_exact
@@ -84,19 +85,32 @@ class Cache:
             self.evictions += 1
         return False
 
-    def copy_lines(self) -> Dict[int, Tuple[int, ...]]:
-        """A copy of the tag store (set index -> MRU-first tags)."""
-        return {index: tuple(ways) for index, ways in self._sets.items()}
+    def copy_lines(self) -> "array[int]":
+        """A flat copy of the tag store: per set, its index, its number of
+        ways, then its tags MRU-first (an ``array('q')``, 8 bytes a word,
+        since warm front ends and machine snapshots keep copies)."""
+        flat = array("q")
+        for index, ways in self._sets.items():
+            flat.append(index)
+            flat.append(len(ways))
+            flat.extend(ways)
+        return flat
 
-    def load_lines(self, lines: Dict[int, Sequence[int]]) -> None:
-        """Replace the tag store with a private copy of ``lines``.
+    def load_lines(self, lines: Sequence[int]) -> None:
+        """Replace the tag store with a private copy of ``lines`` (a
+        :meth:`copy_lines` result).
 
         Hit/miss/eviction counters are left alone: a restored warm state
         must read like a fresh prewarm, whose counters are reset.
         """
-        self._sets.clear()
-        for index, ways in lines.items():
-            self._sets[index] = list(ways)
+        sets = self._sets
+        sets.clear()
+        i = 0
+        n = len(lines)
+        while i < n:
+            end = i + 2 + lines[i + 1]
+            sets[lines[i]] = lines[i + 2:end].tolist()
+            i = end
 
     def invalidate_line(self, addr: int) -> bool:
         """Drop the line containing ``addr``; return True when present."""

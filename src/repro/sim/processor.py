@@ -35,12 +35,14 @@ see ``docs/performance.md``.
 A point that ``run_many`` batches with a conventional host run may step
 no loop at all: a YLA or Bloom point replays the host's recorded events
 through its filter (a *filter lane*), and a DMDC, Garg or store-set point
-replays a squash-free host's events through its scheme, stepping its own
-kernel only if a replay verdict would change timing (a *verdict lane*);
-see :class:`HostRun`.  The host shares the lane's trace, budget and
-machine, not necessarily its seed: a lane draws its own wrong-path loads
-(:func:`wrongpath_model`), and only the invalidation injector lets the
-seed reach timing.
+replays a squash-free host's events through its scheme (a *verdict
+lane*), and if a replay verdict would change timing it forks: its own
+kernel resumes from a snapshot of the conventional machine at that
+cycle (:mod:`repro.sim.fork`).  A ``value`` point replays a value run
+recorded under another seed.  See :class:`HostRun`.  The host shares
+the lane's trace, budget and machine, not necessarily its seed: a lane
+draws its own wrong-path loads (:func:`wrongpath_model`), and only the
+invalidation injector lets the seed reach timing.
 
 A kernel run and a lane build their result the same way
 (:meth:`Processor._result`): the machine counters (the kernel's and
@@ -49,13 +51,15 @@ and histograms, then the counters a lane books itself.
 """
 
 import time
-from typing import List, NamedTuple, Optional
+from array import array
+from typing import NamedTuple, Optional, Sequence
 
 from repro.backend.resources import FunctionalUnits, PhysRegFile
 from repro.coherence.injector import InvalidationInjector
 from repro.core.schemes import build_scheme
 from repro.core.storesets import StoreSetPredictor
 from repro.core.schemes.conventional import ConventionalScheme
+from repro.core.schemes.value import ValueBasedScheme
 from repro.errors import SimulationError
 from repro.frontend.branch_predictor import CombinedPredictor
 from repro.frontend.wrongpath import WrongPathModel
@@ -63,14 +67,17 @@ from repro.isa.trace import Trace
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.result import SimulationResult
-from repro.sim.soa import LaneView, SoaKernel, replay_verdicts
+from repro.sim.soa import CHECKING_COUNT, LaneView, SoaKernel, replay_verdicts
 from repro.stats.counters import CounterSet
 from repro.utils.rng import DeterministicRng
 
 class HostRun(NamedTuple):
-    """A recording kernel run, which lanes replay: just what they read.
+    """A recording kernel run (conventional-family or value), which
+    lanes replay: just what they read.
 
-    Its event log (:mod:`repro.sim.soa`), its machine counters
+    Its event log (:mod:`repro.sim.soa`, as a flat ``array('q')``: 8
+    bytes an entry, half a list's, while the setup memo keeps it), its
+    machine counters
     (everything but its scheme's stats), which a lane's result starts
     from, and its cycle and commit counts.  Nothing in it depends on the
     run's seed but the ``wrongpath.loads`` counter, which a lane books
@@ -78,7 +85,7 @@ class HostRun(NamedTuple):
     host run serves lanes of every seed (the setup memo keeps it).
     """
 
-    events: List[int]
+    events: Sequence[int]
     counters: CounterSet
     cycles: int
     committed: int
@@ -153,20 +160,26 @@ class Processor:
         #: The :class:`~repro.analysis.sanitizer.MemoryOrderSanitizer`
         #: wrapping the scheme's kernel adapter, or None.
         self.sanitizer = None
-        #: Which route the last :meth:`run` took: ``"soa"`` (the kernel)
-        #: or ``"lane"`` (a lane that replayed a host's log instead) —
-        #: bench/result provenance.
+        #: Which route the last :meth:`run` took: ``"soa"`` (the kernel
+        #: from cycle 0), ``"lane"`` (a lane that replayed a host's log
+        #: instead) or ``"fork"`` (a verdict lane whose kernel resumed
+        #: from a conventional machine at ``fork_cycle``) — bench
+        #: provenance, never part of a result.
         self.kernel_used = "soa"
+        self.fork_cycle: Optional[int] = None
         #: Lanes (see ``docs/performance.md``).  A recording kernel run
         #: logs the events a lane reads and leaves its :class:`HostRun` in
         #: ``recorded``.  ``run_many`` sets ``record_events`` on a group's
         #: host and ``replay_from`` on its lanes, whose :meth:`run` replays
         #: that log and steps no cycle loop, unless a verdict lane's
         #: replay reaches a verdict that would change timing: then it
-        #: steps its own kernel.
+        #: forks its own kernel from ``forks``.
         self.record_events = False
         self.recorded: Optional[HostRun] = None
         self.replay_from: Optional[HostRun] = None
+        #: Where a diverging verdict lane forks from
+        #: (:class:`~repro.sim.fork.LaneForks`, set by ``run_many``).
+        self.forks = None
 
     # ==================================================================
     # Public driver
@@ -204,7 +217,6 @@ class Processor:
             max_cycles = max(200_000, max_instructions * 60)
         target = min(max_instructions, len(self.trace))
         self._commit_target = target
-        replay_seconds = 0.0
         host = self.replay_from
         if host is not None:
             t0 = time.perf_counter()  # repro: noqa[REPRO001]
@@ -227,7 +239,11 @@ class Processor:
                 result = self._result()
                 result.sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
                 return result
-            replay_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
+            # Everything a fork pays counts: the failed replay, any
+            # prefix steps, the restore and the loop after it.
+            kernel = self._fork(host, -1 - checking, target, max_cycles)
+            self.kernel_used = "fork"
+            return self._finish(kernel, target, max_cycles, t0)
         # Kernel construction (trace column decode, slot-pool allocation)
         # happens before the clock starts: like trace generation it is
         # setup, not cycle-loop work, and ``sim_seconds`` is defined as
@@ -238,22 +254,30 @@ class Processor:
             raise SimulationError(
                 f"processor on {self.trace.name} already ran "
                 f"({self.committed} committed by cycle {self.cycle})")
-        if self.record_events and not isinstance(self.scheme, ConventionalScheme):
-            # Lanes replay a conventional run's log: only the
-            # conventional family (search filters included) times alike.
+        if self.record_events and not isinstance(
+                self.scheme, (ConventionalScheme, ValueBasedScheme)):
+            # Lanes replay a conventional run's log (only the conventional
+            # family, search filters included, times alike) or a value
+            # run's (value points of every seed).
             raise SimulationError(f"scheme {self.scheme.name} cannot host lanes")
         kernel = SoaKernel(self, self.record_events)
+        self.kernel_used = "soa"
         # Wall-clock is measurement-only (sim_seconds for the perf harness);
         # it never feeds back into simulated state.
-        t0 = time.perf_counter()  # repro: noqa[REPRO001]
-        self.kernel_used = "soa"
+        return self._finish(kernel, target, max_cycles,
+                            time.perf_counter())  # repro: noqa[REPRO001]
+
+    def _finish(self, kernel: SoaKernel, target: int, max_cycles: int,
+                t0: float) -> SimulationResult:
+        """Run ``kernel`` to ``target`` and build the result; its
+        ``sim_seconds`` counts from ``t0``."""
         kernel.run(target, max_cycles)
-        sim_seconds = replay_seconds + time.perf_counter() - t0  # repro: noqa[REPRO001]
+        sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
         self.scheme.finalize(self.cycle)
         self._count_components()
         result = self._result()
         if kernel.events is not None:
-            self.recorded = HostRun(kernel.events, self.counters,
+            self.recorded = HostRun(array("q", kernel.events), self.counters,
                                     self.cycle, self.committed)
         result.sim_seconds = sim_seconds
         return result
@@ -263,18 +287,22 @@ class Processor:
         the lane's ``checking.cycles_observed``.
 
         The conventional family (search filters, store sets) replays the
-        conventional search; DMDC and Garg drive their kernel adapters
-        through :func:`~repro.sim.soa.replay_verdicts`.  Either way the
-        lane draws its wrong-path loads from its own model.  -1 when
-        the replay reaches a verdict that changes timing: the scheme and
-        the wrong-path model are then rebuilt fresh, for this
-        processor's own loop.
+        conventional search, a value point its own value run; DMDC and
+        Garg drive their kernel adapters through
+        :func:`~repro.sim.soa.replay_verdicts`.  Either way the lane
+        draws its wrong-path loads from its own model.  ``-1 - c`` when
+        the replay reaches a verdict that changes timing at cycle ``c``:
+        the scheme and the wrong-path model are then rebuilt fresh, for
+        this processor's own kernel.
         """
         scheme = self.scheme
         label = self.config.scheme.label()
         if isinstance(scheme, ConventionalScheme):
             scheme.replay_lane(host.events, label,
                                host.counters["replays.coherence"], self.wrongpath)
+            return 0
+        if isinstance(scheme, ValueBasedScheme):
+            scheme.replay_lane(host.events, self.wrongpath)
             return 0
         view = LaneView(self.trace)
         checking = replay_verdicts(scheme.soa_hooks(view), view, host.events,
@@ -286,9 +314,47 @@ class Processor:
             rng = self.rng
             self.wrongpath = wrongpath_model(
                 self.config, DeterministicRng(rng.seed, rng.purpose))
-            return -1
+            return -1 - view.cycle
         scheme.finalize(host.cycles)
         return checking
+
+    def _fork(self, host: HostRun, cycle: int, target: int,
+              max_cycles: int) -> SoaKernel:
+        """This verdict lane's kernel, forked from a conventional machine
+        at or before ``cycle``, where its replay of ``host`` reached a
+        verdict that changes timing.
+
+        Up to the snapshot's cycle the lane timed as its host, so its
+        scheme and wrong-path model (fresh, from :meth:`_replay_lane`)
+        replay exactly the host's records of earlier cycles; the
+        adapter's per-slot columns (``unsafe``, ``wend``) are then
+        written for the seqs in flight, and the partial checking-cycle
+        count seeds the kernel's.  The replay raises
+        :class:`SimulationError` naming the lane if the snapshot's
+        committed count is not the log's at that cycle.
+        """
+        label = self.config.scheme.label()
+        if self.forks is None:
+            raise SimulationError(
+                f"verdict lane {label} diverged at cycle {cycle} with no "
+                f"conventional machine to fork from")
+        snapshot = self.forks.snapshot(cycle, target, max_cycles)
+        view = LaneView(self.trace)
+        checking = replay_verdicts(
+            self.scheme.soa_hooks(view), view, host.events, self.wrongpath,
+            snapshot.cycle, snapshot.committed, label)
+        kernel = SoaKernel(self)
+        snapshot.restore(kernel)
+        seq_ = kernel.seq
+        unsafe_ = kernel.unsafe
+        wend_ = kernel.wend
+        for slot in kernel.rob:
+            seq = seq_[slot]
+            unsafe_[slot] = view.unsafe[seq]
+            wend_[slot] = view.wend[seq]
+        kernel.counts[CHECKING_COUNT] = checking
+        self.fork_cycle = snapshot.cycle
+        return kernel
 
     # ==================================================================
     # Results

@@ -6,6 +6,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.isa.trace import Trace, validate_trace
 from repro.sim.config import MachineConfig, SchemeConfig
+from repro.sim.fork import LaneForks
 from repro.sim.processor import Processor
 from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SetupBatch
@@ -146,11 +147,15 @@ def lane_host_config(config: MachineConfig) -> Optional[MachineConfig]:
     ``sq_filter`` and ``store_sets``.  A verdict lane (see
     :func:`run_many`) times as the plain conventional run until its
     first replay, so its scheme reduces to ``SchemeConfig(sq_filter=...)``.
+    A ``value`` point is its own host: its timing, like the conventional
+    machine's, is the same under every seed while the injector is off.
     None for every other scheme.
     """
     scheme = config.scheme
     if _is_verdict_lane(scheme):
         return config.with_scheme(SchemeConfig(sq_filter=scheme.sq_filter))
+    if scheme.kind == "value":
+        return config
     if scheme.kind not in _LANE_FAMILY:
         return None
     return config.with_scheme(SchemeConfig(
@@ -218,9 +223,13 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
       ``kernel_used == "lane"``.  A DMDC, Garg or
       ``conventional-storesets`` point (a *verdict lane*) replays it
       the same way when the host's run was squash-free, and steps its
-      own kernel when it was not, or when the replay reaches a verdict
-      that would change timing.  A group without a host runs each
-      point alone, recording nothing;
+      own kernel when it was not.  When the replay reaches a verdict
+      that would change timing, the lane *forks*: it resumes its own
+      kernel from a snapshot of the conventional machine at that cycle
+      (:mod:`repro.sim.fork`), which the setup memo keeps.  A group
+      without a host runs each point alone, recording nothing.  A
+      ``value`` point is a group of its own machine: one value run
+      serves every seed;
     * **shared host runs**: a group without a seed (the injector off)
       over a memoized trace looks its host run up in the setup memo
       first.  On a hit no point of the group steps a host loop: the
@@ -259,17 +268,23 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
         recorded = setup.host_run(ident, key.budget, key.host) if shared else None
         record = (recorded is None and role[members[0]] != _VERDICT
                   and (shared or len(members) > 1))
+        forks = None
         for index in members:
             request, budget, trace, ident = points[index]
             processor = Processor(request.config, trace, seed=request.seed)
-            if recorded is not None and role[index] != _VERDICT:
+            if recorded is not None and (role[index] != _VERDICT
+                                         or recorded.squash_free):
                 processor.replay_from = recorded
+                if role[index] == _VERDICT:
+                    # A diverging replay forks, so it needs no warm
+                    # front end of its own.
+                    if forks is None:
+                        forks = LaneForks(
+                            setup, ident, trace, budget, key.host,
+                            request.seed, shared)
+                    processor.forks = forks
                 results[index] = processor.run(budget)
                 continue
-            if recorded is not None and recorded.squash_free:
-                # Prewarmed below all the same: a diverging replay steps
-                # this processor's own kernel.
-                processor.replay_from = recorded
             processor.record_events = record and index == members[0]
             setup.prewarm(processor, ident)
             results[index] = processor.run(budget)

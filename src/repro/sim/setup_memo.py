@@ -15,21 +15,26 @@ process and shared:
   state taken right after :meth:`Processor.prewarm`; a later processor
   gets its own copy instead of replaying every fetch;
 * **host runs**, keyed by the trace key plus the budget and the host's
-  :class:`MachineConfig`: a recording conventional run
+  :class:`MachineConfig`: a recording conventional or value run
   (:class:`~repro.sim.processor.HostRun`), whose event log and machine
   counters are the same under every seed while the invalidation
   injector is off.  ``run_many`` replays one into every later lane of
   that trace, budget and machine instead of stepping a host loop again.
-  Only runs that happen anyway record.
+  Only runs that happen anyway record;
+* **snapshots** of a conventional host's machine at the cycles where
+  verdict lanes diverged (:mod:`repro.sim.fork`), under the same key as
+  the host run, so a later lane diverging there restores one instead of
+  stepping the prefix again.
 
 The memo is bounded by :data:`MAX_RETAINED_OPS`, charged with the
-micro-ops its traces retain plus the event logs of its host runs
-converted to micro-ops at their measured memory cost.  Past the bound it
-evicts least recently used traces together with their warm front ends
-and host runs; a trace that is the only one left sheds its least
-recently used host runs instead.  One lock (from
-:func:`make_lock`, since the sharded service runs several batcher
-threads per process) guards the tables; generation, prewarm and host
+micro-ops its traces retain plus the event logs of its host runs and
+the machine words of its snapshots, converted to micro-ops at their
+measured memory cost.  Past the bound it evicts least recently used
+traces together with their warm front ends, host runs and snapshots; a
+trace that is the only one left sheds its least recently used host runs
+with their snapshots instead, then the snapshots of the one it keeps.
+One lock (from :func:`make_lock`, since the sharded service runs
+several batcher threads per process) guards the tables; generation, prewarm and host
 runs run outside it.  See the "setup memo"
 section of ``docs/performance.md``.
 """
@@ -37,7 +42,7 @@ section of ``docs/performance.md``.
 import json
 from collections import OrderedDict
 from dataclasses import asdict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.isa.trace import Trace
 from repro.sim.config import MachineConfig
@@ -50,14 +55,20 @@ from repro.workloads import SyntheticWorkload
 #: is roughly 65 MB.
 MAX_RETAINED_OPS = 200_000
 
-#: Host-run log entries charged as one retained op: an entry of the flat
-#: event log costs about 16 bytes against an op's 330.
+#: Host-run log entries (or snapshot machine words) charged as one
+#: retained op: a log entry costs 8 bytes and a snapshot word about 13,
+#: both charged as 16 against an op's 330.
 _LOG_ENTRIES_PER_OP = 20
 
 
 def _host_run_charge(run: Any) -> int:
     """What a kept host run counts against :data:`MAX_RETAINED_OPS`."""
     return -(-len(run.events) // _LOG_ENTRIES_PER_OP)
+
+
+def _snapshot_charge(snapshot: Any) -> int:
+    """What a kept snapshot counts against :data:`MAX_RETAINED_OPS`."""
+    return -(-snapshot.cells // _LOG_ENTRIES_PER_OP)
 
 
 def trace_key(workload: Any, length: int) -> Optional[str]:
@@ -99,7 +110,7 @@ class FrontEnd:
 
 
 class _Entry:
-    __slots__ = ("trace", "fronts", "hosts", "charge")
+    __slots__ = ("trace", "fronts", "hosts", "snapshots", "charge")
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
@@ -107,8 +118,16 @@ class _Entry:
         #: (budget, host machine) -> its :class:`HostRun`, least recently
         #: used first.
         self.hosts: "OrderedDict[Tuple[int, MachineConfig], Any]" = OrderedDict()
+        #: (budget, host machine) -> its kept snapshots, by cycle.
+        self.snapshots: Dict[Tuple[int, MachineConfig], List[Any]] = {}
         #: What this entry counts against the bound.
         self.charge = len(trace)
+
+    def drop_snapshots(self, host: Tuple[int, MachineConfig]) -> int:
+        """Forget ``host``'s snapshots; returns their charge."""
+        charge = sum(_snapshot_charge(s) for s in self.snapshots.pop(host, ()))
+        self.charge -= charge
+        return charge
 
 
 class SetupMemo:
@@ -126,6 +145,8 @@ class SetupMemo:
         self.warm_misses = 0
         self.host_hits = 0
         self.host_misses = 0
+        self.snapshot_hits = 0
+        self.forks = 0
 
     def trace(self, key: str, workload: Any, length: int) -> Trace:
         """The shared trace under ``key``, generating it on a miss."""
@@ -160,10 +181,14 @@ class SetupMemo:
         if self.charged_ops > MAX_RETAINED_OPS:
             last = next(iter(self._entries.values()))
             while self.charged_ops > MAX_RETAINED_OPS and len(last.hosts) > 1:
-                _, run = last.hosts.popitem(last=False)
+                host, run = last.hosts.popitem(last=False)
                 charge = _host_run_charge(run)
                 last.charge -= charge
-                self.charged_ops -= charge
+                self.charged_ops -= charge + last.drop_snapshots(host)
+            for host in list(last.snapshots):
+                if self.charged_ops <= MAX_RETAINED_OPS:
+                    break
+                self.charged_ops -= last.drop_snapshots(host)
 
     def front_end(self, key: str, geometry: Tuple[Any, ...]) -> Optional[FrontEnd]:
         """The warm front end for (trace ``key``, ``geometry``), if held."""
@@ -211,6 +236,47 @@ class SetupMemo:
             self._entries.move_to_end(key)
             self._evict()
 
+    def snapshot(self, key: str, budget: int, host: MachineConfig,
+                 cycle: int) -> Any:
+        """The latest kept snapshot of machine ``host`` at ``budget`` over
+        trace ``key`` at or before ``cycle``, if any."""
+        with self._lock:
+            entry = self._entries.get(key)
+            best = None
+            if entry is not None:
+                for snapshot in entry.snapshots.get((budget, host), ()):
+                    if snapshot.cycle > cycle:
+                        break
+                    best = snapshot
+            return best
+
+    def keep_snapshot(self, key: str, budget: int, host: MachineConfig,
+                      snapshot: Any) -> None:
+        """Hold ``snapshot`` beside its host run, for as long as both
+        stay memoized."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or (budget, host) not in entry.hosts:
+                return
+            kept = entry.snapshots.setdefault((budget, host), [])
+            if any(other.cycle == snapshot.cycle for other in kept):
+                return
+            kept.append(snapshot)
+            kept.sort(key=lambda other: other.cycle)
+            charge = _snapshot_charge(snapshot)
+            entry.charge += charge
+            self.charged_ops += charge
+            self._entries.move_to_end(key)
+            self._evict()
+
+    def count_fork(self, exact: bool) -> None:
+        """Count one forked lane; ``exact`` when a kept snapshot at its
+        divergence cycle served it (no prefix steps)."""
+        with self._lock:
+            self.forks += 1
+            if exact:
+                self.snapshot_hits += 1
+
     def stats(self) -> Dict[str, int]:
         """Counters since the last :meth:`clear` ("why was this point fast")."""
         with self._lock:
@@ -224,6 +290,10 @@ class SetupMemo:
                 "host_misses": self.host_misses,
                 "traces": len(self._entries),
                 "hosts": sum(len(entry.hosts) for entry in self._entries.values()),
+                "snapshots": sum(len(kept) for entry in self._entries.values()
+                                 for kept in entry.snapshots.values()),
+                "snapshot_hits": self.snapshot_hits,
+                "forks": self.forks,
                 "retained_ops": self.retained_ops,
                 "charged_ops": self.charged_ops,
             }
@@ -236,6 +306,7 @@ class SetupMemo:
             self.trace_hits = self.trace_misses = self.trace_evictions = 0
             self.warm_hits = self.warm_misses = 0
             self.host_hits = self.host_misses = 0
+            self.snapshot_hits = self.forks = 0
 
 
 #: The process's memo; every ``run_many`` batch goes through it.
@@ -282,6 +353,17 @@ class SetupBatch:
                       run: Any) -> None:
         """Share ``run`` through the memo, beside its memoized trace."""
         SETUP_MEMO.keep_host_run(self._traces[ident][1], budget, host, run)
+
+    def snapshot(self, ident: Any, budget: int, host: MachineConfig,
+                 cycle: int) -> Any:
+        """The memoized snapshot for a memoized trace (see
+        :meth:`SetupMemo.snapshot`)."""
+        return SETUP_MEMO.snapshot(self._traces[ident][1], budget, host, cycle)
+
+    def keep_snapshot(self, ident: Any, budget: int, host: MachineConfig,
+                      snapshot: Any) -> None:
+        """Share ``snapshot`` through the memo, beside its host run."""
+        SETUP_MEMO.keep_snapshot(self._traces[ident][1], budget, host, snapshot)
 
     def prewarm(self, processor: Any, ident: Any) -> None:
         """Warm ``processor``'s front end, replaying the trace only when

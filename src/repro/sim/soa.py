@@ -28,6 +28,12 @@ skipper jumps to the next cycle in which any stage can act, and stays
 off while the invalidation injector is live (the injector draws from the
 RNG every cycle).
 
+**Stop, resume, copy.**  :meth:`SoaKernel.run` can stop at a cycle
+boundary and resume later, bit-identically to an uninterrupted run, and
+a :class:`Snapshot` copies a stopped machine (kernel and components, not
+the scheme side).  A diverging verdict lane resumes its own kernel from
+a conventional snapshot (:mod:`repro.sim.fork`).
+
 **Observation.**  ``Processor.tracer`` (a
 :class:`~repro.sim.pipetrace.PipelineTracer` or an
 :class:`~repro.obs.recorder.ObservabilityRecorder`) is bound to one local
@@ -42,31 +48,38 @@ timing, so a run built with ``record=True`` logs the events a filter or
 verdict lane reads into :attr:`SoaKernel.events`, a flat int list of
 records (opcodes in :mod:`repro.core.schemes.base`):
 
-* load issue: address and seq, the opcode saying whether every older
-  store's address was known (the load is safe at issue);
-* store resolve: address, seq and the ROB tail seq, the opcode saying
-  whether the search found a live victim;
-* mispredicted fetch: the branch seq.  The run's own wrong-path loads
-  are not logged: they are the seed's one effect while the invalidation
-  injector is off, and they never change timing, so the log is the same
-  under every seed and each lane draws its own from its own seed;
-* branch recovery: seq;
+* load issue: address, seq and cycle, the opcode saying whether every
+  older store's address was known (the load is safe at issue);
+* store resolve: address, seq, the ROB tail seq and cycle, the opcode
+  saying whether the search found a live victim;
+* mispredicted fetch: the branch seq and cycle.  The run's own
+  wrong-path loads are not logged: they are the seed's one effect while
+  the invalidation injector is off, and they never change timing, so
+  the log is the same under every seed and each lane draws its own from
+  its own seed;
+* branch recovery: seq and cycle;
 * squash: last kept seq, then the addresses of the squashed issued loads;
 * load commit: address;
 * commit stage: the cycle and how many instructions it retired.
 
+The cycle stamps let a squash-free log split at any cycle boundary: a
+forked lane replays exactly the records before its fork cycle.
+
 One local ``rec`` bool guards every site.  A recording run is
-conventional or filters inline, and calls its own hooks as usual; the
-filter lanes replay its log after the loop
-(:meth:`~repro.core.schemes.conventional.ConventionalScheme.replay_lane`).
+conventional, filters inline or is a value run, and calls its own hooks
+as usual; the filter lanes replay its log after the loop
+(:meth:`~repro.core.schemes.conventional.ConventionalScheme.replay_lane`),
+and so do value points of other seeds
+(:meth:`~repro.core.schemes.value.ValueBasedScheme.replay_lane`).
 A squash-free run's log also serves *verdict lanes*: DMDC and Garg time
 as the conventional machine until their first replay, so
 :func:`replay_verdicts` drives their adapters through the log over a
 seq-indexed :class:`LaneView` and stops at the first verdict that would
-change timing.  :func:`repro.sim.runner.run_many` replays one
-conventional run's log into every lane that shares its trace, budget
-and machine, whatever the lane's seed (unless the invalidation injector
-is on), and keeps the log in the setup memo for later batches.
+change timing, where the lane forks.  :func:`repro.sim.runner.run_many`
+replays one conventional run's log into every lane that shares its
+trace, budget and machine, whatever the lane's seed (unless the
+invalidation injector is on), and keeps the log in the setup memo for
+later batches.
 
 The kernel is **bit-identical** to the per-cycle object pipeline it was
 transcribed from, which the test suite keeps as its reference
@@ -87,6 +100,7 @@ consumer lists, the rename map).
 """
 
 import heapq
+from array import array
 from collections import deque
 from typing import Dict, List, Optional, Set
 
@@ -127,6 +141,11 @@ _STALL_IQ = 2
 _STALL_LQ = 3
 _STALL_SQ = 4
 _STALL_REGS = 5
+
+#: Length of :attr:`SoaKernel.counts`, and the place of the checking-cycle
+#: count in it (last).
+_N_COUNTS = 42
+CHECKING_COUNT = _N_COUNTS - 1
 
 
 class TraceSoA:
@@ -316,6 +335,10 @@ class SoaKernel:
         self.replay_streak: Dict[int, int] = {}
         self.force_nonspec: Set[int] = set()
 
+        #: The loop's counter locals, kept here between a stop and the
+        #: resumed run; ``counts[CHECKING_COUNT]`` is
+        #: ``checking.cycles_observed``.
+        self.counts: List[int] = [0] * _N_COUNTS
         # Cold-path counters, folded with the loop's locals at the end.
         self.n_squash = 0
         self.n_guard_trips = 0
@@ -370,14 +393,27 @@ class SoaKernel:
     # ------------------------------------------------------------------
     # The fused cycle loop
     # ------------------------------------------------------------------
-    def run(self, target: int, max_cycles: int) -> None:
-        """Simulate until ``target`` instructions commit.
+    def run(self, target: int, max_cycles: int,
+            stop: Optional[int] = None) -> None:
+        """Simulate until ``target`` instructions commit, or until the
+        boundary of cycle ``stop``.
 
         One Python frame runs every stage, in the order commit,
         writeback, issue, dispatch, fetch, then the injected coherence
         traffic, each behind a cheap "can it act?" gate; a stage reads
         state the earlier stages of the same cycle left.
+
+        A run that stops before ``target`` writes every local back (the
+        scalar cursors onto the kernel and the processor, the counter
+        locals into :attr:`counts`) and books nothing into the
+        processor's counters; a later call resumes where it stopped, and
+        stopping then resuming equals the uninterrupted run.  The
+        skipper clamps its jump to ``stop``, and, resumed, jumps on from
+        there: an idle stretch split at a stop books the same counts.
+        The run that commits ``target`` folds the counters.
         """
+        if stop is not None and self.cycle >= stop:
+            return
         # --- local bindings (hot state) --------------------------------
         p = self.p
         t = self.t
@@ -499,27 +535,28 @@ class SoaKernel:
         inv_observe = injector.observe
         inv_draw = injector.maybe_invalidate
 
-        cycle = 0
-        committed = 0
+        cycle = self.cycle
+        committed = self.committed
         ff_cycles = 0
-        checking_cycles = 0
 
-        # --- event counters as locals (folded once, after the loop) -----
-        n_replays = n_replays_commit = n_replays_exec = n_replays_coh = 0
-        n_commit = n_commit_loads = n_commit_safe = n_commit_stores = 0
-        n_commit_branches = n_reexec = 0
-        n_regw = n_regr = n_wakeups = 0
-        n_mispredicts = n_misfetches = 0
-        n_issue = n_issue_loads = n_issue_stores = n_fu = 0
-        n_sq_search = n_sq_filtered = 0
-        n_rejections = n_safe_at_issue = n_forwarded = n_dreads = 0
-        n_ss_delays = 0
-        n_stall_rob = n_stall_iq = n_stall_lq = n_stall_sq = n_stall_regs = 0
-        n_lq_writes = n_sq_writes = n_rename = n_rob_writes = 0
-        n_fetch_stall = n_fetch = n_icache_miss = n_icache_reads = 0
-        n_bpred = n_inv = 0
+        # --- event counters as locals (kept in ``counts`` across a stop,
+        # folded once, after the loop that commits the target) ----------
+        (n_replays, n_replays_commit, n_replays_exec, n_replays_coh,
+         n_commit, n_commit_loads, n_commit_safe, n_commit_stores,
+         n_commit_branches, n_reexec, n_regw, n_regr, n_wakeups,
+         n_mispredicts, n_misfetches, n_issue, n_issue_loads,
+         n_issue_stores, n_fu, n_sq_search, n_sq_filtered, n_rejections,
+         n_safe_at_issue, n_forwarded, n_dreads, n_ss_delays, n_stall_rob,
+         n_stall_iq, n_stall_lq, n_stall_sq, n_stall_regs, n_lq_writes,
+         n_sq_writes, n_rename, n_rob_writes, n_fetch_stall, n_fetch,
+         n_icache_miss, n_icache_reads, n_bpred, n_inv,
+         checking_cycles) = self.counts
 
         limit_plus_one = max_cycles + 1
+        # The loop leaves at the first boundary of ``halt``: a stop before
+        # the cycle limit, or the limit itself (which raises).
+        stop_at = stop if stop is not None and stop < limit_plus_one else -1
+        halt = limit_plus_one if stop_at < 0 else stop_at
 
         while committed < target:
             # ===== event-horizon fast forward: jump to the next cycle in
@@ -528,7 +565,7 @@ class SoaKernel:
             if not inv_on and not ready:
                 head_can_commit = rob and state_[rob[0]] == _ST_COMPLETED
                 if not head_can_commit:
-                    ff_target = limit_plus_one
+                    ff_target = halt
                     stall_code = _STALL_NONE
                     can_act = False
                     if fetch_buf:
@@ -602,6 +639,8 @@ class SoaKernel:
                                     n_stall_regs += skipped
                                 ff_cycles += skipped
                                 cycle = ff_target
+                                if cycle == stop_at:
+                                    break
 
             squashed_this_cycle = False
             if scheme.checking_active:
@@ -759,7 +798,7 @@ class SoaKernel:
                             if mispredicted:
                                 n_mispredicts += 1
                                 if rec:
-                                    log += (EV_RECOVERY, seq_[slot])
+                                    log += (EV_RECOVERY, seq_[slot], cycle)
                                 hooks.on_recovery(seq_[slot])
                             else:
                                 n_misfetches += 1
@@ -875,7 +914,7 @@ class SoaKernel:
                                     cring[(cycle + latency) & rmask].append(v)
                                     if rec:
                                         log += (EV_LOAD_SAFE if all_resolved
-                                                else EV_LOAD, la, lseq)
+                                                else EV_LOAD, la, lseq, cycle)
                                     if has_load_hook:
                                         victim = hook_load(slot)
                                         if victim >= 0 and state_[victim] != _ST_SQUASHED:
@@ -951,7 +990,7 @@ class SoaKernel:
                                 if victim >= 0 and state_[victim] != _ST_SQUASHED:
                                     if rec:
                                         log += (EV_STORE_VICTIM, sa, sseq,
-                                                seq_[rob[-1]])
+                                                seq_[rob[-1]], cycle)
                                     n_replays += 1
                                     n_replays_exec += 1
                                     if emit is not None:
@@ -961,7 +1000,8 @@ class SoaKernel:
                                     self._squash_from(victim)
                                     squashed_this_cycle = True
                                 elif rec:
-                                    log += (EV_STORE, sa, sseq, seq_[rob[-1]])
+                                    log += (EV_STORE, sa, sseq, seq_[rob[-1]],
+                                            cycle)
                             issued += 1
                             if squashed_this_cycle:
                                 break
@@ -1129,7 +1169,7 @@ class SoaKernel:
                             if rec:
                                 # The mark, not the draws: a lane draws
                                 # its own (the log stays seed-free).
-                                log += (EV_MISPREDICT, seq_[slot])
+                                log += (EV_MISPREDICT, seq_[slot], cycle)
                             for age, wa in self.wrongpath.loads_for_mispredict(
                                     seq_[slot]):
                                 hooks.on_wrongpath_load(age, wa)
@@ -1156,15 +1196,30 @@ class SoaKernel:
                     hooks.on_invalidation(line, self.line_bytes, cycle, oldest)
 
             cycle += 1
-            if cycle > max_cycles:
-                self._sync(cycle, committed, ff_cycles)
-                raise SimulationError(
-                    f"no forward progress: {committed}/{target} committed "
-                    f"after {cycle} cycles on {p.trace.name}"
-                )
+            if cycle >= halt:
+                if cycle > max_cycles:
+                    self._sync(cycle, committed, ff_cycles)
+                    raise SimulationError(
+                        f"no forward progress: {committed}/{target} committed "
+                        f"after {cycle} cycles on {p.trace.name}"
+                    )
+                break
 
-        # ===== fold state and counters into the processor ===============
+        # ===== write state back; fold counters once the target commits ===
         self._sync(cycle, committed, ff_cycles)
+        self.counts = [
+            n_replays, n_replays_commit, n_replays_exec, n_replays_coh,
+            n_commit, n_commit_loads, n_commit_safe, n_commit_stores,
+            n_commit_branches, n_reexec, n_regw, n_regr, n_wakeups,
+            n_mispredicts, n_misfetches, n_issue, n_issue_loads,
+            n_issue_stores, n_fu, n_sq_search, n_sq_filtered, n_rejections,
+            n_safe_at_issue, n_forwarded, n_dreads, n_ss_delays, n_stall_rob,
+            n_stall_iq, n_stall_lq, n_stall_sq, n_stall_regs, n_lq_writes,
+            n_sq_writes, n_rename, n_rob_writes, n_fetch_stall, n_fetch,
+            n_icache_miss, n_icache_reads, n_bpred, n_inv,
+            checking_cycles]
+        if committed < target:
+            return
         counters = p.counters
         counters["checking.cycles_observed"] = checking_cycles
         counters["sq.searches_assoc"] = n_sq_search
@@ -1218,7 +1273,8 @@ class SoaKernel:
                 counters[name] = value
 
     def _sync(self, cycle: int, committed: int, ff_cycles: int) -> None:
-        """Write the kernel's scalar cursors back onto the processor."""
+        """Write the loop's scalar cursors back onto the kernel and the
+        processor."""
         p = self.p
         p.cycle = cycle
         p.committed = committed
@@ -1367,6 +1423,158 @@ class SoaKernel:
 
 
 # ----------------------------------------------------------------------
+# Snapshots: copy a stopped machine
+# ----------------------------------------------------------------------
+#: Kernel int sequences a snapshot copies as flat ``array('q')``s (8
+#: bytes an entry, no int objects): the int slot columns, the free list,
+#: the age-ordered queues, the ready heap (its list order is the heap)
+#: and the rename table.
+_INTS = ("seq", "tidx", "state", "fcyc", "icyc", "rcyc", "addr", "size",
+         "pops", "pdata", "tvs", "tvpc", "fwdseq", "wend",
+         "free", "rob", "lq", "sq", "fetch_buf", "ready", "rename")
+#: Flag slot columns, copied as ``bytes`` and restored as bools.
+_FLAGS = ("isld", "isst", "isbr", "fp", "safe", "gbp", "unsafe", "invm")
+#: Kernel maps a snapshot copies.
+_MAPS = ("sq_by_seq", "sq_granules", "lq_granules", "replay_streak")
+#: Kernel scalars a snapshot copies.
+_SCALARS = ("cycle", "next_seq", "fetch_idx", "resume_cycle", "blocked_branch",
+            "last_line", "committed", "iq_int", "iq_fp", "sq_unresolved",
+            "n_squash", "n_guard_trips", "n_gt_violations")
+
+
+class Snapshot:
+    """A copy of a stopped machine: everything a :class:`SoaKernel` and
+    its processor's components hold at a cycle boundary, without the
+    scheme side.
+
+    The kernel side is the slot columns, consumer lists, free list,
+    deques, ready heap, event rings, rename table, SQ maps, granule
+    filters, replay-guard state, scalar cursors and counter locals; the
+    processor side is the caches' tag stores and counters, the
+    predictor's tables, history, BTB and counters, the register files
+    and the functional units, and a live invalidation injector, which
+    draws every cycle and so changes timing.  The scheme, its adapter's
+    columns (``unsafe``, ``wend``), the wrong-path model and the
+    store-set predictor stay with whichever processor the snapshot is
+    restored into: a diverging verdict lane restores a conventional machine and
+    brings its own (see :mod:`repro.sim.fork`).  Taking a snapshot and
+    restoring it both copy, so one snapshot serves any number of
+    restores, and nothing is shared with the kernel it came from.
+    """
+
+    __slots__ = ("cycle", "committed", "cells", "_geometry", "_ints", "_flags",
+                 "_snap", "_maps", "_scalars", "_force", "_counts", "_cons",
+                 "_rings", "_predictor", "_caches", "_regs", "_fus", "_ff",
+                 "_injector")
+
+    def __init__(self, kernel: SoaKernel) -> None:
+        p = kernel.p
+        self.cycle = kernel.cycle
+        self.committed = kernel.committed
+        self._geometry = (len(kernel.seq), kernel.ring_mask, len(kernel.rename))
+        self._ints = tuple(array("q", getattr(kernel, name)) for name in _INTS)
+        self._flags = tuple(bytes(getattr(kernel, name)) for name in _FLAGS)
+        self._snap = tuple(kernel.snap)
+        self._maps = tuple(dict(getattr(kernel, name)) for name in _MAPS)
+        self._scalars = tuple(getattr(kernel, name) for name in _SCALARS)
+        self._force = frozenset(kernel.force_nonspec)
+        self._counts = tuple(kernel.counts)
+        self._cons = tuple((slot, tuple(c)) for slot, c in enumerate(kernel.cons) if c)
+        self._rings = tuple(
+            tuple((index, tuple(due)) for index, due in enumerate(ring) if due)
+            for ring in (kernel.completion_ring, kernel.retry_ring))
+        predictor = p.predictor
+        self._predictor = (predictor.copy_tables(), predictor.lookups,
+                           predictor.mispredictions, predictor.btb.hits,
+                           predictor.btb.misses)
+        self._caches = tuple(
+            (cache.copy_lines(), cache.hits, cache.misses, cache.evictions,
+             cache.invalidations)
+            for cache in (p.memory.l1i, p.memory.l1d, p.memory.l2))
+        self._regs = (p.regs_int.free, p.regs_int.allocations,
+                      p.regs_fp.free, p.regs_fp.allocations)
+        self._fus = tuple(kernel.fu_avail)
+        self._ff = p.fast_forwarded_cycles
+        injector = p.invalidations
+        self._injector = None if not injector.enabled else (
+            injector.rng._rng.getstate(), tuple(injector._recent_lines),
+            injector._span_lo, injector._span_hi, injector.injected)
+        #: Machine words held, roughly: what the setup memo charges.
+        self.cells = (sum(len(values) for values in self._ints)
+                      + sum(len(values) for values in self._flags) // 8
+                      + len(self._snap)
+                      + 2 * sum(len(m) for m in self._maps)
+                      + sum(len(c) + 1 for _, c in self._cons)
+                      + sum(len(due) + 1 for ring in self._rings for _, due in ring)
+                      + sum(len(lines) for lines, *_ in self._caches)
+                      + sum(len(table) for table in self._predictor[0][:3]) // 8
+                      + 3 * sum(len(ways) for ways in self._predictor[0][4].values()))
+
+    def restore(self, kernel: SoaKernel) -> None:
+        """Overwrite ``kernel``, built for the same machine and not yet
+        run, and its processor's components with a copy of this
+        machine."""
+        if (len(kernel.seq), kernel.ring_mask, len(kernel.rename)) != self._geometry:
+            raise SimulationError(
+                f"snapshot of cycle {self.cycle} does not fit the kernel on "
+                f"{kernel.p.trace.name}: another machine or trace")
+        for name, values in zip(_INTS, self._ints):
+            target = getattr(kernel, name)
+            target.clear()
+            target.extend(values)
+        for name, values in zip(_FLAGS, self._flags):
+            target = getattr(kernel, name)
+            target.clear()
+            target.extend(map(bool, values))
+        kernel.snap[:] = self._snap
+        for name, values in zip(_MAPS, self._maps):
+            target = getattr(kernel, name)
+            target.clear()
+            target.update(values)
+        for name, value in zip(_SCALARS, self._scalars):
+            setattr(kernel, name, value)
+        kernel.force_nonspec.clear()
+        kernel.force_nonspec.update(self._force)
+        kernel.counts = list(self._counts)
+        for c in kernel.cons:
+            c.clear()
+        for slot, c in self._cons:
+            kernel.cons[slot].extend(c)
+        for ring, due in zip((kernel.completion_ring, kernel.retry_ring), self._rings):
+            for entry in ring:
+                entry.clear()
+            for index, items in due:
+                ring[index].extend(items)
+        p = kernel.p
+        tables, lookups, mispredictions, btb_hits, btb_misses = self._predictor
+        predictor = p.predictor
+        predictor.load_tables(tables)
+        predictor.lookups = lookups
+        predictor.mispredictions = mispredictions
+        predictor.btb.hits = btb_hits
+        predictor.btb.misses = btb_misses
+        for cache, (lines, hits, misses, evictions, invalidations) in zip(
+                (p.memory.l1i, p.memory.l1d, p.memory.l2), self._caches):
+            cache.load_lines(lines)
+            cache.hits = hits
+            cache.misses = misses
+            cache.evictions = evictions
+            cache.invalidations = invalidations
+        (p.regs_int.free, p.regs_int.allocations,
+         p.regs_fp.free, p.regs_fp.allocations) = self._regs
+        kernel.fu_avail[:] = self._fus
+        p.cycle = self.cycle
+        p.committed = self.committed
+        p.fast_forwarded_cycles = self._ff
+        if self._injector is not None:
+            injector = p.invalidations
+            (state, lines, injector._span_lo, injector._span_hi,
+             injector.injected) = self._injector
+            injector.rng._rng.setstate(state)
+            injector._recent_lines[:] = lines
+
+
+# ----------------------------------------------------------------------
 # Verdict lanes: replay a squash-free host's log through DMDC or Garg
 # ----------------------------------------------------------------------
 class LaneView:
@@ -1376,17 +1584,17 @@ class LaneView:
     index and a scheme adapter's slot can be the seq itself.  The view
     carries the columns the DMDC and Garg adapters read: ``addr``,
     ``size``, ``isld`` and ``isst`` are the trace's, ``seq`` is the
-    identity, ``safe`` is filled from the log, and ``unsafe``/``wend``
-    are the adapter's to write.  With no replays there are no guard trips
-    (``gbp`` all False) and no true violations (``tvs`` all -1).  Only
-    the replay taxonomy and Garg's flush scan read ``icyc``/``rcyc``, and
-    only once a replay is decided, when the lane stops replaying; they
-    stay -1.  ``rob`` holds the ROB tail seq at the store being replayed:
-    Garg flushes iff that tail is younger than the store.
+    identity, ``safe``, ``icyc`` and ``rcyc`` are filled from the log's
+    cycle stamps (DMDC's replay taxonomy reads a marked store's resolve
+    cycle), and ``unsafe``/``wend`` are the adapter's to write.  With no
+    replays there are no guard trips (``gbp`` all False) and no true
+    violations (``tvs`` all -1).  ``rob`` holds the ROB tail seq at the
+    store being replayed: Garg flushes iff that tail is younger than the
+    store.  ``cycle`` is the cycle of the verdict a replay stopped at.
     """
 
     __slots__ = ("n", "seq", "addr", "size", "isld", "isst", "safe", "gbp",
-                 "unsafe", "wend", "rcyc", "icyc", "tvs", "rob")
+                 "unsafe", "wend", "rcyc", "icyc", "tvs", "rob", "cycle")
     emit = None  # lanes are unobserved
 
     def __init__(self, trace) -> None:
@@ -1405,6 +1613,7 @@ class LaneView:
         self.icyc = [-1] * n
         self.tvs = [-1] * n
         self.rob = [-1]
+        self.cycle = -1
 
 
 def replay_verdicts(hooks, view: LaneView, events: List[int], wrongpath,
@@ -1423,12 +1632,18 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], wrongpath,
     opens or closes, covers every cycle after the commit stage that
     opened it up to the one that closes it, or to the run's last cycle
     (``cycles - 1``).  Returns -1 at the first verdict that would change
-    timing (an issue or resolve hook naming a victim, a commit replay):
-    the lane must then step its own loop.
+    timing (an issue or resolve hook naming a victim, a commit replay),
+    with ``view.cycle`` set to that verdict's cycle: the lane must then
+    step its own kernel from there (see :mod:`repro.sim.fork`).
+
+    The replay covers exactly the records of cycles before ``cycles``:
+    the whole log when ``cycles`` is the run's cycle count, and the
+    prefix before a fork cycle when a lane forks there from a
+    conventional machine that has committed ``committed`` instructions.
 
     Raises :class:`SimulationError` naming ``label`` if the log has a
     squash, retires past the trace, or retires other than ``committed``
-    instructions.
+    instructions before ``cycles``.
     """
     scheme = hooks.scheme
     has_load_hook = hooks.has_load_issue
@@ -1446,6 +1661,8 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], wrongpath,
     isst_ = view.isst
     safe_ = view.safe
     unsafe_ = view.unsafe
+    icyc_ = view.icyc
+    rcyc_ = view.rcyc
     rob = view.rob
     limit = view.n
     head = 0       # next seq to retire
@@ -1457,6 +1674,8 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], wrongpath,
         op = events[i]
         if op == EV_COMMITS:
             cycle = events[i + 1]
+            if cycle >= cycles:
+                break
             if scheme.checking_active:
                 checking += cycle - last
             last = cycle
@@ -1469,39 +1688,56 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], wrongpath,
                 while head < end:
                     if scheme.checking_active or (isst_[head] and unsafe_[head]):
                         if hook_commit(head, cycle):
+                            view.cycle = cycle
                             return -1
                     head += 1
             elif commit_mode == 1:
                 while head < end:
                     if isld_[head] and hook_commit_load(head):
+                        view.cycle = cycle
                         return -1
                     head += 1
             else:
                 head = end
             i += 3
         elif op == EV_LOAD or op == EV_LOAD_SAFE:
+            cycle = events[i + 3]
+            if cycle >= cycles:
+                break
             observe(events[i + 1])
             seq = events[i + 2]
+            icyc_[seq] = cycle
             if op == EV_LOAD_SAFE:
                 safe_[seq] = True
             if has_load_hook and hook_load(seq) >= 0:
+                view.cycle = cycle
                 return -1
-            i += 3
+            i += 4
         elif op == EV_STORE:
+            cycle = events[i + 4]
+            if cycle >= cycles:
+                break
+            seq = events[i + 2]
+            icyc_[seq] = rcyc_[seq] = cycle
             if has_store_hook:
                 rob[0] = events[i + 3]
-                if hook_store(events[i + 2]) >= 0:
+                if hook_store(seq) >= 0:
+                    view.cycle = cycle
                     return -1
-            i += 4
+            i += 5
         elif op == EV_COMMIT:
             i += 2
         elif op == EV_MISPREDICT:
+            if events[i + 2] >= cycles:
+                break
             for age, addr in draw(events[i + 1]):
                 on_wrongpath(age, addr)
-            i += 2
+            i += 3
         elif op == EV_RECOVERY:
+            if events[i + 2] >= cycles:
+                break
             on_recovery(events[i + 1])
-            i += 2
+            i += 3
         else:  # EV_SQUASH, EV_STORE_VICTIM
             raise SimulationError(
                 f"verdict lane {label} met a squash in its host's log "
@@ -1509,7 +1745,7 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], wrongpath,
     if head != committed:
         raise SimulationError(
             f"verdict lane {label} retired {head} instructions, but its "
-            f"host committed {committed}")
+            f"host committed {committed} before cycle {cycles}")
     if scheme.checking_active:
         checking += cycles - 1 - last
     return checking

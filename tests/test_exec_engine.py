@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.exec.cache import ResultCache
-from repro.exec.engine import ExecutionEngine, by_lane_group, use_engine, worker_count
+from repro.exec.engine import ExecutionEngine, lane_slices, use_engine, worker_count
 from repro.exec.request import RunRequest
 from repro.experiments.registry import EXPERIMENTS, plan, run_all, run_experiment
 from repro.sim.config import SchemeConfig, small_config
@@ -86,13 +86,39 @@ class TestLaneGroupOrder:
                     (kind, workload)
                     for kind in ("yla", "dmdc", "conventional", "bloom")
                     for workload in ("gzip", "swim"))]
-        ordered = by_lane_group(grid)
+        (ordered,) = lane_slices(grid, 1)
         assert sorted(ordered) == sorted(grid)
         assert [(r.config.scheme.kind, r.workload) for _, r in ordered] == [
             ("yla", "gzip"), ("dmdc", "gzip"), ("conventional", "gzip"),
             ("bloom", "gzip"),
             ("yla", "swim"), ("dmdc", "swim"), ("conventional", "swim"),
             ("bloom", "swim")]
+
+    def test_pool_slices_are_cut_only_between_lane_groups(self):
+        """Slices of about equal size never part a lane group, even when
+        an equal cut would."""
+        grid = [(f"k{i}", _scheme_req(kind, workload))
+                for i, (workload, kind) in enumerate(
+                    (workload, kind)
+                    for workload in ("gzip", "swim", "mcf")
+                    for kind in ("conventional", "yla", "dmdc"))]
+        slices = lane_slices(grid, 2)
+        assert [[key for key, _ in part] for part in slices] == [
+            [f"k{i}" for i in range(6)], [f"k{i}" for i in range(6, 9)]]
+        assert lane_slices(grid, 1) == [grid]
+        assert len(lane_slices(grid, 9)) == 3
+
+    def test_one_lane_group_runs_in_process(self, runs, cold_memo):
+        """A host and its lane (``repro compare``) are one lane group: a
+        2-worker engine runs them as one in-process batch instead of
+        starting its pool and stepping two loops."""
+        points = [_scheme_req("conventional", "twolf"),
+                  _scheme_req("dmdc", "twolf")]
+        with ExecutionEngine(cache=None, max_workers=2) as engine:
+            engine.run(points)
+            assert engine._pool is None
+        assert [label for label, _ in runs] == ["conventional", "dmdc"]
+        assert runs[0][1] == "soa" and runs[1][1] in ("lane", "fork")
 
     def test_lane_groups_name_the_seed_only_with_the_injector_on(self):
         """Points of any seed share a group: the seed only draws
@@ -102,11 +128,11 @@ class TestLaneGroupOrder:
         points = [("a", _scheme_req("yla")), ("b", _req(seed=2)),
                   ("c", _scheme_req("bloom", sq_filter=True)), ("d", _req()),
                   ("e", _scheme_req("bloom"))]
-        assert [key for key, _ in by_lane_group(points)] == [
+        assert [key for key, _ in lane_slices(points, 1)[0]] == [
             "a", "b", "d", "e", "c"]
         injected = [(key, _req(seed=seed, invalidation_rate=10.0))
                     for key, seed in (("f", 1), ("g", 2), ("h", 1))]
-        assert [key for key, _ in by_lane_group(injected)] == ["f", "h", "g"]
+        assert [key for key, _ in lane_slices(injected, 1)[0]] == ["f", "h", "g"]
 
 
 class TestErrorContext:

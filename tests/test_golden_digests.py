@@ -15,7 +15,9 @@ plain runs actually take.  Run one at a time, a YLA or Bloom point
 filters inline on the kernel; a
 second test runs each workload's nine labels as one ``run_many`` batch,
 where those points, and the verdict lanes (storesets, the dmdc labels,
-garg) of a squash-free host, are lanes of the conventional point's run.
+garg) of a squash-free host, are lanes of the conventional point's run;
+a verdict lane whose replay diverges forks its kernel from the
+conventional machine at that cycle instead of stepping from cycle 0.
 
 To rebuild the file after a deliberate behaviour change, call
 :func:`regenerate` from a Python prompt with ``src`` on the path.
@@ -107,24 +109,32 @@ def test_digests_match_on_the_kernel(golden, workload):
     assert not off_kernel, f"ran on the object loop: {off_kernel}"
 
 
-#: Cycle loops the 26 nine-label batches step in total: per workload the
-#: conventional host and ``value``, plus every verdict lane whose host
-#: or own run replays.
-BATCH_LOOPS = 69
+#: Cycle loops from cycle 0 the 26 nine-label batches step in total: per
+#: workload the conventional host and ``value``, plus every verdict lane
+#: whose host replays.
+BATCH_LOOPS = 52
+#: Verdict lanes of a squash-free host whose own replay diverged: each
+#: resumes its kernel from a conventional snapshot instead.
+BATCH_FORKS = 17
 
 
 @pytest.fixture(scope="module")
 def batches():
-    """``{workload: (labels whose batch run stepped the cycle loop, the
-    batch's results by label)}``: each workload's nine labels through one
-    ``run_many``."""
+    """``{workload: (labels whose point stepped a cycle loop from cycle
+    0, labels whose point forked, the batch's results by label)}``: each
+    workload's nine labels through one ``run_many``.  The conventional
+    prefix a fork may step first (a kernel run with a stop cycle) is
+    neither."""
     out = {}
     original = SoaKernel.run
     loops = []
+    forks = []
 
-    def counting_run(kernel, target, max_cycles):
-        loops.append(kernel.p.config.scheme.label())
-        return original(kernel, target, max_cycles)
+    def counting_run(kernel, target, max_cycles, stop=None):
+        if stop is None:
+            label = kernel.p.config.scheme.label()
+            (forks if kernel.p.kernel_used == "fork" else loops).append(label)
+        return original(kernel, target, max_cycles, stop)
 
     # No host run an earlier test left in the memo may serve a batch.
     SETUP_MEMO.clear()
@@ -132,11 +142,12 @@ def batches():
         patch.setattr(SoaKernel, "run", counting_run)
         for workload in sorted(SUITE):
             loops.clear()
+            forks.clear()
             requests = [RunRequest(CONFIG2.with_scheme(SchemeConfig.from_label(label)),
                                    workload, BUDGET, SEED)
                         for label in SCHEME_LABELS]
             results = dict(zip(SCHEME_LABELS, run_many(requests)))
-            out[workload] = (list(loops), results)
+            out[workload] = (list(loops), list(forks), results)
     return out
 
 
@@ -145,9 +156,9 @@ def test_digests_match_as_one_batch(golden, batches, workload):
     """The nine labels through one ``run_many``: yla and bloom always
     replay the conventional point's recorded run; storesets, the dmdc
     labels and garg replay it too unless a replay (the host's or their
-    own) makes them step their own loop.  Every result still matches
-    its digest."""
-    loops, results = batches[workload]
+    own) makes them step their own loop; one whose own replay diverges
+    forks.  Every result still matches its digest."""
+    loops, forks, results = batches[workload]
     mismatched = [label for label, result in results.items()
                   if golden["digests"][f"{workload}/{label}"] != result_digest(result)]
     assert not mismatched, f"digest changed: {mismatched}"
@@ -159,7 +170,12 @@ def test_digests_match_as_one_batch(golden, batches, workload):
                 and host_replays == 0 and results[label].counters["replays"] == 0]
     assert not needless, f"verdict lanes stepped the loop: {needless}"
     assert len(loops) == len(set(loops)), loops
+    assert not set(forks) & set(loops), (forks, loops)
+    unforced = [label for label in forks
+                if host_replays or results[label].counters["replays"] == 0]
+    assert not unforced, f"forked without a diverging replay: {unforced}"
 
 
 def test_batches_step_the_pinned_number_of_loops(batches):
-    assert sum(len(loops) for loops, _ in batches.values()) == BATCH_LOOPS
+    assert sum(len(loops) for loops, _, _ in batches.values()) == BATCH_LOOPS
+    assert sum(len(forks) for _, forks, _ in batches.values()) == BATCH_FORKS

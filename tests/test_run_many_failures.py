@@ -31,6 +31,15 @@ def _req(workload="gzip", seed=1, **overrides):
                       workload, BUDGET, seed)
 
 
+def _four_lane_groups():
+    """Four gzip points, seeds 0-3, each on its own machine: four lane
+    groups, so a 2-worker engine ships two slices of two (points of one
+    machine share a lane group whatever their seeds, and a batch that is
+    one lane group runs in process)."""
+    return [_req("gzip", seed=seed, replay_penalty=10 + seed)
+            for seed in range(4)]
+
+
 def _crash_batch(requests):
     """Replacement for ``_execute_batch`` that kills the worker process
     dead — no exception, no cleanup, exactly like a segfault or OOM kill."""
@@ -124,7 +133,7 @@ class TestPoolDispatch:
         SimulationError naming the slice's jobs, not hang or leak a
         broken pool into later runs."""
         monkeypatch.setattr("repro.exec.engine._execute_batch", _crash_batch)
-        requests = [_req("gzip", seed=seed) for seed in range(4)]
+        requests = _four_lane_groups()
         with ExecutionEngine(cache=None, max_workers=2) as engine:
             with pytest.raises(SimulationError,
                                match="within batch") as excinfo:
@@ -140,7 +149,7 @@ class TestPoolDispatch:
         """``submit`` itself raising ``BrokenProcessPool`` surfaces as the
         same SimulationError as a failure seen while waiting, and the
         broken pool is dropped so the next run builds a fresh one."""
-        requests = [_req("gzip", seed=seed) for seed in range(4)]
+        requests = _four_lane_groups()
         pool = BreaksOnSecondSubmit()
         with ExecutionEngine(cache=None, max_workers=2) as engine:
             engine._pool = pool

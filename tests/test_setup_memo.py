@@ -96,7 +96,7 @@ def test_cold_and_warm_memo_match_fresh_process():
 def _state(front):
     """A deep, comparable rendering of a warm front end."""
     return repr([front.predictor[:4], sorted(front.predictor[4].items()),
-                 sorted(front.l1i.items()), sorted(front.l2.items())])
+                 front.l1i.tolist(), front.l2.tolist()])
 
 
 def test_restored_front_end_does_not_leak_into_the_memo():
@@ -219,6 +219,59 @@ def test_one_hot_trace_sheds_its_least_recently_used_host_runs(monkeypatch):
     assert memo.host_run(key, BUDGET, _machine(8)) is None
 
 
+class _Snapshot:
+    """A stand-in snapshot: the memo charges its machine words."""
+
+    def __init__(self, cycle: int, cells: int) -> None:
+        self.cycle = cycle
+        self.cells = cells
+
+
+def test_a_hot_trace_forked_under_many_machines_stays_within_the_bound(monkeypatch):
+    """Each machine's host run keeps snapshots at its lanes' fork
+    cycles; past the bound the least recently used machine goes with
+    its snapshots, so the charge never exceeds the bound, and the
+    snapshots kept answer by cycle."""
+    monkeypatch.setattr(setup_memo, "MAX_RETAINED_OPS", 600)
+    memo = setup_memo.SetupMemo()
+    workload = get_workload("gzip")
+    key = trace_key(workload, 300)
+    memo.trace(key, workload, 300)
+    per_op = setup_memo._LOG_ENTRIES_PER_OP
+    for lq_size in range(8, 40):
+        machine = _machine(lq_size)
+        memo.keep_host_run(key, BUDGET, machine, _Log(20 * per_op))
+        for cycle in (300, 100, 200):
+            memo.keep_snapshot(key, BUDGET, machine, _Snapshot(cycle, 40 * per_op))
+        assert memo.stats()["charged_ops"] <= setup_memo.MAX_RETAINED_OPS
+    stats = memo.stats()
+    assert (stats["traces"], stats["hosts"], stats["snapshots"]) == (1, 2, 6)
+    assert stats["charged_ops"] == 300 + 2 * (20 + 3 * 40)
+    assert memo.snapshot(key, BUDGET, _machine(39), 250).cycle == 200
+    assert memo.snapshot(key, BUDGET, _machine(39), 99) is None
+    assert memo.snapshot(key, BUDGET, _machine(8), 250) is None
+    # A snapshot with no host run of its own is not kept.
+    memo.keep_snapshot(key, BUDGET, _machine(8), _Snapshot(100, per_op))
+    assert memo.stats()["snapshots"] == 6
+
+
+def test_one_host_sheds_its_snapshots_before_its_run(monkeypatch):
+    """With one trace and one host run left, its snapshots go first."""
+    monkeypatch.setattr(setup_memo, "MAX_RETAINED_OPS", 400)
+    memo = setup_memo.SetupMemo()
+    workload = get_workload("gzip")
+    key = trace_key(workload, 300)
+    memo.trace(key, workload, 300)
+    per_op = setup_memo._LOG_ENTRIES_PER_OP
+    memo.keep_host_run(key, BUDGET, _machine(8), _Log(20 * per_op))
+    memo.keep_snapshot(key, BUDGET, _machine(8), _Snapshot(100, 50 * per_op))
+    assert memo.stats()["snapshots"] == 1
+    memo.keep_snapshot(key, BUDGET, _machine(8), _Snapshot(200, 50 * per_op))
+    stats = memo.stats()
+    assert (stats["hosts"], stats["snapshots"]) == (1, 0)
+    assert stats["charged_ops"] == 320
+
+
 def test_traces_alone_evict_where_the_op_bound_says(monkeypatch):
     """Without host runs the charge is the traces' ops, so eviction
     happens exactly where the micro-op bound alone puts it."""
@@ -261,9 +314,9 @@ def test_counters_for_a_known_batch():
     """Two distinct traces over one front-end geometry: the first batch
     misses every table once per trace and records one host run per
     trace (gzip's serves both seeds), an identical second batch hits.
-    There mcf's lone conventional point replays its host run, so only
-    gzip's DMDC point (a verdict lane, prewarmed for a possible
-    fallback) asks for a warm front end."""
+    There every point replays a host run: gzip's DMDC point is a
+    verdict lane, which would fork rather than step from cycle 0, so no
+    point asks for a warm front end, and none forks."""
     requests = [
         RunRequest(CONFIG2, "gzip", BUDGET, 1),
         RunRequest(CONFIG2.with_scheme(SchemeConfig.from_label("dmdc")), "gzip", BUDGET, 1),
@@ -279,11 +332,12 @@ def test_counters_for_a_known_batch():
     assert stats == {"trace_hits": 0, "trace_misses": 2, "trace_evictions": 0,
                      "warm_hits": 0, "warm_misses": 2, "host_hits": 0,
                      "host_misses": 2, "traces": 2, "hosts": 2,
+                     "snapshots": 0, "snapshot_hits": 0, "forks": 0,
                      "retained_ops": retained}
     run_many(requests)
     stats = EngineStats.setup_memo()
     assert (stats["trace_hits"], stats["trace_misses"]) == (2, 2)
-    assert (stats["warm_hits"], stats["warm_misses"]) == (1, 2)
+    assert (stats["warm_hits"], stats["warm_misses"]) == (0, 2)
     assert (stats["host_hits"], stats["host_misses"], stats["hosts"]) == (2, 2, 2)
 
 

@@ -8,7 +8,9 @@ machine counters (but ``wrongpath.loads``) are the same under every
 seed.  ``run_many`` keeps such a host run in the setup memo beside its
 trace, and every later conventional, store-set, YLA, Bloom, DMDC or Garg
 point of that trace, budget and machine replays it as a lane, whatever
-its seed and batch, drawing its own wrong-path loads.
+its seed and batch, drawing its own wrong-path loads.  A ``value``
+point is its own host: its recorded run serves value points of every
+seed the same way.
 
 These tests pin that invariant, that every point served from a host run
 recorded under another seed equals its own kernel run, bit for bit, and
@@ -128,6 +130,31 @@ def test_points_replay_a_host_recorded_under_another_seed(runs, machine):
                     workload, seed, point.config.scheme.label())
 
 
+@pytest.mark.parametrize("workload", WORKLOADS + (CONFLICTS,))
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_value_points_replay_a_value_run_recorded_under_another_seed(
+        runs, machine, workload):
+    """The value machine's run (replays included, on the conflicting
+    workload) is the same under seeds 1, 2 and 77 but for the wrong-path
+    loads, so one recorded run serves all three."""
+    config, coherent = MACHINES[machine]
+    label = _labels(coherent)[SCHEME_LABELS.index("value")]
+    hosts = [_host_run(_point(config, label, workload, 1).config, workload, seed)
+             for seed in (1, 2, HOST_SEED)]
+    for host in hosts[1:]:
+        assert host.events == hosts[0].events
+        assert (host.cycles, host.committed) == (hosts[0].cycles, hosts[0].committed)
+    run_many([_point(config, label, workload, HOST_SEED)])
+    assert runs[-1] == (label, "soa")
+    for seed in (1, 2):
+        point = _point(config, label, workload, seed)
+        (result,) = run_many([point])
+        assert runs[-1] == (label, "lane")
+        assert result.to_dict() == _kernel_run(point).to_dict(), seed
+    if workload is CONFLICTS:
+        assert result.counters["replay.true"] > 0  # not vacuous
+
+
 def test_a_filter_lane_takes_its_hosts_store_set_counters(runs):
     """Store sets are machine state: a coherent YLA lane of a store-set
     host books the host's trained predictor counts."""
@@ -151,6 +178,7 @@ def test_injected_invalidations_share_nothing_across_seeds(runs):
         points = [_point(config, label, "gzip", seed) for label in labels]
         batch = run_many(points)
         assert runs[0] == (labels[0], "soa")
+        assert dict(runs)[labels[SCHEME_LABELS.index("value")]] == "soa"
         assert batch[0].counters["inv.injected"] > 0
         for point, result in zip(points, batch):
             assert result.to_dict() == _kernel_run(point).to_dict(), (

@@ -5,12 +5,14 @@ Until a replay, a DMDC, Garg or ``conventional-storesets`` machine times
 exactly as the conventional one.  ``run_many`` therefore puts such a
 point in its conventional point's lane group; when the host's run was
 squash-free, the point replays the host's event log through its own
-scheme (``kernel_used == "lane"``) and steps its own kernel only if the
-replay reaches a verdict that would change timing.  These tests pin that
-every such point equals the same point run alone on a cold setup memo,
-bit for bit, whichever route it took; that a host with replays and a
-diverging replay both fall back to the point's own kernel; that a lone
-point records nothing; that a malformed log fails loudly; and that
+scheme (``kernel_used == "lane"``); if the replay reaches a verdict
+that would change timing, it forks its own kernel from the conventional
+machine at that cycle (``kernel_used == "fork"``, see
+``tests/test_forked_lanes.py``).  These tests pin that every such point
+equals the same point run alone on a cold setup memo, bit for bit,
+whichever route it took; that a host with replays sends every verdict
+point to its own kernel and a diverging replay forks; that a lone point
+records nothing; that a malformed log fails loudly; and that
 lanes share no result objects with their host.  Every test starts from
 an empty memo, so the routes it asserts are its own batches'.
 """
@@ -69,12 +71,12 @@ def test_lanes_equal_lone_runs(runs, machine, seed):
     assert batch[0].counters["replays"] == 0
     assert runs[0] == ("conventional", "soa")
     kernels = dict(runs[1:len(labels)])
-    assert set(kernels.values()) <= {"lane", "soa"}
+    assert set(kernels.values()) <= {"lane", "fork"}
     assert "lane" in kernels.values()  # not vacuous
     for label, kernel in kernels.items():
         # Only a point whose own run replays leaves the lane.
         replays = batch[labels.index(label)].counters["replays"]
-        assert (kernel == "soa") == (replays > 0), label
+        assert (kernel == "fork") == (replays > 0), label
     _assert_equal_alone(points, batch)
 
 
@@ -110,8 +112,8 @@ def test_a_host_with_replays_sends_every_verdict_point_to_its_kernel(runs):
 def test_a_diverging_lane_steps_its_own_kernel(runs, monkeypatch):
     verdicts = []
 
-    def spy(*args):
-        verdicts.append(replay_verdicts(*args))
+    def spy(*args, **kwargs):
+        verdicts.append(replay_verdicts(*args, **kwargs))
         return verdicts[-1]
 
     monkeypatch.setattr("repro.sim.processor.replay_verdicts", spy)
@@ -120,8 +122,10 @@ def test_a_diverging_lane_steps_its_own_kernel(runs, monkeypatch):
     host, lane = run_many(points)
     assert host.counters["replays"] == 0
     assert lane.counters["replays"] > 0
-    assert verdicts == [-1]  # the replay ran and stopped at a verdict
-    assert runs == [("conventional", "soa"), ("dmdc", "soa")]
+    # The replay ran and stopped at a verdict; a second one, up to the
+    # fork cycle, rebuilt the lane's scheme there.
+    assert verdicts[0] == -1 and len(verdicts) == 2 and verdicts[1] >= 0
+    assert runs == [("conventional", "soa"), ("dmdc", "fork")]
     _assert_equal_alone(points, (host, lane))
 
 
