@@ -32,6 +32,7 @@ from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
 from repro.analysis.conc.model import (BlockRecord, FunctionModel,
                                        ProjectModel, Site,
                                        build_project_model)
+from repro.analysis.lint.engine import iter_python_files
 
 
 class GlobalEdge(NamedTuple):
@@ -207,23 +208,10 @@ def analyze_files(files: Sequence[Tuple[str, ast.AST]]) -> ProjectAnalysis:
 def analyze_paths(paths: Iterable[str]) -> ProjectAnalysis:
     """Parse every ``.py`` under ``paths`` and analyze them as one project."""
     files: List[Tuple[str, ast.AST]] = []
-    for path in _iter_python_files(paths):
+    for path in iter_python_files(paths):
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
         files.append((path.replace(os.sep, "/"),
                       ast.parse(source, filename=path)))
     return analyze_files(files)
 
-
-def _iter_python_files(paths: Iterable[str]) -> List[str]:
-    out: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for root, dirs, names in os.walk(path):
-                dirs[:] = sorted(d for d in dirs
-                                 if d not in ("__pycache__", ".git"))
-                out.extend(os.path.join(root, name) for name in sorted(names)
-                           if name.endswith(".py"))
-        elif path.endswith(".py"):
-            out.append(path)
-    return out

@@ -219,13 +219,6 @@ class ProjectModel:
         self.functions: Dict[str, FunctionModel] = {}
         self.env_reads: List[EnvReadRecord] = []
 
-    def lock_labels(self) -> Set[str]:
-        out: Set[str] = set()
-        for cm in self.classes.values():
-            for attr in cm.lock_attrs:
-                out.add(f"{cm.name}.{attr}")
-        return out
-
 
 # ---------------------------------------------------------------------------
 # class collection (pass 1)

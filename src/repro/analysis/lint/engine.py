@@ -98,7 +98,9 @@ class SourceFile:
         return False
 
 
-def _iter_python_files(paths: Iterable[str]) -> List[str]:
+def iter_python_files(paths: Iterable[str]) -> List[str]:
+    """Every ``.py`` file under ``paths`` (files or directories), in a
+    stable order, skipping ``__pycache__`` and ``.git``."""
     out = []
     for path in paths:
         if os.path.isdir(path):
@@ -133,7 +135,7 @@ def _run(files: List[SourceFile], rules) -> List[LintViolation]:
 def lint_paths(paths: Iterable[str], rules=None) -> List[LintViolation]:
     """Lint every ``.py`` file under ``paths`` (files or directories)."""
     files = []
-    for path in _iter_python_files(paths):
+    for path in iter_python_files(paths):
         with open(path, encoding="utf-8") as fh:
             files.append(SourceFile(path, fh.read()))
     return _run(files, rules)

@@ -17,7 +17,7 @@ The table is flash-cleared when a checking window terminates; clearing is
 O(marked entries) here, mirroring a hardware flash-clear.
 """
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
 from repro.utils.bitops import fold_xor, is_power_of_two, log2_exact
@@ -102,11 +102,6 @@ class CheckingTable:
             return self.PROMOTED
         return self.CLEAR
 
-    def wrt_overlaps(self, addr: int, size: int) -> bool:
-        """Probe without side effects (diagnostics)."""
-        entry = self._marked.get(self.index(addr))
-        return bool(entry and entry[0] & granule_bitmap(addr, size))
-
     def clear(self) -> None:
         """Flash-clear at checking-window termination."""
         self.clears += 1
@@ -115,6 +110,3 @@ class CheckingTable:
     @property
     def marked_count(self) -> int:
         return len(self._marked)
-
-    def marked_indices(self) -> Iterable[int]:
-        return self._marked.keys()

@@ -2,7 +2,7 @@
 disk result cache, and a deduplicating executor that every experiment
 runs through."""
 
-from repro.exec.cache import ResultCache, default_cache, default_cache_dir
+from repro.exec.cache import ResultCache, default_cache_dir
 from repro.exec.engine import (
     EngineStats,
     ExecutionEngine,
@@ -22,7 +22,6 @@ __all__ = [
     "ExecutionEngine",
     "ResultCache",
     "RunRequest",
-    "default_cache",
     "default_cache_dir",
     "get_engine",
     "set_engine",

@@ -22,23 +22,12 @@ __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_ENABLE_ENV",
     "ResultCache",
-    "cache_enabled",
-    "default_cache",
     "default_cache_dir",
 ]
 
 
 def default_cache_dir() -> Path:
     return EngineOptions.from_env().resolve_cache_dir()
-
-
-def cache_enabled() -> bool:
-    return EngineOptions.from_env().cache_enabled
-
-
-def default_cache() -> Optional["ResultCache"]:
-    """The environment-configured cache, or ``None`` when disabled."""
-    return EngineOptions.from_env().build_cache()
 
 
 class ResultCache:

@@ -1,15 +1,16 @@
 """Deduplicating, caching executor shared by every experiment.
 
 The engine takes batches of :class:`RunRequest`s, folds duplicates,
-serves repeats from an in-process memo or the disk cache, and simulates
-the remainder on one persistent process pool — torn down at interpreter
-exit, not after every suite, so back-to-back experiments reuse warm
-workers.  Worker failures are re-raised as :class:`SimulationError`
+serves repeats from a bounded in-process memo or the disk cache, and
+simulates the remainder on one persistent process pool — torn down at
+interpreter exit, not after every suite, so back-to-back experiments
+reuse warm workers.  Worker failures are re-raised as :class:`SimulationError`
 naming the exact (config, workload, budget, seed) job that died.
 """
 
 import atexit
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -35,6 +36,13 @@ __all__ = [
     "use_engine",
     "worker_count",
 ]
+
+#: Results an engine's in-process memo holds; past it the least recently
+#: used goes (a hit refreshes a result).  A result costs about 4.4 KB,
+#: so the memo stays under about 9 MB, and the 1,614 distinct points of
+#: ``repro experiment --all`` over the whole suite fit, so one planned
+#: run never simulates a point twice.
+MEMO_RESULTS = 2048
 
 #: Progress callback: (done, total, request, source) with source one of
 #: ``"memo"``, ``"cache"``, ``"run"``.
@@ -172,7 +180,8 @@ class ExecutionEngine:
         #: occupy N cores instead of contending for one GIL.
         self.offload = offload
         self.stats = EngineStats()
-        self._memo: Dict[str, SimulationResult] = {}
+        #: Content key -> result, least recently used first.
+        self._memo: "OrderedDict[str, SimulationResult]" = OrderedDict()
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # -- lifecycle -------------------------------------------------------
@@ -219,7 +228,7 @@ class ExecutionEngine:
             self._report(done, total, request, source)
 
         for key, request, result in self._run_pending(pending):
-            self._memo[key] = result
+            self._remember(key, result)
             if self.cache is not None:
                 self.cache.put(request, result, key=key)
             self.stats.executed += 1
@@ -238,16 +247,25 @@ class ExecutionEngine:
     def _lookup(
         self, key: str, request: RunRequest
     ) -> Tuple[Optional[SimulationResult], Optional[str]]:
-        if key in self._memo:
+        result = self._memo.get(key)
+        if result is not None:
+            self._memo.move_to_end(key)
             self.stats.memo_hits += 1
-            return self._memo[key], "memo"
+            return result, "memo"
         if self.cache is not None:
             result = self.cache.get(request, key=key)
             if result is not None:
-                self._memo[key] = result
+                self._remember(key, result)
                 self.stats.disk_hits += 1
                 return result, "cache"
         return None, None
+
+    def _remember(self, key: str, result: SimulationResult) -> None:
+        """Memoize ``result``, dropping the least recently used past
+        :data:`MEMO_RESULTS`."""
+        self._memo[key] = result
+        if len(self._memo) > MEMO_RESULTS:
+            self._memo.popitem(last=False)
 
     def _run_pending(
         self, pending: List[Tuple[str, RunRequest]]

@@ -37,12 +37,13 @@ no loop at all: a YLA or Bloom point replays the host's recorded events
 through its filter (a *filter lane*), and a DMDC, Garg or store-set point
 replays a squash-free host's events through its scheme (a *verdict
 lane*), and if a replay verdict would change timing it forks: its own
-kernel resumes from a snapshot of the conventional machine at that
-cycle (:mod:`repro.sim.fork`).  A ``value`` point replays a value run
-recorded under another seed.  See :class:`HostRun`.  The host shares
-the lane's trace, budget and machine, not necessarily its seed: a lane
-draws its own wrong-path loads (:func:`wrongpath_model`), and only the
-invalidation injector lets the seed reach timing.
+kernel resumes from a snapshot of the host's machine at that cycle,
+which the host run keeps (:meth:`Processor._fork`).  A ``value`` point
+replays a value run recorded under another seed.  See
+:class:`HostRun`.  The host shares the lane's trace, budget and
+machine, not necessarily its seed: a lane draws its own wrong-path
+loads (:func:`wrongpath_model`), and only the invalidation injector
+lets the seed reach timing.
 
 A kernel run and a lane build their result the same way
 (:meth:`Processor._result`): the machine counters (the kernel's and
@@ -52,7 +53,7 @@ and histograms, then the counters a lane books itself.
 
 import time
 from array import array
-from typing import NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.backend.resources import FunctionalUnits, PhysRegFile
 from repro.coherence.injector import InvalidationInjector
@@ -67,13 +68,15 @@ from repro.isa.trace import Trace
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.result import SimulationResult
-from repro.sim.soa import CHECKING_COUNT, LaneView, SoaKernel, replay_verdicts
+from repro.sim.setup_memo import SETUP_MEMO
+from repro.sim.soa import (CHECKING_COUNT, LaneView, Snapshot, SoaKernel,
+                            replay_verdicts)
 from repro.stats.counters import CounterSet
 from repro.utils.rng import DeterministicRng
 
-class HostRun(NamedTuple):
+class HostRun:
     """A recording kernel run (conventional-family or value), which
-    lanes replay: just what they read.
+    lanes replay: just what they read, and what forked lanes restore.
 
     Its event log (:mod:`repro.sim.soa`, as a flat ``array('q')``: 8
     bytes an entry, half a list's, while the setup memo keeps it), its
@@ -83,12 +86,35 @@ class HostRun(NamedTuple):
     run's seed but the ``wrongpath.loads`` counter, which a lane books
     from its own draws, so while the invalidation injector is off one
     host run serves lanes of every seed (the setup memo keeps it).
+
+    A verdict lane that diverges forks from this run's ``machine``
+    (the recording run's own config: a filter host times like a
+    conventional one): ``snapshots`` holds that machine's
+    :class:`~repro.sim.soa.Snapshot` at each cycle where a lane forked,
+    by cycle.  The run owns them, so they live and go with it; the
+    setup memo charges them while it holds the run, and every read or
+    write of them takes the memo's lock (:meth:`Processor._fork`).
     """
 
-    events: Sequence[int]
-    counters: CounterSet
-    cycles: int
-    committed: int
+    __slots__ = ("events", "counters", "cycles", "committed", "machine",
+                 "snapshots")
+
+    def __init__(self, events: Sequence[int], counters: CounterSet,
+                 cycles: int, committed: int, machine: MachineConfig) -> None:
+        self.events = events
+        self.counters = counters
+        self.cycles = cycles
+        self.committed = committed
+        self.machine = machine
+        self.snapshots: List[Snapshot] = []
+
+    def _replace(self, **changes) -> "HostRun":
+        """A copy with ``changes``, keeping none of this run's snapshots."""
+        fields = dict(events=self.events, counters=self.counters,
+                      cycles=self.cycles, committed=self.committed,
+                      machine=self.machine)
+        fields.update(changes)
+        return HostRun(**fields)
 
     @property
     def squash_free(self) -> bool:
@@ -173,13 +199,10 @@ class Processor:
         #: host and ``replay_from`` on its lanes, whose :meth:`run` replays
         #: that log and steps no cycle loop, unless a verdict lane's
         #: replay reaches a verdict that would change timing: then it
-        #: forks its own kernel from ``forks``.
+        #: forks its own kernel from a snapshot of that host's machine.
         self.record_events = False
         self.recorded: Optional[HostRun] = None
         self.replay_from: Optional[HostRun] = None
-        #: Where a diverging verdict lane forks from
-        #: (:class:`~repro.sim.fork.LaneForks`, set by ``run_many``).
-        self.forks = None
 
     # ==================================================================
     # Public driver
@@ -216,7 +239,6 @@ class Processor:
         if max_cycles is None:
             max_cycles = max(200_000, max_instructions * 60)
         target = min(max_instructions, len(self.trace))
-        self._commit_target = target
         host = self.replay_from
         if host is not None:
             t0 = time.perf_counter()  # repro: noqa[REPRO001]
@@ -278,7 +300,7 @@ class Processor:
         result = self._result()
         if kernel.events is not None:
             self.recorded = HostRun(array("q", kernel.events), self.counters,
-                                    self.cycle, self.committed)
+                                    self.cycle, self.committed, self.config)
         result.sim_seconds = sim_seconds
         return result
 
@@ -320,8 +342,8 @@ class Processor:
 
     def _fork(self, host: HostRun, cycle: int, target: int,
               max_cycles: int) -> SoaKernel:
-        """This verdict lane's kernel, forked from a conventional machine
-        at or before ``cycle``, where its replay of ``host`` reached a
+        """This verdict lane's kernel, forked from ``host``'s machine at
+        or before ``cycle``, where its replay of ``host`` reached a
         verdict that changes timing.
 
         Up to the snapshot's cycle the lane timed as its host, so its
@@ -333,16 +355,11 @@ class Processor:
         :class:`SimulationError` naming the lane if the snapshot's
         committed count is not the log's at that cycle.
         """
-        label = self.config.scheme.label()
-        if self.forks is None:
-            raise SimulationError(
-                f"verdict lane {label} diverged at cycle {cycle} with no "
-                f"conventional machine to fork from")
-        snapshot = self.forks.snapshot(cycle, target, max_cycles)
+        snapshot = self._snapshot(host, cycle, target, max_cycles)
         view = LaneView(self.trace)
         checking = replay_verdicts(
             self.scheme.soa_hooks(view), view, host.events, self.wrongpath,
-            snapshot.cycle, snapshot.committed, label)
+            snapshot.cycle, snapshot.committed, self.config.scheme.label())
         kernel = SoaKernel(self)
         snapshot.restore(kernel)
         seq_ = kernel.seq
@@ -355,6 +372,36 @@ class Processor:
         kernel.counts[CHECKING_COUNT] = checking
         self.fork_cycle = snapshot.cycle
         return kernel
+
+    def _snapshot(self, host: HostRun, cycle: int, target: int,
+                  max_cycles: int) -> Snapshot:
+        """``host``'s machine at ``cycle``: the snapshot ``host`` keeps
+        there, else a fresh conventional kernel stepped to ``cycle`` from
+        the latest kept snapshot before it (or from a warm cycle 0),
+        whose snapshot ``host`` then keeps.
+
+        The prefix runs on this lane's seed: the group's when the
+        invalidation injector is on, and otherwise a seed that changes
+        no timing.
+        """
+        kept = SETUP_MEMO.fork_snapshot(host, cycle)
+        if kept is not None and kept.cycle == cycle:
+            return kept
+        prefix = Processor(host.machine, self.trace, seed=self.rng.seed)
+        if kept is None:
+            prefix.prewarm()
+        kernel = SoaKernel(prefix)
+        if kept is not None:
+            kept.restore(kernel)
+        kernel.run(target, max_cycles, stop=cycle)
+        if kernel.cycle != cycle:
+            raise SimulationError(
+                f"the conventional prefix on {self.trace.name} committed "
+                f"{kernel.committed} instructions by cycle {kernel.cycle}, "
+                f"before a lane's fork cycle {cycle}")
+        snapshot = Snapshot(kernel)
+        SETUP_MEMO.keep_snapshot(host, snapshot)
+        return snapshot
 
     # ==================================================================
     # Results

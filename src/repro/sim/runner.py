@@ -6,7 +6,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.isa.trace import Trace, validate_trace
 from repro.sim.config import MachineConfig, SchemeConfig
-from repro.sim.fork import LaneForks
 from repro.sim.processor import Processor
 from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SetupBatch
@@ -225,8 +224,9 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
       the same way when the host's run was squash-free, and steps its
       own kernel when it was not.  When the replay reaches a verdict
       that would change timing, the lane *forks*: it resumes its own
-      kernel from a snapshot of the conventional machine at that cycle
-      (:mod:`repro.sim.fork`), which the setup memo keeps.  A group
+      kernel from a snapshot of the host's machine at that cycle,
+      which the host run keeps for the group's later lanes (and, while
+      the setup memo holds the run, for later batches).  A group
       without a host runs each point alone, recording nothing.  A
       ``value`` point is a group of its own machine: one value run
       serves every seed;
@@ -268,21 +268,14 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
         recorded = setup.host_run(ident, key.budget, key.host) if shared else None
         record = (recorded is None and role[members[0]] != _VERDICT
                   and (shared or len(members) > 1))
-        forks = None
         for index in members:
             request, budget, trace, ident = points[index]
             processor = Processor(request.config, trace, seed=request.seed)
             if recorded is not None and (role[index] != _VERDICT
                                          or recorded.squash_free):
+                # A diverging verdict lane forks from the host's
+                # machine, so a lane needs no warm front end of its own.
                 processor.replay_from = recorded
-                if role[index] == _VERDICT:
-                    # A diverging replay forks, so it needs no warm
-                    # front end of its own.
-                    if forks is None:
-                        forks = LaneForks(
-                            setup, ident, trace, budget, key.host,
-                            request.seed, shared)
-                    processor.forks = forks
                 results[index] = processor.run(budget)
                 continue
             processor.record_events = record and index == members[0]

@@ -20,29 +20,29 @@ process and shared:
   counters are the same under every seed while the invalidation
   injector is off.  ``run_many`` replays one into every later lane of
   that trace, budget and machine instead of stepping a host loop again.
-  Only runs that happen anyway record;
-* **snapshots** of a conventional host's machine at the cycles where
-  verdict lanes diverged (:mod:`repro.sim.fork`), under the same key as
-  the host run, so a later lane diverging there restores one instead of
-  stepping the prefix again.
+  Only runs that happen anyway record.  A held run brings the
+  snapshots its forked verdict lanes keep on it, so a later lane of any
+  seed diverging at the same cycle restores one instead of stepping the
+  prefix again.
 
 The memo is bounded by :data:`MAX_RETAINED_OPS`, charged with the
 micro-ops its traces retain plus the event logs of its host runs and
-the machine words of its snapshots, converted to micro-ops at their
+the machine words of their snapshots, converted to micro-ops at their
 measured memory cost.  Past the bound it evicts least recently used
-traces together with their warm front ends, host runs and snapshots; a
-trace that is the only one left sheds its least recently used host runs
-with their snapshots instead, then the snapshots of the one it keeps.
+traces together with their warm front ends and host runs; a trace
+that is the only one left sheds its least recently used host runs
+instead, then the snapshots of the one it keeps.  An evicted run that a
+batch still replays keeps serving that batch's forks, uncharged.
 One lock (from :func:`make_lock`, since the sharded service runs
-several batcher threads per process) guards the tables; generation, prewarm and host
-runs run outside it.  See the "setup memo"
-section of ``docs/performance.md``.
+several batcher threads per process) guards the tables and every host
+run's snapshots; generation, prewarm, host runs and prefix steps run
+outside it.  See the "setup memo" section of ``docs/performance.md``.
 """
 
 import json
 from collections import OrderedDict
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.isa.trace import Trace
 from repro.sim.config import MachineConfig
@@ -61,14 +61,16 @@ MAX_RETAINED_OPS = 200_000
 _LOG_ENTRIES_PER_OP = 20
 
 
-def _host_run_charge(run: Any) -> int:
-    """What a kept host run counts against :data:`MAX_RETAINED_OPS`."""
-    return -(-len(run.events) // _LOG_ENTRIES_PER_OP)
-
-
 def _snapshot_charge(snapshot: Any) -> int:
     """What a kept snapshot counts against :data:`MAX_RETAINED_OPS`."""
     return -(-snapshot.cells // _LOG_ENTRIES_PER_OP)
+
+
+def _host_run_charge(run: Any) -> int:
+    """What a kept host run, with its snapshots, counts against
+    :data:`MAX_RETAINED_OPS`."""
+    return (-(-len(run.events) // _LOG_ENTRIES_PER_OP)
+            + sum(_snapshot_charge(snapshot) for snapshot in run.snapshots))
 
 
 def trace_key(workload: Any, length: int) -> Optional[str]:
@@ -110,7 +112,7 @@ class FrontEnd:
 
 
 class _Entry:
-    __slots__ = ("trace", "fronts", "hosts", "snapshots", "charge")
+    __slots__ = ("trace", "fronts", "hosts", "charge")
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
@@ -118,16 +120,8 @@ class _Entry:
         #: (budget, host machine) -> its :class:`HostRun`, least recently
         #: used first.
         self.hosts: "OrderedDict[Tuple[int, MachineConfig], Any]" = OrderedDict()
-        #: (budget, host machine) -> its kept snapshots, by cycle.
-        self.snapshots: Dict[Tuple[int, MachineConfig], List[Any]] = {}
         #: What this entry counts against the bound.
         self.charge = len(trace)
-
-    def drop_snapshots(self, host: Tuple[int, MachineConfig]) -> int:
-        """Forget ``host``'s snapshots; returns their charge."""
-        charge = sum(_snapshot_charge(s) for s in self.snapshots.pop(host, ()))
-        self.charge -= charge
-        return charge
 
 
 class SetupMemo:
@@ -170,9 +164,9 @@ class SetupMemo:
 
     def _evict(self) -> None:
         """Drop least recently used traces, then the last trace's least
-        recently used host runs, until the charge fits the bound.  The
-        most recently used trace and host run always stay.  Called with
-        the lock held."""
+        recently used host runs, then that trace's snapshots, until the
+        charge fits the bound.  The most recently used trace and host
+        run always stay.  Called with the lock held."""
         while self.charged_ops > MAX_RETAINED_OPS and len(self._entries) > 1:
             _, evicted = self._entries.popitem(last=False)
             self.retained_ops -= len(evicted.trace)
@@ -181,14 +175,17 @@ class SetupMemo:
         if self.charged_ops > MAX_RETAINED_OPS:
             last = next(iter(self._entries.values()))
             while self.charged_ops > MAX_RETAINED_OPS and len(last.hosts) > 1:
-                host, run = last.hosts.popitem(last=False)
-                charge = _host_run_charge(run)
-                last.charge -= charge
-                self.charged_ops -= charge + last.drop_snapshots(host)
-            for host in list(last.snapshots):
+                _, run = last.hosts.popitem(last=False)
+                self._discharge(last, _host_run_charge(run))
+            for run in last.hosts.values():
                 if self.charged_ops <= MAX_RETAINED_OPS:
                     break
-                self.charged_ops -= last.drop_snapshots(host)
+                self._discharge(last, sum(map(_snapshot_charge, run.snapshots)))
+                run.snapshots.clear()
+
+    def _discharge(self, entry: _Entry, charge: int) -> None:
+        entry.charge -= charge
+        self.charged_ops -= charge
 
     def front_end(self, key: str, geometry: Tuple[Any, ...]) -> Optional[FrontEnd]:
         """The warm front end for (trace ``key``, ``geometry``), if held."""
@@ -230,52 +227,44 @@ class SetupMemo:
             if entry is None or (budget, host) in entry.hosts:
                 return
             entry.hosts[(budget, host)] = run
-            charge = _host_run_charge(run)
-            entry.charge += charge
-            self.charged_ops += charge
-            self._entries.move_to_end(key)
-            self._evict()
+            self._charge(key, _host_run_charge(run))
 
-    def snapshot(self, key: str, budget: int, host: MachineConfig,
-                 cycle: int) -> Any:
-        """The latest kept snapshot of machine ``host`` at ``budget`` over
-        trace ``key`` at or before ``cycle``, if any."""
+    def _charge(self, key: str, charge: int) -> None:
+        """Charge trace ``key``'s entry with what it now holds more, mark
+        it most recently used and evict.  Called with the lock held."""
+        self._entries[key].charge += charge
+        self.charged_ops += charge
+        self._entries.move_to_end(key)
+        self._evict()
+
+    def fork_snapshot(self, run: Any, cycle: int) -> Any:
+        """Count one forked lane of host ``run`` and return the latest
+        snapshot ``run`` keeps at or before ``cycle``, if any; one at
+        ``cycle`` itself counts a snapshot hit (no prefix steps)."""
         with self._lock:
-            entry = self._entries.get(key)
             best = None
-            if entry is not None:
-                for snapshot in entry.snapshots.get((budget, host), ()):
-                    if snapshot.cycle > cycle:
-                        break
-                    best = snapshot
+            for snapshot in run.snapshots:
+                if snapshot.cycle > cycle:
+                    break
+                best = snapshot
+            self.forks += 1
+            if best is not None and best.cycle == cycle:
+                self.snapshot_hits += 1
             return best
 
-    def keep_snapshot(self, key: str, budget: int, host: MachineConfig,
-                      snapshot: Any) -> None:
-        """Hold ``snapshot`` beside its host run, for as long as both
-        stay memoized."""
+    def keep_snapshot(self, run: Any, snapshot: Any) -> None:
+        """Keep ``snapshot`` on host ``run`` (unless it keeps one at that
+        cycle already), charged while the memo holds ``run``."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or (budget, host) not in entry.hosts:
-                return
-            kept = entry.snapshots.setdefault((budget, host), [])
+            kept = run.snapshots
             if any(other.cycle == snapshot.cycle for other in kept):
                 return
             kept.append(snapshot)
             kept.sort(key=lambda other: other.cycle)
-            charge = _snapshot_charge(snapshot)
-            entry.charge += charge
-            self.charged_ops += charge
-            self._entries.move_to_end(key)
-            self._evict()
-
-    def count_fork(self, exact: bool) -> None:
-        """Count one forked lane; ``exact`` when a kept snapshot at its
-        divergence cycle served it (no prefix steps)."""
-        with self._lock:
-            self.forks += 1
-            if exact:
-                self.snapshot_hits += 1
+            for key, entry in self._entries.items():
+                if any(held is run for held in entry.hosts.values()):
+                    self._charge(key, _snapshot_charge(snapshot))
+                    break
 
     def stats(self) -> Dict[str, int]:
         """Counters since the last :meth:`clear` ("why was this point fast")."""
@@ -290,8 +279,9 @@ class SetupMemo:
                 "host_misses": self.host_misses,
                 "traces": len(self._entries),
                 "hosts": sum(len(entry.hosts) for entry in self._entries.values()),
-                "snapshots": sum(len(kept) for entry in self._entries.values()
-                                 for kept in entry.snapshots.values()),
+                "snapshots": sum(len(run.snapshots)
+                                 for entry in self._entries.values()
+                                 for run in entry.hosts.values()),
                 "snapshot_hits": self.snapshot_hits,
                 "forks": self.forks,
                 "retained_ops": self.retained_ops,
@@ -353,17 +343,6 @@ class SetupBatch:
                       run: Any) -> None:
         """Share ``run`` through the memo, beside its memoized trace."""
         SETUP_MEMO.keep_host_run(self._traces[ident][1], budget, host, run)
-
-    def snapshot(self, ident: Any, budget: int, host: MachineConfig,
-                 cycle: int) -> Any:
-        """The memoized snapshot for a memoized trace (see
-        :meth:`SetupMemo.snapshot`)."""
-        return SETUP_MEMO.snapshot(self._traces[ident][1], budget, host, cycle)
-
-    def keep_snapshot(self, ident: Any, budget: int, host: MachineConfig,
-                      snapshot: Any) -> None:
-        """Share ``snapshot`` through the memo, beside its host run."""
-        SETUP_MEMO.keep_snapshot(self._traces[ident][1], budget, host, snapshot)
 
     def prewarm(self, processor: Any, ident: Any) -> None:
         """Warm ``processor``'s front end, replaying the trace only when

@@ -32,7 +32,8 @@ RNG every cycle).
 boundary and resume later, bit-identically to an uninterrupted run, and
 a :class:`Snapshot` copies a stopped machine (kernel and components, not
 the scheme side).  A diverging verdict lane resumes its own kernel from
-a conventional snapshot (:mod:`repro.sim.fork`).
+a snapshot of its host's machine, which the host run keeps
+(:meth:`repro.sim.processor.Processor._fork`).
 
 **Observation.**  ``Processor.tracer`` (a
 :class:`~repro.sim.pipetrace.PipelineTracer` or an
@@ -1456,10 +1457,11 @@ class Snapshot:
     draws every cycle and so changes timing.  The scheme, its adapter's
     columns (``unsafe``, ``wend``), the wrong-path model and the
     store-set predictor stay with whichever processor the snapshot is
-    restored into: a diverging verdict lane restores a conventional machine and
-    brings its own (see :mod:`repro.sim.fork`).  Taking a snapshot and
-    restoring it both copy, so one snapshot serves any number of
-    restores, and nothing is shared with the kernel it came from.
+    restored into: a diverging verdict lane restores its host's machine
+    and brings its own (see :meth:`repro.sim.processor.Processor._fork`).
+    Taking a snapshot and restoring it both copy, so one snapshot serves
+    any number of restores, and nothing is shared with the kernel it
+    came from.
     """
 
     __slots__ = ("cycle", "committed", "cells", "_geometry", "_ints", "_flags",
@@ -1634,7 +1636,8 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], wrongpath,
     (``cycles - 1``).  Returns -1 at the first verdict that would change
     timing (an issue or resolve hook naming a victim, a commit replay),
     with ``view.cycle`` set to that verdict's cycle: the lane must then
-    step its own kernel from there (see :mod:`repro.sim.fork`).
+    step its own kernel from there (see
+    :meth:`repro.sim.processor.Processor._fork`).
 
     The replay covers exactly the records of cycles before ``cycles``:
     the whole log when ``cycles`` is the run's cycle count, and the

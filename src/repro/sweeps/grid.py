@@ -31,7 +31,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.exec.request import RunRequest
@@ -42,6 +42,7 @@ from repro.sweeps.points import (
     normalize_point,
     parse_scheme,
     point_for_request,
+    slice_id,
 )
 from repro.workloads import SyntheticWorkload, WorkloadSpec
 
@@ -218,8 +219,8 @@ class GridSpec:
             points.append(point_for_request(request))
             requests.append(request)
             keys.append(key)
-            slice_id = self._slice_id(request)
-            slices.setdefault(slice_id, points[-1])
+            if self.baseline is not None:
+                slices.setdefault(slice_id(points[-1]), points[-1])
         baseline_added = 0
         if self.baseline is not None:
             label = parse_scheme(self.baseline).label()
@@ -237,13 +238,6 @@ class GridSpec:
                 baseline_added += 1
         return GridExpansion(self.name, points, requests, keys,
                              raw, excluded, collapsed, baseline_added)
-
-    @staticmethod
-    def _slice_id(request: RunRequest) -> str:
-        """Everything about a point except its scheme (baseline identity)."""
-        point = point_for_request(request)
-        point.pop("scheme")
-        return json.dumps(point, sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return self.expand().digest()

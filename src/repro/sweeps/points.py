@@ -28,6 +28,7 @@ Scheme strings go through the canonical label codec
 labels the CLI, bench harness, and correctness matrix speak.
 """
 
+import json
 from dataclasses import asdict, fields as dataclass_fields
 from typing import Any, Dict, Optional, Union
 
@@ -49,6 +50,7 @@ __all__ = [
     "parse_scheme",
     "parse_workload",
     "point_for_request",
+    "slice_id",
 ]
 
 NAMED_CONFIGS: Dict[str, MachineConfig] = {
@@ -56,6 +58,12 @@ NAMED_CONFIGS: Dict[str, MachineConfig] = {
     "config2": CONFIG2,
     "config3": CONFIG3,
 }
+
+#: The machine fields a point's ``overrides`` may name, sorted: every
+#: one a scalar.
+_OVERRIDE_FIELDS = tuple(sorted(
+    field.name for field in dataclass_fields(MachineConfig)
+    if field.name not in ("name", "scheme")))
 
 #: Budget ceiling per design point — every surface bounds the work one
 #: point can demand (callers needing more split into several points).
@@ -190,13 +198,19 @@ def machine_overrides(config: MachineConfig) -> Dict[str, Any]:
             f"the point codec speaks named configs only "
             f"({sorted(NAMED_CONFIGS)}); got machine {config.name!r} — "
             f"express it as a named config plus overrides")
-    base = asdict(NAMED_CONFIGS[config.name])
-    ours = asdict(config)
+    base = NAMED_CONFIGS[config.name]
     return {
-        field: ours[field]
-        for field in sorted(ours)
-        if field not in ("name", "scheme") and ours[field] != base[field]
+        name: getattr(config, name)
+        for name in _OVERRIDE_FIELDS
+        if getattr(config, name) != getattr(base, name)
     }
+
+
+def slice_id(point: Dict[str, Any]) -> str:
+    """Everything about a canonical ``point`` except its scheme: the
+    identity of the slice a baseline point stands for."""
+    rest = {key: value for key, value in point.items() if key != "scheme"}
+    return json.dumps(rest, sort_keys=True, separators=(",", ":"))
 
 
 def point_for_request(request: RunRequest) -> Dict[str, Any]:

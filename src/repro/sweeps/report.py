@@ -13,18 +13,17 @@ energy model exactly.
 gated in CI by :func:`validate_report_payload`.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.schemes import build_scheme
 from repro.errors import ReproError
-from repro.sim.config import SchemeConfig
 from repro.sim.result import SimulationResult
 from repro.stats.aggregate import geometric_mean
 from repro.stats.counters import CounterSet
 from repro.stats.report import format_table
 from repro.sweeps.grid import SCHEME_AXES
-from repro.sweeps.points import NAMED_CONFIGS, parse_scheme
+from repro.sweeps.points import NAMED_CONFIGS, parse_scheme, slice_id
 
 __all__ = ["REPORT_SCHEMA", "ReportError", "SweepReport",
            "report_from_ledger", "validate_report_payload"]
@@ -41,25 +40,6 @@ def _workload_id(point: Dict[str, Any]) -> str:
     return workload if isinstance(workload, str) else workload["name"]
 
 
-def _slice_id(point: Dict[str, Any]) -> str:
-    """Everything about a point except its scheme (speedup denominator)."""
-    rest = {key: value for key, value in point.items() if key != "scheme"}
-    return json.dumps(rest, sort_keys=True, separators=(",", ":"))
-
-
-def _runtime_scheme_name(scheme: SchemeConfig) -> str:
-    """The ``SimulationResult.scheme_name`` a run of this scheme reports
-    (what :class:`EnergyModel` dispatches on)."""
-    if scheme.kind != "dmdc":
-        return scheme.kind
-    name = "dmdc-local" if scheme.local else "dmdc-global"
-    if scheme.checking_queue_entries is not None:
-        name += "-queue"
-    if scheme.coherence:
-        name += "-coherent"
-    return name
-
-
 def _reconstruct(entry: Dict[str, Any]) -> SimulationResult:
     """A ledger entry -> the result the energy model needs.
 
@@ -69,13 +49,15 @@ def _reconstruct(entry: Dict[str, Any]) -> SimulationResult:
     exactly.
     """
     point = entry["point"]
-    scheme = parse_scheme(point["scheme"])
+    machine = _machine(point)
     summary = entry["summary"]
     return SimulationResult(
         workload=_workload_id(point),
         group="",
         config_name=point["config"],
-        scheme_name=_runtime_scheme_name(scheme),
+        # The name a run of the scheme reports, which the energy model
+        # dispatches on.
+        scheme_name=build_scheme(machine.scheme, machine).name,
         cycles=int(summary["cycles"]),
         committed=int(summary["committed"]),
         counters=CounterSet.from_dict(entry["counters"]),
@@ -152,7 +134,7 @@ class SweepReport:
                 point=point,
                 workload=_workload_id(point),
                 label=parse_scheme(point["scheme"]).label(),
-                slice_id=_slice_id(point),
+                slice_id=slice_id(point),
                 result=_reconstruct(entry),
             ))
 

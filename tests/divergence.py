@@ -13,7 +13,6 @@ between two implementations.
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.sim.fork import LaneForks
 from repro.sim.processor import Processor
 from repro.sim.runner import TRACE_TAIL_SLACK, _resolve_workload, lane_host_config
 from repro.sim.setup_memo import SetupBatch
@@ -95,16 +94,16 @@ def lone_kernel(point, stop: int, config=None) -> SoaKernel:
 
 def forked_kernel(point, host, stop: int) -> SoaKernel:
     """``point``, a verdict lane of the host run ``host``, forked where
-    its replay diverges and stepped to the boundary of ``stop``; its
-    prefix is its own, never the setup memo's."""
-    processor, setup, trace, ident = _processor(point)
+    its replay diverges and stepped to the boundary of ``stop``.  It
+    forks from a private copy of ``host`` with no snapshots kept, so its
+    prefix is its own, never one the host run (or the setup memo)
+    kept."""
+    processor, _, trace, _ = _processor(point)
     target, max_cycles = _limits(point, trace)
     checking = processor._replay_lane(host)
     assert checking < 0, "the lane's replay does not diverge"
-    processor.forks = LaneForks(setup, ident, trace, point.budget,
-                                lane_host_config(point.config), point.seed,
-                                shared=False)
-    kernel = processor._fork(host, -1 - checking, target, max_cycles)
+    kernel = processor._fork(host._replace(), -1 - checking, target,
+                             max_cycles)
     kernel.run(target, max_cycles, stop=stop)
     return kernel
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.exec.cache import ResultCache
+from repro.exec import engine as engine_module
 from repro.exec.engine import ExecutionEngine, lane_slices, use_engine, worker_count
 from repro.exec.request import RunRequest
 from repro.experiments.registry import EXPERIMENTS, plan, run_all, run_experiment
@@ -73,6 +74,40 @@ class TestDedupeAndCaching:
         assert {s[3] for s in seen} == {"run"}
         engine.run([_req()])
         assert seen[-1][3] == "memo"
+
+
+class TestMemoBound:
+    """The in-process memo holds :data:`MEMO_RESULTS` results and drops
+    the least recently used; a hit refreshes one."""
+
+    def test_least_recently_used_result_goes_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine_module, "MEMO_RESULTS", 3)
+        a, b, c, d = (_req(seed=seed) for seed in (1, 2, 3, 4))
+        with ExecutionEngine(cache=ResultCache(tmp_path / "cache"),
+                             max_workers=1) as eng:
+            eng.run([a, b, c])
+            eng.run([a])  # a hit: a is now the most recently used
+            assert (eng.stats.executed, eng.stats.memo_hits) == (3, 1)
+            eng.run([d])  # cap + 1 distinct points: b goes
+            assert [eng.memoized(r.cache_key()) for r in (a, b, c, d)] == [
+                True, False, True, True]
+            again = eng.run([b])[0]  # from disk, evicting c
+            assert (eng.stats.executed, eng.stats.disk_hits) == (4, 1)
+            assert [eng.memoized(r.cache_key()) for r in (a, b, c, d)] == [
+                True, True, False, True]
+            eng.run([a, d])
+            assert eng.stats.memo_hits == 3
+            assert eng.stats.summary()["hit_rate"] == 4 / 8
+        with ExecutionEngine(cache=None, max_workers=1) as alone:
+            assert alone.run([b])[0] == again
+
+    def test_an_evicted_point_simulates_again_without_a_disk_cache(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MEMO_RESULTS", 1)
+        with ExecutionEngine(cache=None, max_workers=1) as eng:
+            first = eng.run([_req(seed=1)])[0]
+            eng.run([_req(seed=2)])
+            assert eng.run([_req(seed=1)])[0] == first
+            assert (eng.stats.executed, eng.stats.memo_hits) == (3, 0)
 
 
 class TestLaneGroupOrder:

@@ -3,10 +3,10 @@
 ``SoaKernel.run`` stops at a cycle boundary with every local written
 back, and a resumed run continues it; a :class:`Snapshot` copies a
 stopped machine.  A verdict lane whose replay of its host's log reaches
-a timing-changing verdict at cycle *D* restores the conventional
-machine at or before *D* (``kernel_used == "fork"``), which the setup
-memo keeps, and resumes its own kernel there instead of stepping from
-cycle 0.
+a timing-changing verdict at cycle *D* restores its host's machine at
+or before *D* (``kernel_used == "fork"``) and resumes its own kernel
+there instead of stepping from cycle 0.  The host run keeps those
+snapshots; the setup memo charges them while it holds the run.
 
 These tests pin the contracts:
 
@@ -17,6 +17,11 @@ These tests pin the contracts:
   run on a cold memo, a warm memo and under another seed, including a
   lane that diverges before the only kept snapshot, and with the
   invalidation injector on;
+* a group hosted by a YLA or Bloom point forks from that machine;
+* the snapshots belong to the host run: threads forking from one
+  memoized run keep one snapshot per cycle, a run the memo never held
+  (a custom ``generate()`` trace) serves its batch's forks alone, and so
+  does a run the memo evicts while its batch forks, uncharged;
 * a fork whose prefix disagrees with the host's log fails loudly.
 
 A failing fork check names the first cycle where the fork leaves its
@@ -25,16 +30,18 @@ lone run (``tests/divergence.py``).
 
 import copy
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.analysis.sanitizer import SCHEME_MATRIX as SCHEMES
 from repro.errors import SimulationError
 from repro.sim.config import CONFIG2, SCHEME_LABELS, SchemeConfig
-from repro.sim.fork import LaneForks
 from repro.sim.processor import Processor
 from repro.sim.runner import TRACE_TAIL_SLACK, _Point, run_many
-from repro.sim.setup_memo import SETUP_MEMO, SetupBatch
+from repro.sim import setup_memo
+from repro.sim.setup_memo import SETUP_MEMO, SetupBatch, SetupMemo
 from repro.sim.soa import Snapshot, SoaKernel
 from repro.workloads import get_workload
 from tests.divergence import (
@@ -60,7 +67,9 @@ MACHINES = {**{label: CONFIG2.with_scheme(scheme) for label, scheme in SCHEMES.i
 
 def _processor(config, workload, seed=1, budget=BUDGET):
     setup = SetupBatch()
-    trace, ident = setup.trace(get_workload(workload), budget + TRACE_TAIL_SLACK)
+    if isinstance(workload, str):
+        workload = get_workload(workload)
+    trace, ident = setup.trace(workload, budget + TRACE_TAIL_SLACK)
     processor = Processor(config, trace, seed=seed)
     setup.prewarm(processor, ident)
     return processor
@@ -220,15 +229,137 @@ def test_forks_with_the_injector_on_equal_lone_runs(routes):
     assert SETUP_MEMO.stats()["snapshots"] == 0
 
 
-def test_a_fork_that_disagrees_with_the_log_fails_loudly(monkeypatch):
-    real = LaneForks.snapshot
+@pytest.mark.parametrize("host", ("yla", "bloom"))
+def test_a_filter_host_forks_its_lanes(host, routes):
+    """A group without a conventional point records on a filter: its
+    lanes fork from that machine, which times as the conventional one."""
+    points = [_point(host, "mcf", 1), _point("dmdc", "mcf", 1)]
+    batch = run_many(points)
+    (fork,) = [route for route in routes if route[2] == "fork"]
+    assert fork[4].machine.scheme.kind == host
+    assert batch[1].to_dict() == _lone(points[1]).to_dict()
 
-    def off_by_one(forks, cycle, target, max_cycles):
-        snapshot = copy.copy(real(forks, cycle, target, max_cycles))
+
+def test_threads_fork_from_one_memoized_host_run(monkeypatch, routes):
+    """Three threads fork verdict lanes from one memoized host run at
+    once: all look up before any keeps, so each steps its own prefix,
+    each equals its lone run, and the run keeps one snapshot at the
+    cycle, charged once."""
+    run_many([_point("conventional", "mcf", 1)])
+    charged = SETUP_MEMO.stats()["charged_ops"]
+    barrier = threading.Barrier(3)
+    real = SetupMemo.fork_snapshot
+
+    def together(memo, run, cycle):
+        kept = real(memo, run, cycle)
+        barrier.wait(timeout=60)
+        return kept
+
+    monkeypatch.setattr(SetupMemo, "fork_snapshot", together)
+    points = [_point("dmdc", "mcf", seed) for seed in (1, 2, 3)]
+    out = [None] * len(points)
+
+    def worker(slot):
+        (out[slot],) = run_many([points[slot]])
+
+    threads = [threading.Thread(target=worker, args=(slot,))
+               for slot in range(len(points))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result is not None for result in out)
+    forks = [(kernel, cycle, host) for _, _, kernel, cycle, host in routes[1:]]
+    assert [kernel for kernel, _, _ in forks] == ["fork"] * 3
+    assert len({cycle for _, cycle, _ in forks}) == 1
+    host = forks[0][2]
+    assert all(other is host for _, _, other in forks)
+    (kept,) = host.snapshots
+    assert kept.cycle == forks[0][1]
+    stats = SETUP_MEMO.stats()
+    assert (stats["forks"], stats["snapshot_hits"], stats["snapshots"]) == (3, 0, 1)
+    assert stats["charged_ops"] == charged + setup_memo._snapshot_charge(kept)
+    for point, result in zip(points, out):
+        assert result.to_dict() == _lone(point).to_dict()
+
+
+class _Custom:
+    """A ``generate()`` object: the setup memo never shares its trace."""
+
+    def __init__(self, name):
+        self.workload = get_workload(name)
+
+    def generate(self, length):
+        return self.workload.generate(length)
+
+
+def test_a_custom_trace_forks_from_its_batch_host_run_alone(routes):
+    """A verdict lane over a trace the memo never holds forks from
+    snapshots kept only on its batch's host run."""
+    custom = _Custom("mcf")
+    points = [_point(label, "mcf", 1)._replace(workload=custom)
+              for label in ("conventional", "dmdc", "dmdc-local")]
+    batch = run_many(points)
+    assert [kernel for _, _, kernel, _, _ in routes] == ["soa", "fork", "fork"]
+    stats = SETUP_MEMO.stats()
+    assert (stats["forks"], stats["snapshot_hits"]) == (2, 1)
+    assert (stats["hosts"], stats["snapshots"]) == (0, 0)
+    host = routes[1][4]
+    assert host is routes[2][4] and len(host.snapshots) == 1
+    assert host._replace().snapshots == []  # a copy keeps none of them
+    for point, result in zip(points[1:], batch[1:]):
+        assert result.to_dict() == _lone(point).to_dict()
+
+
+def test_a_host_run_evicted_mid_batch_still_serves_its_forks(monkeypatch, routes):
+    """Another batch evicts the trace whose host run this batch replays
+    before its first lane forks: the run still serves the batch's forks,
+    and the snapshots they keep on it no longer count against the
+    bound."""
+    length = SWEEP_BUDGET + TRACE_TAIL_SLACK
+    monkeypatch.setattr(setup_memo, "MAX_RETAINED_OPS", 3 * length // 2)
+    real = SetupMemo.fork_snapshot
+    evicted = {}
+
+    def after_another_batch(memo, run, cycle):
+        if not evicted:
+            run_many([_point("conventional", "gzip", 1)])
+            evicted.update(memo.stats())
+            assert (evicted["trace_evictions"], evicted["traces"]) == (1, 1)
+        return real(memo, run, cycle)
+
+    monkeypatch.setattr(SetupMemo, "fork_snapshot", after_another_batch)
+    points = [_point(label, "mcf", 1)
+              for label in ("conventional", "dmdc", "dmdc-local")]
+    batch = run_many(points)
+    mcf = [route for route in routes if route[1] == "mcf"]
+    assert [kernel for _, _, kernel, _, _ in mcf] == ["soa", "fork", "fork"]
+    host = mcf[1][4]
+    assert host is mcf[2][4] and len(host.snapshots) == 1
+    stats = SETUP_MEMO.stats()
+    assert (stats["forks"], stats["snapshot_hits"]) == (2, 1)
+    assert (stats["traces"], stats["hosts"], stats["snapshots"]) == (1, 1, 0)
+    assert stats["charged_ops"] == evicted["charged_ops"]
+    assert stats["charged_ops"] <= setup_memo.MAX_RETAINED_OPS
+    for point, result in zip(points[1:], batch[1:]):
+        assert result.to_dict() == _lone(point).to_dict()
+
+
+def test_a_fork_that_disagrees_with_the_log_fails_loudly(monkeypatch):
+    real = Processor._snapshot
+
+    def off_by_one(processor, host, cycle, target, max_cycles):
+        snapshot = copy.copy(real(processor, host, cycle, target, max_cycles))
         snapshot.committed += 1
         return snapshot
 
-    monkeypatch.setattr(LaneForks, "snapshot", off_by_one)
+    monkeypatch.setattr(Processor, "_snapshot", off_by_one)
     with pytest.raises(SimulationError, match=(
             r"verdict lane dmdc retired \d+ instructions, but its host "
             r"committed \d+ before cycle \d+")):

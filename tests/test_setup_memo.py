@@ -166,10 +166,12 @@ def test_eviction_under_a_tiny_bound(monkeypatch):
 
 
 class _Log:
-    """A stand-in host run: the memo charges only the length of its log."""
+    """A stand-in host run: the memo charges the length of its log and
+    the snapshots kept on it."""
 
     def __init__(self, entries: int) -> None:
         self.events = [0] * entries
+        self.snapshots = []
 
 
 def _machine(lq_size: int):
@@ -238,20 +240,29 @@ def test_a_hot_trace_forked_under_many_machines_stays_within_the_bound(monkeypat
     key = trace_key(workload, 300)
     memo.trace(key, workload, 300)
     per_op = setup_memo._LOG_ENTRIES_PER_OP
+    runs = {}
     for lq_size in range(8, 40):
-        machine = _machine(lq_size)
-        memo.keep_host_run(key, BUDGET, machine, _Log(20 * per_op))
+        run = runs[lq_size] = _Log(20 * per_op)
+        memo.keep_host_run(key, BUDGET, _machine(lq_size), run)
         for cycle in (300, 100, 200):
-            memo.keep_snapshot(key, BUDGET, machine, _Snapshot(cycle, 40 * per_op))
+            memo.keep_snapshot(run, _Snapshot(cycle, 40 * per_op))
         assert memo.stats()["charged_ops"] <= setup_memo.MAX_RETAINED_OPS
     stats = memo.stats()
     assert (stats["traces"], stats["hosts"], stats["snapshots"]) == (1, 2, 6)
     assert stats["charged_ops"] == 300 + 2 * (20 + 3 * 40)
-    assert memo.snapshot(key, BUDGET, _machine(39), 250).cycle == 200
-    assert memo.snapshot(key, BUDGET, _machine(39), 99) is None
-    assert memo.snapshot(key, BUDGET, _machine(8), 250) is None
-    # A snapshot with no host run of its own is not kept.
-    memo.keep_snapshot(key, BUDGET, _machine(8), _Snapshot(100, per_op))
+    assert [kept.cycle for kept in runs[39].snapshots] == [100, 200, 300]
+    assert memo.fork_snapshot(runs[39], 250).cycle == 200
+    assert memo.fork_snapshot(runs[39], 99) is None
+    assert memo.fork_snapshot(runs[39], 300).cycle == 300
+    stats = memo.stats()
+    assert (stats["forks"], stats["snapshot_hits"]) == (3, 1)
+    assert memo.host_run(key, BUDGET, _machine(8)) is None
+    # A snapshot kept on a run the memo no longer holds is not charged.
+    memo.keep_snapshot(runs[8], _Snapshot(400, per_op))
+    assert memo.stats()["snapshots"] == 6
+    assert memo.stats()["charged_ops"] == 300 + 2 * (20 + 3 * 40)
+    # One cycle keeps one snapshot.
+    memo.keep_snapshot(runs[39], _Snapshot(200, per_op))
     assert memo.stats()["snapshots"] == 6
 
 
@@ -263,13 +274,15 @@ def test_one_host_sheds_its_snapshots_before_its_run(monkeypatch):
     key = trace_key(workload, 300)
     memo.trace(key, workload, 300)
     per_op = setup_memo._LOG_ENTRIES_PER_OP
-    memo.keep_host_run(key, BUDGET, _machine(8), _Log(20 * per_op))
-    memo.keep_snapshot(key, BUDGET, _machine(8), _Snapshot(100, 50 * per_op))
+    run = _Log(20 * per_op)
+    memo.keep_host_run(key, BUDGET, _machine(8), run)
+    memo.keep_snapshot(run, _Snapshot(100, 50 * per_op))
     assert memo.stats()["snapshots"] == 1
-    memo.keep_snapshot(key, BUDGET, _machine(8), _Snapshot(200, 50 * per_op))
+    memo.keep_snapshot(run, _Snapshot(200, 50 * per_op))
     stats = memo.stats()
     assert (stats["hosts"], stats["snapshots"]) == (1, 0)
     assert stats["charged_ops"] == 320
+    assert memo.host_run(key, BUDGET, _machine(8)) is run and not run.snapshots
 
 
 def test_traces_alone_evict_where_the_op_bound_says(monkeypatch):
