@@ -62,23 +62,31 @@ SOA_HOOKS = {
 #: (:mod:`repro.core.schemes.conventional`) replays it through a search
 #: filter, :func:`repro.sim.soa.replay_verdicts` through a DMDC or Garg
 #: adapter.
-#: Every record but a squash and a load commit ends in (or, for
-#: ``EV_COMMITS``, starts with) the cycle it happened in; a load commit
-#: belongs to the ``EV_COMMITS`` record that follows it, so a squash-free
-#: log splits at any cycle boundary (see :func:`repro.sim.soa.replay_verdicts`).
+#: Every record but a load commit carries the cycle it happened in (last,
+#: or, for ``EV_COMMITS`` and ``EV_SQUASH``, first after the opcode or
+#: the kept seq); a load commit belongs to the ``EV_COMMITS`` record that
+#: follows it, so a log splits at any cycle boundary (see
+#: :func:`repro.sim.soa.replay_verdicts`).  A commit-time replay logs
+#: the cycle's ``EV_COMMITS`` before its squash; a squash a load-issue or
+#: store-resolve hook called for follows that hook's record.
 EV_LOAD = 0          # load issued: addr, seq, cycle
 EV_STORE = 1         # store resolved, the LQ search found no victim:
                      # addr, seq, ROB tail seq, cycle
-EV_STORE_VICTIM = 2  # store resolved, the search found a live victim:
+EV_STORE_VICTIM = 2  # store resolved, the hook named a live victim:
                      # addr, seq, ROB tail seq, cycle
 EV_MISPREDICT = 3    # mispredicted fetch: branch seq, cycle (a lane draws
                      # its own wrong-path loads here)
 EV_RECOVERY = 4      # branch recovery: seq, cycle
-EV_SQUASH = 5        # squash: last kept seq, n, then n squashed issued-load addrs
+EV_SQUASH = 5        # squash: last kept seq, cycle, first refetched seq, n,
+                     # then n squashed issued-load addrs
 EV_COMMIT = 6        # load commit: addr
 EV_LOAD_SAFE = 7     # load issued with every older store address known:
                      # addr, seq, cycle
 EV_COMMITS = 8       # a cycle's commit stage retired instructions: cycle, count
+EV_LOAD_GUARDED = 9  # a safe load the replay guard made non-speculative:
+                     # addr, seq, cycle
+EV_MARK = 10         # ground truth marked an issued load premature: load
+                     # seq, store seq (before the marking store's record)
 
 
 class CheckScheme:

@@ -29,7 +29,9 @@ from repro.core.schemes.base import (
     EV_COMMIT,
     EV_COMMITS,
     EV_LOAD,
+    EV_LOAD_GUARDED,
     EV_LOAD_SAFE,
+    EV_MARK,
     EV_MISPREDICT,
     EV_RECOVERY,
     EV_STORE,
@@ -104,7 +106,7 @@ class ConventionalScheme(CheckScheme):
         n = len(events)
         while i < n:
             op = events[i]
-            if op == EV_LOAD or op == EV_LOAD_SAFE:
+            if op == EV_LOAD or op == EV_LOAD_SAFE or op == EV_LOAD_GUARDED:
                 observe(events[i + 1])
                 self._filter_load(events[i + 1], events[i + 2])
                 i += 4
@@ -126,7 +128,7 @@ class ConventionalScheme(CheckScheme):
                     if op == EV_STORE_VICTIM:
                         victims += 1
                 i += 5
-            elif op == EV_COMMITS:
+            elif op == EV_COMMITS or op == EV_MARK:
                 i += 3
             elif op == EV_MISPREDICT:
                 for age, addr in draw(events[i + 1]):
@@ -136,9 +138,9 @@ class ConventionalScheme(CheckScheme):
                 self.on_recovery(events[i + 1])
                 i += 3
             else:  # EV_SQUASH
-                count = events[i + 2]
-                self._filter_squash(events[i + 1], events[i + 3:i + 3 + count])
-                i += 3 + count
+                count = events[i + 4]
+                self._filter_squash(events[i + 1], events[i + 5:i + 5 + count])
+                i += 5 + count
         for name, value in (("stores.resolved", searches + filtered),
                             ("stores.safe", filtered),
                             ("lq.searches", searches),

@@ -24,6 +24,7 @@ from typing import List
 from repro.core.schemes.base import (
     EV_COMMIT,
     EV_LOAD,
+    EV_LOAD_GUARDED,
     EV_LOAD_SAFE,
     EV_MISPREDICT,
     EV_SQUASH,
@@ -64,7 +65,7 @@ class ValueBasedScheme(CheckScheme):
         n = len(events)
         while i < n:
             op = events[i]
-            if op == EV_LOAD or op == EV_LOAD_SAFE:
+            if op == EV_LOAD or op == EV_LOAD_SAFE or op == EV_LOAD_GUARDED:
                 observe(events[i + 1])
                 i += 4
             elif op == EV_COMMIT:
@@ -76,10 +77,10 @@ class ValueBasedScheme(CheckScheme):
                 i += 3
             elif op == EV_SQUASH:
                 replays += 1
-                i += 3 + events[i + 2]
+                i += 5 + events[i + 4]
             elif op == EV_STORE or op == EV_STORE_VICTIM:
                 i += 5
-            else:  # EV_COMMITS, EV_RECOVERY
+            else:  # EV_COMMITS, EV_RECOVERY, EV_MARK
                 i += 3
         if loads + replays:
             self.stats["value.reexecutions"] = loads + replays

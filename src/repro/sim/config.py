@@ -1,7 +1,7 @@
 """Machine and scheme configurations (paper Table 1)."""
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -56,7 +56,13 @@ class SchemeConfig:
 
     def cache_key(self) -> str:
         """Deterministic canonical form: same fields, same key, any process."""
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._key_fields(), separators=(",", ":"))
+
+    def _key_fields(self) -> Dict[str, object]:
+        """Every field by name, in sorted order: what ``asdict`` gives
+        with sorted keys, without its deep copy (every field is a
+        scalar)."""
+        return {name: getattr(self, name) for name in _SCHEME_FIELDS}
 
     # -- the canonical label codec ----------------------------------------
     #
@@ -231,8 +237,18 @@ class MachineConfig:
 
         Any field change — machine or scheme — yields a different key, so
         content-addressed result caching can never conflate design points.
+        Byte-equal to ``json.dumps(asdict(self), sort_keys=True, ...)``,
+        built from the sorted field names instead of a deep copy (every
+        field but the scheme is a scalar).
         """
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        key = {name: getattr(self, name) for name in _MACHINE_FIELDS}
+        key["scheme"] = self.scheme._key_fields()
+        return json.dumps(key, separators=(",", ":"))
+
+
+#: Field names in sorted order: the keys of the canonical cache keys.
+_SCHEME_FIELDS = tuple(sorted(f.name for f in fields(SchemeConfig)))
+_MACHINE_FIELDS = tuple(sorted(f.name for f in fields(MachineConfig)))
 
 
 #: The paper's three simulated configurations (Table 1).

@@ -38,9 +38,11 @@ through its filter (a *filter lane*), and a DMDC, Garg or store-set point
 replays a squash-free host's events through its scheme (a *verdict
 lane*), and if a replay verdict would change timing it forks: its own
 kernel resumes from a snapshot of the host's machine at that cycle,
-which the host run keeps (:meth:`Processor._fork`).  A ``value`` point
-replays a value run recorded under another seed.  See
-:class:`HostRun`.  The host shares the lane's trace, budget and
+which the host run keeps (:meth:`Processor._fork`).  The forked run
+records its tail, and the host run keeps it too, so a later lane of the
+same machine under any seed replays that tail instead of forking again
+(:meth:`Processor.replay`).  A ``value`` point replays a value run
+recorded under another seed.  See :class:`HostRun`.  The host shares the lane's trace, budget and
 machine, not necessarily its seed: a lane draws its own wrong-path
 loads (:func:`wrongpath_model`), and only the invalidation injector
 lets the seed reach timing.
@@ -75,11 +77,13 @@ from repro.stats.counters import CounterSet
 from repro.utils.rng import DeterministicRng
 
 class HostRun:
-    """A recording kernel run (conventional-family or value), which
-    lanes replay: just what they read, and what forked lanes restore.
+    """A recording kernel run (conventional-family or value, or a
+    forked verdict lane), which lanes replay: just what they read, and
+    what forked lanes restore.
 
-    Its event log (:mod:`repro.sim.soa`, as a flat ``array('q')``: 8
-    bytes an entry, half a list's, while the setup memo keeps it), its
+    Its event log (:mod:`repro.sim.soa`, as a flat int array: 4 bytes an
+    entry when every value fits, as with the suite's workloads, else 8;
+    a list's are 8 plus the int objects, while the setup memo keeps it), its
     machine counters
     (everything but its scheme's stats), which a lane's result starts
     from, and its cycle and commit counts.  Nothing in it depends on the
@@ -91,28 +95,41 @@ class HostRun:
     (the recording run's own config: a filter host times like a
     conventional one): ``snapshots`` holds that machine's
     :class:`~repro.sim.soa.Snapshot` at each cycle where a lane forked,
-    by cycle.  The run owns them, so they live and go with it; the
-    setup memo charges them while it holds the run, and every read or
-    write of them takes the memo's lock (:meth:`Processor._fork`).
+    by cycle.  The forked lane's own kernel records from its fork cycle
+    on, and ``forked`` keeps that run, most recently used first: a
+    ``HostRun`` of the lane's machine whose ``fork_cycle`` is set and
+    whose ``events`` are its tail.  A later lane of that machine, under
+    any seed while the injector is off, replays this run's records
+    before the fork cycle and then the tail, and takes the forked run's
+    machine counters when its own verdicts reproduce every recorded one
+    (:func:`~repro.sim.soa.replay_verdicts`).  The run owns its
+    snapshots and forked runs, so they live and go with it; the setup
+    memo charges them while it holds the run, and every read or write
+    of them takes the memo's lock (:meth:`Processor.replay`,
+    :meth:`Processor._fork`).
     """
 
     __slots__ = ("events", "counters", "cycles", "committed", "machine",
-                 "snapshots")
+                 "fork_cycle", "snapshots", "forked")
 
     def __init__(self, events: Sequence[int], counters: CounterSet,
-                 cycles: int, committed: int, machine: MachineConfig) -> None:
+                 cycles: int, committed: int, machine: MachineConfig,
+                 fork_cycle: Optional[int] = None) -> None:
         self.events = events
         self.counters = counters
         self.cycles = cycles
         self.committed = committed
         self.machine = machine
+        self.fork_cycle = fork_cycle
         self.snapshots: List[Snapshot] = []
+        self.forked: List["HostRun"] = []
 
     def _replace(self, **changes) -> "HostRun":
-        """A copy with ``changes``, keeping none of this run's snapshots."""
+        """A copy with ``changes``, keeping none of this run's snapshots
+        or forked runs."""
         fields = dict(events=self.events, counters=self.counters,
                       cycles=self.cycles, committed=self.committed,
-                      machine=self.machine)
+                      machine=self.machine, fork_cycle=self.fork_cycle)
         fields.update(changes)
         return HostRun(**fields)
 
@@ -121,6 +138,15 @@ class HostRun:
         """No replay squashed anything: every fetched op committed, in
         seq order, so verdict lanes may replay the log."""
         return self.counters["replays"] == 0
+
+
+def _packed(events: List[int]) -> array:
+    """An event log as a flat int array: 4 bytes an entry when every
+    value fits in 32 bits (addresses included), else 8."""
+    try:
+        return array("i", events)
+    except OverflowError:
+        return array("q", events)
 
 
 def wrongpath_model(config: MachineConfig, rng: DeterministicRng) -> WrongPathModel:
@@ -188,11 +214,19 @@ class Processor:
         self.sanitizer = None
         #: Which route the last :meth:`run` took: ``"soa"`` (the kernel
         #: from cycle 0), ``"lane"`` (a lane that replayed a host's log
-        #: instead) or ``"fork"`` (a verdict lane whose kernel resumed
+        #: instead, and, when ``fork_cycle`` is set, a forked run's tail
+        #: from there) or ``"fork"`` (a verdict lane whose kernel resumed
         #: from a conventional machine at ``fork_cycle``) — bench
         #: provenance, never part of a result.
         self.kernel_used = "soa"
         self.fork_cycle: Optional[int] = None
+        #: A verdict lane's divergence cycle, once its replay found it,
+        #: the forked runs it tried, the seconds its replays took and the
+        #: result they gave (see :meth:`replay`).
+        self.divergence: Optional[int] = None
+        self._tried: List[HostRun] = []
+        self._replay_seconds = 0.0
+        self._replayed: Optional[SimulationResult] = None
         #: Lanes (see ``docs/performance.md``).  A recording kernel run
         #: logs the events a lane reads and leaves its :class:`HostRun` in
         #: ``recorded``.  ``run_many`` sets ``record_events`` on a group's
@@ -241,29 +275,13 @@ class Processor:
         target = min(max_instructions, len(self.trace))
         host = self.replay_from
         if host is not None:
-            t0 = time.perf_counter()  # repro: noqa[REPRO001]
-            checking = self._replay_lane(host)
-            if checking >= 0:
-                # The lane timed as its host: it takes the host's machine
-                # counters and books its own checking window and
-                # wrong-path loads.
-                self.kernel_used = "lane"
-                self.cycle = host.cycles
-                self.committed = host.committed
-                counters = self.counters
-                counters.merge(host.counters)
-                counters["checking.cycles_observed"] = checking
-                counters["wrongpath.loads"] = self.wrongpath.injected
-                if self.storesets is not None and "storesets.merges" not in counters:
-                    # A verdict lane's host runs without store sets; its
-                    # own never train in a squash-free run.
-                    self._count_storesets()
-                result = self._result()
-                result.sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
+            result = self.replay()
+            if result is not None:
                 return result
-            # Everything a fork pays counts: the failed replay, any
+            # Everything a fork pays counts: the failed replays, any
             # prefix steps, the restore and the loop after it.
-            kernel = self._fork(host, -1 - checking, target, max_cycles)
+            t0 = time.perf_counter() - self._replay_seconds  # repro: noqa[REPRO001]
+            kernel = self._fork(host, self.divergence, target, max_cycles)
             self.kernel_used = "fork"
             return self._finish(kernel, target, max_cycles, t0)
         # Kernel construction (trace column decode, slot-pool allocation)
@@ -299,23 +317,97 @@ class Processor:
         self._count_components()
         result = self._result()
         if kernel.events is not None:
-            self.recorded = HostRun(array("q", kernel.events), self.counters,
-                                    self.cycle, self.committed, self.config)
+            run = HostRun(_packed(kernel.events), self.counters, self.cycle,
+                          self.committed, self.config, self.fork_cycle)
+            # The kernel lives on until the cycle collector takes it (its
+            # adapter refers back to it); its log need not.
+            kernel.events.clear()
+            if self.replay_from is None:
+                self.recorded = run
+            else:  # a forked lane's tail, which its host run keeps
+                SETUP_MEMO.keep_forked_run(self.replay_from, run)
         result.sim_seconds = sim_seconds
         return result
 
-    def _replay_lane(self, host: HostRun) -> int:
+    def replay(self) -> Optional[SimulationResult]:
+        """This lane's result from recorded runs alone, or None when it
+        must fork at :attr:`divergence` (:meth:`run` then forks).
+
+        A conventional-family or value lane replays its host's log
+        (:meth:`_replay_lane`).  A verdict lane first tries the forked
+        runs its host keeps for its machine, most recently used first:
+        each attempt replays, from a fresh scheme, the host's records
+        before the run's fork cycle and then its tail, and a full match
+        times the lane as that run.  A failed attempt that diverged in
+        the host's records gives the lane's divergence cycle; then only
+        runs forked there are worth trying.  Failing those, the lane
+        replays the host's log alone, as a lane of a squash-free host.
+        A later call (``run_many`` resolves a group's forks in
+        ascending divergence cycle) tries only the runs kept since that
+        forked at its divergence cycle; one after a result returns it.
+        """
+        if self._replayed is not None:
+            return self._replayed
+        t0 = time.perf_counter() - self._replay_seconds  # repro: noqa[REPRO001]
+        host = self.replay_from
+        served = checking = None
+        if not isinstance(self.scheme, (ConventionalScheme, ValueBasedScheme)):
+            tried = self._tried
+            for run in SETUP_MEMO.forked_runs(host, self.config):
+                if any(run is other for other in tried) or (
+                        self.divergence is not None
+                        and run.fork_cycle != self.divergence):
+                    continue
+                tried.append(run)
+                checking = self._replay_lane(host, run)
+                if checking >= 0:
+                    served = run
+                    SETUP_MEMO.forked_run_hit(host, run)
+                    break
+                if -1 - checking < run.fork_cycle:
+                    self.divergence = -1 - checking
+        if served is None and self.divergence is None:
+            checking = self._replay_lane(host)
+            if checking >= 0:
+                served = host
+            else:
+                self.divergence = -1 - checking
+        if served is None:
+            self._replay_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
+            return None
+        # The lane timed as the run it replayed: it takes that run's
+        # machine counters and books its own checking window and
+        # wrong-path loads.
+        self.kernel_used = "lane"
+        self.fork_cycle = served.fork_cycle
+        self.cycle = served.cycles
+        self.committed = served.committed
+        counters = self.counters
+        counters.merge(served.counters)
+        counters["checking.cycles_observed"] = checking
+        counters["wrongpath.loads"] = self.wrongpath.injected
+        if self.storesets is not None and "storesets.merges" not in counters:
+            # A verdict lane's host runs without store sets; its own
+            # never train in a squash-free run.
+            self._count_storesets()
+        result = self._replayed = self._result()
+        result.sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
+        return result
+
+    def _replay_lane(self, host: HostRun, tail: Optional[HostRun] = None) -> int:
         """Run this point's scheme over the run ``host`` recorded; returns
         the lane's ``checking.cycles_observed``.
 
         The conventional family (search filters, store sets) replays the
         conventional search, a value point its own value run; DMDC and
         Garg drive their kernel adapters through
-        :func:`~repro.sim.soa.replay_verdicts`.  Either way the lane
+        :func:`~repro.sim.soa.replay_verdicts`, over ``host``'s log and
+        then, given ``tail``, over a forked run's.  Either way the lane
         draws its wrong-path loads from its own model.  ``-1 - c`` when
-        the replay reaches a verdict that changes timing at cycle ``c``:
-        the scheme and the wrong-path model are then rebuilt fresh, for
-        this processor's own kernel.
+        the replay reaches a verdict that changes timing at cycle ``c``
+        (or, with ``tail``, one the tail does not hold): the scheme and
+        the wrong-path model are then rebuilt fresh, for this
+        processor's next replay or its own kernel.
         """
         scheme = self.scheme
         label = self.config.scheme.label()
@@ -326,10 +418,13 @@ class Processor:
         if isinstance(scheme, ValueBasedScheme):
             scheme.replay_lane(host.events, self.wrongpath)
             return 0
-        view = LaneView(self.trace)
+        view = LaneView(self.trace, tail is not None)
+        if tail is None:
+            cycles, committed, served = host.cycles, host.committed, host
+        else:
+            cycles, committed, served = tail.fork_cycle, None, tail
         checking = replay_verdicts(scheme.soa_hooks(view), view, host.events,
-                                   self.wrongpath, host.cycles, host.committed,
-                                   label)
+                                   self.wrongpath, cycles, committed, label, tail)
         if checking < 0:
             self.scheme = build_scheme(self.config.scheme, self.config)
             # The stream __init__ drew its model from, afresh.
@@ -337,7 +432,7 @@ class Processor:
             self.wrongpath = wrongpath_model(
                 self.config, DeterministicRng(rng.seed, rng.purpose))
             return -1 - view.cycle
-        scheme.finalize(host.cycles)
+        scheme.finalize(served.cycles)
         return checking
 
     def _fork(self, host: HostRun, cycle: int, target: int,
@@ -360,7 +455,9 @@ class Processor:
         checking = replay_verdicts(
             self.scheme.soa_hooks(view), view, host.events, self.wrongpath,
             snapshot.cycle, snapshot.committed, self.config.scheme.label())
-        kernel = SoaKernel(self)
+        # The forked run records its tail for later lanes of its machine,
+        # unless the injector is on: then its seed reaches timing.
+        kernel = SoaKernel(self, not self.invalidations.enabled)
         snapshot.restore(kernel)
         seq_ = kernel.seq
         unsafe_ = kernel.unsafe

@@ -226,10 +226,15 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
       that would change timing, the lane *forks*: it resumes its own
       kernel from a snapshot of the host's machine at that cycle,
       which the host run keeps for the group's later lanes (and, while
-      the setup memo holds the run, for later batches).  A group
-      without a host runs each point alone, recording nothing.  A
-      ``value`` point is a group of its own machine: one value run
-      serves every seed;
+      the setup memo holds the run, for later batches), and so does
+      the forked run itself: a later lane of the same machine whose
+      verdicts reproduce its tail takes its result without forking
+      (:meth:`~repro.sim.processor.Processor.replay`).  A group
+      replays every verdict lane before it forks any, then forks
+      them in ascending divergence cycle, so its prefix steps reach
+      the latest divergence once.  A group without a host runs each
+      point alone, recording nothing.  A ``value`` point is a group of
+      its own machine: one value run serves every seed;
     * **shared host runs**: a group without a seed (the injector off)
       over a memoized trace looks its host run up in the setup memo
       first.  On a hit no point of the group steps a host loop: the
@@ -268,6 +273,7 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
         recorded = setup.host_run(ident, key.budget, key.host) if shared else None
         record = (recorded is None and role[members[0]] != _VERDICT
                   and (shared or len(members) > 1))
+        forks: List[Tuple[int, Processor]] = []
         for index in members:
             request, budget, trace, ident = points[index]
             processor = Processor(request.config, trace, seed=request.seed)
@@ -276,7 +282,10 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
                 # A diverging verdict lane forks from the host's
                 # machine, so a lane needs no warm front end of its own.
                 processor.replay_from = recorded
-                results[index] = processor.run(budget)
+                if processor.replay() is None:
+                    forks.append((index, processor))
+                else:  # ``run`` returns the replay's result
+                    results[index] = processor.run(budget)
                 continue
             processor.record_events = record and index == members[0]
             setup.prewarm(processor, ident)
@@ -285,4 +294,7 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
                 recorded = processor.recorded
                 if shared:
                     setup.keep_host_run(ident, budget, key.host, recorded)
+        forks.sort(key=lambda fork: fork[1].divergence)
+        for index, processor in forks:
+            results[index] = processor.run(points[index][1])
     return [results[index] for index in range(len(points))]

@@ -23,26 +23,31 @@ process and shared:
   Only runs that happen anyway record.  A held run brings the
   snapshots its forked verdict lanes keep on it, so a later lane of any
   seed diverging at the same cycle restores one instead of stepping the
-  prefix again.
+  prefix again, and the forked runs themselves (their tail logs), so a
+  later lane of the same machine whose verdicts reproduce a forked
+  run's replays that tail instead of forking at all.  It keeps at most
+  :data:`FORKED_RUNS_PER_MACHINE` forked runs per lane machine, and
+  one of each distinct (fork cycle, tail).
 
 The memo is bounded by :data:`MAX_RETAINED_OPS`, charged with the
-micro-ops its traces retain plus the event logs of its host runs and
-the machine words of their snapshots, converted to micro-ops at their
-measured memory cost.  Past the bound it evicts least recently used
-traces together with their warm front ends and host runs; a trace
-that is the only one left sheds its least recently used host runs
-instead, then the snapshots of the one it keeps.  An evicted run that a
-batch still replays keeps serving that batch's forks, uncharged.
-One lock (from :func:`make_lock`, since the sharded service runs
-several batcher threads per process) guards the tables and every host
-run's snapshots; generation, prewarm, host runs and prefix steps run
-outside it.  See the "setup memo" section of ``docs/performance.md``.
+micro-ops its traces retain plus the event logs of its host runs and of
+their forked runs and the machine words of their snapshots, converted
+to micro-ops at their measured memory cost.  Past the bound it evicts
+least recently used traces together with their warm front ends and host
+runs; a trace that is the only one left sheds its least recently used
+host runs instead, then the snapshots and forked runs of the one it
+keeps.  An evicted run that a batch still replays keeps serving that
+batch's forks, uncharged.  One lock (from :func:`make_lock`, since the
+sharded service runs several batcher threads per process) guards the
+tables and every host run's snapshots and forked runs; generation,
+prewarm, host runs, replays and prefix steps run outside it.  See the
+"setup memo" section of ``docs/performance.md``.
 """
 
 import json
 from collections import OrderedDict
 from dataclasses import asdict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.isa.trace import Trace
 from repro.sim.config import MachineConfig
@@ -56,9 +61,13 @@ from repro.workloads import SyntheticWorkload
 MAX_RETAINED_OPS = 200_000
 
 #: Host-run log entries (or snapshot machine words) charged as one
-#: retained op: a log entry costs 8 bytes and a snapshot word about 13,
-#: both charged as 16 against an op's 330.
+#: retained op: a log entry costs 4 or 8 bytes and a snapshot word about
+#: 13, all charged as 16 against an op's 330.
 _LOG_ENTRIES_PER_OP = 20
+
+#: Forked runs a host run keeps per lane machine: a lane tries them
+#: (one replay each) before it forks.
+FORKED_RUNS_PER_MACHINE = 4
 
 
 def _snapshot_charge(snapshot: Any) -> int:
@@ -66,11 +75,17 @@ def _snapshot_charge(snapshot: Any) -> int:
     return -(-snapshot.cells // _LOG_ENTRIES_PER_OP)
 
 
+def _log_charge(run: Any) -> int:
+    """What a kept run's event log counts against :data:`MAX_RETAINED_OPS`."""
+    return -(-len(run.events) // _LOG_ENTRIES_PER_OP)
+
+
 def _host_run_charge(run: Any) -> int:
-    """What a kept host run, with its snapshots, counts against
-    :data:`MAX_RETAINED_OPS`."""
-    return (-(-len(run.events) // _LOG_ENTRIES_PER_OP)
-            + sum(_snapshot_charge(snapshot) for snapshot in run.snapshots))
+    """What a kept host run, with its snapshots and forked runs, counts
+    against :data:`MAX_RETAINED_OPS`."""
+    return (_log_charge(run)
+            + sum(_snapshot_charge(snapshot) for snapshot in run.snapshots)
+            + sum(map(_log_charge, run.forked)))
 
 
 def trace_key(workload: Any, length: int) -> Optional[str]:
@@ -141,6 +156,7 @@ class SetupMemo:
         self.host_misses = 0
         self.snapshot_hits = 0
         self.forks = 0
+        self.forked_run_hits = 0
 
     def trace(self, key: str, workload: Any, length: int) -> Trace:
         """The shared trace under ``key``, generating it on a miss."""
@@ -164,9 +180,10 @@ class SetupMemo:
 
     def _evict(self) -> None:
         """Drop least recently used traces, then the last trace's least
-        recently used host runs, then that trace's snapshots, until the
-        charge fits the bound.  The most recently used trace and host
-        run always stay.  Called with the lock held."""
+        recently used host runs, then the snapshots and forked runs of
+        the runs it keeps, until the charge fits the bound.  The most
+        recently used trace and host run always stay.  Called with the
+        lock held."""
         while self.charged_ops > MAX_RETAINED_OPS and len(self._entries) > 1:
             _, evicted = self._entries.popitem(last=False)
             self.retained_ops -= len(evicted.trace)
@@ -180,8 +197,9 @@ class SetupMemo:
             for run in last.hosts.values():
                 if self.charged_ops <= MAX_RETAINED_OPS:
                     break
-                self._discharge(last, sum(map(_snapshot_charge, run.snapshots)))
+                self._discharge(last, _host_run_charge(run) - _log_charge(run))
                 run.snapshots.clear()
+                run.forked.clear()
 
     def _discharge(self, entry: _Entry, charge: int) -> None:
         entry.charge -= charge
@@ -261,10 +279,50 @@ class SetupMemo:
                 return
             kept.append(snapshot)
             kept.sort(key=lambda other: other.cycle)
-            for key, entry in self._entries.items():
-                if any(held is run for held in entry.hosts.values()):
-                    self._charge(key, _snapshot_charge(snapshot))
-                    break
+            self._charge_holder(run, _snapshot_charge(snapshot))
+
+    def _charge_holder(self, run: Any, charge: int) -> None:
+        """Charge the entry holding host ``run``, if one does, with what
+        the run now keeps more.  Called with the lock held."""
+        for key, entry in self._entries.items():
+            if any(held is run for held in entry.hosts.values()):
+                self._charge(key, charge)
+                break
+
+    def forked_runs(self, run: Any, machine: MachineConfig) -> List[Any]:
+        """The forked runs host ``run`` keeps for lanes of ``machine``,
+        most recently used first."""
+        with self._lock:
+            return [forked for forked in run.forked if forked.machine == machine]
+
+    def forked_run_hit(self, run: Any, forked: Any) -> None:
+        """Count a lane that ``forked``, kept on host ``run``, served,
+        and mark it most recently used."""
+        with self._lock:
+            self.forked_run_hits += 1
+            kept = run.forked
+            if forked in kept:
+                kept.remove(forked)
+                kept.insert(0, forked)
+
+    def keep_forked_run(self, run: Any, forked: Any) -> None:
+        """Keep ``forked``, a verdict lane's run forked from host ``run``,
+        on ``run`` (most recently used), charged while the memo holds
+        ``run``; unless ``run`` keeps one like it already (same machine,
+        fork cycle and tail).  Past :data:`FORKED_RUNS_PER_MACHINE` for
+        that machine the least recently used goes."""
+        with self._lock:
+            kept = run.forked
+            same = [other for other in kept if other.machine == forked.machine]
+            if any(other.fork_cycle == forked.fork_cycle
+                   and other.events == forked.events for other in same):
+                return
+            kept.insert(0, forked)
+            charge = _log_charge(forked)
+            if len(same) >= FORKED_RUNS_PER_MACHINE:
+                kept.remove(same[-1])
+                charge -= _log_charge(same[-1])
+            self._charge_holder(run, charge)
 
     def stats(self) -> Dict[str, int]:
         """Counters since the last :meth:`clear` ("why was this point fast")."""
@@ -284,6 +342,10 @@ class SetupMemo:
                                  for run in entry.hosts.values()),
                 "snapshot_hits": self.snapshot_hits,
                 "forks": self.forks,
+                "forked_runs": sum(len(run.forked)
+                                   for entry in self._entries.values()
+                                   for run in entry.hosts.values()),
+                "forked_run_hits": self.forked_run_hits,
                 "retained_ops": self.retained_ops,
                 "charged_ops": self.charged_ops,
             }
@@ -296,7 +358,7 @@ class SetupMemo:
             self.trace_hits = self.trace_misses = self.trace_evictions = 0
             self.warm_hits = self.warm_misses = 0
             self.host_hits = self.host_misses = 0
-            self.snapshot_hits = self.forks = 0
+            self.snapshot_hits = self.forks = self.forked_run_hits = 0
 
 
 #: The process's memo; every ``run_many`` batch goes through it.

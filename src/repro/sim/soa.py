@@ -33,7 +33,8 @@ boundary and resume later, bit-identically to an uninterrupted run, and
 a :class:`Snapshot` copies a stopped machine (kernel and components, not
 the scheme side).  A diverging verdict lane resumes its own kernel from
 a snapshot of its host's machine, which the host run keeps
-(:meth:`repro.sim.processor.Processor._fork`).
+(:meth:`repro.sim.processor.Processor._fork`); that kernel records its
+tail, which the host run keeps too, for later lanes of its machine.
 
 **Observation.**  ``Processor.tracer`` (a
 :class:`~repro.sim.pipetrace.PipelineTracer` or an
@@ -50,21 +51,27 @@ verdict lane reads into :attr:`SoaKernel.events`, a flat int list of
 records (opcodes in :mod:`repro.core.schemes.base`):
 
 * load issue: address, seq and cycle, the opcode saying whether every
-  older store's address was known (the load is safe at issue);
+  older store's address was known (the load is safe at issue) and
+  whether the replay guard made it wait for them;
 * store resolve: address, seq, the ROB tail seq and cycle, the opcode
-  saying whether the search found a live victim;
+  saying whether the hook named a live victim, after a record per load
+  the ground-truth check marked premature (load seq, store seq);
 * mispredicted fetch: the branch seq and cycle.  The run's own
   wrong-path loads are not logged: they are the seed's one effect while
   the invalidation injector is off, and they never change timing, so
   the log is the same under every seed and each lane draws its own from
   its own seed;
 * branch recovery: seq and cycle;
-* squash: last kept seq, then the addresses of the squashed issued loads;
+* squash: last kept seq, cycle, the first seq the refetch uses, then the
+  addresses of the squashed issued loads; it follows the record of the
+  load issue or store resolve whose hook named the victim, or, for a
+  commit-time replay, the cycle's commit stage record;
 * load commit: address;
 * commit stage: the cycle and how many instructions it retired.
 
-The cycle stamps let a squash-free log split at any cycle boundary: a
-forked lane replays exactly the records before its fork cycle.
+The cycle stamps let a log split at any cycle boundary: a forked lane
+replays exactly the records before its fork cycle, and a lane of a kept
+forked run the host's records before its fork cycle and then the tail.
 
 One local ``rec`` bool guards every site.  A recording run is
 conventional, filters inline or is a value run, and calls its own hooks
@@ -76,7 +83,9 @@ A squash-free run's log also serves *verdict lanes*: DMDC and Garg time
 as the conventional machine until their first replay, so
 :func:`replay_verdicts` drives their adapters through the log over a
 seq-indexed :class:`LaneView` and stops at the first verdict that would
-change timing, where the lane forks.  :func:`repro.sim.runner.run_many`
+change timing, where the lane forks.  A forked lane's run records too,
+and its tail serves later lanes of its machine whose verdicts reproduce
+every one it recorded.  :func:`repro.sim.runner.run_many`
 replays one conventional run's log into every lane that shares its
 trace, budget and machine, whatever the lane's seed (unless the
 invalidation injector is on), and keeps the log in the setup memo for
@@ -103,14 +112,16 @@ consumer lists, the rename map).
 import heapq
 from array import array
 from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.backend.resources import FunctionalUnits
 from repro.core.schemes.base import (
     EV_COMMIT,
     EV_COMMITS,
     EV_LOAD,
+    EV_LOAD_GUARDED,
     EV_LOAD_SAFE,
+    EV_MARK,
     EV_MISPREDICT,
     EV_RECOVERY,
     EV_SQUASH,
@@ -677,6 +688,10 @@ class SoaKernel:
                         if emit is not None:
                             emit.replay(seq_[head], tidx_[head], "commit",
                                         tvs_[head] >= 0, cycle)
+                        if rec and committed != first:
+                            # The cycle's retirements precede its squash.
+                            log += (EV_COMMITS, cycle, committed - first)
+                            first = committed
                         self.cycle = cycle
                         self._squash_from(head)
                         squashed_this_cycle = True
@@ -914,8 +929,10 @@ class SoaKernel:
                                         latency = 1 + mem_read(la)
                                     cring[(cycle + latency) & rmask].append(v)
                                     if rec:
-                                        log += (EV_LOAD_SAFE if all_resolved
-                                                else EV_LOAD, la, lseq, cycle)
+                                        log += ((EV_LOAD_GUARDED if nonspec
+                                                 else EV_LOAD_SAFE)
+                                                if all_resolved else EV_LOAD,
+                                                la, lseq, cycle)
                                     if has_load_hook:
                                         victim = hook_load(slot)
                                         if victim >= 0 and state_[victim] != _ST_SQUASHED:
@@ -984,6 +1001,8 @@ class SoaKernel:
                                             tvs_[lslot] = sseq
                                             tvpc_[lslot] = tpc[ti]
                                             self.n_gt_violations += 1
+                                            if rec:
+                                                log += (EV_MARK, seq_[lslot], sseq)
                             if pdata_[slot] == 0:
                                 cring[(cycle + 1) & rmask].append(v)
                             if has_store_hook:
@@ -1319,9 +1338,10 @@ class SoaKernel:
         victims.reverse()  # hooks and observers see them oldest-first
         log = self.events
         if log is not None:
-            # One record: the kept boundary, then the squashed issued
-            # loads' addresses behind a count patched in after the pass.
-            log += (EV_SQUASH, boundary - 1, 0)
+            # One record: the kept boundary, the cycle, the first seq
+            # the refetch will use, then the squashed issued loads'
+            # addresses behind a count patched in after the pass.
+            log += (EV_SQUASH, boundary - 1, cycle, self.next_seq, 0)
             count_at = len(log) - 1
         regs_int = self.regs_int
         regs_fp = self.regs_fp
@@ -1577,76 +1597,229 @@ class Snapshot:
 
 
 # ----------------------------------------------------------------------
-# Verdict lanes: replay a squash-free host's log through DMDC or Garg
+# Verdict lanes: replay a host's log, and a forked run's tail, through
+# DMDC or Garg
 # ----------------------------------------------------------------------
+class _Marks:
+    """A verdict lane's ``tvs`` column: each load's ground-truth mark,
+    derived from the replayed records when an adapter reads it (DMDC at
+    a replayed load, Garg at a flushed entry; both read only its sign),
+    and checked against the marks the log carries (``logged``, load seq
+    to store seq, for live loads): a disagreement sets ``disagree``, and
+    the replay then rejects the log.
+
+    The kernel marks an issued, uncommitted load at the resolve of an
+    older store that overlaps it, unless the load forwarded from a store
+    younger than that one; the store a load forwards from is the
+    youngest older one overlapping it that had resolved when it issued.
+    So, walking down from the load to the ROB head at its issue, the
+    load is marked iff the first overlapping store met that has resolved
+    did so after the load issued.  Squashed seqs read as no store.
+    Without tracking (a replay that stops at its first verdict, so no
+    load is ever marked) every load reads -1.
+    """
+
+    __slots__ = ("addr", "size", "isld", "isst", "ipos", "ihead", "rpos",
+                 "logged", "disagree")
+
+    def __init__(self, view: "LaneView") -> None:
+        # The view's columns, not the view: no reference cycle, so a
+        # view goes as soon as its replay does.  A squash updates them
+        # in place.
+        self.addr = view.addr
+        self.size = view.size
+        self.isld = view.isld
+        self.isst = view.isst
+        self.ipos = view.ipos
+        self.ihead = view.ihead
+        self.rpos = view.rpos
+        self.logged: Dict[int, int] = {}
+        self.disagree = False
+
+    def __getitem__(self, seq: int) -> int:
+        mark = self._derive(seq)
+        if (mark >= 0) != (self.logged.get(seq, -1) >= 0):
+            self.disagree = True
+        return mark
+
+    def _derive(self, seq: int) -> int:
+        ipos = self.ipos
+        if ipos is None or not self.isld[seq] or ipos[seq] < 0:
+            return -1
+        issued = ipos[seq]
+        addr = self.addr
+        size = self.size
+        isst = self.isst
+        rpos = self.rpos
+        start = addr[seq]
+        end = start + size[seq]
+        older = seq - 1
+        floor = self.ihead[seq]
+        while older >= floor:
+            if (isst[older] and rpos[older] >= 0 and addr[older] < end
+                    and start < addr[older] + size[older]):
+                return older if rpos[older] > issued else -1
+            older -= 1
+        return -1
+
+
 class LaneView:
     """Seq-indexed stand-in for a :class:`SoaKernel`, for verdict lanes.
 
-    In a squash-free run every fetched op commits, so seq equals trace
-    index and a scheme adapter's slot can be the seq itself.  The view
-    carries the columns the DMDC and Garg adapters read: ``addr``,
-    ``size``, ``isld`` and ``isst`` are the trace's, ``seq`` is the
-    identity, ``safe``, ``icyc`` and ``rcyc`` are filled from the log's
-    cycle stamps (DMDC's replay taxonomy reads a marked store's resolve
-    cycle), and ``unsafe``/``wend`` are the adapter's to write.  With no
-    replays there are no guard trips (``gbp`` all False) and no true
-    violations (``tvs`` all -1).  ``rob`` holds the ROB tail seq at the
-    store being replayed: Garg flushes iff that tail is younger than the
-    store.  ``cycle`` is the cycle of the verdict a replay stopped at.
+    An adapter's slot is the seq itself.  Until a squash every fetched
+    op commits, so seq equals trace index: ``addr``, ``size``, ``isld``
+    and ``isst`` are the trace's columns and ``seq`` is the identity.
+    ``safe``, ``gbp``, ``icyc`` and ``rcyc`` are filled from the log's
+    load and store records (DMDC's replay taxonomy reads a marked
+    store's resolve cycle), and ``unsafe``/``wend`` are the adapter's to
+    write.  ``rob`` holds, at the store being replayed, the first live
+    seq younger than it if the recorded ROB tail reaches that far, else
+    the store's own seq: Garg flushes from that entry.  ``cycle`` is the
+    cycle of the verdict a replay stopped at.
+
+    A view that replays a forked run's tail (``tail=True``) owns copies
+    of the trace columns, because the tail may squash (:meth:`squash`):
+    the refetch gives fresh seqs, which map to the trace from the
+    victim's trace index on, and the squashed seqs stop reading as
+    stores.  ``gaps`` holds the squashed seq ranges the commit head has
+    not passed yet, in order.  Such a view also tracks, per seq, the
+    record position where each load issued (``ipos``) and the commit
+    head then (``ihead``), and where each store resolved (``rpos``),
+    from which ``tvs`` derives the ground-truth marks (:class:`_Marks`).
     """
 
     __slots__ = ("n", "seq", "addr", "size", "isld", "isst", "safe", "gbp",
-                 "unsafe", "wend", "rcyc", "icyc", "tvs", "rob", "cycle")
+                 "unsafe", "wend", "rcyc", "icyc", "tvs", "rob", "cycle",
+                 "ipos", "ihead", "rpos", "gaps", "_trace", "_refetches")
     emit = None  # lanes are unobserved
 
-    def __init__(self, trace) -> None:
+    def __init__(self, trace, tail: bool = False) -> None:
         t = trace_soa(trace)
+        self._trace = t
         self.n = n = t.n
         self.seq = range(n)
-        self.addr = t.addr
-        self.size = t.size
-        self.isld = t.isld
-        self.isst = t.isst
+        self.addr = list(t.addr) if tail else t.addr
+        self.size = list(t.size) if tail else t.size
+        self.isld = list(t.isld) if tail else t.isld
+        self.isst = list(t.isst) if tail else t.isst
         self.safe = [False] * n
         self.gbp = [False] * n
         self.unsafe = [False] * n
         self.wend = [-1] * n
         self.rcyc = [-1] * n
         self.icyc = [-1] * n
-        self.tvs = [-1] * n
+        self.ipos: Optional[List[int]] = [-1] * n if tail else None
+        self.ihead: Optional[List[int]] = [0] * n if tail else None
+        self.rpos: Optional[List[int]] = [-1] * n if tail else None
+        self.tvs = _Marks(self)
         self.rob = [-1]
         self.cycle = -1
+        self.gaps: List[tuple] = []
+        #: (first seq, its trace index) of every run of fetched seqs.
+        self._refetches = [(0, 0)]
+
+    def squash(self, boundary: int, refetch: int, head: int) -> bool:
+        """Squash seq ``boundary`` and everything younger, refetching
+        from its trace index under seqs from ``refetch`` on; False (and
+        nothing changed) when that cannot be a squash of this replay:
+        ``boundary`` is retired or already squashed, or ``refetch`` is
+        not past it within the mapped seqs."""
+        gaps = self.gaps
+        if not head <= boundary < refetch <= len(self.addr) or any(
+                start <= boundary < end for start, end in gaps):
+            return False
+        for first, index in reversed(self._refetches):
+            if boundary >= first:
+                break
+        start = index + boundary - first
+        t = self._trace
+        # Only stores are looked up by seq range (the marks' walk).
+        self.isst[boundary:refetch] = [False] * (refetch - boundary)
+        for mine, trace_column in ((self.addr, t.addr), (self.size, t.size),
+                                   (self.isld, t.isld), (self.isst, t.isst)):
+            mine[refetch:] = trace_column[start:]
+        n = refetch + t.n - start
+        for column, fresh in ((self.safe, False), (self.gbp, False),
+                              (self.unsafe, False), (self.wend, -1),
+                              (self.rcyc, -1), (self.icyc, -1),
+                              (self.ipos, -1), (self.ihead, 0), (self.rpos, -1)):
+            if len(column) < n:
+                column.extend([fresh] * (n - len(column)))
+        self.n = n
+        self.seq = range(n)
+        self._refetches.append((refetch, start))
+        while gaps and gaps[-1][0] >= boundary:
+            gaps.pop()
+        gaps.append((boundary, refetch))
+        logged = self.tvs.logged
+        for load in [load for load in logged if load >= boundary]:
+            del logged[load]
+        return True
 
 
-def replay_verdicts(hooks, view: LaneView, events: List[int], wrongpath,
-                    cycles: int, committed: int, label: str) -> int:
+#: A gap start no seq reaches.
+_NO_GAP = 1 << 62
+
+
+def _squash_follows(log, at: int, victim: int, cycle: int) -> bool:
+    """Whether ``log``'s record at ``at`` squashes from ``victim`` in
+    ``cycle``."""
+    return (at + 4 < len(log) and log[at] == EV_SQUASH
+            and log[at + 1] == victim - 1 and log[at + 2] == cycle)
+
+
+def _host_squash(label: str, op: int, at: int) -> SimulationError:
+    return SimulationError(
+        f"verdict lane {label} met a squash in its host's log "
+        f"(opcode {op} at record offset {at})")
+
+
+def replay_verdicts(hooks, view: LaneView, events: Sequence[int], wrongpath,
+                    cycles: int, committed: Optional[int], label: str,
+                    tail=None) -> int:
     """Drive a scheme adapter bound to ``view`` through a squash-free
-    host's event log.
+    host's event log, then, given ``tail``, through a forked run's.
 
     The hooks are called at the kernel's sites with the kernel's gates:
-    load issue, store resolve (with ``view.rob`` set to the recorded ROB
-    tail), every commit under ``commit_mode``, wrong-path loads and
-    recoveries.  The wrong-path loads are the lane's own: ``wrongpath``
-    (a :class:`~repro.frontend.wrongpath.WrongPathModel` on the lane's
+    load issue, store resolve (with ``view.rob`` set from the recorded
+    ROB tail), every retiring instruction under ``commit_mode``,
+    wrong-path loads and recoveries.  The wrong-path loads are the
+    lane's own: ``wrongpath`` (a
+    :class:`~repro.frontend.wrongpath.WrongPathModel` on the lane's
     seed) sees every logged load issue and draws at every mispredict
     mark, as the lane's kernel would.  Returns the lane's
-    ``checking.cycles_observed``: a checking window, which only a commit
-    opens or closes, covers every cycle after the commit stage that
-    opened it up to the one that closes it, or to the run's last cycle
-    (``cycles - 1``).  Returns -1 at the first verdict that would change
-    timing (an issue or resolve hook naming a victim, a commit replay),
-    with ``view.cycle`` set to that verdict's cycle: the lane must then
-    step its own kernel from there (see
+    ``checking.cycles_observed``: a checking window, which only a
+    retiring commit opens or closes, covers every cycle after the commit
+    stage that opened it up to the one that closes it, or to the run's
+    last cycle.
+
+    Without ``tail`` the replay covers ``events``' records of cycles
+    before ``cycles``, which must retire ``committed`` instructions: the
+    whole log when ``cycles`` is the run's cycle count, the prefix before
+    a fork cycle when a lane forks there.  Its first verdict that would
+    change timing (an issue or resolve hook naming a victim, a commit
+    replay) stops it: it returns -1 with ``view.cycle`` set to that
+    verdict's cycle, where the lane must step its own kernel (see
     :meth:`repro.sim.processor.Processor._fork`).
 
-    The replay covers exactly the records of cycles before ``cycles``:
-    the whole log when ``cycles`` is the run's cycle count, and the
-    prefix before a fork cycle when a lane forks there from a
-    conventional machine that has committed ``committed`` instructions.
+    ``tail`` is a forked run the host keeps
+    (:class:`~repro.sim.processor.HostRun` with a ``fork_cycle``), and
+    ``cycles`` its fork cycle; ``view`` is built with ``tail=True``.
+    After ``events``' records before ``cycles`` the replay goes on
+    through the tail's, which the lane must reproduce verdict for
+    verdict: a hook that named a victim in the recorded run must name
+    the same one in the same cycle (the squash record follows its
+    record), a commit-time squash must be the lane's own replay of the
+    head in the commit stage of its cycle, and no other verdict may
+    fire.  The view follows every squash.  Then the lane timed exactly
+    as the forked run, which must have retired ``tail.committed``.  Any
+    disagreement returns -1: with ``view.cycle`` before ``cycles`` when
+    the lane diverged in the host's records (it forks there), else at
+    or past it (the tail does not serve this lane).
 
-    Raises :class:`SimulationError` naming ``label`` if the log has a
-    squash, retires past the trace, or retires other than ``committed``
-    instructions before ``cycles``.
+    Raises :class:`SimulationError` naming ``label`` if the host's log
+    has a squash, retires past the trace, or (without ``tail``) retires
+    other than ``committed`` instructions before ``cycles``.
     """
     scheme = hooks.scheme
     has_load_hook = hooks.has_load_issue
@@ -1660,95 +1833,195 @@ def replay_verdicts(hooks, view: LaneView, events: List[int], wrongpath,
     on_recovery = hooks.on_recovery
     observe = wrongpath.observe_address
     draw = wrongpath.loads_for_mispredict
+    addr_ = view.addr
     isld_ = view.isld
     isst_ = view.isst
     safe_ = view.safe
+    gbp_ = view.gbp
     unsafe_ = view.unsafe
     icyc_ = view.icyc
     rcyc_ = view.rcyc
+    ipos_ = view.ipos
+    ihead_ = view.ihead
+    rpos_ = view.rpos
+    track = ipos_ is not None
     rob = view.rob
+    gaps = view.gaps
+    marks = view.tvs.logged
+    gap = _NO_GAP  # first seq of the next squashed range ahead of the head
     limit = view.n
     head = 0       # next seq to retire
+    retired = 0
     last = 0       # cycle of the previous commit stage
+    stage = -1     # cycle of the last issue, writeback or fetch record
+    expect = -1    # the victim a hook just named, whose squash comes next
     checking = 0
-    i = 0
-    n = len(events)
-    while i < n:
-        op = events[i]
-        if op == EV_COMMITS:
-            cycle = events[i + 1]
-            if cycle >= cycles:
-                break
-            if scheme.checking_active:
-                checking += cycle - last
-            last = cycle
-            end = head + events[i + 2]
-            if end > limit:
-                raise SimulationError(
-                    f"verdict lane {label} retired seq {end - 1} past the "
-                    f"end of its {limit}-op trace")
-            if commit_mode == 2:
-                while head < end:
-                    if scheme.checking_active or (isst_[head] and unsafe_[head]):
-                        if hook_commit(head, cycle):
+    in_tail = False
+    base = 0       # record position of the log's first record
+    bound = cycles
+    log = events
+    while True:
+        i = 0
+        n = len(log)
+        while i < n:
+            op = log[i]
+            if op == EV_COMMITS:
+                cycle = log[i + 1]
+                if cycle >= bound:
+                    break
+                if scheme.checking_active:
+                    checking += cycle - last
+                last = cycle
+                left = log[i + 2]
+                retired += left
+                while left:
+                    end = head + left
+                    if end > gap:
+                        end = gap
+                    if end > limit:
+                        if in_tail:
                             view.cycle = cycle
                             return -1
-                    head += 1
-            elif commit_mode == 1:
-                while head < end:
-                    if isld_[head] and hook_commit_load(head):
-                        view.cycle = cycle
-                        return -1
-                    head += 1
-            else:
-                head = end
-            i += 3
-        elif op == EV_LOAD or op == EV_LOAD_SAFE:
-            cycle = events[i + 3]
-            if cycle >= cycles:
-                break
-            observe(events[i + 1])
-            seq = events[i + 2]
-            icyc_[seq] = cycle
-            if op == EV_LOAD_SAFE:
-                safe_[seq] = True
-            if has_load_hook and hook_load(seq) >= 0:
-                view.cycle = cycle
-                return -1
-            i += 4
-        elif op == EV_STORE:
-            cycle = events[i + 4]
-            if cycle >= cycles:
-                break
-            seq = events[i + 2]
-            icyc_[seq] = rcyc_[seq] = cycle
-            if has_store_hook:
-                rob[0] = events[i + 3]
-                if hook_store(seq) >= 0:
+                        raise SimulationError(
+                            f"verdict lane {label} retired seq {end - 1} past "
+                            f"the end of its {limit}-op trace")
+                    left -= end - head
+                    if commit_mode == 2:
+                        while head < end:
+                            if scheme.checking_active or (isst_[head] and unsafe_[head]):
+                                if hook_commit(head, cycle):
+                                    view.cycle = cycle
+                                    return -1
+                            head += 1
+                    elif commit_mode == 1:
+                        while head < end:
+                            if isld_[head] and hook_commit_load(head):
+                                view.cycle = cycle
+                                return -1
+                            head += 1
+                    else:
+                        head = end
+                    while head == gap:
+                        head = gaps[0][1]
+                        del gaps[0]
+                        gap = gaps[0][0] if gaps else _NO_GAP
+                if marks and min(marks) < head:
+                    # A marked load retired: the kernel would have raised.
                     view.cycle = cycle
                     return -1
-            i += 5
-        elif op == EV_COMMIT:
-            i += 2
-        elif op == EV_MISPREDICT:
-            if events[i + 2] >= cycles:
-                break
-            for age, addr in draw(events[i + 1]):
-                on_wrongpath(age, addr)
-            i += 3
-        elif op == EV_RECOVERY:
-            if events[i + 2] >= cycles:
-                break
-            on_recovery(events[i + 1])
-            i += 3
-        else:  # EV_SQUASH, EV_STORE_VICTIM
-            raise SimulationError(
-                f"verdict lane {label} met a squash in its host's log "
-                f"(opcode {op} at record offset {i})")
-    if head != committed:
+                i += 3
+            elif op == EV_LOAD or op == EV_LOAD_SAFE or op == EV_LOAD_GUARDED:
+                cycle = log[i + 3]
+                if cycle >= bound:
+                    break
+                addr = log[i + 1]
+                observe(addr)
+                seq = log[i + 2]
+                if track:
+                    if seq >= limit or addr_[seq] != addr:
+                        view.cycle = cycle
+                        return -1
+                    ipos_[seq] = base + i
+                    ihead_[seq] = head
+                    stage = cycle
+                icyc_[seq] = cycle
+                if op != EV_LOAD:
+                    safe_[seq] = True
+                    if op == EV_LOAD_GUARDED:
+                        gbp_[seq] = True
+                if has_load_hook:
+                    expect = hook_load(seq)
+                    if expect >= 0 and not (
+                            in_tail and _squash_follows(log, i + 4, expect, cycle)):
+                        view.cycle = cycle
+                        return -1
+                i += 4
+            elif op == EV_STORE or op == EV_STORE_VICTIM:
+                if op == EV_STORE_VICTIM and not in_tail:
+                    raise _host_squash(label, op, i)
+                cycle = log[i + 4]
+                if cycle >= bound:
+                    break
+                seq = log[i + 2]
+                if track:
+                    if seq >= limit or addr_[seq] != log[i + 1]:
+                        view.cycle = cycle
+                        return -1
+                    rpos_[seq] = base + i
+                    stage = cycle
+                icyc_[seq] = rcyc_[seq] = cycle
+                expect = -1
+                if has_store_hook:
+                    younger = seq + 1
+                    for start, end in gaps:
+                        if younger == start:
+                            younger = end
+                    rob[0] = younger if younger <= log[i + 3] else seq
+                    expect = hook_store(seq)
+                if (expect >= 0) != (op == EV_STORE_VICTIM) or (
+                        expect >= 0 and not _squash_follows(log, i + 5, expect, cycle)):
+                    view.cycle = cycle
+                    return -1
+                i += 5
+            elif op == EV_COMMIT:
+                i += 2
+            elif op == EV_MARK:
+                marks[log[i + 1]] = log[i + 2]
+                i += 3
+            elif op == EV_MISPREDICT:
+                cycle = log[i + 2]
+                if cycle >= bound:
+                    break
+                stage = cycle
+                for age, addr in draw(log[i + 1]):
+                    on_wrongpath(age, addr)
+                i += 3
+            elif op == EV_RECOVERY:
+                cycle = log[i + 2]
+                if cycle >= bound:
+                    break
+                stage = cycle
+                on_recovery(log[i + 1])
+                i += 3
+            elif op == EV_SQUASH and in_tail:
+                boundary = log[i + 1] + 1
+                cycle = log[i + 2]
+                if expect >= 0:
+                    # The hook's record checked the boundary and cycle.
+                    expect = -1
+                elif (boundary != head or head >= limit or cycle < last
+                      or cycle <= stage or not hooks.gated_commit(head, cycle)):
+                    # Not the lane's own replay of its commit head.
+                    view.cycle = cycle
+                    return -1
+                if not view.squash(boundary, log[i + 3], head):
+                    view.cycle = cycle
+                    return -1
+                limit = view.n
+                gap = gaps[0][0]
+                while head == gap:
+                    head = gaps[0][1]
+                    del gaps[0]
+                    gap = gaps[0][0] if gaps else _NO_GAP
+                # The DMDC and Garg adapters repair by the kept seq alone.
+                hooks.on_squash(boundary - 1, ())
+                i += 5 + log[i + 4]
+            else:  # EV_SQUASH in the host's log
+                raise _host_squash(label, op, i)
+        if in_tail or tail is None:
+            break
+        in_tail = True
+        base = n
+        log = tail.events
+        bound = tail.cycles
+    if (expect >= 0 or view.tvs.disagree
+            or retired != (committed if tail is None else tail.committed)):
+        if tail is not None:
+            view.cycle = bound
+            return -1
         raise SimulationError(
-            f"verdict lane {label} retired {head} instructions, but its "
+            f"verdict lane {label} retired {retired} instructions, but its "
             f"host committed {committed} before cycle {cycles}")
     if scheme.checking_active:
-        checking += cycles - 1 - last
+        checking += bound - 1 - last
     return checking

@@ -37,9 +37,18 @@ class CounterSet:
         return dict(self._counts)
 
     def merge(self, other: "CounterSet") -> None:
-        """Add every counter of ``other`` into this set."""
+        """Add every counter of ``other`` into this set.
+
+        A counter this set lacks takes ``other``'s int object itself
+        rather than a sum with zero, so the many lane results built
+        from one host run's counters share its ints.
+        """
+        counts = self._counts
         for name, value in other._counts.items():
-            self._counts[name] += value
+            if name in counts:
+                counts[name] += value
+            else:
+                counts[name] = value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CounterSet):

@@ -1,6 +1,7 @@
 """Unit tests for machine/scheme configuration (paper Table 1)."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.sim.config import (
     CONFIG2,
     CONFIG3,
     CONFIGS,
+    SCHEME_LABELS,
     MachineConfig,
     SchemeConfig,
     small_config,
@@ -84,3 +86,35 @@ class TestHelpers:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             CONFIG2.rob_size = 1
+
+
+def _asdict_key(config) -> str:
+    return json.dumps(dataclasses.asdict(config), sort_keys=True,
+                      separators=(",", ":"))
+
+
+class TestCacheKey:
+    """The keys are built from the sorted field names, byte-equal to the
+    canonical JSON of ``asdict`` that every cached result was keyed by."""
+
+    @pytest.mark.parametrize("label", SCHEME_LABELS + ("dmdc-local-queue4",
+                                                      "yla-gran16",
+                                                      "bloom-entries256-sqfilter"))
+    def test_named_configs_times_the_scheme_matrix(self, label):
+        scheme = SchemeConfig.from_label(label)
+        assert scheme.cache_key() == _asdict_key(scheme)
+        for config in CONFIGS:
+            machine = config.with_scheme(scheme)
+            assert machine.cache_key() == _asdict_key(machine)
+
+    def test_small_and_overridden_configs(self):
+        for machine in (small_config(), small_config(rob_size=64),
+                        CONFIG2.with_overrides(lq_size=7, wrongpath_mean_loads=2.5,
+                                               invalidation_rate=0.25),
+                        CONFIG3.with_scheme(SchemeConfig(kind="dmdc", table_entries=512))):
+            assert machine.cache_key() == _asdict_key(machine)
+
+    def test_every_field_reaches_the_key(self):
+        assert CONFIG2.cache_key() != CONFIG2.with_overrides(lq_size=95).cache_key()
+        assert (CONFIG2.with_scheme(SchemeConfig(local=True)).cache_key()
+                != CONFIG2.cache_key())

@@ -1,27 +1,37 @@
-"""A resumable, copyable kernel, and verdict lanes forked from it.
+"""A resumable, copyable kernel, verdict lanes forked from it, and the
+forked runs that serve later lanes.
 
 ``SoaKernel.run`` stops at a cycle boundary with every local written
 back, and a resumed run continues it; a :class:`Snapshot` copies a
 stopped machine.  A verdict lane whose replay of its host's log reaches
 a timing-changing verdict at cycle *D* restores its host's machine at
 or before *D* (``kernel_used == "fork"``) and resumes its own kernel
-there instead of stepping from cycle 0.  The host run keeps those
-snapshots; the setup memo charges them while it holds the run.
+there instead of stepping from cycle 0.  The forked kernel records its
+tail.  The host run keeps those snapshots and forked runs; the setup
+memo charges them while it holds the run.  A later lane of the same
+machine, under any seed, replays a kept forked run's tail
+(``kernel_used == "lane"`` with ``fork_cycle`` set) when its verdicts
+reproduce every recorded one, and forks otherwise.
 
 These tests pin the contracts:
 
 * stopping at random cycles and resuming equals the uninterrupted run,
   over the nine-label matrix and the coherent rows;
 * continuing a copy equals continuing the original;
-* every diverging point of the ``sweep-matrix`` shape equals its lone
-  run on a cold memo, a warm memo and under another seed, including a
-  lane that diverges before the only kept snapshot, and with the
-  invalidation injector on;
+* every fork-prone point of the ``sweep-matrix`` shape equals its lone
+  run on a cold memo, a warm memo and under other seeds, whether it
+  forked or replayed a kept forked run, including a lane that diverges
+  before the only kept snapshot, a seed whose verdicts leave the kept
+  tail, and with the invalidation injector on;
+* a cold group forks in ascending divergence cycle, stepping one
+  prefix;
+* a tampered tail never changes a result: the lane forks instead;
 * a group hosted by a YLA or Bloom point forks from that machine;
-* the snapshots belong to the host run: threads forking from one
-  memoized run keep one snapshot per cycle, a run the memo never held
-  (a custom ``generate()`` trace) serves its batch's forks alone, and so
-  does a run the memo evicts while its batch forks, uncharged;
+* the snapshots and forked runs belong to the host run: threads
+  forking from one memoized run keep one snapshot per cycle, threads
+  share its forked runs, a run the memo never held (a custom
+  ``generate()`` trace) serves its batch's forks alone, and so does a
+  run the memo evicts while its batch forks, uncharged;
 * a fork whose prefix disagrees with the host's log fails loudly.
 
 A failing fork check names the first cycle where the fork leaves its
@@ -29,13 +39,19 @@ lone run (``tests/divergence.py``).
 """
 
 import copy
+import dataclasses
 import random
 import sys
 import threading
+from array import array
 
 import pytest
 
 from repro.analysis.sanitizer import SCHEME_MATRIX as SCHEMES
+from repro.core.schemes.base import (EV_COMMIT, EV_COMMITS, EV_LOAD,
+                                     EV_LOAD_GUARDED, EV_LOAD_SAFE, EV_MARK,
+                                     EV_MISPREDICT, EV_RECOVERY, EV_SQUASH,
+                                     EV_STORE, EV_STORE_VICTIM)
 from repro.errors import SimulationError
 from repro.sim.config import CONFIG2, SCHEME_LABELS, SchemeConfig
 from repro.sim.processor import Processor
@@ -43,7 +59,7 @@ from repro.sim.runner import TRACE_TAIL_SLACK, _Point, run_many
 from repro.sim import setup_memo
 from repro.sim.setup_memo import SETUP_MEMO, SetupBatch, SetupMemo
 from repro.sim.soa import Snapshot, SoaKernel
-from repro.workloads import get_workload
+from repro.workloads import SUITE, SyntheticWorkload, get_workload
 from tests.divergence import (
     explain_fork,
     finish,
@@ -151,14 +167,14 @@ def routes(monkeypatch):
 
 
 def _assert_forks_equal_lone(points, batch, routes):
-    """Every forked point of ``batch`` equals its lone run; returns the
-    forked points."""
-    by_point = {(label, workload): (kernel, host)
-                for label, workload, kernel, _, host in routes}
+    """Every fork-prone point of ``batch`` (one that forked, or replayed
+    a kept forked run's tail) equals its lone run; returns them."""
+    by_point = {(label, workload): (cycle, host)
+                for label, workload, _, cycle, host in routes}
     forked = []
     for point, result in zip(points, batch):
-        kernel, host = by_point[(point.config.scheme.label(), point.workload)]
-        if kernel != "fork":
+        cycle, host = by_point[(point.config.scheme.label(), point.workload)]
+        if cycle is None:
             continue
         forked.append(point)
         alone = _lone(point)
@@ -167,34 +183,187 @@ def _assert_forks_equal_lone(points, batch, routes):
     return forked
 
 
-def test_sweep_matrix_forks_equal_lone_runs_cold_warm_and_reseeded(routes):
-    def sweep(seed):
-        points = [_point(label, workload, seed)
-                  for label in SCHEME_LABELS for workload in SWEEP_WORKLOADS]
-        del routes[:]
-        batch = run_many(points)
-        return points, batch, list(routes)
+def _names(points):
+    return {(point.config.scheme.label(), point.workload) for point in points}
 
-    points, batch, seen = sweep(1)
+
+def _sweep(routes, seed, workloads=SWEEP_WORKLOADS):
+    points = [_point(label, workload, seed)
+              for label in SCHEME_LABELS for workload in workloads]
+    del routes[:]
+    batch = run_many(points)
+    return points, batch, list(routes)
+
+
+def test_sweep_matrix_forks_equal_lone_runs_cold_warm_and_reseeded(routes):
+    """Every fork-prone point of the ``sweep-matrix`` shape, over six
+    seeds: cold it forks; warm, and under most other seeds, it is a lane
+    of the run it forked; every result equals its lone run."""
+    points, batch, seen = _sweep(routes, 1)
     forked = _assert_forks_equal_lone(points, batch, seen)
     assert len(forked) >= 5  # the DMDC variants on mcf and twolf, garg
+    assert all(kernel == "fork" for _, _, kernel, cycle, _ in seen
+               if cycle is not None)
     cold = SETUP_MEMO.stats()
-    assert cold["forks"] == len(forked) and cold["snapshots"] >= 3
-    # The cold batch stepped one prefix per diverging group; now every
-    # divergence cycle has its snapshot.
-    for seed in (1, 2):
+    assert cold["forks"] == cold["forked_runs"] == len(forked)
+    assert cold["snapshots"] >= 3
+    # Now every divergence cycle has its snapshot and every forked
+    # point its forked run.
+    served = {}
+    for seed in (1, 2, 3, 4, 5, 6):
         before = SETUP_MEMO.stats()
-        points, batch, seen = sweep(seed)
+        points, batch, seen = _sweep(routes, seed)
         again = _assert_forks_equal_lone(points, batch, seen)
-        assert ({(p.config.scheme.label(), p.workload) for p in again}
-                == {(p.config.scheme.label(), p.workload) for p in forked})
+        assert _names(again) == _names(forked)
         stats = SETUP_MEMO.stats()
-        # Steady state: no point steps a loop from cycle 0, and every
-        # fork restores a snapshot kept at its own divergence cycle.
+        # Steady state: no point steps a loop from cycle 0; a fork-prone
+        # point replays a kept forked run, else forks from a snapshot
+        # kept at its own divergence cycle.
         assert all(kernel in ("lane", "fork") for _, _, kernel, _, _ in seen)
-        assert stats["forks"] - before["forks"] == len(forked)
-        assert stats["snapshot_hits"] - before["snapshot_hits"] == len(forked)
+        hits = stats["forked_run_hits"] - before["forked_run_hits"]
+        forks = stats["forks"] - before["forks"]
+        assert hits + forks == len(forked)
+        assert hits == sum(kernel == "lane" for _, _, kernel, cycle, _ in seen
+                           if cycle is not None)
+        assert stats["snapshot_hits"] - before["snapshot_hits"] == forks
         assert stats["snapshots"] == cold["snapshots"]
+        served[seed] = hits
+    assert served[1] == len(forked)  # the same seed replays every tail
+    assert sum(served.values()) >= 5 * len(forked)
+
+
+#: Fork-prone points of the ``sweep-matrix`` shape whose second seed's
+#: verdicts leave the tail its first seed's fork recorded (found by
+#: running the seeds in turn).
+TAIL_LEAVERS = (("dmdc-queue8", "mcf", 1, 2), ("dmdc", "mcf", 2, 6),
+                ("garg", "gzip", 1, 7))
+
+
+@pytest.mark.parametrize("label, workload, first, second", TAIL_LEAVERS)
+def test_a_seed_whose_verdicts_leave_the_kept_tail_forks(
+        routes, label, workload, first, second):
+    """The lane replays the kept tail until a verdict differs, then
+    forks after all, and its own forked run is kept beside the first."""
+    run_many([_point("conventional", workload, first),
+              _point(label, workload, first)])
+    host = routes[1][4]
+    (kept,) = host.forked
+    del routes[:]
+    point = _point(label, workload, second)
+    (result,) = run_many([point])
+    ((_, _, kernel, cycle, _),) = routes
+    assert kernel == "fork" and cycle == kept.fork_cycle
+    stats = SETUP_MEMO.stats()
+    assert (stats["forked_run_hits"], stats["forks"], stats["forked_runs"]) == (0, 2, 2)
+    assert host.forked[1] is kept and host.forked[0].events != kept.events
+    alone = _lone(point)
+    if result.to_dict() != alone.to_dict():
+        pytest.fail(explain_fork(point, host, alone.cycles))
+
+
+def test_a_cold_group_forks_in_ascending_divergence_cycle(monkeypatch, routes):
+    """twolf's Garg lane diverges before its DMDC lanes, though it comes
+    later in the batch: a cold sweep forks it first, so the group steps
+    one prefix from cycle 0, and each later fork steps on from the
+    snapshot the one before it kept."""
+    prefixes = []
+    real = SoaKernel.run
+
+    def spy(kernel, target, max_cycles, stop=None):
+        if stop is not None:
+            prefixes.append((kernel.cycle, stop))
+        return real(kernel, target, max_cycles, stop)
+
+    monkeypatch.setattr(SoaKernel, "run", spy)
+    points, batch, seen = _sweep(routes, 1, ("twolf",))
+    forks = [(label, cycle) for label, _, kernel, cycle, _ in seen
+             if kernel == "fork"]
+    assert [label for label, _ in forks][0] == "garg"
+    assert [cycle for _, cycle in forks] == sorted(cycle for _, cycle in forks)
+    stats = SETUP_MEMO.stats()
+    cycles = sorted({cycle for _, cycle in forks})
+    assert (stats["forks"], stats["snapshots"]) == (len(forks), len(cycles))
+    assert stats["snapshot_hits"] == len(forks) - len(cycles)
+    # One prefix from cycle 0; each later one resumes where it stopped.
+    assert prefixes == list(zip([0] + cycles[:-1], cycles))
+    assert len(_assert_forks_equal_lone(points, batch, seen)) == len(forks)
+
+
+#: Record lengths of the lane event log, by opcode (a squash adds its
+#: squashed loads' addresses).
+_RECORD = {EV_LOAD: 4, EV_LOAD_SAFE: 4, EV_LOAD_GUARDED: 4, EV_STORE: 5,
+           EV_STORE_VICTIM: 5, EV_MISPREDICT: 3, EV_RECOVERY: 3,
+           EV_COMMIT: 2, EV_COMMITS: 3, EV_MARK: 3, EV_SQUASH: 5}
+
+
+def _records(events):
+    """``events`` as a list of records (lists of ints)."""
+    out = []
+    i = 0
+    while i < len(events):
+        length = _RECORD[events[i]]
+        if events[i] == EV_SQUASH:
+            length += events[i + 4]
+        out.append(list(events[i:i + length]))
+        i += length
+    return out
+
+
+def _tamper(events, how):
+    records = _records(events)
+    squash = next(k for k, record in enumerate(records) if record[0] == EV_SQUASH)
+    if how == "drop-squash":
+        del records[squash]
+    elif how == "shift-squash":
+        records.insert(squash + 2, records.pop(squash))
+    elif how == "drop-mark":
+        del records[next(k for k, record in enumerate(records)
+                         if record[0] == EV_MARK)]
+    else:  # "forge-mark": mark the first load the tail commits
+        commit = next(k for k, record in enumerate(records)
+                      if record[0] == EV_COMMITS)
+        load = next(record for record in records[:commit]
+                    if record[0] in (EV_LOAD, EV_LOAD_SAFE))
+        records.insert(commit, [EV_MARK, load[2], load[2] - 1])
+    return array("q", [value for record in records for value in record])
+
+
+#: mcf and crafty with some store-load conflicts: their conventional
+#: runs stay squash-free, and these lanes' forked tails carry
+#: ground-truth marks (true violations DMDC replays at commit).
+MARKED = {name: SyntheticWorkload(dataclasses.replace(
+    SUITE[name].spec, name=f"{name}-c0.5", conflict_per_kinstr=0.5))
+    for name in ("mcf", "crafty")}
+
+
+@pytest.mark.parametrize("label, workload, how", [
+    ("dmdc", "twolf", "drop-squash"),
+    ("dmdc", "twolf", "shift-squash"),
+    ("garg", "twolf", "drop-squash"),
+    ("garg", "twolf", "shift-squash"),
+    ("dmdc-nosafe", "mcf", "drop-mark"),
+    ("dmdc", "crafty", "drop-mark"),
+    ("dmdc", "crafty", "forge-mark"),
+])
+def test_a_tampered_tail_never_changes_a_result(routes, label, workload, how):
+    """A kept tail with one squash record dropped or moved, or one
+    ground-truth mark dropped or forged, does not serve a lane of
+    another seed: the lane forks, and equals its lone run."""
+    budget = 3_000 if workload in MARKED else SWEEP_BUDGET
+    workload = MARKED.get(workload, workload)
+    run_many([_point("conventional", workload, 1, budget=budget),
+              _point(label, workload, 1, budget=budget)])
+    host = routes[1][4]
+    (kept,) = host.forked
+    point = _point(label, workload, 1, budget=budget)
+    (honest,) = run_many([point])
+    assert routes[-1][2] == "lane" and SETUP_MEMO.stats()["forked_run_hits"] == 1
+    kept.events = _tamper(kept.events, how)
+    del routes[:]
+    (result,) = run_many([point])
+    assert [kernel for _, _, kernel, _, _ in routes] == ["fork"]
+    assert SETUP_MEMO.stats()["forked_run_hits"] == 1
+    assert result.to_dict() == honest.to_dict() == _lone(point).to_dict()
 
 
 def test_a_lane_diverging_before_the_only_kept_snapshot(routes):
@@ -284,7 +453,55 @@ def test_threads_fork_from_one_memoized_host_run(monkeypatch, routes):
     assert kept.cycle == forks[0][1]
     stats = SETUP_MEMO.stats()
     assert (stats["forks"], stats["snapshot_hits"], stats["snapshots"]) == (3, 0, 1)
-    assert stats["charged_ops"] == charged + setup_memo._snapshot_charge(kept)
+    # Each fork keeps its run, unless one with the same tail is kept.
+    assert 1 <= stats["forked_runs"] == len(host.forked) <= 3
+    assert stats["charged_ops"] == (charged + setup_memo._snapshot_charge(kept)
+                                    + sum(map(setup_memo._log_charge, host.forked)))
+    for point, result in zip(points, out):
+        assert result.to_dict() == _lone(point).to_dict()
+
+
+def test_threads_share_one_host_runs_forked_runs(monkeypatch, routes):
+    """Four threads of other seeds look up one memoized host run's
+    forked runs together: each replays the one kept tail, every hit is
+    counted under the lock, and each equals its lone run."""
+    run_many([_point("conventional", "twolf", 1), _point("garg", "twolf", 1)])
+    host = routes[1][4]
+    (kept,) = host.forked
+    charged = SETUP_MEMO.stats()["charged_ops"]
+    points = [_point("garg", "twolf", seed) for seed in (2, 3, 4, 5)]
+    barrier = threading.Barrier(len(points))
+    real = SetupMemo.forked_runs
+
+    def together(memo, run, machine):
+        found = real(memo, run, machine)
+        barrier.wait(timeout=60)
+        return found
+
+    monkeypatch.setattr(SetupMemo, "forked_runs", together)
+    out = [None] * len(points)
+
+    def worker(slot):
+        (out[slot],) = run_many([points[slot]])
+
+    threads = [threading.Thread(target=worker, args=(slot,))
+               for slot in range(len(points))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    lanes = [(kernel, cycle) for _, _, kernel, cycle, _ in routes[2:]]
+    assert lanes == [("lane", kept.fork_cycle)] * len(points)
+    stats = SETUP_MEMO.stats()
+    assert (stats["forked_run_hits"], stats["forked_runs"], stats["forks"]) == (
+        len(points), 1, 1)
+    assert host.forked == [kept] and stats["charged_ops"] == charged
     for point, result in zip(points, out):
         assert result.to_dict() == _lone(point).to_dict()
 

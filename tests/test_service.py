@@ -413,13 +413,27 @@ class TestCoalescing:
         assert (snapshot["service"]["unique_submitted"]
                 + snapshot["service"]["coalesced_inflight"]) == clients
 
-    def test_burst_with_duplication_executes_fewer_than_unique(self, service):
+    def test_burst_with_duplication_executes_fewer_than_unique(self, service,
+                                                              monkeypatch):
         server, client = service
         unique, requests_total = 20, 100  # 5x key duplication
         # Pre-warm a quarter of the keys: the burst must then execute
         # strictly fewer simulations than unique keys submitted.
         for seed in range(5):
             client.run("gzip", instructions=BUDGET, seed=seed)
+        # Hold the batchers' engines until the whole burst is admitted,
+        # so duplicates certainly arrive while their key is in flight,
+        # however the host schedules the client threads.
+        gate = threading.Event()
+
+        def held(real_run):
+            def held_run(requests):
+                assert gate.wait(timeout=60.0), "the burst never fully arrived"
+                return real_run(requests)
+            return held_run
+
+        for shard in server.shards.shards:
+            monkeypatch.setattr(shard.engine, "run", held(shard.engine.run))
         responses = [None] * requests_total
         errors = []
 
@@ -434,6 +448,11 @@ class TestCoalescing:
                    for i in range(requests_total)]
         for thread in threads:
             thread.start()
+        deadline = time.monotonic() + 60.0
+        while (server.metrics_snapshot()["service"]["received"]
+               < requests_total + 5 and time.monotonic() < deadline):
+            time.sleep(0.01)
+        gate.set()
         for thread in threads:
             thread.join(timeout=120)
         assert not errors

@@ -167,11 +167,21 @@ def test_eviction_under_a_tiny_bound(monkeypatch):
 
 class _Log:
     """A stand-in host run: the memo charges the length of its log and
-    the snapshots kept on it."""
+    the snapshots and forked runs kept on it."""
 
     def __init__(self, entries: int) -> None:
         self.events = [0] * entries
         self.snapshots = []
+        self.forked = []
+
+
+class _Forked:
+    """A stand-in forked run: the memo charges the length of its tail."""
+
+    def __init__(self, machine, fork_cycle: int, entries: int, fill: int = 0) -> None:
+        self.machine = machine
+        self.fork_cycle = fork_cycle
+        self.events = [fill] * entries
 
 
 def _machine(lq_size: int):
@@ -285,6 +295,79 @@ def test_one_host_sheds_its_snapshots_before_its_run(monkeypatch):
     assert memo.host_run(key, BUDGET, _machine(8)) is run and not run.snapshots
 
 
+def test_forked_runs_are_charged_evicted_and_shed_with_their_host(monkeypatch):
+    """A host run's forked runs count against the bound while the memo
+    holds it: at most a few per lane machine and one per distinct tail;
+    they go with their host run when it is evicted, and with its
+    snapshots when it is the last one left."""
+    monkeypatch.setattr(setup_memo, "MAX_RETAINED_OPS", 1_000)
+    memo = setup_memo.SetupMemo()
+    workload = get_workload("gzip")
+    key = trace_key(workload, 300)
+    memo.trace(key, workload, 300)
+    per_op = setup_memo._LOG_ENTRIES_PER_OP
+    run = _Log(20 * per_op)
+    memo.keep_host_run(key, BUDGET, _machine(8), run)
+    lane = CONFIG2.with_scheme(SchemeConfig.from_label("dmdc"))
+    for fill in range(setup_memo.FORKED_RUNS_PER_MACHINE + 1):
+        memo.keep_forked_run(run, _Forked(lane, 100, 10 * per_op, fill))
+        assert memo.stats()["charged_ops"] <= setup_memo.MAX_RETAINED_OPS
+    memo.keep_forked_run(run, _Forked(lane, 100, 10 * per_op, 1))  # kept already
+    other = lane.with_scheme(SchemeConfig.from_label("garg"))
+    memo.keep_forked_run(run, _Forked(other, 90, 10 * per_op))
+    stats = memo.stats()
+    cap = setup_memo.FORKED_RUNS_PER_MACHINE
+    assert stats["forked_runs"] == cap + 1
+    assert stats["charged_ops"] == 300 + 20 + (cap + 1) * 10
+    # Most recently kept first; the oldest tail of the machine went.
+    assert [forked.events[0] for forked in memo.forked_runs(run, lane)] == [
+        cap - k for k in range(cap)]
+    (garg,) = memo.forked_runs(run, other)
+    memo.forked_run_hit(run, garg)
+    assert run.forked[0] is garg and memo.stats()["forked_run_hits"] == 1
+    # A run the memo does not hold keeps forked runs uncharged.
+    loose = _Log(per_op)
+    memo.keep_forked_run(loose, _Forked(lane, 100, 10 * per_op))
+    assert memo.stats()["charged_ops"] == 300 + 20 + (cap + 1) * 10
+    # The last host run left sheds its snapshots and forked runs first.
+    memo.keep_snapshot(run, _Snapshot(100, 700 * per_op))
+    stats = memo.stats()
+    assert (stats["hosts"], stats["snapshots"], stats["forked_runs"]) == (1, 0, 0)
+    assert stats["charged_ops"] == 320 and not run.forked
+    # A host run evicted with its trace takes its forked runs along.
+    memo.keep_forked_run(run, _Forked(lane, 100, 10 * per_op))
+    assert memo.stats()["charged_ops"] == 330
+    mcf = get_workload("mcf")
+    memo.trace(trace_key(mcf, 700), mcf, 700)
+    stats = memo.stats()
+    assert (stats["traces"], stats["hosts"], stats["forked_runs"]) == (1, 0, 0)
+    assert stats["charged_ops"] == 700 <= setup_memo.MAX_RETAINED_OPS
+
+
+def test_a_forked_run_serves_a_lane_of_another_seed():
+    """One seed's diverging Garg lane keeps its forked run; the next
+    seed's lane of that machine replays it instead of forking, and
+    ``/metrics`` reports both counts."""
+    config = CONFIG2.with_scheme(SchemeConfig.from_label("garg"))
+    first = run_many([RunRequest(CONFIG2, "gzip", 4_000, 1),
+                      RunRequest(config, "gzip", 4_000, 1)])[1]
+    stats = SETUP_MEMO.stats()
+    assert (stats["forks"], stats["forked_runs"], stats["forked_run_hits"]) == (1, 1, 0)
+    second = run_many([RunRequest(config, "gzip", 4_000, 2)])[0]
+    stats = SETUP_MEMO.stats()
+    assert (stats["forks"], stats["forked_runs"], stats["forked_run_hits"]) == (1, 1, 1)
+    assert second.cycles == first.cycles
+    SETUP_MEMO.clear()
+    assert second.to_dict() == run_many([RunRequest(config, "gzip", 4_000, 2)])[0].to_dict()
+    server, thread, client = start_server()
+    try:
+        memo = server.metrics_snapshot()["engine"]["setup_memo"]
+    finally:
+        client.close()
+        stop_server(server, thread)
+    assert {"forked_runs", "forked_run_hits"} <= set(memo)
+
+
 def test_traces_alone_evict_where_the_op_bound_says(monkeypatch):
     """Without host runs the charge is the traces' ops, so eviction
     happens exactly where the micro-op bound alone puts it."""
@@ -346,6 +429,7 @@ def test_counters_for_a_known_batch():
                      "warm_hits": 0, "warm_misses": 2, "host_hits": 0,
                      "host_misses": 2, "traces": 2, "hosts": 2,
                      "snapshots": 0, "snapshot_hits": 0, "forks": 0,
+                     "forked_runs": 0, "forked_run_hits": 0,
                      "retained_ops": retained}
     run_many(requests)
     stats = EngineStats.setup_memo()
