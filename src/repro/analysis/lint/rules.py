@@ -50,23 +50,18 @@ HOT_FUNCTIONS: Dict[str, Set[str]] = {
     },
     # The batched SoA kernel: its fused cycle loop and squash path are
     # the hottest code in the repository, and the verdict-lane replay
-    # walks a whole run's event log per lane.  Construction
-    # (``__init__``, ``TraceSoA``, ``LaneView``) is setup and may
-    # allocate freely.
+    # walks a forked run's tail per lane.  Construction (``__init__``,
+    # ``TraceSoA``, ``LaneView``) is setup and may allocate freely.
     "repro/sim/soa.py": {
         "SoaKernel.run",
         "SoaKernel._squash_from",
         "SoaKernel._free_iq_if_held",
         "replay_verdicts",
     },
-    # The filter-lane replay walks a whole run's event log for every
-    # conventional-family lane, across seeds.
-    "repro/core/schemes/conventional.py": {
-        "ConventionalScheme.replay_lane",
-    },
-    # The value lane walks a whole value run's log, across seeds.
-    "repro/core/schemes/value.py": {
-        "ValueBasedScheme.replay_lane",
+    # The lane walk decodes a whole host run's log for every lane of its
+    # group, across seeds; binding, checkpoints and booking are setup.
+    "repro/sim/walk.py": {
+        "_Walk.run",
     },
 }
 

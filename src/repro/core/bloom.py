@@ -15,7 +15,7 @@ quantifies.
 from typing import List
 
 from repro.errors import ConfigError
-from repro.utils.bitops import fold_xor, is_power_of_two, log2_exact
+from repro.utils.bitops import ADDRESS_MASK, fold_shifts, is_power_of_two, log2_exact
 
 
 class CountingBloomFilter:
@@ -29,8 +29,9 @@ class CountingBloomFilter:
         self.entries = entries
         self.granularity_bytes = granularity_bytes
         self.counter_max = (1 << counter_bits) - 1
-        self._bits = log2_exact(entries)
         self._shift = log2_exact(granularity_bytes)
+        self._mask = entries - 1
+        self._folds = fold_shifts(log2_exact(entries))
         self._counters: List[int] = [0] * entries
         self.inserts = 0
         self.removes = 0
@@ -39,8 +40,13 @@ class CountingBloomFilter:
         self.saturations = 0
 
     def index(self, addr: int) -> int:
-        """H0 hash: XOR-fold the quad-word address to the table width."""
-        return fold_xor(addr >> self._shift, self._bits)
+        """H0 hash: XOR-fold the quad-word address to the table width
+        (:func:`~repro.utils.bitops.fold_xor`, inline)."""
+        word = (addr >> self._shift) & ADDRESS_MASK
+        folded = word
+        for shift in self._folds:
+            folded ^= word >> shift
+        return folded & self._mask
 
     def insert(self, addr: int) -> None:
         """A load issued: count its address in."""

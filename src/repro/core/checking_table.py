@@ -20,7 +20,7 @@ O(marked entries) here, mirroring a hardware flash-clear.
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
-from repro.utils.bitops import fold_xor, is_power_of_two, log2_exact
+from repro.utils.bitops import ADDRESS_MASK, fold_shifts, is_power_of_two, log2_exact
 
 QUAD_WORD = 8
 GRANULE = 2  # bytes per WRT bitmap bit
@@ -44,7 +44,8 @@ class CheckingTable:
         if not is_power_of_two(entries):
             raise ConfigError("checking table entries must be a power of two")
         self.entries = entries
-        self._bits = log2_exact(entries)
+        self._mask = entries - 1
+        self._folds = fold_shifts(log2_exact(entries))
         # index -> (wrt_bitmap, inv_bit); absent index means all-clear.
         self._marked: Dict[int, Tuple[int, int]] = {}
         self.writes = 0
@@ -52,7 +53,13 @@ class CheckingTable:
         self.clears = 0
 
     def index(self, addr: int) -> int:
-        return fold_xor(addr >> 3, self._bits)
+        """The folded quad-word address (:func:`~repro.utils.bitops.fold_xor`,
+        inline)."""
+        word = (addr >> 3) & ADDRESS_MASK
+        folded = word
+        for shift in self._folds:
+            folded ^= word >> shift
+        return folded & self._mask
 
     # Store side -----------------------------------------------------------
     def mark_store(self, addr: int, size: int) -> int:

@@ -58,10 +58,11 @@ SOA_HOOKS = {
 #: kernel run appends one flat record per event a lane reads, opcode
 #: first.  The log is seed-free: it marks each mispredicted fetch but
 #: leaves out the run's own wrong-path draws, the one use of the seed
-#: while the invalidation injector is off.  ``ConventionalScheme.replay_lane``
-#: (:mod:`repro.core.schemes.conventional`) replays it through a search
-#: filter, :func:`repro.sim.soa.replay_verdicts` through a DMDC or Garg
-#: adapter.
+#: while the invalidation injector is off.  A group's lanes walk it
+#: together (:mod:`repro.sim.walk`): through a search filter, a value
+#: count, or a DMDC or Garg adapter, which
+#: :func:`repro.sim.soa.replay_verdicts` also drives through a forked
+#: run's tail.
 #: Every record but a load commit carries the cycle it happened in (last,
 #: or, for ``EV_COMMITS`` and ``EV_SQUASH``, first after the opcode or
 #: the kept seq); a load commit belongs to the ``EV_COMMITS`` record that

@@ -15,8 +15,8 @@ filters inline: the filters' adapter (``_FilteredSoaHooks``) drives the
 filter per event around the conventional search
 (``_ConventionalSoaHooks``).  A batch replays one conventional run's
 recorded log through the filter of every other filter point that shares
-it, whatever that point's seed (filter *lanes*,
-:meth:`ConventionalScheme.replay_lane`, see
+it, whatever that point's seed (filter *lanes*: the group's walk drives
+the ``_filter_*`` ops, :mod:`repro.sim.walk`, see
 :func:`repro.sim.runner.run_many`), and, when that run was squash-free,
 into every ``conventional-storesets`` point (store sets never train
 without a violation).
@@ -25,22 +25,8 @@ without a violation).
 from typing import List
 
 from repro.core.bloom import CountingBloomFilter
-from repro.core.schemes.base import (
-    EV_COMMIT,
-    EV_COMMITS,
-    EV_LOAD,
-    EV_LOAD_GUARDED,
-    EV_LOAD_SAFE,
-    EV_MARK,
-    EV_MISPREDICT,
-    EV_RECOVERY,
-    EV_STORE,
-    EV_STORE_VICTIM,
-    CheckScheme,
-    SoaHooks,
-)
+from repro.core.schemes.base import CheckScheme, SoaHooks
 from repro.core.yla import YlaFile
-from repro.errors import SimulationError
 from repro.lsq.queues import lq_violation_search_soa
 
 
@@ -78,77 +64,6 @@ class ConventionalScheme(CheckScheme):
         """A replay squashed everything younger than ``last_kept_seq``,
         including issued loads at ``load_addrs``."""
 
-    # -- lane route: replay a recorded conventional run --------------------
-    def replay_lane(self, events: List[int], label: str,
-                    coherence_replays: int, wrongpath) -> None:
-        """Book this scheme's run from a recorded conventional run's
-        ``events``, driving the filter through them.
-
-        The scheme's fresh ``stats`` get what its hooks book
-        (``stores.resolved``, ``lq.searches``, ``stores.safe``,
-        ``replay.execution_time``, the filter's own).  The log leaves out
-        the coherent load-load check, which no filter changes:
-        ``coherence_replays`` is the recording run's count.  It leaves
-        out the recording run's wrong-path loads too: ``wrongpath``, the
-        lane's own :class:`~repro.frontend.wrongpath.WrongPathModel`,
-        sees every logged load issue and draws the lane's at every
-        mispredict mark.  A store the filter calls safe although
-        the recorded search found a victim raises
-        :class:`SimulationError` naming ``label``, the store's seq and
-        its address: the filter would have let a premature load retire.
-        """
-        stats = self.stats
-        safe = self._filter_safe
-        observe = wrongpath.observe_address
-        draw = wrongpath.loads_for_mispredict
-        searches = filtered = victims = 0
-        i = 0
-        n = len(events)
-        while i < n:
-            op = events[i]
-            if op == EV_LOAD or op == EV_LOAD_SAFE or op == EV_LOAD_GUARDED:
-                observe(events[i + 1])
-                self._filter_load(events[i + 1], events[i + 2])
-                i += 4
-            elif op == EV_COMMIT:
-                self._filter_commit(events[i + 1])
-                i += 2
-            elif op == EV_STORE or op == EV_STORE_VICTIM:
-                addr = events[i + 1]
-                seq = events[i + 2]
-                if safe(addr, seq):
-                    if op == EV_STORE_VICTIM:
-                        raise SimulationError(
-                            f"filter lane {label} called store seq={seq} "
-                            f"addr={addr:#x} safe, but the host's LQ search "
-                            f"found a victim")
-                    filtered += 1
-                else:
-                    searches += 1
-                    if op == EV_STORE_VICTIM:
-                        victims += 1
-                i += 5
-            elif op == EV_COMMITS or op == EV_MARK:
-                i += 3
-            elif op == EV_MISPREDICT:
-                for age, addr in draw(events[i + 1]):
-                    self.on_wrongpath_load(age, addr)
-                i += 3
-            elif op == EV_RECOVERY:
-                self.on_recovery(events[i + 1])
-                i += 3
-            else:  # EV_SQUASH
-                count = events[i + 4]
-                self._filter_squash(events[i + 1], events[i + 5:i + 5 + count])
-                i += 5 + count
-        for name, value in (("stores.resolved", searches + filtered),
-                            ("stores.safe", filtered),
-                            ("lq.searches", searches),
-                            ("replay.execution_time", victims),
-                            ("replay.coherence", coherence_replays)):
-            if value:
-                stats[name] = value
-
 
 class FilteredScheme(ConventionalScheme):
     """Conventional LQ whose search a filter may skip (YLA, Bloom).
@@ -156,9 +71,8 @@ class FilteredScheme(ConventionalScheme):
     Subclasses supply the filter as the four address-level ``_filter_*``
     operations of :class:`ConventionalScheme` plus the (already
     address-level) wrong-path and recovery hooks.  A run drives them
-    inline through ``_FilteredSoaHooks``; a lane drives them by
-    :meth:`~ConventionalScheme.replay_lane` over a recorded conventional
-    run (see the module docstring).
+    inline through ``_FilteredSoaHooks``; a lane's walk over a recorded
+    conventional run drives them per record (see the module docstring).
     """
 
     def soa_hooks(self, kernel):

@@ -22,7 +22,7 @@ from typing import Dict
 
 from repro.core.schemes.base import CheckScheme, SoaHooks
 from repro.errors import ConfigError
-from repro.utils.bitops import fold_xor, is_power_of_two, log2_exact
+from repro.utils.bitops import ADDRESS_MASK, fold_shifts, is_power_of_two, log2_exact
 
 
 class AgeHashTable:
@@ -32,13 +32,20 @@ class AgeHashTable:
         if not is_power_of_two(entries):
             raise ConfigError("age-hash table entries must be a power of two")
         self.entries = entries
-        self._bits = log2_exact(entries)
+        self._mask = entries - 1
+        self._folds = fold_shifts(log2_exact(entries))
         self._ages: Dict[int, int] = {}
         self.reads = 0
         self.writes = 0
 
     def index(self, addr: int) -> int:
-        return fold_xor(addr >> 3, self._bits)
+        """The folded quad-word address (:func:`~repro.utils.bitops.fold_xor`,
+        inline)."""
+        word = (addr >> 3) & ADDRESS_MASK
+        folded = word
+        for shift in self._folds:
+            folded ^= word >> shift
+        return folded & self._mask
 
     def observe_load(self, addr: int, age: int) -> None:
         self.writes += 1

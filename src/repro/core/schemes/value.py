@@ -19,24 +19,17 @@ re-execution rate; this implements the naive scheme the comparison in
 Section 7 refers to.
 """
 
-from typing import List
-
-from repro.core.schemes.base import (
-    EV_COMMIT,
-    EV_LOAD,
-    EV_LOAD_GUARDED,
-    EV_LOAD_SAFE,
-    EV_MISPREDICT,
-    EV_SQUASH,
-    EV_STORE,
-    EV_STORE_VICTIM,
-    CheckScheme,
-    SoaHooks,
-)
+from repro.core.schemes.base import CheckScheme, SoaHooks
 
 
 class ValueBasedScheme(CheckScheme):
-    """Commit-time load re-execution; no LQ, no searches, no filtering."""
+    """Commit-time load re-execution; no LQ, no searches, no filtering.
+
+    Its timing does not depend on its seed while the invalidation
+    injector is off, so one recorded value run serves every seed: a
+    lane's re-executions are the run's committed loads plus the loads
+    that replayed instead, one squash each (:mod:`repro.sim.walk`).
+    """
 
     uses_associative_lq = False
     #: The pipeline re-accesses the D-cache for every committing load.
@@ -45,47 +38,6 @@ class ValueBasedScheme(CheckScheme):
 
     def soa_hooks(self, kernel):
         return _ValueSoaHooks(self, kernel)
-
-    def replay_lane(self, events: List[int], wrongpath) -> None:
-        """Book this scheme's run from a recorded value run's ``events``.
-
-        The value machine's timing does not depend on its seed while the
-        invalidation injector is off (its wrong-path loads reach no
-        state), so one recorded run serves every seed: the re-executions
-        are the committed loads (``EV_COMMIT``) plus the loads that
-        replayed instead (one squash each), and ``wrongpath``, the lane's
-        own :class:`~repro.frontend.wrongpath.WrongPathModel`, sees every
-        logged load issue and draws the lane's wrong-path loads at every
-        mispredict mark.
-        """
-        observe = wrongpath.observe_address
-        draw = wrongpath.loads_for_mispredict
-        loads = replays = 0
-        i = 0
-        n = len(events)
-        while i < n:
-            op = events[i]
-            if op == EV_LOAD or op == EV_LOAD_SAFE or op == EV_LOAD_GUARDED:
-                observe(events[i + 1])
-                i += 4
-            elif op == EV_COMMIT:
-                loads += 1
-                i += 2
-            elif op == EV_MISPREDICT:
-                for age, addr in draw(events[i + 1]):
-                    self.on_wrongpath_load(age, addr)
-                i += 3
-            elif op == EV_SQUASH:
-                replays += 1
-                i += 5 + events[i + 4]
-            elif op == EV_STORE or op == EV_STORE_VICTIM:
-                i += 5
-            else:  # EV_COMMITS, EV_RECOVERY, EV_MARK
-                i += 3
-        if loads + replays:
-            self.stats["value.reexecutions"] = loads + replays
-        if replays:
-            self.stats["replay.true"] = replays
 
 
 class _ValueSoaHooks(SoaHooks):

@@ -49,13 +49,13 @@ class YlaFile:
     def observe_load_issue(self, addr: int, age: int) -> None:
         """A load issued: push its bank's register forward if younger."""
         self.updates += 1
-        b = self.bank(addr)
+        b = (addr >> self._shift) & self._mask  # bank(), inline: a hot path
         if age > self._ages[b]:
             self._ages[b] = age
 
     def youngest_for(self, addr: int) -> int:
         """Age recorded for ``addr``'s bank (``NO_LOAD`` when none)."""
-        return self._ages[self.bank(addr)]
+        return self._ages[(addr >> self._shift) & self._mask]
 
     def store_is_safe(self, addr: int, store_age: int) -> bool:
         """YLA check at store resolution (counts a compare).
@@ -65,7 +65,7 @@ class YlaFile:
         than the store's own.
         """
         self.compares += 1
-        safe = self._ages[self.bank(addr)] < store_age
+        safe = self._ages[(addr >> self._shift) & self._mask] < store_age
         if safe:
             self.hits += 1
         return safe

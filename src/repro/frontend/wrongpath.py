@@ -37,6 +37,15 @@ class WrongPathModel:
         self._recent_addrs: deque = deque(maxlen=self._recent_cap)
         self.injected = 0
 
+    def copy(self) -> "WrongPathModel":
+        """An independent model in this one's state: the same stream
+        position, recent addresses and draw count."""
+        other = WrongPathModel(self.rng.copy(), self.mean_loads,
+                               self.address_spread, self.enabled)
+        other._recent_addrs.extend(self._recent_addrs)
+        other.injected = self.injected
+        return other
+
     def observe_address(self, addr: int) -> None:
         """Track committed-path data addresses to anchor wrong-path ones."""
         self._recent_addrs.append(addr)

@@ -36,11 +36,13 @@ A point that ``run_many`` batches with a conventional host run may step
 no loop at all: a YLA or Bloom point replays the host's recorded events
 through its filter (a *filter lane*), and a DMDC, Garg or store-set point
 replays a squash-free host's events through its scheme (a *verdict
-lane*), and if a replay verdict would change timing it forks: its own
-kernel resumes from a snapshot of the host's machine at that cycle,
-which the host run keeps (:meth:`Processor._fork`).  The forked run
-records its tail, and the host run keeps it too, so a later lane of the
-same machine under any seed replays that tail instead of forking again
+lane*); a group's lanes walk the log together, once
+(:func:`~repro.sim.walk.walk_lanes`).  If a verdict would change timing
+the lane leaves the walk and forks: its own kernel resumes from a
+snapshot of the host's machine at that cycle, which the host run keeps
+(:meth:`Processor._fork`).  The forked run records its tail, and the
+host run keeps it too, so a later lane of the same machine under any
+seed replays that tail instead of forking again
 (:meth:`Processor.replay`).  A ``value`` point replays a value run
 recorded under another seed.  See :class:`HostRun`.  The host shares the lane's trace, budget and
 machine, not necessarily its seed: a lane draws its own wrong-path
@@ -73,6 +75,7 @@ from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SETUP_MEMO
 from repro.sim.soa import (CHECKING_COUNT, LaneView, Snapshot, SoaKernel,
                             replay_verdicts)
+from repro.sim.walk import Lane, walk_lanes
 from repro.stats.counters import CounterSet
 from repro.utils.rng import DeterministicRng
 
@@ -99,10 +102,13 @@ class HostRun:
     on, and ``forked`` keeps that run, most recently used first: a
     ``HostRun`` of the lane's machine whose ``fork_cycle`` is set and
     whose ``events`` are its tail.  A later lane of that machine, under
-    any seed while the injector is off, replays this run's records
-    before the fork cycle and then the tail, and takes the forked run's
-    machine counters when its own verdicts reproduce every recorded one
-    (:func:`~repro.sim.soa.replay_verdicts`).  The run owns its
+    any seed while the injector is off, that leaves its group's walk
+    over this run's log (:mod:`repro.sim.walk`) at that fork cycle
+    replays the tail, from the walk's checkpoint of the lane there
+    (else after this run's records before the fork cycle), and takes
+    the forked run's machine counters when its own verdicts reproduce
+    every recorded one (:func:`~repro.sim.soa.replay_verdicts`).  The
+    run owns its
     snapshots and forked runs, so they live and go with it; the setup
     memo charges them while it holds the run, and every read or write
     of them takes the memo's lock (:meth:`Processor.replay`,
@@ -168,18 +174,9 @@ class Processor:
         self.trace = trace
         self.rng = DeterministicRng(seed, f"proc:{trace.name}")
 
-        self.predictor = CombinedPredictor(
-            bimodal_entries=config.bimodal_entries,
-            gshare_entries=config.gshare_entries,
-            history_bits=config.gshare_history,
-            meta_entries=config.meta_entries,
-            btb_entries=config.btb_entries,
-            btb_assoc=config.btb_assoc,
-        )
-        self.memory = MemoryHierarchy(
-            config.l1i_config(), config.l1d_config(), config.l2_config(),
-            config.memory_latency,
-        )
+        # The branch predictor and the memory hierarchy (``predictor``,
+        # ``memory``) are built on first use (``__getattr__``): a lane
+        # that never forks never needs them.
         self.fus = FunctionalUnits(
             config.int_alu, config.int_muldiv, config.fp_alu, config.fp_muldiv
         )
@@ -220,9 +217,11 @@ class Processor:
         #: provenance, never part of a result.
         self.kernel_used = "soa"
         self.fork_cycle: Optional[int] = None
-        #: A verdict lane's divergence cycle, once its replay found it,
-        #: the forked runs it tried, the seconds its replays took and the
-        #: result they gave (see :meth:`replay`).
+        #: A lane's part of its group's walk (:class:`~repro.sim.walk.Lane`),
+        #: a verdict lane's divergence cycle, once the walk found it, the
+        #: forked runs it tried, the seconds its replays took besides its
+        #: share of the walk, and the result they gave (see :meth:`replay`).
+        self.lane: Optional[Lane] = None
         self.divergence: Optional[int] = None
         self._tried: List[HostRun] = []
         self._replay_seconds = 0.0
@@ -237,6 +236,28 @@ class Processor:
         self.record_events = False
         self.recorded: Optional[HostRun] = None
         self.replay_from: Optional[HostRun] = None
+
+    def __getattr__(self, name: str):
+        """Build the front end and memory on first use: they hold the
+        large tables (predictor counters, cache tag stores) that a lane
+        replaying a recorded run never reads."""
+        if name not in ("predictor", "memory"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        config = self.config
+        self.predictor = CombinedPredictor(
+            bimodal_entries=config.bimodal_entries,
+            gshare_entries=config.gshare_entries,
+            history_bits=config.gshare_history,
+            meta_entries=config.meta_entries,
+            btb_entries=config.btb_entries,
+            btb_assoc=config.btb_assoc,
+        )
+        self.memory = MemoryHierarchy(
+            config.l1i_config(), config.l1d_config(), config.l2_config(),
+            config.memory_latency,
+        )
+        return getattr(self, name)
 
     # ==================================================================
     # Public driver
@@ -280,7 +301,8 @@ class Processor:
                 return result
             # Everything a fork pays counts: the failed replays, any
             # prefix steps, the restore and the loop after it.
-            t0 = time.perf_counter() - self._replay_seconds  # repro: noqa[REPRO001]
+            t0 = (time.perf_counter() - self._replay_seconds  # repro: noqa[REPRO001]
+                  - self.lane.seconds)
             kernel = self._fork(host, self.divergence, target, max_cycles)
             self.kernel_used = "fork"
             return self._finish(kernel, target, max_cycles, t0)
@@ -316,12 +338,12 @@ class Processor:
         self.scheme.finalize(self.cycle)
         self._count_components()
         result = self._result()
+        # The adapter refers back to the kernel: break the cycle, so the
+        # kernel's columns and rings go with its last reference.
+        kernel.hooks = None
         if kernel.events is not None:
             run = HostRun(_packed(kernel.events), self.counters, self.cycle,
                           self.committed, self.config, self.fork_cycle)
-            # The kernel lives on until the cycle collector takes it (its
-            # adapter refers back to it); its log need not.
-            kernel.events.clear()
             if self.replay_from is None:
                 self.recorded = run
             else:  # a forked lane's tail, which its host run keeps
@@ -333,48 +355,54 @@ class Processor:
         """This lane's result from recorded runs alone, or None when it
         must fork at :attr:`divergence` (:meth:`run` then forks).
 
-        A conventional-family or value lane replays its host's log
-        (:meth:`_replay_lane`).  A verdict lane first tries the forked
-        runs its host keeps for its machine, most recently used first:
-        each attempt replays, from a fresh scheme, the host's records
-        before the run's fork cycle and then its tail, and a full match
-        times the lane as that run.  A failed attempt that diverged in
-        the host's records gives the lane's divergence cycle; then only
-        runs forked there are worth trying.  Failing those, the lane
-        replays the host's log alone, as a lane of a squash-free host.
-        A later call (``run_many`` resolves a group's forks in
-        ascending divergence cycle) tries only the runs kept since that
-        forked at its divergence cycle; one after a result returns it.
+        The lane's part of its group's walk over the host's log
+        (:func:`~repro.sim.walk.walk_lanes`; ``run_many`` walks a group's
+        lanes together, a lone lane walks alone) serves a
+        conventional-family or value lane, and a verdict lane whose
+        verdicts never change the host's timing.  A verdict lane that
+        left the walk at its divergence cycle tries only the forked runs
+        its host keeps for its machine that forked at that very cycle,
+        most recently used first: an attempt resumes from the walk's
+        checkpoint of the lane there when one was taken, else replays,
+        from a fresh scheme, the host's records before that cycle, and
+        then replays the run's tail; a full match times the lane as that
+        run.  A later call (``run_many`` resolves a group's forks in
+        ascending divergence cycle) tries only the runs kept since; one
+        after a result returns it.
         """
         if self._replayed is not None:
             return self._replayed
-        t0 = time.perf_counter() - self._replay_seconds  # repro: noqa[REPRO001]
         host = self.replay_from
-        served = checking = None
-        if not isinstance(self.scheme, (ConventionalScheme, ValueBasedScheme)):
+        if self.lane is None:
+            walk_lanes(host, [self])
+        lane = self.lane
+        if self.divergence is None and lane.divergence is not None:
+            # The walk polluted the lane's scheme and model past the
+            # divergence: the tails and the fork start afresh.
+            self.divergence = lane.divergence
+            self._fresh()
+        t0 = time.perf_counter() - lane.seconds - self._replay_seconds  # repro: noqa[REPRO001]
+        served = None
+        checking = lane.checking
+        if self.divergence is None:
+            served = host
+            self.wrongpath = lane.wrongpath
+        else:
             tried = self._tried
             for run in SETUP_MEMO.forked_runs(host, self.config):
-                if any(run is other for other in tried) or (
-                        self.divergence is not None
-                        and run.fork_cycle != self.divergence):
+                if run.fork_cycle != self.divergence or any(run is other for other in tried):
                     continue
                 tried.append(run)
-                checking = self._replay_lane(host, run)
+                checking = self._replay_tail(host, run)
                 if checking >= 0:
                     served = run
                     SETUP_MEMO.forked_run_hit(host, run)
                     break
-                if -1 - checking < run.fork_cycle:
-                    self.divergence = -1 - checking
-        if served is None and self.divergence is None:
-            checking = self._replay_lane(host)
-            if checking >= 0:
-                served = host
-            else:
-                self.divergence = -1 - checking
+                SETUP_MEMO.forked_run_miss()
         if served is None:
-            self._replay_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
+            self._replay_seconds = time.perf_counter() - t0 - lane.seconds  # repro: noqa[REPRO001]
             return None
+        lane.checkpoint = None
         # The lane timed as the run it replayed: it takes that run's
         # machine counters and books its own checking window and
         # wrong-path loads.
@@ -394,46 +422,45 @@ class Processor:
         result.sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
         return result
 
-    def _replay_lane(self, host: HostRun, tail: Optional[HostRun] = None) -> int:
-        """Run this point's scheme over the run ``host`` recorded; returns
-        the lane's ``checking.cycles_observed``.
+    def _replay_tail(self, host: HostRun, tail: HostRun) -> int:
+        """Replay this verdict lane through the forked run ``tail``, which
+        forked at the lane's divergence cycle; returns the lane's
+        ``checking.cycles_observed``, or -1 when its verdicts leave the
+        tail.
 
-        The conventional family (search filters, store sets) replays the
-        conventional search, a value point its own value run; DMDC and
-        Garg drive their kernel adapters through
-        :func:`~repro.sim.soa.replay_verdicts`, over ``host``'s log and
-        then, given ``tail``, over a forked run's.  Either way the lane
-        draws its wrong-path loads from its own model.  ``-1 - c`` when
-        the replay reaches a verdict that changes timing at cycle ``c``
-        (or, with ``tail``, one the tail does not hold): the scheme and
-        the wrong-path model are then rebuilt fresh, for this
-        processor's next replay or its own kernel.
+        It resumes from the walk's checkpoint of the lane at that cycle
+        when one was taken, else replays the host's records before it
+        (:func:`~repro.sim.soa.replay_verdicts`).  Either way the lane
+        draws its own wrong-path loads.  On a match the lane's scheme
+        and model are the replay's; on a miss they stay fresh, for the
+        next attempt or the fork.
         """
-        scheme = self.scheme
-        label = self.config.scheme.label()
-        if isinstance(scheme, ConventionalScheme):
-            scheme.replay_lane(host.events, label,
-                               host.counters["replays.coherence"], self.wrongpath)
-            return 0
-        if isinstance(scheme, ValueBasedScheme):
-            scheme.replay_lane(host.events, self.wrongpath)
-            return 0
-        view = LaneView(self.trace, tail is not None)
-        if tail is None:
-            cycles, committed, served = host.cycles, host.committed, host
+        checkpoint = self.lane.checkpoint
+        if checkpoint is not None:
+            scheme, wrongpath, view, state = checkpoint.resume(self.trace)
         else:
-            cycles, committed, served = tail.fork_cycle, None, tail
+            scheme, wrongpath, state = self.scheme, self.wrongpath, None
+            view = LaneView(self.trace, True)
         checking = replay_verdicts(scheme.soa_hooks(view), view, host.events,
-                                   self.wrongpath, cycles, committed, label, tail)
+                                   wrongpath, tail.fork_cycle, None,
+                                   self.config.scheme.label(), tail, state)
         if checking < 0:
-            self.scheme = build_scheme(self.config.scheme, self.config)
-            # The stream __init__ drew its model from, afresh.
-            rng = self.rng
-            self.wrongpath = wrongpath_model(
-                self.config, DeterministicRng(rng.seed, rng.purpose))
-            return -1 - view.cycle
-        scheme.finalize(served.cycles)
+            if checkpoint is None:
+                self._fresh()
+            return -1
+        self.scheme = scheme
+        self.wrongpath = wrongpath
+        scheme.finalize(tail.cycles)
         return checking
+
+    def _fresh(self) -> None:
+        """Rebuild this lane's scheme and wrong-path model as
+        ``__init__`` built them."""
+        self.scheme = build_scheme(self.config.scheme, self.config)
+        # The stream __init__ drew its model from, afresh.
+        rng = self.rng
+        self.wrongpath = wrongpath_model(
+            self.config, DeterministicRng(rng.seed, rng.purpose))
 
     def _fork(self, host: HostRun, cycle: int, target: int,
               max_cycles: int) -> SoaKernel:
@@ -442,19 +469,37 @@ class Processor:
         verdict that changes timing.
 
         Up to the snapshot's cycle the lane timed as its host, so its
-        scheme and wrong-path model (fresh, from :meth:`_replay_lane`)
-        replay exactly the host's records of earlier cycles; the
-        adapter's per-slot columns (``unsafe``, ``wend``) are then
-        written for the seqs in flight, and the partial checking-cycle
-        count seeds the kernel's.  The replay raises
-        :class:`SimulationError` naming the lane if the snapshot's
+        scheme and wrong-path model are the lane's at that cycle of its
+        walk: a copy of the walk's checkpoint there, when one was taken
+        (its tails at that cycle missed), else a fresh pair (from
+        :meth:`_fresh`) replaying exactly the host's records of earlier
+        cycles.  The adapter's per-slot columns (``unsafe``, ``wend``)
+        are then written for the seqs in flight, and the partial
+        checking-cycle count seeds the kernel's.  Either way a
+        :class:`SimulationError` names the lane if the snapshot's
         committed count is not the log's at that cycle.
         """
         snapshot = self._snapshot(host, cycle, target, max_cycles)
-        view = LaneView(self.trace)
-        checking = replay_verdicts(
-            self.scheme.soa_hooks(view), view, host.events, self.wrongpath,
-            snapshot.cycle, snapshot.committed, self.config.scheme.label())
+        label = self.config.scheme.label()
+        checkpoint = self.lane.checkpoint if self.lane is not None else None
+        if checkpoint is not None and checkpoint.cycle == snapshot.cycle:
+            self.scheme, self.wrongpath, view, state = checkpoint.resume(self.trace)
+            self.lane.checkpoint = None
+            _, retired, last, _, checking = state
+            if retired != snapshot.committed:
+                raise SimulationError(
+                    f"verdict lane {label} retired {retired} instructions, but "
+                    f"its host committed {snapshot.committed} before cycle "
+                    f"{snapshot.cycle}")
+            # A window still open covers the cycles up to the boundary,
+            # as the replay would book them.
+            if self.scheme.checking_active:
+                checking += snapshot.cycle - 1 - last
+        else:
+            view = LaneView(self.trace)
+            checking = replay_verdicts(
+                self.scheme.soa_hooks(view), view, host.events, self.wrongpath,
+                snapshot.cycle, snapshot.committed, label)
         # The forked run records its tail for later lanes of its machine,
         # unless the injector is on: then its seed reaches timing.
         kernel = SoaKernel(self, not self.invalidations.enabled)
@@ -464,7 +509,7 @@ class Processor:
         wend_ = kernel.wend
         for slot in kernel.rob:
             seq = seq_[slot]
-            unsafe_[slot] = view.unsafe[seq]
+            unsafe_[slot] = bool(view.unsafe[seq])
             wend_[slot] = view.wend[seq]
         kernel.counts[CHECKING_COUNT] = checking
         self.fork_cycle = snapshot.cycle
@@ -497,6 +542,7 @@ class Processor:
                 f"{kernel.committed} instructions by cycle {kernel.cycle}, "
                 f"before a lane's fork cycle {cycle}")
         snapshot = Snapshot(kernel)
+        kernel.hooks = None  # no cycle outlives the prefix (see _finish)
         SETUP_MEMO.keep_snapshot(host, snapshot)
         return snapshot
 

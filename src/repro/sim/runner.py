@@ -9,6 +9,7 @@ from repro.sim.config import MachineConfig, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SetupBatch
+from repro.sim.walk import walk_lanes
 
 #: Environment variable scaling every experiment's instruction budget.
 INSTRUCTIONS_ENV = "REPRO_INSTRUCTIONS"
@@ -217,24 +218,26 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
       point), runs first and records the events lanes read, keeping
       its machine counters for them
       (:class:`~repro.sim.processor.HostRun`).  Every other
-      YLA/Bloom point (a *filter lane*) gets its own
-      ``Processor.run``, which replays that log and reports
+      YLA/Bloom point (a *filter lane*) replays that log and reports
       ``kernel_used == "lane"``.  A DMDC, Garg or
       ``conventional-storesets`` point (a *verdict lane*) replays it
       the same way when the host's run was squash-free, and steps its
-      own kernel when it was not.  When the replay reaches a verdict
-      that would change timing, the lane *forks*: it resumes its own
-      kernel from a snapshot of the host's machine at that cycle,
-      which the host run keeps for the group's later lanes (and, while
-      the setup memo holds the run, for later batches), and so does
-      the forked run itself: a later lane of the same machine whose
+      own kernel when it was not.  Once the host run is known, all of
+      the group's lanes walk its log together, once
+      (:func:`~repro.sim.walk.walk_lanes`), and then each takes its
+      ``Processor.run`` in member order.  When a verdict lane reaches a
+      verdict that would change timing, it leaves the walk and
+      *forks*: it resumes its own kernel from a snapshot of the host's
+      machine at that cycle, which the host run keeps for the group's
+      later lanes (and, while the setup memo holds the run, for later
+      batches), and so does the forked run itself: a later lane of the
+      same machine that leaves its walk at that cycle and whose
       verdicts reproduce its tail takes its result without forking
-      (:meth:`~repro.sim.processor.Processor.replay`).  A group
-      replays every verdict lane before it forks any, then forks
-      them in ascending divergence cycle, so its prefix steps reach
-      the latest divergence once.  A group without a host runs each
-      point alone, recording nothing.  A ``value`` point is a group of
-      its own machine: one value run serves every seed;
+      (:meth:`~repro.sim.processor.Processor.replay`).  A group forks
+      its lanes in ascending divergence cycle, so its prefix steps
+      reach the latest divergence once.  A group without a host runs
+      each point alone, recording nothing.  A ``value`` point is a
+      group of its own machine: one value run serves every seed;
     * **shared host runs**: a group without a seed (the injector off)
       over a memoized trace looks its host run up in the setup memo
       first.  On a hit no point of the group steps a host loop: the
@@ -273,27 +276,44 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
         recorded = setup.host_run(ident, key.budget, key.host) if shared else None
         record = (recorded is None and role[members[0]] != _VERDICT
                   and (shared or len(members) > 1))
-        forks: List[Tuple[int, Processor]] = []
-        for index in members:
-            request, budget, trace, ident = points[index]
+        rest = members
+        if recorded is None:
+            # The host (or, recording nothing, the group's first point)
+            # steps its own loop first.
+            index, rest = members[0], members[1:]
+            request, budget, trace, _ = points[index]
             processor = Processor(request.config, trace, seed=request.seed)
-            if recorded is not None and (role[index] != _VERDICT
-                                         or recorded.squash_free):
-                # A diverging verdict lane forks from the host's
-                # machine, so a lane needs no warm front end of its own.
-                processor.replay_from = recorded
-                if processor.replay() is None:
-                    forks.append((index, processor))
-                else:  # ``run`` returns the replay's result
-                    results[index] = processor.run(budget)
-                continue
-            processor.record_events = record and index == members[0]
+            processor.record_events = record
             setup.prewarm(processor, ident)
             results[index] = processor.run(budget)
-            if processor.recorded is not None:
-                recorded = processor.recorded
-                if shared:
-                    setup.keep_host_run(ident, budget, key.host, recorded)
+            recorded = processor.recorded
+            if shared and recorded is not None:
+                setup.keep_host_run(ident, budget, key.host, recorded)
+        # The lanes walk the host run's log together, once; then every
+        # point takes its result in member order.
+        lanes: Dict[int, Processor] = {}
+        if recorded is not None:
+            for index in rest:
+                if role[index] != _VERDICT or recorded.squash_free:
+                    request, _, trace, _ = points[index]
+                    # A diverging verdict lane forks from the host's
+                    # machine: a lane needs no warm front end of its own.
+                    lanes[index] = Processor(request.config, trace, seed=request.seed)
+                    lanes[index].replay_from = recorded
+            if lanes:
+                walk_lanes(recorded, list(lanes.values()))
+        forks: List[Tuple[int, Processor]] = []
+        for index in rest:
+            request, budget, trace, _ = points[index]
+            processor = lanes.get(index)
+            if processor is None:
+                processor = Processor(request.config, trace, seed=request.seed)
+                setup.prewarm(processor, ident)
+                results[index] = processor.run(budget)
+            elif processor.replay() is None:
+                forks.append((index, processor))
+            else:  # ``run`` returns the replay's result
+                results[index] = processor.run(budget)
         forks.sort(key=lambda fork: fork[1].divergence)
         for index, processor in forks:
             results[index] = processor.run(points[index][1])

@@ -7,7 +7,8 @@ few workloads under many design points, so both are built once per
 process and shared:
 
 * **traces**, keyed by canonical JSON of ``asdict(spec)`` plus the length
-  (never by workload name: two specs may share a name).  Traces are
+  (never by workload name: two specs may share a name), built once per
+  distinct spec content and length (:func:`trace_key`).  Traces are
   frozen by the generator, and their SoA columns stay attached, so a hit
   also skips the column decode;
 * **warm front ends**, keyed by the trace key plus the geometry of the
@@ -46,13 +47,13 @@ prewarm, host runs, replays and prefix steps run outside it.  See the
 
 import json
 from collections import OrderedDict
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.isa.trace import Trace
 from repro.sim.config import MachineConfig
 from repro.utils.sync import make_lock
-from repro.workloads import SyntheticWorkload
+from repro.workloads import SyntheticWorkload, WorkloadSpec
 
 #: Upper bound on the micro-ops held by memoized traces, host-run logs
 #: charged as ops, across the process.  A retained op costs about 330
@@ -88,8 +89,35 @@ def _host_run_charge(run: Any) -> int:
             + sum(map(_log_charge, run.forked)))
 
 
+#: Trace keys already built, by :func:`_spec_identity` and length.
+_TRACE_KEYS: Dict[Tuple[Any, int], str] = {}
+#: Past this many, the table starts over (a service fed endless custom
+#: specs stays bounded).
+_MAX_TRACE_KEYS = 4096
+
+
+def _typed(value: Any) -> Tuple[Any, ...]:
+    """``value`` with its type, and a dict (a spec's only non-scalar
+    fields are dicts of scalars) as its sorted typed items: hashable,
+    and equal exactly when the JSON of the values is."""
+    if isinstance(value, dict):
+        return (dict, tuple(sorted((name, _typed(item)) for name, item in value.items())))
+    return (type(value), value)
+
+
+def _spec_identity(spec: Any) -> Tuple[Any, ...]:
+    """A hashable stand-in for ``asdict(spec)`` (a spec holds a dict, so
+    it does not hash itself), far cheaper than its JSON."""
+    return tuple((name, _typed(getattr(spec, name))) for name in _SPEC_FIELDS)
+
+
+_SPEC_FIELDS = tuple(field.name for field in fields(WorkloadSpec))
+
+
 def trace_key(workload: Any, length: int) -> Optional[str]:
-    """The content key of ``workload``'s trace of ``length`` ops.
+    """The content key of ``workload``'s trace of ``length`` ops: the
+    canonical JSON of ``asdict`` of its spec and the length, built once
+    per distinct spec and length.
 
     ``None`` when the workload is not a plain :class:`SyntheticWorkload`:
     an arbitrary ``generate()`` object (or a subclass) is not known to be
@@ -97,8 +125,16 @@ def trace_key(workload: Any, length: int) -> Optional[str]:
     """
     if type(workload) is not SyntheticWorkload:
         return None
-    return json.dumps({"spec": asdict(workload.spec), "length": length},
-                      sort_keys=True, separators=(",", ":"))
+    spec = workload.spec
+    memo = (_spec_identity(spec), length)
+    key = _TRACE_KEYS.get(memo)
+    if key is None:
+        if len(_TRACE_KEYS) >= _MAX_TRACE_KEYS:
+            _TRACE_KEYS.clear()
+        key = _TRACE_KEYS[memo] = json.dumps(
+            {"spec": asdict(spec), "length": length},
+            sort_keys=True, separators=(",", ":"))
+    return key
 
 
 def front_end_geometry(config: MachineConfig) -> Tuple[Any, ...]:
@@ -157,6 +193,9 @@ class SetupMemo:
         self.snapshot_hits = 0
         self.forks = 0
         self.forked_run_hits = 0
+        self.forked_run_misses = 0
+        self.lane_walks = 0
+        self.walk_checkpoints = 0
 
     def trace(self, key: str, workload: Any, length: int) -> Trace:
         """The shared trace under ``key``, generating it on a miss."""
@@ -305,6 +344,18 @@ class SetupMemo:
                 kept.remove(forked)
                 kept.insert(0, forked)
 
+    def forked_run_miss(self) -> None:
+        """Count a tail attempt whose lane's verdicts left the tail."""
+        with self._lock:
+            self.forked_run_misses += 1
+
+    def count_walk(self, checkpoints: int) -> None:
+        """Count one walk over a host run's log (:mod:`repro.sim.walk`)
+        and the lane checkpoints it took."""
+        with self._lock:
+            self.lane_walks += 1
+            self.walk_checkpoints += checkpoints
+
     def keep_forked_run(self, run: Any, forked: Any) -> None:
         """Keep ``forked``, a verdict lane's run forked from host ``run``,
         on ``run`` (most recently used), charged while the memo holds
@@ -346,6 +397,9 @@ class SetupMemo:
                                    for entry in self._entries.values()
                                    for run in entry.hosts.values()),
                 "forked_run_hits": self.forked_run_hits,
+                "forked_run_misses": self.forked_run_misses,
+                "lane_walks": self.lane_walks,
+                "walk_checkpoints": self.walk_checkpoints,
                 "retained_ops": self.retained_ops,
                 "charged_ops": self.charged_ops,
             }
@@ -359,6 +413,7 @@ class SetupMemo:
             self.warm_hits = self.warm_misses = 0
             self.host_hits = self.host_misses = 0
             self.snapshot_hits = self.forks = self.forked_run_hits = 0
+            self.forked_run_misses = self.lane_walks = self.walk_checkpoints = 0
 
 
 #: The process's memo; every ``run_many`` batch goes through it.

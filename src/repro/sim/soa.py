@@ -75,21 +75,19 @@ forked run the host's records before its fork cycle and then the tail.
 
 One local ``rec`` bool guards every site.  A recording run is
 conventional, filters inline or is a value run, and calls its own hooks
-as usual; the filter lanes replay its log after the loop
-(:meth:`~repro.core.schemes.conventional.ConventionalScheme.replay_lane`),
-and so do value points of other seeds
-(:meth:`~repro.core.schemes.value.ValueBasedScheme.replay_lane`).
-A squash-free run's log also serves *verdict lanes*: DMDC and Garg time
-as the conventional machine until their first replay, so
-:func:`replay_verdicts` drives their adapters through the log over a
-seq-indexed :class:`LaneView` and stops at the first verdict that would
-change timing, where the lane forks.  A forked lane's run records too,
-and its tail serves later lanes of its machine whose verdicts reproduce
-every one it recorded.  :func:`repro.sim.runner.run_many`
-replays one conventional run's log into every lane that shares its
-trace, budget and machine, whatever the lane's seed (unless the
-invalidation injector is on), and keeps the log in the setup memo for
-later batches.
+as usual; its lanes (filter points, value points of other seeds) walk
+its log after the loop, all of a group's in one walk
+(:func:`repro.sim.walk.walk_lanes`).  A squash-free run's log also
+serves *verdict lanes*: DMDC and Garg time as the conventional machine
+until their first replay, so the walk drives their adapters through the
+log over seq-indexed :class:`LaneView` columns and drops a lane at its
+first verdict that would change timing, where the lane forks.  A forked
+lane's run records too, and its tail serves later lanes of its machine
+whose verdicts reproduce every one it recorded
+(:func:`replay_verdicts`).  :func:`repro.sim.runner.run_many` walks one
+conventional run's log for every lane that shares its trace, budget and
+machine, whatever the lane's seed (unless the invalidation injector is
+on), and keeps the log in the setup memo for later batches.
 
 The kernel is **bit-identical** to the per-cycle object pipeline it was
 transcribed from, which the test suite keeps as its reference
@@ -112,7 +110,7 @@ consumer lists, the rename map).
 import heapq
 from array import array
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.backend.resources import FunctionalUnits
 from repro.core.schemes.base import (
@@ -1663,6 +1661,12 @@ class _Marks:
         return -1
 
 
+def lane_column(n: int, fresh: int) -> array:
+    """A seq-indexed int column of a lane view: a flat array, which the
+    cycle collector never traverses (flag columns are bytearrays)."""
+    return array("q", (fresh,)) * n
+
+
 class LaneView:
     """Seq-indexed stand-in for a :class:`SoaKernel`, for verdict lanes.
 
@@ -1686,6 +1690,15 @@ class LaneView:
     record position where each load issued (``ipos``) and the commit
     head then (``ihead``), and where each store resolved (``rpos``),
     from which ``tvs`` derives the ground-truth marks (:class:`_Marks`).
+
+    The columns the view fills are flat (flags as ``bytearray``, ints as
+    :func:`lane_column`): a walk and its checkpoints hold several at a
+    time, and list columns of ints would make every young-generation
+    collection walk them.  ``columns`` names columns the view adopts
+    instead of fresh ones: the host-derived columns (``safe``, ``gbp``,
+    ``icyc``, ``rcyc``, ``rob``) that a walk's verdict lanes share
+    (:mod:`repro.sim.walk`), or a checkpoint's copies, tracking and the
+    lane's own columns included, for a tail view that resumes there.
     """
 
     __slots__ = ("n", "seq", "addr", "size", "isld", "isst", "safe", "gbp",
@@ -1693,7 +1706,8 @@ class LaneView:
                  "ipos", "ihead", "rpos", "gaps", "_trace", "_refetches")
     emit = None  # lanes are unobserved
 
-    def __init__(self, trace, tail: bool = False) -> None:
+    def __init__(self, trace, tail: bool = False,
+                 columns: Optional[Dict[str, Sequence[int]]] = None) -> None:
         t = trace_soa(trace)
         self._trace = t
         self.n = n = t.n
@@ -1702,17 +1716,21 @@ class LaneView:
         self.size = list(t.size) if tail else t.size
         self.isld = list(t.isld) if tail else t.isld
         self.isst = list(t.isst) if tail else t.isst
-        self.safe = [False] * n
-        self.gbp = [False] * n
-        self.unsafe = [False] * n
-        self.wend = [-1] * n
-        self.rcyc = [-1] * n
-        self.icyc = [-1] * n
-        self.ipos: Optional[List[int]] = [-1] * n if tail else None
-        self.ihead: Optional[List[int]] = [0] * n if tail else None
-        self.rpos: Optional[List[int]] = [-1] * n if tail else None
+        given = columns or {}
+        self.safe = given.get("safe") or bytearray(n)
+        self.gbp = given.get("gbp") or bytearray(n)
+        self.unsafe = given.get("unsafe") or bytearray(n)
+        self.wend = given.get("wend") or lane_column(n, -1)
+        self.rcyc = given.get("rcyc") or lane_column(n, -1)
+        self.icyc = given.get("icyc") or lane_column(n, -1)
+        self.ipos: Optional[array] = (
+            given.get("ipos") or lane_column(n, -1)) if tail else None
+        self.ihead: Optional[array] = (
+            given.get("ihead") or lane_column(n, 0)) if tail else None
+        self.rpos: Optional[array] = (
+            given.get("rpos") or lane_column(n, -1)) if tail else None
         self.tvs = _Marks(self)
-        self.rob = [-1]
+        self.rob = given.get("rob") or [-1]
         self.cycle = -1
         self.gaps: List[tuple] = []
         #: (first seq, its trace index) of every run of fetched seqs.
@@ -1776,7 +1794,7 @@ def _host_squash(label: str, op: int, at: int) -> SimulationError:
 
 def replay_verdicts(hooks, view: LaneView, events: Sequence[int], wrongpath,
                     cycles: int, committed: Optional[int], label: str,
-                    tail=None) -> int:
+                    tail=None, resume: Optional[Tuple[int, ...]] = None) -> int:
     """Drive a scheme adapter bound to ``view`` through a squash-free
     host's event log, then, given ``tail``, through a forked run's.
 
@@ -1816,6 +1834,14 @@ def replay_verdicts(hooks, view: LaneView, events: Sequence[int], wrongpath,
     disagreement returns -1: with ``view.cycle`` before ``cycles`` when
     the lane diverged in the host's records (it forks there), else at
     or past it (the tail does not serve this lane).
+
+    ``resume`` starts the replay at the tail instead: ``events``' records
+    before ``cycles`` were replayed already, by a walk that checkpointed
+    the lane there (:class:`repro.sim.walk.Checkpoint`), whose copies
+    ``hooks``, ``view`` and ``wrongpath`` are, and ``resume`` holds the
+    cursors it left: the commit head, the retired count, the cycle of the
+    last commit stage and of the last issue, writeback or fetch record,
+    and the checking-cycle count.
 
     Raises :class:`SimulationError` naming ``label`` if the host's log
     has a squash, retires past the trace, or (without ``tail``) retires
@@ -1860,6 +1886,12 @@ def replay_verdicts(hooks, view: LaneView, events: Sequence[int], wrongpath,
     base = 0       # record position of the log's first record
     bound = cycles
     log = events
+    if resume is not None:
+        head, retired, last, stage, checking = resume
+        in_tail = True
+        base = len(events)
+        log = tail.events
+        bound = tail.cycles
     while True:
         i = 0
         n = len(log)
@@ -1888,10 +1920,19 @@ def replay_verdicts(hooks, view: LaneView, events: Sequence[int], wrongpath,
                     left -= end - head
                     if commit_mode == 2:
                         while head < end:
-                            if scheme.checking_active or (isst_[head] and unsafe_[head]):
-                                if hook_commit(head, cycle):
-                                    view.cycle = cycle
-                                    return -1
+                            if not scheme.checking_active:
+                                # Outside a window only an unsafe store
+                                # acts: skip to the next one flagged.
+                                head = unsafe_.find(1, head, end)
+                                if head < 0:
+                                    head = end
+                                    break
+                                if not isst_[head]:
+                                    head += 1
+                                    continue
+                            if hook_commit(head, cycle):
+                                view.cycle = cycle
+                                return -1
                             head += 1
                     elif commit_mode == 1:
                         while head < end:

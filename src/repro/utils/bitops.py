@@ -5,6 +5,8 @@ by XOR-folded addresses (the H0 hash family of Sethumadhavan et al.).  These
 helpers centralise that arithmetic so every structure hashes identically.
 """
 
+from typing import Tuple
+
 from repro.errors import ConfigError
 
 
@@ -35,7 +37,25 @@ def bit_select(value: int, low: int, width: int) -> int:
     return (value >> low) & ((1 << width) - 1)
 
 
-def fold_xor(value: int, width: int, total_bits: int = 40) -> int:
+#: Width of the modelled machine's physical addresses: what an XOR fold
+#: (:func:`fold_xor`) hashes.
+ADDRESS_BITS = 40
+ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
+
+
+def fold_shifts(width: int, total_bits: int = ADDRESS_BITS) -> Tuple[int, ...]:
+    """The shifts of every ``width``-bit chunk but the first, for a table
+    to fold inline: with ``u = value & ((1 << total_bits) - 1)``,
+    ``fold_xor(value, width, total_bits)`` is ``u ^ (u >> s)`` over each
+    shift ``s``, masked to ``width`` bits (a masked XOR of the chunks is
+    the XOR of the masked chunks).  Empty when ``width`` is 0: the mask
+    is then 0 and every value folds to index 0."""
+    if width <= 0:
+        return ()
+    return tuple(range(width, total_bits, width))
+
+
+def fold_xor(value: int, width: int, total_bits: int = ADDRESS_BITS) -> int:
     """XOR-fold ``value`` down to ``width`` bits (the H0 hash of [18]).
 
     The H0 hashing function partitions the address into ``width``-bit

@@ -24,6 +24,12 @@ class DeterministicRng:
         mixed = (seed & 0xFFFFFFFF) ^ zlib.crc32(purpose.encode("utf-8"))
         self._rng = random.Random(mixed)
 
+    def copy(self) -> "DeterministicRng":
+        """An independent stream at this one's position."""
+        other = DeterministicRng(self.seed, self.purpose)
+        other._rng.setstate(self._rng.getstate())
+        return other
+
     def child(self, purpose: str) -> "DeterministicRng":
         """Derive an independent stream for a sub-component."""
         return DeterministicRng(self._rng.randrange(1 << 30) ^ self.seed, purpose)

@@ -100,10 +100,10 @@ def forked_kernel(point, host, stop: int) -> SoaKernel:
     kept."""
     processor, _, trace, _ = _processor(point)
     target, max_cycles = _limits(point, trace)
-    checking = processor._replay_lane(host)
-    assert checking < 0, "the lane's replay does not diverge"
-    kernel = processor._fork(host._replace(), -1 - checking, target,
-                             max_cycles)
+    processor.replay_from = host._replace()
+    assert processor.replay() is None, "the lane's walk does not diverge"
+    kernel = processor._fork(processor.replay_from, processor.divergence,
+                             target, max_cycles)
     kernel.run(target, max_cycles, stop=stop)
     return kernel
 

@@ -1,14 +1,20 @@
 """Unit tests for bit-manipulation helpers."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.bloom import CountingBloomFilter
+from repro.core.checking_table import CheckingTable
+from repro.core.schemes.garg import AgeHashTable
 from repro.errors import ConfigError
 from repro.utils.bitops import (
     align_down,
     bit_select,
     contains,
+    fold_shifts,
     fold_xor,
     is_power_of_two,
     log2_exact,
@@ -70,6 +76,22 @@ class TestFoldXor:
     def test_identity_for_narrow_values(self, value):
         # A value narrower than the fold width folds to itself.
         assert fold_xor(value, 16) == value
+
+    def test_tables_fold_inline_as_the_chunk_loop_does(self):
+        """The Bloom filter, Garg's age table and DMDC's checking table
+        fold by precomputed shifts: equal to :func:`fold_xor` for every
+        width 0-16, over random addresses, some wider than 40 bits."""
+        rng = random.Random(20061209)
+        values = [rng.getrandbits(rng.choice((12, 32, 40, 43, 64)))
+                  for _ in range(400)] + [0, (1 << 40) - 1, (1 << 43) - 1]
+        for width in range(17):
+            shifts = fold_shifts(width)
+            assert all(shift % width == 0 for shift in shifts)
+            for table in (CountingBloomFilter(1 << width),
+                          AgeHashTable(1 << width), CheckingTable(1 << width)):
+                for value in values:
+                    assert table.index(value) == fold_xor(value >> 3, width), (
+                        type(table).__name__, width, value)
 
 
 class TestOverlap:

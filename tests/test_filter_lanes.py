@@ -160,12 +160,11 @@ def test_no_lanes_on_the_object_loop(runs):
 
 
 def test_the_replay_is_a_lint_hot_path():
-    assert "ConventionalScheme.replay_lane" in HOT_FUNCTIONS[
-        "repro/core/schemes/conventional.py"]
-    src = ("class ConventionalScheme:\n"
-           "    def replay_lane(self, events):\n"
+    assert "_Walk.run" in HOT_FUNCTIONS["repro/sim/walk.py"]
+    src = ("class _Walk:\n"
+           "    def run(self):\n"
            "        self.stats.bump('x')\n"
            "        return []\n")
     found = sorted(v.rule_id for v in lint_source(
-        src, path="src/repro/core/schemes/conventional.py"))
+        src, path="src/repro/sim/walk.py"))
     assert found == ["REPRO004", "REPRO005"]

@@ -7,6 +7,7 @@ front end cannot leak back into the memo; concurrent batches agree; and
 eviction under the micro-op bound only costs a regeneration.
 """
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -23,7 +24,7 @@ from repro.sim import setup_memo
 from repro.sim.config import CONFIGS, CONFIG2, SCHEME_LABELS, SchemeConfig
 from repro.sim.runner import TRACE_TAIL_SLACK, run_many, run_workload
 from repro.sim.setup_memo import SETUP_MEMO, FrontEnd, front_end_geometry, trace_key
-from repro.workloads import get_workload
+from repro.workloads import SUITE, SyntheticWorkload, get_workload
 
 from tests.test_service import start_server, stop_server
 
@@ -365,7 +366,8 @@ def test_a_forked_run_serves_a_lane_of_another_seed():
     finally:
         client.close()
         stop_server(server, thread)
-    assert {"forked_runs", "forked_run_hits"} <= set(memo)
+    assert {"forked_runs", "forked_run_hits", "forked_run_misses", "lane_walks",
+            "walk_checkpoints"} <= set(memo)
 
 
 def test_traces_alone_evict_where_the_op_bound_says(monkeypatch):
@@ -412,7 +414,9 @@ def test_counters_for_a_known_batch():
     trace (gzip's serves both seeds), an identical second batch hits.
     There every point replays a host run: gzip's DMDC point is a
     verdict lane, which would fork rather than step from cycle 0, so no
-    point asks for a warm front end, and none forks."""
+    point asks for a warm front end, and none forks.  Each batch walks
+    gzip's host log once for its lanes (mcf's host has none at first),
+    and no lane has a kept tail to checkpoint for or to miss."""
     requests = [
         RunRequest(CONFIG2, "gzip", BUDGET, 1),
         RunRequest(CONFIG2.with_scheme(SchemeConfig.from_label("dmdc")), "gzip", BUDGET, 1),
@@ -430,9 +434,12 @@ def test_counters_for_a_known_batch():
                      "host_misses": 2, "traces": 2, "hosts": 2,
                      "snapshots": 0, "snapshot_hits": 0, "forks": 0,
                      "forked_runs": 0, "forked_run_hits": 0,
-                     "retained_ops": retained}
+                     "forked_run_misses": 0, "lane_walks": 1,
+                     "walk_checkpoints": 0, "retained_ops": retained}
     run_many(requests)
     stats = EngineStats.setup_memo()
+    assert (stats["lane_walks"], stats["walk_checkpoints"],
+            stats["forked_run_misses"]) == (3, 0, 0)
     assert (stats["trace_hits"], stats["trace_misses"]) == (2, 2)
     assert (stats["warm_hits"], stats["warm_misses"]) == (0, 2)
     assert (stats["host_hits"], stats["host_misses"], stats["hosts"]) == (2, 2, 2)
@@ -458,3 +465,30 @@ def test_metrics_engine_block_reports_the_memo():
     assert memo["trace_misses"] == 1
     assert memo["warm_misses"] == 1
     assert memo["retained_ops"] > 0
+
+
+def test_trace_keys_are_the_canonical_json_built_once_per_spec():
+    """A trace key is built once per distinct spec content and length,
+    and is byte-equal to the canonical JSON of ``asdict(spec)`` and the
+    length: for every suite workload, a custom spec (a changed scalar and
+    a changed pattern weight, which must not collide with the suite's)
+    and two lengths."""
+    custom = dataclasses.replace(
+        SUITE["gzip"].spec, name="gzip-custom", load_fraction=0.3,
+        pattern_weights={**SUITE["gzip"].spec.pattern_weights, "chase": 0.2})
+    workloads = list(SUITE.values()) + [SyntheticWorkload(custom)]
+    assert len(SUITE) == 26
+    setup_memo._TRACE_KEYS.clear()
+    keys = set()
+    for length in (1_000, 6_000):
+        for workload in workloads:
+            expected = json.dumps(
+                {"spec": dataclasses.asdict(workload.spec), "length": length},
+                sort_keys=True, separators=(",", ":"))
+            assert trace_key(workload, length) == expected
+            # A fresh workload of equal content (the engine builds one per
+            # spec request) shares the key; it is built once.
+            again = SyntheticWorkload(dataclasses.replace(workload.spec))
+            assert trace_key(again, length) == expected
+            keys.add(expected)
+    assert len(keys) == len(setup_memo._TRACE_KEYS) == 2 * len(workloads)

@@ -30,6 +30,7 @@ from repro.sim.processor import Processor
 from repro.sim.runner import _Point, run_many
 from repro.sim.setup_memo import SetupBatch
 from repro.sim.soa import SoaKernel, replay_verdicts
+from repro.sim.walk import walk_lanes
 from repro.workloads import SUITE
 from tests.test_filter_lanes import run_alone
 
@@ -111,20 +112,28 @@ def test_a_host_with_replays_sends_every_verdict_point_to_its_kernel(runs):
 
 def test_a_diverging_lane_steps_its_own_kernel(runs, monkeypatch):
     verdicts = []
+    walks = []
 
     def spy(*args, **kwargs):
         verdicts.append(replay_verdicts(*args, **kwargs))
         return verdicts[-1]
 
+    def walk_spy(host, processors):
+        lanes = walk_lanes(host, processors)
+        walks.append([lane.divergence for lane in lanes])
+        return lanes
+
     monkeypatch.setattr("repro.sim.processor.replay_verdicts", spy)
+    monkeypatch.setattr("repro.sim.runner.walk_lanes", walk_spy)
     points = [_point(CONFIG2, label, workload="mcf", seed=41, budget=4_000)
               for label in ("conventional", "dmdc")]
     host, lane = run_many(points)
     assert host.counters["replays"] == 0
     assert lane.counters["replays"] > 0
-    # The replay ran and stopped at a verdict; a second one, up to the
-    # fork cycle, rebuilt the lane's scheme there.
-    assert verdicts[0] == -1 and len(verdicts) == 2 and verdicts[1] >= 0
+    # The walk ran and stopped the lane at a verdict; one replay, up to
+    # the fork cycle, rebuilt the lane's scheme there.
+    assert len(walks) == 1 and walks[0][0] is not None
+    assert len(verdicts) == 1 and verdicts[0] >= 0
     assert runs == [("conventional", "soa"), ("dmdc", "fork")]
     _assert_equal_alone(points, (host, lane))
 
