@@ -66,8 +66,9 @@ SOA_HOOKS = {
 #: Every record but a load commit carries the cycle it happened in (last,
 #: or, for ``EV_COMMITS`` and ``EV_SQUASH``, first after the opcode or
 #: the kept seq); a load commit belongs to the ``EV_COMMITS`` record that
-#: follows it, so a log splits at any cycle boundary (see
-#: :func:`repro.sim.soa.replay_verdicts`).  A commit-time replay logs
+#: follows it, so a log splits at any cycle boundary (a walk
+#: checkpoints a lane there, :class:`repro.sim.walk.Checkpoint`).  A
+#: commit-time replay logs
 #: the cycle's ``EV_COMMITS`` before its squash; a squash a load-issue or
 #: store-resolve hook called for follows that hook's record.
 EV_LOAD = 0          # load issued: addr, seq, cycle

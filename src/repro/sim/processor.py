@@ -39,10 +39,11 @@ replays a squash-free host's events through its scheme (a *verdict
 lane*); a group's lanes walk the log together, once
 (:func:`~repro.sim.walk.walk_lanes`).  If a verdict would change timing
 the lane leaves the walk and forks: its own kernel resumes from a
-snapshot of the host's machine at that cycle, which the host run keeps
+snapshot of the host's machine at that cycle, which the host run keeps,
+with its scheme from a walk's checkpoint of the lane there
 (:meth:`Processor._fork`).  The forked run records its tail, and the
 host run keeps it too, so a later lane of the same machine under any
-seed replays that tail instead of forking again
+seed replays that tail from its checkpoint instead of forking again
 (:meth:`Processor.replay`).  A ``value`` point replays a value run
 recorded under another seed.  See :class:`HostRun`.  The host shares the lane's trace, budget and
 machine, not necessarily its seed: a lane draws its own wrong-path
@@ -73,9 +74,8 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SETUP_MEMO
-from repro.sim.soa import (CHECKING_COUNT, LaneView, Snapshot, SoaKernel,
-                            replay_verdicts)
-from repro.sim.walk import Lane, walk_lanes
+from repro.sim.soa import CHECKING_COUNT, Snapshot, SoaKernel, replay_verdicts
+from repro.sim.walk import Checkpoint, Lane, checkpoint_lanes, walk_lanes
 from repro.stats.counters import CounterSet
 from repro.utils.rng import DeterministicRng
 
@@ -104,10 +104,9 @@ class HostRun:
     whose ``events`` are its tail.  A later lane of that machine, under
     any seed while the injector is off, that leaves its group's walk
     over this run's log (:mod:`repro.sim.walk`) at that fork cycle
-    replays the tail, from the walk's checkpoint of the lane there
-    (else after this run's records before the fork cycle), and takes
-    the forked run's machine counters when its own verdicts reproduce
-    every recorded one (:func:`~repro.sim.soa.replay_verdicts`).  The
+    replays the tail, from a walk's checkpoint of the lane there, and
+    takes the forked run's machine counters when its own verdicts
+    reproduce every recorded one (:func:`~repro.sim.soa.replay_verdicts`).  The
     run owns its
     snapshots and forked runs, so they live and go with it; the setup
     memo charges them while it holds the run, and every read or write
@@ -362,13 +361,11 @@ class Processor:
         verdicts never change the host's timing.  A verdict lane that
         left the walk at its divergence cycle tries only the forked runs
         its host keeps for its machine that forked at that very cycle,
-        most recently used first: an attempt resumes from the walk's
-        checkpoint of the lane there when one was taken, else replays,
-        from a fresh scheme, the host's records before that cycle, and
-        then replays the run's tail; a full match times the lane as that
-        run.  A later call (``run_many`` resolves a group's forks in
-        ascending divergence cycle) tries only the runs kept since; one
-        after a result returns it.
+        most recently used first, each from the lane's checkpoint there
+        (:meth:`_checkpoint`); a full match times the lane as that run.
+        A later call (``run_many`` resolves a group's forks in ascending
+        divergence cycle) tries only the runs kept since; one after a
+        result returns it.
         """
         if self._replayed is not None:
             return self._replayed
@@ -376,11 +373,7 @@ class Processor:
         if self.lane is None:
             walk_lanes(host, [self])
         lane = self.lane
-        if self.divergence is None and lane.divergence is not None:
-            # The walk polluted the lane's scheme and model past the
-            # divergence: the tails and the fork start afresh.
-            self.divergence = lane.divergence
-            self._fresh()
+        self.divergence = lane.divergence
         t0 = time.perf_counter() - lane.seconds - self._replay_seconds  # repro: noqa[REPRO001]
         served = None
         checking = lane.checking
@@ -393,7 +386,7 @@ class Processor:
                 if run.fork_cycle != self.divergence or any(run is other for other in tried):
                     continue
                 tried.append(run)
-                checking = self._replay_tail(host, run)
+                checking = self._replay_tail(run)
                 if checking >= 0:
                     served = run
                     SETUP_MEMO.forked_run_hit(host, run)
@@ -422,31 +415,26 @@ class Processor:
         result.sim_seconds = time.perf_counter() - t0  # repro: noqa[REPRO001]
         return result
 
-    def _replay_tail(self, host: HostRun, tail: HostRun) -> int:
-        """Replay this verdict lane through the forked run ``tail``, which
-        forked at the lane's divergence cycle; returns the lane's
-        ``checking.cycles_observed``, or -1 when its verdicts leave the
-        tail.
+    def _checkpoint(self) -> Checkpoint:
+        """This diverging lane at the boundary of its divergence cycle:
+        the checkpoint its group's walk took there, else one from a
+        walk of its own (:func:`~repro.sim.walk.checkpoint_lanes`;
+        ``run_many`` takes a group's in one walk before it forks any)."""
+        checkpoint_lanes(self.replay_from, [self])
+        return self.lane.checkpoint
 
-        It resumes from the walk's checkpoint of the lane at that cycle
-        when one was taken, else replays the host's records before it
-        (:func:`~repro.sim.soa.replay_verdicts`).  Either way the lane
-        draws its own wrong-path loads.  On a match the lane's scheme
-        and model are the replay's; on a miss they stay fresh, for the
-        next attempt or the fork.
+    def _replay_tail(self, tail: HostRun) -> int:
+        """Replay this verdict lane through the forked run ``tail``, which
+        forked at the lane's divergence cycle, from the lane's checkpoint
+        there (:func:`~repro.sim.soa.replay_verdicts`, on copies, so the
+        lane draws its own wrong-path loads); returns the lane's
+        ``checking.cycles_observed``, or -1 when its verdicts leave the
+        tail.  On a match the lane's scheme and model are the replay's.
         """
-        checkpoint = self.lane.checkpoint
-        if checkpoint is not None:
-            scheme, wrongpath, view, state = checkpoint.resume(self.trace)
-        else:
-            scheme, wrongpath, state = self.scheme, self.wrongpath, None
-            view = LaneView(self.trace, True)
-        checking = replay_verdicts(scheme.soa_hooks(view), view, host.events,
-                                   wrongpath, tail.fork_cycle, None,
-                                   self.config.scheme.label(), tail, state)
+        scheme, wrongpath, view, state = self._checkpoint().resume(self.trace)
+        checking = replay_verdicts(scheme.soa_hooks(view), view, wrongpath,
+                                   tail, state)
         if checking < 0:
-            if checkpoint is None:
-                self._fresh()
             return -1
         self.scheme = scheme
         self.wrongpath = wrongpath
@@ -465,41 +453,31 @@ class Processor:
     def _fork(self, host: HostRun, cycle: int, target: int,
               max_cycles: int) -> SoaKernel:
         """This verdict lane's kernel, forked from ``host``'s machine at
-        or before ``cycle``, where its replay of ``host`` reached a
-        verdict that changes timing.
+        ``cycle``, where its walk over ``host``'s log reached a verdict
+        that changes timing.
 
-        Up to the snapshot's cycle the lane timed as its host, so its
-        scheme and wrong-path model are the lane's at that cycle of its
-        walk: a copy of the walk's checkpoint there, when one was taken
-        (its tails at that cycle missed), else a fresh pair (from
-        :meth:`_fresh`) replaying exactly the host's records of earlier
-        cycles.  The adapter's per-slot columns (``unsafe``, ``wend``)
-        are then written for the seqs in flight, and the partial
-        checking-cycle count seeds the kernel's.  Either way a
-        :class:`SimulationError` names the lane if the snapshot's
-        committed count is not the log's at that cycle.
+        Up to that cycle the lane timed as its host, so its scheme and
+        wrong-path model are a copy of its checkpoint there
+        (:meth:`_checkpoint`), which its tail attempts left untouched.
+        The adapter's per-slot columns (``unsafe``, ``wend``) are then
+        written for the seqs in flight, and the partial checking-cycle
+        count seeds the kernel's.  A :class:`SimulationError` names the
+        lane if the snapshot's committed count is not the walk's at that
+        cycle.
         """
         snapshot = self._snapshot(host, cycle, target, max_cycles)
-        label = self.config.scheme.label()
-        checkpoint = self.lane.checkpoint if self.lane is not None else None
-        if checkpoint is not None and checkpoint.cycle == snapshot.cycle:
-            self.scheme, self.wrongpath, view, state = checkpoint.resume(self.trace)
-            self.lane.checkpoint = None
-            _, retired, last, _, checking = state
-            if retired != snapshot.committed:
-                raise SimulationError(
-                    f"verdict lane {label} retired {retired} instructions, but "
-                    f"its host committed {snapshot.committed} before cycle "
-                    f"{snapshot.cycle}")
-            # A window still open covers the cycles up to the boundary,
-            # as the replay would book them.
-            if self.scheme.checking_active:
-                checking += snapshot.cycle - 1 - last
-        else:
-            view = LaneView(self.trace)
-            checking = replay_verdicts(
-                self.scheme.soa_hooks(view), view, host.events, self.wrongpath,
-                snapshot.cycle, snapshot.committed, label)
+        self.scheme, self.wrongpath, view, state = self._checkpoint().resume(self.trace)
+        self.lane.checkpoint = None
+        _, _, retired, last, _, checking = state
+        if retired != snapshot.committed:
+            raise SimulationError(
+                f"verdict lane {self.config.scheme.label()} retired {retired} "
+                f"instructions, but its host committed {snapshot.committed} "
+                f"before cycle {snapshot.cycle}")
+        # A window still open covers the cycles up to the boundary, as
+        # the walk would book them.
+        if self.scheme.checking_active:
+            checking += snapshot.cycle - 1 - last
         # The forked run records its tail for later lanes of its machine,
         # unless the injector is on: then its seed reaches timing.
         kernel = SoaKernel(self, not self.invalidations.enabled)

@@ -9,7 +9,7 @@ from repro.sim.config import MachineConfig, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SetupBatch
-from repro.sim.walk import walk_lanes
+from repro.sim.walk import checkpoint_lanes, walk_lanes
 
 #: Environment variable scaling every experiment's instruction budget.
 INSTRUCTIONS_ENV = "REPRO_INSTRUCTIONS"
@@ -235,7 +235,9 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
       verdicts reproduce its tail takes its result without forking
       (:meth:`~repro.sim.processor.Processor.replay`).  A group forks
       its lanes in ascending divergence cycle, so its prefix steps
-      reach the latest divergence once.  A group without a host runs
+      reach the latest divergence once, and each from its checkpoint
+      at its divergence, all taken in one more walk of the log
+      (:func:`~repro.sim.walk.checkpoint_lanes`).  A group without a host runs
       each point alone, recording nothing.  A ``value`` point is a
       group of its own machine: one value run serves every seed;
     * **shared host runs**: a group without a seed (the injector off)
@@ -314,7 +316,11 @@ def run_many(requests: Sequence) -> List[SimulationResult]:
                 forks.append((index, processor))
             else:  # ``run`` returns the replay's result
                 results[index] = processor.run(budget)
+        # Every fork's checkpoint comes from one more walk, taken before
+        # any forks, so a tail kept meanwhile is tried from it too.
         forks.sort(key=lambda fork: fork[1].divergence)
+        if forks:
+            checkpoint_lanes(recorded, [processor for _, processor in forks])
         for index, processor in forks:
             results[index] = processor.run(points[index][1])
     return [results[index] for index in range(len(points))]

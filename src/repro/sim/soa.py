@@ -69,9 +69,9 @@ records (opcodes in :mod:`repro.core.schemes.base`):
 * load commit: address;
 * commit stage: the cycle and how many instructions it retired.
 
-The cycle stamps let a log split at any cycle boundary: a forked lane
-replays exactly the records before its fork cycle, and a lane of a kept
-forked run the host's records before its fork cycle and then the tail.
+The cycle stamps let a log split at any cycle boundary: a walk
+checkpoints a diverging lane before the first record of its fork cycle,
+and a lane of a kept forked run resumes from there into the tail.
 
 One local ``rec`` bool guards every site.  A recording run is
 conventional, filters inline or is a value run, and calls its own hooks
@@ -81,10 +81,11 @@ its log after the loop, all of a group's in one walk
 serves *verdict lanes*: DMDC and Garg time as the conventional machine
 until their first replay, so the walk drives their adapters through the
 log over seq-indexed :class:`LaneView` columns and drops a lane at its
-first verdict that would change timing, where the lane forks.  A forked
-lane's run records too, and its tail serves later lanes of its machine
-whose verdicts reproduce every one it recorded
-(:func:`replay_verdicts`).  :func:`repro.sim.runner.run_many` walks one
+first verdict that would change timing, where the lane forks from its
+checkpoint there.  A forked lane's run records too, and its tail serves
+later lanes of its machine whose verdicts reproduce every one it
+recorded (:func:`replay_verdicts`, the only decoder of a log outside
+the walk, which reads tails alone).  :func:`repro.sim.runner.run_many` walks one
 conventional run's log for every lane that shares its trace, budget and
 machine, whatever the lane's seed (unless the invalidation injector is
 on), and keeps the log in the setup memo for later batches.
@@ -1678,18 +1679,19 @@ class LaneView:
     store's resolve cycle), and ``unsafe``/``wend`` are the adapter's to
     write.  ``rob`` holds, at the store being replayed, the first live
     seq younger than it if the recorded ROB tail reaches that far, else
-    the store's own seq: Garg flushes from that entry.  ``cycle`` is the
-    cycle of the verdict a replay stopped at.
+    the store's own seq: Garg flushes from that entry.
 
-    A view that replays a forked run's tail (``tail=True``) owns copies
-    of the trace columns, because the tail may squash (:meth:`squash`):
-    the refetch gives fresh seqs, which map to the trace from the
-    victim's trace index on, and the squashed seqs stop reading as
-    stores.  ``gaps`` holds the squashed seq ranges the commit head has
-    not passed yet, in order.  Such a view also tracks, per seq, the
-    record position where each load issued (``ipos``) and the commit
-    head then (``ihead``), and where each store resolved (``rpos``),
-    from which ``tvs`` derives the ground-truth marks (:class:`_Marks`).
+    A view that replays a forked run's tail (``tail=True``, built from a
+    walk's checkpoint) owns copies of the trace columns, because the
+    tail may squash (:meth:`squash`): the refetch gives fresh seqs,
+    which map to the trace from the victim's trace index on, and the
+    squashed seqs stop reading as stores.  ``gaps`` holds the squashed
+    seq ranges the commit head has not passed yet, in order.  Such a
+    view also tracks, per seq, the record position where each load
+    issued (``ipos``) and the commit head then (``ihead``), and where
+    each store resolved (``rpos``), from which ``tvs`` derives the
+    ground-truth marks (:class:`_Marks`); a view without them (a walk's)
+    reads every mark as -1.
 
     The columns the view fills are flat (flags as ``bytearray``, ints as
     :func:`lane_column`): a walk and its checkpoints hold several at a
@@ -1702,7 +1704,7 @@ class LaneView:
     """
 
     __slots__ = ("n", "seq", "addr", "size", "isld", "isst", "safe", "gbp",
-                 "unsafe", "wend", "rcyc", "icyc", "tvs", "rob", "cycle",
+                 "unsafe", "wend", "rcyc", "icyc", "tvs", "rob",
                  "ipos", "ihead", "rpos", "gaps", "_trace", "_refetches")
     emit = None  # lanes are unobserved
 
@@ -1723,15 +1725,11 @@ class LaneView:
         self.wend = given.get("wend") or lane_column(n, -1)
         self.rcyc = given.get("rcyc") or lane_column(n, -1)
         self.icyc = given.get("icyc") or lane_column(n, -1)
-        self.ipos: Optional[array] = (
-            given.get("ipos") or lane_column(n, -1)) if tail else None
-        self.ihead: Optional[array] = (
-            given.get("ihead") or lane_column(n, 0)) if tail else None
-        self.rpos: Optional[array] = (
-            given.get("rpos") or lane_column(n, -1)) if tail else None
+        self.ipos: Optional[array] = given.get("ipos")
+        self.ihead: Optional[array] = given.get("ihead")
+        self.rpos: Optional[array] = given.get("rpos")
         self.tvs = _Marks(self)
         self.rob = given.get("rob") or [-1]
-        self.cycle = -1
         self.gaps: List[tuple] = []
         #: (first seq, its trace index) of every run of fetched seqs.
         self._refetches = [(0, 0)]
@@ -1786,17 +1784,21 @@ def _squash_follows(log, at: int, victim: int, cycle: int) -> bool:
             and log[at + 1] == victim - 1 and log[at + 2] == cycle)
 
 
-def _host_squash(label: str, op: int, at: int) -> SimulationError:
-    return SimulationError(
-        f"verdict lane {label} met a squash in its host's log "
-        f"(opcode {op} at record offset {at})")
+def replay_verdicts(hooks, view: LaneView, wrongpath, tail,
+                    resume: Tuple[int, ...]) -> int:
+    """Drive a scheme adapter bound to ``view`` through a forked run's
+    tail, from a walk's checkpoint of the lane at the run's fork cycle.
 
-
-def replay_verdicts(hooks, view: LaneView, events: Sequence[int], wrongpath,
-                    cycles: int, committed: Optional[int], label: str,
-                    tail=None, resume: Optional[Tuple[int, ...]] = None) -> int:
-    """Drive a scheme adapter bound to ``view`` through a squash-free
-    host's event log, then, given ``tail``, through a forked run's.
+    ``tail`` is a forked run the host keeps
+    (:class:`~repro.sim.processor.HostRun` with a ``fork_cycle``).  A
+    walk (:mod:`repro.sim.walk`) drove the lane through the host's
+    records before that cycle and checkpointed it there
+    (:class:`repro.sim.walk.Checkpoint`): ``hooks``, ``view`` (a tail
+    view) and ``wrongpath`` are copies of its state, and ``resume``
+    holds the cursors it left: the host log's length (tail record
+    positions count on from it), the commit head, the retired count, the
+    cycle of the last commit stage and of the last issue, writeback or
+    fetch record, and the checking-cycle count.
 
     The hooks are called at the kernel's sites with the kernel's gates:
     load issue, store resolve (with ``view.rob`` set from the recorded
@@ -1805,47 +1807,20 @@ def replay_verdicts(hooks, view: LaneView, events: Sequence[int], wrongpath,
     lane's own: ``wrongpath`` (a
     :class:`~repro.frontend.wrongpath.WrongPathModel` on the lane's
     seed) sees every logged load issue and draws at every mispredict
-    mark, as the lane's kernel would.  Returns the lane's
-    ``checking.cycles_observed``: a checking window, which only a
+    mark, as the lane's kernel would.
+
+    The lane must reproduce the tail verdict for verdict: a hook that
+    named a victim in the recorded run must name the same one in the
+    same cycle (the squash record follows its record), a commit-time
+    squash must be the lane's own replay of the head in the commit
+    stage of its cycle, and no other verdict may fire.  The view follows
+    every squash.  Then the lane timed exactly as the forked run, which
+    must have retired ``tail.committed``, and the replay returns the
+    lane's ``checking.cycles_observed``: a checking window, which only a
     retiring commit opens or closes, covers every cycle after the commit
     stage that opened it up to the one that closes it, or to the run's
-    last cycle.
-
-    Without ``tail`` the replay covers ``events``' records of cycles
-    before ``cycles``, which must retire ``committed`` instructions: the
-    whole log when ``cycles`` is the run's cycle count, the prefix before
-    a fork cycle when a lane forks there.  Its first verdict that would
-    change timing (an issue or resolve hook naming a victim, a commit
-    replay) stops it: it returns -1 with ``view.cycle`` set to that
-    verdict's cycle, where the lane must step its own kernel (see
-    :meth:`repro.sim.processor.Processor._fork`).
-
-    ``tail`` is a forked run the host keeps
-    (:class:`~repro.sim.processor.HostRun` with a ``fork_cycle``), and
-    ``cycles`` its fork cycle; ``view`` is built with ``tail=True``.
-    After ``events``' records before ``cycles`` the replay goes on
-    through the tail's, which the lane must reproduce verdict for
-    verdict: a hook that named a victim in the recorded run must name
-    the same one in the same cycle (the squash record follows its
-    record), a commit-time squash must be the lane's own replay of the
-    head in the commit stage of its cycle, and no other verdict may
-    fire.  The view follows every squash.  Then the lane timed exactly
-    as the forked run, which must have retired ``tail.committed``.  Any
-    disagreement returns -1: with ``view.cycle`` before ``cycles`` when
-    the lane diverged in the host's records (it forks there), else at
-    or past it (the tail does not serve this lane).
-
-    ``resume`` starts the replay at the tail instead: ``events``' records
-    before ``cycles`` were replayed already, by a walk that checkpointed
-    the lane there (:class:`repro.sim.walk.Checkpoint`), whose copies
-    ``hooks``, ``view`` and ``wrongpath`` are, and ``resume`` holds the
-    cursors it left: the commit head, the retired count, the cycle of the
-    last commit stage and of the last issue, writeback or fetch record,
-    and the checking-cycle count.
-
-    Raises :class:`SimulationError` naming ``label`` if the host's log
-    has a squash, retires past the trace, or (without ``tail``) retires
-    other than ``committed`` instructions before ``cycles``.
+    last cycle.  Any disagreement returns -1: the tail does not serve
+    this lane.
     """
     scheme = hooks.scheme
     has_load_hook = hooks.has_load_issue
@@ -1870,199 +1845,140 @@ def replay_verdicts(hooks, view: LaneView, events: Sequence[int], wrongpath,
     ipos_ = view.ipos
     ihead_ = view.ihead
     rpos_ = view.rpos
-    track = ipos_ is not None
     rob = view.rob
     gaps = view.gaps
     marks = view.tvs.logged
     gap = _NO_GAP  # first seq of the next squashed range ahead of the head
     limit = view.n
-    head = 0       # next seq to retire
-    retired = 0
-    last = 0       # cycle of the previous commit stage
-    stage = -1     # cycle of the last issue, writeback or fetch record
+    # base: the record position of the tail's first record; head: the
+    # next seq to retire; last: the cycle of the previous commit stage;
+    # stage: the cycle of the last issue, writeback or fetch record.
+    base, head, retired, last, stage, checking = resume
     expect = -1    # the victim a hook just named, whose squash comes next
-    checking = 0
-    in_tail = False
-    base = 0       # record position of the log's first record
-    bound = cycles
-    log = events
-    if resume is not None:
-        head, retired, last, stage, checking = resume
-        in_tail = True
-        base = len(events)
-        log = tail.events
-        bound = tail.cycles
-    while True:
-        i = 0
-        n = len(log)
-        while i < n:
-            op = log[i]
-            if op == EV_COMMITS:
-                cycle = log[i + 1]
-                if cycle >= bound:
-                    break
-                if scheme.checking_active:
-                    checking += cycle - last
-                last = cycle
-                left = log[i + 2]
-                retired += left
-                while left:
-                    end = head + left
-                    if end > gap:
-                        end = gap
-                    if end > limit:
-                        if in_tail:
-                            view.cycle = cycle
+    log = tail.events
+    i = 0
+    n = len(log)
+    while i < n:
+        op = log[i]
+        if op == EV_COMMITS:
+            cycle = log[i + 1]
+            if scheme.checking_active:
+                checking += cycle - last
+            last = cycle
+            left = log[i + 2]
+            retired += left
+            while left:
+                end = head + left
+                if end > gap:
+                    end = gap
+                if end > limit:
+                    return -1
+                left -= end - head
+                if commit_mode == 2:
+                    while head < end:
+                        if not scheme.checking_active:
+                            # Outside a window only an unsafe store
+                            # acts: skip to the next one flagged.
+                            head = unsafe_.find(1, head, end)
+                            if head < 0:
+                                head = end
+                                break
+                            if not isst_[head]:
+                                head += 1
+                                continue
+                        if hook_commit(head, cycle):
                             return -1
-                        raise SimulationError(
-                            f"verdict lane {label} retired seq {end - 1} past "
-                            f"the end of its {limit}-op trace")
-                    left -= end - head
-                    if commit_mode == 2:
-                        while head < end:
-                            if not scheme.checking_active:
-                                # Outside a window only an unsafe store
-                                # acts: skip to the next one flagged.
-                                head = unsafe_.find(1, head, end)
-                                if head < 0:
-                                    head = end
-                                    break
-                                if not isst_[head]:
-                                    head += 1
-                                    continue
-                            if hook_commit(head, cycle):
-                                view.cycle = cycle
-                                return -1
-                            head += 1
-                    elif commit_mode == 1:
-                        while head < end:
-                            if isld_[head] and hook_commit_load(head):
-                                view.cycle = cycle
-                                return -1
-                            head += 1
-                    else:
-                        head = end
-                    while head == gap:
-                        head = gaps[0][1]
-                        del gaps[0]
-                        gap = gaps[0][0] if gaps else _NO_GAP
-                if marks and min(marks) < head:
-                    # A marked load retired: the kernel would have raised.
-                    view.cycle = cycle
-                    return -1
-                i += 3
-            elif op == EV_LOAD or op == EV_LOAD_SAFE or op == EV_LOAD_GUARDED:
-                cycle = log[i + 3]
-                if cycle >= bound:
-                    break
-                addr = log[i + 1]
-                observe(addr)
-                seq = log[i + 2]
-                if track:
-                    if seq >= limit or addr_[seq] != addr:
-                        view.cycle = cycle
-                        return -1
-                    ipos_[seq] = base + i
-                    ihead_[seq] = head
-                    stage = cycle
-                icyc_[seq] = cycle
-                if op != EV_LOAD:
-                    safe_[seq] = True
-                    if op == EV_LOAD_GUARDED:
-                        gbp_[seq] = True
-                if has_load_hook:
-                    expect = hook_load(seq)
-                    if expect >= 0 and not (
-                            in_tail and _squash_follows(log, i + 4, expect, cycle)):
-                        view.cycle = cycle
-                        return -1
-                i += 4
-            elif op == EV_STORE or op == EV_STORE_VICTIM:
-                if op == EV_STORE_VICTIM and not in_tail:
-                    raise _host_squash(label, op, i)
-                cycle = log[i + 4]
-                if cycle >= bound:
-                    break
-                seq = log[i + 2]
-                if track:
-                    if seq >= limit or addr_[seq] != log[i + 1]:
-                        view.cycle = cycle
-                        return -1
-                    rpos_[seq] = base + i
-                    stage = cycle
-                icyc_[seq] = rcyc_[seq] = cycle
-                expect = -1
-                if has_store_hook:
-                    younger = seq + 1
-                    for start, end in gaps:
-                        if younger == start:
-                            younger = end
-                    rob[0] = younger if younger <= log[i + 3] else seq
-                    expect = hook_store(seq)
-                if (expect >= 0) != (op == EV_STORE_VICTIM) or (
-                        expect >= 0 and not _squash_follows(log, i + 5, expect, cycle)):
-                    view.cycle = cycle
-                    return -1
-                i += 5
-            elif op == EV_COMMIT:
-                i += 2
-            elif op == EV_MARK:
-                marks[log[i + 1]] = log[i + 2]
-                i += 3
-            elif op == EV_MISPREDICT:
-                cycle = log[i + 2]
-                if cycle >= bound:
-                    break
-                stage = cycle
-                for age, addr in draw(log[i + 1]):
-                    on_wrongpath(age, addr)
-                i += 3
-            elif op == EV_RECOVERY:
-                cycle = log[i + 2]
-                if cycle >= bound:
-                    break
-                stage = cycle
-                on_recovery(log[i + 1])
-                i += 3
-            elif op == EV_SQUASH and in_tail:
-                boundary = log[i + 1] + 1
-                cycle = log[i + 2]
-                if expect >= 0:
-                    # The hook's record checked the boundary and cycle.
-                    expect = -1
-                elif (boundary != head or head >= limit or cycle < last
-                      or cycle <= stage or not hooks.gated_commit(head, cycle)):
-                    # Not the lane's own replay of its commit head.
-                    view.cycle = cycle
-                    return -1
-                if not view.squash(boundary, log[i + 3], head):
-                    view.cycle = cycle
-                    return -1
-                limit = view.n
-                gap = gaps[0][0]
+                        head += 1
+                elif commit_mode == 1:
+                    while head < end:
+                        if isld_[head] and hook_commit_load(head):
+                            return -1
+                        head += 1
+                else:
+                    head = end
                 while head == gap:
                     head = gaps[0][1]
                     del gaps[0]
                     gap = gaps[0][0] if gaps else _NO_GAP
-                # The DMDC and Garg adapters repair by the kept seq alone.
-                hooks.on_squash(boundary - 1, ())
-                i += 5 + log[i + 4]
-            else:  # EV_SQUASH in the host's log
-                raise _host_squash(label, op, i)
-        if in_tail or tail is None:
-            break
-        in_tail = True
-        base = n
-        log = tail.events
-        bound = tail.cycles
-    if (expect >= 0 or view.tvs.disagree
-            or retired != (committed if tail is None else tail.committed)):
-        if tail is not None:
-            view.cycle = bound
-            return -1
-        raise SimulationError(
-            f"verdict lane {label} retired {retired} instructions, but its "
-            f"host committed {committed} before cycle {cycles}")
+            if marks and min(marks) < head:
+                return -1  # a marked load retired: the kernel would have raised
+            i += 3
+        elif op == EV_LOAD or op == EV_LOAD_SAFE or op == EV_LOAD_GUARDED:
+            cycle = log[i + 3]
+            addr = log[i + 1]
+            observe(addr)
+            seq = log[i + 2]
+            if seq >= limit or addr_[seq] != addr:
+                return -1
+            ipos_[seq] = base + i
+            ihead_[seq] = head
+            stage = cycle
+            icyc_[seq] = cycle
+            if op != EV_LOAD:
+                safe_[seq] = True
+                if op == EV_LOAD_GUARDED:
+                    gbp_[seq] = True
+            if has_load_hook:
+                expect = hook_load(seq)
+                if expect >= 0 and not _squash_follows(log, i + 4, expect, cycle):
+                    return -1
+            i += 4
+        elif op == EV_STORE or op == EV_STORE_VICTIM:
+            cycle = log[i + 4]
+            seq = log[i + 2]
+            if seq >= limit or addr_[seq] != log[i + 1]:
+                return -1
+            rpos_[seq] = base + i
+            stage = cycle
+            icyc_[seq] = rcyc_[seq] = cycle
+            expect = -1
+            if has_store_hook:
+                younger = seq + 1
+                for start, end in gaps:
+                    if younger == start:
+                        younger = end
+                rob[0] = younger if younger <= log[i + 3] else seq
+                expect = hook_store(seq)
+            if (expect >= 0) != (op == EV_STORE_VICTIM) or (
+                    expect >= 0 and not _squash_follows(log, i + 5, expect, cycle)):
+                return -1
+            i += 5
+        elif op == EV_COMMIT:
+            i += 2
+        elif op == EV_MARK:
+            marks[log[i + 1]] = log[i + 2]
+            i += 3
+        elif op == EV_MISPREDICT:
+            stage = log[i + 2]
+            for age, addr in draw(log[i + 1]):
+                on_wrongpath(age, addr)
+            i += 3
+        elif op == EV_RECOVERY:
+            stage = log[i + 2]
+            on_recovery(log[i + 1])
+            i += 3
+        else:  # EV_SQUASH
+            boundary = log[i + 1] + 1
+            cycle = log[i + 2]
+            if expect >= 0:
+                # The hook's record checked the boundary and cycle.
+                expect = -1
+            elif (boundary != head or head >= limit or cycle < last
+                  or cycle <= stage or not hooks.gated_commit(head, cycle)):
+                return -1  # not the lane's own replay of its commit head
+            if not view.squash(boundary, log[i + 3], head):
+                return -1
+            limit = view.n
+            gap = gaps[0][0]
+            while head == gap:
+                head = gaps[0][1]
+                del gaps[0]
+                gap = gaps[0][0] if gaps else _NO_GAP
+            # The DMDC and Garg adapters repair by the kept seq alone.
+            hooks.on_squash(boundary - 1, ())
+            i += 5 + log[i + 4]
+    if expect >= 0 or view.tvs.disagree or retired != tail.committed:
+        return -1
     if scheme.checking_active:
-        checking += bound - 1 - last
+        checking += tail.cycles - 1 - last
     return checking

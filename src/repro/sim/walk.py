@@ -22,21 +22,27 @@ to every live lane:
 A lane's hooks see exactly the calls, in exactly the order, that a
 replay of the log through that lane alone makes.  A verdict lane whose
 hook names a victim (or that meets a retired ground-truth mark) leaves
-the walk at that verdict's cycle, its *divergence*; the rest go on.  For
-a verdict lane whose machine has a kept forked run forked at some cycle
-*F* (:attr:`HostRun.forked`), the walk takes a :class:`Checkpoint` of the
-lane at the boundary of *F*: a lane diverging at *F* then resumes into
-that run's tail from the checkpoint
-(:func:`~repro.sim.soa.replay_verdicts` with ``resume``) instead of
-replaying the host's prefix again.  Only then does the walk track, per
-seq, where loads issued and stores resolved, which a tail's
-ground-truth marks derive from.
+the walk at that verdict's cycle, its *divergence* *D*; the rest go on.
+
+This module is the only code that reads a host run's log.  Whatever a
+diverging lane does next, trying kept forked runs' tails
+(:func:`~repro.sim.soa.replay_verdicts`) or forking its own kernel,
+starts from a :class:`Checkpoint` of the lane at the boundary of *D*.
+For a verdict lane whose machine has a kept forked run forked at some
+cycle *F* (:attr:`HostRun.forked`), the walk checkpoints the lane at
+*F*, which serves it when *D* is *F*.  Every other diverging lane gets
+its checkpoint from :func:`checkpoint_lanes`: a second walk of the same
+loop over the lanes that lack one, each from a fresh scheme and model,
+which a lane leaves once checkpointed at its *D*.  A walk tracks, per
+seq, where loads issued and stores resolved (a tail's ground-truth
+marks derive from them) only when it has a checkpoint to take.
 
 Every rejection a lane's own replay raised still raises
 :class:`~repro.errors.SimulationError` naming a lane: a filter that calls
 a store safe although the host's search found a victim, a squash in the
-log of a verdict lane's host, and a host log that retires past the trace
-or other than its committed count.
+log of a verdict lane's host, a host log that retires past the trace
+or other than its committed count, and a lane whose checkpoint walk
+takes no checkpoint at the divergence its first walk reported.
 """
 
 import pickle
@@ -61,7 +67,7 @@ from repro.core.schemes.conventional import ConventionalScheme
 from repro.core.schemes.value import ValueBasedScheme
 from repro.errors import SimulationError
 from repro.sim.setup_memo import SETUP_MEMO
-from repro.sim.soa import LaneView, _host_squash, lane_column
+from repro.sim.soa import LaneView, lane_column
 
 #: Lane kinds.
 FILTER, VALUE, VERDICT = 0, 1, 2
@@ -97,8 +103,9 @@ class Checkpoint:
         self.wend = lane.view.wend[:]
         self.host = host
         self.marks = marks
-        #: (head, retired, last, stage) of the walk, then the lane's
-        #: checking-cycle count: ``replay_verdicts``' ``resume``.
+        #: The host log's length, (head, retired, last, stage) of the
+        #: walk, then the lane's checking-cycle count:
+        #: ``replay_verdicts``' ``resume``.
         self.state = state
 
     def resume(self, trace) -> Tuple[CheckScheme, object, LaneView, Tuple[int, ...]]:
@@ -119,13 +126,18 @@ class Lane:
     ``divergence`` (None when the lane timed as its host throughout,
     then ``checking`` is its ``checking.cycles_observed``), the
     ``checkpoint`` at that cycle if one was taken, and ``seconds``, its
-    share of the walk's time."""
+    share of the walks' time.
+
+    A verdict lane is checkpointed at each of its ``fork_cycles`` it is
+    live at: by default the fork cycles of the forked runs its host
+    keeps for its machine."""
 
     __slots__ = ("label", "kind", "scheme", "hooks", "view", "wrongpath",
                  "fork_cycles", "live", "filtered", "checking", "divergence",
                  "checkpoint", "seconds")
 
-    def __init__(self, processor, host) -> None:
+    def __init__(self, processor, host,
+                 fork_cycles: Optional[Tuple[int, ...]] = None) -> None:
         scheme = processor.scheme
         self.label = processor.config.scheme.label()
         self.scheme = scheme
@@ -139,7 +151,7 @@ class Lane:
             self.kind = VALUE
         else:
             self.kind = VERDICT
-            self.fork_cycles = tuple(sorted({
+            self.fork_cycles = fork_cycles or tuple(sorted({
                 run.fork_cycle
                 for run in SETUP_MEMO.forked_runs(host, processor.config)}))
         self.live = True
@@ -148,6 +160,12 @@ class Lane:
         self.divergence: Optional[int] = None
         self.checkpoint: Optional[Checkpoint] = None
         self.seconds = 0.0
+
+
+def _host_squash(label: str, op: int, at: int) -> SimulationError:
+    return SimulationError(
+        f"verdict lane {label} met a squash in its host's log "
+        f"(opcode {op} at record offset {at})")
 
 
 def _overrides(obj, name: str, base: type) -> bool:
@@ -169,33 +187,76 @@ def walk_lanes(host, processors: Sequence) -> List[Lane]:
     of one group: one trace, one machine but for the scheme); each gets
     its :class:`Lane` as ``processor.lane``.
 
-    A lane that leaves the walk keeps its polluted scheme and model; the
-    processor rebuilds them before it replays or forks on its own.  A
+    A lane that leaves the walk keeps its polluted scheme and model; its
+    tail attempts and its fork start from its checkpoint at its
+    divergence instead (:func:`checkpoint_lanes`).  A
     lane that stays has its scheme's stats booked (and, for a verdict
     lane, ``finalize`` called at the host's cycle count); its
     ``wrongpath`` is its seed's shared model, which counts its draws.
     """
     t0 = time.perf_counter()  # repro: noqa[REPRO001]
     lanes = [Lane(processor, host) for processor in processors]
-    walk = _Walk(host, processors[0].trace, lanes, processors)
+    _walk(host, processors, lanes, t0, leave=False)
+    for processor, lane in zip(processors, lanes):
+        processor.lane = lane
+    return lanes
+
+
+def checkpoint_lanes(host, processors: Sequence) -> None:
+    """Give every verdict lane in ``processors`` that left its walk over
+    ``host``'s log a :class:`Checkpoint` at its divergence cycle, in one
+    more walk over the lanes that have none.
+
+    Each of those lanes starts from a fresh scheme and model
+    (``Processor._fresh``), is checkpointed at its divergence alone and
+    leaves the walk there; the walk stops once no lane is live.  Its time
+    joins each lane's ``seconds``.  A lane the walk leaves without a
+    checkpoint raises :class:`~repro.errors.SimulationError` naming it:
+    its first walk met its divergence there.
+    """
+    t0 = time.perf_counter()  # repro: noqa[REPRO001]
+    processors = [processor for processor in processors
+                  if processor.lane.checkpoint is None]
+    if not processors:
+        return
+    lanes = []
+    for processor in processors:
+        processor._fresh()
+        lanes.append(Lane(processor, host, (processor.lane.divergence,)))
+    _walk(host, processors, lanes, t0, leave=True)
+    for processor, lane in zip(processors, lanes):
+        if lane.checkpoint is None:
+            raise SimulationError(
+                f"verdict lane {lane.label} took no checkpoint at cycle "
+                f"{processor.lane.divergence}, where its walk diverged")
+        processor.lane.checkpoint = lane.checkpoint
+        processor.lane.seconds += lane.seconds
+
+
+def _walk(host, processors: Sequence, lanes: List[Lane], t0: float,
+          leave: bool) -> None:
+    """Walk ``host``'s log for ``lanes``, one per processor, and share the
+    time since ``t0`` among them."""
+    walk = _Walk(host, processors[0].trace, lanes, processors, leave)
     walk.run()
     share = (time.perf_counter() - t0) / len(lanes)  # repro: noqa[REPRO001]
-    for processor, lane in zip(processors, lanes):
+    for lane in lanes:
         lane.seconds = share
         # The walk's views and adapters go with it; a checkpoint keeps
         # copies of what a tail needs.
         lane.view = lane.hooks = None
-        processor.lane = lane
     SETUP_MEMO.count_walk(walk.checkpoints)
-    return lanes
 
 
 class _Walk:
-    """The state of one walk; :meth:`run` is its loop."""
+    """The state of one walk; :meth:`run` is its loop.  With ``leave``
+    (:func:`checkpoint_lanes`) a lane leaves once checkpointed."""
 
-    def __init__(self, host, trace, lanes: List[Lane], processors: Sequence) -> None:
+    def __init__(self, host, trace, lanes: List[Lane], processors: Sequence,
+                 leave: bool) -> None:
         self.host = host
         self.lanes = lanes
+        self.leave = leave
         self.verdicts = [lane for lane in lanes if lane.kind == VERDICT]
         # One wrong-path model per distinct stream: the first lane's.
         models: Dict[Tuple, object] = {}
@@ -276,11 +337,13 @@ class _Walk:
             lane.checkpoint = None
         return True
 
-    def _checkpoint(self, cycle: int, state: Tuple[int, int, int, int]) -> int:
+    def _checkpoint(self, cycle: int,
+                    state: Tuple[int, int, int, int]) -> Tuple[int, bool]:
         """Checkpoint, at the boundary of ``cycle``, every live lane with a
-        kept forked run forked there; returns the next pending fork
-        cycle."""
+        fork cycle there; returns the next pending fork cycle, and whether
+        a lane left (with ``leave``, for the caller to rebind)."""
         pending = self.pending
+        left = False
         while pending and pending[0] <= cycle:
             if pending.pop(0) != cycle:
                 continue  # no record in that cycle: no lane diverges there
@@ -292,10 +355,14 @@ class _Walk:
                         for name, column in self.tracked.items():
                             host[name] = column[:]
                         marks = dict(self.marks)
-                    lane.checkpoint = Checkpoint(cycle, lane, host, marks,
-                                                 state + (lane.checking,))
+                    lane.checkpoint = Checkpoint(
+                        cycle, lane, host, marks,
+                        (len(self.host.events),) + state + (lane.checking,))
                     self.checkpoints += 1
-        return pending[0] if pending else _NEVER
+                    if self.leave:
+                        lane.live = False
+                        left = True
+        return (pending[0] if pending else _NEVER), left
 
     def run(self) -> None:
         """Walk the host's log once, driving every live lane.  Record
@@ -346,7 +413,8 @@ class _Walk:
                     # A checkpoint precedes the record's every call.
                     cycle = log[i + 3]
                     if cycle >= ck_next:
-                        ck_next = self._checkpoint(cycle, (head, retired, last, stage))
+                        ck_next, left = self._checkpoint(
+                            cycle, (head, retired, last, stage))
                     if track:
                         ipos_[seq] = i
                         ihead_[seq] = head
@@ -368,7 +436,8 @@ class _Walk:
                 if verdicts:
                     cycle = log[i + 1]
                     if cycle >= ck_next:
-                        ck_next = self._checkpoint(cycle, (head, retired, last, stage))
+                        ck_next, left = self._checkpoint(
+                            cycle, (head, retired, last, stage))
                     count = log[i + 2]
                     retired += count
                     end = head + count
@@ -429,7 +498,8 @@ class _Walk:
                         raise _host_squash(verdicts[0].label, op, i)
                     cycle = log[i + 4]
                     if cycle >= ck_next:
-                        ck_next = self._checkpoint(cycle, (head, retired, last, stage))
+                        ck_next, left = self._checkpoint(
+                            cycle, (head, retired, last, stage))
                     if track:
                         rpos_[seq] = i
                         stage = cycle
@@ -444,9 +514,11 @@ class _Walk:
                 i += 3
             elif op == EV_MISPREDICT:
                 if verdicts:
-                    stage = cycle = log[i + 2]
+                    cycle = log[i + 2]
                     if cycle >= ck_next:
-                        ck_next = self._checkpoint(cycle, (head, retired, last, stage))
+                        ck_next, left = self._checkpoint(
+                            cycle, (head, retired, last, stage))
+                    stage = cycle
                 for draw, calls in draws:
                     for age, addr in draw(log[i + 1]):
                         for call in calls:
@@ -454,9 +526,11 @@ class _Walk:
                 i += 3
             elif op == EV_RECOVERY:
                 if verdicts:
-                    stage = cycle = log[i + 2]
+                    cycle = log[i + 2]
                     if cycle >= ck_next:
-                        ck_next = self._checkpoint(cycle, (head, retired, last, stage))
+                        ck_next, left = self._checkpoint(
+                            cycle, (head, retired, last, stage))
+                    stage = cycle
                 for recover in recoveries:
                     recover(log[i + 1])
                 i += 3

@@ -19,6 +19,9 @@ These tests pin that every lane still equals its lone run:
   resumed tail fails and which then forks;
 * a lane whose divergence cycle no kept tail forked at, which makes no
   tail attempt at all;
+* a cold group whose forks all take their checkpoints in one
+  checkpoint walk, a lone lane that walks alone to its checkpoint, and
+  a checkpoint walk that misses the divergence, which raises;
 * a squashing host, whose filter lanes walk while its verdict lanes run
   alone.
 
@@ -31,6 +34,7 @@ import gc
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.config import CONFIG2, SCHEME_LABELS, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.runner import TRACE_TAIL_SLACK, _Point, _resolve_workload, run_many
@@ -187,50 +191,58 @@ def test_one_verdict_lane_diverging_mid_walk_leaves_the_others_unchanged(walks):
 
 
 def _resumes(monkeypatch):
-    """Every ``Checkpoint.resume`` and every ``replay_verdicts`` call of a
-    processor: ("resume",), ("prefix",) for a fork's replay up to its
-    snapshot, ("tail", resumed from a checkpoint?) for a tail attempt."""
+    """Every checkpoint walk, ``Checkpoint.resume`` and ``replay_verdicts``
+    call of a processor: ("checkpoint walk", lanes), ("resume",), and
+    ("tail", the forked run's fork cycle) for a tail attempt."""
     calls = []
     resume = walk.Checkpoint.resume
     replay = processor_module.replay_verdicts
+    walked = walk._walk
 
     def resume_spy(checkpoint, trace):
         calls.append(("resume",))
         return resume(checkpoint, trace)
 
-    def replay_spy(*args):
-        calls.append(("prefix",) if len(args) == 7 else ("tail", args[8] is not None))
-        return replay(*args)
+    def replay_spy(hooks, view, wrongpath, tail, state):
+        calls.append(("tail", tail.fork_cycle))
+        return replay(hooks, view, wrongpath, tail, state)
+
+    def walk_spy(host, processors, lanes, t0, leave):
+        if leave:
+            calls.append(("checkpoint walk", len(lanes)))
+        return walked(host, processors, lanes, t0, leave)
 
     monkeypatch.setattr(walk.Checkpoint, "resume", resume_spy)
     monkeypatch.setattr(processor_module, "replay_verdicts", replay_spy)
+    monkeypatch.setattr(walk, "_walk", walk_spy)
     return calls
 
 
 def test_a_lane_resumes_into_a_kept_tail_from_the_walks_checkpoint(
         routes, monkeypatch):
     """dmdc-queue8 on mcf forks at cycle 1338 under every seed, with a
-    tail that depends on the seed.  Seed 1 again resumes into seed 1's
-    tail from the walk's checkpoint and takes it; seed 2's verdicts leave
-    that tail, so it forks, from the same checkpoint instead of a replay
-    of the host's prefix; seed 3 tries both kept tails, each from the
+    tail that depends on the seed.  Cold, the lane forks from the
+    checkpoint a checkpoint walk took.  Seed 1 again resumes into seed 1's
+    tail from the first walk's checkpoint and takes it; seed 2's verdicts
+    leave that tail, so it forks, from the same checkpoint, with no
+    checkpoint walk; seed 3 tries both kept tails, each from the
     checkpoint, and the second serves it.  Every point equals its lone
     run."""
     calls = _resumes(monkeypatch)
     run_many([_point("conventional", "mcf", 1, SWEEP_BUDGET),
               _point("dmdc-queue8", "mcf", 1, SWEEP_BUDGET)])
     assert routes[-1][3:5] == ("fork", 1338)
-    assert calls == [("prefix",)]  # the cold fork's
+    assert calls == [("checkpoint walk", 1), ("resume",)]  # the cold fork's
     expected = {
         1: ("lane", {"walk_checkpoints": 1, "forked_run_hits": 1,
                      "forked_run_misses": 0, "forks": 0},
-            [("resume",), ("tail", True)]),
+            [("resume",), ("tail", 1338)]),
         2: ("fork", {"walk_checkpoints": 1, "forked_run_hits": 0,
                      "forked_run_misses": 1, "forks": 1},
-            [("resume",), ("tail", True), ("resume",)]),
+            [("resume",), ("tail", 1338), ("resume",)]),
         3: ("lane", {"walk_checkpoints": 1, "forked_run_hits": 1,
                      "forked_run_misses": 1, "forks": 0},
-            [("resume",), ("tail", True)] * 2),
+            [("resume",), ("tail", 1338)] * 2),
     }
     for seed, (route, counts, resumed) in expected.items():
         before = SETUP_MEMO.stats()
@@ -244,22 +256,93 @@ def test_a_lane_resumes_into_a_kept_tail_from_the_walks_checkpoint(
         assert result.to_dict() == _lone(point)
 
 
-def test_a_lane_whose_divergence_no_kept_tail_forked_at_tries_none(routes):
+def test_a_lane_whose_divergence_no_kept_tail_forked_at_tries_none(
+        routes, monkeypatch):
     """A kept tail of the lane's machine that forked at another cycle is
-    never tried: the lane forks at its divergence cycle, with no
-    checkpoint and no tail attempt (``forked_run_misses`` stays 0)."""
+    never tried: the lane forks at its divergence cycle, with no tail
+    attempt (``forked_run_misses`` stays 0).  The first walk checkpoints
+    it at no cycle (it is gone by the kept tail's), so its checkpoint
+    comes from one checkpoint walk."""
     run_many([_point("conventional", "mcf", 1, SWEEP_BUDGET),
               _point("dmdc-queue8", "mcf", 1, SWEEP_BUDGET)])
     (kept,) = routes[-1][5].forked
     kept.fork_cycle += 1  # as if another seed had diverged a cycle later
+    calls = _resumes(monkeypatch)
     before = SETUP_MEMO.stats()
     point = _point("dmdc-queue8", "mcf", 1, SWEEP_BUDGET)
     (result,) = run_many([point])
     delta = _delta(before)
     assert routes[-1][3:5] == ("fork", 1338)
     assert (delta["walk_checkpoints"], delta["forked_run_misses"],
-            delta["forked_run_hits"], delta["forks"]) == (0, 0, 0, 1)
+            delta["forked_run_hits"], delta["forks"]) == (1, 0, 0, 1)
+    assert calls == [("checkpoint walk", 1), ("resume",)]
     assert result.to_dict() == _lone(point)
+
+
+def test_a_cold_groups_forks_take_their_checkpoints_in_one_walk(
+        routes, monkeypatch):
+    """A cold twolf group whose three verdict lanes all fork (at two
+    cycles): one checkpoint walk checkpoints all three at their
+    divergences, each fork resumes from its checkpoint, no tail is
+    replayed (no kept run forked for these machines), and every point
+    equals its lone run."""
+    calls = _resumes(monkeypatch)
+    points = [_point(label, "twolf", 1, SWEEP_BUDGET)
+              for label in ("conventional", "dmdc", "dmdc-local", "garg")]
+    before = SETUP_MEMO.stats()
+    batch = run_many(points)
+    delta = _delta(before)
+    forks = {label: cycle for label, _, _, route, cycle, _ in routes
+             if route == "fork"}
+    assert set(forks) == {"dmdc", "dmdc-local", "garg"}
+    assert sorted(set(forks.values())) == [1717, 1735]
+    assert calls == [("checkpoint walk", 3)] + [("resume",)] * 3
+    # The group's walk and its checkpoint walk; one checkpoint a fork.
+    assert (delta["lane_walks"], delta["walk_checkpoints"], delta["forks"]) == (2, 3, 3)
+    _assert_equal_lone(points, batch)
+
+
+def _lone_lane(point):
+    """A processor for ``point`` that replays a conventional host run
+    recorded outside ``run_many``."""
+    setup = SetupBatch()
+    trace, ident = setup.trace(SUITE[point.workload],
+                               point.budget + TRACE_TAIL_SLACK)
+    host = Processor(CONFIG2, trace, seed=point.seed)
+    host.record_events = True
+    setup.prewarm(host, ident)
+    host.run(point.budget)
+    assert host.recorded.squash_free
+    lane = Processor(point.config, trace, seed=point.seed)
+    lane.replay_from = host.recorded
+    return lane
+
+
+def test_a_lone_lane_forks_from_its_own_checkpoint_walk(monkeypatch):
+    """A lane run alone (``replay_from`` set, outside ``run_many``) walks
+    its host's log, then walks alone to its checkpoint and forks from
+    it, and equals its lone run."""
+    point = _point("dmdc", "twolf", 1, SWEEP_BUDGET)
+    lane = _lone_lane(point)
+    calls = _resumes(monkeypatch)
+    result = lane.run(SWEEP_BUDGET)
+    assert (lane.kernel_used, lane.fork_cycle) == ("fork", lane.divergence)
+    assert calls == [("checkpoint walk", 1), ("resume",)]
+    assert result.to_dict() == _lone(point)
+
+
+def test_a_checkpoint_walk_that_misses_the_divergence_fails_loudly():
+    """A lane whose checkpoint walk takes no checkpoint at the divergence
+    its first walk reported (here one cycle later than the lane's
+    verdict, which the checkpoint walk meets first) raises, naming the
+    lane, rather than fork from any other state."""
+    lane = _lone_lane(_point("dmdc", "twolf", 1, SWEEP_BUDGET))
+    assert lane.replay() is None
+    lane.lane.divergence += 1
+    with pytest.raises(SimulationError, match=(
+            r"verdict lane dmdc took no checkpoint at cycle \d+, where its "
+            r"walk diverged")):
+        lane.run(SWEEP_BUDGET)
 
 
 def test_a_squashing_host_serves_its_filter_lanes_through_the_walk(routes, walks):

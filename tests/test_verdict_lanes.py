@@ -30,6 +30,7 @@ from repro.sim.processor import Processor
 from repro.sim.runner import _Point, run_many
 from repro.sim.setup_memo import SetupBatch
 from repro.sim.soa import SoaKernel, replay_verdicts
+from repro.sim import walk
 from repro.sim.walk import walk_lanes
 from repro.workloads import SUITE
 from tests.test_filter_lanes import run_alone
@@ -113,6 +114,7 @@ def test_a_host_with_replays_sends_every_verdict_point_to_its_kernel(runs):
 def test_a_diverging_lane_steps_its_own_kernel(runs, monkeypatch):
     verdicts = []
     walks = []
+    checkpoint_walks = []
 
     def spy(*args, **kwargs):
         verdicts.append(replay_verdicts(*args, **kwargs))
@@ -123,17 +125,27 @@ def test_a_diverging_lane_steps_its_own_kernel(runs, monkeypatch):
         walks.append([lane.divergence for lane in lanes])
         return lanes
 
+    walked = walk._walk
+
+    def checkpoint_spy(host, processors, lanes, t0, leave):
+        walked(host, processors, lanes, t0, leave)
+        if leave:
+            checkpoint_walks.append([lane.checkpoint.cycle for lane in lanes])
+
     monkeypatch.setattr("repro.sim.processor.replay_verdicts", spy)
     monkeypatch.setattr("repro.sim.runner.walk_lanes", walk_spy)
+    monkeypatch.setattr(walk, "_walk", checkpoint_spy)
     points = [_point(CONFIG2, label, workload="mcf", seed=41, budget=4_000)
               for label in ("conventional", "dmdc")]
     host, lane = run_many(points)
     assert host.counters["replays"] == 0
     assert lane.counters["replays"] > 0
-    # The walk ran and stopped the lane at a verdict; one replay, up to
-    # the fork cycle, rebuilt the lane's scheme there.
+    # The walk ran and stopped the lane at a verdict; one checkpoint
+    # walk, up to the fork cycle, rebuilt the lane's scheme there, and no
+    # tail was there to replay.
     assert len(walks) == 1 and walks[0][0] is not None
-    assert len(verdicts) == 1 and verdicts[0] >= 0
+    assert checkpoint_walks == [[walks[0][0]]]
+    assert verdicts == []
     assert runs == [("conventional", "soa"), ("dmdc", "fork")]
     _assert_equal_alone(points, (host, lane))
 
