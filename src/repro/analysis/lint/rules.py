@@ -49,17 +49,16 @@ HOT_FUNCTIONS: Dict[str, Set[str]] = {
         "lq_violation_search_soa",
     },
     # The batched SoA kernel: its fused cycle loop and squash path are
-    # the hottest code in the repository, and the verdict-lane replay
-    # walks a forked run's tail per lane.  Construction (``__init__``,
+    # the hottest code in the repository.  Construction (``__init__``,
     # ``TraceSoA``, ``LaneView``) is setup and may allocate freely.
     "repro/sim/soa.py": {
         "SoaKernel.run",
         "SoaKernel._squash_from",
         "SoaKernel._free_iq_if_held",
-        "replay_verdicts",
     },
-    # The lane walk decodes a whole host run's log for every lane of its
-    # group, across seeds; binding, checkpoints and booking are setup.
+    # The lane walk, the one decoder of a recorded log: a host run's for
+    # every lane of its group across seeds, or a forked run's tail for
+    # one lane; binding, checkpoints and booking are setup.
     "repro/sim/walk.py": {
         "_Walk.run",
     },

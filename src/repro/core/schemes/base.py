@@ -59,10 +59,9 @@ SOA_HOOKS = {
 #: first.  The log is seed-free: it marks each mispredicted fetch but
 #: leaves out the run's own wrong-path draws, the one use of the seed
 #: while the invalidation injector is off.  A group's lanes walk it
-#: together (:mod:`repro.sim.walk`): through a search filter, a value
-#: count, or a DMDC or Garg adapter, which
-#: :func:`repro.sim.soa.replay_verdicts` also drives through a forked
-#: run's tail.
+#: together (:mod:`repro.sim.walk`, the only decoder of a log): through a
+#: search filter, a value count, or a DMDC or Garg adapter, which the
+#: same walk also drives through a forked run's tail.
 #: Every record but a load commit carries the cycle it happened in (last,
 #: or, for ``EV_COMMITS`` and ``EV_SQUASH``, first after the opcode or
 #: the kept seq); a load commit belongs to the ``EV_COMMITS`` record that

@@ -59,12 +59,16 @@ QUICK_SCHEMES: Tuple[Tuple[str, SchemeConfig], ...] = tuple(
 )
 
 
-def _git_sha() -> str:
+def _git_sha(cwd: Optional[str] = None) -> str:
+    """The commit of the checkout holding ``cwd`` (this module's by
+    default), with ``-dirty`` appended when tracked files differ from
+    it: a payload from a modified tree does not name its parent."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=40",
+             "--match=^"],
             capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
+            cwd=cwd or os.path.dirname(os.path.abspath(__file__)),
         )
         if out.returncode == 0:
             return out.stdout.strip()

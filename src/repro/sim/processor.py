@@ -74,8 +74,8 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.result import SimulationResult
 from repro.sim.setup_memo import SETUP_MEMO
-from repro.sim.soa import CHECKING_COUNT, Snapshot, SoaKernel, replay_verdicts
-from repro.sim.walk import Checkpoint, Lane, checkpoint_lanes, walk_lanes
+from repro.sim.soa import CHECKING_COUNT, Snapshot, SoaKernel
+from repro.sim.walk import Checkpoint, Lane, checkpoint_lanes, walk_lanes, walk_tail
 from repro.stats.counters import CounterSet
 from repro.utils.rng import DeterministicRng
 
@@ -104,10 +104,9 @@ class HostRun:
     whose ``events`` are its tail.  A later lane of that machine, under
     any seed while the injector is off, that leaves its group's walk
     over this run's log (:mod:`repro.sim.walk`) at that fork cycle
-    replays the tail, from a walk's checkpoint of the lane there, and
-    takes the forked run's machine counters when its own verdicts
-    reproduce every recorded one (:func:`~repro.sim.soa.replay_verdicts`).  The
-    run owns its
+    walks the tail, from its checkpoint there, and takes the forked
+    run's machine counters when its own verdicts reproduce every
+    recorded one (:func:`~repro.sim.walk.walk_tail`).  The run owns its
     snapshots and forked runs, so they live and go with it; the setup
     memo charges them while it holds the run, and every read or write
     of them takes the memo's lock (:meth:`Processor.replay`,
@@ -361,8 +360,10 @@ class Processor:
         verdicts never change the host's timing.  A verdict lane that
         left the walk at its divergence cycle tries only the forked runs
         its host keeps for its machine that forked at that very cycle,
-        most recently used first, each from the lane's checkpoint there
-        (:meth:`_checkpoint`); a full match times the lane as that run.
+        most recently used first: each is a walk of the run's tail from
+        the lane's checkpoint there (:func:`~repro.sim.walk.walk_tail`,
+        :meth:`_checkpoint`), and a full match times the lane as that
+        run.
         A later call (``run_many`` resolves a group's forks in ascending
         divergence cycle) tries only the runs kept since; one after a
         result returns it.
@@ -376,18 +377,17 @@ class Processor:
         self.divergence = lane.divergence
         t0 = time.perf_counter() - lane.seconds - self._replay_seconds  # repro: noqa[REPRO001]
         served = None
-        checking = lane.checking
+        walked: Optional[Lane] = lane
         if self.divergence is None:
             served = host
-            self.wrongpath = lane.wrongpath
         else:
             tried = self._tried
             for run in SETUP_MEMO.forked_runs(host, self.config):
                 if run.fork_cycle != self.divergence or any(run is other for other in tried):
                     continue
                 tried.append(run)
-                checking = self._replay_tail(run)
-                if checking >= 0:
+                walked = walk_tail(run, self, self._checkpoint().resume(self.trace))
+                if walked is not None:
                     served = run
                     SETUP_MEMO.forked_run_hit(host, run)
                     break
@@ -396,9 +396,12 @@ class Processor:
             self._replay_seconds = time.perf_counter() - t0 - lane.seconds  # repro: noqa[REPRO001]
             return None
         lane.checkpoint = None
-        # The lane timed as the run it replayed: it takes that run's
+        # The lane timed as the run it walked: it takes that run's
         # machine counters and books its own checking window and
         # wrong-path loads.
+        self.scheme = walked.scheme
+        self.wrongpath = walked.wrongpath
+        checking = walked.checking
         self.kernel_used = "lane"
         self.fork_cycle = served.fork_cycle
         self.cycle = served.cycles
@@ -422,24 +425,6 @@ class Processor:
         ``run_many`` takes a group's in one walk before it forks any)."""
         checkpoint_lanes(self.replay_from, [self])
         return self.lane.checkpoint
-
-    def _replay_tail(self, tail: HostRun) -> int:
-        """Replay this verdict lane through the forked run ``tail``, which
-        forked at the lane's divergence cycle, from the lane's checkpoint
-        there (:func:`~repro.sim.soa.replay_verdicts`, on copies, so the
-        lane draws its own wrong-path loads); returns the lane's
-        ``checking.cycles_observed``, or -1 when its verdicts leave the
-        tail.  On a match the lane's scheme and model are the replay's.
-        """
-        scheme, wrongpath, view, state = self._checkpoint().resume(self.trace)
-        checking = replay_verdicts(scheme.soa_hooks(view), view, wrongpath,
-                                   tail, state)
-        if checking < 0:
-            return -1
-        self.scheme = scheme
-        self.wrongpath = wrongpath
-        scheme.finalize(tail.cycles)
-        return checking
 
     def _fresh(self) -> None:
         """Rebuild this lane's scheme and wrong-path model as

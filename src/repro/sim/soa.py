@@ -84,8 +84,9 @@ log over seq-indexed :class:`LaneView` columns and drops a lane at its
 first verdict that would change timing, where the lane forks from its
 checkpoint there.  A forked lane's run records too, and its tail serves
 later lanes of its machine whose verdicts reproduce every one it
-recorded (:func:`replay_verdicts`, the only decoder of a log outside
-the walk, which reads tails alone).  :func:`repro.sim.runner.run_many` walks one
+recorded (:func:`repro.sim.walk.walk_tail`: the same walk, over one
+lane, from its checkpoint).  The walk is the only decoder of any log.
+:func:`repro.sim.runner.run_many` walks one
 conventional run's log for every lane that shares its trace, budget and
 machine, whatever the lane's seed (unless the invalidation injector is
 on), and keeps the log in the setup memo for later batches.
@@ -111,7 +112,7 @@ consumer lists, the rename map).
 import heapq
 from array import array
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.backend.resources import FunctionalUnits
 from repro.core.schemes.base import (
@@ -1596,8 +1597,7 @@ class Snapshot:
 
 
 # ----------------------------------------------------------------------
-# Verdict lanes: replay a host's log, and a forked run's tail, through
-# DMDC or Garg
+# Verdict lanes: the seq-indexed view a walk drives DMDC or Garg over
 # ----------------------------------------------------------------------
 class _Marks:
     """A verdict lane's ``tvs`` column: each load's ground-truth mark,
@@ -1681,8 +1681,8 @@ class LaneView:
     seq younger than it if the recorded ROB tail reaches that far, else
     the store's own seq: Garg flushes from that entry.
 
-    A view that replays a forked run's tail (``tail=True``, built from a
-    walk's checkpoint) owns copies of the trace columns, because the
+    A tail walk's view (``tail=True``, resumed from a checkpoint into a
+    forked run's tail) owns copies of the trace columns, because the
     tail may squash (:meth:`squash`): the refetch gives fresh seqs,
     which map to the trace from the victim's trace index on, and the
     squashed seqs stop reading as stores.  ``gaps`` holds the squashed
@@ -1690,8 +1690,8 @@ class LaneView:
     view also tracks, per seq, the record position where each load
     issued (``ipos``) and the commit head then (``ihead``), and where
     each store resolved (``rpos``), from which ``tvs`` derives the
-    ground-truth marks (:class:`_Marks`); a view without them (a walk's)
-    reads every mark as -1.
+    ground-truth marks (:class:`_Marks`); a view without them (a host
+    walk's) reads every mark as -1.
 
     The columns the view fills are flat (flags as ``bytearray``, ints as
     :func:`lane_column`): a walk and its checkpoints hold several at a
@@ -1771,214 +1771,3 @@ class LaneView:
         for load in [load for load in logged if load >= boundary]:
             del logged[load]
         return True
-
-
-#: A gap start no seq reaches.
-_NO_GAP = 1 << 62
-
-
-def _squash_follows(log, at: int, victim: int, cycle: int) -> bool:
-    """Whether ``log``'s record at ``at`` squashes from ``victim`` in
-    ``cycle``."""
-    return (at + 4 < len(log) and log[at] == EV_SQUASH
-            and log[at + 1] == victim - 1 and log[at + 2] == cycle)
-
-
-def replay_verdicts(hooks, view: LaneView, wrongpath, tail,
-                    resume: Tuple[int, ...]) -> int:
-    """Drive a scheme adapter bound to ``view`` through a forked run's
-    tail, from a walk's checkpoint of the lane at the run's fork cycle.
-
-    ``tail`` is a forked run the host keeps
-    (:class:`~repro.sim.processor.HostRun` with a ``fork_cycle``).  A
-    walk (:mod:`repro.sim.walk`) drove the lane through the host's
-    records before that cycle and checkpointed it there
-    (:class:`repro.sim.walk.Checkpoint`): ``hooks``, ``view`` (a tail
-    view) and ``wrongpath`` are copies of its state, and ``resume``
-    holds the cursors it left: the host log's length (tail record
-    positions count on from it), the commit head, the retired count, the
-    cycle of the last commit stage and of the last issue, writeback or
-    fetch record, and the checking-cycle count.
-
-    The hooks are called at the kernel's sites with the kernel's gates:
-    load issue, store resolve (with ``view.rob`` set from the recorded
-    ROB tail), every retiring instruction under ``commit_mode``,
-    wrong-path loads and recoveries.  The wrong-path loads are the
-    lane's own: ``wrongpath`` (a
-    :class:`~repro.frontend.wrongpath.WrongPathModel` on the lane's
-    seed) sees every logged load issue and draws at every mispredict
-    mark, as the lane's kernel would.
-
-    The lane must reproduce the tail verdict for verdict: a hook that
-    named a victim in the recorded run must name the same one in the
-    same cycle (the squash record follows its record), a commit-time
-    squash must be the lane's own replay of the head in the commit
-    stage of its cycle, and no other verdict may fire.  The view follows
-    every squash.  Then the lane timed exactly as the forked run, which
-    must have retired ``tail.committed``, and the replay returns the
-    lane's ``checking.cycles_observed``: a checking window, which only a
-    retiring commit opens or closes, covers every cycle after the commit
-    stage that opened it up to the one that closes it, or to the run's
-    last cycle.  Any disagreement returns -1: the tail does not serve
-    this lane.
-    """
-    scheme = hooks.scheme
-    has_load_hook = hooks.has_load_issue
-    has_store_hook = hooks.has_store_resolve
-    commit_mode = hooks.commit_mode
-    hook_load = hooks.on_load_issue
-    hook_store = hooks.on_store_resolve
-    hook_commit = hooks.on_commit
-    hook_commit_load = hooks.on_commit_load
-    on_wrongpath = hooks.on_wrongpath_load
-    on_recovery = hooks.on_recovery
-    observe = wrongpath.observe_address
-    draw = wrongpath.loads_for_mispredict
-    addr_ = view.addr
-    isld_ = view.isld
-    isst_ = view.isst
-    safe_ = view.safe
-    gbp_ = view.gbp
-    unsafe_ = view.unsafe
-    icyc_ = view.icyc
-    rcyc_ = view.rcyc
-    ipos_ = view.ipos
-    ihead_ = view.ihead
-    rpos_ = view.rpos
-    rob = view.rob
-    gaps = view.gaps
-    marks = view.tvs.logged
-    gap = _NO_GAP  # first seq of the next squashed range ahead of the head
-    limit = view.n
-    # base: the record position of the tail's first record; head: the
-    # next seq to retire; last: the cycle of the previous commit stage;
-    # stage: the cycle of the last issue, writeback or fetch record.
-    base, head, retired, last, stage, checking = resume
-    expect = -1    # the victim a hook just named, whose squash comes next
-    log = tail.events
-    i = 0
-    n = len(log)
-    while i < n:
-        op = log[i]
-        if op == EV_COMMITS:
-            cycle = log[i + 1]
-            if scheme.checking_active:
-                checking += cycle - last
-            last = cycle
-            left = log[i + 2]
-            retired += left
-            while left:
-                end = head + left
-                if end > gap:
-                    end = gap
-                if end > limit:
-                    return -1
-                left -= end - head
-                if commit_mode == 2:
-                    while head < end:
-                        if not scheme.checking_active:
-                            # Outside a window only an unsafe store
-                            # acts: skip to the next one flagged.
-                            head = unsafe_.find(1, head, end)
-                            if head < 0:
-                                head = end
-                                break
-                            if not isst_[head]:
-                                head += 1
-                                continue
-                        if hook_commit(head, cycle):
-                            return -1
-                        head += 1
-                elif commit_mode == 1:
-                    while head < end:
-                        if isld_[head] and hook_commit_load(head):
-                            return -1
-                        head += 1
-                else:
-                    head = end
-                while head == gap:
-                    head = gaps[0][1]
-                    del gaps[0]
-                    gap = gaps[0][0] if gaps else _NO_GAP
-            if marks and min(marks) < head:
-                return -1  # a marked load retired: the kernel would have raised
-            i += 3
-        elif op == EV_LOAD or op == EV_LOAD_SAFE or op == EV_LOAD_GUARDED:
-            cycle = log[i + 3]
-            addr = log[i + 1]
-            observe(addr)
-            seq = log[i + 2]
-            if seq >= limit or addr_[seq] != addr:
-                return -1
-            ipos_[seq] = base + i
-            ihead_[seq] = head
-            stage = cycle
-            icyc_[seq] = cycle
-            if op != EV_LOAD:
-                safe_[seq] = True
-                if op == EV_LOAD_GUARDED:
-                    gbp_[seq] = True
-            if has_load_hook:
-                expect = hook_load(seq)
-                if expect >= 0 and not _squash_follows(log, i + 4, expect, cycle):
-                    return -1
-            i += 4
-        elif op == EV_STORE or op == EV_STORE_VICTIM:
-            cycle = log[i + 4]
-            seq = log[i + 2]
-            if seq >= limit or addr_[seq] != log[i + 1]:
-                return -1
-            rpos_[seq] = base + i
-            stage = cycle
-            icyc_[seq] = rcyc_[seq] = cycle
-            expect = -1
-            if has_store_hook:
-                younger = seq + 1
-                for start, end in gaps:
-                    if younger == start:
-                        younger = end
-                rob[0] = younger if younger <= log[i + 3] else seq
-                expect = hook_store(seq)
-            if (expect >= 0) != (op == EV_STORE_VICTIM) or (
-                    expect >= 0 and not _squash_follows(log, i + 5, expect, cycle)):
-                return -1
-            i += 5
-        elif op == EV_COMMIT:
-            i += 2
-        elif op == EV_MARK:
-            marks[log[i + 1]] = log[i + 2]
-            i += 3
-        elif op == EV_MISPREDICT:
-            stage = log[i + 2]
-            for age, addr in draw(log[i + 1]):
-                on_wrongpath(age, addr)
-            i += 3
-        elif op == EV_RECOVERY:
-            stage = log[i + 2]
-            on_recovery(log[i + 1])
-            i += 3
-        else:  # EV_SQUASH
-            boundary = log[i + 1] + 1
-            cycle = log[i + 2]
-            if expect >= 0:
-                # The hook's record checked the boundary and cycle.
-                expect = -1
-            elif (boundary != head or head >= limit or cycle < last
-                  or cycle <= stage or not hooks.gated_commit(head, cycle)):
-                return -1  # not the lane's own replay of its commit head
-            if not view.squash(boundary, log[i + 3], head):
-                return -1
-            limit = view.n
-            gap = gaps[0][0]
-            while head == gap:
-                head = gaps[0][1]
-                del gaps[0]
-                gap = gaps[0][0] if gaps else _NO_GAP
-            # The DMDC and Garg adapters repair by the kept seq alone.
-            hooks.on_squash(boundary - 1, ())
-            i += 5 + log[i + 4]
-    if expect >= 0 or view.tvs.disagree or retired != tail.committed:
-        return -1
-    if scheme.checking_active:
-        checking += tail.cycles - 1 - last
-    return checking

@@ -24,25 +24,34 @@ replay of the log through that lane alone makes.  A verdict lane whose
 hook names a victim (or that meets a retired ground-truth mark) leaves
 the walk at that verdict's cycle, its *divergence* *D*; the rest go on.
 
-This module is the only code that reads a host run's log.  Whatever a
-diverging lane does next, trying kept forked runs' tails
-(:func:`~repro.sim.soa.replay_verdicts`) or forking its own kernel,
-starts from a :class:`Checkpoint` of the lane at the boundary of *D*.
-For a verdict lane whose machine has a kept forked run forked at some
-cycle *F* (:attr:`HostRun.forked`), the walk checkpoints the lane at
-*F*, which serves it when *D* is *F*.  Every other diverging lane gets
-its checkpoint from :func:`checkpoint_lanes`: a second walk of the same
-loop over the lanes that lack one, each from a fresh scheme and model,
-which a lane leaves once checkpointed at its *D*.  A walk tracks, per
-seq, where loads issued and stores resolved (a tail's ground-truth
-marks derive from them) only when it has a checkpoint to take.
+This module is the only code that reads a recorded log, a host run's or
+a forked run's tail.  Whatever a diverging lane does next, walking kept
+forked runs' tails or forking its own kernel, starts from a
+:class:`Checkpoint` of the lane at the boundary of *D*.  For a verdict
+lane whose machine has a kept forked run forked at some cycle *F*
+(:attr:`HostRun.forked`), the walk checkpoints the lane at *F*, which
+serves it when *D* is *F*.  Every other diverging lane gets its
+checkpoint from :func:`checkpoint_lanes`: a second walk of the same loop
+over the lanes that lack one, each from a fresh scheme and model, which
+a lane leaves once checkpointed at its *D*.  A walk tracks, per seq,
+where loads issued and stores resolved (a tail's ground-truth marks
+derive from them) only when it has a checkpoint to take.
 
-Every rejection a lane's own replay raised still raises
+A *tail walk* (:func:`walk_tail`) is the same loop over one lane,
+resumed from its checkpoint into a forked run's tail.  The tail holds
+the forked run's squashes, so the walk follows each one the lane's own
+verdict reproduces: the victim a load-issue or store-resolve hook just
+named, with the squash record right after its record, or the lane's
+own commit-time replay of the head.  Any other verdict that differs
+from the log makes the lane leave: the tail does not serve it.
+
+Every rejection of a host run's log raises
 :class:`~repro.errors.SimulationError` naming a lane: a filter that calls
 a store safe although the host's search found a victim, a squash in the
 log of a verdict lane's host, a host log that retires past the trace
 or other than its committed count, and a lane whose checkpoint walk
-takes no checkpoint at the divergence its first walk reported.
+takes no checkpoint at the divergence its first walk reported.  The
+same faults in a tail make its lane leave.
 """
 
 import pickle
@@ -58,6 +67,7 @@ from repro.core.schemes.base import (
     EV_MARK,
     EV_MISPREDICT,
     EV_RECOVERY,
+    EV_SQUASH,
     EV_STORE,
     EV_STORE_VICTIM,
     CheckScheme,
@@ -72,13 +82,17 @@ from repro.sim.soa import LaneView, lane_column
 #: Lane kinds.
 FILTER, VALUE, VERDICT = 0, 1, 2
 
-#: A cycle no record reaches: no checkpoint pending.
+#: A cycle or seq no record reaches: no checkpoint pending, no squashed
+#: range ahead of the commit head.
 _NEVER = 1 << 62
 
 #: The host-derived columns every verdict lane of a walk shares, and the
 #: per-seq tracking a tail's marks derive from.
 _SHARED = ("safe", "gbp", "icyc", "rcyc")
 _TRACKED = ("ipos", "ihead", "rpos")
+
+#: The load-issue opcodes.
+_LOADS = frozenset((EV_LOAD, EV_LOAD_SAFE, EV_LOAD_GUARDED))
 
 
 class Checkpoint:
@@ -87,7 +101,7 @@ class Checkpoint:
     wrong-path model, with copies of the walk's host-derived and
     tracking columns, logged marks and cursors there (shared by the
     lanes checkpointed at that cycle).  :meth:`resume` gives each tail
-    attempt, and the lane's fork, their own copies."""
+    walk, and the lane's fork, their own copies."""
 
     __slots__ = ("cycle", "scheme", "wrongpath", "unsafe", "wend", "host",
                  "marks", "state")
@@ -103,15 +117,15 @@ class Checkpoint:
         self.wend = lane.view.wend[:]
         self.host = host
         self.marks = marks
-        #: The host log's length, (head, retired, last, stage) of the
-        #: walk, then the lane's checking-cycle count:
-        #: ``replay_verdicts``' ``resume``.
+        #: The host log's length (a tail's record positions count on
+        #: from it), (head, retired, last, stage) of the walk, then the
+        #: lane's checking-cycle count: where a tail walk starts.
         self.state = state
 
     def resume(self, trace) -> Tuple[CheckScheme, object, LaneView, Tuple[int, ...]]:
-        """A scheme, wrong-path model and tail view in this state, with
-        the ``resume`` cursors: copies, so the checkpoint serves a tail
-        attempt each and then the lane's fork."""
+        """A scheme, wrong-path model and view (one that can follow a
+        squash) in this state, with the walk's cursors: copies, so the
+        checkpoint serves a tail walk each and then the lane's fork."""
         columns = {name: column[:] for name, column in self.host.items()}
         columns["unsafe"] = self.unsafe[:]
         columns["wend"] = self.wend[:]
@@ -151,9 +165,9 @@ class Lane:
             self.kind = VALUE
         else:
             self.kind = VERDICT
-            self.fork_cycles = fork_cycles or tuple(sorted({
-                run.fork_cycle
-                for run in SETUP_MEMO.forked_runs(host, processor.config)}))
+            self.fork_cycles = fork_cycles if fork_cycles is not None else tuple(
+                sorted({run.fork_cycle
+                        for run in SETUP_MEMO.forked_runs(host, processor.config)}))
         self.live = True
         self.filtered = 0
         self.checking = 0
@@ -166,6 +180,15 @@ def _host_squash(label: str, op: int, at: int) -> SimulationError:
     return SimulationError(
         f"verdict lane {label} met a squash in its host's log "
         f"(opcode {op} at record offset {at})")
+
+
+def _past(gaps: List[tuple], head: int) -> Tuple[int, int]:
+    """The commit head ``head`` past every squashed range in ``gaps`` (a
+    :class:`~repro.sim.soa.LaneView`'s) that starts there, and the first
+    seq of the next one ahead (:data:`_NEVER` without one)."""
+    while gaps and gaps[0][0] == head:
+        head = gaps.pop(0)[1]
+    return head, (gaps[0][0] if gaps else _NEVER)
 
 
 def _overrides(obj, name: str, base: type) -> bool:
@@ -233,6 +256,26 @@ def checkpoint_lanes(host, processors: Sequence) -> None:
         processor.lane.seconds += lane.seconds
 
 
+def walk_tail(tail, processor, resumed) -> Optional[Lane]:
+    """Walk the forked run ``tail``'s log for ``processor``, a verdict lane
+    that left its walk at ``tail.fork_cycle``, from ``resumed``: its
+    checkpoint there, resumed (:meth:`Checkpoint.resume`).
+
+    The lane draws its own wrong-path loads (the resumed model, on its
+    seed) and must reproduce the tail verdict for verdict, squashes
+    included.  Then it timed exactly as the forked run, and the lane is
+    returned, its scheme finalized at ``tail.cycles`` and ``checking``
+    its ``checking.cycles_observed``.  A lane that leaves is a miss:
+    None.  A tail walk counts as no lane walk.
+    """
+    lane = Lane(processor, tail, ())
+    lane.scheme, lane.wrongpath, view, state = resumed
+    _Walk(tail, processor.trace, [lane], [processor], False,
+          (view, state)).run()
+    lane.view = lane.hooks = None
+    return lane if lane.live else None
+
+
 def _walk(host, processors: Sequence, lanes: List[Lane], t0: float,
           leave: bool) -> None:
     """Walk ``host``'s log for ``lanes``, one per processor, and share the
@@ -250,13 +293,18 @@ def _walk(host, processors: Sequence, lanes: List[Lane], t0: float,
 
 class _Walk:
     """The state of one walk; :meth:`run` is its loop.  With ``leave``
-    (:func:`checkpoint_lanes`) a lane leaves once checkpointed."""
+    (:func:`checkpoint_lanes`) a lane leaves once checkpointed.  With
+    ``resume``, a resumed checkpoint's view and cursors (:func:`walk_tail`),
+    it is a tail walk of its one lane from there, which follows the
+    squashes the lane reproduces."""
 
     def __init__(self, host, trace, lanes: List[Lane], processors: Sequence,
-                 leave: bool) -> None:
+                 leave: bool, resume: Optional[Tuple[LaneView, Tuple[int, ...]]] = None
+                 ) -> None:
         self.host = host
         self.lanes = lanes
         self.leave = leave
+        self.follow = resume is not None
         self.verdicts = [lane for lane in lanes if lane.kind == VERDICT]
         # One wrong-path model per distinct stream: the first lane's.
         models: Dict[Tuple, object] = {}
@@ -275,6 +323,20 @@ class _Walk:
         self.pending = sorted({cycle for lane in self.verdicts
                                for cycle in lane.fork_cycles})
         self.checkpoints = 0
+        #: (base, head, retired, last, stage) where the walk starts.
+        self.cursors = (0, 0, 0, 0, -1)
+        if resume is not None:
+            # A tail walk: its lane's view holds every column, tracking
+            # included, and its marks.
+            view, state = resume
+            (lane,) = self.verdicts
+            self.view = lane.view = view
+            self.marks = view.tvs.logged
+            self.tracked = {name: getattr(view, name) for name in _TRACKED}
+            self.cursors = state[:5]
+            lane.checking = state[5]
+            lane.hooks = lane.scheme.soa_hooks(view)
+            return
         if not self.verdicts:
             return
         view = self.view = LaneView(trace)
@@ -364,15 +426,24 @@ class _Walk:
                         left = True
         return (pending[0] if pending else _NEVER), left
 
+    def _follows(self, at: int, victim: int, cycle: int) -> bool:
+        """Whether a tail walk's log squashes from ``victim`` in ``cycle``
+        at record position ``at``: the squash that a hook just named,
+        right after its record, so the lane reproduces it."""
+        log = self.host.events
+        return (self.follow and at + 4 < len(log) and log[at] == EV_SQUASH
+                and log[at + 1] == victim - 1 and log[at + 2] == cycle)
+
     def run(self) -> None:
-        """Walk the host's log once, driving every live lane.  Record
-        kinds are tested most frequent first; a lane that leaves rebinds
-        the calls before the next record."""
+        """Walk the log once, driving every live lane.  Record kinds are
+        tested most frequent first; a lane that leaves rebinds the calls
+        before the next record.  A tail walk ends when its lane leaves."""
         host = self.host
         log = host.events
         n = len(log)
         view = self.view
         if view is not None:
+            addr_ = view.addr
             isst_ = view.isst
             isld_ = view.isld
             safe_ = view.safe
@@ -380,6 +451,7 @@ class _Walk:
             icyc_ = view.icyc
             rcyc_ = view.rcyc
             rob = view.rob
+            gaps = view.gaps
             limit = view.n
         tracked = self.tracked
         track = tracked is not None
@@ -387,26 +459,31 @@ class _Walk:
             ipos_ = tracked["ipos"]
             ihead_ = tracked["ihead"]
             rpos_ = tracked["rpos"]
+        follow = self.follow
+        loads = _LOADS
         marks = self.marks
         ck_next = self.pending[0] if self.pending else _NEVER
         (live, verdicts, observes, draws, f_loads, f_safes, f_commits,
          f_squashes, recoveries, v_loads, v_stores, v_mode2,
          v_mode1) = self._bind()
         left = False   # a lane left during the record
-        head = 0       # next seq to retire
-        retired = 0
-        last = 0       # cycle of the previous commit stage
-        stage = -1     # cycle of the last issue, writeback or fetch record
-        stores = victims = loads = squashes = 0
+        # base: the record position of the log's first record (a tail's
+        # count on from its host's log); head: the next seq to retire;
+        # last: the cycle of the previous commit stage; stage: the cycle
+        # of the last issue, writeback or fetch record.
+        base, head, retired, last, stage = self.cursors
+        gap = _NEVER   # first seq of the next squashed range ahead of head
+        expect = -1    # the victim a hook just named, whose squash comes next
+        stores = victims = squashes = 0
         i = 0
         while i < n:
             op = log[i]
             if op == EV_COMMIT:
-                loads += 1
-                for filter_commit in f_commits:
-                    filter_commit(log[i + 1])
+                if f_commits:
+                    for filter_commit in f_commits:
+                        filter_commit(log[i + 1])
                 i += 2
-            elif op == EV_LOAD_SAFE or op == EV_LOAD or op == EV_LOAD_GUARDED:
+            elif op in loads:
                 addr = log[i + 1]
                 seq = log[i + 2]
                 if verdicts:
@@ -416,7 +493,10 @@ class _Walk:
                         ck_next, left = self._checkpoint(
                             cycle, (head, retired, last, stage))
                     if track:
-                        ipos_[seq] = i
+                        if follow and (seq >= limit or addr_[seq] != addr):
+                            self._leave(verdicts[0], cycle)
+                            break  # not an op the lane fetched there
+                        ipos_[seq] = base + i
                         ihead_[seq] = head
                         stage = cycle
                     icyc_[seq] = cycle
@@ -425,12 +505,14 @@ class _Walk:
                         if op == EV_LOAD_GUARDED:
                             gbp_[seq] = True
                     for lane, hook in v_loads:
-                        if hook(seq) >= 0:
+                        expect = hook(seq)
+                        if expect >= 0 and not self._follows(i + 4, expect, cycle):
                             left = self._leave(lane, cycle)
                 for observe in observes:
                     observe(addr)
-                for filter_load in f_loads:
-                    filter_load(addr, seq)
+                if f_loads:
+                    for filter_load in f_loads:
+                        filter_load(addr, seq)
                 i += 4
             elif op == EV_COMMITS:
                 if verdicts:
@@ -441,37 +523,52 @@ class _Walk:
                     count = log[i + 2]
                     retired += count
                     end = head + count
-                    if end > limit:
-                        raise SimulationError(
-                            f"verdict lane {verdicts[0].label} retired seq "
-                            f"{end - 1} past the end of its {limit}-op trace")
-                    for lane, scheme, unsafe_, commit in v_mode2:
-                        if scheme.checking_active:
-                            lane.checking += cycle - last
-                        seq = head
-                        while seq < end:
-                            if not scheme.checking_active:
-                                # Outside a window only an unsafe store
-                                # acts: skip to the next one flagged.
-                                seq = unsafe_.find(1, seq, end)
-                                if seq < 0:
+                    while True:
+                        rest = 0
+                        if end > gap:
+                            # A squashed range the tail walk followed:
+                            # retire up to it, then on past it.
+                            rest = end - gap
+                            end = gap
+                        if end > limit:
+                            if not follow:
+                                raise SimulationError(
+                                    f"verdict lane {verdicts[0].label} retired seq "
+                                    f"{end - 1} past the end of its {limit}-op trace")
+                            left = self._leave(verdicts[0], cycle)
+                            break
+                        for lane, scheme, unsafe_, commit in v_mode2:
+                            if scheme.checking_active:
+                                lane.checking += cycle - last
+                            seq = head
+                            while seq < end:
+                                if not scheme.checking_active:
+                                    # Outside a window only an unsafe store
+                                    # acts: skip to the next one flagged.
+                                    seq = unsafe_.find(1, seq, end)
+                                    if seq < 0:
+                                        break
+                                    if not isst_[seq]:
+                                        seq += 1
+                                        continue
+                                if commit(seq, cycle):
+                                    left = self._leave(lane, cycle)
                                     break
-                                if not isst_[seq]:
-                                    seq += 1
-                                    continue
-                            if commit(seq, cycle):
-                                left = self._leave(lane, cycle)
-                                break
-                            seq += 1
-                    for lane, commit_load in v_mode1:
-                        seq = head
-                        while seq < end:
-                            if isld_[seq] and commit_load(seq):
-                                left = self._leave(lane, cycle)
-                                break
-                            seq += 1
-                    last = cycle
-                    head = end
+                                seq += 1
+                        for lane, commit_load in v_mode1:
+                            seq = head
+                            while seq < end:
+                                if isld_[seq] and commit_load(seq):
+                                    left = self._leave(lane, cycle)
+                                    break
+                                seq += 1
+                        last = cycle
+                        head = end
+                        if head == gap:
+                            head, gap = _past(gaps, head)
+                        if left or not rest:
+                            break
+                        end = head + rest
                     if marks and min(marks) < head:
                         # A marked load retired: the kernel would have raised.
                         for lane in verdicts:
@@ -494,20 +591,35 @@ class _Walk:
                                 f"found a victim")
                         lane.filtered += 1
                 if verdicts:
-                    if victim:
+                    if victim and not follow:
                         raise _host_squash(verdicts[0].label, op, i)
                     cycle = log[i + 4]
                     if cycle >= ck_next:
                         ck_next, left = self._checkpoint(
                             cycle, (head, retired, last, stage))
                     if track:
-                        rpos_[seq] = i
+                        if follow and (seq >= limit or addr_[seq] != addr):
+                            self._leave(verdicts[0], cycle)
+                            break  # not an op the lane fetched there
+                        rpos_[seq] = base + i
                         stage = cycle
                     icyc_[seq] = rcyc_[seq] = cycle
-                    rob[0] = seq + 1 if seq < log[i + 3] else seq
+                    # Garg flushes from the first live seq younger than
+                    # the store, if the recorded ROB tail reaches it.
+                    younger = seq + 1
+                    for start, stop in gaps:
+                        if younger == start:
+                            younger = stop
+                    rob[0] = younger if younger <= log[i + 3] else seq
+                    expect = -1
                     for lane, hook in v_stores:
-                        if hook(seq) >= 0:
+                        expect = hook(seq)
+                        if expect >= 0 and not (
+                                victim and self._follows(i + 5, expect, cycle)):
                             left = self._leave(lane, cycle)
+                    if victim and expect < 0:
+                        # The tail's victim, which the lane does not name.
+                        left = self._leave(verdicts[0], cycle)
                 i += 5
             elif op == EV_MARK:
                 marks[log[i + 1]] = log[i + 2]
@@ -536,7 +648,25 @@ class _Walk:
                 i += 3
             else:  # EV_SQUASH
                 if verdicts:
-                    raise _host_squash(verdicts[0].label, op, i)
+                    if not follow:
+                        raise _host_squash(verdicts[0].label, op, i)
+                    lane = verdicts[0]
+                    boundary = log[i + 1] + 1
+                    cycle = log[i + 2]
+                    if expect >= 0:
+                        expect = -1  # the hook's record checked boundary and cycle
+                    elif (boundary != head or head >= limit or cycle < last
+                          or cycle <= stage
+                          or not lane.hooks.gated_commit(head, cycle)):
+                        self._leave(lane, cycle)
+                        break  # not the lane's own replay of its commit head
+                    if not view.squash(boundary, log[i + 3], head):
+                        self._leave(lane, cycle)
+                        break
+                    limit = view.n
+                    head, gap = _past(gaps, head)
+                    # The DMDC and Garg adapters repair by the kept seq alone.
+                    lane.hooks.on_squash(boundary - 1, ())
                 squashes += 1
                 count = log[i + 4]
                 for filter_squash in f_squashes:
@@ -549,14 +679,19 @@ class _Walk:
                  v_mode1) = self._bind()
                 if not live:
                     break
-        self._book(verdicts, retired, last, stores, victims, loads, squashes)
+        self._book(retired, last, stores, victims, squashes)
 
-    def _book(self, verdicts: Tuple[Lane, ...], retired: int, last: int,
-              stores: int, victims: int, loads: int, squashes: int) -> None:
+    def _book(self, retired: int, last: int, stores: int, victims: int,
+              squashes: int) -> None:
         """Book what the log gave every lane that stayed to its end."""
         host = self.host
+        verdicts = [lane for lane in self.verdicts if lane.live]
         for lane in verdicts:
             if retired != host.committed or lane.view.tvs.disagree:
+                if self.follow:
+                    # The lane did not time as the forked run.
+                    self._leave(lane, host.cycles)
+                    return
                 raise SimulationError(
                     f"verdict lane {lane.label} retired {retired} instructions, "
                     f"but its host committed {host.committed} before cycle "
@@ -577,7 +712,9 @@ class _Walk:
                           ("replay.execution_time", victims),
                           ("replay.coherence", coherence))
             elif lane.kind == VALUE:
-                booked = (("value.reexecutions", loads + squashes),
+                # A recording run logs every load it commits.
+                booked = (("value.reexecutions",
+                           host.counters["commit.loads"] + squashes),
                           ("replay.true", squashes))
             else:
                 continue

@@ -7,7 +7,12 @@ environment-derived settings, and honest wall-clock rates alongside the
 sim-time figure of merit.
 """
 
-from repro.perf.bench import run_bench, validate_payload
+import shutil
+import subprocess
+
+import pytest
+
+from repro.perf.bench import _git_sha, run_bench, validate_payload
 
 #: One tiny quick run shared by every test in this module.
 _PAYLOAD = None
@@ -72,3 +77,26 @@ def test_validate_flags_missing_provenance():
     problems = validate_payload(payload)
     assert "scheme dmdc/gzip: missing kernel provenance" in problems
     assert any("sim_seconds" in p for p in problems)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_sha_marks_a_modified_tree(tmp_path):
+    """A payload generated from uncommitted sources must not name their
+    parent commit as if it were them."""
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "a.py")
+    git("commit", "-q", "-m", "one")
+    git("tag", "v1")
+    head = git("rev-parse", "HEAD")
+    assert _git_sha(str(tmp_path)) == head
+    (tmp_path / "a.py").write_text("x = 2\n")
+    assert _git_sha(str(tmp_path)) == head + "-dirty"
+    git("commit", "-q", "-am", "two")
+    assert _git_sha(str(tmp_path)) == git("rev-parse", "HEAD")

@@ -191,21 +191,22 @@ def test_one_verdict_lane_diverging_mid_walk_leaves_the_others_unchanged(walks):
 
 
 def _resumes(monkeypatch):
-    """Every checkpoint walk, ``Checkpoint.resume`` and ``replay_verdicts``
-    call of a processor: ("checkpoint walk", lanes), ("resume",), and
-    ("tail", the forked run's fork cycle) for a tail attempt."""
+    """Every checkpoint walk, ``Checkpoint.resume`` and tail walk
+    (``walk_tail``) of a processor: ("checkpoint walk", lanes),
+    ("resume",), and ("tail", the forked run's fork cycle) for a tail
+    attempt."""
     calls = []
     resume = walk.Checkpoint.resume
-    replay = processor_module.replay_verdicts
+    walk_tail = processor_module.walk_tail
     walked = walk._walk
 
     def resume_spy(checkpoint, trace):
         calls.append(("resume",))
         return resume(checkpoint, trace)
 
-    def replay_spy(hooks, view, wrongpath, tail, state):
+    def tail_spy(tail, processor, resumed):
         calls.append(("tail", tail.fork_cycle))
-        return replay(hooks, view, wrongpath, tail, state)
+        return walk_tail(tail, processor, resumed)
 
     def walk_spy(host, processors, lanes, t0, leave):
         if leave:
@@ -213,7 +214,7 @@ def _resumes(monkeypatch):
         return walked(host, processors, lanes, t0, leave)
 
     monkeypatch.setattr(walk.Checkpoint, "resume", resume_spy)
-    monkeypatch.setattr(processor_module, "replay_verdicts", replay_spy)
+    monkeypatch.setattr(processor_module, "walk_tail", tail_spy)
     monkeypatch.setattr(walk, "_walk", walk_spy)
     return calls
 

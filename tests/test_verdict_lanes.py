@@ -29,7 +29,7 @@ from repro.sim.config import CONFIG1, CONFIG2, SchemeConfig
 from repro.sim.processor import Processor
 from repro.sim.runner import _Point, run_many
 from repro.sim.setup_memo import SetupBatch
-from repro.sim.soa import SoaKernel, replay_verdicts
+from repro.sim.soa import SoaKernel
 from repro.sim import walk
 from repro.sim.walk import walk_lanes
 from repro.workloads import SUITE
@@ -117,7 +117,7 @@ def test_a_diverging_lane_steps_its_own_kernel(runs, monkeypatch):
     checkpoint_walks = []
 
     def spy(*args, **kwargs):
-        verdicts.append(replay_verdicts(*args, **kwargs))
+        verdicts.append(walk.walk_tail(*args, **kwargs))
         return verdicts[-1]
 
     def walk_spy(host, processors):
@@ -132,7 +132,7 @@ def test_a_diverging_lane_steps_its_own_kernel(runs, monkeypatch):
         if leave:
             checkpoint_walks.append([lane.checkpoint.cycle for lane in lanes])
 
-    monkeypatch.setattr("repro.sim.processor.replay_verdicts", spy)
+    monkeypatch.setattr("repro.sim.processor.walk_tail", spy)
     monkeypatch.setattr("repro.sim.runner.walk_lanes", walk_spy)
     monkeypatch.setattr(walk, "_walk", checkpoint_spy)
     points = [_point(CONFIG2, label, workload="mcf", seed=41, budget=4_000)
@@ -219,9 +219,10 @@ def test_lanes_own_their_results(runs):
 
 
 def test_the_replay_is_a_lint_hot_path():
-    assert "replay_verdicts" in HOT_FUNCTIONS["repro/sim/soa.py"]
-    src = ("def replay_verdicts(hooks, view, events):\n"
-           "    hooks.scheme.stats.bump('x')\n"
-           "    return []\n")
-    found = sorted(v.rule_id for v in lint_source(src, path="src/repro/sim/soa.py"))
+    assert "_Walk.run" in HOT_FUNCTIONS["repro/sim/walk.py"]
+    src = ("class _Walk:\n"
+           "    def run(self):\n"
+           "        self.lanes[0].scheme.stats.bump('x')\n"
+           "        return []\n")
+    found = sorted(v.rule_id for v in lint_source(src, path="src/repro/sim/walk.py"))
     assert found == ["REPRO004", "REPRO005"]
